@@ -14,13 +14,16 @@ first argument at ties, ``where`` follows its condition, ``abs`` uses the
 sign (zero at zero).  Comparisons on traced values return plain boolean
 arrays, i.e. branches are frozen at the recorded values.
 
+Mesh rows move through two primitives, each the other's adjoint:
+``take_rows`` gathers with ``np.take`` along axis 0, and ``segment_sum``
+scatter-adds with ``np.add.at``, which accumulates repeated indices in
+index order.  Both take any trailing shape.
+
 All values and adjoints are float64.  Recording the same program twice
 yields bitwise-identical gradients.
 """
 
 import numpy as np
-
-from . import kernels
 
 
 class TraceError(ValueError):
@@ -151,10 +154,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
-
-
-def is_var(x):
-    return isinstance(x, Var)
 
 
 def value_of(x):
@@ -521,34 +520,37 @@ def stack(parts, axis=0):
 # mesh primitives: row gather and scatter-add
 # ---------------------------------------------------------------------------
 
+def _scatter_rows(vals, idx, n_rows):
+    """Fresh (n_rows, ...) zeros with vals[k] added at row idx[k], in order."""
+    out = np.zeros((n_rows,) + vals.shape[1:])
+    np.add.at(out, idx, vals)
+    return out
+
+
 def take_rows(a, idx):
     """Row gather a[idx] along axis 0; the adjoint is a scatter-add."""
     idx = np.asarray(idx)
     if not isinstance(a, Var):
-        return kernels.gather_rows(a, idx) if a.ndim == 2 else a[idx]
-    out = kernels.gather_rows(a.value, idx) if a.value.ndim == 2 else a.value[idx]
-    shape = a.value.shape
+        return np.take(a, idx, axis=0)
+    out = np.take(a.value, idx, axis=0)
+    n_rows = a.value.shape[0]
 
     def vjp(g):
-        if g.ndim == 2 and len(shape) == 2:
-            a._acc(kernels.scatter_add_rows(idx, g, shape[0]))
-        else:
-            gz = np.zeros(shape, dtype=np.float64)
-            np.add.at(gz, idx, g)
-            a._acc(gz)
+        a._acc(_scatter_rows(g, idx, n_rows))
 
     return _node(a.tape, out, vjp)
 
 
 def segment_sum(vals, idx, n_rows):
-    """Scatter-add rows of vals (K, C) into (n_rows, C) at indices idx."""
+    """Scatter-add rows of vals (K, ...) into (n_rows, ...) at indices idx;
+    the adjoint is a row gather."""
     idx = np.asarray(idx)
     if not isinstance(vals, Var):
-        return kernels.scatter_add_rows(idx, vals, n_rows)
-    out = kernels.scatter_add_rows(idx, vals.value, n_rows)
+        return _scatter_rows(vals, idx, n_rows)
+    out = _scatter_rows(vals.value, idx, n_rows)
 
     def vjp(g):
-        vals._acc(kernels.gather_rows(g, idx))
+        vals._acc(np.take(g, idx, axis=0))
 
     return _node(vals.tape, out, vjp)
 
@@ -571,65 +573,6 @@ def record_and_backprop(program, params):
     tape.backward([(out, np.array(1.0))])
     grad = p.grad if p.grad is not None else np.zeros_like(p.value)
     return float(out.value), grad
-
-
-def checkpointed_rollout_grad(step_fn, loss_fn, w0, n_steps, params, segment_len=None):
-    """Gradient of a summed per-step loss over a rollout, with checkpointing.
-
-    step_fn(w, p) -> w_next and loss_fn(t, w_t, w_next) -> scalar must both
-    accept either plain arrays or traced Vars.  The rollout is re-recorded
-    segment by segment in reverse, so peak tape size is one segment, not the
-    whole trajectory.  Returns (loss, grad, info) where info carries the
-    peak recorded node count.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if segment_len is None:
-        segment_len = n_steps
-    segment_len = max(1, min(segment_len, n_steps))
-
-    w0 = np.asarray(w0, dtype=np.float64)
-    params = np.asarray(params, dtype=np.float64)
-
-    # forward pass, keeping states only at segment starts
-    starts = list(range(0, n_steps, segment_len))
-    saved = {}
-    w = w0
-    for t in range(n_steps):
-        if t in starts:
-            saved[t] = w
-        w = step_fn(w, params)
-
-    grad = np.zeros_like(params)
-    adjoint = None
-    loss_total = 0.0
-    peak_nodes = 0
-
-    for s in reversed(starts):
-        steps_here = min(segment_len, n_steps - s)
-        tape = Tape()
-        wv = tape.var(saved[s])
-        pv = tape.var(params)
-        terms = []
-        cur = wv
-        for k in range(steps_here):
-            nxt = step_fn(cur, pv)
-            terms.append(loss_fn(s + k, cur, nxt))
-            cur = nxt
-        seg_loss = terms[0]
-        for term in terms[1:]:
-            seg_loss = add(seg_loss, term)
-        seeds = [(seg_loss, np.array(1.0))]
-        if adjoint is not None:
-            seeds.append((cur, adjoint))
-        tape.backward(seeds)
-        loss_total += float(seg_loss.value)
-        if pv.grad is not None:
-            grad += pv.grad
-        adjoint = wv.grad if wv.grad is not None else np.zeros_like(w0)
-        peak_nodes = max(peak_nodes, tape.node_count)
-
-    return loss_total, grad, {"peak_nodes": peak_nodes}
 
 
 def finite_diff_grad(fn, params, rel_step=1e-6):

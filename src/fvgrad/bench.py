@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from . import mesh as msh
-from . import mlcorr, solver, train
+from . import solver
 from .bc import BCSpec
 from .euler import GasModel, cons_to_prim, prim_to_cons
 from .mesh import BoundarySpec
@@ -89,13 +89,6 @@ def riemann_case(case_id):
     return RiemannCase(case_id, _FILE_CASES[case_id])
 
 
-def available_cases():
-    global _FILE_CASES
-    if _FILE_CASES is None:
-        _FILE_CASES = _load_case_file()
-    return sorted(set(_FILE_CASES) | set(_PAPER_CASES))
-
-
 def case_bc(case, mesh, kind="subsonic_outflow"):
     """Boundary table for a Riemann run; back pressure from the initial data."""
     if kind == "periodic":
@@ -155,24 +148,19 @@ def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
         bc_coarse = bc_fine = {}
 
     w_co = prim_to_cons(evaluate(coarse.centroid), gas)
-    w_ml = w_co.copy()
     w_fi = prim_to_cons(evaluate(fine.centroid), gas)
 
     cfg_plain = solver.StepConfig(co=co, gradient=gradient, gas=gas)
     cfg_ml = solver.StepConfig(co=co, gradient=f"ml_{gradient}", gas=gas)
     dt = solver.compute_dt(coarse, cfg_plain)
-    m = train.substep_count(coarse, fine)
+    runs = zip(
+        solver.march(fine, w_fi, dt, n_steps, cfg_plain, bc_fine,
+                     substeps=solver.substep_count(coarse, fine)),
+        solver.march(coarse, w_co, dt, n_steps, cfg_plain, bc_coarse),
+        solver.march(coarse, w_co, dt, n_steps, cfg_ml, bc_coarse, params=params))
 
     rows = []
-    for k in range(1, n_steps + 1):
-        for _ in range(m):
-            w_fi, _ = solver.step_explicit_euler(fine, w_fi, dt / m, cfg_plain,
-                                                 bc_fine, step_index=k)
-        w_co, _ = solver.step_explicit_euler(coarse, w_co, dt, cfg_plain,
-                                             bc_coarse, step_index=k)
-        w_ml, _ = solver.step_explicit_euler(coarse, w_ml, dt, cfg_ml,
-                                             bc_coarse, params=params,
-                                             step_index=k)
+    for (k, w_fi, _), (_, w_co, _), (_, w_ml, _) in runs:
         if k % record_every == 0 or k == n_steps:
             u_ref = cons_to_prim(msh.project_fine_to_coarse(w_fi, pm), gas)
             u_co = cons_to_prim(w_co, gas)
@@ -255,15 +243,6 @@ def forward_step_mesh(h_target=0.02):
     return mesh, bc_table
 
 
-def slice_at_y(mesh, field, y=0.5, band=None):
-    """Cells whose centroid lies in a thin band around y, ordered by x."""
-    band = band if band is not None else 0.6 * np.sqrt(mesh.area.mean())
-    sel = np.where(np.abs(mesh.centroid[:, 1] - y) < band)[0]
-    order = np.argsort(mesh.centroid[sel, 0])
-    sel = sel[order]
-    return mesh.centroid[sel, 0], np.asarray(field)[sel]
-
-
 # ---------------------------------------------------------------------------
 # convergence study
 # ---------------------------------------------------------------------------
@@ -303,18 +282,17 @@ def convergence_study(case_ids, levels, params=None, t_final=0.2, co=0.01,
             cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
             dt = solver.compute_dt(coarse, cfg)
             n_steps = int(np.ceil(t_final / dt))
-            m = train.substep_count(coarse, fine)
-            for _ in range(n_steps):
-                for _s in range(m):
-                    w_fi, _ = solver.step_explicit_euler(fine, w_fi, dt / m, cfg, {})
+            for _, w_fi, _ in solver.march(fine, w_fi, dt, n_steps, cfg, {},
+                                           substeps=solver.substep_count(coarse, fine)):
+                pass
             u_ref = cons_to_prim(msh.project_fine_to_coarse(w_fi, pm), gas)
             for mode in modes:
                 cfg_m = solver.StepConfig(co=co, gradient=mode, gas=gas)
                 w = prim_to_cons(case.evaluate(coarse.centroid), gas)
-                for _ in range(n_steps):
-                    w, _ = solver.step_explicit_euler(
-                        coarse, w, dt, cfg_m, {},
-                        params=params if cfg_m.uses_network else None)
+                for _, w, _ in solver.march(
+                        coarse, w, dt, n_steps, cfg_m, {},
+                        params=params if cfg_m.uses_network else None):
+                    pass
                 per_mode[mode].append(np.abs(cons_to_prim(w, gas) - u_ref).mean())
         for mode in modes:
             err = float(np.mean(per_mode[mode]))
@@ -352,25 +330,23 @@ def timing_study(case_id, levels, params=None, t_final=0.1, co=0.01,
         cfg0 = solver.StepConfig(co=co, gradient="lsq", gas=gas)
         dt = solver.compute_dt(coarse, cfg0)
         n_steps = int(np.ceil(t_final / dt))
-        m = train.substep_count(coarse, fine)
         w_fi = prim_to_cons(case.evaluate(fine.centroid), gas)
-        for _ in range(n_steps):
-            for _s in range(m):
-                w_fi, _ = solver.step_explicit_euler(fine, w_fi, dt / m, cfg0, {})
+        for _, w_fi, _ in solver.march(fine, w_fi, dt, n_steps, cfg0, {},
+                                       substeps=solver.substep_count(coarse, fine)):
+            pass
         u_ref = cons_to_prim(msh.project_fine_to_coarse(w_fi, pm), gas)
         for mode in modes:
             cfg = solver.StepConfig(co=co, gradient=mode, gas=gas)
             p = params if cfg.uses_network else None
             w0 = prim_to_cons(case.evaluate(coarse.centroid), gas)
-            solver.step_explicit_euler(coarse, w0, dt, cfg, {}, params=p)  # warmup
+            next(solver.march(coarse, w0, dt, 1, cfg, {}, params=p))  # warmup
             times = []
             err = None
             for _rep in range(max(3, repeats)):
-                w = w0.copy()
+                w = w0
                 t0 = time.perf_counter()
-                for _ in range(n_steps):
-                    w, _ = solver.step_explicit_euler(coarse, w, dt, cfg, {},
-                                                      params=p)
+                for _, w, _ in solver.march(coarse, w0, dt, n_steps, cfg, {}, params=p):
+                    pass
                 times.append(time.perf_counter() - t0)
                 err = float(np.abs(cons_to_prim(w, gas) - u_ref).mean())
             rows.append((mode, coarse.mean_cell_length, coarse.n_cells,

@@ -6,8 +6,13 @@ its config alone.  Unknown config keys are rejected.  Every artifact
 directory receives a run manifest with the config hash, and text artifacts
 carry the hash in a header comment.
 
-Exit codes: 0 ok, 2 config error, 3 numeric failure, 4 gradient-check
-failure.
+Exit codes:
+  0  ok
+  2  config error: bad or unknown config key, missing config file, missing
+     or corrupt ``--checkpoint``, dataset directory without manifest.json
+  3  numeric failure: rejected solver step, inadmissible state, mesh error,
+     domain error while recording the tape, non-finite network activation
+  4  gradient-check failure, or a missing / stale gradcheck report
 """
 
 import argparse
@@ -24,6 +29,7 @@ import yaml
 from . import bench as benchmod
 from . import mesh as msh
 from . import mlcorr, solver, train
+from .autodiff import TraceError
 from .bc import BCSpec
 from .euler import AdmissibilityError, GasModel, prim_to_cons
 from .mesh import BoundarySpec
@@ -213,7 +219,6 @@ def build_mesh_from_config(cfg):
 def default_bc_table(mesh, cfg, ic=None):
     """BCSpec table covering every tag present on the mesh."""
     table = {}
-    gamma = cfg["step"]["gamma"]
     for code in mesh.tag_slices:
         if code == msh.SLIP_WALL:
             table[code] = BCSpec(kind=code)
@@ -237,7 +242,6 @@ def default_bc_table(mesh, cfg, ic=None):
                 raise ConfigError("subsonic outflow needs an initial condition "
                                   "to derive the back pressure")
             table[code] = BCSpec(kind=code, back_pressure=ic(mids)[:, 3])
-    del gamma
     return table
 
 
@@ -275,8 +279,11 @@ def step_config(cfg, gradient=None, co=None):
 
 def net_config(cfg):
     nc = cfg["net"]
-    return mlcorr.NetConfig(width=nc["width"], combine=nc["combine"],
-                            alpha_max=nc["alpha_max"])
+    try:
+        return mlcorr.NetConfig(width=nc["width"], combine=nc["combine"],
+                                alpha_max=nc["alpha_max"])
+    except mlcorr.NetworkError as exc:
+        raise ConfigError(f"net: {exc}")
 
 
 def loss_weights(cfg):
@@ -318,8 +325,21 @@ def cmd_dataset(cfg):
     return EXIT_OK
 
 
+def _load_checkpoint(path):
+    """Network parameters from --checkpoint; a missing or corrupt file is a
+    config error."""
+    try:
+        return mlcorr.load_params(path)
+    except (OSError, mlcorr.NetworkError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}")
+
+
 def _load_dataset_dir(ds_dir, expect_cells):
-    manifest = json.loads((Path(ds_dir) / "manifest.json").read_text())
+    manifest_path = Path(ds_dir) / "manifest.json"
+    if not manifest_path.is_file():
+        raise ConfigError(f"no dataset in {ds_dir} (manifest.json missing); "
+                          "run the dataset command first")
+    manifest = json.loads(manifest_path.read_text())
     trains, vals = [], []
     for entry in manifest["trajectories"]:
         _times, frames = solver.read_frames(Path(ds_dir) / entry["file"])
@@ -396,7 +416,7 @@ def cmd_simulate(cfg, checkpoint=None):
     params = None
     gradient = cfg["step"]["gradient"]
     if checkpoint is not None:
-        params = mlcorr.load_params(checkpoint)
+        params = _load_checkpoint(checkpoint)
         if not gradient.startswith("ml_"):
             gradient = f"ml_{gradient}"
     elif gradient.startswith("ml_"):
@@ -417,7 +437,7 @@ def cmd_bench(cfg, checkpoint=None):
     out = out_dir_for(cfg)
     bc_cfg = cfg["bench"]
     gas = GasModel(gamma=cfg["step"]["gamma"])
-    params = mlcorr.load_params(checkpoint) if checkpoint else mlcorr.zero_params(
+    params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(
         net_config(cfg))
     artifacts = []
     head = f"config {config_hash(cfg)}"
@@ -511,7 +531,8 @@ def main(argv=None):
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except (solver.SolverError, AdmissibilityError, msh.MeshError) as exc:
+    except (solver.SolverError, AdmissibilityError, msh.MeshError,
+            TraceError, mlcorr.NetworkError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
     return EXIT_CONFIG

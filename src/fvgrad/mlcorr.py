@@ -54,6 +54,10 @@ class NetConfig:
     n_vars: int = 4
     alpha_max: float = 0.5
 
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha_max) and self.alpha_max > 0):
+            raise NetworkError(f"alpha_max must be finite and > 0, got {self.alpha_max!r}")
+
     @property
     def n_in(self):
         return self.n_neighbors * self.n_vars
@@ -219,16 +223,6 @@ def masked_alpha(mesh, params, du, vec=None):
     return ad.where(mask, alpha, 0.0)
 
 
-def corrected_gradient_gg(mesh, u_ext, alpha):
-    """Green-Gauss gradient with learned per-neighbor face weights."""
-    return recon.gradient_gg(mesh, u_ext, alpha=alpha)
-
-
-def corrected_gradient_lsq(mesh, u_ext, alpha):
-    """Least-squares gradient with (1 + alpha) reweighted right-hand side."""
-    return recon.gradient_lsq(mesh, u_ext, alpha=alpha)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format: magic, version, config json, shape table, raw float64
 # ---------------------------------------------------------------------------
@@ -293,8 +287,12 @@ def load_params(path):
         if vals.size != total:
             raise NetworkError(f"checkpoint holds {vals.size} parameters, "
                                f"shape table expects {total}")
+    except NetworkError:
+        raise
     except struct.error as exc:
         raise NetworkError(f"truncated checkpoint: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise NetworkError(f"corrupt checkpoint: {exc}") from exc
     expected, n = _make_table(cfg)
     if [(a, b) for a, b, _ in table] != [(a, b) for a, b, _ in expected] or n != total:
         raise NetworkError("shape table does not match this build's architecture")

@@ -6,6 +6,10 @@ apply the Rusanov flux, accumulate the residual and update.  The time step
 is fixed per run, dt = co * min sqrt(|C|), so runs on a coarse mesh, its
 refinement and the corrected solver all share time instants.
 
+``march`` is the one time-marching loop: rollouts, fine-grid references
+(sub-stepped to the coarse time instants), gain, convergence and timing
+runs and the multi-step gradient check all advance through it.
+
 Gradient modes: "gg", "lsq" (plain) and "ml_gg", "ml_lsq" (corrected).
 With all network parameters zero the corrected modes reproduce the plain
 modes bitwise.
@@ -19,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bc as bclib
 from . import mlcorr, recon
-from .euler import GasModel, cons_to_prim, max_wave_speed, prim_to_cons
+from .euler import GasModel, cons_to_prim, max_wave_speed, physical_flux, prim_to_cons
 
 FRAME_MAGIC = b"FVFR"
 FRAME_VERSION = 1
@@ -76,16 +80,21 @@ def compute_dt(mesh, cfg):
     return cfg.co * mesh.min_sqrt_area
 
 
-def rusanov_flux(w_l, w_r, n, gas=GasModel()):
-    """Godunov-type flux: central average plus max-wave-speed dissipation."""
-    from .euler import physical_flux
+def substep_count(coarse, fine):
+    """Smallest substep count keeping the fine run at or below the coarse Co."""
+    return int(np.ceil(coarse.min_sqrt_area / fine.min_sqrt_area - 1e-12))
 
+
+def rusanov_flux(w_l, w_r, n, gas=GasModel()):
+    """Godunov-type flux: central average plus max-wave-speed dissipation.
+
+    Returns (flux, s) with s the per-face maximum wave speed.
+    """
     f_l = physical_flux(w_l, n, gas)
     f_r = physical_flux(w_r, n, gas)
     s = ad.maximum(max_wave_speed(w_l, n, gas), max_wave_speed(w_r, n, gas))
-    if ad.value_of(s).ndim:
-        s = ad.reshape(s, ad.value_of(s).shape + (1,))
-    return 0.5 * (f_l + f_r) - 0.5 * s * (w_l - w_r)
+    s_col = ad.reshape(s, ad.value_of(s).shape + (1,)) if ad.value_of(s).ndim else s
+    return 0.5 * (f_l + f_r) - 0.5 * s_col * (w_l - w_r), s
 
 
 def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
@@ -123,15 +132,13 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     w_l = prim_to_cons(u_l, gas, check=False)
     w_r = prim_to_cons(u_r, gas, check=False)
 
-    flux = rusanov_flux(w_l, w_r, mesh.f_normal, gas)
+    flux, s = rusanov_flux(w_l, w_r, mesh.f_normal, gas)
     contrib = flux * mesh.f_len[:, None]
     parts = ad.concatenate([contrib, -contrib[:mesh.n_iface]], axis=0)
     r = ad.segment_sum(parts, mesh.rs_idx, mesh.n_cells)
 
-    s_max = float(np.max(ad.value_of(
-        ad.maximum(max_wave_speed(w_l, mesh.f_normal, gas, check=False),
-                   max_wave_speed(w_r, mesh.f_normal, gas, check=False)))))
-    diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback, "max_wave_speed": s_max}
+    diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
+            "max_wave_speed": float(np.max(ad.value_of(s)))}
     return r, diag
 
 
@@ -151,7 +158,24 @@ def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
     return w_next, diag
 
 
-def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None, record=None):
+def march(mesh, w0, dt, n_steps, cfg, bc_table=None, params=None,
+          params_vec=None, substeps=1):
+    """Advance n_steps coarse steps of size dt, yielding (k, w, diag) after each.
+
+    Coarse step k = 1..n_steps runs ``substeps`` explicit Euler steps of
+    dt/substeps, each tagged with step_index=k; diag is the last substep's.
+    States pass through unchanged, so a traced ``Var`` stays traced.
+    """
+    h = dt / substeps
+    w = w0
+    for k in range(1, n_steps + 1):
+        for _ in range(substeps):
+            w, diag = step_explicit_euler(mesh, w, h, cfg, bc_table, params,
+                                          params_vec, step_index=k)
+        yield k, w, diag
+
+
+def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None):
     """Advance n_steps with a fixed dt, saving every cfg.save_every-th frame.
 
     Deterministic for fixed inputs.  Diagnostics per saved frame: totals of
@@ -159,13 +183,10 @@ def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None, record=None):
     co * max wave speed.
     """
     dt = compute_dt(mesh, cfg)
-    rec = record if record is not None else RolloutRecord()
+    rec = RolloutRecord()
     w = np.asarray(ad.value_of(w0), dtype=np.float64)
     rec.append(0.0, w, _frame_diag(mesh, 0, 0.0, w, None, cfg))
-    for k in range(1, n_steps + 1):
-        w, diag = step_explicit_euler(mesh, w, dt, cfg, bc_table, params,
-                                      step_index=k)
-        w = ad.value_of(w)
+    for k, w, diag in march(mesh, w, dt, n_steps, cfg, bc_table, params):
         if k % cfg.save_every == 0 or k == n_steps:
             rec.append(k * dt, w, _frame_diag(mesh, k, k * dt, w, diag, cfg))
     return rec

@@ -96,10 +96,6 @@ def evaluate_ic(family, params, points, max_amp=6.0):
     return np.column_stack([rho, u, v, p])
 
 
-def sample_initial_condition(family, rng, max_amp, points):
-    return evaluate_ic(family, draw_ic_params(family, rng, max_amp), points, max_amp)
-
-
 # ---------------------------------------------------------------------------
 # dataset generation
 # ---------------------------------------------------------------------------
@@ -133,11 +129,6 @@ class DatasetSpec:
         return out
 
 
-def substep_count(coarse, fine):
-    """Smallest substep count keeping the fine run at or below the coarse Co."""
-    return int(np.ceil(coarse.min_sqrt_area / fine.min_sqrt_area - 1e-12))
-
-
 @dataclass
 class Trajectory:
     family: str
@@ -153,15 +144,11 @@ def reference_trajectory(coarse, fine, pm, w0_fine, steps, co, gas=GasModel()):
     """Fine-grid rollout projected onto the coarse mesh at every coarse step."""
     cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
     dt = solver.compute_dt(coarse, cfg)
-    m = substep_count(coarse, fine)
     frames = np.empty((steps + 1, coarse.n_cells, 4))
     frames[0] = msh.project_fine_to_coarse(w0_fine, pm)
-    w = w0_fine
-    for k in range(steps):
-        for _ in range(m):
-            w, _ = solver.step_explicit_euler(fine, w, dt / m, cfg, {},
-                                              step_index=k)
-        frames[k + 1] = msh.project_fine_to_coarse(w, pm)
+    for k, w, _ in solver.march(fine, w0_fine, dt, steps, cfg, {},
+                                substeps=solver.substep_count(coarse, fine)):
+        frames[k] = msh.project_fine_to_coarse(w, pm)
     return frames
 
 
@@ -399,8 +386,10 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     """Optimize the correction network on one-step supervision pairs.
 
     Deterministic for a fixed seed and serial execution.  Checkpoints are
-    written per epoch when out_dir is set; training aborts (keeping the
-    last finite parameters) if the loss stops being finite.
+    written per epoch, and the final parameters to params.gfnn, when out_dir
+    is set (the history is returned; ``write_history_csv`` writes it).
+    Training aborts (keeping the last finite parameters) if the loss stops
+    being finite.
     """
     bc_table = bc_table or {}
     if not step_cfg.uses_network:
@@ -476,7 +465,6 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
 
     if out is not None:
         mlcorr.save_params(params, out / "params.gfnn")
-        write_history_csv(history, out / "history.csv")
     return TrainResult(params=params, history=history, val_sup=val_sup,
                        aborted=aborted)
 
@@ -488,11 +476,6 @@ def write_history_csv(history, path, header_comment=None):
         fh.write(",".join(HISTORY_COLUMNS) + "\n")
         for row in history:
             fh.write(",".join(solver._fmt(row[c]) for c in HISTORY_COLUMNS) + "\n")
-
-
-def epoch_mean_total(history, epoch):
-    vals = [r["total"] for r in history if r["epoch"] == epoch]
-    return float(np.mean(vals)) if vals else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +522,15 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
                                 limiter=step_cfg.limiter)
     w_ref = w0 * np.array([1.02, 1.0, 1.0, 1.02])
     refs = [cons_to_prim(w_ref, gas)]
-    for k in range(n_steps):
-        w_ref, _ = solver.step_explicit_euler(mesh, w_ref, dt, ref_cfg, bc_table)
-        refs.append(cons_to_prim(w_ref, gas))
+    refs += [cons_to_prim(w, gas)
+             for _, w, _ in solver.march(mesh, w_ref, dt, n_steps, ref_cfg, bc_table)]
 
     def loss_fn(p_vec):
         w = w0
         total = None
-        for t in range(n_steps):
-            w_next, _ = solver.step_explicit_euler(
-                mesh, w, dt, step_cfg, bc_table, params, params_vec=p_vec)
-            term, _ = total_loss(mesh, dt, w, w_next, refs[t + 1], p_vec,
+        for k, w_next, _ in solver.march(mesh, w0, dt, n_steps, step_cfg, bc_table,
+                                         params, params_vec=p_vec):
+            term, _ = total_loss(mesh, dt, w, w_next, refs[k], p_vec,
                                  weights, gas, bc_table)
             total = term if total is None else total + term
             w = w_next

@@ -146,68 +146,48 @@ def test_recording_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# checkpointed rollouts
+# row gather / scatter-add against explicit loops, with repeated indices
 # ---------------------------------------------------------------------------
 
-def _toy_step(w, p):
-    return ad.tanh(w * p[0] + p[1]) + w * 0.9
+@pytest.fixture
+def scatter_case(rng):
+    idx = rng.integers(0, 40, size=300)
+    vals = rng.normal(size=(300, 4))
+    return idx, vals
 
 
-def _toy_loss(t, w, w_next):
-    return ad.sum((w_next - 0.3) * (w_next - 0.3)) * (1.0 + 0.1 * t)
+def test_segment_sum_matches_loop_oracle(scatter_case):
+    idx, vals = scatter_case
+    expect = np.zeros((40, 4))
+    for k, i in enumerate(idx):
+        expect[i] += vals[k]
+    np.testing.assert_allclose(ad.segment_sum(vals, idx, 40), expect, rtol=0, atol=1e-15)
+
+    # traced: same forward, and the adjoint gathers the seed rows
+    tape = ad.Tape()
+    v = tape.var(vals)
+    out = ad.segment_sum(v, idx, 40)
+    assert (out.value == ad.segment_sum(vals, idx, 40)).all()
+    seed = np.random.default_rng(3).normal(size=(40, 4))
+    tape.backward([(out, seed)])
+    expect_grad = np.array([seed[i] for i in idx])
+    assert (v.grad == expect_grad).all()
 
 
-W0 = np.linspace(-1, 1, 11)
-P0 = np.array([0.7, -0.2])
+def test_take_rows_matches_loop_oracle(scatter_case):
+    idx, vals = scatter_case
+    src = vals[:40]
+    expect = np.array([src[i] for i in idx])
+    assert (ad.take_rows(src, idx) == expect).all()
+    assert (ad.take_rows(src[:, 0], idx) == expect[:, 0]).all()
 
-
-def test_checkpointed_single_segment_matches_direct():
-    def program(p):
-        w = W0
-        total = None
-        for t in range(4):
-            w_next = _toy_step(w, p)
-            term = _toy_loss(t, w, w_next)
-            total = term if total is None else total + term
-            w = w_next
-        return total
-
-    loss_direct, grad_direct = ad.record_and_backprop(program, P0)
-    loss_ck, grad_ck, info = ad.checkpointed_rollout_grad(
-        _toy_step, _toy_loss, W0, 4, P0, segment_len=4)
-    assert loss_ck == loss_direct
-    assert (grad_ck == grad_direct).all()
-
-
-def test_checkpointed_segments_agree():
-    l2, g2, info2 = ad.checkpointed_rollout_grad(
-        _toy_step, _toy_loss, W0, 8, P0, segment_len=2)
-    l8, g8, info8 = ad.checkpointed_rollout_grad(
-        _toy_step, _toy_loss, W0, 8, P0, segment_len=8)
-    assert abs(l2 - l8) <= 1e-12 * abs(l8)
-    np.testing.assert_allclose(g2, g8, rtol=1e-12, atol=1e-15)
-
-
-def test_checkpointing_reduces_peak_tape():
-    w0 = np.linspace(-1, 1, 100)
-    _, _, info2 = ad.checkpointed_rollout_grad(
-        _toy_step, _toy_loss, w0, 8, P0, segment_len=2)
-    _, _, info8 = ad.checkpointed_rollout_grad(
-        _toy_step, _toy_loss, w0, 8, P0, segment_len=8)
-    assert info2["peak_nodes"] < 0.5 * info8["peak_nodes"]
-
-
-def test_checkpointed_gradient_matches_fd():
-    def scalar(p):
-        w = W0
-        total = 0.0
-        for t in range(6):
-            w_next = _toy_step(w, p)
-            total += float(ad.value_of(_toy_loss(t, w, w_next)))
-            w = w_next
-        return total
-
-    _, grad, _ = ad.checkpointed_rollout_grad(_toy_step, _toy_loss, W0, 6, P0,
-                                              segment_len=3)
-    fd = ad.finite_diff_grad(scalar, P0, rel_step=1e-7)
-    np.testing.assert_allclose(grad, fd, rtol=1e-7)
+    # traced: the adjoint adds every gathered row's seed back onto its source row
+    tape = ad.Tape()
+    s = tape.var(src)
+    out = ad.take_rows(s, idx)
+    assert (out.value == expect).all()
+    tape.backward([(out, vals)])
+    expect_grad = np.zeros((40, 4))
+    for k, i in enumerate(idx):
+        expect_grad[i] += vals[k]
+    np.testing.assert_allclose(s.grad, expect_grad, rtol=0, atol=1e-15)

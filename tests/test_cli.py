@@ -1,0 +1,81 @@
+import json
+
+import pytest
+import yaml
+
+from fvgrad import autodiff as ad
+from fvgrad import cli, mlcorr
+
+SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
+
+
+@pytest.fixture
+def run(tmp_path, monkeypatch):
+    """cli.main on a YAML config written from a dict, artifacts under tmp_path."""
+    monkeypatch.setenv("FVGRAD_OUT_ROOT", str(tmp_path))
+
+    def _run(command, cfg, *extra):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        return cli.main([command, "-c", str(path), *extra])
+
+    return _run
+
+
+def _out(tmp_path):
+    return tmp_path / "runs" / "out"
+
+
+def test_mesh_command_writes_mesh_and_manifest(run, tmp_path):
+    assert run("mesh", SMALL) == cli.EXIT_OK
+    out = _out(tmp_path)
+    assert (out / "mesh.txt").is_file()
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["artifacts"] == ["mesh.txt"]
+    assert manifest["config"]["mesh"]["n"] == 6
+
+
+def test_unknown_key_is_config_error(run):
+    assert run("mesh", {**SMALL, "mesh_size": 3}) == cli.EXIT_CONFIG
+    assert run("mesh", {"mesh": {"kind": "structured", "nn": 6}}) == cli.EXIT_CONFIG
+
+
+def test_missing_config_file_is_config_error(tmp_path):
+    assert cli.main(["mesh", "-c", str(tmp_path / "nope.yaml")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_missing_checkpoint_is_config_error(run, tmp_path, command):
+    cfg = {**SMALL, "simulate": {"n_steps": 1}, "bench": {"n": 4, "n_steps": 1}}
+    assert run(command, cfg, "--checkpoint", str(tmp_path / "none.gfnn")) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("keep", [8, 40, -64, -61])
+def test_truncated_checkpoint_is_config_error(run, tmp_path, keep):
+    path = tmp_path / "net.gfnn"
+    mlcorr.save_params(mlcorr.zero_params(), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    cfg = {**SMALL, "simulate": {"n_steps": 1}}
+    assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
+
+
+def test_bad_alpha_max_is_config_error(run):
+    cfg = {**SMALL, "net": {"alpha_max": 0.0}, "bench": {"n": 4, "n_steps": 1}}
+    assert run("bench", cfg) == cli.EXIT_CONFIG
+
+
+def test_train_without_dataset_is_config_error(run):
+    cfg = {**SMALL, "train": {"require_gradcheck": False}}
+    assert run("train", cfg) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("exc", [
+    ad.TraceError("sqrt of non-positive value", "sqrt", 7),
+    mlcorr.NetworkError("non-finite activation", layer="head"),
+], ids=["trace", "network"])
+def test_numeric_errors_exit_numeric(run, monkeypatch, exc):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_mesh", fail)
+    assert run("mesh", SMALL) == cli.EXIT_NUMERIC

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,10 +113,9 @@ def test_corrected_gradients_reduce_to_plain_bitwise(rng, periodic_mesh_irregula
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     zero = np.zeros((m.n_cells, 3, 4))
-    for plain_fn, corr_fn in ((recon.gradient_gg, mlcorr.corrected_gradient_gg),
-                              (recon.gradient_lsq, mlcorr.corrected_gradient_lsq)):
-        gx0, gy0 = plain_fn(m, u)
-        gx1, gy1 = corr_fn(m, u, zero)
+    for fn in (recon.gradient_gg, recon.gradient_lsq):
+        gx0, gy0 = fn(m, u)
+        gx1, gy1 = fn(m, u, alpha=zero)
         assert (gx1 == gx0).all() and (gy1 == gy0).all()
 
 
@@ -122,7 +123,7 @@ def test_corrected_gg_matches_loop_oracle(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    gx, gy = mlcorr.corrected_gradient_gg(m, u, alpha)
+    gx, gy = recon.gradient_gg(m, u, alpha=alpha)
     for i in rng.integers(0, m.n_cells, 10):
         acc = np.zeros((4, 2))
         for k in range(3):
@@ -139,7 +140,7 @@ def test_corrected_lsq_matches_normal_equation_oracle(rng, periodic_mesh_irregul
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    gx, gy = mlcorr.corrected_gradient_lsq(m, u, alpha)
+    gx, gy = recon.gradient_lsq(m, u, alpha=alpha)
     for i in rng.integers(0, m.n_cells, 10):
         A = np.zeros((2, 2))
         rhs = np.zeros((2, 4))
@@ -158,9 +159,9 @@ def test_corrected_shift_invariance(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    for fn in (mlcorr.corrected_gradient_gg, mlcorr.corrected_gradient_lsq):
-        gx0, gy0 = fn(m, u, alpha)
-        gx1, gy1 = fn(m, u + 3.0, alpha)
+    for fn in (recon.gradient_gg, recon.gradient_lsq):
+        gx0, gy0 = fn(m, u, alpha=alpha)
+        gx1, gy1 = fn(m, u + 3.0, alpha=alpha)
         assert np.abs(gx1 - gx0).max() < 1e-12
         assert np.abs(gy1 - gy0).max() < 1e-12
 
@@ -169,8 +170,8 @@ def test_constant_field_any_alpha_zero_gradient(rng, periodic_mesh_small):
     m = periodic_mesh_small
     u = np.full((m.n_cells, 4), 1.8)
     alpha = rng.uniform(-0.5, 0.5, size=(m.n_cells, 3, 4))
-    for fn in (mlcorr.corrected_gradient_gg, mlcorr.corrected_gradient_lsq):
-        gx, gy = fn(m, u, alpha)
+    for fn in (recon.gradient_gg, recon.gradient_lsq):
+        gx, gy = fn(m, u, alpha=alpha)
         assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
 
 
@@ -199,6 +200,25 @@ def test_load_rejects_bad_magic(tmp_path, params):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
+    with pytest.raises(NetworkError):
+        mlcorr.load_params(path)
+
+
+@pytest.mark.parametrize("alpha_max", [0.0, -0.5, float("nan"), float("inf")])
+def test_alpha_max_must_be_finite_and_positive(alpha_max):
+    with pytest.raises(NetworkError):
+        NetConfig(alpha_max=alpha_max)
+
+
+@pytest.mark.parametrize("text", [b"0.0", b"-0.5", b"NaN", b"Infinity"])
+def test_load_rejects_bad_alpha_max(tmp_path, params, text):
+    path = tmp_path / "net.gfnn"
+    mlcorr.save_params(params, path)
+    raw = path.read_bytes()
+    blob_len, = struct.unpack_from("<I", raw, 8)
+    blob = raw[12:12 + blob_len].replace(b'"alpha_max": 0.5', b'"alpha_max": ' + text)
+    assert blob != raw[12:12 + blob_len]
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:])
     with pytest.raises(NetworkError):
         mlcorr.load_params(path)
 

@@ -1,0 +1,141 @@
+import numpy as np
+import pytest
+
+from fvgrad import autodiff as ad
+from fvgrad import bench, mlcorr, recon, solver
+from fvgrad import mesh as msh
+from fvgrad.euler import GasModel, cons_to_prim, max_wave_speed, prim_to_cons
+from conftest import smooth_prim_field
+
+N_STEPS = 10
+CO = 0.05
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    return msh.periodic_irregular_mesh(8, seed=3)
+
+
+@pytest.fixture(scope="module")
+def w0(mesh):
+    return prim_to_cons(smooth_prim_field(mesh.centroid), GasModel())
+
+
+@pytest.fixture(scope="module")
+def seeded_params():
+    """Every entry non-zero, the output head included, so alpha is non-zero."""
+    rng = np.random.default_rng(11)
+    params = mlcorr.zero_params()
+    vec = np.empty(params.count)
+    for name, shape, off in params.table:
+        size = int(np.prod(shape))
+        scale = 0.05 if name.startswith("head") else 1.0 / np.sqrt(shape[-1])
+        vec[off:off + size] = rng.normal(0.0, scale, size)
+        if name == "norm_scale":
+            vec[off:off + size] += 1.0
+    return params.with_values(vec)
+
+
+def _final(mesh, w0, cfg, params=None):
+    w = w0
+    for _, w, _ in solver.march(mesh, w0, solver.compute_dt(mesh, cfg), N_STEPS, cfg, {},
+                                params):
+        pass
+    return w
+
+
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+def test_conservation_on_periodic_mesh(mesh, w0, seeded_params, mode):
+    cfg = solver.StepConfig(co=CO, gradient=mode)
+    w = _final(mesh, w0, cfg, seeded_params if cfg.uses_network else None)
+    if cfg.uses_network:
+        plain = _final(mesh, w0, solver.StepConfig(co=CO, gradient=mode[3:]))
+        assert np.abs(w - plain).max() > 1e-8  # the correction is live
+    before = (mesh.area[:, None] * w0).sum(axis=0)
+    after = (mesh.area[:, None] * w).sum(axis=0)
+    scale = (mesh.area[:, None] * np.abs(w0)).sum(axis=0)
+    assert (np.abs(after - before) / scale).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["gg", "lsq"])
+def test_zero_params_reproduce_plain_rollout_bitwise(mesh, w0, mode):
+    cfg = solver.StepConfig(co=CO, gradient=mode, save_every=3)
+    cfg_ml = solver.StepConfig(co=CO, gradient=f"ml_{mode}", save_every=3)
+    plain = solver.rollout(mesh, w0, N_STEPS, cfg, {})
+    ml = solver.rollout(mesh, w0, N_STEPS, cfg_ml, {}, params=mlcorr.zero_params())
+    assert [r["step"] for r in plain.diagnostics] == [0, 3, 6, 9, 10]
+    assert plain.times == ml.times
+    assert len(plain.frames) == len(ml.frames) == 5
+    for a, b in zip(plain.frames, ml.frames):
+        assert (a == b).all()
+    assert plain.diagnostics == ml.diagnostics
+
+
+def test_march_with_substeps_matches_hand_loop(mesh, w0):
+    cfg = solver.StepConfig(co=CO, gradient="lsq")
+    dt = solver.compute_dt(mesh, cfg)
+    m = 3
+    got = list(solver.march(mesh, w0, dt, 4, cfg, {}, substeps=m))
+    assert [k for k, _, _ in got] == [1, 2, 3, 4]
+    w = w0
+    for k in range(1, 5):
+        for _ in range(m):
+            w, diag = solver.step_explicit_euler(mesh, w, dt / m, cfg, {})
+        assert (got[k - 1][1] == w).all()
+        assert got[k - 1][2] == diag
+
+
+def test_march_tags_every_substep_with_its_coarse_step(mesh, w0, monkeypatch):
+    calls = []
+    real = solver.step_explicit_euler
+
+    def spy(mesh_, w, dt, cfg, *args, step_index=None):
+        calls.append((step_index, dt))
+        return real(mesh_, w, dt, cfg, *args, step_index=step_index)
+
+    monkeypatch.setattr(solver, "step_explicit_euler", spy)
+    cfg = solver.StepConfig(co=CO, gradient="gg")
+    dt = solver.compute_dt(mesh, cfg)
+    for _ in solver.march(mesh, w0, dt, 2, cfg, {}, substeps=2):
+        pass
+    assert calls == [(1, dt / 2), (1, dt / 2), (2, dt / 2), (2, dt / 2)]
+
+
+def test_march_passes_traced_states_through(mesh, w0, seeded_params):
+    cfg = solver.StepConfig(co=CO, gradient="ml_lsq")
+    dt = solver.compute_dt(mesh, cfg)
+    tape = ad.Tape()
+    p = tape.var(seeded_params.values)
+    traced = list(solver.march(mesh, w0, dt, 2, cfg, {}, seeded_params, params_vec=p))
+    plain = list(solver.march(mesh, w0, dt, 2, cfg, {}, seeded_params))
+    for (_, wt, _), (_, wp, _) in zip(traced, plain):
+        assert isinstance(wt, ad.Var)
+        assert (wt.value == wp).all()
+    tape.backward([(ad.sum(traced[-1][1]), np.array(1.0))])
+    assert p.grad is not None and np.abs(p.grad).max() > 0
+
+
+def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
+    """diag["max_wave_speed"] is max over faces of max(|v.n| + c) of the two
+    reconstructed face states, i.e. the wave speed the flux dissipates with."""
+    gas = GasModel()
+    cfg = solver.StepConfig(co=CO, gradient="lsq")
+    _, diag = solver.residual(mesh, w0, cfg, {})
+    u = cons_to_prim(w0, gas)
+    grad = recon.gradient_lsq(mesh, u)
+    phi = recon.venkat_limiter(mesh, u, grad, cfg.limiter_k)
+    u_l, u_r, _ = recon.muscl_face_values(mesh, u, grad, phi)
+    s = np.maximum(max_wave_speed(prim_to_cons(u_l, gas), mesh.f_normal, gas),
+                   max_wave_speed(prim_to_cons(u_r, gas), mesh.f_normal, gas))
+    assert diag["max_wave_speed"] == float(s.max())
+
+
+@pytest.mark.parametrize("gradient", ["lsq", "gg"])
+def test_gain_is_zero_at_zero_params(mesh, gradient):
+    fine, pm = msh.refine_uniform(mesh)
+    rep = bench.run_gain(smooth_prim_field, mesh, fine, pm, mlcorr.zero_params(),
+                         N_STEPS, co=CO, record_every=3, gradient=gradient)
+    assert list(rep.steps) == [3, 6, 9, 10]
+    assert (rep.l_coarse > 0).all()
+    assert (rep.l_ml == rep.l_coarse).all()
+    assert (rep.gain_pct == 0.0).all()
