@@ -7,17 +7,27 @@ accept either plain numpy arrays or traced ``Var`` objects, so the same
 solver code runs untraced (fast path) or traced (training path).
 
 Differentiable primitive set: + - * / ** sqrt log exp tanh abs min max,
-``where`` with a non-differentiated condition, reductions, matmul, row
-gather/scatter and reshaping.  Nondifferentiable points follow the
-taken-branch convention: ``maximum``/``minimum`` send the adjoint to the
-first argument at ties, ``where`` follows its condition, ``abs`` uses the
-sign (zero at zero).  Comparisons on traced values return plain boolean
-arrays, i.e. branches are frozen at the recorded values.
+``where`` with a non-differentiated condition, reductions, matmul, the
+two-operand contraction ``einsum``, row gather/scatter and reshaping.
+Nondifferentiable points follow the taken-branch convention:
+``maximum``/``minimum`` send the adjoint to the first argument at ties,
+``where`` follows its condition, ``abs`` uses the sign (zero at zero).
+Comparisons on traced values return plain boolean arrays, i.e. branches are
+frozen at the recorded values.
 
 Mesh rows move through two primitives, each the other's adjoint:
 ``take_rows`` gathers with ``np.take`` along axis 0, and ``segment_sum``
-scatter-adds with ``np.add.at``, which accumulates repeated indices in
-index order.  Both take any trailing shape.
+scatter-adds with one ``np.bincount(idx, weights=column)`` per trailing
+column.  bincount starts every output row at 0.0 and adds the values of its
+repeated indices in index order, the order ``np.add.at`` into zeros uses, so
+the sums are bitwise those of an explicit loop (a row that receives only
+-0.0 reads +0.0).  Both take any trailing shape.
+
+``einsum(spec, a, b)`` contracts two operands under an explicit
+``"ab,bc->ac"`` spec.  Its adjoints are einsums too, so every index of an
+operand must appear in the other operand or in the output; a stencil sum
+such as ``einsum("nj,njv->nv", w, x)`` is ``sum(w[:, :, None] * x, axis=1)``
+without the broadcast temporary.
 
 All values and adjoints are float64.  Recording the same program twice
 yields bitwise-identical gradients.
@@ -402,29 +412,35 @@ def where(cond, a, b):
 # reductions and shaping
 # ---------------------------------------------------------------------------
 
+def _spread(g, axis, keepdims, shape):
+    """Adjoint of a reduction over ``axis``: g broadcast back to ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).astype(np.float64)
+
+
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     if not isinstance(a, Var):
         return np.sum(a, axis=axis, keepdims=keepdims)
     out = np.sum(a.value, axis=axis, keepdims=keepdims)
-    shape = a.value.shape
 
     def vjp(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            gg = np.expand_dims(gg, axes)
-        a._acc(np.broadcast_to(gg, shape).astype(np.float64))
+        a._acc(_spread(np.asarray(g), axis, keepdims, a.value.shape))
 
     return _node(a.tape, out, vjp)
 
 
 def mean(a, axis=None, keepdims=False):
+    """np.mean, traced or not: the traced value is np.mean's, bitwise."""
     if not isinstance(a, Var):
         return np.mean(a, axis=axis, keepdims=keepdims)
-    n = a.value.size if axis is None else np.prod(
-        [a.value.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return multiply(sum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    out = np.mean(a.value, axis=axis, keepdims=keepdims)
+    n = a.value.size // max(out.size, 1)
+
+    def vjp(g):
+        a._acc(_spread(np.asarray(g) / n, axis, keepdims, a.value.shape))
+
+    return _node(a.tape, out, vjp)
 
 
 def matmul(a, b):
@@ -439,6 +455,39 @@ def matmul(a, b):
             a._acc(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
         if isinstance(b, Var):
             b._acc(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+
+    return _node(tape, out, vjp)
+
+
+def _einsum_terms(spec):
+    """Split an explicit two-operand spec into its three index strings."""
+    lhs, arrow, out = spec.replace(" ", "").partition("->")
+    terms = lhs.split(",")
+    if not arrow or len(terms) != 2 or not all(t.isalpha() for t in terms + [out] if t):
+        raise ValueError(f"einsum spec must look like 'ab,bc->ac', got {spec!r}")
+    sa, sb = terms
+    for t, other in ((sa, sb), (sb, sa)):
+        if len(set(t)) != len(t) or set(t) - set(other + out):
+            raise ValueError(f"einsum spec {spec!r}: every index of {t!r} must appear "
+                             "once in it and again in the other operand or the output")
+    return sa, sb, out
+
+
+def einsum(spec, a, b):
+    """Two-operand contraction ``np.einsum(spec, a, b)``; both adjoints are
+    einsums, e.g. for "nj,njv->nv" the adjoint of a is "nv,njv->nj"."""
+    sa, sb, so = _einsum_terms(spec)
+    tape = _tape_of(a, b)
+    if tape is None:
+        return np.einsum(spec, a, b)
+    av, bv = value_of(a), value_of(b)
+    out = np.einsum(spec, av, bv)
+
+    def vjp(g):
+        if isinstance(a, Var):
+            a._acc(np.einsum(f"{so},{sb}->{sa}", g, bv))
+        if isinstance(b, Var):
+            b._acc(np.einsum(f"{so},{sa}->{sb}", g, av))
 
     return _node(tape, out, vjp)
 
@@ -521,10 +570,21 @@ def stack(parts, axis=0):
 # ---------------------------------------------------------------------------
 
 def _scatter_rows(vals, idx, n_rows):
-    """Fresh (n_rows, ...) zeros with vals[k] added at row idx[k], in order."""
-    out = np.zeros((n_rows,) + vals.shape[1:])
-    np.add.at(out, idx, vals)
-    return out
+    """Fresh (n_rows, ...) zeros with vals[k] added at row idx[k], in order.
+
+    One bincount per trailing column: each starts its rows at 0.0 and adds
+    in index order, as ``np.add.at`` into zeros does, so the sums are bitwise
+    equal to it."""
+    trailing = vals.shape[idx.ndim:]
+    cols = np.reshape(vals, (idx.size, int(np.prod(trailing))))
+    flat = idx.ravel()
+    out = np.empty((n_rows, cols.shape[1]))
+    for c in range(cols.shape[1]):
+        col = np.bincount(flat, weights=cols[:, c], minlength=n_rows)
+        if col.shape[0] != n_rows:
+            raise IndexError(f"scatter index {flat.max()} out of range for {n_rows} rows")
+        out[:, c] = col
+    return out.reshape((n_rows,) + trailing)
 
 
 def take_rows(a, idx):

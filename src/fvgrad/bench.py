@@ -139,7 +139,10 @@ def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
 
     case_or_ic: a RiemannCase or a callable points -> primitive field.
     The corrected run uses mode ml_<gradient> with the given parameters.
+    n_steps must be at least 1: the report always holds the last step.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     evaluate = case_or_ic.evaluate if hasattr(case_or_ic, "evaluate") else case_or_ic
     if hasattr(case_or_ic, "evaluate"):
         bc_coarse = case_bc(case_or_ic, coarse, bc_kind)

@@ -8,8 +8,10 @@ carry the hash in a header comment.
 
 Exit codes:
   0  ok
-  2  config error: bad or unknown config key, missing config file, missing
-     or corrupt ``--checkpoint``, dataset directory without manifest.json
+  2  config error: bad or unknown config key, a value out of its range
+     (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1), missing
+     config file, missing or corrupt ``--checkpoint``, dataset directory
+     without manifest.json
   3  numeric failure: rejected solver step, inadmissible state, mesh error,
      domain error while recording the tape, non-finite network activation
   4  gradient-check failure, or a missing / stale gradcheck report
@@ -268,27 +270,39 @@ def build_ic(cfg, mesh):
     raise ConfigError(f"unknown simulate.ic '{spec}'")
 
 
+def _checked(section, make, **kwargs):
+    """make(**kwargs); its checks' ValueError, or the TypeError of a value of
+    the wrong element type (``dataset.mix: [a]``), is a config error."""
+    try:
+        return make(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def gas_model(cfg):
+    return _checked("step", GasModel, gamma=cfg["step"]["gamma"])
+
+
 def step_config(cfg, gradient=None, co=None):
     sc = cfg["step"]
-    return solver.StepConfig(
+    return _checked(
+        "step", solver.StepConfig,
         co=co if co is not None else sc["co"],
         gradient=gradient if gradient is not None else sc["gradient"],
         limiter=sc["limiter"], limiter_k=sc["limiter_k"],
-        gas=GasModel(gamma=sc["gamma"]), save_every=sc["save_every"])
+        gas=gas_model(cfg), save_every=sc["save_every"])
 
 
 def net_config(cfg):
     nc = cfg["net"]
-    try:
-        return mlcorr.NetConfig(width=nc["width"], combine=nc["combine"],
-                                alpha_max=nc["alpha_max"])
-    except mlcorr.NetworkError as exc:
-        raise ConfigError(f"net: {exc}")
+    return _checked("net", mlcorr.NetConfig, width=nc["width"],
+                    combine=nc["combine"], alpha_max=nc["alpha_max"])
 
 
 def loss_weights(cfg):
     lc = cfg["loss"]
-    return train.LossWeights(tvd=lc["tvd"], ent=lc["ent"], reg=lc["reg"])
+    return _checked("loss", train.LossWeights, tvd=lc["tvd"], ent=lc["ent"],
+                    reg=lc["reg"])
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +327,10 @@ def cmd_dataset(cfg):
         raise ConfigError("dataset generation requires a periodic mesh")
     fine, pm = msh.refine_uniform(coarse)
     dc = cfg["dataset"]
-    spec = train.DatasetSpec(count=dc["count"], mix=tuple(dc["mix"]),
-                             steps=dc["steps"], co=dc["co"],
-                             max_amp=dc["max_amp"], seed=dc["seed"],
-                             n_val=dc["n_val"])
-    gas = GasModel(gamma=cfg["step"]["gamma"])
+    spec = _checked("dataset", train.DatasetSpec, count=dc["count"],
+                    mix=tuple(dc["mix"]), steps=dc["steps"], co=dc["co"],
+                    max_amp=dc["max_amp"], seed=dc["seed"], n_val=dc["n_val"])
+    gas = gas_model(cfg)
     train.generate_dataset(spec, coarse, fine, pm, gas=gas, out_dir=ds_dir)
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
@@ -360,7 +373,7 @@ def cmd_gradcheck(cfg):
     report = train.gradient_check(
         mesh, step_cfg=step_config(cfg, gradient="ml_lsq", co=cfg["dataset"]["co"]),
         weights=loss_weights(cfg), net_config=net_config(cfg),
-        gas=GasModel(gamma=cfg["step"]["gamma"]),
+        gas=gas_model(cfg),
         n_steps=gc["n_steps"], rel_tol=gc["rel_tol"],
         param_sample=gc["param_sample"], seed=gc["seed"])
     report["config_hash"] = config_hash(cfg)
@@ -386,7 +399,8 @@ def cmd_train(cfg):
             return EXIT_GRADCHECK
     coarse, _ = build_mesh_from_config(cfg)
     trains, vals = _load_dataset_dir(out / cfg["dataset"]["dir"], coarse.n_cells)
-    tcfg = train.TrainConfig(
+    tcfg = _checked(
+        "train", train.TrainConfig,
         lr=tc["lr"], decay=tc["decay"], epochs=tc["epochs"],
         batch_size=tc["batch_size"], beta1=tc["beta1"], beta2=tc["beta2"],
         weight_decay=tc["weight_decay"], checkpoint_every=tc["checkpoint_every"],
@@ -394,7 +408,7 @@ def cmd_train(cfg):
     result = train.train(
         coarse, step_config(cfg, gradient="ml_lsq", co=cfg["dataset"]["co"]),
         trains, vals, tcfg=tcfg, weights=loss_weights(cfg),
-        net_config=net_config(cfg), gas=GasModel(gamma=cfg["step"]["gamma"]),
+        net_config=net_config(cfg), gas=gas_model(cfg),
         out_dir=out)
     train.write_history_csv(result.history, out / "history.csv",
                             header_comment=f"config {config_hash(cfg)}")
@@ -412,7 +426,7 @@ def cmd_simulate(cfg, checkpoint=None):
     mesh, fw_bc = build_mesh_from_config(cfg)
     ic = build_ic(cfg, mesh)
     bc_table = fw_bc if fw_bc is not None else default_bc_table(mesh, cfg, ic)
-    gas = GasModel(gamma=cfg["step"]["gamma"])
+    gas = gas_model(cfg)
     params = None
     gradient = cfg["step"]["gradient"]
     if checkpoint is not None:
@@ -436,7 +450,7 @@ def cmd_simulate(cfg, checkpoint=None):
 def cmd_bench(cfg, checkpoint=None):
     out = out_dir_for(cfg)
     bc_cfg = cfg["bench"]
-    gas = GasModel(gamma=cfg["step"]["gamma"])
+    gas = gas_model(cfg)
     params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(
         net_config(cfg))
     artifacts = []

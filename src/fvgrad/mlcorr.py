@@ -180,12 +180,18 @@ def network_forward(params, du, theta, vec=None):
     h = h + ad.tanh(ad.matmul(h, _t(L["branch1_w"])) + L["branch1_b"])
     _check_finite("branch1", h)
 
-    branch = ad.reshape(ad.matmul(h, _t(L["head_w"])) + L["head_b"],
-                        (n, cfg.n_in, cfg.combine))
     trunk = ad.tanh(ad.matmul(theta, _t(L["trunk_w"])) + L["trunk_b"])
     _check_finite("trunk", trunk)
 
-    raw = ad.sum(branch * ad.reshape(trunk, (n, 1, cfg.combine)), axis=2)
+    # raw[n, m] = sum_p (head_w[m*P+p] . h[n] + head_b[m*P+p]) trunk[n, p]
+    # with P = combine, contracted over (p, w) in one matmul so the
+    # (n, n_in*P) branch features are never formed
+    pw = cfg.combine * cfg.width
+    outer = ad.reshape(ad.reshape(trunk, (n, cfg.combine, 1))
+                       * ad.reshape(h, (n, 1, cfg.width)), (n, pw))
+    head_w = ad.reshape(L["head_w"], (cfg.n_in, pw))
+    head_b = ad.reshape(L["head_b"], (cfg.n_in, cfg.combine))
+    raw = ad.matmul(outer, _t(head_w)) + ad.matmul(trunk, _t(head_b))
     raw = raw * scale
     alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
     _check_finite("head", alpha)

@@ -35,10 +35,11 @@ def gradient_gg(mesh, u_ext, alpha=None, u_nb=None):
         face_val = 0.5 * ui + 0.5 * u_nb
     else:
         face_val = (0.5 + alpha) * ui + (0.5 - alpha) * u_nb
-    ns = mesh.cell_n * mesh.cell_slen[:, :, None]       # (N, 3, 2)
+    nx = mesh.cell_n[:, :, 0] * mesh.cell_slen           # (N, 3)
+    ny = mesh.cell_n[:, :, 1] * mesh.cell_slen
     inv_area = (1.0 / mesh.area)[:, None]
-    gx = ad.sum(face_val * ns[:, :, 0:1], axis=1) * inv_area
-    gy = ad.sum(face_val * ns[:, :, 1:2], axis=1) * inv_area
+    gx = ad.einsum("njv,nj->nv", face_val, nx) * inv_area
+    gy = ad.einsum("njv,nj->nv", face_val, ny) * inv_area
     return gx, gy
 
 
@@ -55,27 +56,28 @@ def gradient_lsq(mesh, u_ext, alpha=None, du=None):
         du = neighbor_deltas(mesh, u, neighbor_values(mesh, u_ext))
     if alpha is not None:
         du = (1.0 + alpha) * du
-    wdx = (mesh.lsq_w * mesh.nbr_dx)[:, :, None]
-    wdy = (mesh.lsq_w * mesh.nbr_dy)[:, :, None]
-    bx = ad.sum(wdx * du, axis=1)
-    by = ad.sum(wdy * du, axis=1)
+    bx = ad.einsum("nj,njv->nv", mesh.lsq_w * mesh.nbr_dx, du)
+    by = ad.einsum("nj,njv->nv", mesh.lsq_w * mesh.nbr_dy, du)
     gx = mesh.inv11[:, None] * bx + mesh.inv12[:, None] * by
     gy = mesh.inv12[:, None] * bx + mesh.inv22[:, None] * by
     return gx, gy
 
 
-def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0):
+def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0, u_nb=None):
     """Smooth slope limiter, one value per cell and variable, clipped to [0,1].
 
     Per face j of cell i, with a = (neighborhood max/min minus u_i) and
     b = (r_ij - r_i) . grad u_i, the face factor is
     L(a, b) = (a^2 + 2ab + w) / (a^2 + 2b^2 + ab), w = (K h)^3, h = sqrt(|C|);
-    the cell value is the minimum over its faces (1 where b = 0).
+    a takes the max where b > 0 and the min where b < 0, so L is evaluated
+    once per face; the cell value is the minimum over its faces (1 where
+    b = 0).  ``u_nb`` reuses neighbor values the caller already gathered.
     """
     n = mesh.n_cells
     gx, gy = grad
     u = u_ext[:n] if ad.value_of(u_ext).shape[0] != n else u_ext
-    u_nb = neighbor_values(mesh, u_ext)
+    if u_nb is None:
+        u_nb = neighbor_values(mesh, u_ext)
 
     nb_min = ad.minimum(ad.minimum(u_nb[:, 0, :], u_nb[:, 1, :]), u_nb[:, 2, :])
     nb_max = ad.maximum(ad.maximum(u_nb[:, 0, :], u_nb[:, 1, :]), u_nb[:, 2, :])
@@ -92,12 +94,9 @@ def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0):
     a_min = ad.reshape(u_min - u, (n, 1, 4))
     zero = delta == 0.0
     b = ad.where(zero, 1.0, delta)
-
-    def smooth(a):
-        return (a * a + 2.0 * a * b + omega) / (a * a + 2.0 * b * b + a * b)
-
-    phi_face = ad.where(delta > 0.0, smooth(a_max),
-                        ad.where(delta < 0.0, smooth(a_min), 1.0))
+    a = ad.where(delta > 0.0, a_max, a_min)
+    smooth = (a * a + 2.0 * a * b + omega) / (a * a + 2.0 * b * b + a * b)
+    phi_face = ad.where(zero, 1.0, smooth)
     phi = ad.minimum(ad.minimum(phi_face[:, 0, :], phi_face[:, 1, :]),
                      phi_face[:, 2, :])
     return ad.minimum(ad.maximum(phi, 0.0), 1.0)

@@ -124,7 +124,7 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
         grad = recon.gradient_lsq(mesh, u_ext, alpha=alpha, du=du)
 
     if cfg.limiter:
-        phi = recon.venkat_limiter(mesh, u_ext, grad, cfg.limiter_k)
+        phi = recon.venkat_limiter(mesh, u_ext, grad, cfg.limiter_k, u_nb=u_nb)
     else:
         phi = np.ones((mesh.n_cells, 4))
 

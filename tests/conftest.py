@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fvgrad import mesh as msh
+from fvgrad import mlcorr
 from fvgrad.euler import GasModel
 
 
@@ -29,6 +30,21 @@ def periodic_mesh_irregular():
 def bounded_mesh_small():
     return msh.structured_mesh(
         6, boundary_spec=msh.BoundarySpec.uniform(msh.SUPERSONIC_OUT))
+
+
+@pytest.fixture(scope="session")
+def seeded_params():
+    """Every entry non-zero, the output head included, so alpha is non-zero."""
+    rng = np.random.default_rng(11)
+    params = mlcorr.zero_params()
+    vec = np.empty(params.count)
+    for name, shape, off in params.table:
+        size = int(np.prod(shape))
+        scale = 0.05 if name.startswith("head") else 1.0 / np.sqrt(shape[-1])
+        vec[off:off + size] = rng.normal(0.0, scale, size)
+        if name == "norm_scale":
+            vec[off:off + size] += 1.0
+    return params.with_values(vec)
 
 
 def random_admissible_prim(rng, n, lo=0.3, hi=2.0, vmax=1.0):

@@ -60,12 +60,41 @@ Y = RNG.uniform(0.5, 2.0, (4, 3))
     lambda x: ad.stack([x, x * Y], axis=1),
     lambda x: ad.take_rows(x, np.array([2, 0, 0, 3, 1])),
     lambda x: ad.segment_sum(x, np.array([1, 0, 1, 2]), 3),
+    lambda x: ad.einsum("ij,ik->jk", x, Y),
+    lambda x: ad.einsum("nj,njv->nv", Y, ad.stack([x, x * x], axis=2)),
+    lambda x: ad.einsum("ij,ij->i", x, x * Y),
 ], ids=["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
         "exp", "tanh", "abs", "max", "min", "where", "sum_keep", "mean",
         "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
-        "stack", "take_rows", "segment_sum"])
+        "stack", "take_rows", "segment_sum", "einsum_a", "einsum_b", "einsum_ab"])
 def test_primitive_gradients(build):
     check_vjp(build, X)
+
+
+@pytest.mark.parametrize("spec", ["ij,jk->k", "ij,jk->ik,", "ii,ik->k", "ij,jk",
+                                  "ij,jk,kl->il", "i...,ij->j"])
+def test_einsum_rejects_specs_without_einsum_adjoints(spec):
+    sq = RNG.normal(size=(3, 3))   # square, so numpy itself accepts most of these
+    with pytest.raises(ValueError, match="einsum spec"):
+        ad.einsum(spec, sq, sq)
+
+
+def test_einsum_matches_numpy_untraced_and_traced():
+    w = RNG.normal(size=(50, 3))
+    x = RNG.normal(size=(50, 3, 4))
+    expect = np.einsum("nj,njv->nv", w, x)
+    assert (ad.einsum("nj,njv->nv", w, x) == expect).all()
+    tape = ad.Tape()
+    assert (ad.einsum("nj,njv->nv", w, tape.var(x)).value == expect).all()
+
+
+def test_traced_mean_is_numpy_mean():
+    x = RNG.normal(size=(200, 12))
+    tape = ad.Tape()
+    xv = tape.var(x)
+    for axis, keepdims in ((1, True), (0, False), (None, False)):
+        assert (ad.mean(xv, axis=axis, keepdims=keepdims).value
+                == np.mean(x, axis=axis, keepdims=keepdims)).all()
 
 
 def test_quadratic_gradient_is_2p():
@@ -151,43 +180,64 @@ def test_recording_is_deterministic():
 
 @pytest.fixture
 def scatter_case(rng):
-    idx = rng.integers(0, 40, size=300)
+    """Repeated indices, two rows (40, 41) that receive nothing, one row (39)
+    that receives only -0.0, and -0.0 scattered among the other values."""
+    idx = rng.integers(0, 39, size=300)
     vals = rng.normal(size=(300, 4))
+    vals[::9] = -0.0
+    idx = np.concatenate([idx, [39, 39]])
+    vals = np.vstack([vals, np.full((2, 4), -0.0)])
     return idx, vals
+
+
+def _loop_scatter(idx, vals, n_rows):
+    out = np.zeros((n_rows,) + vals.shape[1:])
+    for k, i in enumerate(idx):
+        out[i] += vals[k]
+    return out
+
+
+def _bitwise(a, b):
+    return a.shape == b.shape and (a == b).all() and (np.signbit(a) == np.signbit(b)).all()
 
 
 def test_segment_sum_matches_loop_oracle(scatter_case):
     idx, vals = scatter_case
-    expect = np.zeros((40, 4))
-    for k, i in enumerate(idx):
-        expect[i] += vals[k]
-    np.testing.assert_allclose(ad.segment_sum(vals, idx, 40), expect, rtol=0, atol=1e-15)
+    expect = _loop_scatter(idx, vals, 42)
+    assert _bitwise(ad.segment_sum(vals, idx, 42), expect)
+    assert _bitwise(ad.segment_sum(vals[:, 1], idx, 42), expect[:, 1])
+    assert _bitwise(ad.segment_sum(vals.reshape(-1, 2, 2), idx, 42), expect.reshape(-1, 2, 2))
+    # a 2-D index scatters like its flattened form, as np.add.at does
+    assert _bitwise(ad.segment_sum(vals.reshape(2, -1, 4), idx.reshape(2, -1), 42), expect)
 
     # traced: same forward, and the adjoint gathers the seed rows
     tape = ad.Tape()
     v = tape.var(vals)
-    out = ad.segment_sum(v, idx, 40)
-    assert (out.value == ad.segment_sum(vals, idx, 40)).all()
-    seed = np.random.default_rng(3).normal(size=(40, 4))
+    out = ad.segment_sum(v, idx, 42)
+    assert _bitwise(out.value, expect)
+    seed = np.random.default_rng(3).normal(size=(42, 4))
     tape.backward([(out, seed)])
     expect_grad = np.array([seed[i] for i in idx])
-    assert (v.grad == expect_grad).all()
+    assert _bitwise(v.grad, expect_grad)
+
+
+def test_segment_sum_rejects_out_of_range_index(scatter_case):
+    idx, vals = scatter_case
+    with pytest.raises(IndexError):
+        ad.segment_sum(vals, idx, 30)
 
 
 def test_take_rows_matches_loop_oracle(scatter_case):
     idx, vals = scatter_case
-    src = vals[:40]
+    src = vals[:42]
     expect = np.array([src[i] for i in idx])
-    assert (ad.take_rows(src, idx) == expect).all()
-    assert (ad.take_rows(src[:, 0], idx) == expect[:, 0]).all()
+    assert _bitwise(ad.take_rows(src, idx), expect)
+    assert _bitwise(ad.take_rows(src[:, 0], idx), expect[:, 0])
 
     # traced: the adjoint adds every gathered row's seed back onto its source row
     tape = ad.Tape()
     s = tape.var(src)
     out = ad.take_rows(s, idx)
-    assert (out.value == expect).all()
+    assert _bitwise(out.value, expect)
     tape.backward([(out, vals)])
-    expect_grad = np.zeros((40, 4))
-    for k, i in enumerate(idx):
-        expect_grad[i] += vals[k]
-    np.testing.assert_allclose(s.grad, expect_grad, rtol=0, atol=1e-15)
+    assert _bitwise(s.grad, _loop_scatter(idx, vals, 42))

@@ -64,6 +64,26 @@ def test_bad_alpha_max_is_config_error(run):
     assert run("bench", cfg) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("simulate", {**SMALL, "step": {"co": 0}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "step": {"gamma": 1.0}, "simulate": {"n_steps": 1}}),
+    ("dataset", {**SMALL, "dataset": {"mix": [0.5, 0.5, 0.5], "steps": 1}}),
+    ("dataset", {**SMALL, "dataset": {"mix": ["a", "b"], "steps": 1}}),
+    ("gradcheck", {**SMALL, "loss": {"tvd": -1.0}}),
+], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
+        "negative_loss_weight"])
+def test_out_of_range_value_is_config_error(run, command, cfg):
+    assert run(command, cfg) == cli.EXIT_CONFIG
+
+
+def test_bad_train_config_is_config_error(run, tmp_path):
+    ds = _out(tmp_path) / "dataset"
+    ds.mkdir(parents=True)
+    (ds / "manifest.json").write_text(json.dumps({"trajectories": []}))
+    cfg = {**SMALL, "train": {"require_gradcheck": False, "decay": 0.0}}
+    assert run("train", cfg) == cli.EXIT_CONFIG
+
+
 def test_train_without_dataset_is_config_error(run):
     cfg = {**SMALL, "train": {"require_gradcheck": False}}
     assert run("train", cfg) == cli.EXIT_CONFIG

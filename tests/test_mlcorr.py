@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
@@ -33,6 +34,50 @@ def test_zero_params_give_zero_alpha(rng):
     theta = np.array([2.0, 2.1, 2 * np.pi - 4.1])
     alpha = mlcorr.network_forward(p, du, theta)
     assert (alpha == 0.0).all()
+
+
+def _alpha_with_branch_head(params, du, theta):
+    """network_forward in numpy with the head as first written: (N, n_in*P)
+    branch features, reshaped, then summed over P against the trunk."""
+    cfg = params.config
+    L = params.view()
+    n = du.shape[0]
+    z = du.reshape(n, cfg.n_in)
+    centered = z - np.mean(z, axis=1, keepdims=True)
+    scale = np.sqrt(np.mean(centered * centered, axis=1, keepdims=True) + mlcorr.NORM_EPS)
+    zn = centered / scale * L["norm_scale"] + L["norm_shift"]
+    h = zn @ L["branch0_skip"].T + np.tanh(zn @ L["branch0_w"].T + L["branch0_b"])
+    h = h + np.tanh(h @ L["branch1_w"].T + L["branch1_b"])
+    branch = (h @ L["head_w"].T + L["head_b"]).reshape(n, cfg.n_in, cfg.combine)
+    trunk = np.tanh(theta @ L["trunk_w"].T + L["trunk_b"])
+    raw = np.sum(branch * trunk[:, None, :], axis=2) * scale
+    alpha = np.nextafter(cfg.alpha_max, 0.0) * np.tanh(raw * (1.0 / cfg.alpha_max))
+    return alpha.reshape(du.shape)
+
+
+def test_head_contraction_matches_branch_head_oracle(seeded_params, rng,
+                                                    periodic_mesh_irregular):
+    """The head contracts (trunk x h) against head_w in one matmul; that sums
+    in another order than the branch head, so alpha may move by round-off."""
+    m = periodic_mesh_irregular
+    du = rng.normal(size=(m.n_cells, 3, 4))
+    alpha = mlcorr.network_forward(seeded_params, du, m.angles)
+    expect = _alpha_with_branch_head(seeded_params, du, m.angles)
+    assert np.abs(alpha).max() > 0.1
+    assert np.abs(alpha - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    zero = mlcorr.zero_params()
+    assert (mlcorr.network_forward(zero, du, m.angles) == 0.0).all()
+    assert (_alpha_with_branch_head(zero, du, m.angles) == 0.0).all()
+
+
+def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
+    m = periodic_mesh_irregular
+    u = smooth_prim_field(m.centroid)
+    plain = mlcorr.alpha_for_field(m, u, params)
+    traced = mlcorr.alpha_for_field(m, ad.Tape().var(u), params)
+    assert np.abs(plain).max() > 0.1
+    assert (traced.value == plain).all()
 
 
 def test_zero_du_gives_finite_bounded_alpha(params):

@@ -236,3 +236,64 @@ def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
                                             np.ones((m.n_cells, 4)))
     assert nfb >= 1
     assert (u_l[:, 0] > 0).all() and (u_r[:, 0] > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the stencil contractions against their broadcast-and-sum formulas: the
+# reductions run in the same order, so the results must be bitwise equal
+# ---------------------------------------------------------------------------
+
+def _broadcast_gradients(m, u_ext, alpha):
+    n = m.n_cells
+    u, u_nb = u_ext[:n], u_ext[m.nbr]
+    face_val = (0.5 + alpha) * u[:, None, :] + (0.5 - alpha) * u_nb
+    ns = m.cell_n * m.cell_slen[:, :, None]
+    inv_area = (1.0 / m.area)[:, None]
+    gg = (np.sum(face_val * ns[:, :, 0:1], axis=1) * inv_area,
+          np.sum(face_val * ns[:, :, 1:2], axis=1) * inv_area)
+    du = (1.0 + alpha) * (u_nb - u[:, None, :])
+    bx = np.sum((m.lsq_w * m.nbr_dx)[:, :, None] * du, axis=1)
+    by = np.sum((m.lsq_w * m.nbr_dy)[:, :, None] * du, axis=1)
+    lsq = (m.inv11[:, None] * bx + m.inv12[:, None] * by,
+           m.inv12[:, None] * bx + m.inv22[:, None] * by)
+    return gg, lsq
+
+
+def _two_branch_limiter(m, u_ext, grad, k):
+    """Venkatakrishnan's factor evaluated on both branches, then selected."""
+    n = m.n_cells
+    u, u_nb = u_ext[:n], u_ext[m.nbr]
+    u_max = np.maximum(np.maximum(np.maximum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2]), u)
+    u_min = np.minimum(np.minimum(np.minimum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2]), u)
+    off = m.cell_foff
+    delta = off[:, :, 0:1] * grad[0][:, None, :] + off[:, :, 1:2] * grad[1][:, None, :]
+    omega = ((k * np.sqrt(m.area)) ** 3)[:, None, None]
+    b = np.where(delta == 0.0, 1.0, delta)
+
+    def smooth(a):
+        return (a * a + 2.0 * a * b + omega) / (a * a + 2.0 * b * b + a * b)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_face = np.where(delta > 0.0, smooth((u_max - u)[:, None, :]),
+                            np.where(delta < 0.0, smooth((u_min - u)[:, None, :]), 1.0))
+    return np.clip(phi_face.min(axis=1), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("which", ["periodic", "bounded"])
+def test_stencil_contractions_bitwise_equal_broadcast_sums(rng, periodic_mesh_irregular,
+                                                           bounded_irregular, which):
+    m = periodic_mesh_irregular if which == "periodic" else bounded_irregular
+    u_ext = rng.normal(size=(m.n_cells + m.n_ghost, 4))
+    for alpha in (np.zeros((m.n_cells, 3, 4)), rng.uniform(-0.4, 0.4, (m.n_cells, 3, 4))):
+        gg, lsq = _broadcast_gradients(m, u_ext, alpha)
+        for got, want in ((recon.gradient_gg(m, u_ext, alpha=alpha), gg),
+                          (recon.gradient_lsq(m, u_ext, alpha=alpha), lsq)):
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+    for gx, gy in (recon.gradient_lsq(m, u_ext), recon.gradient_gg(m, u_ext)):
+        gx[::5], gy[::5] = 0.0, 0.0   # faces with delta == 0
+        grad = (gx, gy)
+        phi = recon.venkat_limiter(m, u_ext, grad, 5.0)
+        assert (phi == 1.0).any() and (phi < 1.0).any()
+        assert (phi == _two_branch_limiter(m, u_ext, grad, 5.0)).all()
+        u_nb = recon.neighbor_values(m, u_ext)
+        assert (recon.venkat_limiter(m, u_ext, grad, 5.0, u_nb=u_nb) == phi).all()

@@ -21,21 +21,6 @@ def w0(mesh):
     return prim_to_cons(smooth_prim_field(mesh.centroid), GasModel())
 
 
-@pytest.fixture(scope="module")
-def seeded_params():
-    """Every entry non-zero, the output head included, so alpha is non-zero."""
-    rng = np.random.default_rng(11)
-    params = mlcorr.zero_params()
-    vec = np.empty(params.count)
-    for name, shape, off in params.table:
-        size = int(np.prod(shape))
-        scale = 0.05 if name.startswith("head") else 1.0 / np.sqrt(shape[-1])
-        vec[off:off + size] = rng.normal(0.0, scale, size)
-        if name == "norm_scale":
-            vec[off:off + size] += 1.0
-    return params.with_values(vec)
-
-
 def _final(mesh, w0, cfg, params=None):
     w = w0
     for _, w, _ in solver.march(mesh, w0, solver.compute_dt(mesh, cfg), N_STEPS, cfg, {},
@@ -101,18 +86,25 @@ def test_march_tags_every_substep_with_its_coarse_step(mesh, w0, monkeypatch):
     assert calls == [(1, dt / 2), (1, dt / 2), (2, dt / 2), (2, dt / 2)]
 
 
-def test_march_passes_traced_states_through(mesh, w0, seeded_params):
-    cfg = solver.StepConfig(co=CO, gradient="ml_lsq")
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+def test_march_passes_traced_states_through(mesh, w0, seeded_params, mode):
+    """A traced initial state (and, in ml_* modes, traced parameters) gives
+    the untraced states bitwise and a non-zero gradient for each."""
+    cfg = solver.StepConfig(co=CO, gradient=mode)
+    params = seeded_params if cfg.uses_network else None
     dt = solver.compute_dt(mesh, cfg)
     tape = ad.Tape()
-    p = tape.var(seeded_params.values)
-    traced = list(solver.march(mesh, w0, dt, 2, cfg, {}, seeded_params, params_vec=p))
-    plain = list(solver.march(mesh, w0, dt, 2, cfg, {}, seeded_params))
+    w_var = tape.var(w0)
+    p = tape.var(seeded_params.values) if cfg.uses_network else None
+    traced = list(solver.march(mesh, w_var, dt, 3, cfg, {}, params, params_vec=p))
+    plain = list(solver.march(mesh, w0, dt, 3, cfg, {}, params))
     for (_, wt, _), (_, wp, _) in zip(traced, plain):
         assert isinstance(wt, ad.Var)
         assert (wt.value == wp).all()
-    tape.backward([(ad.sum(traced[-1][1]), np.array(1.0))])
-    assert p.grad is not None and np.abs(p.grad).max() > 0
+    tape.backward([(ad.sum(traced[-1][1] * traced[-1][1]), np.array(1.0))])
+    assert np.abs(w_var.grad).max() > 0
+    if cfg.uses_network:
+        assert p.grad is not None and np.abs(p.grad).max() > 0
 
 
 def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
@@ -130,6 +122,31 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     assert diag["max_wave_speed"] == float(s.max())
 
 
+@pytest.mark.parametrize("mode", ["lsq", "gg"])
+def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
+    """The residual shares one neighbour gather between its stages; calling
+    each stage on its own (the limiter gathers again) gives it bitwise."""
+    gas = GasModel()
+    rng = np.random.default_rng(4)
+    w = prim_to_cons(cons_to_prim(w0, gas) * rng.uniform(0.8, 1.2, w0.shape), gas)
+    cfg = solver.StepConfig(co=CO, gradient=mode, limiter_k=0.5)   # limiter active
+    r, _ = solver.residual(mesh, w, cfg, {})
+    u = cons_to_prim(w, gas)
+    grad = recon.gradient_lsq(mesh, u) if mode == "lsq" else recon.gradient_gg(mesh, u)
+    phi = recon.venkat_limiter(mesh, u, grad, cfg.limiter_k)
+    assert (phi < 1.0).mean() > 0.2
+    u_l, u_r, _ = recon.muscl_face_values(mesh, u, grad, phi)
+    flux, _ = solver.rusanov_flux(prim_to_cons(u_l, gas), prim_to_cons(u_r, gas),
+                                  mesh.f_normal, gas)
+    contrib = flux * mesh.f_len[:, None]
+    expect = np.zeros_like(r)
+    for f, cell in enumerate(mesh.f_left):
+        expect[cell] += contrib[f]
+    for f, cell in enumerate(mesh.f_right[:mesh.n_iface]):
+        expect[cell] -= contrib[f]
+    assert (r == expect).all()
+
+
 @pytest.mark.parametrize("gradient", ["lsq", "gg"])
 def test_gain_is_zero_at_zero_params(mesh, gradient):
     fine, pm = msh.refine_uniform(mesh)
@@ -139,3 +156,9 @@ def test_gain_is_zero_at_zero_params(mesh, gradient):
     assert (rep.l_coarse > 0).all()
     assert (rep.l_ml == rep.l_coarse).all()
     assert (rep.gain_pct == 0.0).all()
+
+
+def test_gain_rejects_fewer_than_one_step(mesh):
+    fine, pm = msh.refine_uniform(mesh)
+    with pytest.raises(ValueError, match="n_steps"):
+        bench.run_gain(smooth_prim_field, mesh, fine, pm, mlcorr.zero_params(), 0, co=CO)
