@@ -4,8 +4,14 @@ A built ``Mesh`` is immutable and carries every derived quantity the solver
 needs: face geometry (length, midpoint, left/right cells, unit normal
 oriented left to right), per-cell neighbor tables in counter-clockwise
 order, the stencil angles between successive centroid-to-centroid
-directions, precomputed inverse least-squares normal matrices, and ghost
-slots for non-periodic boundary faces.
+directions, precomputed inverse least-squares normal matrices, ghost
+slots for non-periodic boundary faces, and the constants that
+reconstruction would otherwise recompute every step (MUSCL face offsets,
+Green-Gauss scaled normals, LSQ weighted offsets, 1/|C|).
+
+Topology comes from one array-based edge numbering (``_edges``): edges are
+numbered in the order of their first half-edge, and faces, ghosts, the
+per-cell tables and the midpoints of a refinement all follow that order.
 
 Each cell's stencil starts at the neighbor right after its largest stencil
 angle (see ``_stencil_start``), so the neighbor order, and with it every
@@ -95,11 +101,20 @@ class BoundarySpec:
 
 @dataclass
 class Mesh:
+    """A built triangulation: topology, geometry and per-step constants.
+
+    Built only by ``build_mesh``; every array is read-only.  Face order and
+    stencil order fix the order of every sum over faces or neighbors, so
+    they are part of the layout, not an implementation detail.
+    """
+
     nodes: np.ndarray          # (Nn, 2)
     tri: np.ndarray            # (N, 3) CCW node indices
     area: np.ndarray           # (N,)
+    inv_area: np.ndarray       # (N,) 1 / area
     centroid: np.ndarray       # (N, 2)
-    # faces, ordered interior (incl. merged periodic) then boundary by tag
+    # faces in edge order: plain interior, merged periodic pairs by group,
+    # then boundary faces by tag
     f_left: np.ndarray         # (F,) left cell id
     f_right: np.ndarray        # (F,) right cell id or ghost slot >= n_cells
     f_normal: np.ndarray       # (F, 2) unit, left -> right
@@ -107,17 +122,20 @@ class Mesh:
     f_mid: np.ndarray          # (F, 2) midpoint on the left side
     f_shift: np.ndarray        # (F, 2) left-midpoint minus right-midpoint (periodic)
     n_iface: int               # faces with a real cell on both sides
+    f_off_l: np.ndarray        # (F, 2) left centroid -> face midpoint (MUSCL)
+    f_off_r: np.ndarray        # (n_iface, 2) right centroid -> its own-side midpoint
     # boundary faces (face ids n_iface..F-1, grouped by tag)
     b_tag: np.ndarray          # (Fb,)
     tag_slices: dict           # tag code -> slice into boundary order
-    boundary_edges: np.ndarray # (Eb, 4) node_a, node_b, tag, group (pre-merge)
+    boundary_edges: np.ndarray # (Eb, 4) node_a, node_b, tag, group (pre-merge),
+                               # in edge order
     # per-cell tables: neighbors CCW, starting right after the largest
     # stencil angle (ties: see _stencil_start), so angles[:, 2] is the largest
-    cell_faces: np.ndarray     # (N, 3)
     nbr: np.ndarray            # (N, 3) extended ids (ghosts >= n_cells)
     nbr_dx: np.ndarray         # (N, 3) neighbor centroid offsets (virtual)
     nbr_dy: np.ndarray
     lsq_w: np.ndarray          # (N, 3) inverse-distance-squared weights
+    lsq_wd: np.ndarray         # (N, 3, 2) lsq_w times (nbr_dx, nbr_dy)
     inv11: np.ndarray          # (N,) inverse LSQ normal matrix entries
     inv12: np.ndarray
     inv22: np.ndarray
@@ -125,8 +143,7 @@ class Mesh:
                                # lies between neighbors k and k+1 (mod 3)
     interior_mask: np.ndarray  # (N,) True when all neighbors are real cells
     cell_foff: np.ndarray      # (N, 3, 2) centroid -> own-side face midpoint
-    cell_n: np.ndarray         # (N, 3, 2) outward unit normal per cell face
-    cell_slen: np.ndarray      # (N, 3) face length per cell face
+    cell_sn: np.ndarray        # (N, 3, 2) outward normal times face length
     rs_idx: np.ndarray         # scatter cell ids for residual accumulation
     ghost_centroid: np.ndarray = field(default=None)  # (Fb, 2) mirrored centers
     region: np.ndarray = field(default=None)
@@ -207,13 +224,44 @@ def _stencil_start(dxy):
     return cand.argmax(axis=1)
 
 
+def _edges(tri, n_nodes):
+    """Number the edges of a triangulation in the order of their first half-edge.
+
+    Half-edge ``h = 3 * cell + k`` runs from node ``tri[cell, k]`` to node
+    ``tri[cell, (k + 1) % 3]``.  Returns ``(edge, first, second)``: the edge
+    id of every half-edge (3N,) and, per edge, its first and second
+    half-edge (``second`` is -1 on a boundary edge).  An edge with more
+    than two half-edges raises MeshError.
+    """
+    tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    key = np.minimum(tail, head) * n_nodes + np.maximum(tail, head)
+    _, first, inv, count = np.unique(key, return_index=True, return_inverse=True,
+                                     return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    first, count = first[order], count[order]
+    over = np.flatnonzero(count > 2)
+    if over.size:
+        h = first[over[0]]
+        lo, hi = sorted((int(tail[h]), int(head[h])))
+        raise MeshError(f"non-manifold edge {(lo, hi)}: {count[over[0]]} incident cells")
+    edge = rank[inv.ravel()]
+    by_edge = np.argsort(edge, kind="stable")      # half-edges grouped by edge
+    nxt = np.minimum(np.cumsum(count) - count + 1, by_edge.size - 1)
+    second = np.where(count == 2, by_edge[nxt], -1)
+    return edge, first, second
+
+
 def build_mesh(nodes, triangles, boundary_spec=None):
     """Build a Mesh from raw nodes and triangle node triples.
 
     Triangles are reoriented counterclockwise; all derived geometry is
-    populated here.  Each cell's neighbors are listed counterclockwise,
-    starting right after the largest stencil angle (``_stencil_start``).
-    Degenerate (zero-area) or duplicate triangles and
+    populated here.  Faces come in edge order (``_edges``): plain interior
+    faces, then merged periodic pairs by group, then boundary faces by tag.
+    Each cell's neighbors are listed counterclockwise, starting right after
+    the largest stencil angle (``_stencil_start``).  Triangles with a
+    repeated node, degenerate (zero-area) or duplicate triangles and
     non-manifold edges are rejected.  ``boundary_spec`` assigns BC tags;
     None means supersonic outflow (extrapolation) everywhere.
     """
@@ -225,9 +273,15 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         raise MeshError("triangle references a node out of range")
     if boundary_spec is None:
         boundary_spec = BoundarySpec.uniform(SUPERSONIC_OUT)
+    n_cells = tri.shape[0]
+
+    # a repeated node also gives zero area; name it before the area check
+    srt = np.sort(tri, axis=1)
+    bad = np.flatnonzero((srt[:, 0] == srt[:, 1]) | (srt[:, 1] == srt[:, 2]))
+    if bad.size:
+        raise MeshError(f"triangle with repeated node: cell {bad[0]}")
 
     scale = max(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1]), 1e-300)
-
     sa = _signed_area(nodes, tri)
     flip = sa < 0
     tri[flip] = tri[flip][:, [0, 2, 1]]
@@ -235,165 +289,113 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     bad = np.where(area <= 1e-14 * scale * scale)[0]
     if bad.size:
         raise MeshError(f"degenerate triangle (zero area): cell {bad[0]}")
-
-    seen = {}
-    for i, t in enumerate(tri):
-        key = tuple(sorted(t))
-        if len(set(key)) != 3:
-            raise MeshError(f"triangle with repeated node: cell {i}")
-        if key in seen:
-            raise MeshError(f"duplicate triangle: cells {seen[key]} and {i}")
-        seen[key] = i
-
-    n_cells = tri.shape[0]
+    _, once, inv = np.unique(srt, axis=0, return_index=True, return_inverse=True)
+    first_copy = once[inv.ravel()]
+    bad = np.flatnonzero(first_copy != np.arange(n_cells))
+    if bad.size:
+        raise MeshError(f"duplicate triangle: cells {first_copy[bad[0]]} and {bad[0]}")
     centroid = (nodes[tri[:, 0]] + nodes[tri[:, 1]] + nodes[tri[:, 2]]) / 3.0
 
-    # edge -> incident (cell, a, b) with (a, b) in the cell's CCW traversal
-    edges = {}
-    for i in range(n_cells):
-        t = tri[i]
-        for k in range(3):
-            a, b = int(t[k]), int(t[(k + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            edges.setdefault(key, []).append((i, a, b))
-    for key, inc in edges.items():
-        if len(inc) > 2:
-            raise MeshError(f"non-manifold edge {key}: {len(inc)} incident cells")
+    # edge geometry along each edge's first half-edge; the cell of that
+    # half-edge keeps the interior on its left: outward is (dy, -dx)
+    _, first, second = _edges(tri, len(nodes))
+    e_a, e_b = tri.ravel()[first], tri[:, [1, 2, 0]].ravel()[first]
+    pa, pb = nodes[e_a], nodes[e_b]
+    d = pb - pa
+    e_len = np.hypot(d[:, 0], d[:, 1])
+    e_normal = np.column_stack([d[:, 1] / e_len, -d[:, 0] / e_len])
+    e_mid = (pa + pb) / 2.0
+    e_cell = first // 3
+    inner = np.flatnonzero(second >= 0)
+    bnd = np.flatnonzero(second < 0)
 
-    def face_geom(a, b):
-        pa, pb = nodes[a], nodes[b]
-        d = pb - pa
-        ln = float(np.hypot(d[0], d[1]))
-        # CCW traversal keeps the interior on the left: outward is (dy, -dx)
-        nrm = np.array([d[1] / ln, -d[0] / ln])
-        return nrm, ln, (pa + pb) / 2.0
-
-    int_faces = []   # (left, right, normal, len, mid)
-    bnd_raw = []     # (cell, normal, len, mid, node_a, node_b, tag, group)
-    boundary_edges = []
-    for key, inc in edges.items():
-        if len(inc) == 2:
-            (ci, a, b), (cj, _, _) = inc
-            nrm, ln, mid = face_geom(a, b)
-            int_faces.append((ci, cj, nrm, ln, mid))
-        else:
-            (ci, a, b) = inc[0]
-            nrm, ln, mid = face_geom(a, b)
-            tag, group = boundary_spec.assign(a, b, mid, nrm)
-            bnd_raw.append((ci, nrm, ln, mid, a, b, tag, group))
-            boundary_edges.append((a, b, tag, group))
+    tags = [boundary_spec.assign(a, b, mid, nrm) for a, b, mid, nrm in
+            zip(e_a[bnd].tolist(), e_b[bnd].tolist(), e_mid[bnd], e_normal[bnd])]
+    tags = np.array(tags, dtype=np.int64).reshape(-1, 2)
+    boundary_edges = np.column_stack([e_a[bnd], e_b[bnd], tags])
 
     # pair periodic faces by translated midpoints and merge each pair into
     # one interior-like face with a virtual translation for the right cell
-    per = [f for f in bnd_raw if f[6] == PERIODIC]
-    other = [f for f in bnd_raw if f[6] != PERIODIC]
-    merged = []
+    per = tags[:, 0] == PERIODIC
+    side_a, side_b = [], []
     tol = 1e-9 * scale
-    groups = sorted({f[7] for f in per})
-    for g in groups:
-        gf = [f for f in per if f[7] == g]
+    for g in np.unique(tags[per, 1]).tolist():
+        gf = bnd[per & (tags[:, 1] == g)]
         if len(gf) % 2:
             raise MeshError(f"periodic group {g} has an odd number of faces")
-        n0 = gf[0][1]
-        side_a = [f for f in gf if float(np.dot(f[1], n0)) > 0.0]
-        side_b = [f for f in gf if float(np.dot(f[1], n0)) <= 0.0]
-        if len(side_a) != len(side_b):
+        n0 = e_normal[gf[0]]
+        on_a = e_normal[gf, 0] * n0[0] + e_normal[gf, 1] * n0[1] > 0.0
+        fa, fb = gf[on_a], gf[~on_a]
+        if len(fa) != len(fb):
             raise MeshError(f"periodic group {g}: sides do not split evenly")
-        mids_a = np.array([f[3] for f in side_a])
-        mids_b = np.array([f[3] for f in side_b])
-        t_ab = mids_b.mean(axis=0) - mids_a.mean(axis=0)
-        used = np.zeros(len(side_b), dtype=bool)
-        for fa in side_a:
-            d = np.hypot(*(mids_b - (fa[3] + t_ab)).T)
-            j = int(np.argmin(d))
-            if d[j] > tol or used[j]:
-                raise MeshError(f"periodic group {g}: no partner for face at {fa[3]}")
+        mids_b = e_mid[fb]
+        t_ab = mids_b.mean(axis=0) - e_mid[fa].mean(axis=0)
+        used = np.zeros(len(fb), dtype=bool)
+        for ea in fa:
+            dist = np.hypot(*(mids_b - (e_mid[ea] + t_ab)).T)
+            j = int(np.argmin(dist))
+            if dist[j] > tol or used[j]:
+                raise MeshError(f"periodic group {g}: no partner for face at {e_mid[ea]}")
             used[j] = True
-            fb = side_b[j]
-            if abs(fa[2] - fb[2]) > 1e-10:
+            if abs(e_len[ea] - e_len[fb[j]]) > 1e-10:
                 raise MeshError(f"periodic group {g}: paired faces differ in length")
-            # keep side-a geometry; right cell is fb's cell, shifted by -t_ab
-            merged.append((fa[0], fb[0], fa[1], fa[2], fa[3], fa[3] - fb[3]))
+            # keep side-a geometry; the right cell is the partner's, shifted by -t_ab
+            side_a.append(ea)
+            side_b.append(fb[j])
+    side_a = np.array(side_a, dtype=np.int64)
+    side_b = np.array(side_b, dtype=np.int64)
+    by_tag = np.argsort(tags[~per, 0], kind="stable")
+    b_tag = tags[~per, 0][by_tag]
+    ghost = bnd[~per][by_tag]
 
-    # assemble face arrays: plain interior, merged periodic, then boundary by tag
-    other.sort(key=lambda f: f[6])
-    F = len(int_faces) + len(merged) + len(other)
-    f_left = np.empty(F, dtype=np.int64)
-    f_right = np.empty(F, dtype=np.int64)
-    f_normal = np.empty((F, 2))
-    f_len = np.empty(F)
-    f_mid = np.empty((F, 2))
+    # faces: plain interior, merged periodic, then boundary by tag
+    f_edge = np.concatenate([inner, side_a, ghost])
+    n_iface = len(inner) + len(side_a)
+    F = len(f_edge)
+    f_left = e_cell[f_edge]
+    f_right = np.concatenate([second[inner] // 3, e_cell[side_b],
+                              n_cells + np.arange(len(ghost))])
+    f_normal, f_len, f_mid = e_normal[f_edge], e_len[f_edge], e_mid[f_edge]
     f_shift = np.zeros((F, 2))
-    k = 0
-    for ci, cj, nrm, ln, mid in int_faces:
-        f_left[k], f_right[k] = ci, cj
-        f_normal[k], f_len[k], f_mid[k] = nrm, ln, mid
-        k += 1
-    for ci, cj, nrm, ln, mid, shift in merged:
-        f_left[k], f_right[k] = ci, cj
-        f_normal[k], f_len[k], f_mid[k] = nrm, ln, mid
-        f_shift[k] = shift
-        k += 1
-    n_iface = k
-    b_tag = np.array([f[6] for f in other], dtype=np.int64)
-    ghost_centroid = np.empty((len(other), 2))
-    for gi, (ci, nrm, ln, mid, a, b, tag, group) in enumerate(other):
-        f_left[k] = ci
-        f_right[k] = n_cells + gi
-        f_normal[k], f_len[k], f_mid[k] = nrm, ln, mid
-        d = float(np.dot(mid - centroid[ci], nrm))
-        ghost_centroid[gi] = centroid[ci] + 2.0 * d * nrm
-        k += 1
+    f_shift[len(inner):n_iface] = e_mid[side_a] - e_mid[side_b]
+    g_cell, g_n = f_left[n_iface:], f_normal[n_iface:]
+    r = f_mid[n_iface:] - centroid[g_cell]
+    dist = r[:, 0] * g_n[:, 0] + r[:, 1] * g_n[:, 1]
+    ghost_centroid = centroid[g_cell] + 2.0 * dist[:, None] * g_n
     tag_slices = {}
     for code in sorted(set(b_tag.tolist())):
         idx = np.where(b_tag == code)[0]
         tag_slices[code] = slice(int(idx[0]), int(idx[-1]) + 1)
 
-    # per-cell face/neighbor tables
-    cell_inc = [[] for _ in range(n_cells)]
-    for f in range(F):
-        cell_inc[f_left[f]].append((f, +1.0))
-        if f_right[f] < n_cells:
-            cell_inc[f_right[f]].append((f, -1.0))
-    counts = np.array([len(c) for c in cell_inc])
-    if np.any(counts != 3):
-        bad = int(np.argmax(counts != 3))
-        raise MeshError(f"cell {bad} has {counts[bad]} faces, expected 3")
+    # per-cell tables, one row per half-edge: its face, and whether the
+    # cell is that face's left cell
+    he_face = np.empty(3 * n_cells, dtype=np.int64)
+    he_left = np.zeros(3 * n_cells, dtype=bool)
+    he_face[first[f_edge]] = np.arange(F)
+    he_left[first[f_edge]] = True
+    he_face[np.concatenate([second[inner], first[side_b]])] = np.arange(n_iface)
+    face = he_face.reshape(n_cells, 3)
+    left = he_left.reshape(n_cells, 3)
+    own = centroid[:, None, :]
+    c_ext = np.concatenate([centroid, ghost_centroid])
+    nbr = np.where(left, f_right[face], f_left[face])
+    shift = np.where(left[..., None], f_shift[face], -f_shift[face])
+    dxy = c_ext[nbr] + shift - own
+    cell_foff = np.where(left[..., None], f_mid[face], f_mid[face] - f_shift[face]) - own
+    cell_n = np.where(left, 1.0, -1.0)[..., None] * f_normal[face]
+    slen = f_len[face]
 
-    cell_faces = np.empty((n_cells, 3), dtype=np.int64)
-    nbr = np.empty((n_cells, 3), dtype=np.int64)
-    dxy = np.empty((n_cells, 3, 2))
-    cell_foff = np.empty((n_cells, 3, 2))
-    cell_n = np.empty((n_cells, 3, 2))
-    cell_slen = np.empty((n_cells, 3))
-    for i in range(n_cells):
-        rows = []
-        for f, s in cell_inc[i]:
-            if s > 0:
-                nb = int(f_right[f])
-                d = (ghost_centroid[nb - n_cells] if nb >= n_cells
-                     else centroid[nb] + f_shift[f]) - centroid[i]
-                mid_own = f_mid[f]
-            else:
-                nb = int(f_left[f])
-                d = centroid[nb] - f_shift[f] - centroid[i]
-                mid_own = f_mid[f] - f_shift[f]
-            ang = np.arctan2(d[1], d[0]) % (2.0 * np.pi)
-            rows.append((ang, f, s, nb, d, mid_own))
-        rows.sort(key=lambda r: r[0])
-        for j, (ang, f, s, nb, d, mid_own) in enumerate(rows):
-            cell_faces[i, j] = f
-            nbr[i, j] = nb
-            dxy[i, j] = d
-            cell_foff[i, j] = mid_own - centroid[i]
-            cell_n[i, j] = s * f_normal[f]
-            cell_slen[i, j] = f_len[f]
-
-    # roll each stencil from the first neighbor CCW of +x to its canonical start
-    perm = (_stencil_start(dxy)[:, None] + np.arange(3)) % 3
+    # order each stencil by face, then counterclockwise from +x, then roll
+    # it to its canonical start
     cells = np.arange(n_cells)[:, None]
-    cell_faces, nbr, dxy, cell_foff, cell_n, cell_slen = (
-        a[cells, perm] for a in (cell_faces, nbr, dxy, cell_foff, cell_n, cell_slen))
+    perm = np.argsort(2 * face + ~left, axis=1, kind="stable")
+    ang = np.arctan2(dxy[cells, perm, 1], dxy[cells, perm, 0]) % (2.0 * np.pi)
+    perm = perm[cells, np.argsort(ang, axis=1, kind="stable")]
+    roll = (_stencil_start(dxy[cells, perm])[:, None] + np.arange(3)) % 3
+    perm = perm[cells, roll]
+    nbr, dxy, cell_foff, cell_n, slen = (
+        a[cells, perm] for a in (nbr, dxy, cell_foff, cell_n, slen))
+    cell_sn = cell_n * slen[:, :, None]
 
     nbr_dx = dxy[:, :, 0].copy()
     nbr_dy = dxy[:, :, 1].copy()
@@ -417,8 +419,8 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     interior_mask = (nbr < n_cells).all(axis=1)
 
     # closed-polygon identity, Sum n |S| = 0 per cell
-    closure = (cell_n * cell_slen[:, :, None]).sum(axis=1)
-    perim = cell_slen.sum(axis=1)
+    closure = cell_sn.sum(axis=1)
+    perim = slen.sum(axis=1)
     worst = np.abs(closure).max(axis=1) / perim
     if worst.max() > 1e-12:
         raise MeshError(f"face closure violated at cell {int(worst.argmax())}")
@@ -429,15 +431,17 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     rs_idx = np.concatenate([f_left, f_right[:n_iface]])
 
     m = Mesh(
-        nodes=nodes, tri=tri, area=area, centroid=centroid,
+        nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, centroid=centroid,
         f_left=f_left, f_right=f_right, f_normal=f_normal, f_len=f_len,
         f_mid=f_mid, f_shift=f_shift, n_iface=n_iface,
-        b_tag=b_tag, tag_slices=tag_slices,
-        boundary_edges=np.array(boundary_edges, dtype=np.int64).reshape(-1, 4),
-        cell_faces=cell_faces, nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
-        lsq_w=lsq_w, inv11=inv11, inv12=inv12, inv22=inv22,
+        f_off_l=f_mid - centroid[f_left],
+        f_off_r=f_mid[:n_iface] - f_shift[:n_iface] - centroid[f_right[:n_iface]],
+        b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
+        nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
+        lsq_w=lsq_w, lsq_wd=np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2),
+        inv11=inv11, inv12=inv12, inv22=inv22,
         angles=angles, interior_mask=interior_mask,
-        cell_foff=cell_foff, cell_n=cell_n, cell_slen=cell_slen,
+        cell_foff=cell_foff, cell_sn=cell_sn,
         rs_idx=rs_idx, ghost_centroid=ghost_centroid,
     )
     for arr in vars(m).values():
@@ -449,35 +453,27 @@ def build_mesh(nodes, triangles, boundary_spec=None):
 def refine_uniform(mesh):
     """Split every triangle at its edge midpoints into four children.
 
+    Midpoint nodes follow the mesh nodes in edge order (``_edges``).
     Boundary tags (and periodic pairing groups) are inherited by the two
     child edges of each boundary edge.  Returns the fine mesh and the
     parent map used by the conservative projection.
     """
-    nodes = [tuple(p) for p in mesh.nodes]
-    node_arr = mesh.nodes
-    mid_cache = {}
+    n_nodes = len(mesh.nodes)
+    he_edge, first, second = _edges(mesh.tri, n_nodes)
+    tail, head = mesh.tri.ravel()[first], mesh.tri[:, [1, 2, 0]].ravel()[first]
+    nodes = np.concatenate([mesh.nodes, (mesh.nodes[tail] + mesh.nodes[head]) / 2.0])
+    a, b, c = mesh.tri.T
+    mab, mbc, mca = (n_nodes + he_edge).reshape(-1, 3).T
+    tris = np.column_stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca])
 
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in mid_cache:
-            mid_cache[key] = len(nodes)
-            nodes.append(tuple((node_arr[a] + node_arr[b]) / 2.0))
-        return mid_cache[key]
+    # build_mesh lists boundary edges in edge order, so row k of
+    # boundary_edges is the k-th edge without a second half-edge
+    mid = (n_nodes + np.flatnonzero(second < 0)).tolist()
+    tag_group = [tuple(r) for r in mesh.boundary_edges[:, 2:].tolist()]
+    edge_table = dict(zip(zip(mesh.boundary_edges[:, 0].tolist(), mid), tag_group))
+    edge_table.update(zip(zip(mesh.boundary_edges[:, 1].tolist(), mid), tag_group))
 
-    tris = []
-    for a, b, c in mesh.tri:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-
-    edge_table = {}
-    for a, b, tag, group in mesh.boundary_edges:
-        a, b, tag, group = int(a), int(b), int(tag), int(group)
-        m = midpoint(a, b)
-        edge_table[(min(a, m), max(a, m))] = (tag, group)
-        edge_table[(min(b, m), max(b, m))] = (tag, group)
-
-    fine = build_mesh(np.array(nodes), tris, BoundarySpec.from_edge_table(edge_table))
+    fine = build_mesh(nodes, tris.reshape(-1, 3), BoundarySpec.from_edge_table(edge_table))
 
     n_coarse = mesh.n_cells
     children = np.arange(4 * n_coarse, dtype=np.int64).reshape(n_coarse, 4)
@@ -528,16 +524,11 @@ def structured_mesh(nx, ny=None, lx=1.0, ly=1.0, boundary_spec=None):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    n00 = (i * (ny + 1) + j).ravel()
+    n10, n01 = n00 + ny + 1, n00 + 1
+    n11 = n10 + 1
+    tris = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
     return build_mesh(nodes, tris, boundary_spec)
 
 
@@ -558,14 +549,15 @@ def irregular_mesh(n, seed=0, lx=1.0, ly=1.0, jitter=0.35, boundary_spec=None):
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, lx, n + 1)
     ys = np.linspace(0.0, ly, n + 1)
-    pts = [(x, 0.0) for x in xs] + [(x, ly) for x in xs]
-    pts += [(0.0, y) for y in ys[1:-1]] + [(lx, y) for y in ys[1:-1]]
-    hx, hy = lx / n, ly / n
-    for i in range(1, n):
-        for j in range(1, n):
-            dx, dy = rng.uniform(-jitter, jitter, size=2)
-            pts.append((xs[i] + dx * hx, ys[j] + dy * hy))
-    pts = np.array(pts)
+    X, Y = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")
+    jit = rng.uniform(-jitter, jitter, size=((n - 1) ** 2, 2))
+    pts = np.concatenate([
+        np.column_stack([xs, np.zeros(n + 1)]),
+        np.column_stack([xs, np.full(n + 1, ly)]),
+        np.column_stack([np.zeros(n - 1), ys[1:-1]]),
+        np.column_stack([np.full(n - 1, lx), ys[1:-1]]),
+        np.column_stack([X.ravel() + jit[:, 0] * (lx / n), Y.ravel() + jit[:, 1] * (ly / n)]),
+    ])
     dt = Delaunay(pts)
     return build_mesh(pts, dt.simplices, boundary_spec)
 

@@ -35,11 +35,9 @@ def gradient_gg(mesh, u_ext, alpha=None, u_nb=None):
         face_val = 0.5 * ui + 0.5 * u_nb
     else:
         face_val = (0.5 + alpha) * ui + (0.5 - alpha) * u_nb
-    nx = mesh.cell_n[:, :, 0] * mesh.cell_slen           # (N, 3)
-    ny = mesh.cell_n[:, :, 1] * mesh.cell_slen
-    inv_area = (1.0 / mesh.area)[:, None]
-    gx = ad.einsum("njv,nj->nv", face_val, nx) * inv_area
-    gy = ad.einsum("njv,nj->nv", face_val, ny) * inv_area
+    inv_area = mesh.inv_area[:, None]
+    gx = ad.einsum("njv,nj->nv", face_val, mesh.cell_sn[:, :, 0]) * inv_area
+    gy = ad.einsum("njv,nj->nv", face_val, mesh.cell_sn[:, :, 1]) * inv_area
     return gx, gy
 
 
@@ -56,8 +54,8 @@ def gradient_lsq(mesh, u_ext, alpha=None, du=None):
         du = neighbor_deltas(mesh, u, neighbor_values(mesh, u_ext))
     if alpha is not None:
         du = (1.0 + alpha) * du
-    bx = ad.einsum("nj,njv->nv", mesh.lsq_w * mesh.nbr_dx, du)
-    by = ad.einsum("nj,njv->nv", mesh.lsq_w * mesh.nbr_dy, du)
+    bx = ad.einsum("nj,njv->nv", mesh.lsq_wd[:, :, 0], du)
+    by = ad.einsum("nj,njv->nv", mesh.lsq_wd[:, :, 1], du)
     gx = mesh.inv11[:, None] * bx + mesh.inv12[:, None] * by
     gy = mesh.inv12[:, None] * bx + mesh.inv22[:, None] * by
     return gx, gy
@@ -114,10 +112,7 @@ def muscl_face_values(mesh, u_ext, grad, phi):
     n = mesh.n_cells
     gx, gy = grad
     u = u_ext[:n] if ad.value_of(u_ext).shape[0] != n else u_ext
-    off_l = mesh.f_mid - mesh.centroid[mesh.f_left]
     right_int = mesh.f_right[:mesh.n_iface]
-    off_r = (mesh.f_mid[:mesh.n_iface] - mesh.f_shift[:mesh.n_iface]
-             - mesh.centroid[right_int])
 
     def extrapolate(cells, off, limiter):
         incr = (off[:, 0:1] * ad.take_rows(gx, cells)
@@ -128,8 +123,8 @@ def muscl_face_values(mesh, u_ext, grad, phi):
         sv = ad.value_of(states)
         return (sv[:, 0] <= 0.0) | (sv[:, 3] <= 0.0)
 
-    u_l = extrapolate(mesh.f_left, off_l, phi)
-    u_r_int = extrapolate(right_int, off_r, phi)
+    u_l = extrapolate(mesh.f_left, mesh.f_off_l, phi)
+    u_r_int = extrapolate(right_int, mesh.f_off_r, phi)
 
     bad_l = bad_rows(u_l)
     bad_r = bad_rows(u_r_int)
@@ -140,8 +135,8 @@ def muscl_face_values(mesh, u_ext, grad, phi):
         keep[right_int[bad_r]] = 0.0
         n_fallback = int(n - keep.sum())
         phi = phi * keep[:, None]
-        u_l = extrapolate(mesh.f_left, off_l, phi)
-        u_r_int = extrapolate(right_int, off_r, phi)
+        u_l = extrapolate(mesh.f_left, mesh.f_off_l, phi)
+        u_r_int = extrapolate(right_int, mesh.f_off_r, phi)
 
     if mesh.n_ghost:
         u_ghost = ad.take_rows(u_ext, mesh.f_right[mesh.n_iface:])

@@ -226,7 +226,7 @@ def _divergence_gg(mesh, qx_ext, qy_ext):
     qy_nb = ad.reshape(ad.take_rows(ad.reshape(qy_ext, (-1, 1)), mesh.nbr.ravel()), (n, 3))
     qx_i = ad.reshape(qx_ext[:n], (n, 1))
     qy_i = ad.reshape(qy_ext[:n], (n, 1))
-    ns = mesh.cell_n * mesh.cell_slen[:, :, None]
+    ns = mesh.cell_sn
     flux = (0.5 * (qx_i + qx_nb) * ns[:, :, 0] + 0.5 * (qy_i + qy_nb) * ns[:, :, 1])
     return ad.sum(flux, axis=1) / mesh.area
 

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fvgrad import bench
 from fvgrad import mesh as msh
 from fvgrad.mesh import BoundarySpec, MeshError
 from conftest import rotated_mesh
@@ -40,8 +43,8 @@ def test_structured_split_counts_and_closure():
         total = np.zeros(2)
         perim = 0.0
         for k in range(3):
-            total += m.cell_n[i, k] * m.cell_slen[i, k]
-            perim += m.cell_slen[i, k]
+            total += m.cell_sn[i, k]
+            perim += np.hypot(*m.cell_sn[i, k])
         assert np.hypot(*total) <= 1e-12 * perim
 
 
@@ -53,6 +56,12 @@ def test_degenerate_triangle_rejected():
 def test_duplicate_triangle_rejected():
     with pytest.raises(MeshError, match="duplicate"):
         msh.build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (1, 2, 0)])
+
+
+def test_repeated_node_rejected():
+    nodes = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with pytest.raises(MeshError, match="repeated node: cell 1"):
+        msh.build_mesh(nodes, [(0, 1, 2), (1, 3, 3)])
 
 
 def test_non_manifold_edge_rejected():
@@ -240,3 +249,92 @@ def test_ghost_centroids_are_mirrors():
         d = np.dot(mid - m.centroid[c], n)
         expect = m.centroid[c] + 2 * d * n
         np.testing.assert_allclose(m.ghost_centroid[bi], expect, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# layout digests: face order and stencil order fix every summation order, so
+# a change to them changes outputs even where each value is still right
+# ---------------------------------------------------------------------------
+
+def _layout_digests(m):
+    out = {}
+    for name in ("tri", "f_left", "f_right", "nbr", "b_tag", "boundary_edges"):
+        a = np.ascontiguousarray(getattr(m, name), dtype="<i8")
+        out[name] = hashlib.sha256(a.tobytes()).hexdigest()[:16]
+    layout = f"{m.n_iface};" + ";".join(
+        f"{c}:{s.start}:{s.stop}" for c, s in sorted(m.tag_slices.items()))
+    out["layout"] = hashlib.sha256(layout.encode()).hexdigest()[:16]
+    return out
+
+
+LAYOUT_DIGESTS = {
+    "periodic_structured_6": {
+        "tri": "5c978131f76d10b4", "f_left": "f1a294e5c4d13850",
+        "f_right": "3186412f97666ace", "nbr": "9f8138accd194888",
+        "b_tag": "e3b0c44298fc1c14", "boundary_edges": "b76639ca25785b8a",
+        "layout": "446aface1e1e851d"},
+    "slip_wall_structured_6": {
+        "tri": "5c978131f76d10b4", "f_left": "c7ed97f9720e6ac0",
+        "f_right": "56f8ef1181e414f5", "nbr": "c07f6145dce8be82",
+        "b_tag": "382b24dca5aee4f7", "boundary_edges": "25fb5194e1904da1",
+        "layout": "6057274a617fc2ff"},
+    "forward_step_0.2": {
+        "tri": "fa52ce7580c8a7a7", "f_left": "cd53f747a80ec4a3",
+        "f_right": "31025ba0c10a33ad", "nbr": "0f14471d0097b377",
+        "b_tag": "02f4c21555543c0a", "boundary_edges": "401ecad853099947",
+        "layout": "3a74495c3800118d"},
+    "refined_periodic_structured_6": {
+        "tri": "7ef72bc5c1887813", "f_left": "72b284955107c7e1",
+        "f_right": "73377ce45ef22ab5", "nbr": "77d2944c8252357f",
+        "b_tag": "e3b0c44298fc1c14", "boundary_edges": "f71bde64b69289a1",
+        "layout": "a2bffbf703cf8bae"},
+}
+
+
+def _layout_mesh(name):
+    if name == "periodic_structured_6":
+        return msh.periodic_structured_mesh(6)
+    if name == "slip_wall_structured_6":
+        return msh.structured_mesh(6, boundary_spec=BoundarySpec.uniform("slip_wall"))
+    if name == "forward_step_0.2":
+        return bench.forward_step_mesh(0.2)[0]
+    return msh.refine_uniform(msh.periodic_structured_mesh(6))[0]
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_DIGESTS))
+def test_mesh_layout_digests(name):
+    assert _layout_digests(_layout_mesh(name)) == LAYOUT_DIGESTS[name]
+
+
+def _square_fan(ys_left, ys_right):
+    """Unit square fanned from its centre, with extra nodes on the sides.
+
+    ``ys_left`` and ``ys_right`` are the heights of the nodes that split
+    the left and the right side into several boundary edges.
+    """
+    ring = ([(0.0, 0.0), (1.0, 0.0)] + [(1.0, y) for y in sorted(ys_right)]
+            + [(1.0, 1.0), (0.0, 1.0)] + [(0.0, y) for y in sorted(ys_left, reverse=True)])
+    n = len(ring)
+    tris = [(n, k, (k + 1) % n) for k in range(n)]
+    return ring + [(0.5, 0.5)], tris
+
+
+@pytest.mark.parametrize("ys_left, ys_right, message", [
+    ([0.5], [], "periodic group 1 has an odd number of faces"),
+    ([1 / 3, 2 / 3], [], "periodic group 1: sides do not split evenly"),
+    ([1 / 3, 2 / 3], [0.2, 0.4], "periodic group 1: no partner for face at"),
+    ([0.5], [0.3], "periodic group 1: paired faces differ in length"),
+])
+def test_periodic_sides_that_do_not_match_are_rejected(ys_left, ys_right, message):
+    msh.build_mesh(*_square_fan([0.5], [0.5]), BoundarySpec.periodic_box())  # sides match
+    nodes, tris = _square_fan(ys_left, ys_right)
+    with pytest.raises(MeshError, match=message):
+        msh.build_mesh(nodes, tris, BoundarySpec.periodic_box())
+
+
+def test_boundary_faces_without_a_tag_are_rejected():
+    nodes, tris = _square_fan([], [])
+    with pytest.raises(MeshError, match="matched no boundary rule"):
+        msh.build_mesh(nodes, tris, BoundarySpec(rules=[]))
+    with pytest.raises(MeshError, match=r"boundary edge \(0, 1\) has no entry"):
+        msh.build_mesh(nodes, tris, BoundarySpec.from_edge_table({(1, 2): (5, 0)}))

@@ -173,7 +173,7 @@ def test_corrected_gg_matches_loop_oracle(rng, periodic_mesh_irregular):
         acc = np.zeros((4, 2))
         for k in range(3):
             j = m.nbr[i, k]
-            ns = m.cell_n[i, k] * m.cell_slen[i, k]
+            ns = m.cell_sn[i, k]
             fv = (0.5 + alpha[i, k]) * u[i] + (0.5 - alpha[i, k]) * u[j]
             acc += np.outer(fv, ns)
         acc /= m.area[i]

@@ -247,7 +247,7 @@ def _broadcast_gradients(m, u_ext, alpha):
     n = m.n_cells
     u, u_nb = u_ext[:n], u_ext[m.nbr]
     face_val = (0.5 + alpha) * u[:, None, :] + (0.5 - alpha) * u_nb
-    ns = m.cell_n * m.cell_slen[:, :, None]
+    ns = m.cell_sn
     inv_area = (1.0 / m.area)[:, None]
     gg = (np.sum(face_val * ns[:, :, 0:1], axis=1) * inv_area,
           np.sum(face_val * ns[:, :, 1:2], axis=1) * inv_area)
