@@ -115,6 +115,9 @@ def riemann_mesh(n, periodic=True, seed=None):
 # gain runs
 # ---------------------------------------------------------------------------
 
+GAIN_COLUMNS = ("step", "time", "L_coarse", "L_ML", "gain_pct")
+
+
 @dataclass
 class GainReport:
     steps: np.ndarray
@@ -176,17 +179,6 @@ def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
     arr = np.array(rows)
     return GainReport(steps=arr[:, 0].astype(int), times=arr[:, 1],
                       l_coarse=arr[:, 2], l_ml=arr[:, 3], gain_pct=arr[:, 4])
-
-
-def write_gain_csv(report, path, header_comment=None):
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("step,time,L_coarse,L_ML,gain_pct\n")
-        for i in range(len(report.steps)):
-            fh.write(f"{report.steps[i]},{float(report.times[i])!r},"
-                     f"{float(report.l_coarse[i])!r},{float(report.l_ml[i])!r},"
-                     f"{float(report.gain_pct[i])!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +249,9 @@ def fit_loglog_slope(h, err):
     return float(a)
 
 
+CONVERGENCE_COLUMNS = ("mode", "h", "error")
+
+
 def convergence_study(case_ids, levels, params=None, t_final=0.2, co=0.01,
                       modes=("lsq", "ml_lsq"), gas=GasModel(), mesh_seed=None):
     """Error versus mesh size over a ladder of periodic meshes.
@@ -306,18 +301,12 @@ def convergence_study(case_ids, levels, params=None, t_final=0.2, co=0.01,
     return rows, slopes
 
 
-def write_convergence_csv(rows, path, header_comment=None):
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("mode,h,error\n")
-        for mode, h, err in rows:
-            fh.write(f"{mode},{h!r},{err!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # timing study
 # ---------------------------------------------------------------------------
+
+TIMING_COLUMNS = ("mode", "h", "cells", "wall_s", "error")
+
 
 def timing_study(case_id, levels, params=None, t_final=0.1, co=0.01,
                  modes=("lsq", "ml_lsq"), gas=GasModel(), repeats=3):
@@ -355,12 +344,3 @@ def timing_study(case_id, levels, params=None, t_final=0.1, co=0.01,
             rows.append((mode, coarse.mean_cell_length, coarse.n_cells,
                          float(np.median(times)), err))
     return rows
-
-
-def write_timing_csv(rows, path, header_comment=None):
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("mode,h,cells,wall_s,error\n")
-        for mode, h, cells, wall, err in rows:
-            fh.write(f"{mode},{h!r},{cells},{wall!r},{err!r}\n")

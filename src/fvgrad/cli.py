@@ -410,8 +410,9 @@ def cmd_train(cfg):
         trains, vals, tcfg=tcfg, weights=loss_weights(cfg),
         net_config=net_config(cfg), gas=gas_model(cfg),
         out_dir=out)
-    train.write_history_csv(result.history, out / "history.csv",
-                            header_comment=f"config {config_hash(cfg)}")
+    solver.write_csv(out / "history.csv", train.HISTORY_COLUMNS,
+                     ([row[c] for c in train.HISTORY_COLUMNS] for row in result.history),
+                     header_comment=f"config {config_hash(cfg)}")
     _write_manifest(out, cfg, ["history.csv", "params.gfnn"])
     if result.aborted:
         log.error("training aborted on non-finite loss; last good checkpoint kept")
@@ -440,8 +441,9 @@ def cmd_simulate(cfg, checkpoint=None):
     record = solver.rollout(mesh, w0, cfg["simulate"]["n_steps"], cfg_step,
                             bc_table, params=params)
     solver.write_frames(out / "frames.bin", record.times, record.frames)
-    solver.write_diagnostics_csv(record, out / "diagnostics.csv",
-                                 header_comment=f"config {config_hash(cfg)}")
+    solver.write_csv(out / "diagnostics.csv", solver.DIAGNOSTIC_COLUMNS,
+                     ([row[c] for c in solver.DIAGNOSTIC_COLUMNS] for row in record.diagnostics),
+                     header_comment=f"config {config_hash(cfg)}")
     log.info("simulate: %d frames -> %s", len(record.frames), out / "frames.bin")
     _write_manifest(out, cfg, ["frames.bin", "diagnostics.csv"])
     return EXIT_OK
@@ -467,7 +469,9 @@ def cmd_bench(cfg, checkpoint=None):
                 bc_kind=bc_cfg["bc"], gas=gas,
                 record_every=bc_cfg["record_every"])
             name = f"gain_case{cid}.csv"
-            benchmod.write_gain_csv(report, out / name, header_comment=head)
+            solver.write_csv(out / name, benchmod.GAIN_COLUMNS,
+                             zip(report.steps, report.times, report.l_coarse, report.l_ml,
+                                 report.gain_pct), header_comment=head)
             artifacts.append(name)
             log.info("case %d: mean gain over last quarter = %.2f%%",
                      cid, report.mean_gain(0.25))
@@ -475,8 +479,8 @@ def cmd_bench(cfg, checkpoint=None):
         rows, slopes = benchmod.convergence_study(
             bc_cfg["cases"], bc_cfg["levels"], params=params,
             t_final=bc_cfg["t_final"], co=cfg["step"]["co"], gas=gas)
-        benchmod.write_convergence_csv(rows, out / "convergence.csv",
-                                       header_comment=f"{head} slopes {slopes}")
+        solver.write_csv(out / "convergence.csv", benchmod.CONVERGENCE_COLUMNS, rows,
+                         header_comment=f"{head} slopes {slopes}")
         artifacts.append("convergence.csv")
         log.info("convergence slopes: %s", slopes)
     elif bc_cfg["kind"] == "timing":
@@ -484,7 +488,8 @@ def cmd_bench(cfg, checkpoint=None):
             bc_cfg["cases"][0], bc_cfg["levels"], params=params,
             t_final=bc_cfg["t_final"], co=cfg["step"]["co"], gas=gas,
             repeats=bc_cfg["repeats"])
-        benchmod.write_timing_csv(rows, out / "timing.csv", header_comment=head)
+        solver.write_csv(out / "timing.csv", benchmod.TIMING_COLUMNS, rows,
+                         header_comment=head)
         artifacts.append("timing.csv")
     else:
         raise ConfigError(f"unknown bench.kind '{bc_cfg['kind']}'")

@@ -88,13 +88,15 @@ def substep_count(coarse, fine):
 def rusanov_flux(w_l, w_r, n, gas=GasModel()):
     """Godunov-type flux: central average plus max-wave-speed dissipation.
 
-    Returns (flux, s) with s the per-face maximum wave speed.
+    F = (F(w_l) + F(w_r)) / 2 - s (w_r - w_l) / 2 with s the larger of the
+    two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).
+    Returns (flux, s) with s per face.
     """
     f_l = physical_flux(w_l, n, gas)
     f_r = physical_flux(w_r, n, gas)
     s = ad.maximum(max_wave_speed(w_l, n, gas), max_wave_speed(w_r, n, gas))
     s_col = ad.reshape(s, ad.value_of(s).shape + (1,)) if ad.value_of(s).ndim else s
-    return 0.5 * (f_l + f_r) - 0.5 * s_col * (w_l - w_r), s
+    return 0.5 * (f_l + f_r) - 0.5 * s_col * (w_r - w_l), s
 
 
 def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
@@ -205,14 +207,17 @@ def _frame_diag(mesh, step, t, w, diag, cfg):
     return row
 
 
-def write_diagnostics_csv(record, path, header_comment=None):
-    cols = ["step", "time", "mass", "mom_x", "mom_y", "energy", "fallbacks"]
+DIAGNOSTIC_COLUMNS = ("step", "time", "mass", "mom_x", "mom_y", "energy", "fallbacks")
+
+
+def write_csv(path, columns, rows, header_comment=None):
+    """Rows of values under a header line; floats as repr(float), the rest as str."""
     with open(path, "w") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        fh.write(",".join(cols) + "\n")
-        for row in record.diagnostics:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v):

@@ -259,8 +259,11 @@ def loss_entropy(mesh, w_prev, w_next, dt, gas=GasModel(), bc_table=None):
 
 
 def _grad_norm_lsq(mesh, u_ext):
+    """Per-cell |grad u|; 0 with a zero derivative where the field is flat."""
     gx, gy = recon.gradient_lsq(mesh, u_ext)
-    return ad.sqrt(ad.sum(gx * gx + gy * gy, axis=1))
+    g2 = ad.sum(gx * gx + gy * gy, axis=1)
+    flat = ad.value_of(g2) == 0.0
+    return ad.where(flat, 0.0, ad.sqrt(ad.where(flat, 1.0, g2)))
 
 
 def loss_tvd(mesh, u_prev_ext, u_next_ext):
@@ -387,7 +390,7 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
 
     Deterministic for a fixed seed and serial execution.  Checkpoints are
     written per epoch, and the final parameters to params.gfnn, when out_dir
-    is set (the history is returned; ``write_history_csv`` writes it).
+    is set (the history is returned; the caller writes it).
     Training aborts (keeping the last finite parameters) if the loss stops
     being finite.
     """
@@ -467,15 +470,6 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
         mlcorr.save_params(params, out / "params.gfnn")
     return TrainResult(params=params, history=history, val_sup=val_sup,
                        aborted=aborted)
-
-
-def write_history_csv(history, path, header_comment=None):
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for row in history:
-            fh.write(",".join(solver._fmt(row[c]) for c in HISTORY_COLUMNS) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -99,3 +99,19 @@ def test_numeric_errors_exit_numeric(run, monkeypatch, exc):
 
     monkeypatch.setattr(cli, "cmd_mesh", fail)
     assert run("mesh", SMALL) == cli.EXIT_NUMERIC
+
+
+def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
+    cfg = {**SMALL,
+           "dataset": {"count": 4, "n_val": 1, "steps": 4},
+           "train": {"epochs": 1},
+           "simulate": {"ic": "family:f3", "n_steps": 10},
+           "bench": {"n": 6, "n_steps": 20},
+           "gradcheck": {"param_sample": 8}}
+    codes = {command: run(command, cfg) for command in
+             ("mesh", "dataset", "gradcheck", "train", "simulate", "bench")}
+    assert codes == dict.fromkeys(codes, cli.EXIT_OK)
+    out = _out(tmp_path)
+    for name in ("mesh.txt", "dataset/manifest.json", "gradcheck.json", "history.csv",
+                 "params.gfnn", "frames.bin", "diagnostics.csv", "gain_case6.csv"):
+        assert (out / name).is_file(), name

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
-from fvgrad import bench, mlcorr, recon, solver
+from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
-from fvgrad.euler import GasModel, cons_to_prim, max_wave_speed, prim_to_cons
-from conftest import smooth_prim_field
+from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
+                          prim_to_cons)
+from conftest import random_admissible_prim, smooth_prim_field
 
 N_STEPS = 10
 CO = 0.05
@@ -162,3 +163,43 @@ def test_gain_rejects_fewer_than_one_step(mesh):
     fine, pm = msh.refine_uniform(mesh)
     with pytest.raises(ValueError, match="n_steps"):
         bench.run_gain(smooth_prim_field, mesh, fine, pm, mlcorr.zero_params(), 0, co=CO)
+
+
+def test_rusanov_flux_matches_the_textbook_formula(rng, gas):
+    # Toro, Riemann Solvers, ch. 10: F = (F_l + F_r)/2 - s (w_r - w_l)/2
+    w_l = prim_to_cons(random_admissible_prim(rng, 50), gas)
+    w_r = prim_to_cons(random_admissible_prim(rng, 50), gas)
+    theta = rng.uniform(0.0, 2 * np.pi, 50)
+    n = np.column_stack([np.cos(theta), np.sin(theta)])
+    s = np.maximum(max_wave_speed(w_l, n, gas), max_wave_speed(w_r, n, gas))
+    expect = (0.5 * (physical_flux(w_l, n, gas) + physical_flux(w_r, n, gas))
+              - 0.5 * s[:, None] * (w_r - w_l))
+    flux, s_out = solver.rusanov_flux(w_l, w_r, n, gas)
+    assert (s_out == s).all()
+    np.testing.assert_allclose(flux, expect, rtol=1e-14, atol=1e-14)
+    # consistency: equal states give the physical flux
+    same, _ = solver.rusanov_flux(w_l, w_l, n, gas)
+    np.testing.assert_allclose(same, physical_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", train.FAMILIES)
+@pytest.mark.parametrize("draw", range(3))
+def test_every_initial_condition_family_marches(family, draw, gas):
+    mesh = msh.periodic_structured_mesh(12)
+    ic = train.draw_ic_params(family, np.random.default_rng(draw))
+    w0 = prim_to_cons(train.evaluate_ic(family, ic, mesh.centroid), gas)
+    cfg = solver.StepConfig(co=0.03, gradient="lsq")
+    for _, w, _ in solver.march(mesh, w0, solver.compute_dt(mesh, cfg), 20, cfg, {}):
+        pass
+    u = cons_to_prim(w, gas)
+    assert np.isfinite(u).all() and (u[:, 0] > 0).all() and (u[:, 3] > 0).all()
+
+
+def test_write_csv_formats_numpy_and_python_numbers(tmp_path):
+    path = tmp_path / "out.csv"
+    rows = [(np.int64(3), np.float64(0.1), 1 / 3, "lsq"), (7, -0.0, np.float64(2.5e-17), 4)]
+    solver.write_csv(path, ("step", "a", "b", "mode"), rows, header_comment="config abc")
+    assert path.read_text() == ("# config abc\nstep,a,b,mode\n"
+                                "3,0.1,0.3333333333333333,lsq\n7,-0.0,2.5e-17,4\n")
+    solver.write_csv(path, ("x",), [])
+    assert path.read_text() == "x\n"

@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from fvgrad import autodiff as ad
+from fvgrad import mesh as msh
+from fvgrad import recon, solver, train
+from fvgrad.euler import prim_to_cons
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    return msh.periodic_structured_mesh(6)
+
+
+def _f3_field(points, draw=0):
+    ic = train.draw_ic_params("f3", np.random.default_rng(draw))
+    return train.evaluate_ic("f3", ic, points)
+
+
+def test_loss_tvd_on_piecewise_constant_field_has_finite_gradient(coarse, rng):
+    u0 = _f3_field(coarse.centroid)
+    u1 = u0 * (1.0 + 0.01 * rng.normal(size=u0.shape))
+    g0 = recon.gradient_lsq(coarse, u0)
+    assert ((g0[0] ** 2 + g0[1] ** 2).sum(axis=1) == 0.0).any()  # flat cells
+
+    def norm(u):
+        gx, gy = recon.gradient_lsq(coarse, u)
+        return np.sqrt((gx * gx + gy * gy).sum(axis=1))
+
+    # the traced field is the flat one, on either side of the loss
+    for program, expect in (
+            (lambda u: train.loss_tvd(coarse, u, u1), np.maximum(0.0, norm(u1) - norm(u0))),
+            (lambda u: train.loss_tvd(coarse, u1, u), np.maximum(0.0, norm(u0) - norm(u1)))):
+        value, grad = ad.record_and_backprop(program, u0)
+        assert value == expect.sum()
+        assert np.isfinite(grad).all()
+    assert np.abs(grad).max() > 0.0
+
+
+def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
+    fine, pm = msh.refine_uniform(coarse)
+    w0 = prim_to_cons(_f3_field(fine.centroid), gas)
+    frames = train.reference_trajectory(coarse, fine, pm, w0, 4, 0.03, gas)
+    traj = train.Trajectory(family="f3", frames=frames, ic_params={})
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    result = train.train(coarse, cfg, [traj], [traj], train.TrainConfig(epochs=1, batch_size=2))
+    assert not result.aborted
+    assert len(result.history) == 2
+    assert all(np.isfinite(row["total"]) for row in result.history)
+    assert np.isfinite(result.params.values).all()
