@@ -134,8 +134,7 @@ class Mesh:
     nbr: np.ndarray            # (N, 3) extended ids (ghosts >= n_cells)
     nbr_dx: np.ndarray         # (N, 3) neighbor centroid offsets (virtual)
     nbr_dy: np.ndarray
-    lsq_w: np.ndarray          # (N, 3) inverse-distance-squared weights
-    lsq_wd: np.ndarray         # (N, 3, 2) lsq_w times (nbr_dx, nbr_dy)
+    lsq_wd: np.ndarray         # (N, 3, 2) LSQ weight 1/|d|^2 times offset d
     inv11: np.ndarray          # (N,) inverse LSQ normal matrix entries
     inv12: np.ndarray
     inv22: np.ndarray
@@ -309,9 +308,9 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     inner = np.flatnonzero(second >= 0)
     bnd = np.flatnonzero(second < 0)
 
-    tags = [boundary_spec.assign(a, b, mid, nrm) for a, b, mid, nrm in
-            zip(e_a[bnd].tolist(), e_b[bnd].tolist(), e_mid[bnd], e_normal[bnd])]
-    tags = np.array(tags, dtype=np.int64).reshape(-1, 2)
+    tags = np.array([boundary_spec.assign(a, b, mid, nrm) for a, b, mid, nrm in
+                     zip(e_a[bnd].tolist(), e_b[bnd].tolist(), e_mid[bnd], e_normal[bnd])],
+                    dtype=np.int64).reshape(-1, 2)
     boundary_edges = np.column_stack([e_a[bnd], e_b[bnd], tags])
 
     # pair periodic faces by translated midpoints and merge each pair into
@@ -438,8 +437,7 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         f_off_r=f_mid[:n_iface] - f_shift[:n_iface] - centroid[f_right[:n_iface]],
         b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
         nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
-        lsq_w=lsq_w, lsq_wd=np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2),
-        inv11=inv11, inv12=inv12, inv22=inv22,
+        lsq_wd=np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2), inv11=inv11, inv12=inv12, inv22=inv22,
         angles=angles, interior_mask=interior_mask,
         cell_foff=cell_foff, cell_sn=cell_sn,
         rs_idx=rs_idx, ghost_centroid=ghost_centroid,

@@ -89,8 +89,8 @@ def test_lsq_matches_dense_normal_equation_oracle(rng, periodic_mesh_irregular):
         A = np.zeros((2, 2))
         rhs = np.zeros((2, 4))
         for k in range(3):
-            w = m.lsq_w[cell, k]
             dx, dy = m.nbr_dx[cell, k], m.nbr_dy[cell, k]
+            w = 1.0 / (dx * dx + dy * dy)
             du = u[m.nbr[cell, k]] - u[cell]
             A += w * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
             rhs += w * np.outer([dx, dy], du)
@@ -252,8 +252,9 @@ def _broadcast_gradients(m, u_ext, alpha):
     gg = (np.sum(face_val * ns[:, :, 0:1], axis=1) * inv_area,
           np.sum(face_val * ns[:, :, 1:2], axis=1) * inv_area)
     du = (1.0 + alpha) * (u_nb - u[:, None, :])
-    bx = np.sum((m.lsq_w * m.nbr_dx)[:, :, None] * du, axis=1)
-    by = np.sum((m.lsq_w * m.nbr_dy)[:, :, None] * du, axis=1)
+    lsq_w = 1.0 / (m.nbr_dx ** 2 + m.nbr_dy ** 2)
+    bx = np.sum((lsq_w * m.nbr_dx)[:, :, None] * du, axis=1)
+    by = np.sum((lsq_w * m.nbr_dy)[:, :, None] * du, axis=1)
     lsq = (m.inv11[:, None] * bx + m.inv12[:, None] * by,
            m.inv12[:, None] * bx + m.inv22[:, None] * by)
     return gg, lsq
