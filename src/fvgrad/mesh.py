@@ -359,8 +359,8 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     f_shift[len(inner):n_iface] = e_mid[side_a] - e_mid[side_b]
     g_cell, g_n = f_left[n_iface:], f_normal[n_iface:]
     r = f_mid[n_iface:] - centroid[g_cell]
-    dist = r[:, 0] * g_n[:, 0] + r[:, 1] * g_n[:, 1]
-    ghost_centroid = centroid[g_cell] + 2.0 * dist[:, None] * g_n
+    depth = r[:, 0] * g_n[:, 0] + r[:, 1] * g_n[:, 1]
+    ghost_centroid = centroid[g_cell] + 2.0 * depth[:, None] * g_n
     tag_slices = {}
     for code in sorted(set(b_tag.tolist())):
         idx = np.where(b_tag == code)[0]
