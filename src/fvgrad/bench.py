@@ -1,16 +1,16 @@
-"""Benchmark harness: Riemann suite gains, the forward-facing step,
-mesh-convergence slopes and error-versus-time measurements.
+"""Benchmark harness: Riemann suite gains, the forward-facing step and
+the error-versus-cost study (mesh-convergence slopes and wall times).
 
 The central metric is the gain of the corrected solver over the plain one
 at equal resolution,
 
     gain = 100 * (L_coarse - L_ML) / L_coarse,
 
-where both L values are 1-norm sums over cells and primitive variables of
-the deviation from a refined-grid reference projected onto the coarse
-mesh.  All three runs (reference, plain, corrected) share the time step of
-the coarse mesh, the fine run sub-stepping as needed, so errors compare
-states at identical time instants.
+where both L values are ``l1_error``: the mean over cells and primitive
+variables of the deviation from a refined-grid reference projected onto
+the coarse mesh.  All three runs (reference, plain, corrected) share the
+time step of the coarse mesh, the fine run sub-stepping as needed, so
+errors compare states at identical time instants.
 """
 
 import time
@@ -85,7 +85,7 @@ def riemann_case(case_id):
     if _FILE_CASES is None:
         _FILE_CASES = _load_case_file()
     if case_id not in _FILE_CASES:
-        raise KeyError(f"unknown Riemann case id {case_id}")
+        raise ValueError(f"unknown Riemann case id {case_id}")
     return RiemannCase(case_id, _FILE_CASES[case_id])
 
 
@@ -100,15 +100,10 @@ def case_bc(case, mesh, kind="subsonic_outflow"):
     return {msh.SUBSONIC_OUT: BCSpec(kind=msh.SUBSONIC_OUT, back_pressure=p_b)}
 
 
-def riemann_mesh(n, periodic=True, seed=None):
-    if seed is None:
-        if periodic:
-            return msh.periodic_structured_mesh(n)
-        return msh.structured_mesh(
-            n, boundary_spec=BoundarySpec.uniform(msh.SUBSONIC_OUT))
-    spec = (BoundarySpec.periodic_box() if periodic
-            else BoundarySpec.uniform(msh.SUBSONIC_OUT))
-    return msh.irregular_mesh(n, seed=seed, boundary_spec=spec)
+def riemann_mesh(n, periodic=True):
+    if periodic:
+        return msh.periodic_structured_mesh(n)
+    return msh.structured_mesh(n, boundary_spec=BoundarySpec.uniform(msh.SUBSONIC_OUT))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +126,9 @@ class GainReport:
         return float(np.mean(self.gain_pct[-k:]))
 
 
-def _l1_error(u_a, u_b):
-    return float(np.abs(u_a - u_b).sum())
+def l1_error(u, u_ref):
+    """Mean of |u - u_ref| over cells and primitive variables."""
+    return float(np.abs(u - u_ref).mean())
 
 
 def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
@@ -146,6 +142,8 @@ def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     evaluate = case_or_ic.evaluate if hasattr(case_or_ic, "evaluate") else case_or_ic
     if hasattr(case_or_ic, "evaluate"):
         bc_coarse = case_bc(case_or_ic, coarse, bc_kind)
@@ -159,20 +157,17 @@ def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
     cfg_plain = solver.StepConfig(co=co, gradient=gradient, gas=gas)
     cfg_ml = solver.StepConfig(co=co, gradient=f"ml_{gradient}", gas=gas)
     dt = solver.compute_dt(coarse, cfg_plain)
-    runs = zip(
-        solver.march(fine, w_fi, dt, n_steps, cfg_plain, bc_fine,
-                     substeps=solver.substep_count(coarse, fine)),
-        solver.march(coarse, w_co, dt, n_steps, cfg_plain, bc_coarse),
-        solver.march(coarse, w_co, dt, n_steps, cfg_ml, bc_coarse, params=params))
+    refs = solver.reference(coarse, fine, pm, w_fi, dt, n_steps, cfg_plain, bc_fine)
+    next(refs)                          # k = 0: the initial state
+    runs = zip(refs, solver.march(coarse, w_co, dt, n_steps, cfg_plain, bc_coarse),
+               solver.march(coarse, w_co, dt, n_steps, cfg_ml, bc_coarse, params=params))
 
     rows = []
-    for (k, w_fi, _), (_, w_co, _), (_, w_ml, _) in runs:
+    for (k, w_ref), (_, w_co, _), (_, w_ml, _) in runs:
         if k % record_every == 0 or k == n_steps:
-            u_ref = cons_to_prim(msh.project_fine_to_coarse(w_fi, pm), gas)
-            u_co = cons_to_prim(w_co, gas)
-            u_ml = cons_to_prim(w_ml, gas)
-            l_co = _l1_error(u_ref, u_co)
-            l_ml = _l1_error(u_ref, u_ml)
+            u_ref = cons_to_prim(w_ref, gas)
+            l_co = l1_error(cons_to_prim(w_co, gas), u_ref)
+            l_ml = l1_error(cons_to_prim(w_ml, gas), u_ref)
             gain = 100.0 * (l_co - l_ml) / l_co if l_co > 0 else 0.0
             rows.append((k, k * dt, l_co, l_ml, gain))
 
@@ -201,27 +196,16 @@ def forward_step_mesh(h_target=0.02):
     xs = np.linspace(0.0, 3.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
 
-    def inside_step(i, j):
-        return xs[i] >= 0.6 - 1e-12 and ys[j + 1] <= 0.2 + 1e-12
-
-    nid = {}
-    nodes = []
-
-    def node(i, j):
-        if (i, j) not in nid:
-            nid[(i, j)] = len(nodes)
-            nodes.append((xs[i], ys[j]))
-        return nid[(i, j)]
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            if inside_step(i, j):
-                continue
-            n00, n10 = node(i, j), node(i + 1, j)
-            n01, n11 = node(i, j + 1), node(i + 1, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
+    # grid squares (i, j) in i-major order, less those inside the step; their
+    # corners n00, n10, n01, n11 are numbered in the order of first use
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
+    keep = ~((xs[i] >= 0.6 - 1e-12) & (ys[j + 1] <= 0.2 + 1e-12))
+    i, j = i[keep], j[keep]
+    corner = (np.stack([i, i + 1, i, i + 1], axis=1) * (ny + 1)
+              + np.stack([j, j, j + 1, j + 1], axis=1)).ravel()
+    nid, first = msh.first_occurrence_ids(corner)
+    nodes = np.column_stack([xs[corner[first] // (ny + 1)], ys[corner[first] % (ny + 1)]])
+    tris = nid.reshape(-1, 4)[:, [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
 
     tol = 0.25 * s
     rules = [
@@ -229,7 +213,7 @@ def forward_step_mesh(h_target=0.02):
         (msh.SUPERSONIC_OUT, 0, lambda mid, n: mid[0] > 3.0 - tol),
         (msh.SLIP_WALL, 0, lambda mid, n: True),
     ]
-    mesh = msh.build_mesh(np.array(nodes), tris, BoundarySpec(rules=rules))
+    mesh = msh.build_mesh(nodes, tris, BoundarySpec(rules=rules))
     bc_table = {
         msh.SUPERSONIC_IN: BCSpec(kind=msh.SUPERSONIC_IN, state=FORWARD_STEP_STATE),
         msh.SUPERSONIC_OUT: BCSpec(kind=msh.SUPERSONIC_OUT),
@@ -239,108 +223,69 @@ def forward_step_mesh(h_target=0.02):
 
 
 # ---------------------------------------------------------------------------
-# convergence study
+# error-versus-cost study
 # ---------------------------------------------------------------------------
 
 def fit_loglog_slope(h, err):
-    h = np.asarray(h, dtype=float)
-    err = np.asarray(err, dtype=float)
     a, _b = np.polyfit(np.log(h), np.log(err), 1)
     return float(a)
 
 
-CONVERGENCE_COLUMNS = ("mode", "h", "error")
+STUDY_COLUMNS = ("mode", "case", "h", "cells", "wall_s", "error")
 
 
-def convergence_study(case_ids, levels, params=None, t_final=0.2, co=0.01,
-                      modes=("lsq", "ml_lsq"), gas=GasModel(), mesh_seed=None):
-    """Error versus mesh size over a ladder of periodic meshes.
+def error_cost_study(case_ids, levels, params=None, t_final=0.2, co=0.01,
+                     modes=("lsq", "ml_lsq"), gas=GasModel(), repeats=3):
+    """Error and wall time per (level, case, mode) over a ladder of periodic meshes.
 
-    levels: structured resolutions (cells = 2 n^2).  The error per case and
-    level is the mean absolute deviation of the primitives from the
-    projected refined-grid reference at t_final; per mode the returned
-    slope is the log-log fit against h = sqrt(mean |C|).
+    levels: structured resolutions (cells = 2 n^2).  error is ``l1_error``
+    against the projected refined-grid reference at t_final; wall_s is the
+    median of ``repeats`` coarse marches to t_final, after a one-step
+    warm-up.  Per mode, the slope is the log-log fit of the case-mean error
+    against h = sqrt(mean |C|).
 
-    Returns (rows, slopes): rows of (mode, h, error) aggregated over cases.
+    Returns (rows, slopes): rows of STUDY_COLUMNS, slopes a dict mode -> slope.
     """
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
+    if not case_ids:
+        raise ValueError("need at least one case")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if t_final <= 0:
+        raise ValueError(f"t_final must be positive, got {t_final}")
+    cases = [riemann_case(cid) for cid in case_ids]
+    cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
     rows = []
-    slopes = {}
-    errors = {mode: [] for mode in modes}
     hs = []
+    case_mean = {mode: [] for mode in modes}
     for n in levels:
-        coarse = riemann_mesh(n, periodic=True, seed=mesh_seed)
+        coarse = riemann_mesh(n)
         fine, pm = msh.refine_uniform(coarse)
-        hs.append(coarse.mean_cell_length)
-        per_mode = {mode: [] for mode in modes}
-        for cid in case_ids:
-            case = riemann_case(cid)
+        dt = solver.compute_dt(coarse, cfg)
+        n_steps = int(np.ceil(t_final / dt))
+        errors = {mode: [] for mode in modes}
+        for case in cases:
             w_fi = prim_to_cons(case.evaluate(fine.centroid), gas)
-            cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
-            dt = solver.compute_dt(coarse, cfg)
-            n_steps = int(np.ceil(t_final / dt))
-            for _, w_fi, _ in solver.march(fine, w_fi, dt, n_steps, cfg, {},
-                                           substeps=solver.substep_count(coarse, fine)):
+            for _, w_ref in solver.reference(coarse, fine, pm, w_fi, dt, n_steps, cfg):
                 pass
-            u_ref = cons_to_prim(msh.project_fine_to_coarse(w_fi, pm), gas)
+            u_ref = cons_to_prim(w_ref, gas)
+            w0 = prim_to_cons(case.evaluate(coarse.centroid), gas)
             for mode in modes:
                 cfg_m = solver.StepConfig(co=co, gradient=mode, gas=gas)
-                w = prim_to_cons(case.evaluate(coarse.centroid), gas)
-                for _, w, _ in solver.march(
-                        coarse, w, dt, n_steps, cfg_m, {},
-                        params=params if cfg_m.uses_network else None):
-                    pass
-                per_mode[mode].append(np.abs(cons_to_prim(w, gas) - u_ref).mean())
+                p = params if cfg_m.uses_network else None
+                next(solver.march(coarse, w0, dt, 1, cfg_m, {}, params=p))  # warm-up
+                times = []
+                for _rep in range(repeats):
+                    t0 = time.perf_counter()
+                    for _, w, _ in solver.march(coarse, w0, dt, n_steps, cfg_m, {}, params=p):
+                        pass
+                    times.append(time.perf_counter() - t0)
+                errors[mode].append(l1_error(cons_to_prim(w, gas), u_ref))
+                rows.append((mode, case.case_id, coarse.mean_cell_length, coarse.n_cells,
+                             float(np.median(times)), errors[mode][-1]))
+        hs.append(coarse.mean_cell_length)
         for mode in modes:
-            err = float(np.mean(per_mode[mode]))
-            errors[mode].append(err)
-            rows.append((mode, hs[-1], err))
-    for mode in modes:
-        slopes[mode] = fit_loglog_slope(hs, errors[mode])
+            case_mean[mode].append(float(np.mean(errors[mode])))
+    slopes = {mode: fit_loglog_slope(hs, case_mean[mode]) for mode in modes}
     return rows, slopes
-
-
-# ---------------------------------------------------------------------------
-# timing study
-# ---------------------------------------------------------------------------
-
-TIMING_COLUMNS = ("mode", "h", "cells", "wall_s", "error")
-
-
-def timing_study(case_id, levels, params=None, t_final=0.1, co=0.01,
-                 modes=("lsq", "ml_lsq"), gas=GasModel(), repeats=3):
-    """Wall time and final error per (mode, level); medians of >= repeats.
-
-    One warmup step per configuration is excluded from the timings.
-    """
-    case = riemann_case(case_id)
-    rows = []
-    for n in levels:
-        coarse = riemann_mesh(n, periodic=True)
-        fine, pm = msh.refine_uniform(coarse)
-        cfg0 = solver.StepConfig(co=co, gradient="lsq", gas=gas)
-        dt = solver.compute_dt(coarse, cfg0)
-        n_steps = int(np.ceil(t_final / dt))
-        w_fi = prim_to_cons(case.evaluate(fine.centroid), gas)
-        for _, w_fi, _ in solver.march(fine, w_fi, dt, n_steps, cfg0, {},
-                                       substeps=solver.substep_count(coarse, fine)):
-            pass
-        u_ref = cons_to_prim(msh.project_fine_to_coarse(w_fi, pm), gas)
-        for mode in modes:
-            cfg = solver.StepConfig(co=co, gradient=mode, gas=gas)
-            p = params if cfg.uses_network else None
-            w0 = prim_to_cons(case.evaluate(coarse.centroid), gas)
-            next(solver.march(coarse, w0, dt, 1, cfg, {}, params=p))  # warmup
-            times = []
-            err = None
-            for _rep in range(max(3, repeats)):
-                w = w0
-                t0 = time.perf_counter()
-                for _, w, _ in solver.march(coarse, w0, dt, n_steps, cfg, {}, params=p):
-                    pass
-                times.append(time.perf_counter() - t0)
-                err = float(np.abs(cons_to_prim(w, gas) - u_ref).mean())
-            rows.append((mode, coarse.mean_cell_length, coarse.n_cells,
-                         float(np.median(times)), err))
-    return rows

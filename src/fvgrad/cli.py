@@ -48,6 +48,11 @@ class ConfigError(ValueError):
     pass
 
 
+# failures of a run, not of its configuration; most of them are ValueErrors
+NUMERIC_ERRORS = (solver.SolverError, AdmissibilityError, msh.MeshError,
+                  TraceError, mlcorr.NetworkError)
+
+
 # schema: key -> (type or nested dict, default); None type disables checking
 SCHEMA = {
     "seed": (int, 0),
@@ -108,7 +113,7 @@ SCHEMA = {
         "max_amp": (float, 6.0),
     },
     "bench": {
-        "kind": (str, "gain"),              # gain|convergence|timing
+        "kind": (str, "gain"),              # gain|study
         "cases": (list, [6]),
         "n": (int, 27),
         "n_steps": (int, 2000),
@@ -252,7 +257,8 @@ def build_ic(cfg, mesh):
     sc = cfg["simulate"]
     spec = sc["ic"]
     if spec.startswith("case:"):
-        case = benchmod.riemann_case(int(spec.split(":", 1)[1]))
+        case = _checked("simulate",
+                        lambda: benchmod.riemann_case(int(spec.split(":", 1)[1])))
         return case.evaluate
     if spec.startswith("family:"):
         fam = spec.split(":", 1)[1]
@@ -272,9 +278,12 @@ def build_ic(cfg, mesh):
 
 def _checked(section, make, **kwargs):
     """make(**kwargs); its checks' ValueError, or the TypeError of a value of
-    the wrong element type (``dataset.mix: [a]``), is a config error."""
+    the wrong element type (``dataset.mix: [a]``), is a config error.  A
+    numeric failure while make runs passes through unchanged."""
     try:
         return make(**kwargs)
+    except NUMERIC_ERRORS:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -295,8 +304,11 @@ def step_config(cfg, gradient=None, co=None):
 
 def net_config(cfg):
     nc = cfg["net"]
-    return _checked("net", mlcorr.NetConfig, width=nc["width"],
-                    combine=nc["combine"], alpha_max=nc["alpha_max"])
+    try:
+        return mlcorr.NetConfig(width=nc["width"], combine=nc["combine"],
+                                alpha_max=nc["alpha_max"])
+    except mlcorr.NetworkError as exc:      # NetConfig's own value check
+        raise ConfigError(f"net: {exc}") from exc
 
 
 def loss_weights(cfg):
@@ -459,15 +471,15 @@ def cmd_bench(cfg, checkpoint=None):
     head = f"config {config_hash(cfg)}"
     if bc_cfg["kind"] == "gain":
         for cid in bc_cfg["cases"]:
-            case = benchmod.riemann_case(cid)
+            case = _checked("bench", benchmod.riemann_case, case_id=cid)
             coarse = benchmod.riemann_mesh(bc_cfg["n"],
                                            periodic=bc_cfg["bc"] == "periodic")
             fine, pm = msh.refine_uniform(coarse)
-            report = benchmod.run_gain(
-                case, coarse, fine, pm, params, bc_cfg["n_steps"],
-                co=cfg["step"]["co"],
-                bc_kind=bc_cfg["bc"], gas=gas,
-                record_every=bc_cfg["record_every"])
+            report = _checked(
+                "bench", benchmod.run_gain,
+                case_or_ic=case, coarse=coarse, fine=fine, pm=pm, params=params,
+                n_steps=bc_cfg["n_steps"], co=cfg["step"]["co"],
+                bc_kind=bc_cfg["bc"], gas=gas, record_every=bc_cfg["record_every"])
             name = f"gain_case{cid}.csv"
             solver.write_csv(out / name, benchmod.GAIN_COLUMNS,
                              zip(report.steps, report.times, report.l_coarse, report.l_ml,
@@ -475,22 +487,16 @@ def cmd_bench(cfg, checkpoint=None):
             artifacts.append(name)
             log.info("case %d: mean gain over last quarter = %.2f%%",
                      cid, report.mean_gain(0.25))
-    elif bc_cfg["kind"] == "convergence":
-        rows, slopes = benchmod.convergence_study(
-            bc_cfg["cases"], bc_cfg["levels"], params=params,
-            t_final=bc_cfg["t_final"], co=cfg["step"]["co"], gas=gas)
-        solver.write_csv(out / "convergence.csv", benchmod.CONVERGENCE_COLUMNS, rows,
-                         header_comment=f"{head} slopes {slopes}")
-        artifacts.append("convergence.csv")
-        log.info("convergence slopes: %s", slopes)
-    elif bc_cfg["kind"] == "timing":
-        rows = benchmod.timing_study(
-            bc_cfg["cases"][0], bc_cfg["levels"], params=params,
+    elif bc_cfg["kind"] == "study":
+        rows, slopes = _checked(
+            "bench", benchmod.error_cost_study,
+            case_ids=bc_cfg["cases"], levels=bc_cfg["levels"], params=params,
             t_final=bc_cfg["t_final"], co=cfg["step"]["co"], gas=gas,
             repeats=bc_cfg["repeats"])
-        solver.write_csv(out / "timing.csv", benchmod.TIMING_COLUMNS, rows,
-                         header_comment=head)
-        artifacts.append("timing.csv")
+        solver.write_csv(out / "study.csv", benchmod.STUDY_COLUMNS, rows,
+                         header_comment=f"{head} slopes {slopes}")
+        artifacts.append("study.csv")
+        log.info("convergence slopes: %s", slopes)
     else:
         raise ConfigError(f"unknown bench.kind '{bc_cfg['kind']}'")
     _write_manifest(out, cfg, artifacts)
@@ -550,8 +556,7 @@ def main(argv=None):
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except (solver.SolverError, AdmissibilityError, msh.MeshError,
-            TraceError, mlcorr.NetworkError) as exc:
+    except NUMERIC_ERRORS as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
     return EXIT_CONFIG

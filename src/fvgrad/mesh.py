@@ -223,6 +223,16 @@ def _stencil_start(dxy):
     return cand.argmax(axis=1)
 
 
+def first_occurrence_ids(key):
+    """Number the distinct values of the flattened ``key`` by first occurrence:
+    returns each entry's number and, per number, the index where it first occurs."""
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inv.ravel()], first[order]
+
+
 def _edges(tri, n_nodes):
     """Number the edges of a triangulation in the order of their first half-edge.
 
@@ -234,18 +244,13 @@ def _edges(tri, n_nodes):
     """
     tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
     key = np.minimum(tail, head) * n_nodes + np.maximum(tail, head)
-    _, first, inv, count = np.unique(key, return_index=True, return_inverse=True,
-                                     return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    first, count = first[order], count[order]
+    edge, first = first_occurrence_ids(key)
+    count = np.bincount(edge)
     over = np.flatnonzero(count > 2)
     if over.size:
         h = first[over[0]]
         lo, hi = sorted((int(tail[h]), int(head[h])))
         raise MeshError(f"non-manifold edge {(lo, hi)}: {count[over[0]]} incident cells")
-    edge = rank[inv.ravel()]
     by_edge = np.argsort(edge, kind="stable")      # half-edges grouped by edge
     nxt = np.minimum(np.cumsum(count) - count + 1, by_edge.size - 1)
     second = np.where(count == 2, by_edge[nxt], -1)

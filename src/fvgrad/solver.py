@@ -7,8 +7,8 @@ is fixed per run, dt = co * min sqrt(|C|), so runs on a coarse mesh, its
 refinement and the corrected solver all share time instants.
 
 ``march`` is the one time-marching loop: rollouts, fine-grid references
-(sub-stepped to the coarse time instants), gain, convergence and timing
-runs and the multi-step gradient check all advance through it.
+(sub-stepped to the coarse time instants), gain runs, the error-versus-cost
+study and the multi-step gradient check all advance through it.
 
 Gradient modes: "gg", "lsq" (plain) and "ml_gg", "ml_lsq" (corrected).
 With all network parameters zero the corrected modes reproduce the plain
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bc as bclib
+from . import mesh as msh
 from . import mlcorr, recon
 from .euler import GasModel, cons_to_prim, max_wave_speed, physical_flux, prim_to_cons
 
@@ -78,11 +79,6 @@ class RolloutRecord:
 def compute_dt(mesh, cfg):
     """dt = co * min_j sqrt(|C_j|); state independent, constant per run."""
     return cfg.co * mesh.min_sqrt_area
-
-
-def substep_count(coarse, fine):
-    """Smallest substep count keeping the fine run at or below the coarse Co."""
-    return int(np.ceil(coarse.min_sqrt_area / fine.min_sqrt_area - 1e-12))
 
 
 def rusanov_flux(w_l, w_r, n, gas=GasModel()):
@@ -175,6 +171,20 @@ def march(mesh, w0, dt, n_steps, cfg, bc_table=None, params=None,
             w, diag = step_explicit_euler(mesh, w, h, cfg, bc_table, params,
                                           params_vec, step_index=k)
         yield k, w, diag
+
+
+def reference(coarse, fine, pm, w0_fine, dt, n_steps, cfg, bc_table=None):
+    """Refined-grid run projected onto the coarse mesh at each coarse instant.
+
+    Yields (k, w) for k = 0..n_steps: the fine state after k coarse steps of
+    dt, projected with ``project_fine_to_coarse`` (k = 0 is the projected
+    initial state).  The fine run takes the fewest substeps per coarse step
+    that keep its Courant number at or below the coarse one.
+    """
+    substeps = int(np.ceil(coarse.min_sqrt_area / fine.min_sqrt_area - 1e-12))
+    yield 0, msh.project_fine_to_coarse(w0_fine, pm)
+    for k, w, _ in march(fine, w0_fine, dt, n_steps, cfg, bc_table, substeps=substeps):
+        yield k, msh.project_fine_to_coarse(w, pm)
 
 
 def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None):

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bc as bclib
-from . import mesh as msh
 from . import mlcorr, recon, solver
 from .euler import GasModel, cons_to_prim, entropy_pair, prim_to_cons
 
@@ -144,12 +143,8 @@ def reference_trajectory(coarse, fine, pm, w0_fine, steps, co, gas=GasModel()):
     """Fine-grid rollout projected onto the coarse mesh at every coarse step."""
     cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
     dt = solver.compute_dt(coarse, cfg)
-    frames = np.empty((steps + 1, coarse.n_cells, 4))
-    frames[0] = msh.project_fine_to_coarse(w0_fine, pm)
-    for k, w, _ in solver.march(fine, w0_fine, dt, steps, cfg, {},
-                                substeps=solver.substep_count(coarse, fine)):
-        frames[k] = msh.project_fine_to_coarse(w, pm)
-    return frames
+    refs = solver.reference(coarse, fine, pm, w0_fine, dt, steps, cfg)
+    return np.stack([w for _, w in refs])
 
 
 def generate_dataset(spec, coarse, fine, pm, gas=GasModel(), out_dir=None):

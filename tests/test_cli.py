@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from fvgrad import autodiff as ad
-from fvgrad import cli, mlcorr
+from fvgrad import bench, cli, mlcorr
 
 SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
@@ -70,8 +70,19 @@ def test_bad_alpha_max_is_config_error(run):
     ("dataset", {**SMALL, "dataset": {"mix": [0.5, 0.5, 0.5], "steps": 1}}),
     ("dataset", {**SMALL, "dataset": {"mix": ["a", "b"], "steps": 1}}),
     ("gradcheck", {**SMALL, "loss": {"tvd": -1.0}}),
+    ("simulate", {**SMALL, "simulate": {"ic": "case:99", "n_steps": 1}}),
+    ("simulate", {**SMALL, "simulate": {"ic": "case:six", "n_steps": 1}}),
+    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1, "record_every": 0}}),
+    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 0}}),
+    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1, "cases": [99]}}),
+    ("bench", {**SMALL, "bench": {"kind": "study", "levels": [4, 6]}}),
+    ("bench", {**SMALL, "bench": {"kind": "study", "cases": []}}),
+    ("bench", {**SMALL, "bench": {"kind": "study", "repeats": 0}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
-        "negative_loss_weight"])
+        "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
+        "bench_record_every_zero",
+        "bench_n_steps_zero", "bench_unknown_case", "study_two_levels", "study_no_cases",
+        "study_zero_repeats"])
 def test_out_of_range_value_is_config_error(run, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
 
@@ -101,6 +112,15 @@ def test_numeric_errors_exit_numeric(run, monkeypatch, exc):
     assert run("mesh", SMALL) == cli.EXIT_NUMERIC
 
 
+def test_numeric_error_inside_a_bench_run_exits_numeric(run, monkeypatch):
+    # the run goes through the config-value check, which must let it pass
+    def fail(**kwargs):
+        raise mlcorr.NetworkError("non-finite activation", layer="head")
+
+    monkeypatch.setattr(cli.benchmod, "run_gain", fail)
+    assert run("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1}}) == cli.EXIT_NUMERIC
+
+
 def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
     cfg = {**SMALL,
            "dataset": {"count": 4, "n_val": 1, "steps": 4},
@@ -115,3 +135,11 @@ def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
     for name in ("mesh.txt", "dataset/manifest.json", "gradcheck.json", "history.csv",
                  "params.gfnn", "frames.bin", "diagnostics.csv", "gain_case6.csv"):
         assert (out / name).is_file(), name
+    study = {"kind": "study", "cases": [6, 3], "levels": [4, 5, 6], "t_final": 0.005,
+             "repeats": 1}
+    assert run("bench", {**cfg, "bench": study}) == cli.EXIT_OK
+    header, columns, *rows = (out / "study.csv").read_text().splitlines()
+    assert header.startswith("# config ") and "slopes {'lsq': " in header
+    assert columns == ",".join(bench.STUDY_COLUMNS) == "mode,case,h,cells,wall_s,error"
+    assert len(rows) == 3 * 2 * 2
+    assert json.loads((out / "run_manifest.json").read_text())["artifacts"] == ["study.csv"]

@@ -159,6 +159,66 @@ def test_gain_is_zero_at_zero_params(mesh, gradient):
     assert (rep.gain_pct == 0.0).all()
 
 
+def test_l1_error_is_the_mean_over_cells_and_primitives():
+    u = np.arange(12.0).reshape(3, 4)
+    assert bench.l1_error(u, np.zeros((3, 4))) == bench.l1_error(np.zeros((3, 4)), u) == 5.5
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "subsonic_outflow"])
+def test_reference_is_the_projected_fine_march(periodic, gas):
+    case = bench.riemann_case(6)
+    coarse = bench.riemann_mesh(6, periodic=periodic)
+    fine, pm = msh.refine_uniform(coarse)
+    bc_fine = bench.case_bc(case, fine, "periodic" if periodic else "subsonic_outflow")
+    assert bool(bc_fine) != periodic
+    w0 = prim_to_cons(case.evaluate(fine.centroid), gas)
+    cfg = solver.StepConfig(co=CO, gradient="lsq")
+    dt = solver.compute_dt(coarse, cfg)
+    got = list(solver.reference(coarse, fine, pm, w0, dt, 4, cfg, bc_fine))
+    # uniform refinement halves every length: two fine substeps per coarse step
+    expect = [(0, msh.project_fine_to_coarse(w0, pm))] + [
+        (k, msh.project_fine_to_coarse(w, pm))
+        for k, w, _ in solver.march(fine, w0, dt, 4, cfg, bc_fine, substeps=2)]
+    assert [k for k, _ in got] == [0, 1, 2, 3, 4]
+    for (_, a), (_, b) in zip(got, expect):
+        assert (a == b).all()
+
+
+STUDY_CASES, STUDY_LEVELS = (6, 3), (4, 5, 6)
+
+
+@pytest.fixture(scope="module")
+def study():
+    return bench.error_cost_study(STUDY_CASES, STUDY_LEVELS, params=mlcorr.zero_params(),
+                                  t_final=0.01, modes=("lsq", "ml_lsq", "gg"), repeats=2)
+
+
+def test_study_rows_cover_every_level_case_and_mode(study):
+    rows, _ = study
+    assert all(len(row) == len(bench.STUDY_COLUMNS) for row in rows)
+    assert [(row[0], row[1], row[3]) for row in rows] == [
+        (mode, cid, 2 * n * n) for n in STUDY_LEVELS for cid in STUDY_CASES
+        for mode in ("lsq", "ml_lsq", "gg")]
+    assert all(row[4] > 0 and row[5] > 0 for row in rows)
+
+
+def test_study_at_zero_params_gives_the_plain_errors_bitwise(study):
+    rows, slopes = study
+    errors = {mode: [row[5] for row in rows if row[0] == mode] for mode in slopes}
+    assert errors["ml_lsq"] == errors["lsq"]
+    assert errors["gg"] != errors["lsq"]
+    assert slopes["ml_lsq"] == slopes["lsq"]
+
+
+def test_study_slopes_fit_the_case_mean_errors(study):
+    rows, slopes = study
+    for mode, slope in slopes.items():
+        own = [row for row in rows if row[0] == mode]
+        hs = [row[2] for row in own[::len(STUDY_CASES)]]
+        means = [np.mean([row[5] for row in own if row[2] == h]) for h in hs]
+        assert slope == bench.fit_loglog_slope(hs, means)
+
+
 def test_gain_rejects_fewer_than_one_step(mesh):
     fine, pm = msh.refine_uniform(mesh)
     with pytest.raises(ValueError, match="n_steps"):
