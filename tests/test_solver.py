@@ -263,3 +263,36 @@ def test_write_csv_formats_numpy_and_python_numbers(tmp_path):
                                 "3,0.1,0.3333333333333333,lsq\n7,-0.0,2.5e-17,4\n")
     solver.write_csv(path, ("x",), [])
     assert path.read_text() == "x\n"
+
+
+def _digest(a):
+    import hashlib
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _digest_meshes():
+    return {"periodic_irregular_8": (msh.periodic_irregular_mesh(8, seed=3), {}),
+            "forward_step_0.2": bench.forward_step_mesh(0.2)}
+
+
+# sha256 prefixes of the plain modes' outputs, recorded before the step moved
+# its cell axis last: one step, and the state after a 5-step march
+PLAIN_STEP_DIGESTS = {
+    ("periodic_irregular_8", "lsq"): ("00bbf90575d35bc5", "66e7c60bc034642c"),
+    ("periodic_irregular_8", "gg"): ("c56f8da7c6a5bb29", "18eaccd9f9a8af7c"),
+    ("forward_step_0.2", "lsq"): ("bb06ad9924335ca1", "54bc26756a8fe63b"),
+    ("forward_step_0.2", "gg"): ("2b2ef380e37dc7e6", "a51bb634a6c65052"),
+}
+
+
+def test_plain_step_digests(gas):
+    for name, (m, bc_table) in _digest_meshes().items():
+        w0 = prim_to_cons(bench.riemann_case(6).evaluate(m.centroid), gas)
+        for mode in ("lsq", "gg"):
+            cfg = solver.StepConfig(co=CO, gradient=mode)
+            dt = solver.compute_dt(m, cfg)
+            w1, _ = solver.step_explicit_euler(m, w0, dt, cfg, bc_table)
+            for _, w5, _ in solver.march(m, w0, dt, 5, cfg, bc_table):
+                pass
+            assert w1.shape == w5.shape == (m.n_cells, 4)
+            assert (_digest(w1), _digest(w5)) == PLAIN_STEP_DIGESTS[(name, mode)], (name, mode)
