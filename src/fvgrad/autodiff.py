@@ -15,19 +15,20 @@ Nondifferentiable points follow the taken-branch convention:
 Comparisons on traced values return plain boolean arrays, i.e. branches are
 frozen at the recorded values.
 
-Mesh rows move through two primitives, each the other's adjoint:
-``take_rows`` gathers with ``np.take`` along axis 0, and ``segment_sum``
-scatter-adds with one ``np.bincount(idx, weights=column)`` per trailing
-column.  bincount starts every output row at 0.0 and adds the values of its
-repeated indices in index order, the order ``np.add.at`` into zeros uses, so
-the sums are bitwise those of an explicit loop (a row that receives only
--0.0 reads +0.0).  Both take any trailing shape.
+Mesh values move through two primitives, each the other's adjoint.  Both
+work along the last axis, which is the cell (or face) axis of every per-cell
+array in the solver: ``take_rows`` gathers with ``np.take(a, idx, axis=-1)``,
+and ``segment_sum`` scatter-adds with one ``np.bincount(idx, weights=row)``
+per leading row.  bincount starts every output entry at 0.0 and adds the
+values of its repeated indices in index order, the order ``np.add.at`` into
+zeros uses, so the sums are bitwise those of an explicit loop (an entry that
+receives only -0.0 reads +0.0).  Both take any leading shape.
 
 ``einsum(spec, a, b)`` contracts two operands under an explicit
 ``"ab,bc->ac"`` spec.  Its adjoints are einsums too, so every index of an
 operand must appear in the other operand or in the output; a stencil sum
-such as ``einsum("nj,njv->nv", w, x)`` is ``sum(w[:, :, None] * x, axis=1)``
-without the broadcast temporary.
+such as ``einsum("jn,vjn->vn", w, x)`` is ``sum(w * x, axis=1)`` without the
+broadcast temporary.
 
 All values and adjoints are float64.  Recording the same program twice
 yields bitwise-identical gradients.
@@ -517,7 +518,8 @@ def transpose(a):
 
 
 def getitem(a, key):
-    """Basic indexing (slices / ints); adjoint scatters into zeros."""
+    """Basic indexing (slices / ints), or an index array without repeats such
+    as a permutation; the adjoint scatters into zeros."""
     if not isinstance(a, Var):
         return a[key]
     out = a.value[key]
@@ -566,51 +568,52 @@ def stack(parts, axis=0):
 
 
 # ---------------------------------------------------------------------------
-# mesh primitives: row gather and scatter-add
+# mesh primitives: gather and scatter-add along the last (cell) axis
 # ---------------------------------------------------------------------------
 
-def _scatter_rows(vals, idx, n_rows):
-    """Fresh (n_rows, ...) zeros with vals[k] added at row idx[k], in order.
+def _scatter_rows(vals, idx, n):
+    """Fresh (..., n) zeros with vals[..., k] added at idx[k], in order.
 
-    One bincount per trailing column: each starts its rows at 0.0 and adds
-    in index order, as ``np.add.at`` into zeros does, so the sums are bitwise
-    equal to it."""
-    trailing = vals.shape[idx.ndim:]
-    cols = np.reshape(vals, (idx.size, int(np.prod(trailing))))
+    ``idx`` spans the trailing axes of vals, which the scatter flattens as
+    ``np.add.at`` does.  One bincount per leading row: each starts its
+    entries at 0.0 and adds in index order, as ``np.add.at`` into zeros does,
+    so the sums are bitwise equal to it."""
+    lead = vals.shape[:vals.ndim - idx.ndim]
+    rows = np.reshape(vals, (int(np.prod(lead)), idx.size))
     flat = idx.ravel()
-    out = np.empty((n_rows, cols.shape[1]))
-    for c in range(cols.shape[1]):
-        col = np.bincount(flat, weights=cols[:, c], minlength=n_rows)
-        if col.shape[0] != n_rows:
-            raise IndexError(f"scatter index {flat.max()} out of range for {n_rows} rows")
-        out[:, c] = col
-    return out.reshape((n_rows,) + trailing)
+    out = np.empty((rows.shape[0], n))
+    for r in range(rows.shape[0]):
+        row = np.bincount(flat, weights=rows[r], minlength=n)
+        if row.shape[0] != n:
+            raise IndexError(f"scatter index {flat.max()} out of range for {n} cells")
+        out[r] = row
+    return out.reshape(lead + (n,))
 
 
 def take_rows(a, idx):
-    """Row gather a[idx] along axis 0; the adjoint is a scatter-add."""
+    """Gather a[..., idx] along the last axis; the adjoint is a scatter-add."""
     idx = np.asarray(idx)
     if not isinstance(a, Var):
-        return np.take(a, idx, axis=0)
-    out = np.take(a.value, idx, axis=0)
-    n_rows = a.value.shape[0]
+        return np.take(a, idx, axis=-1)
+    out = np.take(a.value, idx, axis=-1)
+    n = a.value.shape[-1]
 
     def vjp(g):
-        a._acc(_scatter_rows(g, idx, n_rows))
+        a._acc(_scatter_rows(g, idx, n))
 
     return _node(a.tape, out, vjp)
 
 
-def segment_sum(vals, idx, n_rows):
-    """Scatter-add rows of vals (K, ...) into (n_rows, ...) at indices idx;
-    the adjoint is a row gather."""
+def segment_sum(vals, idx, n):
+    """Scatter-add vals (..., K) into (..., n) at last-axis indices idx;
+    the adjoint is a gather."""
     idx = np.asarray(idx)
     if not isinstance(vals, Var):
-        return _scatter_rows(vals, idx, n_rows)
-    out = _scatter_rows(vals.value, idx, n_rows)
+        return _scatter_rows(vals, idx, n)
+    out = _scatter_rows(vals.value, idx, n)
 
     def vjp(g):
-        vals._acc(np.take(g, idx, axis=0))
+        vals._acc(np.take(g, idx, axis=-1))
 
     return _node(vals.tape, out, vjp)
 

@@ -2,6 +2,9 @@
 
 Each non-periodic boundary face owns one ghost slot; the ghost state is a
 primitive-variable function of the interior state and the outward normal.
+``ghost_state`` takes states with a trailing component axis, (..., 4);
+``ghost_rows`` and ``extend_with_ghosts`` work on the solver's (4, n)
+fields, cell axis last.
 Periodic faces never reach this layer (the mesh merges them into interior
 faces).  Ghost states that come out non-admissible are clamped to a small
 positive floor and counted.
@@ -105,9 +108,10 @@ def ghost_state(spec, interior, n, gas=GasModel()):
 
 
 def ghost_rows(mesh, u, bc_table, gas=GasModel()):
-    """Ghost primitive rows for every boundary face, in ghost-slot order.
+    """Ghost primitive states for every boundary face, in ghost-slot order.
 
-    bc_table maps tag code -> BCSpec.  Returns (rows (n_ghost, 4), clamps).
+    u is the (4, n_cells) primitive field, cell axis last; bc_table maps tag
+    code -> BCSpec.  Returns (rows (4, n_ghost), clamps).
     """
     if mesh.n_ghost == 0:
         return None, 0
@@ -121,17 +125,17 @@ def ghost_rows(mesh, u, bc_table, gas=GasModel()):
             raise KeyError(f"no BCSpec for boundary tag '{msh.TAG_NAMES[code]}'")
         if spec.kind != code:
             raise ValueError(f"BCSpec kind mismatch for tag '{msh.TAG_NAMES[code]}'")
-        interior = ad.take_rows(u, bcells[sl])
+        interior = ad.transpose(ad.take_rows(u, bcells[sl]))
         rows, nc = ghost_state(spec, interior, normals[sl], gas)
-        parts.append(rows)
+        parts.append(ad.transpose(rows))
         clamps += nc
-    rows = parts[0] if len(parts) == 1 else ad.concatenate(parts, axis=0)
+    rows = parts[0] if len(parts) == 1 else ad.concatenate(parts, axis=1)
     return rows, clamps
 
 
 def extend_with_ghosts(mesh, u, bc_table, gas=GasModel()):
-    """Primitive field extended with ghost rows: shape (n_cells + n_ghost, 4)."""
+    """Primitive field extended with ghost states: shape (4, n_cells + n_ghost)."""
     rows, clamps = ghost_rows(mesh, u, bc_table, gas)
     if rows is None:
         return u, 0
-    return ad.concatenate([u, rows], axis=0), clamps
+    return ad.concatenate([u, rows], axis=1), clamps

@@ -101,6 +101,10 @@ def case_bc(case, mesh, kind="subsonic_outflow"):
 
 
 def riemann_mesh(n, periodic=True):
+    """Structured mesh of the unit square with 2 n^2 cells for the Riemann
+    cases: periodic, or with subsonic outflow on every side."""
+    if n < 1:
+        raise ValueError(f"mesh resolution n must be >= 1, got {n}")
     if periodic:
         return msh.periodic_structured_mesh(n)
     return msh.structured_mesh(n, boundary_spec=BoundarySpec.uniform(msh.SUBSONIC_OUT))

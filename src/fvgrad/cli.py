@@ -470,11 +470,15 @@ def cmd_bench(cfg, checkpoint=None):
     artifacts = []
     head = f"config {config_hash(cfg)}"
     if bc_cfg["kind"] == "gain":
-        for cid in bc_cfg["cases"]:
-            case = _checked("bench", benchmod.riemann_case, case_id=cid)
-            coarse = benchmod.riemann_mesh(bc_cfg["n"],
-                                           periodic=bc_cfg["bc"] == "periodic")
-            fine, pm = msh.refine_uniform(coarse)
+        if not bc_cfg["cases"]:
+            raise ConfigError("bench: need at least one case")
+        cases = [_checked("bench", benchmod.riemann_case, case_id=cid)
+                 for cid in bc_cfg["cases"]]
+        coarse = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],
+                          periodic=bc_cfg["bc"] == "periodic")
+        fine, pm = msh.refine_uniform(coarse)
+        for case in cases:
+            cid = case.case_id
             report = _checked(
                 "bench", benchmod.run_gain,
                 case_or_ic=case, coarse=coarse, fine=fine, pm=pm, params=params,

@@ -4,6 +4,12 @@ States are arrays with a trailing component axis: conservative
 ``w = (rho, rho*u, rho*v, E)`` and primitive ``u = (rho, u, v, p)``.
 Every function accepts plain numpy arrays or traced variables, so the same
 code serves the fast solver path and the differentiated training path.
+
+The solver step stores its fields component-first, (4, n) with the cell
+axis contiguous, and passes them here as (n, 4) transposed views.  A
+function that returns a state lays it out in memory like its input, as
+numpy's elementwise operations do: such a view gives back the transposed
+view of a fresh (4, n) array, and a C-ordered input a C-ordered output.
 """
 
 from dataclasses import dataclass
@@ -39,6 +45,14 @@ class GasModel:
         # entropy scale in s = cv * log(p / rho^gamma); any positive constant
         # rescales (eta, q) jointly without changing the residual sign
         return 1.0 / (self.gamma - 1.0)
+
+
+def _components(parts, like):
+    """Stack ``parts`` on a trailing component axis, laid out like ``like``."""
+    v = ad.value_of(like)
+    if v.ndim == 2 and v.strides[0] < v.strides[1]:
+        return ad.transpose(ad.stack(parts, axis=0))
+    return ad.stack(parts, axis=-1)
 
 
 def is_admissible(w):
@@ -78,7 +92,7 @@ def prim_to_cons(u, gas, check=True):
     vy = u[..., V]
     p = u[..., P]
     E = p / (gas.gamma - 1.0) + 0.5 * rho * (vx * vx + vy * vy)
-    return ad.stack([rho, rho * vx, rho * vy, E], axis=-1)
+    return _components([rho, rho * vx, rho * vy, E], u)
 
 
 def cons_to_prim(w, gas, check=True):
@@ -89,7 +103,7 @@ def cons_to_prim(w, gas, check=True):
     vx = w[..., MX] / rho
     vy = w[..., MY] / rho
     p = (gas.gamma - 1.0) * (w[..., EN] - 0.5 * rho * (vx * vx + vy * vy))
-    return ad.stack([rho, vx, vy, p], axis=-1)
+    return _components([rho, vx, vy, p], w)
 
 
 def physical_flux(w, n, gas, check=True):
@@ -105,12 +119,12 @@ def physical_flux(w, n, gas, check=True):
     vy = my / rho
     p = (gas.gamma - 1.0) * (E - 0.5 * (mx * vx + my * vy))
     vn = vx * n[..., 0] + vy * n[..., 1]
-    return ad.stack([
+    return _components([
         rho * vn,
         mx * vn + p * n[..., 0],
         my * vn + p * n[..., 1],
         (E + p) * vn,
-    ], axis=-1)
+    ], w)
 
 
 def sound_speed(w, gas):

@@ -27,7 +27,12 @@ periodic cells look like interior cells to every downstream consumer.
 
 Ghost cells (one layer) mirror the interior centroid across the boundary
 face; their values are synthesized per step by the boundary-condition
-layer and live in rows ``n_cells + k`` of extended state arrays.
+layer and live at index ``n_cells + k`` of the cell axis of extended fields.
+
+The per-step constants the solver reads with every field (``f_off_l``,
+``f_off_r``, ``lsq_wd``, ``cell_foff``, ``cell_sn``) are stored with the
+cell or face axis last and contiguous, like the step's own fields; the
+topology and geometry tables keep one row per cell or face.
 """
 
 import hashlib
@@ -122,8 +127,8 @@ class Mesh:
     f_mid: np.ndarray          # (F, 2) midpoint on the left side
     f_shift: np.ndarray        # (F, 2) left-midpoint minus right-midpoint (periodic)
     n_iface: int               # faces with a real cell on both sides
-    f_off_l: np.ndarray        # (F, 2) left centroid -> face midpoint (MUSCL)
-    f_off_r: np.ndarray        # (n_iface, 2) right centroid -> its own-side midpoint
+    f_off_l: np.ndarray        # (2, F) left centroid -> face midpoint (MUSCL)
+    f_off_r: np.ndarray        # (2, n_iface) right centroid -> its own-side midpoint
     # boundary faces (face ids n_iface..F-1, grouped by tag)
     b_tag: np.ndarray          # (Fb,)
     tag_slices: dict           # tag code -> slice into boundary order
@@ -134,15 +139,15 @@ class Mesh:
     nbr: np.ndarray            # (N, 3) extended ids (ghosts >= n_cells)
     nbr_dx: np.ndarray         # (N, 3) neighbor centroid offsets (virtual)
     nbr_dy: np.ndarray
-    lsq_wd: np.ndarray         # (N, 3, 2) LSQ weight 1/|d|^2 times offset d
+    lsq_wd: np.ndarray         # (2, 3, N) LSQ weight 1/|d|^2 times offset d
     inv11: np.ndarray          # (N,) inverse LSQ normal matrix entries
     inv12: np.ndarray
     inv22: np.ndarray
     angles: np.ndarray         # (N, 3) stencil angles, radians; angles[:, k]
                                # lies between neighbors k and k+1 (mod 3)
     interior_mask: np.ndarray  # (N,) True when all neighbors are real cells
-    cell_foff: np.ndarray      # (N, 3, 2) centroid -> own-side face midpoint
-    cell_sn: np.ndarray        # (N, 3, 2) outward normal times face length
+    cell_foff: np.ndarray      # (2, 3, N) centroid -> own-side face midpoint
+    cell_sn: np.ndarray        # (2, 3, N) outward normal times face length
     rs_idx: np.ndarray         # scatter cell ids for residual accumulation
     ghost_centroid: np.ndarray = field(default=None)  # (Fb, 2) mirrored centers
     region: np.ndarray = field(default=None)
@@ -255,6 +260,11 @@ def _edges(tri, n_nodes):
     nxt = np.minimum(np.cumsum(count) - count + 1, by_edge.size - 1)
     second = np.where(count == 2, by_edge[nxt], -1)
     return edge, first, second
+
+
+def _cells_last(a):
+    """(N, ..., 2) per-cell or per-face table as a contiguous (2, ..., N) one."""
+    return np.ascontiguousarray(a.T)
 
 
 def build_mesh(nodes, triangles, boundary_spec=None):
@@ -438,13 +448,14 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, centroid=centroid,
         f_left=f_left, f_right=f_right, f_normal=f_normal, f_len=f_len,
         f_mid=f_mid, f_shift=f_shift, n_iface=n_iface,
-        f_off_l=f_mid - centroid[f_left],
-        f_off_r=f_mid[:n_iface] - f_shift[:n_iface] - centroid[f_right[:n_iface]],
+        f_off_l=_cells_last(f_mid - centroid[f_left]),
+        f_off_r=_cells_last(f_mid[:n_iface] - f_shift[:n_iface] - centroid[f_right[:n_iface]]),
         b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
         nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
-        lsq_wd=np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2), inv11=inv11, inv12=inv12, inv22=inv22,
+        lsq_wd=_cells_last(np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2)),
+        inv11=inv11, inv12=inv12, inv22=inv22,
         angles=angles, interior_mask=interior_mask,
-        cell_foff=cell_foff, cell_sn=cell_sn,
+        cell_foff=_cells_last(cell_foff), cell_sn=_cells_last(cell_sn),
         rs_idx=rs_idx, ghost_centroid=ghost_centroid,
     )
     for arr in vars(m).values():

@@ -18,9 +18,21 @@ not equivariant to a cyclic shift of its inputs, so this canonical start is
 what makes alpha invariant under rotation of the mesh: per neighbor, alpha
 depends only on the stencil's shape and the neighbor differences.  A
 threefold-symmetric stencil (equal angles and equal distances) has no
-geometric start, and there alpha depends on the mesh orientation.
+geometric start, and there alpha depends on the mesh orientation.  The
+meshes the runs and the benchmark build (``periodic_structured_mesh(27)``,
+``periodic_irregular_mesh(27)`` and ``(100)``, ``structured_mesh(8)``,
+``forward_step_mesh(0.02)`` and ``(0.1)``) have no such stencil, and a test
+counts them; a mesh with equilateral stencils, such as one read from a
+file, is the case this leaves open.
 
-Cells touching a boundary get an exactly-zero alpha row, which reduces the
+Inside the solver step the network runs on the step's arrays as they are:
+the neighbor differences are (4, 3, N) (variable, neighbor, cell), the
+angles (3, N), every activation (features, N) and alpha (4, 3, N), with the
+cell axis last.  Its parameters keep the neighbor-major input order
+(j*4 + v) of the checkpoint format; the forward pass permutes them instead
+of the data.
+
+Cells touching a boundary get an exactly-zero alpha, which reduces the
 corrected gradients to the plain reconstruction there.  With every
 parameter zero the output is identically zero, so the corrected solver
 reproduces the baseline bitwise.
@@ -142,91 +154,103 @@ def _check_finite(name, x):
         raise NetworkError("non-finite activation", layer=name)
 
 
+def _variable_major(n_neighbors, n_vars):
+    """Flat input index j*n_vars + v of each row v*n_neighbors + j.
+
+    The network's parameters index its input neighbor-major (j*4 + v, the
+    checkpoint's order); the solver's stencil arrays are variable-major
+    (4, 3, N), whose rows flatten to v*3 + j.  Permuting the parameters,
+    not the data, lets the forward pass run on the stencil array as it is."""
+    return np.arange(n_neighbors * n_vars).reshape(n_neighbors, n_vars).T.ravel()
+
+
 def network_forward(params, du, theta, vec=None):
     """Correction coefficients for stencil inputs.
 
-    du: neighbor differences, (3, 4) for one cell or (N, 3, 4) batched;
-    theta: stencil angles, (3,) or (N, 3), in the same neighbor order.
-    Returns alpha with the shape of du.
+    du: neighbor differences, (4, 3) for one cell or (4, 3, N) batched
+    (variable, neighbor, cell); theta: stencil angles, (3,) or (3, N), in the
+    same neighbor order.  Returns alpha with the shape of du.  Activations
+    are (features, N), with the cell axis last.
     """
     cfg = params.config
     duv = ad.value_of(du)
     single = duv.ndim == 2
-    if duv.shape[-2:] != (cfg.n_neighbors, cfg.n_vars):
-        raise NetworkError(f"du must end with shape {(cfg.n_neighbors, cfg.n_vars)}, "
+    if duv.shape[:2] != (cfg.n_vars, cfg.n_neighbors):
+        raise NetworkError(f"du must start with shape {(cfg.n_vars, cfg.n_neighbors)}, "
                            f"got {duv.shape}")
     tv = ad.value_of(theta)
-    if tv.shape[-1] != 3 or (tv.ndim == 1) != single:
+    if tv.shape[0] != 3 or (tv.ndim == 1) != single:
         raise NetworkError(f"theta shape {tv.shape} does not match du {duv.shape}")
     if single:
-        du = ad.reshape(du, (1, cfg.n_neighbors, cfg.n_vars))
-        theta = ad.reshape(theta, (1, 3))
+        du = ad.reshape(du, (cfg.n_vars, cfg.n_neighbors, 1))
+        theta = ad.reshape(theta, (3, 1))
 
-    n = ad.value_of(du).shape[0]
+    n = ad.value_of(du).shape[-1]
     L = params.view(vec)
+    vm = _variable_major(cfg.n_neighbors, cfg.n_vars)
 
-    z = ad.reshape(du, (n, cfg.n_in))
-    mu = ad.mean(z, axis=1, keepdims=True)
+    z = ad.reshape(du, (cfg.n_in, n))
+    mu = ad.mean(z, axis=0, keepdims=True)
     centered = z - mu
-    var = ad.mean(centered * centered, axis=1, keepdims=True)
+    var = ad.mean(centered * centered, axis=0, keepdims=True)
     scale = ad.sqrt(var + NORM_EPS)
     zn = centered / scale
-    zn = zn * L["norm_scale"] + L["norm_shift"]
+    zn = zn * _col(L["norm_scale"][vm]) + _col(L["norm_shift"][vm])
     _check_finite("norm", zn)
 
-    h = ad.matmul(zn, _t(L["branch0_skip"])) + ad.tanh(
-        ad.matmul(zn, _t(L["branch0_w"])) + L["branch0_b"])
+    h = ad.matmul(L["branch0_skip"][:, vm], zn) + ad.tanh(
+        ad.matmul(L["branch0_w"][:, vm], zn) + _col(L["branch0_b"]))
     _check_finite("branch0", h)
-    h = h + ad.tanh(ad.matmul(h, _t(L["branch1_w"])) + L["branch1_b"])
+    h = h + ad.tanh(ad.matmul(L["branch1_w"], h) + _col(L["branch1_b"]))
     _check_finite("branch1", h)
 
-    trunk = ad.tanh(ad.matmul(theta, _t(L["trunk_w"])) + L["trunk_b"])
+    trunk = ad.tanh(ad.matmul(L["trunk_w"], theta) + _col(L["trunk_b"]))
     _check_finite("trunk", trunk)
 
-    # raw[n, m] = sum_p (head_w[m*P+p] . h[n] + head_b[m*P+p]) trunk[n, p]
+    # raw[m, n] = sum_p (head_w[m*P+p] . h[:, n] + head_b[m*P+p]) trunk[p, n]
     # with P = combine, contracted over (p, w) in one matmul so the
-    # (n, n_in*P) branch features are never formed
+    # (n_in*P, N) branch features are never formed
     pw = cfg.combine * cfg.width
-    outer = ad.reshape(ad.reshape(trunk, (n, cfg.combine, 1))
-                       * ad.reshape(h, (n, 1, cfg.width)), (n, pw))
-    head_w = ad.reshape(L["head_w"], (cfg.n_in, pw))
-    head_b = ad.reshape(L["head_b"], (cfg.n_in, cfg.combine))
-    raw = ad.matmul(outer, _t(head_w)) + ad.matmul(trunk, _t(head_b))
+    outer = ad.reshape(ad.reshape(trunk, (cfg.combine, 1, n))
+                       * ad.reshape(h, (1, cfg.width, n)), (pw, n))
+    head_w = ad.reshape(L["head_w"], (cfg.n_in, pw))[vm]
+    head_b = ad.reshape(L["head_b"], (cfg.n_in, cfg.combine))[vm]
+    raw = ad.matmul(head_w, outer) + ad.matmul(head_b, trunk)
     raw = raw * scale
     alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
     _check_finite("head", alpha)
 
-    alpha = ad.reshape(alpha, (n, cfg.n_neighbors, cfg.n_vars))
+    alpha = ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
     if single:
-        alpha = ad.reshape(alpha, (cfg.n_neighbors, cfg.n_vars))
+        alpha = ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors))
     return alpha
 
 
-def _t(x):
-    return ad.transpose(x)
+def _col(b):
+    """A (k,) parameter as a (k, 1) column that broadcasts over cells."""
+    return ad.reshape(b, (ad.value_of(b).shape[0], 1))
 
 
 def alpha_for_field(mesh, u, params, vec=None):
-    """Alpha field for a primitive state: zero rows on boundary-adjacent cells."""
+    """Alpha field (4, 3, N) for a primitive state (4, N) or (4, N + n_ghost):
+    zero on boundary-adjacent cells."""
     n = mesh.n_cells
     uv = ad.value_of(u)
-    if uv.shape[0] == n and mesh.n_ghost:
-        # neighbor differences of masked rows are irrelevant; reuse the
+    if uv.shape[-1] == n and mesh.n_ghost:
+        # neighbor differences of masked cells are irrelevant; reuse the
         # interior value for ghost slots so the gather stays well defined
         filler = ad.take_rows(u, mesh.f_left[mesh.n_iface:])
-        u_ext = ad.concatenate([u, filler], axis=0)
+        u_ext = ad.concatenate([u, filler], axis=1)
     else:
         u_ext = u
-    u_in = u_ext[:n]
-    du = recon.neighbor_deltas(mesh, u_in, recon.neighbor_values(mesh, u_ext))
+    du = recon.neighbor_deltas(mesh, u_ext[:, :n], recon.neighbor_values(mesh, u_ext))
     return masked_alpha(mesh, params, du, vec=vec)
 
 
 def masked_alpha(mesh, params, du, vec=None):
-    """Network forward over all cells with boundary rows forced to zero."""
-    alpha = network_forward(params, du, mesh.angles, vec=vec)
-    mask = mesh.interior_mask[:, None, None]
-    return ad.where(mask, alpha, 0.0)
+    """Network forward over all cells with boundary cells forced to zero."""
+    alpha = network_forward(params, du, mesh.angles.T, vec=vec)
+    return ad.where(mesh.interior_mask, alpha, 0.0)
 
 
 # ---------------------------------------------------------------------------

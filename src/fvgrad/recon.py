@@ -1,11 +1,13 @@
 """Gradient reconstruction and slope limiting on the primitive variables.
 
-Gradients are per-cell (gx, gy) pairs, each of shape (n_cells, 4).  Both
-reconstructions consume the extended field (interior cells followed by
-ghost rows) so boundary stencils are complete.  The optional ``alpha``
-argument (per-cell, per-neighbor, per-variable coefficients) applies the
-learned correction; ``alpha=None`` is the plain scheme and ``alpha == 0``
-reproduces it bitwise.
+Every array here keeps the cell (or face) axis last and contiguous: fields
+and gradients are (4, n_cells), with the extended field (interior cells
+followed by ghost entries) (4, n_cells + n_ghost) so boundary stencils are
+complete; stencil arrays are (4, 3, n_cells) (variable, neighbor, cell), and
+face states (4, n_faces).  A gradient is a (gx, gy) pair.  The optional
+``alpha`` argument (per-variable, per-neighbor, per-cell coefficients,
+(4, 3, n_cells)) applies the learned correction; ``alpha=None`` is the plain
+scheme and ``alpha == 0`` reproduces it bitwise.
 """
 
 import numpy as np
@@ -13,31 +15,33 @@ import numpy as np
 from . import autodiff as ad
 
 
+def _cells(mesh, u_ext):
+    """The interior (4, n_cells) part of a field that may carry ghosts."""
+    n = mesh.n_cells
+    return u_ext[:, :n] if ad.value_of(u_ext).shape[-1] != n else u_ext
+
+
 def neighbor_values(mesh, u_ext):
-    """Neighbor primitive states in stencil order, shape (N, 3, 4)."""
-    flat = ad.take_rows(u_ext, mesh.nbr.ravel())
-    return ad.reshape(flat, (mesh.n_cells, 3, 4))
+    """Neighbor primitive states in stencil order, shape (4, 3, N)."""
+    return ad.take_rows(u_ext, mesh.nbr.T)
 
 
 def neighbor_deltas(mesh, u, u_nb):
     """u_j - u_i per neighbor, the shared input of LSQ and the network."""
-    return u_nb - ad.reshape(u, (mesh.n_cells, 1, 4))
+    return u_nb - ad.reshape(u, (4, 1, mesh.n_cells))
 
 
 def gradient_gg(mesh, u_ext, alpha=None, u_nb=None):
     """Green-Gauss gradient with optional per-neighbor correction weights."""
-    n = mesh.n_cells
-    u = u_ext[:n] if ad.value_of(u_ext).shape[0] != n else u_ext
     if u_nb is None:
         u_nb = neighbor_values(mesh, u_ext)
-    ui = ad.reshape(u, (n, 1, 4))
+    ui = ad.reshape(_cells(mesh, u_ext), (4, 1, mesh.n_cells))
     if alpha is None:
         face_val = 0.5 * ui + 0.5 * u_nb
     else:
         face_val = (0.5 + alpha) * ui + (0.5 - alpha) * u_nb
-    inv_area = mesh.inv_area[:, None]
-    gx = ad.einsum("njv,nj->nv", face_val, mesh.cell_sn[:, :, 0]) * inv_area
-    gy = ad.einsum("njv,nj->nv", face_val, mesh.cell_sn[:, :, 1]) * inv_area
+    gx = ad.einsum("vjn,jn->vn", face_val, mesh.cell_sn[0]) * mesh.inv_area
+    gy = ad.einsum("vjn,jn->vn", face_val, mesh.cell_sn[1]) * mesh.inv_area
     return gx, gy
 
 
@@ -48,21 +52,19 @@ def gradient_lsq(mesh, u_ext, alpha=None, du=None):
     build, with a determinant guard).  ``alpha`` reweights the right-hand
     side terms by (1 + alpha_j).  Exact for globally linear fields.
     """
-    n = mesh.n_cells
     if du is None:
-        u = u_ext[:n] if ad.value_of(u_ext).shape[0] != n else u_ext
-        du = neighbor_deltas(mesh, u, neighbor_values(mesh, u_ext))
+        du = neighbor_deltas(mesh, _cells(mesh, u_ext), neighbor_values(mesh, u_ext))
     if alpha is not None:
         du = (1.0 + alpha) * du
-    bx = ad.einsum("nj,njv->nv", mesh.lsq_wd[:, :, 0], du)
-    by = ad.einsum("nj,njv->nv", mesh.lsq_wd[:, :, 1], du)
-    gx = mesh.inv11[:, None] * bx + mesh.inv12[:, None] * by
-    gy = mesh.inv12[:, None] * bx + mesh.inv22[:, None] * by
+    bx = ad.einsum("jn,vjn->vn", mesh.lsq_wd[0], du)
+    by = ad.einsum("jn,vjn->vn", mesh.lsq_wd[1], du)
+    gx = mesh.inv11 * bx + mesh.inv12 * by
+    gy = mesh.inv12 * bx + mesh.inv22 * by
     return gx, gy
 
 
 def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0, u_nb=None):
-    """Smooth slope limiter, one value per cell and variable, clipped to [0,1].
+    """Smooth slope limiter, one value per variable and cell, clipped to [0,1].
 
     Per face j of cell i, with a = (neighborhood max/min minus u_i) and
     b = (r_ij - r_i) . grad u_i, the face factor is
@@ -73,35 +75,37 @@ def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0, u_nb=None):
     """
     n = mesh.n_cells
     gx, gy = grad
-    u = u_ext[:n] if ad.value_of(u_ext).shape[0] != n else u_ext
+    u = _cells(mesh, u_ext)
     if u_nb is None:
         u_nb = neighbor_values(mesh, u_ext)
 
-    nb_min = ad.minimum(ad.minimum(u_nb[:, 0, :], u_nb[:, 1, :]), u_nb[:, 2, :])
-    nb_max = ad.maximum(ad.maximum(u_nb[:, 0, :], u_nb[:, 1, :]), u_nb[:, 2, :])
+    nb_min = ad.minimum(ad.minimum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2])
+    nb_max = ad.maximum(ad.maximum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2])
     u_min = ad.minimum(nb_min, u)
     u_max = ad.maximum(nb_max, u)
 
-    off = mesh.cell_foff                                 # (N, 3, 2)
-    delta = (off[:, :, 0:1] * ad.reshape(gx, (n, 1, 4))
-             + off[:, :, 1:2] * ad.reshape(gy, (n, 1, 4)))
+    off = mesh.cell_foff                                 # (2, 3, N)
+    delta = (off[0] * ad.reshape(gx, (4, 1, n))
+             + off[1] * ad.reshape(gy, (4, 1, n)))
 
     omega = (k_limiter * np.sqrt(mesh.area)) ** 3
-    omega = omega[:, None, None]
-    a_max = ad.reshape(u_max - u, (n, 1, 4))
-    a_min = ad.reshape(u_min - u, (n, 1, 4))
+    a_max = ad.reshape(u_max - u, (4, 1, n))
+    a_min = ad.reshape(u_min - u, (4, 1, n))
     zero = delta == 0.0
     b = ad.where(zero, 1.0, delta)
     a = ad.where(delta > 0.0, a_max, a_min)
-    smooth = (a * a + 2.0 * a * b + omega) / (a * a + 2.0 * b * b + a * b)
+    # 2ab and 2b^2 as 2(ab) and 2(bb): doubling is exact, so these equal
+    # (2a)b and (2b)b bitwise
+    aa = a * a
+    ab = a * b
+    smooth = (aa + 2.0 * ab + omega) / (aa + 2.0 * (b * b) + ab)
     phi_face = ad.where(zero, 1.0, smooth)
-    phi = ad.minimum(ad.minimum(phi_face[:, 0, :], phi_face[:, 1, :]),
-                     phi_face[:, 2, :])
+    phi = ad.minimum(ad.minimum(phi_face[:, 0], phi_face[:, 1]), phi_face[:, 2])
     return ad.minimum(ad.maximum(phi, 0.0), 1.0)
 
 
 def muscl_face_values(mesh, u_ext, grad, phi):
-    """One-sided face states u_ij, u_ji at every face midpoint.
+    """One-sided face states u_ij, u_ji at every face midpoint, each (4, F).
 
     Left states come from the left cell's limited linear extrapolation; the
     right side uses the right cell for interior faces and the ghost value
@@ -111,36 +115,36 @@ def muscl_face_values(mesh, u_ext, grad, phi):
     """
     n = mesh.n_cells
     gx, gy = grad
-    u = u_ext[:n] if ad.value_of(u_ext).shape[0] != n else u_ext
+    u = _cells(mesh, u_ext)
     right_int = mesh.f_right[:mesh.n_iface]
 
     def extrapolate(cells, off, limiter):
-        incr = (off[:, 0:1] * ad.take_rows(gx, cells)
-                + off[:, 1:2] * ad.take_rows(gy, cells))
+        incr = (off[0] * ad.take_rows(gx, cells)
+                + off[1] * ad.take_rows(gy, cells))
         return ad.take_rows(u, cells) + ad.take_rows(limiter, cells) * incr
 
-    def bad_rows(states):
+    def bad_faces(states):
         sv = ad.value_of(states)
-        return (sv[:, 0] <= 0.0) | (sv[:, 3] <= 0.0)
+        return (sv[0] <= 0.0) | (sv[3] <= 0.0)
 
     u_l = extrapolate(mesh.f_left, mesh.f_off_l, phi)
     u_r_int = extrapolate(right_int, mesh.f_off_r, phi)
 
-    bad_l = bad_rows(u_l)
-    bad_r = bad_rows(u_r_int)
+    bad_l = bad_faces(u_l)
+    bad_r = bad_faces(u_r_int)
     n_fallback = 0
     if bad_l.any() or bad_r.any():
         keep = np.ones(n)
         keep[mesh.f_left[bad_l]] = 0.0
         keep[right_int[bad_r]] = 0.0
         n_fallback = int(n - keep.sum())
-        phi = phi * keep[:, None]
+        phi = phi * keep
         u_l = extrapolate(mesh.f_left, mesh.f_off_l, phi)
         u_r_int = extrapolate(right_int, mesh.f_off_r, phi)
 
     if mesh.n_ghost:
         u_ghost = ad.take_rows(u_ext, mesh.f_right[mesh.n_iface:])
-        u_r = ad.concatenate([u_r_int, u_ghost], axis=0)
+        u_r = ad.concatenate([u_r_int, u_ghost], axis=1)
     else:
         u_r = u_r_int
     return u_l, u_r, n_fallback

@@ -6,6 +6,12 @@ apply the Rusanov flux, accumulate the residual and update.  The time step
 is fixed per run, dt = co * min sqrt(|C|), so runs on a coarse mesh, its
 refinement and the corrected solver all share time instants.
 
+States cross the public boundary (``step_explicit_euler``, ``march``,
+``rollout``, ``reference``, frames) as (N, 4) arrays.  Inside the step the
+cell or face axis is last and contiguous: fields are (4, N), or
+(4, N + n_ghost) with their ghost states, stencil arrays (4, 3, N) and face
+states (4, F), so every numpy operation runs over long contiguous rows.
+
 ``march`` is the one time-marching loop: rollouts, fine-grid references
 (sub-stepped to the coarse time instants), gain runs, the error-versus-cost
 study and the multi-step gradient check all advance through it.
@@ -85,27 +91,30 @@ def rusanov_flux(w_l, w_r, n, gas=GasModel()):
     """Godunov-type flux: central average plus max-wave-speed dissipation.
 
     F = (F(w_l) + F(w_r)) / 2 - s (w_r - w_l) / 2 with s the larger of the
-    two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).
-    Returns (flux, s) with s per face.
+    two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).  States
+    are (4, F) and unit normals (2, F), face axis last.  Returns (flux, s)
+    with flux (4, F) and s per face.
     """
-    f_l = physical_flux(w_l, n, gas)
-    f_r = physical_flux(w_r, n, gas)
-    s = ad.maximum(max_wave_speed(w_l, n, gas), max_wave_speed(w_r, n, gas))
-    s_col = ad.reshape(s, ad.value_of(s).shape + (1,)) if ad.value_of(s).ndim else s
-    return 0.5 * (f_l + f_r) - 0.5 * s_col * (w_r - w_l), s
+    # (F, 4) and (F, 2) views for the pointwise algebra
+    wl, wr, nt = ad.transpose(w_l), ad.transpose(w_r), ad.transpose(n)
+    f_l = ad.transpose(physical_flux(wl, nt, gas))
+    f_r = ad.transpose(physical_flux(wr, nt, gas))
+    s = ad.maximum(max_wave_speed(wl, nt, gas), max_wave_speed(wr, nt, gas))
+    return 0.5 * (f_l + f_r) - 0.5 * s * (w_r - w_l), s
 
 
 def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     """Per-cell flux sum R_i; the semi-discrete form is |C_i| dw_i/dt + R_i = 0.
 
-    Returns (R, diag) where diag carries the clamp / first-order fallback
-    counters and the largest wave speed seen at any face.
+    w and R are (4, N), cell axis last.  Returns (R, diag) where diag carries
+    the clamp / first-order fallback counters and the largest wave speed
+    seen at any face.
     """
     bc_table = bc_table or {}
     gas = cfg.gas
-    u = cons_to_prim(w, gas)
+    u = ad.transpose(cons_to_prim(ad.transpose(w), gas))
     u_ext, n_clamp = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
-    u_in = u_ext[:mesh.n_cells] if mesh.n_ghost else u_ext
+    u_in = u_ext[:, :mesh.n_cells] if mesh.n_ghost else u_ext
 
     u_nb = recon.neighbor_values(mesh, u_ext)
     du = recon.neighbor_deltas(mesh, u_in, u_nb)
@@ -124,15 +133,15 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     if cfg.limiter:
         phi = recon.venkat_limiter(mesh, u_ext, grad, cfg.limiter_k, u_nb=u_nb)
     else:
-        phi = np.ones((mesh.n_cells, 4))
+        phi = np.ones((4, mesh.n_cells))
 
     u_l, u_r, n_fallback = recon.muscl_face_values(mesh, u_ext, grad, phi)
-    w_l = prim_to_cons(u_l, gas, check=False)
-    w_r = prim_to_cons(u_r, gas, check=False)
+    w_l = ad.transpose(prim_to_cons(ad.transpose(u_l), gas, check=False))
+    w_r = ad.transpose(prim_to_cons(ad.transpose(u_r), gas, check=False))
 
-    flux, s = rusanov_flux(w_l, w_r, mesh.f_normal, gas)
-    contrib = flux * mesh.f_len[:, None]
-    parts = ad.concatenate([contrib, -contrib[:mesh.n_iface]], axis=0)
+    flux, s = rusanov_flux(w_l, w_r, mesh.f_normal.T, gas)
+    contrib = flux * mesh.f_len
+    parts = ad.concatenate([contrib, -contrib[:, :mesh.n_iface]], axis=1)
     r = ad.segment_sum(parts, mesh.rs_idx, mesh.n_cells)
 
     diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
@@ -140,20 +149,32 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     return r, diag
 
 
+def _flip(x):
+    """Swap a state between the public (N, 4) and the step's (4, N) layout.
+
+    A plain array comes back C-contiguous; a traced one is transposed on the
+    tape."""
+    if isinstance(x, ad.Var):
+        return ad.transpose(x)
+    return np.ascontiguousarray(np.asarray(x).T)
+
+
 def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
                         params_vec=None, step_index=None):
-    """w - (dt/|C|) R; raises if any updated cell leaves the admissible set."""
+    """w - (dt/|C|) R for an (N, 4) state; raises if any updated cell leaves
+    the admissible set.  The step itself runs on (4, N) fields."""
+    w = _flip(w)
     r, diag = residual(mesh, w, cfg, bc_table, params, params_vec)
-    w_next = w - (dt / mesh.area)[:, None] * r
+    w_next = w - (dt / mesh.area) * r
 
     wv = ad.value_of(w_next)
-    rho = wv[:, 0]
-    e_int = wv[:, 3] - 0.5 * (wv[:, 1] ** 2 + wv[:, 2] ** 2) / np.where(rho > 0, rho, 1.0)
+    rho = wv[0]
+    e_int = wv[3] - 0.5 * (wv[1] ** 2 + wv[2] ** 2) / np.where(rho > 0, rho, 1.0)
     bad = (rho <= 0.0) | (e_int <= 0.0)
     if bad.any():
         raise SolverError("step rejected: non-admissible update",
                           cell=int(np.argmax(bad)), step=step_index)
-    return w_next, diag
+    return _flip(w_next), diag
 
 
 def march(mesh, w0, dt, n_steps, cfg, bc_table=None, params=None,

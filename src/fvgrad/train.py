@@ -214,33 +214,36 @@ def loss_supervision(u_ml, u_ref):
     return 100.0 * ad.sqrt(ad.sum(diff * diff)) / ref_norm
 
 
+def _prim(w, gas):
+    """Primitive (4, N) field of a conservative (4, N) one."""
+    return ad.transpose(cons_to_prim(ad.transpose(w), gas, check=False))
+
+
 def _divergence_gg(mesh, qx_ext, qy_ext):
     """Green-Gauss divergence of a vector field with arithmetic face means."""
     n = mesh.n_cells
-    qx_nb = ad.reshape(ad.take_rows(ad.reshape(qx_ext, (-1, 1)), mesh.nbr.ravel()), (n, 3))
-    qy_nb = ad.reshape(ad.take_rows(ad.reshape(qy_ext, (-1, 1)), mesh.nbr.ravel()), (n, 3))
-    qx_i = ad.reshape(qx_ext[:n], (n, 1))
-    qy_i = ad.reshape(qy_ext[:n], (n, 1))
+    qx_nb = ad.take_rows(qx_ext, mesh.nbr.T)                # (3, N)
+    qy_nb = ad.take_rows(qy_ext, mesh.nbr.T)
     ns = mesh.cell_sn
-    flux = (0.5 * (qx_i + qx_nb) * ns[:, :, 0] + 0.5 * (qy_i + qy_nb) * ns[:, :, 1])
-    return ad.sum(flux, axis=1) / mesh.area
+    flux = 0.5 * (qx_ext[:n] + qx_nb) * ns[0] + 0.5 * (qy_ext[:n] + qy_nb) * ns[1]
+    return ad.sum(flux, axis=0) / mesh.area
 
 
 def _entropy_ext(mesh, w, bc_table, gas):
-    """Entropy pair on cells and ghost slots, from the primitive ghost rows."""
-    eta, qx, qy = entropy_pair(w, gas)
+    """Entropy pair on cells and ghost slots, from the primitive ghost states."""
+    eta, qx, qy = entropy_pair(ad.transpose(w), gas)
     if mesh.n_ghost == 0:
         return eta, qx, qy
-    u = cons_to_prim(w, gas, check=False)
-    rows, _ = bclib.ghost_rows(mesh, u, bc_table, gas)
-    w_g = prim_to_cons(rows, gas, check=False)
+    rows, _ = bclib.ghost_rows(mesh, _prim(w, gas), bc_table, gas)
+    w_g = prim_to_cons(ad.transpose(rows), gas, check=False)
     eta_g, qx_g, qy_g = entropy_pair(w_g, gas, check=False)
     return (ad.concatenate([eta, eta_g]), ad.concatenate([qx, qx_g]),
             ad.concatenate([qy, qy_g]))
 
 
 def loss_entropy(mesh, w_prev, w_next, dt, gas=GasModel(), bc_table=None):
-    """Mean squared positive part of the discrete entropy-inequality residual."""
+    """Mean squared positive part of the discrete entropy-inequality residual
+    between two (4, N) conservative states."""
     bc_table = bc_table or {}
     eta0, qx0, qy0 = _entropy_ext(mesh, w_prev, bc_table, gas)
     eta1, qx1, qy1 = _entropy_ext(mesh, w_next, bc_table, gas)
@@ -256,13 +259,14 @@ def loss_entropy(mesh, w_prev, w_next, dt, gas=GasModel(), bc_table=None):
 def _grad_norm_lsq(mesh, u_ext):
     """Per-cell |grad u|; 0 with a zero derivative where the field is flat."""
     gx, gy = recon.gradient_lsq(mesh, u_ext)
-    g2 = ad.sum(gx * gx + gy * gy, axis=1)
+    g2 = ad.sum(gx * gx + gy * gy, axis=0)
     flat = ad.value_of(g2) == 0.0
     return ad.where(flat, 0.0, ad.sqrt(ad.where(flat, 1.0, g2)))
 
 
 def loss_tvd(mesh, u_prev_ext, u_next_ext):
-    """Positive growth of the per-cell gradient magnitude between two levels."""
+    """Positive growth of the per-cell gradient magnitude between two
+    extended (4, N + n_ghost) primitive fields."""
     g0 = _grad_norm_lsq(mesh, u_prev_ext)
     g1 = _grad_norm_lsq(mesh, u_next_ext)
     return ad.sum(ad.maximum(0.0, g1 - g0))
@@ -275,13 +279,17 @@ def loss_reg(params_vec):
 
 def total_loss(mesh, dt, w_prev, w_next_ml, u_ref_next, params_vec, weights,
                gas=GasModel(), bc_table=None):
-    """Weighted sum of the four loss terms; also returns the parts."""
+    """Weighted sum of the four loss terms; also returns the parts.
+
+    The states come in the step's public (N, 4) layout; the terms run on
+    their (4, N) transposes.
+    """
     bc_table = bc_table or {}
-    u_ml = cons_to_prim(w_next_ml, gas, check=False)
+    w_prev, w_next_ml, u_ref_next = (ad.transpose(x) for x in (w_prev, w_next_ml, u_ref_next))
+    u_ml = _prim(w_next_ml, gas)
     sup = loss_supervision(u_ml, u_ref_next)
     ent = loss_entropy(mesh, w_prev, w_next_ml, dt, gas, bc_table)
-    u_prev = cons_to_prim(w_prev, gas, check=False)
-    u_prev_ext, _ = bclib.extend_with_ghosts(mesh, u_prev, bc_table, gas)
+    u_prev_ext, _ = bclib.extend_with_ghosts(mesh, _prim(w_prev, gas), bc_table, gas)
     u_ml_ext, _ = bclib.extend_with_ghosts(mesh, u_ml, bc_table, gas)
     tvd = loss_tvd(mesh, u_prev_ext, u_ml_ext)
     reg = loss_reg(params_vec)

@@ -58,8 +58,8 @@ Y = RNG.uniform(0.5, 2.0, (4, 3))
     lambda x: x[1:, :2],
     lambda x: ad.concatenate([x, 2.0 * x], axis=0),
     lambda x: ad.stack([x, x * Y], axis=1),
-    lambda x: ad.take_rows(x, np.array([2, 0, 0, 3, 1])),
-    lambda x: ad.segment_sum(x, np.array([1, 0, 1, 2]), 3),
+    lambda x: ad.take_rows(ad.transpose(x), np.array([2, 0, 0, 3, 1])),
+    lambda x: ad.segment_sum(ad.transpose(x), np.array([1, 0, 1, 2]), 3),
     lambda x: ad.einsum("ij,ik->jk", x, Y),
     lambda x: ad.einsum("nj,njv->nv", Y, ad.stack([x, x * x], axis=2)),
     lambda x: ad.einsum("ij,ij->i", x, x * Y),
@@ -175,7 +175,8 @@ def test_recording_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# row gather / scatter-add against explicit loops, with repeated indices
+# gather / scatter-add along the last axis against explicit loops over rows
+# of the transposed arrays, with repeated indices
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -204,40 +205,42 @@ def _bitwise(a, b):
 def test_segment_sum_matches_loop_oracle(scatter_case):
     idx, vals = scatter_case
     expect = _loop_scatter(idx, vals, 42)
-    assert _bitwise(ad.segment_sum(vals, idx, 42), expect)
+    assert _bitwise(ad.segment_sum(vals.T, idx, 42), expect.T)
     assert _bitwise(ad.segment_sum(vals[:, 1], idx, 42), expect[:, 1])
-    assert _bitwise(ad.segment_sum(vals.reshape(-1, 2, 2), idx, 42), expect.reshape(-1, 2, 2))
+    assert _bitwise(ad.segment_sum(vals.T.reshape(2, 2, -1), idx, 42),
+                    expect.T.reshape(2, 2, -1))
     # a 2-D index scatters like its flattened form, as np.add.at does
-    assert _bitwise(ad.segment_sum(vals.reshape(2, -1, 4), idx.reshape(2, -1), 42), expect)
+    assert _bitwise(ad.segment_sum(vals.T.reshape(4, 2, -1), idx.reshape(2, -1), 42),
+                    expect.T)
 
     # traced: same forward, and the adjoint gathers the seed rows
     tape = ad.Tape()
-    v = tape.var(vals)
+    v = tape.var(vals.T)
     out = ad.segment_sum(v, idx, 42)
-    assert _bitwise(out.value, expect)
+    assert _bitwise(out.value, expect.T)
     seed = np.random.default_rng(3).normal(size=(42, 4))
-    tape.backward([(out, seed)])
+    tape.backward([(out, seed.T)])
     expect_grad = np.array([seed[i] for i in idx])
-    assert _bitwise(v.grad, expect_grad)
+    assert _bitwise(v.grad, expect_grad.T)
 
 
 def test_segment_sum_rejects_out_of_range_index(scatter_case):
     idx, vals = scatter_case
     with pytest.raises(IndexError):
-        ad.segment_sum(vals, idx, 30)
+        ad.segment_sum(vals.T, idx, 30)
 
 
 def test_take_rows_matches_loop_oracle(scatter_case):
     idx, vals = scatter_case
     src = vals[:42]
     expect = np.array([src[i] for i in idx])
-    assert _bitwise(ad.take_rows(src, idx), expect)
+    assert _bitwise(ad.take_rows(src.T, idx), expect.T)
     assert _bitwise(ad.take_rows(src[:, 0], idx), expect[:, 0])
 
-    # traced: the adjoint adds every gathered row's seed back onto its source row
+    # traced: the adjoint adds every gathered entry's seed back onto its source
     tape = ad.Tape()
-    s = tape.var(src)
+    s = tape.var(src.T)
     out = ad.take_rows(s, idx)
-    assert _bitwise(out.value, expect)
-    tape.backward([(out, vals)])
-    assert _bitwise(s.grad, _loop_scatter(idx, vals, 42))
+    assert _bitwise(out.value, expect.T)
+    tape.backward([(out, vals.T)])
+    assert _bitwise(s.grad, _loop_scatter(idx, vals, 42).T)

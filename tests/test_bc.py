@@ -99,15 +99,15 @@ def test_spec_validation():
 
 def test_ghost_rows_ordering_and_missing_tag(rng):
     m = msh.structured_mesh(3, boundary_spec=msh.BoundarySpec.uniform("slip_wall"))
-    u = random_admissible_prim(rng, m.n_cells)
+    u = random_admissible_prim(rng, m.n_cells).T
     rows, nc = bclib.ghost_rows(m, u, {msh.SLIP_WALL: BCSpec(kind=msh.SLIP_WALL)})
-    assert rows.shape == (m.n_ghost, 4)
+    assert rows.shape == (4, m.n_ghost)
     with pytest.raises(KeyError):
         bclib.ghost_rows(m, u, {})
 
 
 def test_periodic_mesh_needs_no_ghosts(rng):
     m = msh.periodic_structured_mesh(3)
-    u = random_admissible_prim(rng, m.n_cells)
+    u = random_admissible_prim(rng, m.n_cells).T
     ext, nc = bclib.extend_with_ghosts(m, u, {})
     assert ext is u and nc == 0

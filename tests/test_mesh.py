@@ -43,8 +43,8 @@ def test_structured_split_counts_and_closure():
         total = np.zeros(2)
         perim = 0.0
         for k in range(3):
-            total += m.cell_sn[i, k]
-            perim += np.hypot(*m.cell_sn[i, k])
+            total += m.cell_sn[:, k, i]
+            perim += np.hypot(*m.cell_sn[:, k, i])
         assert np.hypot(*total) <= 1e-12 * perim
 
 

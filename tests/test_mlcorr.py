@@ -5,7 +5,7 @@ import pytest
 
 from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
-from fvgrad import mlcorr, recon
+from fvgrad import bench, mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
 from conftest import random_admissible_prim, rotated_mesh, smooth_prim_field
 
@@ -32,13 +32,14 @@ def test_zero_params_give_zero_alpha(rng):
     p = mlcorr.zero_params()
     du = rng.normal(size=(3, 4))
     theta = np.array([2.0, 2.1, 2 * np.pi - 4.1])
-    alpha = mlcorr.network_forward(p, du, theta)
+    alpha = mlcorr.network_forward(p, du.T, theta)
     assert (alpha == 0.0).all()
 
 
 def _alpha_with_branch_head(params, du, theta):
     """network_forward in numpy with the head as first written: (N, n_in*P)
-    branch features, reshaped, then summed over P against the trunk."""
+    branch features, reshaped, then summed over P against the trunk.  Takes
+    and returns cell-first (N, 3, 4) arrays and (N, 3) angles."""
     cfg = params.config
     L = params.view()
     n = du.shape[0]
@@ -61,19 +62,19 @@ def test_head_contraction_matches_branch_head_oracle(seeded_params, rng,
     in another order than the branch head, so alpha may move by round-off."""
     m = periodic_mesh_irregular
     du = rng.normal(size=(m.n_cells, 3, 4))
-    alpha = mlcorr.network_forward(seeded_params, du, m.angles)
+    alpha = mlcorr.network_forward(seeded_params, du.T, m.angles.T).T
     expect = _alpha_with_branch_head(seeded_params, du, m.angles)
     assert np.abs(alpha).max() > 0.1
     assert np.abs(alpha - expect).max() <= 1e-15 * np.abs(expect).max()
 
     zero = mlcorr.zero_params()
-    assert (mlcorr.network_forward(zero, du, m.angles) == 0.0).all()
+    assert (mlcorr.network_forward(zero, du.T, m.angles.T) == 0.0).all()
     assert (_alpha_with_branch_head(zero, du, m.angles) == 0.0).all()
 
 
 def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
     m = periodic_mesh_irregular
-    u = smooth_prim_field(m.centroid)
+    u = smooth_prim_field(m.centroid).T
     plain = mlcorr.alpha_for_field(m, u, params)
     traced = mlcorr.alpha_for_field(m, ad.Tape().var(u), params)
     assert np.abs(plain).max() > 0.1
@@ -81,15 +82,15 @@ def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
 
 
 def test_zero_du_gives_finite_bounded_alpha(params):
-    alpha = mlcorr.network_forward(params, np.zeros((3, 4)),
+    alpha = mlcorr.network_forward(params, np.zeros((4, 3)),
                                    np.array([2.0, 2.1, 2 * np.pi - 4.1]))
     assert np.isfinite(alpha).all()
     assert np.abs(alpha).max() <= params.config.alpha_max
 
 
 def test_alpha_clamped(params, rng):
-    du = rng.normal(size=(50, 3, 4)) * 100.0
-    theta = np.tile([2.0, 2.1, 2 * np.pi - 4.1], (50, 1))
+    du = rng.normal(size=(50, 3, 4)).T * 100.0
+    theta = np.tile([2.0, 2.1, 2 * np.pi - 4.1], (50, 1)).T
     for cfg in (params.config, NetConfig(alpha_max=0.3)):
         alpha = mlcorr.network_forward(
             mlcorr.NetParams(cfg, params.values, params.table), du, theta)
@@ -98,9 +99,9 @@ def test_alpha_clamped(params, rng):
 
 def test_shape_validation(params):
     with pytest.raises(NetworkError):
-        mlcorr.network_forward(params, np.zeros((2, 4)), np.zeros(3))
+        mlcorr.network_forward(params, np.zeros((4, 2)), np.zeros(3))
     with pytest.raises(NetworkError):
-        mlcorr.network_forward(params, np.zeros((3, 4)), np.zeros(4))
+        mlcorr.network_forward(params, np.zeros((4, 3)), np.zeros(4))
 
 
 def test_rotation_invariance_of_alpha(params):
@@ -108,9 +109,9 @@ def test_rotation_invariance_of_alpha(params):
     neighbor cell id; the stencil ordering may cycle)."""
     m1 = msh.periodic_irregular_mesh(5, seed=21)
     m2 = rotated_mesh(m1, 0.31)
-    u = smooth_prim_field(m1.centroid)  # same per-cell values on both meshes
-    a1 = mlcorr.alpha_for_field(m1, u, params)
-    a2 = mlcorr.alpha_for_field(m2, u, params)
+    u = smooth_prim_field(m1.centroid).T  # same per-cell values on both meshes
+    a1 = mlcorr.alpha_for_field(m1, u, params).T
+    a2 = mlcorr.alpha_for_field(m2, u, params).T
     for cell in range(m1.n_cells):
         order1 = np.argsort(m1.nbr[cell])
         order2 = np.argsort(m2.nbr[cell])
@@ -126,7 +127,7 @@ def test_translation_and_congruence(params):
     # field with period 1/3 in x: cells one period apart see identical du
     u = np.column_stack([
         1.5 + 0.2 * np.sin(6 * np.pi * x) * np.cos(2 * np.pi * y)] * 4)
-    alpha = mlcorr.alpha_for_field(m, u, params)
+    alpha = mlcorr.alpha_for_field(m, u.T, params).T
     shifted = np.argsort(np.round((x % (1 / 3)) * 1e9) * 1e6 + np.round(y * 1e9))
     # brute-force pairing: compare every cell against its +1/3 translate
     target = {}
@@ -147,7 +148,7 @@ def test_translation_and_congruence(params):
 def test_boundary_rows_exactly_zero(params, rng):
     m = msh.structured_mesh(5, boundary_spec=msh.BoundarySpec.uniform("slip_wall"))
     u = random_admissible_prim(rng, m.n_cells)
-    alpha = mlcorr.alpha_for_field(m, u, params)
+    alpha = mlcorr.alpha_for_field(m, u.T, params).T
     boundary = ~m.interior_mask
     assert boundary.any()
     assert (alpha[boundary] == 0.0).all()
@@ -156,8 +157,8 @@ def test_boundary_rows_exactly_zero(params, rng):
 
 def test_corrected_gradients_reduce_to_plain_bitwise(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
-    u = random_admissible_prim(rng, m.n_cells)
-    zero = np.zeros((m.n_cells, 3, 4))
+    u = random_admissible_prim(rng, m.n_cells).T
+    zero = np.zeros((4, 3, m.n_cells))
     for fn in (recon.gradient_gg, recon.gradient_lsq):
         gx0, gy0 = fn(m, u)
         gx1, gy1 = fn(m, u, alpha=zero)
@@ -168,12 +169,13 @@ def test_corrected_gg_matches_loop_oracle(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    gx, gy = recon.gradient_gg(m, u, alpha=alpha)
+    gx, gy = recon.gradient_gg(m, u.T, alpha=alpha.T)
+    gx, gy = gx.T, gy.T
     for i in rng.integers(0, m.n_cells, 10):
         acc = np.zeros((4, 2))
         for k in range(3):
             j = m.nbr[i, k]
-            ns = m.cell_sn[i, k]
+            ns = m.cell_sn[:, k, i]
             fv = (0.5 + alpha[i, k]) * u[i] + (0.5 - alpha[i, k]) * u[j]
             acc += np.outer(fv, ns)
         acc /= m.area[i]
@@ -185,7 +187,8 @@ def test_corrected_lsq_matches_normal_equation_oracle(rng, periodic_mesh_irregul
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    gx, gy = recon.gradient_lsq(m, u, alpha=alpha)
+    gx, gy = recon.gradient_lsq(m, u.T, alpha=alpha.T)
+    gx, gy = gx.T, gy.T
     for i in rng.integers(0, m.n_cells, 10):
         A = np.zeros((2, 2))
         rhs = np.zeros((2, 4))
@@ -202,8 +205,8 @@ def test_corrected_lsq_matches_normal_equation_oracle(rng, periodic_mesh_irregul
 
 def test_corrected_shift_invariance(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
-    u = random_admissible_prim(rng, m.n_cells)
-    alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
+    u = random_admissible_prim(rng, m.n_cells).T
+    alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4)).T
     for fn in (recon.gradient_gg, recon.gradient_lsq):
         gx0, gy0 = fn(m, u, alpha=alpha)
         gx1, gy1 = fn(m, u + 3.0, alpha=alpha)
@@ -213,8 +216,8 @@ def test_corrected_shift_invariance(rng, periodic_mesh_irregular):
 
 def test_constant_field_any_alpha_zero_gradient(rng, periodic_mesh_small):
     m = periodic_mesh_small
-    u = np.full((m.n_cells, 4), 1.8)
-    alpha = rng.uniform(-0.5, 0.5, size=(m.n_cells, 3, 4))
+    u = np.full((4, m.n_cells), 1.8)
+    alpha = rng.uniform(-0.5, 0.5, size=(m.n_cells, 3, 4)).T
     for fn in (recon.gradient_gg, recon.gradient_lsq):
         gx, gy = fn(m, u, alpha=alpha)
         assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
@@ -271,3 +274,24 @@ def test_load_rejects_bad_alpha_max(tmp_path, params, text):
 def test_width_config_changes_count():
     wide = mlcorr.zero_params(NetConfig(width=16, combine=8))
     assert wide.count != mlcorr.zero_params().count
+
+
+def _threefold_symmetric(m):
+    """Cells whose three stencil angles agree within STENCIL_TOL and whose
+    three neighbor distances agree within STENCIL_TOL times the longest."""
+    dist = np.hypot(m.nbr_dx, m.nbr_dy)
+    return ((np.ptp(m.angles, axis=1) <= msh.STENCIL_TOL)
+            & (np.ptp(dist, axis=1) <= msh.STENCIL_TOL * dist.max(axis=1)))
+
+
+def test_no_shipped_mesh_has_a_threefold_symmetric_stencil():
+    """On such a stencil alpha depends on the mesh orientation (see the
+    module docstring); no mesh the package builds for its runs has one."""
+    h = np.sqrt(3) / 2
+    triforce = msh.build_mesh([(0, 0), (1, 0), (0.5, h), (0.5, -h), (1.5, h), (-0.5, h)],
+                              [(0, 1, 2), (0, 3, 1), (1, 4, 2), (0, 2, 5)])
+    assert _threefold_symmetric(triforce)[0]
+    for m in (msh.periodic_structured_mesh(27), msh.periodic_irregular_mesh(27),
+              msh.periodic_irregular_mesh(100), msh.structured_mesh(8),
+              bench.forward_step_mesh(0.02)[0], bench.forward_step_mesh(0.1)[0]):
+        assert _threefold_symmetric(m).sum() == 0

@@ -7,11 +7,12 @@ from fvgrad.mesh import BoundarySpec
 
 
 def extended_field(mesh, fn):
-    """Evaluate an analytic primitive field on cells and ghost mirrors."""
+    """Evaluate an analytic primitive field on cells and ghost mirrors, as
+    the (4, n_cells + n_ghost) field the reconstruction takes."""
     vals = fn(mesh.centroid)
     if mesh.n_ghost:
         vals = np.vstack([vals, fn(mesh.ghost_centroid)])
-    return vals
+    return vals.T
 
 
 def linear_field(a=(2.0, -5.0, 0.5, 1.0), b=(3.0, 1.0, -2.0, 0.25)):
@@ -31,7 +32,7 @@ def bounded_irregular():
 
 
 def test_gg_zero_on_constants(periodic_mesh_irregular):
-    u = np.full((periodic_mesh_irregular.n_cells, 4), 2.3)
+    u = np.full((4, periodic_mesh_irregular.n_cells), 2.3)
     gx, gy = recon.gradient_gg(periodic_mesh_irregular, u)
     assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
 
@@ -40,13 +41,14 @@ def test_gg_first_order_on_linear_interior(bounded_irregular):
     fn, a, b = linear_field()
     u = extended_field(bounded_irregular, fn)
     gx, gy = recon.gradient_gg(bounded_irregular, u)
+    gx, gy = gx.T, gy.T
     sel = bounded_irregular.interior_mask
     h = bounded_irregular.mean_cell_length
     assert np.abs(gx[sel] - a).max() < 3.0 * np.abs(a).max() * h / h  # bounded
     # refined mesh shrinks the deviation (first-order consistency)
     fine, _ = msh.refine_uniform(bounded_irregular)
     uf = extended_field(fine, fn)
-    gxf, _ = recon.gradient_gg(fine, uf)
+    gxf = recon.gradient_gg(fine, uf)[0].T
     err_c = np.abs(gx[sel] - a).mean()
     err_f = np.abs(gxf[fine.interior_mask] - a).mean()
     assert err_f < err_c
@@ -61,22 +63,22 @@ def test_gg_exact_on_symmetric_stencil():
     fn, a, b = linear_field()
     u = extended_field(m, fn)
     gx, gy = recon.gradient_gg(m, u)
-    np.testing.assert_allclose(gx[0], a, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gy[0], b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gx[:, 0], a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gy[:, 0], b, rtol=0, atol=1e-12)
 
 
 def test_lsq_exact_on_linear(bounded_irregular):
     fn, a, b = linear_field()
     u = extended_field(bounded_irregular, fn)
     gx, gy = recon.gradient_lsq(bounded_irregular, u)
-    np.testing.assert_allclose(gx, np.tile(a, (bounded_irregular.n_cells, 1)),
+    np.testing.assert_allclose(gx.T, np.tile(a, (bounded_irregular.n_cells, 1)),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(gy, np.tile(b, (bounded_irregular.n_cells, 1)),
+    np.testing.assert_allclose(gy.T, np.tile(b, (bounded_irregular.n_cells, 1)),
                                rtol=0, atol=1e-12)
 
 
 def test_lsq_zero_on_constants(periodic_mesh_irregular):
-    u = np.full((periodic_mesh_irregular.n_cells, 4), -1.7)
+    u = np.full((4, periodic_mesh_irregular.n_cells), -1.7)
     gx, gy = recon.gradient_lsq(periodic_mesh_irregular, u)
     assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
 
@@ -84,7 +86,8 @@ def test_lsq_zero_on_constants(periodic_mesh_irregular):
 def test_lsq_matches_dense_normal_equation_oracle(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
-    gx, gy = recon.gradient_lsq(m, u)
+    gx, gy = recon.gradient_lsq(m, u.T)
+    gx, gy = gx.T, gy.T
     for cell in rng.integers(0, m.n_cells, 12):
         A = np.zeros((2, 2))
         rhs = np.zeros((2, 4))
@@ -104,8 +107,8 @@ def test_shift_invariance(periodic_mesh_irregular, rng):
     u = rng.normal(size=(m.n_cells, 4))
     # constant cancellation (the shift itself rounds u at machine epsilon)
     for grad_fn in (recon.gradient_lsq, recon.gradient_gg):
-        gx0, gy0 = grad_fn(m, u)
-        gx1, gy1 = grad_fn(m, u + 2.0)
+        gx0, gy0 = grad_fn(m, u.T)
+        gx1, gy1 = grad_fn(m, u.T + 2.0)
         assert np.abs(gx1 - gx0).max() < 1e-13
         assert np.abs(gy1 - gy0).max() < 1e-13
 
@@ -128,14 +131,14 @@ def test_rotation_equivariance(rng):
         gx1, gy1 = grad_fn(m1, u1)
         gx2, gy2 = grad_fn(m2, u2)
         for c in range(4):
-            expected = np.column_stack([gx1[:, c], gy1[:, c]]) @ rot.T
-            got = np.column_stack([gx2[:, c], gy2[:, c]])
+            expected = np.column_stack([gx1[c], gy1[c]]) @ rot.T
+            got = np.column_stack([gx2[c], gy2[c]])
             np.testing.assert_allclose(got, expected, atol=1e-11)
 
 
 def test_limiter_one_on_constant(periodic_mesh_small):
     m = periodic_mesh_small
-    u = np.full((m.n_cells, 4), 0.9)
+    u = np.full((4, m.n_cells), 0.9)
     grad = recon.gradient_lsq(m, u)
     phi = recon.venkat_limiter(m, u, grad)
     assert (phi == 1.0).all()
@@ -145,30 +148,30 @@ def test_limiter_near_one_on_monotone_linear(periodic_mesh_small):
     m = periodic_mesh_small
     # gentle monotone data, far from extrema on interior cells
     fn, a, b = linear_field(a=(0.1, 0.1, 0.1, 0.1), b=(0.05,) * 4)
-    u = fn(m.centroid)
+    u = fn(m.centroid).T
     # periodic wrap creates jumps; restrict the check to cells away from it
     grad = recon.gradient_lsq(m, u)
     phi = recon.venkat_limiter(m, u, grad)
     inner = ((m.centroid[:, 0] > 0.25) & (m.centroid[:, 0] < 0.75)
              & (m.centroid[:, 1] > 0.25) & (m.centroid[:, 1] < 0.75))
-    assert phi[inner].min() >= 0.99
+    assert phi[:, inner].min() >= 0.99
 
 
 def test_limiter_cuts_overshoot_at_local_max(periodic_mesh_small):
     m = periodic_mesh_small
-    u = np.zeros((m.n_cells, 4))
+    u = np.zeros((4, m.n_cells))
     cell = int(np.argmin(np.hypot(*(m.centroid - 0.5).T)))
-    u[cell] = 1.0
-    gx = np.zeros((m.n_cells, 4))
-    gy = np.zeros((m.n_cells, 4))
-    gx[cell] = 50.0  # large artificial slope at the peak
+    u[:, cell] = 1.0
+    gx = np.zeros((4, m.n_cells))
+    gy = np.zeros((4, m.n_cells))
+    gx[:, cell] = 50.0  # large artificial slope at the peak
     phi = recon.venkat_limiter(m, u, (gx, gy))
-    assert phi[cell].max() < 0.5
+    assert phi[:, cell].max() < 0.5
 
 
 def test_limiter_bounds_and_clip(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
-    u = rng.normal(size=(m.n_cells, 4))
+    u = rng.normal(size=(m.n_cells, 4)).T
     grad = recon.gradient_lsq(m, u)
     phi = recon.venkat_limiter(m, u, grad)
     assert (phi >= 0.0).all() and (phi <= 1.0).all()
@@ -178,15 +181,16 @@ def test_limited_reconstruction_bounded_by_neighbors(rng, periodic_mesh_irregula
     """u_face stays within [min, max] of the stencil up to the omega slack."""
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
-    grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, grad, k_limiter=5.0)
-    gx, gy = grad
+    grad = recon.gradient_lsq(m, u.T)
+    phi = recon.venkat_limiter(m, u.T, grad, k_limiter=5.0).T
+    gx, gy = grad[0].T, grad[1].T
     omega = (5.0 * np.sqrt(m.area)) ** 3
     u_nb = u[m.nbr]
     u_max = np.maximum(u_nb.max(axis=1), u)
     u_min = np.minimum(u_nb.min(axis=1), u)
-    delta = (m.cell_foff[:, :, 0:1] * gx[:, None, :]
-             + m.cell_foff[:, :, 1:2] * gy[:, None, :])
+    off = m.cell_foff.T
+    delta = (off[:, :, 0:1] * gx[:, None, :]
+             + off[:, :, 1:2] * gy[:, None, :])
     incr = phi[:, None, :] * delta
     uf = u[:, None, :] + incr
     slack = omega[:, None, None] / (2.0 * np.maximum(np.abs(delta), 1e-300))
@@ -201,9 +205,9 @@ def test_muscl_first_order_when_phi_zero(rng, periodic_mesh_small):
 
     m = periodic_mesh_small
     u = random_admissible_prim(rng, m.n_cells)
-    grad = recon.gradient_lsq(m, u)
-    u_l, u_r, nfb = recon.muscl_face_values(m, u, grad, np.zeros((m.n_cells, 4)))
-    np.testing.assert_allclose(u_l, u[m.f_left], atol=0, rtol=0)
+    grad = recon.gradient_lsq(m, u.T)
+    u_l, u_r, nfb = recon.muscl_face_values(m, u.T, grad, np.zeros((4, m.n_cells)))
+    np.testing.assert_allclose(u_l.T, u[m.f_left], atol=0, rtol=0)
     assert nfb == 0
 
 
@@ -214,8 +218,9 @@ def test_muscl_exact_on_linear_both_sides(bounded_irregular):
     fn2 = lambda pts: fn(pts) + 4.0
     u = extended_field(m, fn2)
     grad = recon.gradient_lsq(m, u)
-    phi = np.ones((m.n_cells, 4))
+    phi = np.ones((4, m.n_cells))
     u_l, u_r, nfb = recon.muscl_face_values(m, u, grad, phi)
+    u_l, u_r = u_l.T, u_r.T
     expect = fn2(m.f_mid)
     np.testing.assert_allclose(u_l, expect, atol=1e-12)
     ifc = m.n_iface
@@ -226,28 +231,29 @@ def test_muscl_exact_on_linear_both_sides(bounded_irregular):
 
 def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
     m = periodic_mesh_small
-    u = np.full((m.n_cells, 4), 1.0)
-    u[:, 0] = 0.01  # thin density: overshoot goes negative quickly
-    gx = np.zeros((m.n_cells, 4))
-    gy = np.zeros((m.n_cells, 4))
+    u = np.full((4, m.n_cells), 1.0)
+    u[0] = 0.01  # thin density: overshoot goes negative quickly
+    gx = np.zeros((4, m.n_cells))
+    gy = np.zeros((4, m.n_cells))
     cell = 7
-    gx[cell, 0] = 10.0
+    gx[0, cell] = 10.0
     u_l, u_r, nfb = recon.muscl_face_values(m, u, (gx, gy),
-                                            np.ones((m.n_cells, 4)))
+                                            np.ones((4, m.n_cells)))
     assert nfb >= 1
-    assert (u_l[:, 0] > 0).all() and (u_r[:, 0] > 0).all()
+    assert (u_l[0] > 0).all() and (u_r[0] > 0).all()
 
 
 # ---------------------------------------------------------------------------
-# the stencil contractions against their broadcast-and-sum formulas: the
-# reductions run in the same order, so the results must be bitwise equal
+# the stencil contractions against their broadcast-and-sum formulas, written
+# on (N, 3, 4) cell-first arrays: the reductions run in the same order, so
+# the results must be bitwise equal
 # ---------------------------------------------------------------------------
 
 def _broadcast_gradients(m, u_ext, alpha):
     n = m.n_cells
     u, u_nb = u_ext[:n], u_ext[m.nbr]
     face_val = (0.5 + alpha) * u[:, None, :] + (0.5 - alpha) * u_nb
-    ns = m.cell_sn
+    ns = m.cell_sn.T
     inv_area = (1.0 / m.area)[:, None]
     gg = (np.sum(face_val * ns[:, :, 0:1], axis=1) * inv_area,
           np.sum(face_val * ns[:, :, 1:2], axis=1) * inv_area)
@@ -266,7 +272,7 @@ def _two_branch_limiter(m, u_ext, grad, k):
     u, u_nb = u_ext[:n], u_ext[m.nbr]
     u_max = np.maximum(np.maximum(np.maximum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2]), u)
     u_min = np.minimum(np.minimum(np.minimum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2]), u)
-    off = m.cell_foff
+    off = m.cell_foff.T
     delta = off[:, :, 0:1] * grad[0][:, None, :] + off[:, :, 1:2] * grad[1][:, None, :]
     omega = ((k * np.sqrt(m.area)) ** 3)[:, None, None]
     b = np.where(delta == 0.0, 1.0, delta)
@@ -287,14 +293,14 @@ def test_stencil_contractions_bitwise_equal_broadcast_sums(rng, periodic_mesh_ir
     u_ext = rng.normal(size=(m.n_cells + m.n_ghost, 4))
     for alpha in (np.zeros((m.n_cells, 3, 4)), rng.uniform(-0.4, 0.4, (m.n_cells, 3, 4))):
         gg, lsq = _broadcast_gradients(m, u_ext, alpha)
-        for got, want in ((recon.gradient_gg(m, u_ext, alpha=alpha), gg),
-                          (recon.gradient_lsq(m, u_ext, alpha=alpha), lsq)):
-            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
-    for gx, gy in (recon.gradient_lsq(m, u_ext), recon.gradient_gg(m, u_ext)):
-        gx[::5], gy[::5] = 0.0, 0.0   # faces with delta == 0
+        for got, want in ((recon.gradient_gg(m, u_ext.T, alpha=alpha.T), gg),
+                          (recon.gradient_lsq(m, u_ext.T, alpha=alpha.T), lsq)):
+            assert (got[0].T == want[0]).all() and (got[1].T == want[1]).all()
+    for gx, gy in (recon.gradient_lsq(m, u_ext.T), recon.gradient_gg(m, u_ext.T)):
+        gx[:, ::5], gy[:, ::5] = 0.0, 0.0   # faces with delta == 0
         grad = (gx, gy)
-        phi = recon.venkat_limiter(m, u_ext, grad, 5.0)
+        phi = recon.venkat_limiter(m, u_ext.T, grad, 5.0)
         assert (phi == 1.0).any() and (phi < 1.0).any()
-        assert (phi == _two_branch_limiter(m, u_ext, grad, 5.0)).all()
-        u_nb = recon.neighbor_values(m, u_ext)
-        assert (recon.venkat_limiter(m, u_ext, grad, 5.0, u_nb=u_nb) == phi).all()
+        assert (phi.T == _two_branch_limiter(m, u_ext, (gx.T, gy.T), 5.0)).all()
+        u_nb = recon.neighbor_values(m, u_ext.T)
+        assert (recon.venkat_limiter(m, u_ext.T, grad, 5.0, u_nb=u_nb) == phi).all()

@@ -113,13 +113,13 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     reconstructed face states, i.e. the wave speed the flux dissipates with."""
     gas = GasModel()
     cfg = solver.StepConfig(co=CO, gradient="lsq")
-    _, diag = solver.residual(mesh, w0, cfg, {})
-    u = cons_to_prim(w0, gas)
+    _, diag = solver.residual(mesh, w0.T, cfg, {})
+    u = cons_to_prim(w0, gas).T
     grad = recon.gradient_lsq(mesh, u)
     phi = recon.venkat_limiter(mesh, u, grad, cfg.limiter_k)
     u_l, u_r, _ = recon.muscl_face_values(mesh, u, grad, phi)
-    s = np.maximum(max_wave_speed(prim_to_cons(u_l, gas), mesh.f_normal, gas),
-                   max_wave_speed(prim_to_cons(u_r, gas), mesh.f_normal, gas))
+    s = np.maximum(max_wave_speed(prim_to_cons(u_l.T, gas), mesh.f_normal, gas),
+                   max_wave_speed(prim_to_cons(u_r.T, gas), mesh.f_normal, gas))
     assert diag["max_wave_speed"] == float(s.max())
 
 
@@ -131,15 +131,16 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     rng = np.random.default_rng(4)
     w = prim_to_cons(cons_to_prim(w0, gas) * rng.uniform(0.8, 1.2, w0.shape), gas)
     cfg = solver.StepConfig(co=CO, gradient=mode, limiter_k=0.5)   # limiter active
-    r, _ = solver.residual(mesh, w, cfg, {})
-    u = cons_to_prim(w, gas)
+    r, _ = solver.residual(mesh, w.T, cfg, {})
+    r = r.T
+    u = cons_to_prim(w, gas).T
     grad = recon.gradient_lsq(mesh, u) if mode == "lsq" else recon.gradient_gg(mesh, u)
     phi = recon.venkat_limiter(mesh, u, grad, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
     u_l, u_r, _ = recon.muscl_face_values(mesh, u, grad, phi)
-    flux, _ = solver.rusanov_flux(prim_to_cons(u_l, gas), prim_to_cons(u_r, gas),
-                                  mesh.f_normal, gas)
-    contrib = flux * mesh.f_len[:, None]
+    flux, _ = solver.rusanov_flux(prim_to_cons(u_l.T, gas).T, prim_to_cons(u_r.T, gas).T,
+                                  mesh.f_normal.T, gas)
+    contrib = flux.T * mesh.f_len[:, None]
     expect = np.zeros_like(r)
     for f, cell in enumerate(mesh.f_left):
         expect[cell] += contrib[f]
@@ -234,12 +235,12 @@ def test_rusanov_flux_matches_the_textbook_formula(rng, gas):
     s = np.maximum(max_wave_speed(w_l, n, gas), max_wave_speed(w_r, n, gas))
     expect = (0.5 * (physical_flux(w_l, n, gas) + physical_flux(w_r, n, gas))
               - 0.5 * s[:, None] * (w_r - w_l))
-    flux, s_out = solver.rusanov_flux(w_l, w_r, n, gas)
+    flux, s_out = solver.rusanov_flux(w_l.T, w_r.T, n.T, gas)
     assert (s_out == s).all()
-    np.testing.assert_allclose(flux, expect, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(flux.T, expect, rtol=1e-14, atol=1e-14)
     # consistency: equal states give the physical flux
-    same, _ = solver.rusanov_flux(w_l, w_l, n, gas)
-    np.testing.assert_allclose(same, physical_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
+    same, _ = solver.rusanov_flux(w_l.T, w_l.T, n.T, gas)
+    np.testing.assert_allclose(same.T, physical_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("family", train.FAMILIES)

@@ -1,0 +1,59 @@
+"""The benchmark's tracer against the package: every wrapped name resolves,
+and the spans and hook values the per-layer metrics read are recorded."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fvgrad import mesh as msh
+from fvgrad import solver, train
+from fvgrad.euler import GasModel, prim_to_cons
+from conftest import smooth_prim_field
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _import_tracing():
+    """perfbench/tracing.py through sys.path, writing no bytecode cache there."""
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        import tracing
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+    return tracing
+
+
+def test_tracer_records_the_spans_and_hook_values_of_a_step_and_a_train_call(seeded_params):
+    tracing = _import_tracing()
+    tracer = tracing.Tracer()     # resolves every TARGETS entry
+    mesh = msh.periodic_structured_mesh(6)
+    gas = GasModel()
+    w0 = prim_to_cons(smooth_prim_field(mesh.centroid), gas)
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    dt = solver.compute_dt(mesh, cfg)
+    plain = solver.StepConfig(co=0.03, gradient="lsq")
+    frames = np.stack([w0] + [w for _, w, _ in solver.march(mesh, w0, dt, 2, plain, {})])
+    traj = train.Trajectory(family="f1", frames=frames, ic_params={})
+
+    original = solver.residual
+    with tracer.active():
+        solver.step_explicit_euler(mesh, w0, dt, cfg, {}, seeded_params)
+        result = train.train(mesh, cfg, [traj], [], train.TrainConfig(epochs=1, batch_size=2),
+                             init=seeded_params)
+    assert not result.aborted
+    assert solver.residual is original   # the wrappers are removed again
+
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span[tracing.NAME], []).append(span[tracing.INFO])
+    for name in ("solver.residual", "recon.venkat_limiter", "mlcorr.masked_alpha",
+                 "autodiff.take_rows", "autodiff.segment_sum", "autodiff.Tape.backward"):
+        assert name in spans, name
+    for name in ("solver.residual", "recon.venkat_limiter", "autodiff.take_rows",
+                 "autodiff.segment_sum", "autodiff.Tape.backward"):
+        for info in spans[name]:
+            assert info and all(np.isfinite(v) for v in info.values()), (name, info)
