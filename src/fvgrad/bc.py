@@ -2,12 +2,13 @@
 
 Each non-periodic boundary face owns one ghost slot; the ghost state is a
 primitive-variable function of the interior state and the outward normal.
-``ghost_state`` takes states with a trailing component axis, (..., 4);
-``ghost_rows`` and ``extend_with_ghosts`` work on the solver's (4, n)
-fields, cell axis last.
 Periodic faces never reach this layer (the mesh merges them into interior
 faces).  Ghost states that come out non-admissible are clamped to a small
 positive floor and counted.
+
+``ghost_state`` takes states with a trailing component axis, (..., 4);
+``ghost_rows`` and ``extend_with_ghosts`` work on the solver's (4, n)
+fields, cell axis last.
 """
 
 from dataclasses import dataclass
