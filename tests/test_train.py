@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
+from fvgrad import bench, recon, solver, train
 from fvgrad import mesh as msh
-from fvgrad import recon, solver, train
-from fvgrad.euler import prim_to_cons
+from fvgrad.euler import cons_to_prim, prim_to_cons
+from conftest import smooth_prim_field
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +52,30 @@ def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
     assert len(result.history) == 2
     assert all(np.isfinite(row["total"]) for row in result.history)
     assert np.isfinite(result.params.values).all()
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of one ml_lsq sample's (loss, gradient), recorded before
+# the tape kept its first adjoints uncopied and was freed on return
+SAMPLE_GRADIENT_DIGESTS = {
+    "periodic_structured_6": ("9e98fd404f5be0f8", "14e3e9974e35cecf"),
+    "forward_step_0.2": ("f52a1516079a61fd", "d185545fa3dbbc60"),
+}
+
+
+def test_sample_gradient_digests(gas, seeded_params):
+    meshes = {"periodic_structured_6": (msh.periodic_structured_mesh(6), {}),
+              "forward_step_0.2": bench.forward_step_mesh(0.2)}
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    plain = solver.StepConfig(co=0.03, gradient="lsq")
+    for name, (m, bc_table) in meshes.items():
+        w0 = prim_to_cons(smooth_prim_field(m.centroid), gas)
+        dt = solver.compute_dt(m, cfg)
+        w_ref, _ = solver.step_explicit_euler(m, w0, dt, plain, bc_table)
+        loss, grad, _ = train._sample_loss(m, dt, cfg, bc_table, seeded_params, w0,
+                                           cons_to_prim(w_ref, gas), train.LossWeights(), gas)
+        assert grad.shape == seeded_params.values.shape
+        assert (_digest(np.float64(loss)), _digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
