@@ -89,10 +89,13 @@ class Var:
         tape.nodes.append(self)
 
     def _acc(self, g):
+        # the first adjoint is kept as given (it may be shared: add passes one
+        # g to both operands, reshape and transpose pass views), so later
+        # adjoints form a fresh sum and never write into it
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     @property
     def shape(self):
@@ -629,13 +632,18 @@ def record_and_backprop(program, params):
     execution path with respect to every entry of ``params``.
     """
     tape = Tape()
-    p = tape.var(params)
-    out = program(p)
-    if not isinstance(out, Var) or out.value.size != 1:
-        raise TypeError("program must return a scalar traced value")
-    tape.backward([(out, np.array(1.0))])
-    grad = p.grad if p.grad is not None else np.zeros_like(p.value)
-    return float(out.value), grad
+    try:
+        p = tape.var(params)
+        out = program(p)
+        if not isinstance(out, Var) or out.value.size != 1:
+            raise TypeError("program must return a scalar traced value")
+        tape.backward([(out, np.array(1.0))])
+        grad = p.grad if p.grad is not None else np.zeros_like(p.value)
+        return float(out.value), grad
+    finally:
+        # each Var holds the tape and the tape holds every Var: dropping the
+        # list breaks that cycle, so the recording is freed on return
+        tape.nodes.clear()
 
 
 def finite_diff_grad(fn, params, rel_step=1e-6):

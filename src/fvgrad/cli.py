@@ -219,8 +219,9 @@ def build_mesh_from_config(cfg):
         except KeyError:
             raise ConfigError(f"unknown mesh.bc tag '{mc['bc']}'")
     if kind == "structured":
-        return msh.structured_mesh(mc["n"], boundary_spec=spec), None
-    return msh.irregular_mesh(mc["n"], seed=mc["seed"], boundary_spec=spec), None
+        return _checked("mesh", msh.structured_mesh, nx=mc["n"], boundary_spec=spec), None
+    return _checked("mesh", msh.irregular_mesh, n=mc["n"], seed=mc["seed"],
+                    boundary_spec=spec), None
 
 
 def default_bc_table(mesh, cfg, ic=None):

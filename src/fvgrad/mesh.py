@@ -533,6 +533,8 @@ def structured_mesh(nx, ny=None, lx=1.0, ly=1.0, boundary_spec=None):
     """Structured-split triangulation of [0,lx] x [0,ly]: 2*nx*ny triangles."""
     if ny is None:
         ny = nx
+    if min(nx, ny) < 1:
+        raise ValueError(f"structured mesh needs nx, ny >= 1, got {nx}, {ny}")
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -560,6 +562,8 @@ def irregular_mesh(n, seed=0, lx=1.0, ly=1.0, jitter=0.35, boundary_spec=None):
     """
     from scipy.spatial import Delaunay
 
+    if n < 1:
+        raise ValueError(f"irregular mesh needs n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, lx, n + 1)
     ys = np.linspace(0.0, ly, n + 1)

@@ -80,12 +80,14 @@ def test_bad_alpha_max_is_config_error(run):
     ("bench", {**SMALL, "bench": {"kind": "study", "levels": [4, 6]}}),
     ("bench", {**SMALL, "bench": {"kind": "study", "cases": []}}),
     ("bench", {**SMALL, "bench": {"kind": "study", "repeats": 0}}),
+    ("mesh", {"mesh": {"kind": "structured", "n": 0}}),
+    ("simulate", {"mesh": {"kind": "irregular", "n": 0}, "simulate": {"n_steps": 1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "bench_record_every_zero",
         "bench_n_steps_zero", "bench_unknown_case", "bench_n_zero", "bench_no_cases",
         "study_two_levels", "study_no_cases",
-        "study_zero_repeats"])
+        "study_zero_repeats", "mesh_n_zero", "simulate_irregular_n_zero"])
 def test_out_of_range_value_is_config_error(run, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
 
