@@ -32,6 +32,16 @@ broadcast temporary.
 
 All values and adjoints are float64.  Recording the same program twice
 yields bitwise-identical gradients.
+
+Lifetime.  Each ``Var`` holds its ``Tape`` and the tape's ``nodes`` list holds
+every ``Var``, a reference cycle.  ``record_and_backprop`` owns its tape and
+clears ``nodes`` when it returns or raises, so the sample's values, adjoints
+and closures are freed by reference counting, without waiting for the cyclic
+collector.  A ``Tape`` you build yourself lives as long as you hold it.
+A node keeps the first adjoint it receives as given, so one adjoint array may
+be shared between nodes (``add`` passes one ``g`` to both operands,
+``reshape`` and ``transpose`` pass views, a seed is the caller's array):
+never write to ``.grad`` in place.
 """
 
 import numpy as np
@@ -89,9 +99,8 @@ class Var:
         tape.nodes.append(self)
 
     def _acc(self, g):
-        # the first adjoint is kept as given (it may be shared: add passes one
-        # g to both operands, reshape and transpose pass views), so later
-        # adjoints form a fresh sum and never write into it
+        # the first adjoint may be shared (module docstring), so it is kept
+        # uncopied and each later one forms a fresh sum, never written in place
         if self.grad is None:
             self.grad = np.asarray(g, dtype=np.float64)
         else:
@@ -629,7 +638,8 @@ def record_and_backprop(program, params):
     """Trace ``program(params_var)`` to a scalar and return (value, gradient).
 
     The gradient is exact reverse-mode differentiation of the recorded
-    execution path with respect to every entry of ``params``.
+    execution path with respect to every entry of ``params``.  The tape is
+    freed when the call returns or raises.
     """
     tape = Tape()
     try:
@@ -641,9 +651,7 @@ def record_and_backprop(program, params):
         grad = p.grad if p.grad is not None else np.zeros_like(p.value)
         return float(out.value), grad
     finally:
-        # each Var holds the tape and the tape holds every Var: dropping the
-        # list breaks that cycle, so the recording is freed on return
-        tape.nodes.clear()
+        tape.nodes.clear()   # breaks the Var -> Tape -> nodes cycle
 
 
 def finite_diff_grad(fn, params, rel_step=1e-6):

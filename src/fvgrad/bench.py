@@ -192,6 +192,8 @@ def forward_step_mesh(h_target=0.02):
     step corner lies on the grid).  Left inflow is supersonic, right edge
     is supersonic outflow, every other wall slips.
     """
+    if not h_target > 0:
+        raise ValueError(f"forward-step mesh needs h_target > 0, got {h_target}")
     m_div = max(1, round(0.2 / h_target))
     s = 0.2 / m_div
     nx, ny = 15 * m_div, 5 * m_div

@@ -203,7 +203,7 @@ def build_mesh_from_config(cfg):
     mc = cfg["mesh"]
     kind = mc["kind"]
     if kind == "forward_step":
-        return benchmod.forward_step_mesh(mc["h_target"])
+        return _checked("mesh", benchmod.forward_step_mesh, h_target=mc["h_target"])
     if kind == "file":
         if not mc["path"]:
             raise ConfigError("mesh.kind 'file' requires mesh.path")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ def seeded_params():
         if name == "norm_scale":
             vec[off:off + size] += 1.0
     return params.with_values(vec)
+
+
+def digest(a):
+    """sha256 prefix of an array's bytes, for pinning outputs bitwise."""
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
 def random_admissible_prim(rng, n, lo=0.3, hi=2.0, vmax=1.0):

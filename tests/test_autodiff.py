@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,64 @@ def test_recording_is_deterministic():
     l2, g2 = ad.record_and_backprop(program, p0)
     assert l1 == l2
     assert (g1 == g2).all()
+
+
+# ---------------------------------------------------------------------------
+# tape lifetime and adjoint accumulation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("program", [
+    lambda h: ad.sum(h * h),
+    lambda h: ad.sqrt(h - h),        # raises TraceError while recording
+], ids=["returns", "raises"])
+def test_record_and_backprop_frees_its_tape(program):
+    # weakrefs the program takes to its tape and to an intermediate's value
+    refs = []
+
+    def traced(p):
+        h = ad.tanh(p) * 2.0
+        refs.extend([weakref.ref(p.tape), weakref.ref(h.value)])
+        return program(h)
+
+    enabled = gc.isenabled()
+    gc.disable()        # only reference counting may free them
+    try:
+        try:
+            ad.record_and_backprop(traced, np.linspace(0.5, 1.5, 6))
+        except ad.TraceError:
+            pass
+        assert len(refs) == 2 and all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_backward_leaves_the_seed_and_the_recorded_values_unchanged():
+    # c's and a's first adjoint is the seed itself (add passes one g to both
+    # operands); a then receives c's adjoint, which must not write into it
+    tape = ad.Tape()
+    x = tape.var(X)
+    a = ad.transpose(ad.reshape(x * 2.0, (3, 4)))
+    c = a + x * 3.0
+    out = c + a
+    seed = np.arange(12.0).reshape(4, 3)
+    seed0 = seed.copy()
+    values = [v.value.copy() for v in tape.nodes]
+    tape.backward([(out, seed)])
+    assert (seed == seed0).all()
+    assert all((v.value == v0).all() for v, v0 in zip(tape.nodes, values))
+    assert (x.grad == 3.0 * seed0 + 4.0 * seed0.T.reshape(4, 3)).all()
+
+
+def test_adjoints_of_shared_operands_are_summed_exactly():
+    tape = ad.Tape()
+    x = tape.var(np.array([0.5, 1.0, 3.0]))
+    y = x * 1.0
+    outs = [ad.sum(y * 2.0), ad.sum(y * 4.0), ad.sum(y * 8.0)]   # three consumers
+    total = outs[0] + outs[1] + outs[2] + ad.sum(x * x)
+    tape.backward([(total, np.array(1.0))])
+    assert (y.grad == np.full(3, 14.0)).all()
+    assert (x.grad == 14.0 + 2.0 * x.value).all()
 
 
 # ---------------------------------------------------------------------------

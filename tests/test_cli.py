@@ -82,12 +82,15 @@ def test_bad_alpha_max_is_config_error(run):
     ("bench", {**SMALL, "bench": {"kind": "study", "repeats": 0}}),
     ("mesh", {"mesh": {"kind": "structured", "n": 0}}),
     ("simulate", {"mesh": {"kind": "irregular", "n": 0}, "simulate": {"n_steps": 1}}),
+    ("mesh", {"mesh": {"kind": "forward_step", "h_target": 0.0}}),
+    ("mesh", {"mesh": {"kind": "forward_step", "h_target": -0.1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "bench_record_every_zero",
         "bench_n_steps_zero", "bench_unknown_case", "bench_n_zero", "bench_no_cases",
         "study_two_levels", "study_no_cases",
-        "study_zero_repeats", "mesh_n_zero", "simulate_irregular_n_zero"])
+        "study_zero_repeats", "mesh_n_zero", "simulate_irregular_n_zero",
+        "mesh_h_target_zero", "mesh_h_target_negative"])
 def test_out_of_range_value_is_config_error(run, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
 

@@ -6,7 +6,7 @@ from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
                           prim_to_cons)
-from conftest import random_admissible_prim, smooth_prim_field
+from conftest import digest, random_admissible_prim, smooth_prim_field
 
 N_STEPS = 10
 CO = 0.05
@@ -266,11 +266,6 @@ def test_write_csv_formats_numpy_and_python_numbers(tmp_path):
     assert path.read_text() == "x\n"
 
 
-def _digest(a):
-    import hashlib
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
 def _digest_meshes():
     return {"periodic_irregular_8": (msh.periodic_irregular_mesh(8, seed=3), {}),
             "forward_step_0.2": bench.forward_step_mesh(0.2)}
@@ -296,4 +291,4 @@ def test_plain_step_digests(gas):
             for _, w5, _ in solver.march(m, w0, dt, 5, cfg, bc_table):
                 pass
             assert w1.shape == w5.shape == (m.n_cells, 4)
-            assert (_digest(w1), _digest(w5)) == PLAIN_STEP_DIGESTS[(name, mode)], (name, mode)
+            assert (digest(w1), digest(w5)) == PLAIN_STEP_DIGESTS[(name, mode)], (name, mode)

@@ -57,3 +57,5 @@ def test_tracer_records_the_spans_and_hook_values_of_a_step_and_a_train_call(see
                  "autodiff.segment_sum", "autodiff.Tape.backward"):
         for info in spans[name]:
             assert info and all(np.isfinite(v) for v in info.values()), (name, info)
+    # the tape is read after backward returns, so it must still hold its nodes
+    assert all(info["nodes"] > 0 for info in spans["autodiff.Tape.backward"])

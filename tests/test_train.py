@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from fvgrad import autodiff as ad
 from fvgrad import bench, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import cons_to_prim, prim_to_cons
-from conftest import smooth_prim_field
+from conftest import digest, smooth_prim_field
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +52,6 @@ def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
     assert np.isfinite(result.params.values).all()
 
 
-def _digest(a):
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-
 # sha256 prefixes of one ml_lsq sample's (loss, gradient), recorded before
 # the tape kept its first adjoints uncopied and was freed on return
 SAMPLE_GRADIENT_DIGESTS = {
@@ -78,4 +72,4 @@ def test_sample_gradient_digests(gas, seeded_params):
         loss, grad, _ = train._sample_loss(m, dt, cfg, bc_table, seeded_params, w0,
                                            cons_to_prim(w_ref, gas), train.LossWeights(), gas)
         assert grad.shape == seeded_params.values.shape
-        assert (_digest(np.float64(loss)), _digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
+        assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
