@@ -23,7 +23,9 @@ U, V, P = 1, 2, 3
 
 
 class AdmissibilityError(ValueError):
-    """State outside the admissible set (rho > 0, internal energy > 0)."""
+    """State outside the admissible set (rho > 0, internal energy > 0).
+
+    Every check is written ``~(x > 0)``, so a NaN is outside the set too."""
 
     def __init__(self, component, detail=""):
         super().__init__(f"non-admissible state: {component} {detail}".strip())
@@ -37,7 +39,7 @@ class GasModel:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
 
     @property
@@ -59,7 +61,7 @@ def is_admissible(w):
     """True iff rho > 0 and internal energy E - |m|^2/(2 rho) > 0."""
     w = ad.value_of(w)
     rho = w[..., RHO]
-    if np.any(rho <= 0.0):
+    if np.any(~(rho > 0.0)):
         return False
     e_int = w[..., EN] - 0.5 * (w[..., MX] ** 2 + w[..., MY] ** 2) / rho
     return bool(np.all(e_int > 0.0))
@@ -67,20 +69,20 @@ def is_admissible(w):
 
 def _check_prim(u):
     uv = ad.value_of(u)
-    if np.any(uv[..., RHO] <= 0.0):
-        raise AdmissibilityError("rho", "<= 0")
-    if np.any(uv[..., P] <= 0.0):
-        raise AdmissibilityError("p", "<= 0")
+    if np.any(~(uv[..., RHO] > 0.0)):
+        raise AdmissibilityError("rho", "not > 0")
+    if np.any(~(uv[..., P] > 0.0)):
+        raise AdmissibilityError("p", "not > 0")
 
 
 def _check_cons(w):
     wv = ad.value_of(w)
     rho = wv[..., RHO]
-    if np.any(rho <= 0.0):
-        raise AdmissibilityError("rho", "<= 0")
+    if np.any(~(rho > 0.0)):
+        raise AdmissibilityError("rho", "not > 0")
     e_int = wv[..., EN] - 0.5 * (wv[..., MX] ** 2 + wv[..., MY] ** 2) / rho
-    if np.any(e_int <= 0.0):
-        raise AdmissibilityError("internal_energy", "<= 0")
+    if np.any(~(e_int > 0.0)):
+        raise AdmissibilityError("internal_energy", "not > 0")
 
 
 def prim_to_cons(u, gas, check=True):

@@ -6,8 +6,9 @@ oriented left to right), per-cell neighbor tables in counter-clockwise
 order, the stencil angles between successive centroid-to-centroid
 directions, precomputed inverse least-squares normal matrices, ghost
 slots for non-periodic boundary faces, and the constants that
-reconstruction would otherwise recompute every step (MUSCL face offsets,
-Green-Gauss scaled normals, LSQ weighted offsets, 1/|C|).
+reconstruction would otherwise recompute every step (centroid-to-face
+offsets and each face's stencil slots, Green-Gauss scaled normals, LSQ
+weighted offsets, 1/|C|).
 
 Topology comes from one array-based edge numbering (``_edges``): edges are
 numbered in the order of their first half-edge, and faces, ghosts, the
@@ -29,10 +30,17 @@ Ghost cells (one layer) mirror the interior centroid across the boundary
 face; their values are synthesized per step by the boundary-condition
 layer and live at index ``n_cells + k`` of the cell axis of extended fields.
 
-The per-step constants the solver reads with every field (``f_off_l``,
-``f_off_r``, ``lsq_wd``, ``cell_foff``, ``cell_sn``) are stored with the
-cell or face axis last and contiguous, like the step's own fields; the
-topology and geometry tables keep one row per cell or face.
+The per-step constants the solver reads with every field (``lsq_wd``,
+``cell_foff``, ``cell_sn``) are stored with the cell axis last and
+contiguous, like the step's own fields; the topology and geometry tables
+keep one row per cell or face.
+
+A stencil slot is one (neighbor j, cell i) pair of a per-cell table, at flat
+index ``j * n_cells + i`` of a (..., 3, n_cells) array reshaped to
+(..., 3 * n_cells).  Every slot is one side of exactly one face: the left
+side of any face, or the right side of an interior one.  ``f_slot_l`` and
+``f_slot_r`` name each face's two slots, so a per-slot quantity (MUSCL's
+face states) reaches the faces through one gather per side.
 """
 
 import hashlib
@@ -127,8 +135,8 @@ class Mesh:
     f_mid: np.ndarray          # (F, 2) midpoint on the left side
     f_shift: np.ndarray        # (F, 2) left-midpoint minus right-midpoint (periodic)
     n_iface: int               # faces with a real cell on both sides
-    f_off_l: np.ndarray        # (2, F) left centroid -> face midpoint (MUSCL)
-    f_off_r: np.ndarray        # (2, n_iface) right centroid -> its own-side midpoint
+    f_slot_l: np.ndarray       # (F,) flat stencil slot of the left side
+    f_slot_r: np.ndarray       # (n_iface,) flat stencil slot of the right side
     # boundary faces (face ids n_iface..F-1, grouped by tag)
     b_tag: np.ndarray          # (Fb,)
     tag_slices: dict           # tag code -> slice into boundary order
@@ -263,7 +271,7 @@ def _edges(tri, n_nodes):
 
 
 def _cells_last(a):
-    """(N, ..., 2) per-cell or per-face table as a contiguous (2, ..., N) one."""
+    """(N, ..., 2) per-cell table as a contiguous (2, ..., N) one."""
     return np.ascontiguousarray(a.T)
 
 
@@ -407,9 +415,14 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     perm = perm[cells, np.argsort(ang, axis=1, kind="stable")]
     roll = (_stencil_start(dxy[cells, perm])[:, None] + np.arange(3)) % 3
     perm = perm[cells, roll]
-    nbr, dxy, cell_foff, cell_n, slen = (
-        a[cells, perm] for a in (nbr, dxy, cell_foff, cell_n, slen))
+    nbr, dxy, cell_foff, cell_n, slen, face, left = (
+        a[cells, perm] for a in (nbr, dxy, cell_foff, cell_n, slen, face, left))
     cell_sn = cell_n * slen[:, :, None]
+    slot = np.arange(3 * n_cells).reshape(3, n_cells).T      # (N, 3): j * N + i
+    f_slot_l = np.empty(F, dtype=np.int64)
+    f_slot_l[face[left]] = slot[left]
+    f_slot_r = np.empty(n_iface, dtype=np.int64)
+    f_slot_r[face[~left]] = slot[~left]
 
     nbr_dx = dxy[:, :, 0].copy()
     nbr_dy = dxy[:, :, 1].copy()
@@ -448,8 +461,7 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, centroid=centroid,
         f_left=f_left, f_right=f_right, f_normal=f_normal, f_len=f_len,
         f_mid=f_mid, f_shift=f_shift, n_iface=n_iface,
-        f_off_l=_cells_last(f_mid - centroid[f_left]),
-        f_off_r=_cells_last(f_mid[:n_iface] - f_shift[:n_iface] - centroid[f_right[:n_iface]]),
+        f_slot_l=f_slot_l, f_slot_r=f_slot_r,
         b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
         nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
         lsq_wd=_cells_last(np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2)),

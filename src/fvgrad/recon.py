@@ -63,18 +63,32 @@ def gradient_lsq(mesh, u_ext, alpha=None, du=None):
     return gx, gy
 
 
-def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0, u_nb=None):
-    """Smooth slope limiter, one value per variable and cell, clipped to [0,1].
+def face_increments(mesh, grad):
+    """(r_ij - r_i) . grad u_i per stencil slot, shape (4, 3, N).
 
-    Per face j of cell i, with a = (neighborhood max/min minus u_i) and
-    b = (r_ij - r_i) . grad u_i, the face factor is
-    L(a, b) = (a^2 + 2ab + w) / (a^2 + 2b^2 + ab), w = (K h)^3, h = sqrt(|C|);
-    a takes the max where b > 0 and the min where b < 0, so L is evaluated
-    once per face; the cell value is the minimum over its faces (1 where
-    b = 0).  ``u_nb`` reuses neighbor values the caller already gathered.
+    r_ij is the midpoint of cell i's j-th face on cell i's own side, so
+    these are the increments of the unlimited linear extrapolation; the
+    limiter and MUSCL both read them.
     """
     n = mesh.n_cells
     gx, gy = grad
+    off = mesh.cell_foff                                 # (2, 3, N)
+    return (off[0] * ad.reshape(gx, (4, 1, n))
+            + off[1] * ad.reshape(gy, (4, 1, n)))
+
+
+def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
+    """Smooth slope limiter, one value per variable and cell, clipped to [0,1].
+
+    Per face j of cell i, with a = (neighborhood max/min minus u_i) and
+    b = delta_ij = (r_ij - r_i) . grad u_i (``face_increments``), the face
+    factor is L(a, b) = (a^2 + 2ab + w) / (a^2 + 2b^2 + ab), w = (K h)^3,
+    h = sqrt(|C|); a takes the max where b > 0 and the min where b < 0, so
+    L is evaluated once per face; the cell value is the minimum over its
+    faces (1 where b = 0).  ``u_nb`` reuses neighbor values the caller
+    already gathered.
+    """
+    n = mesh.n_cells
     u = _cells(mesh, u_ext)
     if u_nb is None:
         u_nb = neighbor_values(mesh, u_ext)
@@ -83,10 +97,6 @@ def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0, u_nb=None):
     nb_max = ad.maximum(ad.maximum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2])
     u_min = ad.minimum(nb_min, u)
     u_max = ad.maximum(nb_max, u)
-
-    off = mesh.cell_foff                                 # (2, 3, N)
-    delta = (off[0] * ad.reshape(gx, (4, 1, n))
-             + off[1] * ad.reshape(gy, (4, 1, n)))
 
     omega = (k_limiter * np.sqrt(mesh.area)) ** 3
     a_max = ad.reshape(u_max - u, (4, 1, n))
@@ -104,47 +114,35 @@ def venkat_limiter(mesh, u_ext, grad, k_limiter=5.0, u_nb=None):
     return ad.minimum(ad.maximum(phi, 0.0), 1.0)
 
 
-def muscl_face_values(mesh, u_ext, grad, phi):
+def muscl_face_values(mesh, u_ext, delta, phi):
     """One-sided face states u_ij, u_ji at every face midpoint, each (4, F).
 
-    Left states come from the left cell's limited linear extrapolation; the
-    right side uses the right cell for interior faces and the ghost value
-    (first order) for boundary faces.  Cells whose extrapolation produces a
-    non-admissible face state fall back to first order (phi = 0 for that
-    cell) and are counted.
+    Each stencil slot's state is its cell's limited linear extrapolation,
+    u_i + phi_i * delta_ij, with ``delta`` from ``face_increments``.  Every
+    slot is one side of exactly one face, so the left states and the right
+    states of interior faces are gathers of the slot states through
+    ``mesh.f_slot_l`` and ``mesh.f_slot_r``; a boundary face's right state
+    is its ghost value (first order).  A cell with a non-admissible slot
+    state falls back to first order (phi = 0 for that cell) and is counted.
     """
     n = mesh.n_cells
-    gx, gy = grad
-    u = _cells(mesh, u_ext)
-    right_int = mesh.f_right[:mesh.n_iface]
+    u = ad.reshape(_cells(mesh, u_ext), (4, 1, n))
 
-    def extrapolate(cells, off, limiter):
-        incr = (off[0] * ad.take_rows(gx, cells)
-                + off[1] * ad.take_rows(gy, cells))
-        return ad.take_rows(u, cells) + ad.take_rows(limiter, cells) * incr
+    def slot_states(limiter):
+        return u + ad.reshape(limiter, (4, 1, n)) * delta
 
-    def bad_faces(states):
-        sv = ad.value_of(states)
-        return (sv[0] <= 0.0) | (sv[3] <= 0.0)
+    s = slot_states(phi)
+    sv = ad.value_of(s)
+    bad = ((sv[0] <= 0.0) | (sv[3] <= 0.0)).any(axis=0)
+    n_fallback = int(bad.sum())
+    if n_fallback:
+        phi = phi * np.where(bad, 0.0, 1.0)
+        s = slot_states(phi)
 
-    u_l = extrapolate(mesh.f_left, mesh.f_off_l, phi)
-    u_r_int = extrapolate(right_int, mesh.f_off_r, phi)
-
-    bad_l = bad_faces(u_l)
-    bad_r = bad_faces(u_r_int)
-    n_fallback = 0
-    if bad_l.any() or bad_r.any():
-        keep = np.ones(n)
-        keep[mesh.f_left[bad_l]] = 0.0
-        keep[right_int[bad_r]] = 0.0
-        n_fallback = int(n - keep.sum())
-        phi = phi * keep
-        u_l = extrapolate(mesh.f_left, mesh.f_off_l, phi)
-        u_r_int = extrapolate(right_int, mesh.f_off_r, phi)
-
+    s = ad.reshape(s, (4, 3 * n))
+    u_l = ad.take_rows(s, mesh.f_slot_l)
+    u_r = ad.take_rows(s, mesh.f_slot_r)
     if mesh.n_ghost:
         u_ghost = ad.take_rows(u_ext, mesh.f_right[mesh.n_iface:])
-        u_r = ad.concatenate([u_r_int, u_ghost], axis=1)
-    else:
-        u_r = u_r_int
+        u_r = ad.concatenate([u_r, u_ghost], axis=1)
     return u_l, u_r, n_fallback

@@ -1,8 +1,10 @@
 """Semi-discrete finite-volume residual and explicit Euler time stepping.
 
 One step: synthesize ghost states, (optionally) evaluate the correction
-network, reconstruct limited primitive gradients, extrapolate face states,
-apply the Rusanov flux, accumulate the residual and update.  The time step
+network, reconstruct primitive gradients, form each stencil slot's face
+increment once (the limiter and MUSCL share it), extrapolate the limited
+state of every slot, gather the face states from the slots, apply the
+Rusanov flux, accumulate the residual and update.  The time step
 is fixed per run, dt = co * min sqrt(|C|), so runs on a coarse mesh, its
 refinement and the corrected solver all share time instants.
 
@@ -57,10 +59,15 @@ class StepConfig:
     save_every: int = 1
 
     def __post_init__(self):
-        if self.co <= 0:
+        if not self.co > 0:
             raise ValueError("co must be positive")
         if self.gradient not in GRADIENT_MODES:
             raise ValueError(f"gradient must be one of {GRADIENT_MODES}")
+        # K = 0 is legal: omega = 0 is well defined
+        if not (np.isfinite(self.limiter_k) and self.limiter_k >= 0):
+            raise ValueError("limiter_k must be finite and >= 0")
+        if not self.save_every >= 1:
+            raise ValueError("save_every must be at least 1")
 
     @property
     def uses_network(self):
@@ -93,13 +100,15 @@ def rusanov_flux(w_l, w_r, n, gas=GasModel()):
     F = (F(w_l) + F(w_r)) / 2 - s (w_r - w_l) / 2 with s the larger of the
     two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).  States
     are (4, F) and unit normals (2, F), face axis last.  Returns (flux, s)
-    with flux (4, F) and s per face.
+    with flux (4, F) and s per face.  Each state's admissibility is checked
+    once, by ``physical_flux``.
     """
     # (F, 4) and (F, 2) views for the pointwise algebra
     wl, wr, nt = ad.transpose(w_l), ad.transpose(w_r), ad.transpose(n)
     f_l = ad.transpose(physical_flux(wl, nt, gas))
     f_r = ad.transpose(physical_flux(wr, nt, gas))
-    s = ad.maximum(max_wave_speed(wl, nt, gas), max_wave_speed(wr, nt, gas))
+    s = ad.maximum(max_wave_speed(wl, nt, gas, check=False),
+                   max_wave_speed(wr, nt, gas, check=False))
     return 0.5 * (f_l + f_r) - 0.5 * s * (w_r - w_l), s
 
 
@@ -129,13 +138,14 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
         grad = recon.gradient_gg(mesh, u_ext, alpha=alpha, u_nb=u_nb)
     else:
         grad = recon.gradient_lsq(mesh, u_ext, alpha=alpha, du=du)
+    delta = recon.face_increments(mesh, grad)
 
     if cfg.limiter:
-        phi = recon.venkat_limiter(mesh, u_ext, grad, cfg.limiter_k, u_nb=u_nb)
+        phi = recon.venkat_limiter(mesh, u_ext, delta, cfg.limiter_k, u_nb=u_nb)
     else:
         phi = np.ones((4, mesh.n_cells))
 
-    u_l, u_r, n_fallback = recon.muscl_face_values(mesh, u_ext, grad, phi)
+    u_l, u_r, n_fallback = recon.muscl_face_values(mesh, u_ext, delta, phi)
     w_l = ad.transpose(prim_to_cons(ad.transpose(u_l), gas, check=False))
     w_r = ad.transpose(prim_to_cons(ad.transpose(u_r), gas, check=False))
 
@@ -170,7 +180,7 @@ def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
     wv = ad.value_of(w_next)
     rho = wv[0]
     e_int = wv[3] - 0.5 * (wv[1] ** 2 + wv[2] ** 2) / np.where(rho > 0, rho, 1.0)
-    bad = (rho <= 0.0) | (e_int <= 0.0)
+    bad = ~((rho > 0.0) & (e_int > 0.0))       # NaN is rejected too
     if bad.any():
         raise SolverError("step rejected: non-admissible update",
                           cell=int(np.argmax(bad)), step=step_index)

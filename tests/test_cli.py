@@ -84,13 +84,19 @@ def test_bad_alpha_max_is_config_error(run):
     ("simulate", {"mesh": {"kind": "irregular", "n": 0}, "simulate": {"n_steps": 1}}),
     ("mesh", {"mesh": {"kind": "forward_step", "h_target": 0.0}}),
     ("mesh", {"mesh": {"kind": "forward_step", "h_target": -0.1}}),
+    ("simulate", {**SMALL, "step": {"save_every": 0}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "step": {"limiter_k": float("nan")}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "step": {"limiter_k": -5.0}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "step": {"co": float("nan")}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "step": {"gamma": float("nan")}, "simulate": {"n_steps": 1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "bench_record_every_zero",
         "bench_n_steps_zero", "bench_unknown_case", "bench_n_zero", "bench_no_cases",
         "study_two_levels", "study_no_cases",
         "study_zero_repeats", "mesh_n_zero", "simulate_irregular_n_zero",
-        "mesh_h_target_zero", "mesh_h_target_negative"])
+        "mesh_h_target_zero", "mesh_h_target_negative", "step_save_every_zero",
+        "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan"])
 def test_out_of_range_value_is_config_error(run, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
 
@@ -118,6 +124,16 @@ def test_numeric_errors_exit_numeric(run, monkeypatch, exc):
 
     monkeypatch.setattr(cli, "cmd_mesh", fail)
     assert run("mesh", SMALL) == cli.EXIT_NUMERIC
+
+
+def test_nan_initial_state_exits_numeric(run):
+    cfg = {**SMALL, "simulate": {"ic": "constant:nan,0,0,1", "n_steps": 1}}
+    assert run("simulate", cfg) == cli.EXIT_NUMERIC
+
+
+def test_limiter_k_zero_is_legal(run):
+    cfg = {**SMALL, "step": {"limiter_k": 0.0}, "simulate": {"n_steps": 2}}
+    assert run("simulate", cfg) == cli.EXIT_OK
 
 
 def test_numeric_error_inside_a_bench_run_exits_numeric(run, monkeypatch):

@@ -114,9 +114,25 @@ def test_is_admissible_cases(gas):
     assert not euler.is_admissible(np.array([2.0, 2.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("component", [0, 3], ids=["rho", "energy"])
+def test_nan_states_are_not_admissible(gas, component):
+    """Every check reads ~(x > 0): x <= 0 is False for NaN and would let it pass."""
+    w = euler.prim_to_cons(np.array([[1.0, 0.2, -0.1, 2.5]] * 3), gas)
+    w[1, component] = np.nan
+    assert not euler.is_admissible(w)
+    with pytest.raises(AdmissibilityError):
+        euler.cons_to_prim(w, gas)
+    u = np.array([[1.0, 0.2, -0.1, 2.5]] * 3)
+    u[1, component] = np.nan
+    with pytest.raises(AdmissibilityError):
+        euler.prim_to_cons(u, gas)
+
+
 def test_gas_model_validation():
     with pytest.raises(ValueError):
         GasModel(gamma=1.0)
+    with pytest.raises(ValueError):
+        GasModel(gamma=np.nan)
 
 
 def test_entropy_pair_compatibility_smooth_advection(gas):

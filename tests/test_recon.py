@@ -140,7 +140,7 @@ def test_limiter_one_on_constant(periodic_mesh_small):
     m = periodic_mesh_small
     u = np.full((4, m.n_cells), 0.9)
     grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, grad)
+    phi = recon.venkat_limiter(m, u, recon.face_increments(m, grad))
     assert (phi == 1.0).all()
 
 
@@ -151,7 +151,7 @@ def test_limiter_near_one_on_monotone_linear(periodic_mesh_small):
     u = fn(m.centroid).T
     # periodic wrap creates jumps; restrict the check to cells away from it
     grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, grad)
+    phi = recon.venkat_limiter(m, u, recon.face_increments(m, grad))
     inner = ((m.centroid[:, 0] > 0.25) & (m.centroid[:, 0] < 0.75)
              & (m.centroid[:, 1] > 0.25) & (m.centroid[:, 1] < 0.75))
     assert phi[:, inner].min() >= 0.99
@@ -165,7 +165,7 @@ def test_limiter_cuts_overshoot_at_local_max(periodic_mesh_small):
     gx = np.zeros((4, m.n_cells))
     gy = np.zeros((4, m.n_cells))
     gx[:, cell] = 50.0  # large artificial slope at the peak
-    phi = recon.venkat_limiter(m, u, (gx, gy))
+    phi = recon.venkat_limiter(m, u, recon.face_increments(m, (gx, gy)))
     assert phi[:, cell].max() < 0.5
 
 
@@ -173,7 +173,7 @@ def test_limiter_bounds_and_clip(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4)).T
     grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, grad)
+    phi = recon.venkat_limiter(m, u, recon.face_increments(m, grad))
     assert (phi >= 0.0).all() and (phi <= 1.0).all()
 
 
@@ -182,7 +182,7 @@ def test_limited_reconstruction_bounded_by_neighbors(rng, periodic_mesh_irregula
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
     grad = recon.gradient_lsq(m, u.T)
-    phi = recon.venkat_limiter(m, u.T, grad, k_limiter=5.0).T
+    phi = recon.venkat_limiter(m, u.T, recon.face_increments(m, grad), k_limiter=5.0).T
     gx, gy = grad[0].T, grad[1].T
     omega = (5.0 * np.sqrt(m.area)) ** 3
     u_nb = u[m.nbr]
@@ -206,7 +206,8 @@ def test_muscl_first_order_when_phi_zero(rng, periodic_mesh_small):
     m = periodic_mesh_small
     u = random_admissible_prim(rng, m.n_cells)
     grad = recon.gradient_lsq(m, u.T)
-    u_l, u_r, nfb = recon.muscl_face_values(m, u.T, grad, np.zeros((4, m.n_cells)))
+    u_l, u_r, nfb = recon.muscl_face_values(m, u.T, recon.face_increments(m, grad),
+                                            np.zeros((4, m.n_cells)))
     np.testing.assert_allclose(u_l.T, u[m.f_left], atol=0, rtol=0)
     assert nfb == 0
 
@@ -219,7 +220,7 @@ def test_muscl_exact_on_linear_both_sides(bounded_irregular):
     u = extended_field(m, fn2)
     grad = recon.gradient_lsq(m, u)
     phi = np.ones((4, m.n_cells))
-    u_l, u_r, nfb = recon.muscl_face_values(m, u, grad, phi)
+    u_l, u_r, nfb = recon.muscl_face_values(m, u, recon.face_increments(m, grad), phi)
     u_l, u_r = u_l.T, u_r.T
     expect = fn2(m.f_mid)
     np.testing.assert_allclose(u_l, expect, atol=1e-12)
@@ -237,7 +238,7 @@ def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
     gy = np.zeros((4, m.n_cells))
     cell = 7
     gx[0, cell] = 10.0
-    u_l, u_r, nfb = recon.muscl_face_values(m, u, (gx, gy),
+    u_l, u_r, nfb = recon.muscl_face_values(m, u, recon.face_increments(m, (gx, gy)),
                                             np.ones((4, m.n_cells)))
     assert nfb >= 1
     assert (u_l[0] > 0).all() and (u_r[0] > 0).all()
@@ -298,9 +299,9 @@ def test_stencil_contractions_bitwise_equal_broadcast_sums(rng, periodic_mesh_ir
             assert (got[0].T == want[0]).all() and (got[1].T == want[1]).all()
     for gx, gy in (recon.gradient_lsq(m, u_ext.T), recon.gradient_gg(m, u_ext.T)):
         gx[:, ::5], gy[:, ::5] = 0.0, 0.0   # faces with delta == 0
-        grad = (gx, gy)
-        phi = recon.venkat_limiter(m, u_ext.T, grad, 5.0)
+        delta = recon.face_increments(m, (gx, gy))
+        phi = recon.venkat_limiter(m, u_ext.T, delta, 5.0)
         assert (phi == 1.0).any() and (phi < 1.0).any()
         assert (phi.T == _two_branch_limiter(m, u_ext, (gx.T, gy.T), 5.0)).all()
         u_nb = recon.neighbor_values(m, u_ext.T)
-        assert (recon.venkat_limiter(m, u_ext.T, grad, 5.0, u_nb=u_nb) == phi).all()
+        assert (recon.venkat_limiter(m, u_ext.T, delta, 5.0, u_nb=u_nb) == phi).all()

@@ -108,6 +108,22 @@ def test_march_passes_traced_states_through(mesh, w0, seeded_params, mode):
         assert p.grad is not None and np.abs(p.grad).max() > 0
 
 
+def test_step_rejects_a_nan_update_naming_the_cell(mesh, w0, monkeypatch):
+    real = solver.residual
+
+    def nan_at_cell_5(*args, **kwargs):
+        r, diag = real(*args, **kwargs)
+        r = r.copy()
+        r[2, 5] = np.nan
+        return r, diag
+
+    monkeypatch.setattr(solver, "residual", nan_at_cell_5)
+    cfg = solver.StepConfig(co=CO, gradient="lsq")
+    with pytest.raises(solver.SolverError) as err:
+        solver.step_explicit_euler(mesh, w0, solver.compute_dt(mesh, cfg), cfg, {})
+    assert err.value.cell == 5
+
+
 def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     """diag["max_wave_speed"] is max over faces of max(|v.n| + c) of the two
     reconstructed face states, i.e. the wave speed the flux dissipates with."""
@@ -116,8 +132,9 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     _, diag = solver.residual(mesh, w0.T, cfg, {})
     u = cons_to_prim(w0, gas).T
     grad = recon.gradient_lsq(mesh, u)
-    phi = recon.venkat_limiter(mesh, u, grad, cfg.limiter_k)
-    u_l, u_r, _ = recon.muscl_face_values(mesh, u, grad, phi)
+    delta = recon.face_increments(mesh, grad)
+    phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
+    u_l, u_r, _ = recon.muscl_face_values(mesh, u, delta, phi)
     s = np.maximum(max_wave_speed(prim_to_cons(u_l.T, gas), mesh.f_normal, gas),
                    max_wave_speed(prim_to_cons(u_r.T, gas), mesh.f_normal, gas))
     assert diag["max_wave_speed"] == float(s.max())
@@ -135,9 +152,10 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     r = r.T
     u = cons_to_prim(w, gas).T
     grad = recon.gradient_lsq(mesh, u) if mode == "lsq" else recon.gradient_gg(mesh, u)
-    phi = recon.venkat_limiter(mesh, u, grad, cfg.limiter_k)
+    delta = recon.face_increments(mesh, grad)
+    phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
-    u_l, u_r, _ = recon.muscl_face_values(mesh, u, grad, phi)
+    u_l, u_r, _ = recon.muscl_face_values(mesh, u, delta, phi)
     flux, _ = solver.rusanov_flux(prim_to_cons(u_l.T, gas).T, prim_to_cons(u_r.T, gas).T,
                                   mesh.f_normal.T, gas)
     contrib = flux.T * mesh.f_len[:, None]
