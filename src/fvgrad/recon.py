@@ -8,6 +8,12 @@ face states (4, n_faces).  A gradient is a (gx, gy) pair.  The optional
 ``alpha`` argument (per-variable, per-neighbor, per-cell coefficients,
 (4, 3, n_cells)) applies the learned correction; ``alpha=None`` is the plain
 scheme and ``alpha == 0`` reproduces it bitwise.
+
+One entry of a stencil array belongs to a stencil slot, neighbor j of cell i
+(see ``mesh``), and each slot is one side of one face.  The step forms the
+face increments (r_ij - r_i) . grad u_i once per slot (``face_increments``);
+the limiter reads them, and MUSCL extrapolates each slot's limited state and
+gathers the face states from the slots.
 """
 
 import numpy as np

@@ -338,3 +338,41 @@ def test_boundary_faces_without_a_tag_are_rejected():
         msh.build_mesh(nodes, tris, BoundarySpec(rules=[]))
     with pytest.raises(MeshError, match=r"boundary edge \(0, 1\) has no entry"):
         msh.build_mesh(nodes, tris, BoundarySpec.from_edge_table({(1, 2): (5, 0)}))
+
+
+# ---------------------------------------------------------------------------
+# stencil slots: slot j * N + i is neighbor j of cell i, and every slot is
+# one side of exactly one face
+# ---------------------------------------------------------------------------
+
+SLOT_MESHES = {
+    "periodic_structured_27": lambda: msh.periodic_structured_mesh(27),
+    "periodic_irregular_27": lambda: msh.periodic_irregular_mesh(27),
+    "periodic_irregular_100": lambda: msh.periodic_irregular_mesh(100),
+    "structured_8": lambda: msh.structured_mesh(8),
+    "forward_step_0.02": lambda: bench.forward_step_mesh(0.02)[0],
+    "forward_step_0.1": lambda: bench.forward_step_mesh(0.1)[0],
+    "slip_wall_structured_6": lambda: msh.structured_mesh(
+        6, boundary_spec=BoundarySpec.uniform("slip_wall")),
+    "refined_irregular_6": lambda: msh.refine_uniform(msh.irregular_mesh(6, seed=5))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_MESHES))
+def test_face_slots_cover_every_stencil_slot_once(name):
+    m = SLOT_MESHES[name]()
+    n, ni = m.n_cells, m.n_iface
+    assert m.f_slot_l.shape == (m.n_faces,) and m.f_slot_r.shape == (ni,)
+    slots = np.concatenate([m.f_slot_l, m.f_slot_r])
+    assert (np.sort(slots) == np.arange(3 * n)).all()
+    # the slot's cell is the face's cell on that side, its neighbor the other
+    nbr = m.nbr.T.ravel()
+    assert (m.f_slot_l % n == m.f_left).all()
+    assert (m.f_slot_r % n == m.f_right[:ni]).all()
+    assert (nbr[m.f_slot_l] == m.f_right).all()
+    assert (nbr[m.f_slot_r] == m.f_left[:ni]).all()
+    # the centroid-to-face offset at each side's slot, bitwise
+    off = m.cell_foff.reshape(2, 3 * n)
+    assert (off[:, m.f_slot_l].T == m.f_mid - m.centroid[m.f_left]).all()
+    assert (off[:, m.f_slot_r].T
+            == m.f_mid[:ni] - m.f_shift[:ni] - m.centroid[m.f_right[:ni]]).all()

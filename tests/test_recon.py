@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import recon
 from fvgrad.mesh import BoundarySpec
@@ -305,3 +306,84 @@ def test_stencil_contractions_bitwise_equal_broadcast_sums(rng, periodic_mesh_ir
         assert (phi.T == _two_branch_limiter(m, u_ext, (gx.T, gy.T), 5.0)).all()
         u_nb = recon.neighbor_values(m, u_ext.T)
         assert (recon.venkat_limiter(m, u_ext.T, delta, 5.0, u_nb=u_nb) == phi).all()
+
+
+# ---------------------------------------------------------------------------
+# per-slot MUSCL against the per-face extrapolation it replaced: every face
+# side extrapolates from its own cell through gathered gradients, limiters
+# and centroid-to-midpoint offsets.  The forward values must be bitwise
+# equal; the adjoints sum in another order
+# ---------------------------------------------------------------------------
+
+def _per_face_muscl(m, u_ext, grad, phi):
+    n, ni = m.n_cells, m.n_iface
+    gx, gy = grad
+    u = u_ext[:, :n]
+    right_int = m.f_right[:ni]
+    off_l = (m.f_mid - m.centroid[m.f_left]).T
+    off_r = (m.f_mid[:ni] - m.f_shift[:ni] - m.centroid[right_int]).T
+
+    def extrapolate(cells, off, limiter):
+        incr = (off[0] * ad.take_rows(gx, cells)
+                + off[1] * ad.take_rows(gy, cells))
+        return ad.take_rows(u, cells) + ad.take_rows(limiter, cells) * incr
+
+    def bad_faces(states):
+        sv = ad.value_of(states)
+        return (sv[0] <= 0.0) | (sv[3] <= 0.0)
+
+    u_l = extrapolate(m.f_left, off_l, phi)
+    u_r_int = extrapolate(right_int, off_r, phi)
+    bad_l, bad_r = bad_faces(u_l), bad_faces(u_r_int)
+    n_fallback = 0
+    if bad_l.any() or bad_r.any():
+        keep = np.ones(n)
+        keep[m.f_left[bad_l]] = 0.0
+        keep[right_int[bad_r]] = 0.0
+        n_fallback = int(n - keep.sum())
+        phi = phi * keep
+        u_l = extrapolate(m.f_left, off_l, phi)
+        u_r_int = extrapolate(right_int, off_r, phi)
+    u_r = u_r_int
+    if m.n_ghost:
+        u_r = ad.concatenate([u_r_int, ad.take_rows(u_ext, m.f_right[ni:])], axis=1)
+    return u_l, u_r, n_fallback
+
+
+def _muscl_pair(m, u_ext, limit):
+    """(per-slot, per-face) MUSCL on the limited LSQ reconstruction of u_ext;
+    ``limit`` scales the limiter so the fallback path can be forced."""
+    grad = recon.gradient_lsq(m, u_ext)
+    delta = recon.face_increments(m, grad)
+    phi = recon.venkat_limiter(m, u_ext, delta, 5.0) * limit
+    return (recon.muscl_face_values(m, u_ext, delta, phi),
+            _per_face_muscl(m, u_ext, grad, phi))
+
+
+@pytest.mark.parametrize("path", ["plain", "fallback"])
+@pytest.mark.parametrize("which", ["periodic", "bounded"])
+def test_slot_muscl_matches_per_face_extrapolation(rng, periodic_mesh_irregular,
+                                                   bounded_irregular, which, path):
+    from conftest import random_admissible_prim
+
+    m = periodic_mesh_irregular if which == "periodic" else bounded_irregular
+    u_ext = random_admissible_prim(rng, m.n_cells + m.n_ghost).T
+    # the limiter keeps these states admissible; 8 x phi overshoots
+    limit = 8.0 if path == "fallback" else 1.0
+    (u_l, u_r, nfb), (o_l, o_r, o_nfb) = _muscl_pair(m, u_ext, limit)
+    assert (u_l == o_l).all() and (u_r == o_r).all()
+    assert nfb == o_nfb
+    assert (nfb > 0) == (path == "fallback")
+
+    weights = rng.normal(size=(2, 4, m.n_faces))
+
+    def loss(muscl):
+        def program(u):
+            u_l, u_r, _ = muscl(u)
+            return ad.sum(u_l * weights[0]) + ad.sum(u_r * weights[1])
+        return program
+
+    _, g_slot = ad.record_and_backprop(loss(lambda u: _muscl_pair(m, u, limit)[0]), u_ext)
+    _, g_face = ad.record_and_backprop(loss(lambda u: _muscl_pair(m, u, limit)[1]), u_ext)
+    assert np.abs(g_slot).max() > 0
+    assert np.abs(g_slot - g_face).max() <= 1e-13 * np.abs(g_face).max()
