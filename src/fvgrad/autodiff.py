@@ -6,7 +6,7 @@ module-level functions (``sqrt``, ``where``, ``segment_sum``, ...) that
 accept either plain numpy arrays or traced ``Var`` objects, so the same
 solver code runs untraced (fast path) or traced (training path).
 
-Differentiable primitive set: + - * / ** sqrt log exp tanh abs min max,
+Differentiable primitive set: + - * / ** sqrt log tanh abs min max,
 ``where`` with a non-differentiated condition, reductions, matmul, the
 two-operand contraction ``einsum``, row gather/scatter and reshaping.
 Nondifferentiable points follow the taken-branch convention:
@@ -333,17 +333,6 @@ def log(a):
     return _node(a.tape, out, vjp)
 
 
-def exp(a):
-    if not isinstance(a, Var):
-        return np.exp(a)
-    out = np.exp(a.value)
-
-    def vjp(g):
-        a._acc(g * out)
-
-    return _node(a.tape, out, vjp)
-
-
 def tanh(a):
     if not isinstance(a, Var):
         return np.tanh(a)
@@ -652,19 +641,3 @@ def record_and_backprop(program, params):
         return float(out.value), grad
     finally:
         tape.nodes.clear()   # breaks the Var -> Tape -> nodes cycle
-
-
-def finite_diff_grad(fn, params, rel_step=1e-6):
-    """Central finite differences of a scalar fn(params) -> float."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    flat = params.ravel()
-    out = grad.ravel()
-    for i in range(flat.size):
-        h = rel_step * max(1.0, abs(flat[i]))
-        p_hi = flat.copy()
-        p_lo = flat.copy()
-        p_hi[i] += h
-        p_lo[i] -= h
-        out[i] = (fn(p_hi.reshape(params.shape)) - fn(p_lo.reshape(params.shape))) / (2 * h)
-    return grad

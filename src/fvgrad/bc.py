@@ -3,8 +3,11 @@
 Each non-periodic boundary face owns one ghost slot; the ghost state is a
 primitive-variable function of the interior state and the outward normal.
 Periodic faces never reach this layer (the mesh merges them into interior
-faces).  Ghost states that come out non-admissible are clamped to a small
-positive floor and counted.
+faces).  A prescribed state or back pressure must be admissible as
+``euler.not_positive`` reads it (rho and p > 0, NaN rejected); ghost states
+that come out below a small positive floor are clamped to it and counted.
+``table_from_ic`` derives the prescribed values of every tag from an
+initial condition.
 
 ``ghost_state`` takes states with a trailing component axis, (..., 4);
 ``ghost_rows`` and ``extend_with_ghosts`` work on the solver's (4, n)
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import mesh as msh
-from .euler import GasModel, P, RHO, U, V
+from .euler import AdmissibilityError, GasModel, P, RHO, U, V, not_positive
 
 CLAMP_FLOOR = 1e-10
 
@@ -42,14 +45,33 @@ class BCSpec:
             if self.state is None:
                 raise ValueError("inflow condition requires a freestream state")
             s = np.asarray(self.state, dtype=np.float64)
-            if np.any(s[..., RHO] <= 0) or np.any(s[..., P] <= 0):
-                raise ValueError("freestream state is not admissible")
+            if (not_positive(s[..., RHO]) | not_positive(s[..., P])).any():
+                raise AdmissibilityError("freestream state", "rho or p not > 0")
             self.state = s
         if self.kind == msh.SUBSONIC_OUT:
             if self.back_pressure is None:
                 raise ValueError("subsonic outflow requires a back pressure")
-            if np.any(np.asarray(self.back_pressure) <= 0):
-                raise ValueError("back pressure must be positive")
+            if not_positive(self.back_pressure).any():
+                raise AdmissibilityError("back pressure", "not > 0")
+
+
+def table_from_ic(mesh, ic):
+    """BCSpec for every boundary tag of the mesh, from an initial condition.
+
+    ic maps points (M, 2) to primitive states (M, 4); inflow tags take its
+    state and subsonic outflow its pressure, each at the tag's own face
+    midpoints.  A periodic mesh has no tags and gets an empty table.
+    """
+    mids = mesh.f_mid[mesh.n_iface:]
+    table = {}
+    for code, sl in mesh.tag_slices.items():
+        if code in (msh.SUPERSONIC_IN, msh.SUBSONIC_IN):
+            table[code] = BCSpec(kind=code, state=ic(mids[sl]))
+        elif code == msh.SUBSONIC_OUT:
+            table[code] = BCSpec(kind=code, back_pressure=ic(mids[sl])[:, P])
+        else:
+            table[code] = BCSpec(kind=code)
+    return table
 
 
 def ghost_state(spec, interior, n, gas=GasModel()):

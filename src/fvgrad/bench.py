@@ -21,7 +21,7 @@ import numpy as np
 
 from . import mesh as msh
 from . import solver
-from .bc import BCSpec
+from .bc import BCSpec, table_from_ic
 from .euler import GasModel, cons_to_prim, prim_to_cons
 from .mesh import BoundarySpec
 
@@ -89,17 +89,6 @@ def riemann_case(case_id):
     return RiemannCase(case_id, _FILE_CASES[case_id])
 
 
-def case_bc(case, mesh, kind="subsonic_outflow"):
-    """Boundary table for a Riemann run; back pressure from the initial data."""
-    if kind == "periodic":
-        return {}
-    if kind != "subsonic_outflow":
-        raise ValueError(f"unsupported Riemann boundary kind {kind!r}")
-    mids = mesh.f_mid[mesh.n_iface:]
-    p_b = case.evaluate(mids)[:, 3]
-    return {msh.SUBSONIC_OUT: BCSpec(kind=msh.SUBSONIC_OUT, back_pressure=p_b)}
-
-
 def riemann_mesh(n, periodic=True):
     """Structured mesh of the unit square with 2 n^2 cells for the Riemann
     cases: periodic, or with subsonic outflow on every side."""
@@ -134,12 +123,12 @@ def l1_error(u, u_ref):
 
 
 def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
-             bc_kind="subsonic_outflow", gas=GasModel(), record_every=10,
-             gradient="lsq"):
+             gas=GasModel(), record_every=10, gradient="lsq"):
     """Reference / plain / corrected triple run and the per-step gain.
 
-    case_or_ic: a RiemannCase or a callable points -> primitive field.
-    The corrected run uses mode ml_<gradient> with the given parameters.
+    case_or_ic: a RiemannCase or a callable points -> primitive field; it
+    also gives each mesh's boundary table (``bc.table_from_ic``).  The
+    corrected run uses mode ml_<gradient> with the given parameters.
     n_steps must be at least 1: the report always holds the last step.
     """
     if n_steps < 1:
@@ -147,11 +136,8 @@ def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     evaluate = case_or_ic.evaluate if hasattr(case_or_ic, "evaluate") else case_or_ic
-    if hasattr(case_or_ic, "evaluate"):
-        bc_coarse = case_bc(case_or_ic, coarse, bc_kind)
-        bc_fine = case_bc(case_or_ic, fine, bc_kind)
-    else:
-        bc_coarse = bc_fine = {}
+    bc_coarse = table_from_ic(coarse, evaluate)
+    bc_fine = table_from_ic(fine, evaluate)
 
     w_co = prim_to_cons(evaluate(coarse.centroid), gas)
     w_fi = prim_to_cons(evaluate(fine.centroid), gas)

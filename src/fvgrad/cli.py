@@ -9,11 +9,14 @@ carry the hash in a header comment.
 Exit codes:
   0  ok
   2  config error: bad or unknown config key, a value out of its range
-     (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1), missing
-     config file, missing or corrupt ``--checkpoint``, dataset directory
-     without manifest.json
-  3  numeric failure: rejected solver step, inadmissible state, mesh error,
-     domain error while recording the tape, non-finite network activation
+     (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1, a count such
+     as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), missing
+     config file or ``mesh.path`` file, missing or corrupt ``--checkpoint``,
+     dataset directory without manifest.json
+  3  numeric failure: rejected solver step, inadmissible state (initial or
+     boundary: an inflow state or back pressure taken from the initial
+     condition), mesh error, domain error while recording the tape,
+     non-finite network activation
   4  gradient-check failure, or a missing / stale gradcheck report
 """
 
@@ -32,7 +35,7 @@ from . import bench as benchmod
 from . import mesh as msh
 from . import mlcorr, solver, train
 from .autodiff import TraceError
-from .bc import BCSpec
+from .bc import table_from_ic
 from .euler import AdmissibilityError, GasModel, prim_to_cons
 from .mesh import BoundarySpec
 
@@ -64,7 +67,7 @@ SCHEMA = {
         "path": (str, None),
         "h_target": (float, 0.02),
         "periodic": (bool, True),
-        "bc": (str, "subsonic_outflow"),    # uniform tag when not periodic
+        "bc": (str, "subsonic_out"),        # uniform tag when not periodic
     },
     "step": {
         "co": (float, 0.01),
@@ -207,7 +210,10 @@ def build_mesh_from_config(cfg):
     if kind == "file":
         if not mc["path"]:
             raise ConfigError("mesh.kind 'file' requires mesh.path")
-        mesh = msh.read_mesh_ascii(mc["path"])
+        try:
+            mesh = msh.read_mesh_ascii(mc["path"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read mesh.path: {exc}") from exc
         return mesh, None
     if kind not in ("structured", "irregular"):
         raise ConfigError(f"unknown mesh.kind '{kind}'")
@@ -224,36 +230,7 @@ def build_mesh_from_config(cfg):
                     boundary_spec=spec), None
 
 
-def default_bc_table(mesh, cfg, ic=None):
-    """BCSpec table covering every tag present on the mesh."""
-    table = {}
-    for code in mesh.tag_slices:
-        if code == msh.SLIP_WALL:
-            table[code] = BCSpec(kind=code)
-        elif code == msh.SUPERSONIC_OUT:
-            table[code] = BCSpec(kind=code)
-        elif code == msh.SUPERSONIC_IN:
-            state = (ic(mesh.f_mid[mesh.n_iface:]) if ic is not None
-                     else benchmod.FORWARD_STEP_STATE)
-            table[code] = BCSpec(kind=code, state=state)
-        elif code == msh.SUBSONIC_IN:
-            if ic is None:
-                raise ConfigError("subsonic inflow needs an initial condition "
-                                  "to derive the freestream state")
-            sl = mesh.tag_slices[code]
-            mids = mesh.f_mid[mesh.n_iface:][sl]
-            table[code] = BCSpec(kind=code, state=ic(mids))
-        elif code == msh.SUBSONIC_OUT:
-            sl = mesh.tag_slices[code]
-            mids = mesh.f_mid[mesh.n_iface:][sl]
-            if ic is None:
-                raise ConfigError("subsonic outflow needs an initial condition "
-                                  "to derive the back pressure")
-            table[code] = BCSpec(kind=code, back_pressure=ic(mids)[:, 3])
-    return table
-
-
-def build_ic(cfg, mesh):
+def build_ic(cfg):
     """Initial-condition evaluator points -> primitive field."""
     sc = cfg["simulate"]
     spec = sc["ic"]
@@ -383,8 +360,9 @@ def cmd_gradcheck(cfg):
     out = out_dir_for(cfg)
     mesh, _ = build_mesh_from_config(cfg)
     gc = cfg["gradcheck"]
-    report = train.gradient_check(
-        mesh, step_cfg=step_config(cfg, gradient="ml_lsq", co=cfg["dataset"]["co"]),
+    report = _checked(
+        "gradcheck", train.gradient_check,
+        mesh=mesh, step_cfg=step_config(cfg, gradient="ml_lsq", co=cfg["dataset"]["co"]),
         weights=loss_weights(cfg), net_config=net_config(cfg),
         gas=gas_model(cfg),
         n_steps=gc["n_steps"], rel_tol=gc["rel_tol"],
@@ -438,8 +416,8 @@ def cmd_train(cfg):
 def cmd_simulate(cfg, checkpoint=None):
     out = out_dir_for(cfg)
     mesh, fw_bc = build_mesh_from_config(cfg)
-    ic = build_ic(cfg, mesh)
-    bc_table = fw_bc if fw_bc is not None else default_bc_table(mesh, cfg, ic)
+    ic = build_ic(cfg)
+    bc_table = fw_bc if fw_bc is not None else table_from_ic(mesh, ic)
     gas = gas_model(cfg)
     params = None
     gradient = cfg["step"]["gradient"]
@@ -473,6 +451,8 @@ def cmd_bench(cfg, checkpoint=None):
     if bc_cfg["kind"] == "gain":
         if not bc_cfg["cases"]:
             raise ConfigError("bench: need at least one case")
+        if bc_cfg["bc"] not in ("subsonic_outflow", "periodic"):
+            raise ConfigError(f"bench: unsupported Riemann boundary kind {bc_cfg['bc']!r}")
         cases = [_checked("bench", benchmod.riemann_case, case_id=cid)
                  for cid in bc_cfg["cases"]]
         coarse = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],
@@ -484,7 +464,7 @@ def cmd_bench(cfg, checkpoint=None):
                 "bench", benchmod.run_gain,
                 case_or_ic=case, coarse=coarse, fine=fine, pm=pm, params=params,
                 n_steps=bc_cfg["n_steps"], co=cfg["step"]["co"],
-                bc_kind=bc_cfg["bc"], gas=gas, record_every=bc_cfg["record_every"])
+                gas=gas, record_every=bc_cfg["record_every"])
             name = f"gain_case{cid}.csv"
             solver.write_csv(out / name, benchmod.GAIN_COLUMNS,
                              zip(report.steps, report.times, report.l_coarse, report.l_ml,

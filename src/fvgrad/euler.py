@@ -5,6 +5,11 @@ States are arrays with a trailing component axis: conservative
 Every function accepts plain numpy arrays or traced variables, so the same
 code serves the fast solver path and the differentiated training path.
 
+Admissibility (rho > 0 and p, or the internal energy, > 0) is one rule:
+every check in the package applies ``not_positive``, the values-only mask
+``~(x > 0)``, to rho and to p or ``internal_energy``.  A NaN is outside the
+admissible set, because NaN > 0 is False.
+
 The solver step stores its fields component-first, (4, n) with the cell
 axis contiguous, and passes them here as (n, 4) transposed views.  A
 function that returns a state lays it out in memory like its input, as
@@ -23,9 +28,8 @@ U, V, P = 1, 2, 3
 
 
 class AdmissibilityError(ValueError):
-    """State outside the admissible set (rho > 0, internal energy > 0).
-
-    Every check is written ``~(x > 0)``, so a NaN is outside the set too."""
+    """State outside the admissible set (rho > 0, internal energy > 0), as
+    ``not_positive`` reads it, so a NaN is outside the set too."""
 
     def __init__(self, component, detail=""):
         super().__init__(f"non-admissible state: {component} {detail}".strip())
@@ -57,31 +61,29 @@ def _components(parts, like):
     return ad.stack(parts, axis=-1)
 
 
-def is_admissible(w):
-    """True iff rho > 0 and internal energy E - |m|^2/(2 rho) > 0."""
-    w = ad.value_of(w)
-    rho = w[..., RHO]
-    if np.any(~(rho > 0.0)):
-        return False
-    e_int = w[..., EN] - 0.5 * (w[..., MX] ** 2 + w[..., MY] ** 2) / rho
-    return bool(np.all(e_int > 0.0))
+def not_positive(x):
+    """Values-only mask of the entries of x that are not > 0, NaN included."""
+    return ~np.greater(ad.value_of(x), 0.0)
+
+
+def internal_energy(w):
+    """Internal energy per volume, E - |m|^2 / (2 rho), of states (..., 4)."""
+    return w[..., EN] - 0.5 * (w[..., MX] ** 2 + w[..., MY] ** 2) / w[..., RHO]
 
 
 def _check_prim(u):
     uv = ad.value_of(u)
-    if np.any(~(uv[..., RHO] > 0.0)):
+    if not_positive(uv[..., RHO]).any():
         raise AdmissibilityError("rho", "not > 0")
-    if np.any(~(uv[..., P] > 0.0)):
+    if not_positive(uv[..., P]).any():
         raise AdmissibilityError("p", "not > 0")
 
 
 def _check_cons(w):
     wv = ad.value_of(w)
-    rho = wv[..., RHO]
-    if np.any(~(rho > 0.0)):
+    if not_positive(wv[..., RHO]).any():
         raise AdmissibilityError("rho", "not > 0")
-    e_int = wv[..., EN] - 0.5 * (wv[..., MX] ** 2 + wv[..., MY] ** 2) / rho
-    if np.any(~(e_int > 0.0)):
+    if not_positive(internal_energy(wv)).any():
         raise AdmissibilityError("internal_energy", "not > 0")
 
 

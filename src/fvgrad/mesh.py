@@ -43,7 +43,6 @@ side of any face, or the right side of an interior one.  ``f_slot_l`` and
 face states) reaches the faces through one gather per side.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,12 +178,6 @@ class Mesh:
     @property
     def mean_cell_length(self):
         return float(np.sqrt(self.area.mean()))
-
-    def content_hash(self):
-        h = hashlib.sha256()
-        for a in (self.nodes, self.tri, self.b_tag):
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()[:16]
 
 
 @dataclass
@@ -528,13 +521,6 @@ def project_fine_to_coarse(fine_field, pm):
     vals = fine_field[pm.children]                      # (Nc, 4, C)
     w = pm.child_area[:, :, None]
     return (vals * w).sum(axis=1) / pm.parent_area[:, None]
-
-
-def stencil_angles(mesh, cell):
-    """The three angles between successive neighbor directions of a cell."""
-    if not mesh.interior_mask[cell]:
-        raise MeshError(f"cell {cell} touches the boundary; stencil angles are not defined")
-    return tuple(mesh.angles[cell])
 
 
 # ---------------------------------------------------------------------------

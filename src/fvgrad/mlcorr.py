@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import recon
 
 MAGIC = b"GFNN"
 VERSION = 1
@@ -167,25 +166,19 @@ def _variable_major(n_neighbors, n_vars):
 def network_forward(params, du, theta, vec=None):
     """Correction coefficients for stencil inputs.
 
-    du: neighbor differences, (4, 3) for one cell or (4, 3, N) batched
-    (variable, neighbor, cell); theta: stencil angles, (3,) or (3, N), in the
-    same neighbor order.  Returns alpha with the shape of du.  Activations
-    are (features, N), with the cell axis last.
+    du: neighbor differences, (4, 3, N) (variable, neighbor, cell); theta:
+    stencil angles, (3, N), in the same neighbor order.  Returns alpha with
+    the shape of du.  Activations are (features, N), with the cell axis last.
     """
     cfg = params.config
     duv = ad.value_of(du)
-    single = duv.ndim == 2
-    if duv.shape[:2] != (cfg.n_vars, cfg.n_neighbors):
-        raise NetworkError(f"du must start with shape {(cfg.n_vars, cfg.n_neighbors)}, "
+    if duv.ndim != 3 or duv.shape[:2] != (cfg.n_vars, cfg.n_neighbors):
+        raise NetworkError(f"du must have shape {(cfg.n_vars, cfg.n_neighbors)} + (N,), "
                            f"got {duv.shape}")
-    tv = ad.value_of(theta)
-    if tv.shape[0] != 3 or (tv.ndim == 1) != single:
-        raise NetworkError(f"theta shape {tv.shape} does not match du {duv.shape}")
-    if single:
-        du = ad.reshape(du, (cfg.n_vars, cfg.n_neighbors, 1))
-        theta = ad.reshape(theta, (3, 1))
-
-    n = ad.value_of(du).shape[-1]
+    n = duv.shape[-1]
+    if ad.value_of(theta).shape != (3, n):
+        raise NetworkError(f"theta shape {ad.value_of(theta).shape} does not match "
+                           f"du {duv.shape}")
     L = params.view(vec)
     vm = _variable_major(cfg.n_neighbors, cfg.n_vars)
 
@@ -220,31 +213,12 @@ def network_forward(params, du, theta, vec=None):
     alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
     _check_finite("head", alpha)
 
-    alpha = ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
-    if single:
-        alpha = ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors))
-    return alpha
+    return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
 
 
 def _col(b):
     """A (k,) parameter as a (k, 1) column that broadcasts over cells."""
     return ad.reshape(b, (ad.value_of(b).shape[0], 1))
-
-
-def alpha_for_field(mesh, u, params, vec=None):
-    """Alpha field (4, 3, N) for a primitive state (4, N) or (4, N + n_ghost):
-    zero on boundary-adjacent cells."""
-    n = mesh.n_cells
-    uv = ad.value_of(u)
-    if uv.shape[-1] == n and mesh.n_ghost:
-        # neighbor differences of masked cells are irrelevant; reuse the
-        # interior value for ghost slots so the gather stays well defined
-        filler = ad.take_rows(u, mesh.f_left[mesh.n_iface:])
-        u_ext = ad.concatenate([u, filler], axis=1)
-    else:
-        u_ext = u
-    du = recon.neighbor_deltas(mesh, u_ext[:, :n], recon.neighbor_values(mesh, u_ext))
-    return masked_alpha(mesh, params, du, vec=vec)
 
 
 def masked_alpha(mesh, params, du, vec=None):

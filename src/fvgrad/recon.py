@@ -19,6 +19,7 @@ gathers the face states from the slots.
 import numpy as np
 
 from . import autodiff as ad
+from .euler import P, RHO, not_positive
 
 
 def _cells(mesh, u_ext):
@@ -38,10 +39,15 @@ def neighbor_deltas(mesh, u, u_nb):
 
 
 def gradient_gg(mesh, u_ext, alpha=None, u_nb=None):
-    """Green-Gauss gradient with optional per-neighbor correction weights."""
+    """Green-Gauss gradient with optional per-neighbor correction weights.
+
+    ``u_ext`` is any (k, n_cells + n_ghost) field: the step's four
+    primitives, or the entropy flux components of the training loss.
+    """
     if u_nb is None:
         u_nb = neighbor_values(mesh, u_ext)
-    ui = ad.reshape(_cells(mesh, u_ext), (4, 1, mesh.n_cells))
+    k = ad.value_of(u_ext).shape[0]
+    ui = ad.reshape(_cells(mesh, u_ext), (k, 1, mesh.n_cells))
     if alpha is None:
         face_val = 0.5 * ui + 0.5 * u_nb
     else:
@@ -129,7 +135,8 @@ def muscl_face_values(mesh, u_ext, delta, phi):
     states of interior faces are gathers of the slot states through
     ``mesh.f_slot_l`` and ``mesh.f_slot_r``; a boundary face's right state
     is its ghost value (first order).  A cell with a non-admissible slot
-    state falls back to first order (phi = 0 for that cell) and is counted.
+    state (``euler.not_positive`` on its rho or p, so NaN included) falls
+    back to first order (phi = 0 for that cell) and is counted.
     """
     n = mesh.n_cells
     u = ad.reshape(_cells(mesh, u_ext), (4, 1, n))
@@ -139,7 +146,7 @@ def muscl_face_values(mesh, u_ext, delta, phi):
 
     s = slot_states(phi)
     sv = ad.value_of(s)
-    bad = ((sv[0] <= 0.0) | (sv[3] <= 0.0)).any(axis=0)
+    bad = (not_positive(sv[RHO]) | not_positive(sv[P])).any(axis=0)
     n_fallback = int(bad.sum())
     if n_fallback:
         phi = phi * np.where(bad, 0.0, 1.0)

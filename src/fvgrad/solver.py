@@ -32,7 +32,8 @@ from . import autodiff as ad
 from . import bc as bclib
 from . import mesh as msh
 from . import mlcorr, recon
-from .euler import GasModel, cons_to_prim, max_wave_speed, physical_flux, prim_to_cons
+from .euler import (RHO, GasModel, cons_to_prim, internal_energy, max_wave_speed,
+                    not_positive, physical_flux, prim_to_cons)
 
 FRAME_MAGIC = b"FVFR"
 FRAME_VERSION = 1
@@ -177,10 +178,10 @@ def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
     r, diag = residual(mesh, w, cfg, bc_table, params, params_vec)
     w_next = w - (dt / mesh.area) * r
 
-    wv = ad.value_of(w_next)
-    rho = wv[0]
-    e_int = wv[3] - 0.5 * (wv[1] ** 2 + wv[2] ** 2) / np.where(rho > 0, rho, 1.0)
-    bad = ~((rho > 0.0) & (e_int > 0.0))       # NaN is rejected too
+    wv = ad.value_of(w_next).T
+    # |m|^2 / rho may divide by a non-positive rho; its cell is rejected anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = not_positive(wv[:, RHO]) | not_positive(internal_energy(wv))
     if bad.any():
         raise SolverError("step rejected: non-admissible update",
                           cell=int(np.argmax(bad)), step=step_index)

@@ -110,10 +110,14 @@ class DatasetSpec:
     n_val: int = 4
 
     def __post_init__(self):
+        if len(self.mix) != len(FAMILIES) or not all(f >= 0 for f in self.mix):
+            raise ValueError(f"family mix needs {len(FAMILIES)} fractions >= 0")
         if abs(sum(self.mix) - 1.0) > 1e-12:
             raise ValueError("family mix fractions must sum to 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.count < 1 or self.n_val < 0:
+            raise ValueError("count must be >= 1 and n_val >= 0")
 
     def families(self, count=None):
         count = self.count if count is None else count
@@ -219,39 +223,32 @@ def _prim(w, gas):
     return ad.transpose(cons_to_prim(ad.transpose(w), gas, check=False))
 
 
-def _divergence_gg(mesh, qx_ext, qy_ext):
-    """Green-Gauss divergence of a vector field with arithmetic face means."""
-    n = mesh.n_cells
-    qx_nb = ad.take_rows(qx_ext, mesh.nbr.T)                # (3, N)
-    qy_nb = ad.take_rows(qy_ext, mesh.nbr.T)
-    ns = mesh.cell_sn
-    flux = 0.5 * (qx_ext[:n] + qx_nb) * ns[0] + 0.5 * (qy_ext[:n] + qy_nb) * ns[1]
-    return ad.sum(flux, axis=0) / mesh.area
-
-
 def _entropy_ext(mesh, w, bc_table, gas):
-    """Entropy pair on cells and ghost slots, from the primitive ghost states."""
+    """Entropy eta on the cells and the entropy flux as one (2, N + n_ghost)
+    field, its ghost entries from the primitive ghost states."""
     eta, qx, qy = entropy_pair(ad.transpose(w), gas)
-    if mesh.n_ghost == 0:
-        return eta, qx, qy
-    rows, _ = bclib.ghost_rows(mesh, _prim(w, gas), bc_table, gas)
-    w_g = prim_to_cons(ad.transpose(rows), gas, check=False)
-    eta_g, qx_g, qy_g = entropy_pair(w_g, gas, check=False)
-    return (ad.concatenate([eta, eta_g]), ad.concatenate([qx, qx_g]),
-            ad.concatenate([qy, qy_g]))
+    if mesh.n_ghost:
+        rows, _ = bclib.ghost_rows(mesh, _prim(w, gas), bc_table, gas)
+        w_g = prim_to_cons(ad.transpose(rows), gas, check=False)
+        _, qx_g, qy_g = entropy_pair(w_g, gas, check=False)
+        qx, qy = ad.concatenate([qx, qx_g]), ad.concatenate([qy, qy_g])
+    return eta, ad.stack([qx, qy], axis=0)
+
+
+def _divergence(mesh, q_ext):
+    """Green-Gauss divergence of a (2, N + n_ghost) vector field."""
+    gx, gy = recon.gradient_gg(mesh, q_ext)
+    return gx[0] + gy[1]
 
 
 def loss_entropy(mesh, w_prev, w_next, dt, gas=GasModel(), bc_table=None):
     """Mean squared positive part of the discrete entropy-inequality residual
     between two (4, N) conservative states."""
     bc_table = bc_table or {}
-    eta0, qx0, qy0 = _entropy_ext(mesh, w_prev, bc_table, gas)
-    eta1, qx1, qy1 = _entropy_ext(mesh, w_next, bc_table, gas)
-    div0 = _divergence_gg(mesh, qx0, qy0)
-    div1 = _divergence_gg(mesh, qx1, qy1)
-    n = mesh.n_cells
-    r = (mesh.area * (eta1[:n] - eta0[:n])
-         + (mesh.area * dt / 2.0) * (div1 + div0))
+    eta0, q0 = _entropy_ext(mesh, w_prev, bc_table, gas)
+    eta1, q1 = _entropy_ext(mesh, w_next, bc_table, gas)
+    r = (mesh.area * (eta1 - eta0)
+         + (mesh.area * dt / 2.0) * (_divergence(mesh, q1) + _divergence(mesh, q0)))
     pos = ad.maximum(0.0, r)
     return ad.sum(pos * pos) / mesh.n_cells
 
@@ -335,6 +332,8 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
+        if self.batch_size < 1 or self.checkpoint_every < 1:
+            raise ValueError("batch_size and checkpoint_every must be >= 1")
 
 
 @dataclass
@@ -493,6 +492,10 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
     larger steps and kink-straddling (a parameter within the step of a
     branch tie, e.g. the L1 term at zero) collapses at smaller ones.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if param_sample is not None and param_sample < 1:
+        raise ValueError(f"param_sample must be >= 1, got {param_sample}")
     bc_table = bc_table or {}
     if step_cfg is None:
         step_cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")

@@ -49,6 +49,23 @@ def seeded_params():
     return params.with_values(vec)
 
 
+def finite_diff_grad(fn, params, rel_step=1e-6):
+    """Central finite differences of a scalar fn(params) -> float: the
+    oracle of the tape's vector-Jacobian products."""
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.zeros_like(params)
+    flat = params.ravel()
+    out = grad.ravel()
+    for i in range(flat.size):
+        h = rel_step * max(1.0, abs(flat[i]))
+        p_hi = flat.copy()
+        p_lo = flat.copy()
+        p_hi[i] += h
+        p_lo[i] -= h
+        out[i] = (fn(p_hi.reshape(params.shape)) - fn(p_lo.reshape(params.shape))) / (2 * h)
+    return grad
+
+
 def digest(a):
     """sha256 prefix of an array's bytes, for pinning outputs bitwise."""
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]

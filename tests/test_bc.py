@@ -4,7 +4,7 @@ import pytest
 from fvgrad import bc as bclib
 from fvgrad import mesh as msh
 from fvgrad.bc import BCSpec
-from fvgrad.euler import GasModel
+from fvgrad.euler import AdmissibilityError, GasModel
 from conftest import random_admissible_prim
 
 
@@ -95,6 +95,41 @@ def test_spec_validation():
         BCSpec(kind=msh.SUBSONIC_OUT, back_pressure=-1.0)
     with pytest.raises(ValueError):
         BCSpec(kind=msh.SUPERSONIC_IN, state=np.array([1.0, 0, 0, -2.0]))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": msh.SUPERSONIC_IN, "state": [np.nan, 3.0, 0.0, 1.0]},
+    {"kind": msh.SUBSONIC_IN, "state": [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, np.nan]]},
+    {"kind": msh.SUPERSONIC_IN, "state": [0.0, 3.0, 0.0, 1.0]},
+    {"kind": msh.SUBSONIC_OUT, "back_pressure": np.nan},
+    {"kind": msh.SUBSONIC_OUT, "back_pressure": [1.0, np.nan]},
+    {"kind": msh.SUBSONIC_OUT, "back_pressure": 0.0},
+], ids=["nan_rho", "nan_p_per_face", "zero_rho", "nan_back_pressure",
+        "nan_back_pressure_per_face", "zero_back_pressure"])
+def test_spec_rejects_non_admissible_values(kwargs):
+    with pytest.raises(AdmissibilityError):
+        BCSpec(**kwargs)
+
+
+def test_table_from_ic_evaluates_each_tag_at_its_own_faces():
+    m = msh.structured_mesh(4, boundary_spec=msh.BoundarySpec(rules=[
+        (msh.SUBSONIC_IN, 0, lambda mid, n: mid[0] < 1e-9),
+        (msh.SUBSONIC_OUT, 0, lambda mid, n: mid[0] > 1.0 - 1e-9),
+        (msh.SLIP_WALL, 0, lambda mid, n: True)]))
+
+    def ic(points):
+        return np.column_stack([1.0 + points[:, 1], np.zeros((len(points), 2)),
+                                2.0 + points[:, 1]])
+
+    table = bclib.table_from_ic(m, ic)
+    assert sorted(table) == sorted(m.tag_slices)
+    mids = m.f_mid[m.n_iface:]
+    inflow = mids[m.tag_slices[msh.SUBSONIC_IN]]
+    outflow = mids[m.tag_slices[msh.SUBSONIC_OUT]]
+    assert (table[msh.SUBSONIC_IN].state == ic(inflow)).all()
+    assert (table[msh.SUBSONIC_OUT].back_pressure == ic(outflow)[:, 3]).all()
+    assert table[msh.SLIP_WALL].state is None
+    assert bclib.table_from_ic(msh.periodic_structured_mesh(3), ic) == {}
 
 
 def test_ghost_rows_ordering_and_missing_tag(rng):

@@ -89,6 +89,13 @@ def test_bad_alpha_max_is_config_error(run):
     ("simulate", {**SMALL, "step": {"limiter_k": -5.0}, "simulate": {"n_steps": 1}}),
     ("simulate", {**SMALL, "step": {"co": float("nan")}, "simulate": {"n_steps": 1}}),
     ("simulate", {**SMALL, "step": {"gamma": float("nan")}, "simulate": {"n_steps": 1}}),
+    ("gradcheck", {**SMALL, "gradcheck": {"param_sample": 0}}),
+    ("gradcheck", {**SMALL, "gradcheck": {"n_steps": 0}}),
+    ("dataset", {**SMALL, "dataset": {"count": -1, "steps": 1}}),
+    ("dataset", {**SMALL, "dataset": {"n_val": -2, "steps": 1}}),
+    ("dataset", {**SMALL, "dataset": {"mix": [1.5, -0.5, 0], "steps": 1}}),
+    ("simulate", {"mesh": {"kind": "file", "path": "no_such_mesh.txt"},
+                  "simulate": {"n_steps": 1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "bench_record_every_zero",
@@ -96,7 +103,9 @@ def test_bad_alpha_max_is_config_error(run):
         "study_two_levels", "study_no_cases",
         "study_zero_repeats", "mesh_n_zero", "simulate_irregular_n_zero",
         "mesh_h_target_zero", "mesh_h_target_negative", "step_save_every_zero",
-        "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan"])
+        "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan",
+        "gradcheck_param_sample_zero", "gradcheck_n_steps_zero", "dataset_count_negative",
+        "dataset_n_val_negative", "dataset_mix_negative_fraction", "mesh_path_missing"])
 def test_out_of_range_value_is_config_error(run, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
 
@@ -105,8 +114,9 @@ def test_bad_train_config_is_config_error(run, tmp_path):
     ds = _out(tmp_path) / "dataset"
     ds.mkdir(parents=True)
     (ds / "manifest.json").write_text(json.dumps({"trajectories": []}))
-    cfg = {**SMALL, "train": {"require_gradcheck": False, "decay": 0.0}}
-    assert run("train", cfg) == cli.EXIT_CONFIG
+    for bad in ({"decay": 0.0}, {"batch_size": 0}, {"checkpoint_every": 0}):
+        cfg = {**SMALL, "train": {"require_gradcheck": False, **bad}}
+        assert run("train", cfg) == cli.EXIT_CONFIG, bad
 
 
 def test_train_without_dataset_is_config_error(run):
@@ -129,6 +139,35 @@ def test_numeric_errors_exit_numeric(run, monkeypatch, exc):
 def test_nan_initial_state_exits_numeric(run):
     cfg = {**SMALL, "simulate": {"ic": "constant:nan,0,0,1", "n_steps": 1}}
     assert run("simulate", cfg) == cli.EXIT_NUMERIC
+
+
+BOUNDED = {"mesh": {"kind": "structured", "n": 6, "periodic": False, "bc": "subsonic_out"}}
+
+
+@pytest.mark.parametrize("ic", ["constant:1,0,0,-1", "constant:1,0,0,nan"])
+def test_inadmissible_boundary_state_exits_numeric(run, ic):
+    """The back pressure of the default subsonic_out tag comes from the IC."""
+    cfg = {**BOUNDED, "simulate": {"ic": ic, "n_steps": 1}}
+    assert run("simulate", cfg) == cli.EXIT_NUMERIC
+
+
+def test_default_mesh_bc_simulates(run):
+    cfg = {"mesh": {"periodic": False}, "simulate": {"n_steps": 2}}
+    assert run("simulate", cfg) == cli.EXIT_OK
+
+
+def test_forward_step_mesh_file_simulates_like_the_built_in_mesh(run, tmp_path):
+    """Each tag's BC states come from the IC at that tag's own faces."""
+    built_in = {"mesh": {"kind": "forward_step", "h_target": 0.2},
+                "simulate": {"ic": "forward_step", "n_steps": 3}}
+    assert run("mesh", built_in) == cli.EXIT_OK
+    mesh_file = tmp_path / "step_mesh.txt"
+    (_out(tmp_path) / "mesh.txt").rename(mesh_file)
+    assert run("simulate", built_in) == cli.EXIT_OK
+    frames = (_out(tmp_path) / "frames.bin").read_bytes()
+    from_file = {**built_in, "mesh": {"kind": "file", "path": str(mesh_file)}}
+    assert run("simulate", from_file) == cli.EXIT_OK
+    assert (_out(tmp_path) / "frames.bin").read_bytes() == frames
 
 
 def test_limiter_k_zero_is_legal(run):

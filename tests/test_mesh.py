@@ -184,17 +184,10 @@ def test_stencil_angles_match_atan2_oracle():
         dirs = np.column_stack([m.nbr_dx[cell], m.nbr_dy[cell]])
         ang = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2 * np.pi)
         expect = (np.roll(ang, -1) - ang) % (2 * np.pi)
-        got = msh.stencil_angles(m, cell)
+        got = m.angles[cell]
         np.testing.assert_allclose(got, expect, atol=1e-13)
         assert all(0 < a < 2 * np.pi for a in got)
         assert abs(sum(got) - 2 * np.pi) < 1e-10
-
-
-def test_stencil_angles_boundary_cell_rejected():
-    m = msh.structured_mesh(3)
-    boundary = np.where(~m.interior_mask)[0]
-    with pytest.raises(MeshError, match="boundary"):
-        msh.stencil_angles(m, boundary[0])
 
 
 def test_periodic_pairing_lengths_and_topology():
@@ -227,8 +220,7 @@ def test_ascii_roundtrip(tmp_path):
     m2 = msh.read_mesh_ascii(path)
     np.testing.assert_allclose(m2.nodes, m.nodes, rtol=0, atol=0)
     assert (m2.tri == m.tri).all()
-    assert (np.sort(m2.b_tag) == np.sort(m.b_tag)).all()
-    assert m2.content_hash() == m.content_hash()
+    assert (m2.b_tag == m.b_tag).all()
 
 
 def test_ascii_periodic_roundtrip(tmp_path):

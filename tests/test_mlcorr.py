@@ -5,6 +5,7 @@ import pytest
 
 from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
+from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
 from conftest import random_admissible_prim, rotated_mesh, smooth_prim_field
@@ -19,6 +20,14 @@ def params():
     return p.with_values(vec)
 
 
+def _alpha(m, u, params, bc_table=None):
+    """alpha (4, 3, N) for a (4, N) primitive field, gathered through the
+    ghost-extended field as ``solver.residual`` gathers it."""
+    u_ext, _ = bclib.extend_with_ghosts(m, u, bc_table or {})
+    du = recon.neighbor_deltas(m, u, recon.neighbor_values(m, u_ext))
+    return mlcorr.masked_alpha(m, params, du)
+
+
 def test_parameter_count_in_expected_range():
     p = mlcorr.zero_params()
     assert 1000 <= p.count <= 1700
@@ -30,9 +39,9 @@ def test_parameter_count_in_expected_range():
 
 def test_zero_params_give_zero_alpha(rng):
     p = mlcorr.zero_params()
-    du = rng.normal(size=(3, 4))
-    theta = np.array([2.0, 2.1, 2 * np.pi - 4.1])
-    alpha = mlcorr.network_forward(p, du.T, theta)
+    du = rng.normal(size=(4, 3, 1))
+    theta = np.array([[2.0], [2.1], [2 * np.pi - 4.1]])
+    alpha = mlcorr.network_forward(p, du, theta)
     assert (alpha == 0.0).all()
 
 
@@ -75,15 +84,15 @@ def test_head_contraction_matches_branch_head_oracle(seeded_params, rng,
 def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = smooth_prim_field(m.centroid).T
-    plain = mlcorr.alpha_for_field(m, u, params)
-    traced = mlcorr.alpha_for_field(m, ad.Tape().var(u), params)
+    plain = _alpha(m, u, params)
+    traced = _alpha(m, ad.Tape().var(u), params)
     assert np.abs(plain).max() > 0.1
     assert (traced.value == plain).all()
 
 
 def test_zero_du_gives_finite_bounded_alpha(params):
-    alpha = mlcorr.network_forward(params, np.zeros((4, 3)),
-                                   np.array([2.0, 2.1, 2 * np.pi - 4.1]))
+    alpha = mlcorr.network_forward(params, np.zeros((4, 3, 1)),
+                                   np.array([[2.0], [2.1], [2 * np.pi - 4.1]]))
     assert np.isfinite(alpha).all()
     assert np.abs(alpha).max() <= params.config.alpha_max
 
@@ -99,9 +108,13 @@ def test_alpha_clamped(params, rng):
 
 def test_shape_validation(params):
     with pytest.raises(NetworkError):
-        mlcorr.network_forward(params, np.zeros((4, 2)), np.zeros(3))
+        mlcorr.network_forward(params, np.zeros((4, 2, 1)), np.zeros((3, 1)))
     with pytest.raises(NetworkError):
-        mlcorr.network_forward(params, np.zeros((4, 3)), np.zeros(4))
+        mlcorr.network_forward(params, np.zeros((4, 3)), np.zeros((3, 3)))
+    with pytest.raises(NetworkError):
+        mlcorr.network_forward(params, np.zeros((4, 3, 1)), np.zeros((4, 1)))
+    with pytest.raises(NetworkError):
+        mlcorr.network_forward(params, np.zeros((4, 3, 2)), np.zeros((3, 1)))
 
 
 def test_rotation_invariance_of_alpha(params):
@@ -110,8 +123,8 @@ def test_rotation_invariance_of_alpha(params):
     m1 = msh.periodic_irregular_mesh(5, seed=21)
     m2 = rotated_mesh(m1, 0.31)
     u = smooth_prim_field(m1.centroid).T  # same per-cell values on both meshes
-    a1 = mlcorr.alpha_for_field(m1, u, params).T
-    a2 = mlcorr.alpha_for_field(m2, u, params).T
+    a1 = _alpha(m1, u, params).T
+    a2 = _alpha(m2, u, params).T
     for cell in range(m1.n_cells):
         order1 = np.argsort(m1.nbr[cell])
         order2 = np.argsort(m2.nbr[cell])
@@ -127,7 +140,7 @@ def test_translation_and_congruence(params):
     # field with period 1/3 in x: cells one period apart see identical du
     u = np.column_stack([
         1.5 + 0.2 * np.sin(6 * np.pi * x) * np.cos(2 * np.pi * y)] * 4)
-    alpha = mlcorr.alpha_for_field(m, u.T, params).T
+    alpha = _alpha(m, u.T, params).T
     shifted = np.argsort(np.round((x % (1 / 3)) * 1e9) * 1e6 + np.round(y * 1e9))
     # brute-force pairing: compare every cell against its +1/3 translate
     target = {}
@@ -148,7 +161,7 @@ def test_translation_and_congruence(params):
 def test_boundary_rows_exactly_zero(params, rng):
     m = msh.structured_mesh(5, boundary_spec=msh.BoundarySpec.uniform("slip_wall"))
     u = random_admissible_prim(rng, m.n_cells)
-    alpha = mlcorr.alpha_for_field(m, u.T, params).T
+    alpha = _alpha(m, u.T, params, {msh.SLIP_WALL: bclib.BCSpec(kind=msh.SLIP_WALL)}).T
     boundary = ~m.interior_mask
     assert boundary.any()
     assert (alpha[boundary] == 0.0).all()

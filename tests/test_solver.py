@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvgrad import autodiff as ad
+from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
@@ -188,7 +191,7 @@ def test_reference_is_the_projected_fine_march(periodic, gas):
     case = bench.riemann_case(6)
     coarse = bench.riemann_mesh(6, periodic=periodic)
     fine, pm = msh.refine_uniform(coarse)
-    bc_fine = bench.case_bc(case, fine, "periodic" if periodic else "subsonic_outflow")
+    bc_fine = bclib.table_from_ic(fine, case.evaluate)
     assert bool(bc_fine) != periodic
     w0 = prim_to_cons(case.evaluate(fine.centroid), gas)
     cfg = solver.StepConfig(co=CO, gradient="lsq")
@@ -259,6 +262,24 @@ def test_rusanov_flux_matches_the_textbook_formula(rng, gas):
     # consistency: equal states give the physical flux
     same, _ = solver.rusanov_flux(w_l.T, w_l.T, n.T, gas)
     np.testing.assert_allclose(same.T, physical_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
+
+
+_positive = st.floats(1e-2, 1e2)
+_velocity = st.floats(-50.0, 50.0)
+_face = st.tuples(_positive, _velocity, _velocity, _positive, st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(faces=st.lists(_face, min_size=1, max_size=8))
+def test_rusanov_flux_of_equal_states_is_the_physical_flux_bitwise(faces):
+    """Consistency, F(w, w) . n = f(w) . n, for admissible states and unit normals."""
+    gas = GasModel()
+    arr = np.array(faces)
+    w = prim_to_cons(arr[:, :4], gas)
+    n = np.column_stack([np.cos(arr[:, 4]), np.sin(arr[:, 4])])
+    flux, _ = solver.rusanov_flux(np.ascontiguousarray(w.T), np.ascontiguousarray(w.T),
+                                  np.ascontiguousarray(n.T), gas)
+    assert (flux.T == physical_flux(w, n, gas)).all()
 
 
 @pytest.mark.parametrize("family", train.FAMILIES)

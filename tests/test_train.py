@@ -54,13 +54,15 @@ def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
 
 # sha256 prefixes of one ml_lsq sample's (loss, gradient).  The losses were
 # recorded before the tape kept its first adjoints uncopied and was freed on
-# return.  The periodic gradient was re-recorded when the limiter and MUSCL
-# began to share one per-slot face increment: the adjoint of the gradient
-# now sums over a cell's three slots in one place, which moved it by
-# 6.3e-17 of its largest entry; the forward values stayed bitwise equal
+# return.  Both gradients were re-recorded when the entropy loss began to
+# take its divergence from recon.gradient_gg: an einsum per flux component
+# times 1/|C| in place of one sum over both components divided by |C|.  That
+# moved the gradient by 1.6e-17 (periodic) and 3.3e-17 (forward step) of
+# its largest entry and the forward step's entropy term by one ulp; both
+# losses stayed bitwise equal
 SAMPLE_GRADIENT_DIGESTS = {
-    "periodic_structured_6": ("9e98fd404f5be0f8", "ba929aee196a457d"),
-    "forward_step_0.2": ("f52a1516079a61fd", "d185545fa3dbbc60"),
+    "periodic_structured_6": ("9e98fd404f5be0f8", "5548c3f46987bdd5"),
+    "forward_step_0.2": ("f52a1516079a61fd", "0312208aa839a13d"),
 }
 
 
