@@ -4,6 +4,8 @@ States are arrays with a trailing component axis: conservative
 ``w = (rho, rho*u, rho*v, E)`` and primitive ``u = (rho, u, v, p)``.
 Every function accepts plain numpy arrays or traced variables, so the same
 code serves the fast solver path and the differentiated training path.
+The normal flux and the wave speed take primitive states, the form the
+reconstruction delivers at the faces.
 
 Admissibility (rho > 0 and p, or the internal energy, > 0) is one rule:
 every check in the package applies ``not_positive``, the values-only mask
@@ -110,43 +112,32 @@ def cons_to_prim(w, gas, check=True):
     return _components([rho, vx, vy, p], w)
 
 
-def physical_flux(w, n, gas, check=True):
-    """Normal physical flux f(w) . n for a unit direction n (..., 2)."""
-    if check:
-        _check_cons(w)
+def physical_flux(u, n, gas, w=None):
+    """Normal physical flux f . n = (v.n) w + p (0, n_x, n_y, v.n) of primitive
+    states u (..., 4) for unit directions n (..., 2).
+
+    ``w`` is the conservative form of u, ``prim_to_cons(u)``, when the caller
+    has it already; otherwise it is formed here, unchecked.
+    """
+    if w is None:
+        w = prim_to_cons(u, gas, check=False)
     n = ad.value_of(n)
-    rho = w[..., RHO]
-    mx = w[..., MX]
-    my = w[..., MY]
-    E = w[..., EN]
-    vx = mx / rho
-    vy = my / rho
-    p = (gas.gamma - 1.0) * (E - 0.5 * (mx * vx + my * vy))
-    vn = vx * n[..., 0] + vy * n[..., 1]
+    p = u[..., P]
+    vn = u[..., U] * n[..., 0] + u[..., V] * n[..., 1]
     return _components([
-        rho * vn,
-        mx * vn + p * n[..., 0],
-        my * vn + p * n[..., 1],
-        (E + p) * vn,
-    ], w)
+        u[..., RHO] * vn,
+        w[..., MX] * vn + p * n[..., 0],
+        w[..., MY] * vn + p * n[..., 1],
+        (w[..., EN] + p) * vn,
+    ], u)
 
 
-def sound_speed(w, gas):
-    rho = w[..., RHO]
-    mx = w[..., MX]
-    my = w[..., MY]
-    p = (gas.gamma - 1.0) * (w[..., EN] - 0.5 * (mx * mx + my * my) / rho)
-    return ad.sqrt(gas.gamma * p / rho)
-
-
-def max_wave_speed(w, n, gas, check=True):
-    """|v.n| + c, the largest characteristic speed in direction n."""
-    if check:
-        _check_cons(w)
+def max_wave_speed(u, n, gas):
+    """|v.n| + c with c = sqrt(gamma p / rho), the largest characteristic
+    speed of primitive states u (..., 4) in direction n."""
     n = ad.value_of(n)
-    rho = w[..., RHO]
-    vn = (w[..., MX] * n[..., 0] + w[..., MY] * n[..., 1]) / rho
-    return ad.absolute(vn) + sound_speed(w, gas)
+    vn = u[..., U] * n[..., 0] + u[..., V] * n[..., 1]
+    return ad.absolute(vn) + ad.sqrt(gas.gamma * u[..., P] / u[..., RHO])
 
 
 def entropy_pair(w, gas, check=True):

@@ -40,7 +40,10 @@ index ``j * n_cells + i`` of a (..., 3, n_cells) array reshaped to
 (..., 3 * n_cells).  Every slot is one side of exactly one face: the left
 side of any face, or the right side of an interior one.  ``f_slot_l`` and
 ``f_slot_r`` name each face's two slots, so a per-slot quantity (MUSCL's
-face states) reaches the faces through one gather per side.
+face states) reaches the faces through one gather per side.  The inverse
+tables ``slot_face`` and ``slot_len`` (3, N) name each slot's face and its
+length, signed by the side, so a per-face flux reaches the cells through one
+gather and a stencil sum.
 """
 
 from dataclasses import dataclass, field
@@ -155,7 +158,8 @@ class Mesh:
     interior_mask: np.ndarray  # (N,) True when all neighbors are real cells
     cell_foff: np.ndarray      # (2, 3, N) centroid -> own-side face midpoint
     cell_sn: np.ndarray        # (2, 3, N) outward normal times face length
-    rs_idx: np.ndarray         # scatter cell ids for residual accumulation
+    slot_face: np.ndarray      # (3, N) face of each stencil slot
+    slot_len: np.ndarray       # (3, N) its length, negative on the right side
     ghost_centroid: np.ndarray = field(default=None)  # (Fb, 2) mirrored centers
     region: np.ndarray = field(default=None)
 
@@ -416,6 +420,12 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     f_slot_l[face[left]] = slot[left]
     f_slot_r = np.empty(n_iface, dtype=np.int64)
     f_slot_r[face[~left]] = slot[~left]
+    slot_face = np.empty(3 * n_cells, dtype=np.int64)
+    slot_face[f_slot_l] = np.arange(F)
+    slot_face[f_slot_r] = np.arange(n_iface)
+    slot_len = np.empty(3 * n_cells)
+    slot_len[f_slot_l] = f_len
+    slot_len[f_slot_r] = -f_len[:n_iface]
 
     nbr_dx = dxy[:, :, 0].copy()
     nbr_dy = dxy[:, :, 1].copy()
@@ -448,20 +458,19 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     if np.abs(asum - 2.0 * np.pi).max() > 1e-10:
         raise MeshError("stencil angles do not wind once around a centroid")
 
-    rs_idx = np.concatenate([f_left, f_right[:n_iface]])
-
     m = Mesh(
         nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, centroid=centroid,
         f_left=f_left, f_right=f_right, f_normal=f_normal, f_len=f_len,
         f_mid=f_mid, f_shift=f_shift, n_iface=n_iface,
         f_slot_l=f_slot_l, f_slot_r=f_slot_r,
+        slot_face=slot_face.reshape(3, n_cells), slot_len=slot_len.reshape(3, n_cells),
         b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
         nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
         lsq_wd=_cells_last(np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2)),
         inv11=inv11, inv12=inv12, inv22=inv22,
         angles=angles, interior_mask=interior_mask,
         cell_foff=_cells_last(cell_foff), cell_sn=_cells_last(cell_sn),
-        rs_idx=rs_idx, ghost_centroid=ghost_centroid,
+        ghost_centroid=ghost_centroid,
     )
     for arr in vars(m).values():
         if isinstance(arr, np.ndarray):

@@ -95,22 +95,24 @@ def compute_dt(mesh, cfg):
     return cfg.co * mesh.min_sqrt_area
 
 
-def rusanov_flux(w_l, w_r, n, gas=GasModel()):
+def rusanov_flux(u_l, u_r, n, gas=GasModel()):
     """Godunov-type flux: central average plus max-wave-speed dissipation.
 
-    F = (F(w_l) + F(w_r)) / 2 - s (w_r - w_l) / 2 with s the larger of the
-    two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).  States
-    are (4, F) and unit normals (2, F), face axis last.  Returns (flux, s)
-    with flux (4, F) and s per face.  Each state's admissibility is checked
-    once, by ``physical_flux``.
+    F = (f(u_l) + f(u_r)) / 2 - s (w_r - w_l) / 2 with s the larger of the
+    two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).  The
+    one-sided states are primitive, (4, F), and unit normals (2, F), face
+    axis last; each side is converted to its conservative state w once, by
+    ``prim_to_cons``, which also checks its admissibility.  v.n, p and the
+    sound speed come from the primitives.  Returns (flux, s) with flux
+    (4, F) and s per face.
     """
     # (F, 4) and (F, 2) views for the pointwise algebra
-    wl, wr, nt = ad.transpose(w_l), ad.transpose(w_r), ad.transpose(n)
-    f_l = ad.transpose(physical_flux(wl, nt, gas))
-    f_r = ad.transpose(physical_flux(wr, nt, gas))
-    s = ad.maximum(max_wave_speed(wl, nt, gas, check=False),
-                   max_wave_speed(wr, nt, gas, check=False))
-    return 0.5 * (f_l + f_r) - 0.5 * s * (w_r - w_l), s
+    ul, ur, nt = ad.transpose(u_l), ad.transpose(u_r), ad.transpose(n)
+    wl, wr = prim_to_cons(ul, gas), prim_to_cons(ur, gas)
+    f_l = ad.transpose(physical_flux(ul, nt, gas, w=wl))
+    f_r = ad.transpose(physical_flux(ur, nt, gas, w=wr))
+    s = ad.maximum(max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas))
+    return 0.5 * (f_l + f_r) - 0.5 * s * (ad.transpose(wr) - ad.transpose(wl)), s
 
 
 def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
@@ -147,13 +149,9 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
         phi = np.ones((4, mesh.n_cells))
 
     u_l, u_r, n_fallback = recon.muscl_face_values(mesh, u_ext, delta, phi)
-    w_l = ad.transpose(prim_to_cons(ad.transpose(u_l), gas, check=False))
-    w_r = ad.transpose(prim_to_cons(ad.transpose(u_r), gas, check=False))
-
-    flux, s = rusanov_flux(w_l, w_r, mesh.f_normal.T, gas)
-    contrib = flux * mesh.f_len
-    parts = ad.concatenate([contrib, -contrib[:, :mesh.n_iface]], axis=1)
-    r = ad.segment_sum(parts, mesh.rs_idx, mesh.n_cells)
+    flux, s = rusanov_flux(u_l, u_r, mesh.f_normal.T, gas)
+    # each cell sums its three slots' face fluxes times the signed face length
+    r = ad.einsum("jn,vjn->vn", mesh.slot_len, ad.take_rows(flux, mesh.slot_face))
 
     diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
             "max_wave_speed": float(np.max(ad.value_of(s)))}

@@ -138,8 +138,8 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     delta = recon.face_increments(mesh, grad)
     phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
     u_l, u_r, _ = recon.muscl_face_values(mesh, u, delta, phi)
-    s = np.maximum(max_wave_speed(prim_to_cons(u_l.T, gas), mesh.f_normal, gas),
-                   max_wave_speed(prim_to_cons(u_r.T, gas), mesh.f_normal, gas))
+    s = np.maximum(max_wave_speed(u_l.T, mesh.f_normal, gas),
+                   max_wave_speed(u_r.T, mesh.f_normal, gas))
     assert diag["max_wave_speed"] == float(s.max())
 
 
@@ -159,14 +159,19 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
     u_l, u_r, _ = recon.muscl_face_values(mesh, u, delta, phi)
-    flux, _ = solver.rusanov_flux(prim_to_cons(u_l.T, gas).T, prim_to_cons(u_r.T, gas).T,
-                                  mesh.f_normal.T, gas)
-    contrib = flux.T * mesh.f_len[:, None]
+    flux, _ = solver.rusanov_flux(u_l, u_r, mesh.f_normal.T, gas)
+    # each cell adds its faces' fluxes in stencil order, + on its face's
+    # left side and - on the right, each times the face length
+    slot_face = {int(k): f for f, k in enumerate(mesh.f_slot_l)}
+    right = {int(k): f for f, k in enumerate(mesh.f_slot_r)}
     expect = np.zeros_like(r)
-    for f, cell in enumerate(mesh.f_left):
-        expect[cell] += contrib[f]
-    for f, cell in enumerate(mesh.f_right[:mesh.n_iface]):
-        expect[cell] -= contrib[f]
+    for j in range(3):
+        for i in range(mesh.n_cells):
+            k = j * mesh.n_cells + i
+            if k in slot_face:
+                expect[i] += mesh.f_len[slot_face[k]] * flux.T[slot_face[k]]
+            else:
+                expect[i] += -mesh.f_len[right[k]] * flux.T[right[k]]
     assert (r == expect).all()
 
 
@@ -247,21 +252,46 @@ def test_gain_rejects_fewer_than_one_step(mesh):
         bench.run_gain(smooth_prim_field, mesh, fine, pm, mlcorr.zero_params(), 0, co=CO)
 
 
+def _cons_flux(w, n, gas):
+    """f(w) . n of conservative states (M, 4), written out from w alone."""
+    rho, mx, my, e = w.T
+    vx, vy = mx / rho, my / rho
+    p = (gas.gamma - 1.0) * (e - 0.5 * (mx * vx + my * vy))
+    vn = vx * n[:, 0] + vy * n[:, 1]
+    return np.column_stack([rho * vn, mx * vn + p * n[:, 0], my * vn + p * n[:, 1],
+                            (e + p) * vn])
+
+
+def _cons_wave_speed(w, n, gas):
+    """|v.n| + c of conservative states (M, 4), written out from w alone."""
+    rho, mx, my, e = w.T
+    p = (gas.gamma - 1.0) * (e - 0.5 * (mx * mx + my * my) / rho)
+    return np.abs((mx * n[:, 0] + my * n[:, 1]) / rho) + np.sqrt(gas.gamma * p / rho)
+
+
+def _cons_rusanov(w_l, w_r, n, gas):
+    """Toro, Riemann Solvers, ch. 10: F = (f_l + f_r)/2 - s (w_r - w_l)/2 on
+    conservative states (M, 4): the flux the step applied before it took
+    primitive face states.  Returns (flux (M, 4), s)."""
+    s = np.maximum(_cons_wave_speed(w_l, n, gas), _cons_wave_speed(w_r, n, gas))
+    return (0.5 * (_cons_flux(w_l, n, gas) + _cons_flux(w_r, n, gas))
+            - 0.5 * s[:, None] * (w_r - w_l)), s
+
+
 def test_rusanov_flux_matches_the_textbook_formula(rng, gas):
-    # Toro, Riemann Solvers, ch. 10: F = (F_l + F_r)/2 - s (w_r - w_l)/2
-    w_l = prim_to_cons(random_admissible_prim(rng, 50), gas)
-    w_r = prim_to_cons(random_admissible_prim(rng, 50), gas)
+    u_l = random_admissible_prim(rng, 50)
+    u_r = random_admissible_prim(rng, 50)
+    w_l, w_r = prim_to_cons(u_l, gas), prim_to_cons(u_r, gas)
     theta = rng.uniform(0.0, 2 * np.pi, 50)
     n = np.column_stack([np.cos(theta), np.sin(theta)])
-    s = np.maximum(max_wave_speed(w_l, n, gas), max_wave_speed(w_r, n, gas))
-    expect = (0.5 * (physical_flux(w_l, n, gas) + physical_flux(w_r, n, gas))
-              - 0.5 * s[:, None] * (w_r - w_l))
-    flux, s_out = solver.rusanov_flux(w_l.T, w_r.T, n.T, gas)
-    assert (s_out == s).all()
+    expect, s_cons = _cons_rusanov(w_l, w_r, n, gas)
+    flux, s_out = solver.rusanov_flux(u_l.T, u_r.T, n.T, gas)
+    assert (s_out == np.maximum(max_wave_speed(u_l, n, gas), max_wave_speed(u_r, n, gas))).all()
+    np.testing.assert_allclose(s_out, s_cons, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(flux.T, expect, rtol=1e-14, atol=1e-14)
     # consistency: equal states give the physical flux
-    same, _ = solver.rusanov_flux(w_l.T, w_l.T, n.T, gas)
-    np.testing.assert_allclose(same.T, physical_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
+    same, _ = solver.rusanov_flux(u_l.T, u_l.T, n.T, gas)
+    np.testing.assert_allclose(same.T, _cons_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
 
 
 _positive = st.floats(1e-2, 1e2)
@@ -275,11 +305,11 @@ def test_rusanov_flux_of_equal_states_is_the_physical_flux_bitwise(faces):
     """Consistency, F(w, w) . n = f(w) . n, for admissible states and unit normals."""
     gas = GasModel()
     arr = np.array(faces)
-    w = prim_to_cons(arr[:, :4], gas)
+    u = arr[:, :4]
     n = np.column_stack([np.cos(arr[:, 4]), np.sin(arr[:, 4])])
-    flux, _ = solver.rusanov_flux(np.ascontiguousarray(w.T), np.ascontiguousarray(w.T),
+    flux, _ = solver.rusanov_flux(np.ascontiguousarray(u.T), np.ascontiguousarray(u.T),
                                   np.ascontiguousarray(n.T), gas)
-    assert (flux.T == physical_flux(w, n, gas)).all()
+    assert (flux.T == physical_flux(u, n, gas)).all()
 
 
 @pytest.mark.parametrize("family", train.FAMILIES)
@@ -310,13 +340,16 @@ def _digest_meshes():
             "forward_step_0.2": bench.forward_step_mesh(0.2)}
 
 
-# sha256 prefixes of the plain modes' outputs, recorded before the step moved
-# its cell axis last: one step, and the state after a 5-step march
+# sha256 prefixes of the plain modes' outputs, recorded when the flux moved to
+# primitive face states and the residual to per-slot sums (the deviation from
+# the earlier face-order form is bounded in
+# test_step_matches_the_conservative_flux_and_face_scatter_oracle): one step,
+# and the state after a 5-step march
 PLAIN_STEP_DIGESTS = {
-    ("periodic_irregular_8", "lsq"): ("00bbf90575d35bc5", "66e7c60bc034642c"),
-    ("periodic_irregular_8", "gg"): ("c56f8da7c6a5bb29", "18eaccd9f9a8af7c"),
-    ("forward_step_0.2", "lsq"): ("bb06ad9924335ca1", "54bc26756a8fe63b"),
-    ("forward_step_0.2", "gg"): ("2b2ef380e37dc7e6", "a51bb634a6c65052"),
+    ("periodic_irregular_8", "lsq"): ("90bf910107a58311", "1c8bf097af6f3e64"),
+    ("periodic_irregular_8", "gg"): ("dfebb26cdcaa13dc", "d55d23b1c9ee5778"),
+    ("forward_step_0.2", "lsq"): ("1d60d159be86b694", "1dc8fdd93b04838c"),
+    ("forward_step_0.2", "gg"): ("d1c6d03f84f84614", "2b6456dcebd6d709"),
 }
 
 
@@ -343,21 +376,21 @@ def _thin_state(m):
 
 
 # sha256 prefixes of one step and the state after a 5-step march, recorded
-# before MUSCL reused the limiter's face increments: the corrected modes
-# (seeded parameters) on Riemann case 6, and every mode on the thin state
+# with PLAIN_STEP_DIGESTS: the corrected modes (seeded parameters) on
+# Riemann case 6, and every mode on the thin state
 STEP_DIGESTS = {
-    ("periodic_irregular_8", "riemann_6", "ml_lsq"): ("fecfdcf87dfc941d", "9e29719ad3f898b3"),
-    ("periodic_irregular_8", "riemann_6", "ml_gg"): ("23f1c3d30f102dad", "e09b4672cf8e4983"),
-    ("forward_step_0.2", "riemann_6", "ml_lsq"): ("d3f756d55be2b6ea", "0d47d46997fbfd7f"),
-    ("forward_step_0.2", "riemann_6", "ml_gg"): ("2130508d5d2f92df", "64c3bc7be664f3dd"),
-    ("periodic_irregular_8", "thin", "gg"): ("5122df2d038dc9b0", "3204863d7729057b"),
-    ("periodic_irregular_8", "thin", "lsq"): ("6337a0630f512445", "038f02706a5f7a29"),
-    ("periodic_irregular_8", "thin", "ml_gg"): ("ebc657607b7fd212", "27370bf163ec7132"),
-    ("periodic_irregular_8", "thin", "ml_lsq"): ("a3452e93f6118f6c", "3f2c2c5c4df8ae16"),
-    ("forward_step_0.2", "thin", "gg"): ("af1db3acefbc9320", "062926c8305705fd"),
-    ("forward_step_0.2", "thin", "lsq"): ("c2871e831562c792", "8609cae3f6317a74"),
-    ("forward_step_0.2", "thin", "ml_gg"): ("a55d59295ac7e537", "da833ff7fe94b8b1"),
-    ("forward_step_0.2", "thin", "ml_lsq"): ("2a284c919f55a136", "1e87a481a1faec8e"),
+    ("periodic_irregular_8", "riemann_6", "ml_lsq"): ("9847fc7d9b3a30e6", "43105e206189f583"),
+    ("periodic_irregular_8", "riemann_6", "ml_gg"): ("868266fcd6c98066", "b08387edfb5bcb66"),
+    ("forward_step_0.2", "riemann_6", "ml_lsq"): ("a1d6bbba6cd8cc03", "996d081df8a406a5"),
+    ("forward_step_0.2", "riemann_6", "ml_gg"): ("cc2001019b63b03c", "d2f1ae95db3bcc58"),
+    ("periodic_irregular_8", "thin", "gg"): ("41a24483d8f9b0f8", "a3b083826b4c0900"),
+    ("periodic_irregular_8", "thin", "lsq"): ("e24a24e62911ddec", "1d1c9c183287ee66"),
+    ("periodic_irregular_8", "thin", "ml_gg"): ("9770016e9e27e476", "86c3b4237247962c"),
+    ("periodic_irregular_8", "thin", "ml_lsq"): ("75c1f15c1bee1fc5", "5b0d0ec6c25820c8"),
+    ("forward_step_0.2", "thin", "gg"): ("44bdc89a73241728", "ab20c2760043e9de"),
+    ("forward_step_0.2", "thin", "lsq"): ("373a85582f6b6e9c", "c3799528fad36d0b"),
+    ("forward_step_0.2", "thin", "ml_gg"): ("6c3ef477aade0849", "07f4bca546adebb7"),
+    ("forward_step_0.2", "thin", "ml_lsq"): ("b1b9d7583d3d4021", "7dff273bdd9cc265"),
 }
 
 
@@ -378,3 +411,54 @@ def test_step_digests(gas, seeded_params, state, modes):
                 assert diag["fallback_cells"] > 0, (name, mode)
             key = (name, state, mode)
             assert (digest(w1), digest(w5)) == STEP_DIGESTS[key], key
+
+
+def _face_scatter_residual(mesh, w, cfg, bc_table, params):
+    """The residual as the step formed it before the flux took primitive face
+    states: the same stages, then ``_cons_rusanov`` on the conservative face
+    states, and each face's flux times its length added to its left cell and
+    subtracted from its right cell in face order.  w and R are (4, N)."""
+    gas = cfg.gas
+    u = cons_to_prim(w.T, gas).T
+    u_ext, _ = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
+    u_nb = recon.neighbor_values(mesh, u_ext)
+    du = recon.neighbor_deltas(mesh, u_ext[:, :mesh.n_cells], u_nb)
+    alpha = mlcorr.masked_alpha(mesh, params, du) if cfg.uses_network else None
+    if cfg.gradient.endswith("gg"):
+        grad = recon.gradient_gg(mesh, u_ext, alpha=alpha, u_nb=u_nb)
+    else:
+        grad = recon.gradient_lsq(mesh, u_ext, alpha=alpha, du=du)
+    delta = recon.face_increments(mesh, grad)
+    phi = recon.venkat_limiter(mesh, u_ext, delta, cfg.limiter_k, u_nb=u_nb)
+    u_l, u_r, _ = recon.muscl_face_values(mesh, u_ext, delta, phi)
+    flux, _ = _cons_rusanov(prim_to_cons(u_l.T, gas), prim_to_cons(u_r.T, gas),
+                            mesh.f_normal, gas)
+    contrib = flux.T * mesh.f_len
+    r = np.zeros((4, mesh.n_cells))
+    np.add.at(r.T, mesh.f_left, contrib.T)
+    np.add.at(r.T, mesh.f_right[:mesh.n_iface], -contrib[:, :mesh.n_iface].T)
+    return r
+
+
+@pytest.mark.parametrize("state", ["riemann_6", "thin"])
+def test_step_matches_the_conservative_flux_and_face_scatter_oracle(gas, seeded_params, state):
+    """One step of every mode, the corrected ones with zero and with seeded
+    parameters, agrees with the face-order oracle to 4 ulp of max |w|: the
+    flux's arithmetic and the order of each cell's three-term sum moved."""
+    worst = 0.0
+    for name, (m, bc_table) in _digest_meshes().items():
+        u0 = bench.riemann_case(6).evaluate(m.centroid) if state == "riemann_6" else _thin_state(m)
+        w0 = prim_to_cons(u0, gas)
+        runs = [(mode, None) for mode in ("lsq", "gg")] + [
+            (mode, params) for mode in ("ml_lsq", "ml_gg")
+            for params in (mlcorr.zero_params(), seeded_params)]
+        for mode, params in runs:
+            cfg = solver.StepConfig(co=CO, gradient=mode)
+            dt = solver.compute_dt(m, cfg)
+            w1, _ = solver.step_explicit_euler(m, w0, dt, cfg, bc_table, params)
+            r = _face_scatter_residual(m, w0.T, cfg, bc_table, params)
+            expect = (w0.T - (dt / m.area) * r).T
+            dev = np.abs(w1 - expect).max() / np.spacing(np.abs(expect).max())
+            assert dev <= 4.0, (name, mode, dev)
+            worst = max(worst, dev)
+    assert worst > 0.0     # the oracle is not the step itself

@@ -52,17 +52,14 @@ def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
     assert np.isfinite(result.params.values).all()
 
 
-# sha256 prefixes of one ml_lsq sample's (loss, gradient).  The losses were
-# recorded before the tape kept its first adjoints uncopied and was freed on
-# return.  Both gradients were re-recorded when the entropy loss began to
-# take its divergence from recon.gradient_gg: an einsum per flux component
-# times 1/|C| in place of one sum over both components divided by |C|.  That
-# moved the gradient by 1.6e-17 (periodic) and 3.3e-17 (forward step) of
-# its largest entry and the forward step's entropy term by one ulp; both
-# losses stayed bitwise equal
+# sha256 prefixes of one ml_lsq sample's (loss, gradient), re-recorded when
+# the Rusanov flux moved to primitive face states and the residual to
+# per-slot sums.  Against the earlier face-order form, the losses moved by
+# 5.4e-15 (periodic) and 5.6e-15 (forward step) relative, and the gradients
+# by 1.2e-14 and 6.7e-15 of their largest entry
 SAMPLE_GRADIENT_DIGESTS = {
-    "periodic_structured_6": ("9e98fd404f5be0f8", "5548c3f46987bdd5"),
-    "forward_step_0.2": ("f52a1516079a61fd", "0312208aa839a13d"),
+    "periodic_structured_6": ("f3eceb90ebd2f495", "b6c3d4a3bcc1deb2"),
+    "forward_step_0.2": ("1d2763c23b6e1bb2", "e0cc6bbbd815a228"),
 }
 
 
