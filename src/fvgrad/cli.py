@@ -123,7 +123,7 @@ SCHEMA = {
         "record_every": (int, 10),
         "levels": (list, [12, 16, 24]),
         "t_final": (float, 0.2),
-        "bc": (str, "subsonic_outflow"),    # or periodic
+        "bc": (str, "subsonic_out"),        # or periodic
         "repeats": (int, 3),
     },
     "gradcheck": {
@@ -203,10 +203,13 @@ def _write_manifest(out, cfg, artifacts):
 # ---------------------------------------------------------------------------
 
 def build_mesh_from_config(cfg):
+    """The configured mesh.  Its boundary states come from the initial
+    condition (``bc.table_from_ic``), for the built-in forward step too."""
     mc = cfg["mesh"]
     kind = mc["kind"]
     if kind == "forward_step":
-        return _checked("mesh", benchmod.forward_step_mesh, h_target=mc["h_target"])
+        mesh, _ = _checked("mesh", benchmod.forward_step_mesh, h_target=mc["h_target"])
+        return mesh
     if kind == "file":
         if not mc["path"]:
             raise ConfigError("mesh.kind 'file' requires mesh.path")
@@ -214,7 +217,7 @@ def build_mesh_from_config(cfg):
             mesh = msh.read_mesh_ascii(mc["path"])
         except OSError as exc:
             raise ConfigError(f"cannot read mesh.path: {exc}") from exc
-        return mesh, None
+        return mesh
     if kind not in ("structured", "irregular"):
         raise ConfigError(f"unknown mesh.kind '{kind}'")
     if mc["periodic"]:
@@ -225,9 +228,9 @@ def build_mesh_from_config(cfg):
         except KeyError:
             raise ConfigError(f"unknown mesh.bc tag '{mc['bc']}'")
     if kind == "structured":
-        return _checked("mesh", msh.structured_mesh, nx=mc["n"], boundary_spec=spec), None
+        return _checked("mesh", msh.structured_mesh, nx=mc["n"], boundary_spec=spec)
     return _checked("mesh", msh.irregular_mesh, n=mc["n"], seed=mc["seed"],
-                    boundary_spec=spec), None
+                    boundary_spec=spec)
 
 
 def build_ic(cfg):
@@ -301,7 +304,7 @@ def loss_weights(cfg):
 
 def cmd_mesh(cfg):
     out = out_dir_for(cfg)
-    mesh, _bc = build_mesh_from_config(cfg)
+    mesh = build_mesh_from_config(cfg)
     path = out / "mesh.txt"
     msh.write_mesh_ascii(mesh, path)
     log.info("mesh: %d cells, %d faces -> %s", mesh.n_cells, mesh.n_faces, path)
@@ -312,7 +315,7 @@ def cmd_mesh(cfg):
 def cmd_dataset(cfg):
     out = out_dir_for(cfg)
     ds_dir = out / cfg["dataset"]["dir"]
-    coarse, _ = build_mesh_from_config(cfg)
+    coarse = build_mesh_from_config(cfg)
     if coarse.n_ghost:
         raise ConfigError("dataset generation requires a periodic mesh")
     fine, pm = msh.refine_uniform(coarse)
@@ -358,7 +361,7 @@ def _load_dataset_dir(ds_dir, expect_cells):
 
 def cmd_gradcheck(cfg):
     out = out_dir_for(cfg)
-    mesh, _ = build_mesh_from_config(cfg)
+    mesh = build_mesh_from_config(cfg)
     gc = cfg["gradcheck"]
     report = _checked(
         "gradcheck", train.gradient_check,
@@ -388,7 +391,7 @@ def cmd_train(cfg):
         if not report.get("pass") or report.get("config_hash") != config_hash(cfg):
             log.error("gradcheck report is failing or stale; refusing to train")
             return EXIT_GRADCHECK
-    coarse, _ = build_mesh_from_config(cfg)
+    coarse = build_mesh_from_config(cfg)
     trains, vals = _load_dataset_dir(out / cfg["dataset"]["dir"], coarse.n_cells)
     tcfg = _checked(
         "train", train.TrainConfig,
@@ -415,9 +418,9 @@ def cmd_train(cfg):
 
 def cmd_simulate(cfg, checkpoint=None):
     out = out_dir_for(cfg)
-    mesh, fw_bc = build_mesh_from_config(cfg)
+    mesh = build_mesh_from_config(cfg)
     ic = build_ic(cfg)
-    bc_table = fw_bc if fw_bc is not None else table_from_ic(mesh, ic)
+    bc_table = table_from_ic(mesh, ic)
     gas = gas_model(cfg)
     params = None
     gradient = cfg["step"]["gradient"]
@@ -451,8 +454,9 @@ def cmd_bench(cfg, checkpoint=None):
     if bc_cfg["kind"] == "gain":
         if not bc_cfg["cases"]:
             raise ConfigError("bench: need at least one case")
-        if bc_cfg["bc"] not in ("subsonic_outflow", "periodic"):
-            raise ConfigError(f"bench: unsupported Riemann boundary kind {bc_cfg['bc']!r}")
+        if bc_cfg["bc"] not in ("subsonic_out", "periodic"):
+            raise ConfigError(f"bench.bc must be 'subsonic_out' or 'periodic', "
+                              f"got {bc_cfg['bc']!r}")
         cases = [_checked("bench", benchmod.riemann_case, case_id=cid)
                  for cid in bc_cfg["cases"]]
         coarse = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],

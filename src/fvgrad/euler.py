@@ -112,15 +112,10 @@ def cons_to_prim(w, gas, check=True):
     return _components([rho, vx, vy, p], w)
 
 
-def physical_flux(u, n, gas, w=None):
+def physical_flux(u, w, n):
     """Normal physical flux f . n = (v.n) w + p (0, n_x, n_y, v.n) of primitive
-    states u (..., 4) for unit directions n (..., 2).
-
-    ``w`` is the conservative form of u, ``prim_to_cons(u)``, when the caller
-    has it already; otherwise it is formed here, unchecked.
-    """
-    if w is None:
-        w = prim_to_cons(u, gas, check=False)
+    states u (..., 4), given their conservative form w = ``prim_to_cons(u)``,
+    for unit directions n (..., 2)."""
     n = ad.value_of(n)
     p = u[..., P]
     vn = u[..., U] * n[..., 0] + u[..., V] * n[..., 1]

@@ -4,7 +4,8 @@ One step: synthesize ghost states, (optionally) evaluate the correction
 network, reconstruct primitive gradients, form each stencil slot's face
 increment once (the limiter and MUSCL share it), extrapolate the limited
 state of every slot, gather the face states from the slots, apply the
-Rusanov flux, accumulate the residual and update.  The time step
+Rusanov flux to those primitive states, sum each cell's three slot fluxes
+and update.  The time step
 is fixed per run, dt = co * min sqrt(|C|), so runs on a coarse mesh, its
 refinement and the corrected solver all share time instants.
 
@@ -109,8 +110,8 @@ def rusanov_flux(u_l, u_r, n, gas=GasModel()):
     # (F, 4) and (F, 2) views for the pointwise algebra
     ul, ur, nt = ad.transpose(u_l), ad.transpose(u_r), ad.transpose(n)
     wl, wr = prim_to_cons(ul, gas), prim_to_cons(ur, gas)
-    f_l = ad.transpose(physical_flux(ul, nt, gas, w=wl))
-    f_r = ad.transpose(physical_flux(ur, nt, gas, w=wr))
+    f_l = ad.transpose(physical_flux(ul, wl, nt))
+    f_r = ad.transpose(physical_flux(ur, wr, nt))
     s = ad.maximum(max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas))
     return 0.5 * (f_l + f_r) - 0.5 * s * (ad.transpose(wr) - ad.transpose(wl)), s
 
@@ -221,8 +222,9 @@ def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None):
     """Advance n_steps with a fixed dt, saving every cfg.save_every-th frame.
 
     Deterministic for fixed inputs.  Diagnostics per saved frame: totals of
-    the conserved quantities, fallback counter and the realized CFL number
-    co * max wave speed.
+    the conserved quantities, and of the step that produced the frame its
+    first-order fallback cells, its realized CFL number co * max wave speed
+    and its clamped ghost states (frame 0: 0, NaN and 0).
     """
     dt = compute_dt(mesh, cfg)
     rec = RolloutRecord()
@@ -236,18 +238,18 @@ def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None):
 
 def _frame_diag(mesh, step, t, w, diag, cfg):
     totals = (mesh.area[:, None] * w).sum(axis=0)
-    row = {
+    return {
         "step": step, "time": t,
         "mass": totals[0], "mom_x": totals[1], "mom_y": totals[2],
         "energy": totals[3],
         "fallbacks": 0 if diag is None else diag["fallback_cells"],
+        "cfl": np.nan if diag is None else cfg.co * diag["max_wave_speed"],
+        "bc_clamps": 0 if diag is None else diag["bc_clamps"],
     }
-    if diag is not None:
-        row["cfl"] = cfg.co * diag["max_wave_speed"]
-    return row
 
 
-DIAGNOSTIC_COLUMNS = ("step", "time", "mass", "mom_x", "mom_y", "energy", "fallbacks")
+DIAGNOSTIC_COLUMNS = ("step", "time", "mass", "mom_x", "mom_y", "energy", "fallbacks",
+                      "cfl", "bc_clamps")
 
 
 def write_csv(path, columns, rows, header_comment=None):

@@ -157,17 +157,41 @@ def test_default_mesh_bc_simulates(run):
 
 
 def test_forward_step_mesh_file_simulates_like_the_built_in_mesh(run, tmp_path):
-    """Each tag's BC states come from the IC at that tag's own faces."""
-    built_in = {"mesh": {"kind": "forward_step", "h_target": 0.2},
-                "simulate": {"ic": "forward_step", "n_steps": 3}}
-    assert run("mesh", built_in) == cli.EXIT_OK
+    """Each tag's BC states come from the IC at that tag's own faces, on the
+    built-in mesh too: its inflow follows simulate.ic, not the step's state."""
+    mesh_cfg = {"kind": "forward_step", "h_target": 0.2}
+    assert run("mesh", {"mesh": mesh_cfg}) == cli.EXIT_OK
     mesh_file = tmp_path / "step_mesh.txt"
     (_out(tmp_path) / "mesh.txt").rename(mesh_file)
-    assert run("simulate", built_in) == cli.EXIT_OK
-    frames = (_out(tmp_path) / "frames.bin").read_bytes()
-    from_file = {**built_in, "mesh": {"kind": "file", "path": str(mesh_file)}}
-    assert run("simulate", from_file) == cli.EXIT_OK
-    assert (_out(tmp_path) / "frames.bin").read_bytes() == frames
+    runs = {}
+    for ic in ("forward_step", "case:6"):
+        built_in = {"mesh": mesh_cfg, "simulate": {"ic": ic, "n_steps": 3}}
+        assert run("simulate", built_in) == cli.EXIT_OK
+        runs[ic] = (_out(tmp_path) / "frames.bin").read_bytes()
+        from_file = {**built_in, "mesh": {"kind": "file", "path": str(mesh_file)}}
+        assert run("simulate", from_file) == cli.EXIT_OK
+        assert (_out(tmp_path) / "frames.bin").read_bytes() == runs[ic], ic
+    assert runs["forward_step"] != runs["case:6"]
+
+
+def test_bench_bc_takes_the_mesh_bc_tag_names(run, caplog):
+    cfg = {**SMALL, "bench": {"n": 4, "n_steps": 1, "bc": "subsonic_out"}}
+    assert run("bench", cfg) == cli.EXIT_OK
+    cfg["bench"]["bc"] = "subsonic_outflow"
+    assert run("bench", cfg) == cli.EXIT_CONFIG
+    assert "'subsonic_out' or 'periodic'" in caplog.text
+
+
+def test_diagnostics_csv_has_cfl_and_bc_clamps(run, tmp_path):
+    cfg = {**BOUNDED, "step": {"save_every": 2}, "simulate": {"n_steps": 3}}
+    assert run("simulate", cfg) == cli.EXIT_OK
+    header, columns, *rows = (_out(tmp_path) / "diagnostics.csv").read_text().splitlines()
+    columns = columns.split(",")
+    assert columns[-2:] == ["cfl", "bc_clamps"]
+    rows = [dict(zip(columns, row.split(","))) for row in rows]
+    assert [row["step"] for row in rows] == ["0", "2", "3"]
+    assert (rows[0]["cfl"], rows[0]["bc_clamps"]) == ("nan", "0")
+    assert all(0.0 < float(row["cfl"]) < 1.0 for row in rows[1:])
 
 
 def test_limiter_k_zero_is_legal(run):

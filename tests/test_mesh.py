@@ -368,3 +368,12 @@ def test_face_slots_cover_every_stencil_slot_once(name):
     assert (off[:, m.f_slot_l].T == m.f_mid - m.centroid[m.f_left]).all()
     assert (off[:, m.f_slot_r].T
             == m.f_mid[:ni] - m.f_shift[:ni] - m.centroid[m.f_right[:ni]]).all()
+    # the inverse tables: each slot's face, and its length signed by the side
+    face, length = m.slot_face.ravel(), m.slot_len.ravel()
+    assert m.slot_face.shape == m.slot_len.shape == (3, n)
+    assert (face[m.f_slot_l] == np.arange(m.n_faces)).all()
+    assert (face[m.f_slot_r] == np.arange(ni)).all()
+    assert (length[m.f_slot_l] == m.f_len).all()
+    assert (length[m.f_slot_r] == -m.f_len[:ni]).all()
+    # the signed length along the face normal is the cell's outward scaled normal
+    assert (m.slot_len * m.f_normal[m.slot_face].transpose(2, 0, 1) == m.cell_sn).all()

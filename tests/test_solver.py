@@ -1,3 +1,6 @@
+import ctypes
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +178,22 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     assert (r == expect).all()
 
 
+def test_frame_diagnostics_carry_the_cfl_and_bc_clamps_of_their_step(gas):
+    m, bc_table = bench.forward_step_mesh(0.2)
+    w0 = prim_to_cons(bench.riemann_case(6).evaluate(m.centroid), gas)
+    cfg = solver.StepConfig(co=CO, gradient="lsq", save_every=2)
+    rec = solver.rollout(m, w0, 5, cfg, bc_table)
+    diags = [d for _, _, d in solver.march(m, w0, solver.compute_dt(m, cfg), 5, cfg, bc_table)]
+    assert [row["step"] for row in rec.diagnostics] == [0, 2, 4, 5]
+    first = rec.diagnostics[0]
+    assert np.isnan(first["cfl"]) and first["bc_clamps"] == 0
+    for row in rec.diagnostics[1:]:
+        diag = diags[row["step"] - 1]
+        assert row["cfl"] == cfg.co * diag["max_wave_speed"]
+        assert row["bc_clamps"] == diag["bc_clamps"]
+    assert tuple(first) == solver.DIAGNOSTIC_COLUMNS
+
+
 @pytest.mark.parametrize("gradient", ["lsq", "gg"])
 def test_gain_is_zero_at_zero_params(mesh, gradient):
     fine, pm = msh.refine_uniform(mesh)
@@ -309,7 +328,7 @@ def test_rusanov_flux_of_equal_states_is_the_physical_flux_bitwise(faces):
     n = np.column_stack([np.cos(arr[:, 4]), np.sin(arr[:, 4])])
     flux, _ = solver.rusanov_flux(np.ascontiguousarray(u.T), np.ascontiguousarray(u.T),
                                   np.ascontiguousarray(n.T), gas)
-    assert (flux.T == physical_flux(u, n, gas)).all()
+    assert (flux.T == physical_flux(u, prim_to_cons(u, gas), n)).all()
 
 
 @pytest.mark.parametrize("family", train.FAMILIES)
@@ -462,3 +481,72 @@ def test_step_matches_the_conservative_flux_and_face_scatter_oracle(gas, seeded_
             assert dev <= 4.0, (name, mode, dev)
             worst = max(worst, dev)
     assert worst > 0.0     # the oracle is not the step itself
+
+
+_IN_OUT_WALLS = msh.BoundarySpec(rules=[
+    (msh.SUBSONIC_IN, 0, lambda mid, n: n[0] < -0.5),
+    (msh.SUBSONIC_OUT, 0, lambda mid, n: n[0] > 0.5),
+    (msh.SLIP_WALL, 0, lambda mid, n: True),
+])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 7), mesh_seed=st.integers(0, 2 ** 16),
+       state_seed=st.integers(0, 2 ** 16), periodic=st.booleans())
+def test_residual_sums_to_the_boundary_flux(seeded_params, n, mesh_seed, state_seed, periodic):
+    """Discrete conservation: every interior face adds its flux to one cell and
+    takes it from the other, so sum_i R_i is 0 on a periodic mesh and the
+    boundary faces' flux sum on a bounded one, to 1e-12 of sum |flux * len|.
+    Random irregular meshes, random admissible states, all four modes."""
+    spec = msh.BoundarySpec.periodic_box() if periodic else _IN_OUT_WALLS
+    m = msh.irregular_mesh(n, seed=mesh_seed, boundary_spec=spec)
+    rng = np.random.default_rng(state_seed)
+    w = prim_to_cons(random_admissible_prim(rng, m.n_cells), GasModel())
+    bc_table = bclib.table_from_ic(m, lambda pts: random_admissible_prim(rng, len(pts)))
+    assert bool(bc_table) != periodic
+    real = solver.rusanov_flux
+    for mode in solver.GRADIENT_MODES:
+        cfg = solver.StepConfig(gradient=mode)
+        fluxes = []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            fluxes.append(out[0])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "rusanov_flux", spy)
+            r, _ = solver.residual(m, np.ascontiguousarray(w.T), cfg, bc_table,
+                                   seeded_params if cfg.uses_network else None)
+        flux_len = fluxes[0] * m.f_len
+        boundary = flux_len[:, m.n_iface:].sum(axis=1)
+        scale = np.abs(flux_len).sum(axis=1)
+        assert (np.abs(r.sum(axis=1) - boundary) <= 1e-12 * scale).all(), mode
+
+
+def _has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt to pin the heap with")
+@pytest.mark.parametrize("mode", ["lsq", "ml_lsq"])
+def test_steps_take_no_page_faults_after_warm_up(gas, seeded_params, mode):
+    """One mode alone, as ``fvgrad simulate`` runs it: with glibc's mmap and
+    trim thresholds pinned on import, the step's temporaries reuse the
+    heap's freed blocks instead of mapping fresh pages."""
+    m = msh.periodic_irregular_mesh(50)
+    assert 4500 < m.n_cells < 5500
+    w = prim_to_cons(smooth_prim_field(m.centroid), gas)
+    cfg = solver.StepConfig(gradient=mode)
+    params = seeded_params if cfg.uses_network else None
+    dt = solver.compute_dt(m, cfg)
+    for _ in range(3):
+        solver.step_explicit_euler(m, w, dt, cfg, {}, params)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        solver.step_explicit_euler(m, w, dt, cfg, {}, params)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before == 0
