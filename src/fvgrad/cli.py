@@ -188,11 +188,16 @@ def out_dir_for(cfg):
     return out
 
 
-def _write_manifest(out, cfg, artifacts):
+def _write_manifest(out, cfg, artifacts, mesh=None):
+    """run_manifest.json: the config and its hash, the artifacts, the numpy
+    version, and how many blocks a step on the run's mesh runs in
+    (``solver.step_workers``; null for a study, which steps on several)."""
     manifest = {
         "config_hash": config_hash(cfg),
         "config": cfg,
         "artifacts": sorted(artifacts),
+        "numpy_version": np.__version__,
+        "step_workers": None if mesh is None else solver.step_workers(mesh.n_cells),
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True))
@@ -308,7 +313,7 @@ def cmd_mesh(cfg):
     path = out / "mesh.txt"
     msh.write_mesh_ascii(mesh, path)
     log.info("mesh: %d cells, %d faces -> %s", mesh.n_cells, mesh.n_faces, path)
-    _write_manifest(out, cfg, ["mesh.txt"])
+    _write_manifest(out, cfg, ["mesh.txt"], mesh)
     return EXIT_OK
 
 
@@ -327,7 +332,8 @@ def cmd_dataset(cfg):
     train.generate_dataset(spec, coarse, fine, pm, gas=gas, out_dir=ds_dir)
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
-    _write_manifest(out, cfg, [str(p.relative_to(out)) for p in ds_dir.iterdir()])
+    _write_manifest(out, cfg, [str(p.relative_to(out)) for p in ds_dir.iterdir()],
+                    coarse)
     return EXIT_OK
 
 
@@ -374,7 +380,7 @@ def cmd_gradcheck(cfg):
     (out / "gradcheck.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     log.info("gradcheck: pass=%s frac_ok=%.4f (report in gradcheck.json)",
              report["pass"], report["frac_ok"])
-    _write_manifest(out, cfg, ["gradcheck.json"])
+    _write_manifest(out, cfg, ["gradcheck.json"], mesh)
     return EXIT_OK if report["pass"] else EXIT_GRADCHECK
 
 
@@ -407,7 +413,7 @@ def cmd_train(cfg):
     solver.write_csv(out / "history.csv", train.HISTORY_COLUMNS,
                      ([row[c] for c in train.HISTORY_COLUMNS] for row in result.history),
                      header_comment=f"config {config_hash(cfg)}")
-    _write_manifest(out, cfg, ["history.csv", "params.gfnn"])
+    _write_manifest(out, cfg, ["history.csv", "params.gfnn"], coarse)
     if result.aborted:
         log.error("training aborted on non-finite loss; last good checkpoint kept")
         return EXIT_NUMERIC
@@ -439,7 +445,7 @@ def cmd_simulate(cfg, checkpoint=None):
                      ([row[c] for c in solver.DIAGNOSTIC_COLUMNS] for row in record.diagnostics),
                      header_comment=f"config {config_hash(cfg)}")
     log.info("simulate: %d frames -> %s", len(record.frames), out / "frames.bin")
-    _write_manifest(out, cfg, ["frames.bin", "diagnostics.csv"])
+    _write_manifest(out, cfg, ["frames.bin", "diagnostics.csv"], mesh)
     return EXIT_OK
 
 
@@ -450,6 +456,7 @@ def cmd_bench(cfg, checkpoint=None):
     params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(
         net_config(cfg))
     artifacts = []
+    mesh = None
     head = f"config {config_hash(cfg)}"
     if bc_cfg["kind"] == "gain":
         if not bc_cfg["cases"]:
@@ -459,14 +466,14 @@ def cmd_bench(cfg, checkpoint=None):
                               f"got {bc_cfg['bc']!r}")
         cases = [_checked("bench", benchmod.riemann_case, case_id=cid)
                  for cid in bc_cfg["cases"]]
-        coarse = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],
-                          periodic=bc_cfg["bc"] == "periodic")
-        fine, pm = msh.refine_uniform(coarse)
+        mesh = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],
+                        periodic=bc_cfg["bc"] == "periodic")
+        fine, pm = msh.refine_uniform(mesh)
         for case in cases:
             cid = case.case_id
             report = _checked(
                 "bench", benchmod.run_gain,
-                case_or_ic=case, coarse=coarse, fine=fine, pm=pm, params=params,
+                case_or_ic=case, coarse=mesh, fine=fine, pm=pm, params=params,
                 n_steps=bc_cfg["n_steps"], co=cfg["step"]["co"],
                 gas=gas, record_every=bc_cfg["record_every"])
             name = f"gain_case{cid}.csv"
@@ -488,7 +495,7 @@ def cmd_bench(cfg, checkpoint=None):
         log.info("convergence slopes: %s", slopes)
     else:
         raise ConfigError(f"unknown bench.kind '{bc_cfg['kind']}'")
-    _write_manifest(out, cfg, artifacts)
+    _write_manifest(out, cfg, artifacts, mesh)
     return EXIT_OK
 
 

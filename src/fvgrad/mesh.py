@@ -8,7 +8,7 @@ directions, precomputed inverse least-squares normal matrices, ghost
 slots for non-periodic boundary faces, and the constants that
 reconstruction would otherwise recompute every step (centroid-to-face
 offsets and each face's stencil slots, Green-Gauss scaled normals, LSQ
-weighted offsets, 1/|C|).
+weighted offsets, 1/|C| and sqrt|C|).
 
 Topology comes from one array-based edge numbering (``_edges``): edges are
 numbered in the order of their first half-edge, and faces, ghosts, the
@@ -127,6 +127,7 @@ class Mesh:
     tri: np.ndarray            # (N, 3) CCW node indices
     area: np.ndarray           # (N,)
     inv_area: np.ndarray       # (N,) 1 / area
+    sqrt_area: np.ndarray      # (N,) sqrt(area), the cell length scale
     centroid: np.ndarray       # (N, 2)
     # faces in edge order: plain interior, merged periodic pairs by group,
     # then boundary faces by tag
@@ -162,6 +163,7 @@ class Mesh:
     slot_len: np.ndarray       # (3, N) its length, negative on the right side
     ghost_centroid: np.ndarray = field(default=None)  # (Fb, 2) mirrored centers
     region: np.ndarray = field(default=None)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_cells(self):
@@ -177,11 +179,39 @@ class Mesh:
 
     @property
     def min_sqrt_area(self):
-        return float(np.sqrt(self.area.min()))
+        return float(self.sqrt_area.min())
 
     @property
     def mean_cell_length(self):
         return float(np.sqrt(self.area.mean()))
+
+    def cell_blocks(self, k):
+        """The cells in k contiguous blocks of near-equal size, as
+        ``CellBlock`` views; built once per k and kept with the mesh."""
+        if k not in self._blocks:
+            n = self.n_cells
+            self._blocks[k] = [CellBlock(self, slice(n * b // k, n * (b + 1) // k))
+                               for b in range(k)]
+        return self._blocks[k]
+
+
+class CellBlock:
+    """A contiguous range of a mesh's cells, for the step's per-cell stages.
+
+    It holds views of the per-cell arrays those stages read, under the
+    mesh's own names and cut to the range on the cell axis, so a block
+    passes where the stages take a mesh.  ``cells`` is the range as a slice.
+    """
+
+    CELL_ARRAYS = ("inv_area", "sqrt_area", "lsq_wd", "inv11", "inv12", "inv22",
+                   "interior_mask", "cell_foff", "cell_sn")
+
+    def __init__(self, mesh, cells):
+        self.cells = cells
+        self.n_cells = cells.stop - cells.start
+        for name in self.CELL_ARRAYS:
+            setattr(self, name, getattr(mesh, name)[..., cells])
+        self.angles = mesh.angles[cells]        # one row per cell
 
 
 @dataclass
@@ -459,7 +489,8 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         raise MeshError("stencil angles do not wind once around a centroid")
 
     m = Mesh(
-        nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, centroid=centroid,
+        nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, sqrt_area=np.sqrt(area),
+        centroid=centroid,
         f_left=f_left, f_right=f_right, f_normal=f_normal, f_len=f_len,
         f_mid=f_mid, f_shift=f_shift, n_iface=n_iface,
         f_slot_l=f_slot_l, f_slot_r=f_slot_r,

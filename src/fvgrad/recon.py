@@ -12,8 +12,13 @@ scheme and ``alpha == 0`` reproduces it bitwise.
 One entry of a stencil array belongs to a stencil slot, neighbor j of cell i
 (see ``mesh``), and each slot is one side of one face.  The step forms the
 face increments (r_ij - r_i) . grad u_i once per slot (``face_increments``);
-the limiter reads them, and MUSCL extrapolates each slot's limited state and
-gathers the face states from the slots.
+the limiter reads them, ``slot_states`` extrapolates each slot's limited
+state, and ``muscl_face_values`` gathers the face states from the slots.
+
+Every function here but ``neighbor_values`` and ``muscl_face_values`` reads
+only its own cells.  Given those cells' neighbour values (``u_nb``) or
+deltas (``du``), it also takes a ``mesh.CellBlock`` in place of the mesh,
+with the block's cells' fields.
 """
 
 import numpy as np
@@ -110,7 +115,7 @@ def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
     u_min = ad.minimum(nb_min, u)
     u_max = ad.maximum(nb_max, u)
 
-    omega = (k_limiter * np.sqrt(mesh.area)) ** 3
+    omega = (k_limiter * mesh.sqrt_area) ** 3
     a_max = ad.reshape(u_max - u, (4, 1, n))
     a_min = ad.reshape(u_min - u, (4, 1, n))
     zero = delta == 0.0
@@ -126,36 +131,44 @@ def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
     return ad.minimum(ad.maximum(phi, 0.0), 1.0)
 
 
-def muscl_face_values(mesh, u_ext, delta, phi):
-    """One-sided face states u_ij, u_ji at every face midpoint, each (4, F).
+def slot_states(mesh, u_ext, delta, phi):
+    """Each stencil slot's limited linear extrapolation, (4, 3, N), and the
+    number of cells that fell back to first order.
 
-    Each stencil slot's state is its cell's limited linear extrapolation,
-    u_i + phi_i * delta_ij, with ``delta`` from ``face_increments``.  Every
-    slot is one side of exactly one face, so the left states and the right
-    states of interior faces are gathers of the slot states through
-    ``mesh.f_slot_l`` and ``mesh.f_slot_r``; a boundary face's right state
-    is its ghost value (first order).  A cell with a non-admissible slot
-    state (``euler.not_positive`` on its rho or p, so NaN included) falls
-    back to first order (phi = 0 for that cell) and is counted.
+    A slot's state is u_i + phi_i * delta_ij, with ``delta`` from
+    ``face_increments``.  A cell with a non-admissible slot state
+    (``euler.not_positive`` on its rho or p, so NaN included) falls back to
+    first order (phi = 0 for that cell) and is counted.
     """
     n = mesh.n_cells
     u = ad.reshape(_cells(mesh, u_ext), (4, 1, n))
 
-    def slot_states(limiter):
+    def extrapolate(limiter):
         return u + ad.reshape(limiter, (4, 1, n)) * delta
 
-    s = slot_states(phi)
+    s = extrapolate(phi)
     sv = ad.value_of(s)
     bad = (not_positive(sv[RHO]) | not_positive(sv[P])).any(axis=0)
     n_fallback = int(bad.sum())
     if n_fallback:
         phi = phi * np.where(bad, 0.0, 1.0)
-        s = slot_states(phi)
+        s = extrapolate(phi)
+    return s, n_fallback
 
-    s = ad.reshape(s, (4, 3 * n))
+
+def muscl_face_values(mesh, u_ext, slots):
+    """One-sided face states u_ij, u_ji at every face midpoint, each (4, F).
+
+    ``slots`` are the slot states of ``slot_states``.  Every slot is one side
+    of exactly one face, so the left states and the right states of interior
+    faces are gathers of the slot states through ``mesh.f_slot_l`` and
+    ``mesh.f_slot_r``; a boundary face's right state is its ghost value
+    (first order).
+    """
+    s = ad.reshape(slots, (4, 3 * mesh.n_cells))
     u_l = ad.take_rows(s, mesh.f_slot_l)
     u_r = ad.take_rows(s, mesh.f_slot_r)
     if mesh.n_ghost:
         u_ghost = ad.take_rows(u_ext, mesh.f_right[mesh.n_iface:])
         u_r = ad.concatenate([u_r, u_ghost], axis=1)
-    return u_l, u_r, n_fallback
+    return u_l, u_r

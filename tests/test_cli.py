@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from fvgrad import autodiff as ad
-from fvgrad import bench, cli, mlcorr
+from fvgrad import bench, cli, mlcorr, solver
 
 SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
@@ -33,6 +34,19 @@ def test_mesh_command_writes_mesh_and_manifest(run, tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["artifacts"] == ["mesh.txt"]
     assert manifest["config"]["mesh"]["n"] == 6
+
+
+@pytest.mark.parametrize("n,config_hash", [(6, "57e8ee8355a06caf"), (71, "324467b8b1a505e8")])
+def test_manifest_records_step_workers_and_numpy_version(run, tmp_path, n, config_hash):
+    cfg = {"mesh": {"kind": "structured", "n": n, "periodic": True}}
+    assert run("mesh", cfg) == cli.EXIT_OK
+    manifest = json.loads((_out(tmp_path) / "run_manifest.json").read_text())
+    cells = 2 * n * n
+    assert manifest["step_workers"] == solver.step_workers(cells)
+    assert manifest["step_workers"] == (1 if n == 6 else min(2, solver._cpus()))
+    assert manifest["numpy_version"] == np.__version__
+    # the keys sit beside the config: its hash is the one recorded before them
+    assert manifest["config_hash"] == cli.config_hash(manifest["config"]) == config_hash
 
 
 def test_unknown_key_is_config_error(run):

@@ -207,8 +207,9 @@ def test_muscl_first_order_when_phi_zero(rng, periodic_mesh_small):
     m = periodic_mesh_small
     u = random_admissible_prim(rng, m.n_cells)
     grad = recon.gradient_lsq(m, u.T)
-    u_l, u_r, nfb = recon.muscl_face_values(m, u.T, recon.face_increments(m, grad),
-                                            np.zeros((4, m.n_cells)))
+    slots, nfb = recon.slot_states(m, u.T, recon.face_increments(m, grad),
+                                   np.zeros((4, m.n_cells)))
+    u_l, u_r = recon.muscl_face_values(m, u.T, slots)
     np.testing.assert_allclose(u_l.T, u[m.f_left], atol=0, rtol=0)
     assert nfb == 0
 
@@ -221,7 +222,8 @@ def test_muscl_exact_on_linear_both_sides(bounded_irregular):
     u = extended_field(m, fn2)
     grad = recon.gradient_lsq(m, u)
     phi = np.ones((4, m.n_cells))
-    u_l, u_r, nfb = recon.muscl_face_values(m, u, recon.face_increments(m, grad), phi)
+    slots, nfb = recon.slot_states(m, u, recon.face_increments(m, grad), phi)
+    u_l, u_r = recon.muscl_face_values(m, u, slots)
     u_l, u_r = u_l.T, u_r.T
     expect = fn2(m.f_mid)
     np.testing.assert_allclose(u_l, expect, atol=1e-12)
@@ -239,8 +241,9 @@ def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
     gy = np.zeros((4, m.n_cells))
     cell = 7
     gx[0, cell] = 10.0
-    u_l, u_r, nfb = recon.muscl_face_values(m, u, recon.face_increments(m, (gx, gy)),
-                                            np.ones((4, m.n_cells)))
+    slots, nfb = recon.slot_states(m, u, recon.face_increments(m, (gx, gy)),
+                                   np.ones((4, m.n_cells)))
+    u_l, u_r = recon.muscl_face_values(m, u, slots)
     assert nfb >= 1
     assert (u_l[0] > 0).all() and (u_r[0] > 0).all()
 
@@ -356,7 +359,8 @@ def _muscl_pair(m, u_ext, limit):
     grad = recon.gradient_lsq(m, u_ext)
     delta = recon.face_increments(m, grad)
     phi = recon.venkat_limiter(m, u_ext, delta, 5.0) * limit
-    return (recon.muscl_face_values(m, u_ext, delta, phi),
+    slots, nfb = recon.slot_states(m, u_ext, delta, phi)
+    return ((*recon.muscl_face_values(m, u_ext, slots), nfb),
             _per_face_muscl(m, u_ext, grad, phi))
 
 

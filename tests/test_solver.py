@@ -1,5 +1,9 @@
 import ctypes
+import os
 import resource
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -140,7 +144,8 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     grad = recon.gradient_lsq(mesh, u)
     delta = recon.face_increments(mesh, grad)
     phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
-    u_l, u_r, _ = recon.muscl_face_values(mesh, u, delta, phi)
+    slots, _ = recon.slot_states(mesh, u, delta, phi)
+    u_l, u_r = recon.muscl_face_values(mesh, u, slots)
     s = np.maximum(max_wave_speed(u_l.T, mesh.f_normal, gas),
                    max_wave_speed(u_r.T, mesh.f_normal, gas))
     assert diag["max_wave_speed"] == float(s.max())
@@ -161,7 +166,8 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     delta = recon.face_increments(mesh, grad)
     phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
-    u_l, u_r, _ = recon.muscl_face_values(mesh, u, delta, phi)
+    slots, _ = recon.slot_states(mesh, u, delta, phi)
+    u_l, u_r = recon.muscl_face_values(mesh, u, slots)
     flux, _ = solver.rusanov_flux(u_l, u_r, mesh.f_normal.T, gas)
     # each cell adds its faces' fluxes in stencil order, + on its face's
     # left side and - on the right, each times the face length
@@ -449,7 +455,8 @@ def _face_scatter_residual(mesh, w, cfg, bc_table, params):
         grad = recon.gradient_lsq(mesh, u_ext, alpha=alpha, du=du)
     delta = recon.face_increments(mesh, grad)
     phi = recon.venkat_limiter(mesh, u_ext, delta, cfg.limiter_k, u_nb=u_nb)
-    u_l, u_r, _ = recon.muscl_face_values(mesh, u_ext, delta, phi)
+    slots, _ = recon.slot_states(mesh, u_ext, delta, phi)
+    u_l, u_r = recon.muscl_face_values(mesh, u_ext, slots)
     flux, _ = _cons_rusanov(prim_to_cons(u_l.T, gas), prim_to_cons(u_r.T, gas),
                             mesh.f_normal, gas)
     contrib = flux.T * mesh.f_len
@@ -537,16 +544,184 @@ def _has_mallopt():
 def test_steps_take_no_page_faults_after_warm_up(gas, seeded_params, mode):
     """One mode alone, as ``fvgrad simulate`` runs it: with glibc's mmap and
     trim thresholds pinned on import, the step's temporaries reuse the
-    heap's freed blocks instead of mapping fresh pages."""
-    m = msh.periodic_irregular_mesh(50)
-    assert 4500 < m.n_cells < 5500
-    w = prim_to_cons(smooth_prim_field(m.centroid), gas)
+    heap's freed blocks instead of mapping fresh pages.  The second mesh runs
+    in two blocks, the second on a pool thread with its own malloc arena.
+    The two threads' allocations interleave differently in every run, so
+    their heaps reach their high-water marks at a varying step, and OpenBLAS
+    touches a second buffer the first time the threads multiply at the same
+    moment.  So that mesh warms up with ``_touch_heaps_and_blas_buffers``
+    and 30 steps."""
     cfg = solver.StepConfig(gradient=mode)
     params = seeded_params if cfg.uses_network else None
+
+    def faults_after(m, warm_up):
+        w = prim_to_cons(smooth_prim_field(m.centroid), gas)
+        dt = solver.compute_dt(m, cfg)
+        for _ in range(warm_up):
+            solver.step_explicit_euler(m, w, dt, cfg, {}, params)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            solver.step_explicit_euler(m, w, dt, cfg, {}, params)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    m = msh.periodic_irregular_mesh(50)
+    assert 4500 < m.n_cells < 5500
+    assert solver.step_workers(m.n_cells) == 1
+    assert faults_after(m, 3) == 0
+    m = msh.periodic_irregular_mesh(int(np.ceil(np.sqrt(solver.MIN_BLOCK_CELLS))))
+    assert solver.step_workers(m.n_cells) == min(2, solver._cpus())
+    _touch_heaps_and_blas_buffers()
+    assert faults_after(m, 30) == 0
+
+
+def _touch_heaps_and_blas_buffers():
+    """On the caller and on a pool thread at once: touch 16 MiB past each
+    thread's heap top, freed again (it stays mapped under the pinned trim
+    threshold), and fill one OpenBLAS buffer each with a product larger
+    than any of the step's."""
+    def task(_):
+        a = np.ones((64, 64))
+        b = np.ones((64, 32768))                        # 16 MiB
+        for _ in range(5):
+            a @ b
+    solver._run_tasks(task, 2)
+
+# ---------------------------------------------------------------------------
+# the per-cell and per-face stages in blocks
+# ---------------------------------------------------------------------------
+
+def _split_steps_into(monkeypatch, k):
+    """Every untraced step runs in k blocks, whatever the mesh and the CPU
+    count; the pool keeps its size, so more blocks than workers queue."""
+    monkeypatch.setattr(solver, "step_workers", lambda n_cells: k)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads as often as the interpreter can, to shake out races."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """(name, mesh, bc table, primitive state, limiter constant K).  On the
+    thin state a wide limiter (K = 50) lets MUSCL overshoot, so cells fall
+    back to first order."""
+    n = int(np.ceil(np.sqrt(solver.MIN_BLOCK_CELLS)))
+    periodic = msh.periodic_irregular_mesh(n)
+    assert periodic.n_cells >= 2 * solver.MIN_BLOCK_CELLS      # multi-block as it stands
+    step, step_bc = bench.forward_step_mesh(0.02)
+    return [
+        ("periodic", periodic, {}, bench.riemann_case(6).evaluate(periodic.centroid), 5.0),
+        ("forward_step", step, step_bc, bench.riemann_case(6).evaluate(step.centroid), 5.0),
+        ("thin", periodic, {}, _thin_state(periodic), 50.0),
+    ]
+
+
+def test_a_step_in_one_two_or_three_blocks_is_bitwise_the_same(
+        gas, seeded_params, block_cases, monkeypatch, short_switch_interval):
+    """Every stage run in blocks reads only its own cells or faces, so the
+    split changes neither the frame nor any diagnostic."""
+    runs = [(mode, None) for mode in ("lsq", "gg")]
+    runs += [(mode, p) for mode in ("ml_lsq", "ml_gg")
+             for p in (mlcorr.zero_params(), seeded_params)]
+    for name, m, bc_table, u0, limiter_k in block_cases:
+        w0 = prim_to_cons(u0, gas)
+        for mode, params in runs:
+            cfg = solver.StepConfig(gradient=mode, limiter_k=limiter_k)
+            dt = solver.compute_dt(m, cfg)
+            out = []
+            for k in (1, 2, 3):
+                _split_steps_into(monkeypatch, k)
+                w1, diag = solver.step_explicit_euler(m, w0, dt, cfg, bc_table, params)
+                out.append((w1.tobytes(), diag))
+            assert out[1] == out[0] and out[2] == out[0], (name, mode)
+            assert (out[0][1]["fallback_cells"] > 0) == (name == "thin"), (name, mode)
+
+
+def test_a_block_error_is_raised_once_every_block_has_returned():
+    returned = []
+
+    def task(b):
+        time.sleep(0.05 * (3 - b))            # the last block returns first
+        returned.append(b)
+        if b:
+            raise (KeyError, ValueError, TypeError)[b](f"block {b}")
+        return b
+
+    with pytest.raises(ValueError, match="block 1"):
+        solver._run_tasks(task, 3)
+    assert sorted(returned) == [0, 1, 2]
+
+
+def test_the_caller_block_error_wins():
+    returned = []
+
+    def task(b):
+        if b == 0:
+            raise KeyError("block 0")
+        time.sleep(0.05)
+        returned.append(b)
+        raise ValueError(f"block {b}")
+
+    with pytest.raises(KeyError, match="block 0"):
+        solver._run_tasks(task, 3)
+    assert sorted(returned) == [1, 2]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_non_finite_parameters_raise_the_one_block_error_and_the_next_step_runs(
+        gas, seeded_params, block_cases, monkeypatch, k):
+    _, m, bc_table, u0, _ = block_cases[0]
+    w0 = prim_to_cons(u0, gas)
+    cfg = solver.StepConfig(gradient="ml_lsq")
     dt = solver.compute_dt(m, cfg)
-    for _ in range(3):
-        solver.step_explicit_euler(m, w, dt, cfg, {}, params)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(5):
-        solver.step_explicit_euler(m, w, dt, cfg, {}, params)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before == 0
+    vals = seeded_params.values.copy()
+    vals[0] = np.nan                                    # norm_scale
+    bad = seeded_params.with_values(vals)
+    outcomes = []
+    for blocks in (1, k):
+        _split_steps_into(monkeypatch, blocks)
+        with pytest.raises(mlcorr.NetworkError) as err:
+            solver.step_explicit_euler(m, w0, dt, cfg, bc_table, bad)
+        outcomes.append((type(err.value), str(err.value)))
+        w1, diag = solver.step_explicit_euler(m, w0, dt, cfg, bc_table, seeded_params)
+        outcomes.append((w1.tobytes(), diag))
+    assert outcomes[2:] == outcomes[:2]
+
+
+def test_a_forked_child_steps_in_blocks(gas, seeded_params, block_cases, monkeypatch):
+    """The pool's threads do not survive a fork; the child builds its own."""
+    _, m, bc_table, u0, _ = block_cases[0]
+    w0 = prim_to_cons(u0, gas)
+    cfg = solver.StepConfig(gradient="ml_lsq")
+    dt = solver.compute_dt(m, cfg)
+    _split_steps_into(monkeypatch, 2)
+    w1, _ = solver.step_explicit_euler(m, w0, dt, cfg, bc_table, seeded_params)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                        # the child
+        code = 1
+        try:
+            w_child, _ = solver.step_explicit_euler(m, w0, dt, cfg, bc_table, seeded_params)
+            os.write(write, digest(w_child).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    deadline = time.monotonic() + 60.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    with os.fdopen(read) as fh:
+        got = fh.read()
+    assert status[0] == pid, "the child's step did not finish within 60 s"
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+    assert got == digest(w1)
