@@ -644,6 +644,26 @@ def test_a_step_in_one_two_or_three_blocks_is_bitwise_the_same(
             assert (out[0][1]["fallback_cells"] > 0) == (name == "thin"), (name, mode)
 
 
+def test_a_traced_step_runs_as_one_block(mesh, w0, seeded_params, monkeypatch):
+    """A tape records in order, so a traced step never reaches the pool."""
+    _split_steps_into(monkeypatch, 3)
+    cfg = solver.StepConfig(co=CO, gradient="ml_lsq")
+    dt = solver.compute_dt(mesh, cfg)
+    ran = []
+    real = solver._run_tasks
+    monkeypatch.setattr(solver, "_run_tasks", lambda task, k: ran.append(k) or real(task, k))
+
+    def loss(p_vec):
+        w1, _ = solver.step_explicit_euler(mesh, w0, dt, cfg, {}, seeded_params,
+                                           params_vec=p_vec)
+        return ad.sum(w1 * w1)
+
+    ad.record_and_backprop(loss, seeded_params.values)
+    assert ran == []
+    solver.step_explicit_euler(mesh, w0, dt, cfg, {}, seeded_params)
+    assert ran == [3, 3]                    # cells, then faces
+
+
 def test_a_block_error_is_raised_once_every_block_has_returned():
     returned = []
 
