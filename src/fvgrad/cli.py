@@ -20,24 +20,30 @@ Exit codes:
   4  gradient-check failure, or a missing / stale gradcheck report
 """
 
-import argparse
-import hashlib
-import json
-import logging
 import os
-import sys
-from pathlib import Path
 
-import numpy as np
-import yaml
+# One OpenBLAS thread unless the user sets another count: the step's block
+# pool and the training children already use every CPU, and OpenBLAS's own
+# threads would compete with them.  Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import bench as benchmod
-from . import mesh as msh
-from . import mlcorr, solver, train
-from .autodiff import TraceError
-from .bc import table_from_ic
-from .euler import AdmissibilityError, GasModel, prim_to_cons
-from .mesh import BoundarySpec
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import logging  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import yaml  # noqa: E402
+
+from . import bench as benchmod  # noqa: E402
+from . import mesh as msh  # noqa: E402
+from . import mlcorr, solver, train  # noqa: E402
+from .autodiff import TraceError  # noqa: E402
+from .bc import table_from_ic  # noqa: E402
+from .euler import AdmissibilityError, GasModel, prim_to_cons  # noqa: E402
+from .mesh import BoundarySpec  # noqa: E402
 
 log = logging.getLogger("fvgrad")
 
@@ -188,16 +194,20 @@ def out_dir_for(cfg):
     return out
 
 
-def _write_manifest(out, cfg, artifacts, mesh=None):
+def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None):
     """run_manifest.json: the config and its hash, the artifacts, the numpy
-    version, and how many blocks a step on the run's mesh runs in
-    (``solver.step_workers``; null for a study, which steps on several)."""
+    version, the OPENBLAS_NUM_THREADS in effect, how many blocks a step on
+    the run's mesh runs in (``solver.step_workers``; null for a study, which
+    steps on several) and how many processes a training minibatch runs on
+    (``train.workers``; null for a command that does not train)."""
     manifest = {
         "config_hash": config_hash(cfg),
         "config": cfg,
         "artifacts": sorted(artifacts),
         "numpy_version": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "step_workers": None if mesh is None else solver.step_workers(mesh.n_cells),
+        "train_workers": train_workers,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True))
@@ -413,7 +423,9 @@ def cmd_train(cfg):
     solver.write_csv(out / "history.csv", train.HISTORY_COLUMNS,
                      ([row[c] for c in train.HISTORY_COLUMNS] for row in result.history),
                      header_comment=f"config {config_hash(cfg)}")
-    _write_manifest(out, cfg, ["history.csv", "params.gfnn"], coarse)
+    n_samples = sum(tr.n_pairs for tr in trains)
+    _write_manifest(out, cfg, ["history.csv", "params.gfnn"], coarse,
+                    train_workers=train.workers(min(tcfg.batch_size, n_samples)))
     if result.aborted:
         log.error("training aborted on non-finite loss; last good checkpoint kept")
         return EXIT_NUMERIC

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from fvgrad import autodiff as ad
-from fvgrad import bench, cli, mlcorr, solver
+from fvgrad import bench, cli, mlcorr, solver, train
 
 SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
@@ -47,6 +51,65 @@ def test_manifest_records_step_workers_and_numpy_version(run, tmp_path, n, confi
     assert manifest["numpy_version"] == np.__version__
     # the keys sit beside the config: its hash is the one recorded before them
     assert manifest["config_hash"] == cli.config_hash(manifest["config"]) == config_hash
+
+
+# runs the given commands, then prints the thread count of the loaded
+# OpenBLAS ("unknown" where none is found, as on a build with another BLAS)
+CLI_PROBE = """
+import ctypes, sys
+from fvgrad import cli
+config, commands = sys.argv[1], sys.argv[2:]
+code = max(cli.main([command, "-c", config]) for command in commands)
+with open("/proc/self/maps") as fh:
+    libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+threads = "unknown"
+for lib in map(ctypes.CDLL, libs):
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        if threads == "unknown" and hasattr(lib, sym):
+            threads = getattr(lib, sym)()
+print(threads)
+sys.exit(code)
+"""
+
+
+def _fresh_cli(tmp_path, cfg, commands, blas_threads=None):
+    """The CLI in a fresh interpreter, with OPENBLAS_NUM_THREADS unset or set
+    to blas_threads.  Training forks, and a fork write-protects every page
+    of the forking process, so later steps there fault again for a while;
+    in a subprocess no fork touches the test process.  Returns the loaded
+    OpenBLAS's thread count and the last command's manifest."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["FVGRAD_OUT_ROOT"] = str(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    done = subprocess.run([sys.executable, "-c", CLI_PROBE, str(path), *commands], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    manifest = json.loads((_out(tmp_path) / "run_manifest.json").read_text())
+    return done.stdout.split()[-1], manifest
+
+
+@pytest.mark.parametrize("user_value", [None, "2"], ids=["unset", "user_set"])
+def test_cli_runs_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_value):
+    """The default must be set before numpy loads."""
+    loaded, manifest = _fresh_cli(tmp_path, SMALL, ["mesh"], user_value)
+    expect = user_value or "1"
+    if loaded != "unknown":
+        assert int(loaded) == min(int(expect), len(os.sched_getaffinity(0)))
+    assert manifest["openblas_num_threads"] == expect
+    assert manifest["train_workers"] is None
+
+
+def test_manifest_records_train_workers(tmp_path):
+    cfg = {**SMALL, "dataset": {"count": 2, "n_val": 0, "steps": 4},
+           "train": {"epochs": 1, "batch_size": 3, "require_gradcheck": False}}
+    _, manifest = _fresh_cli(tmp_path, cfg, ["dataset", "train"])
+    assert manifest["train_workers"] == train.workers(3) == min(3, solver._cpus())
 
 
 def test_unknown_key_is_config_error(run):
@@ -222,7 +285,10 @@ def test_numeric_error_inside_a_bench_run_exits_numeric(run, monkeypatch):
     assert run("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1}}) == cli.EXIT_NUMERIC
 
 
-def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
+def test_every_command_runs_on_a_small_periodic_config(run, tmp_path, monkeypatch):
+    # one CPU, so dataset and train do not fork this test process (see
+    # _fresh_cli); the forked path is tested in test_train.py
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
     cfg = {**SMALL,
            "dataset": {"count": 4, "n_val": 1, "steps": 4},
            "train": {"epochs": 1},

@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
-from fvgrad import bench, recon, solver, train
+from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
-from fvgrad.euler import cons_to_prim, prim_to_cons
+from fvgrad.euler import AdmissibilityError, cons_to_prim, prim_to_cons
 from conftest import digest, smooth_prim_field
 
 
@@ -76,3 +78,139 @@ def test_sample_gradient_digests(gas, seeded_params):
                                            cons_to_prim(w_ref, gas), train.LossWeights(), gas)
         assert grad.shape == seeded_params.values.shape
         assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _trajectories(coarse, gas, draws, steps=4):
+    fine, pm = msh.refine_uniform(coarse)
+    out = []
+    for draw in draws:
+        w0 = prim_to_cons(_f3_field(fine.centroid, draw), gas)
+        frames = train.reference_trajectory(coarse, fine, pm, w0, steps, 0.03, gas)
+        out.append(train.Trajectory(family="f3", frames=frames, ic_params={}))
+    return out
+
+
+def _train_on(monkeypatch, k, *args, **kwargs):
+    """train.train with k CPUs; returns its result and how many samples the
+    calling process recorded itself."""
+    monkeypatch.setattr(solver, "_cpus", lambda: k)
+    recorded = []
+    sample_loss = train._sample_loss
+
+    def counted(*a, **kw):
+        recorded.append(os.getpid())
+        return sample_loss(*a, **kw)
+
+    monkeypatch.setattr(train, "_sample_loss", counted)
+    try:
+        return train.train(*args, **kwargs), recorded.count(os.getpid())
+    finally:
+        _no_child_left()
+
+
+def _same_training(a, b):
+    assert a.params.values.tobytes() == b.params.values.tobytes()
+    assert a.history == b.history
+    assert a.val_sup == b.val_sup
+    assert a.aborted == b.aborted
+
+
+def test_training_is_bitwise_the_same_on_one_two_or_three_cpus(coarse, gas, monkeypatch):
+    trajs = _trajectories(coarse, gas, (0, 1, 2), steps=6)
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    # 12 samples in batches of 5, 5 and 2, validated on 6 pairs every epoch
+    tcfg = train.TrainConfig(epochs=2, batch_size=5)
+    runs = {k: _train_on(monkeypatch, k, coarse, cfg, trajs[:2], trajs[2:], tcfg)
+            for k in (1, 2, 3)}
+    serial, _ = runs[1]
+    assert len(serial.history) == 6 and len(serial.val_sup) == 3
+    assert len({row["val_total"] for row in serial.history}) == 2
+    for k, (result, own) in runs.items():
+        _same_training(result, serial)
+        # the caller records the first share of every batch, the children the rest
+        assert own == 2 * sum(m // min(k, m) for m in (5, 5, 2)), k
+
+
+def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, gas, monkeypatch):
+    trajs = _trajectories(coarse, gas, (0, 1))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    tcfg = train.TrainConfig(epochs=1, batch_size=4)
+    serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    forked, own = _train_on(monkeypatch, 2, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    _same_training(forked, serial)
+    assert own == 4
+
+
+def test_dataset_files_are_bitwise_the_same_on_one_two_or_three_cpus(coarse, monkeypatch,
+                                                                     tmp_path):
+    fine, pm = msh.refine_uniform(coarse)
+    spec = train.DatasetSpec(count=3, n_val=2, steps=3, mix=(0.4, 0.2, 0.4))
+    files = {}
+    for k in (1, 2, 3):
+        monkeypatch.setattr(solver, "_cpus", lambda k=k: k)
+        tr, val = train.generate_dataset(spec, coarse, fine, pm, out_dir=tmp_path / str(k))
+        _no_child_left()
+        assert [t.family for t in tr + val] == spec.families() + spec.families(2)
+        files[k] = {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()}
+    assert len(files[1]) == 6
+    assert files[2] == files[1] and files[3] == files[1]
+
+
+def _corrupt(frames, cell, component):
+    """A frame whose cell fails cons_to_prim's check on the given component."""
+    frames = frames.copy()
+    if component == "rho":
+        frames[cell, 0] = -1.0
+    else:
+        frames[cell, 3] = 0.5 * (frames[cell, 1] ** 2 + frames[cell, 2] ** 2) / frames[cell, 0]
+    return frames
+
+
+@pytest.mark.parametrize("positions", [(1, 6), (5, 7)],
+                         ids=["caller_share_first", "child_share_first"])
+def test_a_failing_sample_raises_the_serial_error(coarse, gas, monkeypatch, positions):
+    """With 2 CPUs the caller records batch positions 0-3 and a child 4-7.
+    Two samples fail, with different errors; the one earlier in batch order
+    must be raised, as serial training raises it."""
+    (traj,) = _trajectories(coarse, gas, (0,), steps=8)
+    tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=3)
+    order = np.random.default_rng(tcfg.seed).permutation(traj.n_pairs)
+    frames = traj.frames.copy()
+    for pos, component in zip(positions, ("internal_energy", "rho")):
+        frames[order[pos]] = _corrupt(frames[order[pos]], 7 + pos, component)
+    bad = train.Trajectory(family="f3", frames=frames, ic_params={})
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    errors = []
+    for k in (1, 2):
+        with pytest.raises(AdmissibilityError) as info:
+            _train_on(monkeypatch, k, coarse, cfg, [bad], [], tcfg)
+        errors.append((type(info.value), str(info.value), info.value.component))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == "internal_energy"
+
+
+def test_training_after_a_two_block_step_is_bitwise_serial(coarse, gas, monkeypatch):
+    """The caller's step pool is alive when the children fork; validation
+    steps run in two blocks, in the caller and in a child, which builds its
+    own pool."""
+    monkeypatch.setattr(solver, "step_workers", lambda n_cells: 2)
+    trajs = _trajectories(coarse, gas, (0, 1))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    solver.step_explicit_euler(coarse, trajs[0].frames[0], solver.compute_dt(coarse, cfg),
+                               cfg, params=mlcorr.zero_params())
+    assert solver._pool is not None
+    tcfg = train.TrainConfig(epochs=1, batch_size=4)
+    serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    forked, own = _train_on(monkeypatch, 2, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    _same_training(forked, serial)
+    assert own == 2
