@@ -21,17 +21,22 @@ Exit codes:
 """
 
 import os
+import sys
 
 # One OpenBLAS thread unless the user sets another count: the step's block
 # pool and the training children already use every CPU, and OpenBLAS's own
-# threads would compete with them.  Set before numpy loads OpenBLAS.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# threads would compete with them.  The variable counts only before numpy
+# loads OpenBLAS, so it is set only then, as when the CLI starts; a caller
+# that loaded numpy first keeps its count and its environment.  The run
+# manifest records the count in effect.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
-import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -194,10 +199,32 @@ def out_dir_for(cfg):
     return out
 
 
+def blas_threads():
+    """The thread count the loaded OpenBLAS reports, or None where none is
+    found (another BLAS, or no ``/proc/self/maps`` to find it by)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            blas = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(blas, sym):
+                get = getattr(blas, sym)
+                get.argtypes, get.restype = (), ctypes.c_int
+                return get()
+    return None
+
+
 def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None):
     """run_manifest.json: the config and its hash, the artifacts, the numpy
-    version, the OPENBLAS_NUM_THREADS in effect, how many blocks a step on
-    the run's mesh runs in (``solver.step_workers``; null for a study, which
+    version, the OpenBLAS thread count in effect (``blas_threads``), how
+    many blocks a step on the run's mesh runs in (``solver.step_workers``; null for a study, which
     steps on several) and how many processes a training minibatch runs on
     (``train.workers``; null for a command that does not train)."""
     manifest = {
@@ -205,7 +232,7 @@ def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None):
         "config": cfg,
         "artifacts": sorted(artifacts),
         "numpy_version": np.__version__,
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas_num_threads": blas_threads(),
         "step_workers": None if mesh is None else solver.step_workers(mesh.n_cells),
         "train_workers": train_workers,
     }

@@ -13,15 +13,16 @@ exponentially decaying learning rate.
 
 Independent work runs on every CPU the process may run on (``workers``):
 the traced samples of a minibatch, the untraced validation pairs and the
-dataset's trajectories.  ``_forked_map`` cuts the items into contiguous
-shares, forks one child per share after the first, and each child inherits
-the mesh, the data and the current parameters copy-on-write, so nothing is
-sent to it.  Each item's result is computed exactly as the serial loop
-computes it, and the caller combines the results in item order, so
-parameters, history, checkpoints and dataset files are bitwise the same for
-any CPU count.  One tape per process fits where one tape over the whole
-batch does not: a sample's tape peaks at about 18 MB on the 1,458-cell
-mesh, and threads gain nothing on the tape's small numpy calls.
+dataset's trajectories.  ``_Shares`` forks its children once per training
+run (or dataset), and each inherits the mesh and the data copy-on-write;
+per minibatch only the parameters and the sample indices go down a pipe.
+It cuts the items into contiguous shares, the caller runs the first and
+the children the rest.  Each item's result is computed exactly as the
+serial loop computes it, and the caller combines the results in item
+order, so parameters, history, checkpoints and dataset files are bitwise
+the same for any CPU count.  One tape per process fits where one tape over
+the whole batch does not: a sample's tape peaks at about 18 MB on the
+1,458-cell mesh, and threads gain nothing on the tape's small numpy calls.
 
 From Python 3.12 on, forking a process that runs threads, such as the
 step's block pool (``solver``), raises a DeprecationWarning.  The fork is
@@ -37,7 +38,6 @@ import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +194,9 @@ def generate_dataset(spec, coarse, fine, pm, gas=GasModel(), out_dir=None):
         log.info("dataset trajectory %s (%s): %d frames", tag, fam, frames.shape[0])
         return Trajectory(family=fam, frames=frames, ic_params=params)
 
-    trajs = _forked_map(make, range(spec.count + spec.n_val))
+    n = spec.count + spec.n_val
+    with _Shares([make], n) as shares:
+        trajs = shares.map(make, range(n))
     train, val = trajs[:spec.count], trajs[spec.count:]
 
     if out_dir is not None:
@@ -222,90 +224,145 @@ def generate_dataset(spec, coarse, fine, pm, gas=GasModel(), out_dir=None):
 # ---------------------------------------------------------------------------
 
 def workers(n_items):
-    """Processes ``_forked_map`` runs n_items items in: one per CPU this
-    process may run on (the rule of ``solver.step_workers``), at most one per
-    item, and one where the platform has no ``os.fork``."""
+    """Processes ``_Shares`` runs n_items items in: one per CPU this process
+    may run on (the rule of ``solver.step_workers``), at most one per item,
+    and one where the platform has no ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
     return max(1, min(solver._cpus(), n_items))
 
 
-def _forked_map(fn, items):
-    """[fn(x) for x in items], in contiguous shares on ``workers`` processes.
+class _Shares:
+    """Maps over items in contiguous shares, on ``workers(n_items)`` processes.
 
-    The caller runs the first share.  Each further share runs in a forked
-    child (``_fork_share``), which sends back the results it finished.  A
-    child stops at its first failing item, and the caller runs the rest of
-    that share itself, so the error of the first failing item in item order
-    is raised here, natively, with its type, message and attributes.  Every
-    child is reaped before this returns or raises.
+    The children are forked once, when the object is made, and serve every
+    ``map`` until ``close``.  So a training run forks once, not once per
+    minibatch: each fork write-protects the caller's whole heap, and forking
+    a process that holds a default-sized dataset takes about 13 ms.
+
+    ``map(fn, items, *args)`` returns ``[fn(*args, x) for x in items]``,
+    where fn is one of the functions the object was made with and args
+    pickle.  The caller runs the first share; each child receives fn's
+    index, args and its share through a pipe and sends back the results it
+    finished.  A child stops at its first failing item, and the caller runs
+    the rest of that share itself, so the error of the first failing item in
+    item order is raised here, natively, with its type, message and
+    attributes.  A child that died, or was never forked because the system
+    had no process to spare, leaves its shares to the caller.  Leaving the
+    ``with`` block, or any error raised inside ``map``, kills and reaps
+    every child.
     """
-    items = list(items)
-    k = workers(len(items))
-    cuts = [len(items) * b // k for b in range(k + 1)]
-    shares = [items[cuts[b]:cuts[b + 1]] for b in range(k)]
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(fn, share))
-        results = [fn(x) for x in shares[0]]
-        for (_, pipe), share in zip(children, shares[1:]):
-            done = _received(pipe)
-            results += done + [fn(x) for x in share[len(done):]]
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:
-                # a child that has sent its results is already exiting
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+
+    def __init__(self, fns, n_items):
+        self.fns = list(fns)
+        self.children = []
+        try:
+            for _ in range(workers(n_items) - 1):
+                child = _fork_worker(self.fns)
+                if child is None:
+                    break
+                self.children.append(child)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def map(self, fn, items, *args):
+        items = list(items)
+        k = max(1, min(len(self.children) + 1, len(items)))
+        cuts = [len(items) * b // k for b in range(k + 1)]
+        shares = [items[cuts[b]:cuts[b + 1]] for b in range(k)]
+        children = self.children[:k - 1]
+        try:
+            for (_, requests, _), share in zip(children, shares[1:]):
+                try:
+                    pickle.dump((self.fns.index(fn), args, share), requests,
+                                pickle.HIGHEST_PROTOCOL)
+                    requests.flush()
+                except BrokenPipeError:     # a dead child: it sends nothing
+                    pass
+            results = [fn(*args, x) for x in shares[0]]
+            for (_, _, replies), share in zip(children, shares[1:]):
+                done = _received(replies)
+                results += done + [fn(*args, x) for x in share[len(done):]]
+            return results
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self):
+        children, self.children = self.children, []
+        for pid, requests, replies in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            for pipe in (requests, replies):
+                try:
+                    pipe.close()
+                except BrokenPipeError:     # unsent bytes of an interrupted map
+                    pass
 
 
-def _fork_share(fn, share):
-    """Fork a child that runs fn over share; returns (pid, read end).  Where
-    the system has no process to spare, the pid is None and the pipe sends
-    nothing, so the caller runs the share.
+def _fork_worker(fns):
+    """Fork a child that serves ``_Shares.map``; returns (pid, request
+    writer, reply reader), or None where the system has no process to spare.
 
-    The child computes every result it can before it writes any, so a full
-    pipe never stalls it while the caller runs its own share, then pickles
-    them one by one into the pipe and leaves with ``os._exit``, whatever
-    happened: no exit handler, buffered output or test hook of the parent
-    runs twice.  An interrupted child sends nothing, and the caller runs its
-    whole share.
+    For each request the child computes every result it can before it
+    writes any, so a full pipe never stalls it while the caller runs its
+    own share.  It sends the count, then pickles the results one by one,
+    dropping each once it is sent (a 2,001-frame trajectory on the
+    1,458-cell mesh is 93 MB).  It leaves with ``os._exit`` when the
+    request pipe closes or anything goes wrong: no exit handler, buffered
+    output or test hook of the parent runs twice.
     """
-    r, w = os.pipe()
+    req_r, req_w = os.pipe()
+    rep_r, rep_w = os.pipe()
     try:
         pid = os.fork()
     except OSError as exc:
         log.warning("fork failed (%s); the caller runs the share", exc)
-        pid = None
+        for fd in (req_r, req_w, rep_r, rep_w):
+            os.close(fd)
+        return None
     if pid == 0:
         try:
-            os.close(r)
-            done = []
-            try:
-                for x in share:
-                    done.append(fn(x))
-            except Exception:   # the caller re-runs the item and raises
-                pass
-            with open(w, "wb") as fh:
-                for result in done:
-                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+            os.close(req_w)
+            os.close(rep_r)
+            with open(req_r, "rb") as requests, open(rep_w, "wb") as replies:
+                while True:
+                    j, args, share = pickle.load(requests)
+                    done = []
+                    try:
+                        for x in share:
+                            done.append(fns[j](*args, x))
+                    except Exception:   # the caller re-runs the item and raises
+                        pass
+                    pickle.dump(len(done), replies, pickle.HIGHEST_PROTOCOL)
+                    done.reverse()
+                    while done:
+                        pickle.dump(done.pop(), replies, pickle.HIGHEST_PROTOCOL)
+                    replies.flush()
         finally:
             os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
+    os.close(req_r)
+    os.close(rep_w)
+    return pid, open(req_w, "wb"), open(rep_r, "rb")
 
 
-def _received(pipe):
-    """The results a child sent, up to the first it did not finish sending."""
+def _received(replies):
+    """The results a child sent for one request, up to the first it did not
+    finish sending."""
     done = []
-    while True:
-        try:
-            done.append(pickle.load(pipe))
-        except (EOFError, pickle.UnpicklingError):
-            return done
+    try:
+        for _ in range(pickle.load(replies)):
+            done.append(pickle.load(replies))
+    except (EOFError, pickle.UnpicklingError):
+        pass
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +534,16 @@ def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas)
     return loss, grad, parts_box
 
 
-def _forward_losses(mesh, dt, cfg, bc_table, params, trajs, weights, gas):
-    """Untraced mean losses over every pair of the given trajectories."""
-
-    def pair(item):
-        tr, t = item
-        w_t = tr.frames[t]
-        try:
-            w_next, _ = solver.step_explicit_euler(mesh, w_t, dt, cfg, bc_table, params)
-        except solver.SolverError:
-            return np.inf, np.inf
-        u_ref = cons_to_prim(tr.frames[t + 1], gas, check=False)
-        total, parts = total_loss(mesh, dt, w_t, w_next, u_ref,
-                                  params.values, weights, gas, bc_table)
-        return float(ad.value_of(total)), parts["sup"]
-
-    losses = _forked_map(pair, [(tr, t) for tr in trajs for t in range(tr.n_pairs)])
-    return (float(np.mean([tot for tot, _ in losses])),
-            float(np.mean([sup for _, sup in losses])))
+def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas):
+    """Untraced total and supervision losses of one pair; both inf where
+    the step fails."""
+    try:
+        w_next, _ = solver.step_explicit_euler(mesh, w_t, dt, cfg, bc_table, params)
+    except solver.SolverError:
+        return np.inf, np.inf
+    total, parts = total_loss(mesh, dt, w_t, w_next, u_ref_next,
+                              params.values, weights, gas, bc_table)
+    return float(ad.value_of(total)), parts["sup"]
 
 
 def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
@@ -521,6 +570,7 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     rng = np.random.default_rng(tcfg.seed)
 
     samples = [(i, t) for i, tr in enumerate(train_trajs) for t in range(tr.n_pairs)]
+    val_pairs = [(i, t) for i, tr in enumerate(val_trajs) for t in range(tr.n_pairs)]
 
     def sample_loss(params, s):
         i, t = samples[s]
@@ -529,6 +579,19 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
         return _sample_loss(mesh, dt, step_cfg, bc_table, params, tr.frames[t], u_ref,
                             weights, gas)
 
+    def val_losses(params, v):
+        i, t = val_pairs[v]
+        tr = val_trajs[i]
+        u_ref = cons_to_prim(tr.frames[t + 1], gas, check=False)
+        return _pair_losses(mesh, dt, step_cfg, bc_table, params, tr.frames[t], u_ref,
+                            weights, gas)
+
+    def validate(shares, params):
+        """Mean untraced total and supervision losses over the validation pairs."""
+        losses = shares.map(val_losses, range(len(val_pairs)), params)
+        return (float(np.mean([tot for tot, _ in losses])),
+                float(np.mean([sup for _, sup in losses])))
+
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -536,55 +599,55 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     history = []
     val_sup = []
     val_total, v_sup = (np.nan, np.nan)
-    if val_trajs:
-        val_total, v_sup = _forward_losses(mesh, dt, step_cfg, bc_table, params,
-                                           val_trajs, weights, gas)
-        val_sup.append(v_sup)
     last_good = params.values.copy()
     aborted = False
     global_step = 0
 
-    for epoch in range(tcfg.epochs):
-        lr_e = tcfg.lr * tcfg.decay ** epoch
-        order = rng.permutation(len(samples))
-        for lo in range(0, len(order), tcfg.batch_size):
-            batch = order[lo:lo + tcfg.batch_size]
-            grad_sum = np.zeros_like(params.values)
-            loss_sum = 0.0
-            part_sum = {"sup": 0.0, "ent": 0.0, "tvd": 0.0, "reg": 0.0}
-            for loss, grad, parts in _forked_map(partial(sample_loss, params), batch):
-                grad_sum += grad
-                loss_sum += loss
-                for k in part_sum:
-                    part_sum[k] += parts[k]
-            m = len(batch)
-            mean_loss = loss_sum / m
-            if not np.isfinite(mean_loss):
-                log.error("training loss diverged at epoch %d step %d", epoch,
-                          global_step)
-                aborted = True
-                params = params.with_values(last_good)
-                break
-            new_vals, moment = lion_step(
-                params.values, grad_sum / m, moment, lr_e,
-                tcfg.beta1, tcfg.beta2, tcfg.weight_decay)
-            params = params.with_values(new_vals)
-            history.append({
-                "epoch": epoch, "step": global_step, "total": mean_loss,
-                "sup": part_sum["sup"] / m, "ent": part_sum["ent"] / m,
-                "tvd": part_sum["tvd"] / m, "reg": part_sum["reg"] / m,
-                "lr": lr_e, "val_total": val_total,
-            })
-            global_step += 1
-        if aborted:
-            break
-        last_good = params.values.copy()
+    n_items = max(min(tcfg.batch_size, len(samples)), len(val_pairs))
+    with _Shares([sample_loss, val_losses], n_items) as shares:
         if val_trajs:
-            val_total, v_sup = _forward_losses(mesh, dt, step_cfg, bc_table,
-                                               params, val_trajs, weights, gas)
+            val_total, v_sup = validate(shares, params)
             val_sup.append(v_sup)
-        if out is not None and (epoch + 1) % tcfg.checkpoint_every == 0:
-            mlcorr.save_params(params, out / f"ckpt_epoch_{epoch:03d}.gfnn")
+        for epoch in range(tcfg.epochs):
+            lr_e = tcfg.lr * tcfg.decay ** epoch
+            order = rng.permutation(len(samples))
+            for lo in range(0, len(order), tcfg.batch_size):
+                batch = order[lo:lo + tcfg.batch_size]
+                grad_sum = np.zeros_like(params.values)
+                loss_sum = 0.0
+                part_sum = {"sup": 0.0, "ent": 0.0, "tvd": 0.0, "reg": 0.0}
+                for loss, grad, parts in shares.map(sample_loss, batch, params):
+                    grad_sum += grad
+                    loss_sum += loss
+                    for k in part_sum:
+                        part_sum[k] += parts[k]
+                m = len(batch)
+                mean_loss = loss_sum / m
+                if not np.isfinite(mean_loss):
+                    log.error("training loss diverged at epoch %d step %d", epoch,
+                              global_step)
+                    aborted = True
+                    params = params.with_values(last_good)
+                    break
+                new_vals, moment = lion_step(
+                    params.values, grad_sum / m, moment, lr_e,
+                    tcfg.beta1, tcfg.beta2, tcfg.weight_decay)
+                params = params.with_values(new_vals)
+                history.append({
+                    "epoch": epoch, "step": global_step, "total": mean_loss,
+                    "sup": part_sum["sup"] / m, "ent": part_sum["ent"] / m,
+                    "tvd": part_sum["tvd"] / m, "reg": part_sum["reg"] / m,
+                    "lr": lr_e, "val_total": val_total,
+                })
+                global_step += 1
+            if aborted:
+                break
+            last_good = params.values.copy()
+            if val_trajs:
+                val_total, v_sup = validate(shares, params)
+                val_sup.append(v_sup)
+            if out is not None and (epoch + 1) % tcfg.checkpoint_every == 0:
+                mlcorr.save_params(params, out / f"ckpt_epoch_{epoch:03d}.gfnn")
 
     if out is not None:
         mlcorr.save_params(params, out / "params.gfnn")

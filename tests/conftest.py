@@ -36,6 +36,10 @@ def bounded_mesh_small():
 
 @pytest.fixture(scope="session")
 def seeded_params():
+    return seeded_network_params()
+
+
+def seeded_network_params():
     """Every entry non-zero, the output head included, so alpha is non-zero."""
     rng = np.random.default_rng(11)
     params = mlcorr.zero_params()

@@ -74,10 +74,8 @@ sys.exit(code)
 
 
 def _fresh_cli(tmp_path, cfg, commands, blas_threads=None):
-    """The CLI in a fresh interpreter, with OPENBLAS_NUM_THREADS unset or set
-    to blas_threads.  Training forks, and a fork write-protects every page
-    of the forking process, so later steps there fault again for a while;
-    in a subprocess no fork touches the test process.  Returns the loaded
+    """The CLI in a fresh interpreter, where numpy has not loaded yet, with
+    OPENBLAS_NUM_THREADS unset or set to blas_threads.  Returns the loaded
     OpenBLAS's thread count and the last command's manifest."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
@@ -98,11 +96,25 @@ def _fresh_cli(tmp_path, cfg, commands, blas_threads=None):
 def test_cli_runs_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_value):
     """The default must be set before numpy loads."""
     loaded, manifest = _fresh_cli(tmp_path, SMALL, ["mesh"], user_value)
-    expect = user_value or "1"
-    if loaded != "unknown":
-        assert int(loaded) == min(int(expect), len(os.sched_getaffinity(0)))
-    assert manifest["openblas_num_threads"] == expect
+    if loaded == "unknown":
+        assert manifest["openblas_num_threads"] is None
+    else:
+        expect = min(int(user_value or "1"), len(os.sched_getaffinity(0)))
+        assert int(loaded) == expect == manifest["openblas_num_threads"]
     assert manifest["train_workers"] is None
+
+
+def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
+    """The default counts only before numpy loads; a caller that loaded numpy
+    first keeps its environment, and that of the processes it starts."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import os, numpy, fvgrad.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["None"]
 
 
 def test_manifest_records_train_workers(tmp_path):
@@ -285,10 +297,7 @@ def test_numeric_error_inside_a_bench_run_exits_numeric(run, monkeypatch):
     assert run("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1}}) == cli.EXIT_NUMERIC
 
 
-def test_every_command_runs_on_a_small_periodic_config(run, tmp_path, monkeypatch):
-    # one CPU, so dataset and train do not fork this test process (see
-    # _fresh_cli); the forked path is tested in test_train.py
-    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
     cfg = {**SMALL,
            "dataset": {"count": 4, "n_val": 1, "steps": 4},
            "train": {"epochs": 1},

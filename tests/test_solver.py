@@ -2,8 +2,10 @@ import ctypes
 import os
 import resource
 import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
                           prim_to_cons)
-from conftest import digest, random_admissible_prim, smooth_prim_field
+from conftest import (digest, random_admissible_prim, seeded_network_params,
+                      smooth_prim_field)
 
 N_STEPS = 10
 CO = 0.05
@@ -541,18 +544,37 @@ def _has_mallopt():
 
 @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt to pin the heap with")
 @pytest.mark.parametrize("mode", ["lsq", "ml_lsq"])
-def test_steps_take_no_page_faults_after_warm_up(gas, seeded_params, mode):
+def test_steps_take_no_page_faults_after_warm_up(mode):
     """One mode alone, as ``fvgrad simulate`` runs it: with glibc's mmap and
     trim thresholds pinned on import, the step's temporaries reuse the
-    heap's freed blocks instead of mapping fresh pages.  The second mesh runs
-    in two blocks, the second on a pool thread with its own malloc arena.
-    The two threads' allocations interleave differently in every run, so
-    their heaps reach their high-water marks at a varying step, and OpenBLAS
-    touches a second buffer the first time the threads multiply at the same
-    moment.  So that mesh warms up with ``_touch_heaps_and_blas_buffers``
-    and 30 steps."""
+    heap's freed blocks instead of mapping fresh pages.
+
+    The steps run in a fresh interpreter.  A fork write-protects every page
+    of the forking process, so after a test has trained (training forks)
+    the process's steps fault again for a while, whatever ran before."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent), str(Path(solver.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, test_solver; "
+         "print(*test_solver._faults_after_warm_up(sys.argv[1]))", mode],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
+def _faults_after_warm_up(mode):
+    """Minor faults of 5 steps after warm-up, on a one-block mesh and on a
+    two-block mesh.  The second block runs on a pool thread with its own
+    malloc arena.  The two threads' allocations interleave differently in
+    every run, so their heaps reach their high-water marks at a varying
+    step, and OpenBLAS touches a second buffer the first time the threads
+    multiply at the same moment.  So the two-block mesh warms up with
+    ``_touch_heaps_and_blas_buffers`` and 30 steps."""
+    gas = GasModel()
     cfg = solver.StepConfig(gradient=mode)
-    params = seeded_params if cfg.uses_network else None
+    params = seeded_network_params() if cfg.uses_network else None
 
     def faults_after(m, warm_up):
         w = prim_to_cons(smooth_prim_field(m.centroid), gas)
@@ -567,11 +589,11 @@ def test_steps_take_no_page_faults_after_warm_up(gas, seeded_params, mode):
     m = msh.periodic_irregular_mesh(50)
     assert 4500 < m.n_cells < 5500
     assert solver.step_workers(m.n_cells) == 1
-    assert faults_after(m, 3) == 0
+    one_block = faults_after(m, 3)
     m = msh.periodic_irregular_mesh(int(np.ceil(np.sqrt(solver.MIN_BLOCK_CELLS))))
     assert solver.step_workers(m.n_cells) == min(2, solver._cpus())
     _touch_heaps_and_blas_buffers()
-    assert faults_after(m, 30) == 0
+    return one_block, faults_after(m, 30)
 
 
 def _touch_heaps_and_blas_buffers():

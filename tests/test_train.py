@@ -151,6 +151,51 @@ def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, gas, monkeypatch):
     assert own == 4
 
 
+def test_a_training_run_forks_once_per_extra_cpu(coarse, gas, monkeypatch):
+    """The children serve every minibatch and validation of a train call, so
+    a fork's cost is paid once per call, not once per minibatch."""
+    trajs = _trajectories(coarse, gas, (0, 1))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    # 4 samples in batches of 2 over 2 epochs, and 3 validations
+    tcfg = train.TrainConfig(epochs=2, batch_size=2)
+    serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    forked, own = _train_on(monkeypatch, 3, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    _same_training(forked, serial)
+    assert len(forks) == 2
+    assert own == 4
+
+
+def test_a_child_that_dies_leaves_its_shares_to_the_caller(coarse, gas, monkeypatch):
+    """A child dies in its first sample: the caller runs that share, and the
+    later shares it would have had."""
+    trajs = _trajectories(coarse, gas, (0, 1))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    tcfg = train.TrainConfig(epochs=2, batch_size=4)
+    serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    caller = os.getpid()
+    sample_loss = train._sample_loss
+
+    def dying(*a, **kw):
+        if os.getpid() != caller:
+            os._exit(1)
+        return sample_loss(*a, **kw)
+
+    monkeypatch.setattr(train, "_sample_loss", dying)
+    forked, own = _train_on(monkeypatch, 2, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    _same_training(forked, serial)
+    assert own == 8
+
+
 def test_dataset_files_are_bitwise_the_same_on_one_two_or_three_cpus(coarse, monkeypatch,
                                                                      tmp_path):
     fine, pm = msh.refine_uniform(coarse)
