@@ -33,11 +33,17 @@ broadcast temporary.
 All values and adjoints are float64.  Recording the same program twice
 yields bitwise-identical gradients.
 
-Lifetime.  Each ``Var`` holds its ``Tape`` and the tape's ``nodes`` list holds
-every ``Var``, a reference cycle.  ``record_and_backprop`` owns its tape and
-clears ``nodes`` when it returns or raises, so the sample's values, adjoints
-and closures are freed by reference counting, without waiting for the cyclic
-collector.  A ``Tape`` you build yourself lives as long as you hold it.
+Lifetime.  ``Tape.backward`` runs once per tape.  The reverse sweep drops
+each recorded node's closure and adjoint as soon as it has propagated them,
+so it holds the recorded values and only the adjoints still to be
+propagated.  Leaves (``Tape.var``) keep their ``.grad``; a recorded node's
+``.grad`` and ``.vjp`` read ``None`` after the sweep.  A second sweep would
+find no closures and propagate nothing, so it raises.
+Each ``Var`` holds its ``Tape`` and the tape's ``nodes`` list holds every
+``Var``, a reference cycle.  ``record_and_backprop`` owns its tape and clears
+``nodes`` when it returns or raises, so the sample's values are freed by
+reference counting, without waiting for the cyclic collector.  A ``Tape``
+you build yourself, with its recorded values, lives as long as you hold it.
 A node keeps the first adjoint it receives as given, so one adjoint array may
 be shared between nodes (``add`` passes one ``g`` to both operands,
 ``reshape`` and ``transpose`` pass views, a seed is the caller's array):
@@ -61,6 +67,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self.swept = False
 
     def var(self, value):
         """Create a root (leaf) variable whose gradient will be accumulated."""
@@ -71,15 +78,24 @@ class Tape:
         return len(self.nodes)
 
     def backward(self, seeds):
-        """Run the reverse sweep from (var, adjoint) seed pairs."""
+        """Run the reverse sweep from (var, adjoint) seed pairs, once per tape.
+
+        Each recorded node's adjoint and closure are dropped once its
+        ``vjp`` has run, so only leaves (``var``) keep a ``.grad``."""
+        if self.swept:
+            raise RuntimeError("backward runs once per tape")
+        self.swept = True
         for v, g in seeds:
             g = np.asarray(g, dtype=np.float64)
             if g.shape != v.value.shape:
                 g = np.broadcast_to(g, v.value.shape).astype(np.float64)
             v._acc(g)
         for node in reversed(self.nodes):
-            if node.grad is not None and node.vjp is not None:
-                node.vjp(node.grad)
+            vjp, node.vjp = node.vjp, None
+            if vjp is not None:
+                g, node.grad = node.grad, None
+                if g is not None:
+                    vjp(g)
 
 
 class Var:

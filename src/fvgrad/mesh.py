@@ -187,12 +187,26 @@ class Mesh:
 
     def cell_blocks(self, k):
         """The cells in k contiguous blocks of near-equal size, as
-        ``CellBlock`` views; built once per k and kept with the mesh."""
+        ``CellBlock`` views; built once per k and kept with the mesh.
+
+        Each cut is the equal split rounded down to a multiple of
+        BLOCK_ALIGN cells, so on a mesh of fewer than k * BLOCK_ALIGN cells
+        the first blocks may be empty."""
         if k not in self._blocks:
             n = self.n_cells
-            self._blocks[k] = [CellBlock(self, slice(n * b // k, n * (b + 1) // k))
-                               for b in range(k)]
+            cuts = [BLOCK_ALIGN * (n * b // (k * BLOCK_ALIGN)) for b in range(k)] + [n]
+            self._blocks[k] = [CellBlock(self, slice(lo, hi))
+                               for lo, hi in zip(cuts[:-1], cuts[1:])]
         return self._blocks[k]
+
+
+# Block cuts fall on multiples of this many cells.  Single-threaded
+# OpenBLAS can round a column of the network's matrix products differently
+# near the end of the matrix than inside it, so with arbitrary cuts a cell's
+# alpha would depend on where its block was cut.  Cuts at multiples of 8
+# already gave alpha bitwise equal to one block's for 2 to 7 blocks; 64
+# leaves a margin.
+BLOCK_ALIGN = 64
 
 
 class CellBlock:

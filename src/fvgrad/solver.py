@@ -24,8 +24,10 @@ process may run on (``step_workers``): the calling thread runs the first
 block and a persistent pool of worker threads the others, on views of the
 mesh's per-cell arrays cut once per mesh (``mesh.CellBlock``).  cons->prim,
 the ghosts, the gathers, the assembly and the update stay whole.  Each
-block's outputs are the one-block outputs of its cells or faces, so frames
-and diagnostics do not depend on the split, and an error keeps the type the
+block's outputs are the one-block outputs of its cells or faces (cell
+blocks are cut at multiples of ``mesh.BLOCK_ALIGN`` cells, so the network's
+matrix products round each cell as in one block), so frames and
+diagnostics do not depend on the split, and an error keeps the type the
 one-block step raises: the first failing block's, once every block has
 returned.  A mesh of fewer than ``2 * MIN_BLOCK_CELLS`` cells, and a traced
 step, run as one block on the calling thread.

@@ -225,14 +225,40 @@ def test_backward_leaves_the_seed_and_the_recorded_values_unchanged():
 
 
 def test_adjoints_of_shared_operands_are_summed_exactly():
+    # three consumers each of a leaf y and of a recorded node z; the sweep
+    # frees z's summed adjoint once z has passed it on, so it is read in x's
     tape = ad.Tape()
     x = tape.var(np.array([0.5, 1.0, 3.0]))
-    y = x * 1.0
-    outs = [ad.sum(y * 2.0), ad.sum(y * 4.0), ad.sum(y * 8.0)]   # three consumers
-    total = outs[0] + outs[1] + outs[2] + ad.sum(x * x)
+    y = tape.var(np.array([2.0, -1.0, 0.25]))
+    z = x * 1.0
+    outs = [ad.sum(v * c) for v in (y, z) for c in (2.0, 4.0, 8.0)]
+    total = outs[0] + outs[1] + outs[2] + outs[3] + outs[4] + outs[5] + ad.sum(x * x)
     tape.backward([(total, np.array(1.0))])
     assert (y.grad == np.full(3, 14.0)).all()
     assert (x.grad == 14.0 + 2.0 * x.value).all()
+
+
+def test_backward_frees_non_leaf_adjoints_and_closures():
+    tape = ad.Tape()
+    x = tape.var(X)
+    y = tape.var(Y)
+    h = ad.tanh(x * y)
+    unused = ad.sqrt(y)                  # recorded, but receives no adjoint
+    out = ad.sum(h * h + ad.maximum(h, y) + x)
+    leaves = {id(x), id(y)}
+    values = [v.value.copy() for v in tape.nodes]
+    tape.backward([(out, np.array(1.0))])
+    th = np.tanh(X * Y)
+    dh = 2.0 * th + (th >= Y)
+    assert (x.grad == dh * (1.0 - th * th) * Y + 1.0).all()
+    assert (y.grad == dh * (1.0 - th * th) * X + (th < Y)).all()
+    recorded = [v for v in tape.nodes if id(v) not in leaves]
+    assert len(recorded) == tape.node_count - 2 and any(v is unused for v in recorded)
+    assert all(v.grad is None and v.vjp is None for v in recorded)
+    assert all((v.value == v0).all() for v, v0 in zip(tape.nodes, values))
+    with pytest.raises(RuntimeError, match="once per tape"):
+        tape.backward([(out, np.array(1.0))])
+    assert (x.grad == dh * (1.0 - th * th) * Y + 1.0).all()
 
 
 # ---------------------------------------------------------------------------

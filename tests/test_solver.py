@@ -552,16 +552,23 @@ def test_steps_take_no_page_faults_after_warm_up(mode):
     The steps run in a fresh interpreter.  A fork write-protects every page
     of the forking process, so after a test has trained (training forks)
     the process's steps fault again for a while, whatever ran before."""
-    env = dict(os.environ)
+    out = _in_a_fresh_interpreter(
+        "import sys, test_solver; print(*test_solver._faults_after_warm_up(sys.argv[1]))",
+        mode)
+    assert out.split() == ["0", "0"]
+
+
+def _in_a_fresh_interpreter(code, *args, **env):
+    """Standard output of ``python -c code *args`` with the tests and the
+    package importable and ``env`` added to the environment."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parent), str(Path(solver.__file__).resolve().parents[1]),
         env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, test_solver; "
-         "print(*test_solver._faults_after_warm_up(sys.argv[1]))", mode],
-        env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0"]
+    return done.stdout
 
 
 def _faults_after_warm_up(mode):
@@ -664,6 +671,40 @@ def test_a_step_in_one_two_or_three_blocks_is_bitwise_the_same(
                 out.append((w1.tobytes(), diag))
             assert out[1] == out[0] and out[2] == out[0], (name, mode)
             assert (out[0][1]["fallback_cells"] > 0) == (name == "thin"), (name, mode)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_alpha_does_not_depend_on_where_the_blocks_are_cut(blas_threads):
+    """The network's alpha in k = 2..7 blocks is bitwise its alpha in one
+    block, on the 10k- and 20k-cell periodic irregular meshes and the
+    12.6k-cell forward step.  OpenBLAS can round a cell's column of a matrix
+    product differently near the end of the matrix, so blocks are cut at
+    multiples of ``mesh.BLOCK_ALIGN`` cells.  Run in a fresh interpreter,
+    since OpenBLAS fixes its thread count when numpy loads it."""
+    out = _in_a_fresh_interpreter(
+        "import test_solver; print(test_solver._alpha_split_differences())",
+        OPENBLAS_NUM_THREADS=blas_threads)
+    assert out.strip() == "[]"
+
+
+def _alpha_split_differences():
+    """(mesh, k, entries of alpha in k blocks that differ from one block)
+    for every split that differs."""
+    params = seeded_network_params()
+    out = []
+    for name, (m, bc_table) in [("periodic_71", (msh.periodic_irregular_mesh(71), {})),
+                                ("periodic_100", (msh.periodic_irregular_mesh(100), {})),
+                                ("forward_step", bench.forward_step_mesh(0.02))]:
+        u = np.ascontiguousarray(bench.riemann_case(6).evaluate(m.centroid).T)
+        u_ext, _ = bclib.extend_with_ghosts(m, u, bc_table, GasModel())
+        du = recon.neighbor_deltas(m, u, recon.neighbor_values(m, u_ext))
+        whole = mlcorr.masked_alpha(m, params, du)
+        for k in range(2, 8):
+            split = np.concatenate([mlcorr.masked_alpha(b, params, du[..., b.cells])
+                                    for b in m.cell_blocks(k)], axis=-1)
+            if (split != whole).any():
+                out.append((name, k, int((split != whole).sum())))
+    return out
 
 
 def test_a_traced_step_runs_as_one_block(mesh, w0, seeded_params, monkeypatch):

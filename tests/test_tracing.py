@@ -1,6 +1,10 @@
-"""The benchmark's tracer against the package: every wrapped name resolves,
-and the spans and hook values the per-layer metrics read are recorded."""
+"""The benchmark against the package: its smoke run passes, every name its
+tracer wraps resolves, and the spans and hook values the per-layer metrics
+read are recorded."""
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +29,16 @@ def _import_tracing():
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(PERFBENCH))
     return tracing
+
+
+def test_the_benchmark_smoke_run_passes():
+    """``perfbench/run.py --smoke`` in a fresh interpreter: every workload on
+    small meshes, traced and untraced, with every metric produced."""
+    done = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"smoke": "ok"}
 
 
 def test_tracer_records_the_spans_and_hook_values_of_a_step_and_a_train_call(seeded_params):
