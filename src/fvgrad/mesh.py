@@ -682,4 +682,5 @@ def read_mesh_ascii(path):
     spec = BoundarySpec.from_edge_table(table) if table else None
     m = build_mesh(nodes, tris, spec)
     m.region = np.array(region, dtype=np.int64)
+    m.region.setflags(write=False)
     return m

@@ -382,12 +382,17 @@ class LossWeights:
 
 
 def loss_supervision(u_ml, u_ref):
-    """100 * ||u_ml - u_ref||_2 / ||u_ref||_2 over all cells and variables."""
+    """100 * ||u_ml - u_ref||_2 / ||u_ref||_2 over all cells and variables;
+    0 with a zero derivative where u_ml equals u_ref, as for flat cells in
+    ``_grad_norm_lsq``."""
     ref_norm = float(np.linalg.norm(ad.value_of(u_ref)))
     if ref_norm == 0.0:
         raise ValueError("reference field has zero norm; cannot normalize")
     diff = u_ml - u_ref
-    return 100.0 * ad.sqrt(ad.sum(diff * diff)) / ref_norm
+    sq = ad.sum(diff * diff)
+    if ad.value_of(sq) == 0.0:
+        return 0.0 * sq
+    return 100.0 * ad.sqrt(sq) / ref_norm
 
 
 def _prim(w, gas):

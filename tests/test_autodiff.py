@@ -1,5 +1,7 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,28 +10,30 @@ from fvgrad import autodiff as ad
 from conftest import finite_diff_grad
 
 
-def check_vjp(build, x0, rtol=1e-8, rel_step=1e-6):
-    """FD check of d(sum(r * op(x)))/dx for a random projection r.
+def check_vjp(build, *x0s, rtol=1e-8, rel_step=1e-6):
+    """FD check of d(sum(r * op(x, ...)))/dx for a random projection r and
+    each traced operand x of ``build``.
 
     Error is measured relative to the gradient scale so the tolerance is
     not dominated by subtraction noise on near-zero entries; any wrong
     adjoint shows up at O(1) on this scale.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    r = np.random.default_rng(7).normal(size=np.shape(build(x0)))
-
-    def scalar(x):
-        return float(np.sum(r * build(x)))
+    x0s = [np.asarray(x0, dtype=np.float64) for x0 in x0s]
+    r = np.random.default_rng(7).normal(size=np.shape(build(*x0s)))
 
     tape = ad.Tape()
-    xv = tape.var(x0)
-    out = ad.sum(ad.multiply(r, build(xv)))
+    xvs = [tape.var(x0) for x0 in x0s]
+    out = ad.sum(ad.multiply(r, build(*xvs)))
     tape.backward([(out, np.array(1.0))])
-    g_ad = xv.grad
 
-    g_fd = finite_diff_grad(scalar, x0, rel_step=rel_step)
-    scale = max(float(np.max(np.abs(g_fd))), 1e-12)
-    assert np.max(np.abs(g_ad - g_fd)) / scale < rtol
+    for k, (xv, x0) in enumerate(zip(xvs, x0s)):
+        def scalar(x):
+            return float(np.sum(r * build(*x0s[:k], x, *x0s[k + 1:])))
+
+        g_fd = finite_diff_grad(scalar, x0, rel_step=rel_step)
+        assert xv.grad.shape == x0.shape
+        scale = max(float(np.max(np.abs(g_fd))), 1e-12)
+        assert np.max(np.abs(xv.grad - g_fd)) / scale < rtol
 
 
 RNG = np.random.default_rng(42)
@@ -37,7 +41,9 @@ X = RNG.uniform(0.5, 2.0, (4, 3))
 Y = RNG.uniform(0.5, 2.0, (4, 3))
 
 
-@pytest.mark.parametrize("build", [
+# one case or more for every public function that records a node
+# (test_every_recording_function_has_a_gradient_case)
+PRIMITIVE_CASES = [
     lambda x: x + Y,
     lambda x: Y - x,
     lambda x: x * Y,
@@ -66,12 +72,69 @@ Y = RNG.uniform(0.5, 2.0, (4, 3))
     lambda x: ad.einsum("ij,ik->jk", x, Y),
     lambda x: ad.einsum("nj,njv->nv", Y, ad.stack([x, x * x], axis=2)),
     lambda x: ad.einsum("ij,ij->i", x, x * Y),
-], ids=["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
-        "tanh", "abs", "max", "min", "where", "sum_keep", "mean",
-        "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
-        "stack", "take_rows", "segment_sum", "einsum_a", "einsum_b", "einsum_ab"])
+]
+PRIMITIVE_IDS = ["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
+                 "tanh", "abs", "max", "min", "where", "sum_keep", "mean",
+                 "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
+                 "stack", "take_rows", "segment_sum", "einsum_a", "einsum_b", "einsum_ab"]
+
+
+@pytest.mark.parametrize("build", PRIMITIVE_CASES, ids=PRIMITIVE_IDS)
 def test_primitive_gradients(build):
     check_vjp(build, X)
+
+
+# both operands traced and broadcast against each other, so each adjoint
+# must be reduced to its own operand's shape
+A = np.random.default_rng(43).uniform(0.5, 2.0, (4, 1))
+B = np.random.default_rng(44).uniform(0.5, 2.0, (1, 3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a / b,
+    lambda a, b: ad.maximum(a, b),
+    lambda a, b: ad.minimum(a, b),
+    lambda a, b: ad.where(X > 1.2, a, b),
+    lambda a, b: ad.matmul(ad.reshape(a, (4, 1, 1)), b),
+], ids=["add", "subtract", "multiply", "divide", "maximum", "minimum", "where", "matmul"])
+def test_gradients_of_two_traced_broadcast_operands(build):
+    check_vjp(build, A, B)
+
+
+def _recording_functions():
+    """Public functions of ``ad`` that record a node: those whose body names
+    ``_record``, or a function that does."""
+    tree = ast.parse(Path(ad.__file__).read_text())
+    names = {f.name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
+             for f in tree.body if isinstance(f, ast.FunctionDef)}
+    recording = {"_record"}
+    while more := {f for f, used in names.items() if used & recording} - recording:
+        recording |= more
+    return sorted(f for f in recording if not f.startswith("_"))
+
+
+RECORDING = _recording_functions()
+
+
+@pytest.mark.parametrize("name", RECORDING)
+def test_every_recording_function_has_a_gradient_case(name, monkeypatch):
+    """A function counts as covered when one of test_primitive_gradients'
+    cases calls it and it returns a traced value."""
+    covered = set()
+    for fn_name in RECORDING:
+        def spy(*args, _fn=getattr(ad, fn_name), _name=fn_name, **kwargs):
+            out = _fn(*args, **kwargs)
+            if isinstance(out, ad.Var):
+                covered.add(_name)
+            return out
+
+        monkeypatch.setattr(ad, fn_name, spy)
+    for build in PRIMITIVE_CASES:
+        build(ad.Tape().var(X))
+    assert name in covered
 
 
 @pytest.mark.parametrize("spec", ["ij,jk->k", "ij,jk->ik,", "ii,ik->k", "ij,jk",

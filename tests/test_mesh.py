@@ -232,6 +232,16 @@ def test_ascii_periodic_roundtrip(tmp_path):
     assert m2.n_iface == m.n_iface
 
 
+def test_a_mesh_read_from_file_is_read_only(tmp_path):
+    path = tmp_path / "mesh.txt"
+    msh.write_mesh_ascii(msh.structured_mesh(3, boundary_spec=BoundarySpec.uniform("slip_wall")),
+                         path)
+    m = msh.read_mesh_ascii(path)
+    arrays = {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+    assert "region" in arrays and "ghost_centroid" in arrays
+    assert [k for k, v in arrays.items() if v.flags.writeable] == []
+
+
 def test_ghost_centroids_are_mirrors():
     m = msh.structured_mesh(3, boundary_spec=BoundarySpec.uniform("slip_wall"))
     for bi in range(m.n_ghost):

@@ -70,6 +70,25 @@ def test_zero_params_reproduce_plain_rollout_bitwise(mesh, w0, mode):
     assert plain.diagnostics == ml.diagnostics
 
 
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+def test_an_unlimited_step_is_a_step_whose_limiter_is_one_everywhere(mesh, gas, seeded_params,
+                                                                      mode):
+    """On a quadrant state, where the default limiter is active, limiter=False
+    changes the step.  With K = 1e4, omega = (K h)^3 makes every face factor
+    at least 1, so phi clips to exactly 1.0: the same step, bitwise."""
+    w0 = prim_to_cons(bench.riemann_case(6).evaluate(mesh.centroid), gas)
+    params = seeded_params if mode.startswith("ml_") else None
+
+    def step(**limiter):
+        cfg = solver.StepConfig(co=CO, gradient=mode, **limiter)
+        return solver.step_explicit_euler(mesh, w0, solver.compute_dt(mesh, cfg), cfg, {},
+                                          params)[0]
+
+    unlimited = step(limiter=False)
+    assert np.abs(unlimited - step()).max() > 1e-3
+    assert (unlimited == step(limiter_k=1e4)).all()
+
+
 def test_march_with_substeps_matches_hand_loop(mesh, w0):
     cfg = solver.StepConfig(co=CO, gradient="lsq")
     dt = solver.compute_dt(mesh, cfg)

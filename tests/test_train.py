@@ -42,6 +42,14 @@ def test_loss_tvd_on_piecewise_constant_field_has_finite_gradient(coarse, rng):
     assert np.abs(grad).max() > 0.0
 
 
+def test_supervision_loss_is_zero_with_a_zero_gradient_at_its_target(coarse):
+    u = np.ascontiguousarray(_f3_field(coarse.centroid).T)
+    loss, grad = ad.record_and_backprop(lambda p: train.loss_supervision(p, u), u.copy())
+    assert loss == 0.0
+    assert grad.shape == u.shape and (grad == 0.0).all()
+    assert train.loss_supervision(u.copy(), u) == 0.0
+
+
 def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
     fine, pm = msh.refine_uniform(coarse)
     w0 = prim_to_cons(_f3_field(fine.centroid), gas)
