@@ -338,17 +338,17 @@ def absolute(a):
 
 
 def maximum(a, b):
-    """Elementwise max; at ties the adjoint goes to the first argument."""
+    """Elementwise max, keeping NaNs as np.maximum does; ties send the adjoint to a."""
     if _tape_of(a, b) is None:
         return np.maximum(a, b)
-    return where(value_of(a) >= value_of(b), a, b)
+    return where((value_of(a) >= value_of(b)) | np.isnan(value_of(a)), a, b)
 
 
 def minimum(a, b):
-    """Elementwise min; at ties the adjoint goes to the first argument."""
+    """Elementwise min, keeping NaNs as np.minimum does; ties send the adjoint to a."""
     if _tape_of(a, b) is None:
         return np.minimum(a, b)
-    return where(value_of(a) <= value_of(b), a, b)
+    return where((value_of(a) <= value_of(b)) | np.isnan(value_of(a)), a, b)
 
 
 def where(cond, a, b):

@@ -12,7 +12,9 @@ Exit codes:
      (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1, a count such
      as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), missing
      config file or ``mesh.path`` file, missing or corrupt ``--checkpoint``,
-     dataset directory without manifest.json
+     dataset directory without manifest.json, corrupt dataset (a frame file
+     missing, unreadable or not matching its manifest sha256, or frames of
+     another cell count than the configured mesh)
   3  numeric failure: rejected solver step, inadmissible state (initial or
      boundary: an inflow state or back pressure taken from the initial
      condition), mesh error, domain error while recording the tape,
@@ -285,8 +287,7 @@ def build_ic(cfg):
         return case.evaluate
     if spec.startswith("family:"):
         fam = spec.split(":", 1)[1]
-        rng = np.random.default_rng(sc["ic_seed"])
-        params = train.draw_ic_params(fam, rng, sc["max_amp"])
+        params = train.draw_ic_params(fam, np.random.default_rng(sc["ic_seed"]))
         return lambda pts: train.evaluate_ic(fam, params, pts, sc["max_amp"])
     if spec.startswith("constant:"):
         vals = np.array([float(v) for v in spec.split(":", 1)[1].split(",")])
@@ -365,8 +366,7 @@ def cmd_dataset(cfg):
     spec = _checked("dataset", train.DatasetSpec, count=dc["count"],
                     mix=tuple(dc["mix"]), steps=dc["steps"], co=dc["co"],
                     max_amp=dc["max_amp"], seed=dc["seed"], n_val=dc["n_val"])
-    gas = gas_model(cfg)
-    train.generate_dataset(spec, coarse, fine, pm, gas=gas, out_dir=ds_dir)
+    train.generate_dataset(spec, coarse, fine, pm, ds_dir, gas_model(cfg))
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
     _write_manifest(out, cfg, [str(p.relative_to(out)) for p in ds_dir.iterdir()],
@@ -381,25 +381,6 @@ def _load_checkpoint(path):
         return mlcorr.load_params(path)
     except (OSError, mlcorr.NetworkError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc}")
-
-
-def _load_dataset_dir(ds_dir, expect_cells):
-    manifest_path = Path(ds_dir) / "manifest.json"
-    if not manifest_path.is_file():
-        raise ConfigError(f"no dataset in {ds_dir} (manifest.json missing); "
-                          "run the dataset command first")
-    manifest = json.loads(manifest_path.read_text())
-    trains, vals = [], []
-    for entry in manifest["trajectories"]:
-        _times, frames = solver.read_frames(Path(ds_dir) / entry["file"])
-        frames = np.stack(frames)
-        if frames.shape[1] != expect_cells:
-            raise ConfigError(
-                f"dataset {entry['file']} has {frames.shape[1]} cells, "
-                f"configured mesh has {expect_cells}")
-        tr = train.Trajectory(family=entry["family"], frames=frames, ic_params={})
-        (trains if entry["kind"] == "train" else vals).append(tr)
-    return trains, vals
 
 
 def cmd_gradcheck(cfg):
@@ -435,7 +416,8 @@ def cmd_train(cfg):
             log.error("gradcheck report is failing or stale; refusing to train")
             return EXIT_GRADCHECK
     coarse = build_mesh_from_config(cfg)
-    trains, vals = _load_dataset_dir(out / cfg["dataset"]["dir"], coarse.n_cells)
+    trains, vals = _checked("dataset", train.load_dataset,
+                            ds_dir=out / cfg["dataset"]["dir"], n_cells=coarse.n_cells)
     tcfg = _checked(
         "train", train.TrainConfig,
         lr=tc["lr"], decay=tc["decay"], epochs=tc["epochs"],

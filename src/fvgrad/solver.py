@@ -416,11 +416,15 @@ def read_frames(path):
         if raw[pos:pos + 4] != FRAME_MAGIC:
             raise SolverError("bad frame magic in dump file")
         pos += 4
+        if pos + struct.calcsize("<IIId") > len(raw):
+            raise SolverError("truncated frame header in dump file")
         version, n_cells, n_comp, t = struct.unpack_from("<IIId", raw, pos)
         if version != FRAME_VERSION:
             raise SolverError(f"unsupported frame version {version}")
         pos += struct.calcsize("<IIId")
         count = n_cells * n_comp
+        if pos + 8 * count > len(raw):
+            raise SolverError("truncated frame in dump file")
         w = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
         pos += 8 * count
         times.append(t)

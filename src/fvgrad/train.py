@@ -25,6 +25,10 @@ the whole batch does not: a sample's tape peaks at 12.2 MB (tracemalloc)
 on the 1,458-cell mesh, 11.3 MB of it the forward pass, and threads gain
 nothing on the tape's small numpy calls.
 
+The dataset format (file names, ``manifest.json``, frame files) lives
+here alone: ``generate_dataset`` writes it, each frame file in the process
+that computed its trajectory, and ``load_dataset`` reads it.
+
 From Python 3.12 on, forking a process that runs threads, such as the
 step's block pool (``solver``), raises a DeprecationWarning.  The fork is
 safe here: a step joins its blocks before it returns, so no pool thread
@@ -38,7 +42,7 @@ import logging
 import os
 import pickle
 import signal
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +61,7 @@ FAMILIES = ("f1", "f2", "f3")
 # initial-condition samplers on [0,1]^2
 # ---------------------------------------------------------------------------
 
-def draw_ic_params(family, rng, max_amp=6.0):
+def draw_ic_params(family, rng):
     """Draw the random parameters of one initial-condition family."""
     if family == "f1":
         return {"a": rng.uniform(0.0, 1.0, 8), "phi": rng.uniform(0.0, 1.0, 2)}
@@ -174,50 +178,70 @@ def reference_trajectory(coarse, fine, pm, w0_fine, steps, co, gas=GasModel()):
     return np.stack([w for _, w in refs])
 
 
-def generate_dataset(spec, coarse, fine, pm, gas=GasModel(), out_dir=None):
-    """Reference trajectories for training and validation.
+def generate_dataset(spec, coarse, fine, pm, out_dir, gas=GasModel()):
+    """Reference trajectories for training and validation, written to out_dir.
 
-    Returns (train, val) lists of Trajectory.  With out_dir set, writes one
-    frame file per trajectory plus a manifest with seeds and content hashes.
+    The process that computes a trajectory writes its frame file and hashes
+    it, so each process holds one trajectory at a time.  The caller writes
+    ``manifest.json`` from the entries, in trajectory order, and returns it.
     """
-    ss = np.random.SeedSequence(spec.seed)
-    seeds = ss.spawn(spec.count + spec.n_val)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    n = spec.count + spec.n_val
+    seeds = np.random.SeedSequence(spec.seed).spawn(n)
     fams = spec.families() + spec.families(spec.n_val)
+    dt = solver.compute_dt(coarse, solver.StepConfig(co=spec.co))
 
     def make(j):
         fam = fams[j]
-        tag = f"train_{j}" if j < spec.count else f"val_{j - spec.count}"
-        rng = np.random.default_rng(seeds[j])
-        params = draw_ic_params(fam, rng, spec.max_amp)
-        u0 = evaluate_ic(fam, params, fine.centroid, spec.max_amp)
-        w0 = prim_to_cons(u0, gas)
+        kind, i = ("train", j) if j < spec.count else ("val", j - spec.count)
+        name = f"{kind}_{i:03d}.frames"
+        params = draw_ic_params(fam, np.random.default_rng(seeds[j]))
+        w0 = prim_to_cons(evaluate_ic(fam, params, fine.centroid, spec.max_amp), gas)
         frames = reference_trajectory(coarse, fine, pm, w0, spec.steps, spec.co, gas)
-        log.info("dataset trajectory %s (%s): %d frames", tag, fam, frames.shape[0])
-        return Trajectory(family=fam, frames=frames, ic_params=params)
+        solver.write_frames(out / name, [k * dt for k in range(frames.shape[0])], frames)
+        log.info("dataset trajectory %s (%s): %d frames", name, fam, frames.shape[0])
+        return {"file": name, "kind": kind, "family": fam, "sha256": _sha256(out / name)}
 
-    n = spec.count + spec.n_val
     with _Shares([make], n) as shares:
-        trajs = shares.map(make, range(n))
-    train, val = trajs[:spec.count], trajs[spec.count:]
+        entries = shares.map(make, range(n))
+    manifest = {"spec": asdict(spec), "trajectories": entries}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return manifest
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        entries = []
-        cfg = solver.StepConfig(co=spec.co)
-        dt = solver.compute_dt(coarse, cfg)
-        for kind, trajs in (("train", train), ("val", val)):
-            for i, tr in enumerate(trajs):
-                name = f"{kind}_{i:03d}.frames"
-                times = [k * dt for k in range(tr.frames.shape[0])]
-                solver.write_frames(out / name, times, tr.frames)
-                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-                entries.append({"file": name, "kind": kind, "family": tr.family,
-                                "sha256": digest})
-        manifest = {"spec": asdict(spec), "frames_per_trajectory": spec.steps,
-                    "trajectories": entries}
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return train, val
+
+def load_dataset(ds_dir, n_cells):
+    """(train, val) lists of Trajectory from a ``generate_dataset`` directory.
+    A missing manifest, a frame file that is missing, unreadable or not its
+    manifest sha256, or frames of another cell count than n_cells raise a
+    ValueError naming the file."""
+    ds_dir = Path(ds_dir)
+    if not (ds_dir / "manifest.json").is_file():
+        raise ValueError(f"no dataset in {ds_dir} (manifest.json missing); "
+                         "run the dataset command first")
+    trains, vals = [], []
+    for entry in json.loads((ds_dir / "manifest.json").read_text())["trajectories"]:
+        name = entry["file"]
+        try:
+            if _sha256(ds_dir / name) != entry.get("sha256"):
+                raise ValueError(f"dataset file {name} does not match its manifest sha256")
+            frames = np.stack(solver.read_frames(ds_dir / name)[1])
+        except (OSError, solver.SolverError) as exc:
+            raise ValueError(f"cannot read dataset file {name}: {exc}") from exc
+        if frames.shape[1] != n_cells:
+            raise ValueError(f"dataset file {name} has {frames.shape[1]} cells, "
+                             f"configured mesh has {n_cells}")
+        (trains if entry["kind"] == "train" else vals).append(
+            Trajectory(family=entry["family"], frames=frames, ic_params={}))
+    return trains, vals
+
+
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +269,13 @@ class _Shares:
     where fn is one of the functions the object was made with and args
     pickle.  The caller runs the first share; each child receives fn's
     index, args and its share through a pipe and sends back the results it
-    finished.  A child stops at its first failing item, and the caller runs
-    the rest of that share itself, so the error of the first failing item in
-    item order is raised here, natively, with its type, message and
-    attributes.  A child that died, or was never forked because the system
-    had no process to spare, leaves its shares to the caller.  Leaving the
-    ``with`` block, or any error raised inside ``map``, kills and reaps
-    every child.
+    finished, as one list.  A child stops at its first failing item, and
+    the caller runs the rest of that share itself, so the error of the
+    first failing item in item order is raised here, natively, with its
+    type, message and attributes.  A child that died, or was never forked
+    because the system had no process to spare, leaves its shares to the
+    caller.  Leaving the ``with`` block, or any error raised inside
+    ``map``, kills and reaps every child.
     """
 
     def __init__(self, fns, n_items):
@@ -289,7 +313,10 @@ class _Shares:
                     pass
             results = [fn(*args, x) for x in shares[0]]
             for (_, _, replies), share in zip(children, shares[1:]):
-                done = _received(replies)
+                try:
+                    done = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):  # it died before sending
+                    done = []
                 results += done + [fn(*args, x) for x in share[len(done):]]
             return results
         except BaseException:
@@ -314,9 +341,9 @@ def _fork_worker(fns):
 
     For each request the child computes every result it can before it
     writes any, so a full pipe never stalls it while the caller runs its
-    own share.  It sends the count, then pickles the results one by one,
-    dropping each once it is sent (a 2,001-frame trajectory on the
-    1,458-cell mesh is 93 MB).  It leaves with ``os._exit`` when the
+    own share, and sends them as one pickled list.  The results are small:
+    a sample's loss and gradient, or a dataset file's manifest entry, since
+    the child writes the file itself.  It leaves with ``os._exit`` when the
     request pipe closes or anything goes wrong: no exit handler, buffered
     output or test hook of the parent runs twice.
     """
@@ -342,28 +369,13 @@ def _fork_worker(fns):
                             done.append(fns[j](*args, x))
                     except Exception:   # the caller re-runs the item and raises
                         pass
-                    pickle.dump(len(done), replies, pickle.HIGHEST_PROTOCOL)
-                    done.reverse()
-                    while done:
-                        pickle.dump(done.pop(), replies, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(done, replies, pickle.HIGHEST_PROTOCOL)
                     replies.flush()
         finally:
             os._exit(0)
     os.close(req_r)
     os.close(rep_w)
     return pid, open(req_w, "wb"), open(rep_r, "rb")
-
-
-def _received(replies):
-    """The results a child sent for one request, up to the first it did not
-    finish sending."""
-    done = []
-    try:
-        for _ in range(pickle.load(replies)):
-            done.append(pickle.load(replies))
-    except (EOFError, pickle.UnpicklingError):
-        pass
-    return done
 
 
 # ---------------------------------------------------------------------------

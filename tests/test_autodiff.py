@@ -200,6 +200,19 @@ def test_min_tie_takes_first_argument():
     assert b.grad is None or b.grad[0] == 0.0
 
 
+@pytest.mark.parametrize("op,np_op", [(ad.maximum, np.maximum), (ad.minimum, np.minimum)],
+                         ids=["maximum", "minimum"])
+@pytest.mark.parametrize("traced_first", [True, False], ids=["traced_first", "traced_second"])
+def test_traced_max_and_min_propagate_a_nan_as_numpy_does(op, np_op, traced_first):
+    x = np.array([np.nan, 1.0, 2.0])
+    tape = ad.Tape()
+    v = tape.var(x)
+    args = (v, 1.5) if traced_first else (1.5, v)
+    expect = np_op(*(x if a is v else a for a in args))
+    assert np.array_equal(ad.value_of(op(*args)), expect, equal_nan=True)
+    assert np.isnan(expect[0])
+
+
 def test_comparisons_return_plain_bools():
     tape = ad.Tape()
     a = tape.var(np.array([1.0, 3.0]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -211,6 +212,48 @@ def test_bad_train_config_is_config_error(run, tmp_path):
 def test_train_without_dataset_is_config_error(run):
     cfg = {**SMALL, "train": {"require_gradcheck": False}}
     assert run("train", cfg) == cli.EXIT_CONFIG
+
+
+def _flip_a_data_bit(path):
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _truncate_and_rehash(path):
+    """A truncated file whose manifest entry carries its new hash: the frame
+    reader, not the hash check, finds it."""
+    _truncate(path)
+    manifest_path = path.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["trajectories"]:
+        if entry["file"] == path.name:
+            entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("name,corrupt,mesh_n", [
+    ("val_000.frames", _flip_a_data_bit, 6),
+    ("train_000.frames", _truncate, 6),
+    ("train_000.frames", _truncate_and_rehash, 6),
+    ("train_000.frames", None, 5),
+    ("train_001.frames", Path.unlink, 6),
+], ids=["flipped_bit", "truncated", "truncated_rehashed", "cell_count", "missing_file"])
+def test_a_corrupt_dataset_is_config_error(run, tmp_path, caplog, name, corrupt, mesh_n):
+    cfg = {**SMALL, "dataset": {"count": 2, "n_val": 1, "steps": 2},
+           "train": {"epochs": 1, "require_gradcheck": False}}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    assert run("train", cfg) == cli.EXIT_OK
+    if corrupt is not None:
+        corrupt(_out(tmp_path) / "dataset" / name)
+    cfg["mesh"] = {**SMALL["mesh"], "n": mesh_n}
+    caplog.clear()
+    assert run("train", cfg) == cli.EXIT_CONFIG
+    assert f"dataset file {name}" in caplog.text
 
 
 @pytest.mark.parametrize("exc", [

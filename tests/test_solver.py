@@ -382,6 +382,21 @@ def test_write_csv_formats_numpy_and_python_numbers(tmp_path):
     assert path.read_text() == "x\n"
 
 
+@pytest.mark.parametrize("cut", [2, 10, 29, -1], ids=["magic", "header", "data", "last_byte"])
+def test_a_truncated_frame_file_raises_a_solver_error(tmp_path, rng, cut):
+    """cut: bytes of the second frame left (or, negative, bytes dropped from
+    the end); the first frame is 4 + 20 + 96 bytes long."""
+    frames = rng.normal(size=(2, 3, 4))
+    path = tmp_path / "frames.bin"
+    solver.write_frames(path, [0.0, 0.5], frames)
+    times, back = solver.read_frames(path)
+    assert times == [0.0, 0.5] and np.array_equal(np.stack(back), frames)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:120 + cut] if cut >= 0 else raw[:cut])
+    with pytest.raises(solver.SolverError):
+        solver.read_frames(path)
+
+
 def _digest_meshes():
     return {"periodic_irregular_8": (msh.periodic_irregular_mesh(8, seed=3), {}),
             "forward_step_0.2": bench.forward_step_mesh(0.2)}

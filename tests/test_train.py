@@ -239,12 +239,44 @@ def test_dataset_files_are_bitwise_the_same_on_one_two_or_three_cpus(coarse, mon
     files = {}
     for k in (1, 2, 3):
         monkeypatch.setattr(solver, "_cpus", lambda k=k: k)
-        tr, val = train.generate_dataset(spec, coarse, fine, pm, out_dir=tmp_path / str(k))
+        manifest = train.generate_dataset(spec, coarse, fine, pm, tmp_path / str(k))
         _no_child_left()
+        assert [e["file"] for e in manifest["trajectories"]] == [
+            "train_000.frames", "train_001.frames", "train_002.frames",
+            "val_000.frames", "val_001.frames"]
+        tr, val = train.load_dataset(tmp_path / str(k), coarse.n_cells)
         assert [t.family for t in tr + val] == spec.families() + spec.families(2)
+        assert all(t.frames.shape == (4, coarse.n_cells, 4) for t in tr + val)
         files[k] = {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()}
     assert len(files[1]) == 6
     assert files[2] == files[1] and files[3] == files[1]
+
+
+def test_each_dataset_file_is_written_where_its_trajectory_was_computed(
+        coarse, monkeypatch, tmp_path):
+    """With 2 CPUs the caller computes trajectories 0-1 and a child 2-4; each
+    process writes the files of its own share."""
+    fine, pm = msh.refine_uniform(coarse)
+    spec = train.DatasetSpec(count=3, n_val=2, steps=3)
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    log = tmp_path / "writers.txt"
+    write_frames = solver.write_frames
+
+    def recorded(path, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{path.name} {os.getpid()}\n")
+        return write_frames(path, *args)
+
+    monkeypatch.setattr(solver, "write_frames", recorded)
+    train.generate_dataset(spec, coarse, fine, pm, tmp_path / "ds")
+    _no_child_left()
+    writers = dict(line.split() for line in log.read_text().splitlines())
+    caller = str(os.getpid())
+    assert sorted(writers) == sorted(p.name for p in (tmp_path / "ds").glob("*.frames"))
+    assert {n for n, pid in writers.items() if pid == caller} == {
+        "train_000.frames", "train_001.frames"}
+    assert len({writers[n] for n in ("train_002.frames", "val_000.frames",
+                                     "val_001.frames")} - {caller}) == 1
 
 
 def _corrupt(frames, cell, component):
