@@ -12,9 +12,10 @@ Exit codes:
      (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1, a count such
      as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), missing
      config file or ``mesh.path`` file, missing or corrupt ``--checkpoint``,
-     dataset directory without manifest.json, corrupt dataset (a frame file
-     missing, unreadable or not matching its manifest sha256, or frames of
-     another cell count than the configured mesh)
+     dataset directory without manifest.json, corrupt dataset (a manifest
+     key missing, a frame file missing, unreadable or not matching its
+     manifest sha256, or frames of another cell count than the configured
+     mesh)
   3  numeric failure: rejected solver step, inadmissible state (initial or
      boundary: an inflow state or back pressure taken from the initial
      condition), mesh error, domain error while recording the tape,
@@ -366,11 +367,11 @@ def cmd_dataset(cfg):
     spec = _checked("dataset", train.DatasetSpec, count=dc["count"],
                     mix=tuple(dc["mix"]), steps=dc["steps"], co=dc["co"],
                     max_amp=dc["max_amp"], seed=dc["seed"], n_val=dc["n_val"])
-    train.generate_dataset(spec, coarse, fine, pm, ds_dir, gas_model(cfg))
+    manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir, gas_model(cfg))
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
-    _write_manifest(out, cfg, [str(p.relative_to(out)) for p in ds_dir.iterdir()],
-                    coarse)
+    _write_manifest(out, cfg, [str((ds_dir / f).relative_to(out))
+                               for f in train.dataset_files(manifest)], coarse)
     return EXIT_OK
 
 

@@ -20,10 +20,10 @@ It cuts the items into contiguous shares, the caller runs the first and
 the children the rest.  Each item's result is computed exactly as the
 serial loop computes it, and the caller combines the results in item
 order, so parameters, history, checkpoints and dataset files are bitwise
-the same for any CPU count.  One tape per process fits where one tape over
-the whole batch does not: a sample's tape peaks at 12.2 MB (tracemalloc)
-on the 1,458-cell mesh, 11.3 MB of it the forward pass, and threads gain
-nothing on the tape's small numpy calls.
+the same for any CPU count.  Each process holds one sample's tape at a
+time: on the 1,458-cell mesh it peaks at 4.3 MB (tracemalloc), 3.9 MB of
+it held when the forward pass ends, since the tape keeps only the values
+its adjoints read.  Threads gain nothing on the tape's small numpy calls.
 
 The dataset format (file names, ``manifest.json``, frame files) lives
 here alone: ``generate_dataset`` writes it, each frame file in the process
@@ -210,17 +210,31 @@ def generate_dataset(spec, coarse, fine, pm, out_dir, gas=GasModel()):
     return manifest
 
 
+def dataset_files(manifest):
+    """Names of the files a ``generate_dataset`` call wrote: its manifest and
+    the frame files the manifest lists, not whatever else the directory holds."""
+    return ["manifest.json"] + [entry["file"] for entry in manifest["trajectories"]]
+
+
 def load_dataset(ds_dir, n_cells):
     """(train, val) lists of Trajectory from a ``generate_dataset`` directory.
-    A missing manifest, a frame file that is missing, unreadable or not its
-    manifest sha256, or frames of another cell count than n_cells raise a
-    ValueError naming the file."""
+    A missing manifest, a manifest without ``trajectories`` or an entry
+    without ``file``, ``kind`` or ``family``, a frame file that is missing,
+    unreadable or not its manifest sha256, or frames of another cell count
+    than n_cells raise a ValueError naming the file (and the missing key)."""
     ds_dir = Path(ds_dir)
     if not (ds_dir / "manifest.json").is_file():
         raise ValueError(f"no dataset in {ds_dir} (manifest.json missing); "
                          "run the dataset command first")
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    if "trajectories" not in manifest:
+        raise ValueError("dataset file manifest.json lacks key 'trajectories'")
     trains, vals = [], []
-    for entry in json.loads((ds_dir / "manifest.json").read_text())["trajectories"]:
+    for j, entry in enumerate(manifest["trajectories"]):
+        for key in ("file", "kind", "family"):
+            if key not in entry:
+                raise ValueError(f"dataset file manifest.json: trajectory {j} "
+                                 f"lacks key {key!r}")
         name = entry["file"]
         try:
             if _sha256(ds_dir / name) != entry.get("sha256"):

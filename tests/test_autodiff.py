@@ -288,15 +288,20 @@ def test_backward_leaves_the_seed_and_the_recorded_values_unchanged():
     # operands); a then receives c's adjoint, which must not write into it
     tape = ad.Tape()
     x = tape.var(X)
-    a = ad.transpose(ad.reshape(x * 2.0, (3, 4)))
-    c = a + x * 3.0
+    x2 = x * 2.0
+    r = ad.reshape(x2, (3, 4))
+    a = ad.transpose(r)
+    x3 = x * 3.0
+    c = a + x3
     out = c + a
+    recorded = [x, x2, r, a, x3, c, out]
+    assert len(recorded) == tape.node_count
     seed = np.arange(12.0).reshape(4, 3)
     seed0 = seed.copy()
-    values = [v.value.copy() for v in tape.nodes]
+    values = [v.value.copy() for v in recorded]
     tape.backward([(out, seed)])
     assert (seed == seed0).all()
-    assert all((v.value == v0).all() for v, v0 in zip(tape.nodes, values))
+    assert all((v.value == v0).all() for v, v0 in zip(recorded, values))
     assert (x.grad == 3.0 * seed0 + 4.0 * seed0.T.reshape(4, 3)).all()
 
 
@@ -318,23 +323,58 @@ def test_backward_frees_non_leaf_adjoints_and_closures():
     tape = ad.Tape()
     x = tape.var(X)
     y = tape.var(Y)
-    h = ad.tanh(x * y)
+    xy = x * y
+    h = ad.tanh(xy)
     unused = ad.sqrt(y)                  # recorded, but receives no adjoint
-    out = ad.sum(h * h + ad.maximum(h, y) + x)
-    leaves = {id(x), id(y)}
-    values = [v.value.copy() for v in tape.nodes]
+    hh = h * h
+    hy = ad.maximum(h, y)
+    s1 = hh + hy
+    s2 = s1 + x
+    out = ad.sum(s2)
+    recorded = [xy, h, unused, hh, hy, s1, s2, out]
+    assert len(recorded) == tape.node_count - 2
+    values = [v.value.copy() for v in [x, y] + recorded]
     tape.backward([(out, np.array(1.0))])
     th = np.tanh(X * Y)
     dh = 2.0 * th + (th >= Y)
     assert (x.grad == dh * (1.0 - th * th) * Y + 1.0).all()
     assert (y.grad == dh * (1.0 - th * th) * X + (th < Y)).all()
-    recorded = [v for v in tape.nodes if id(v) not in leaves]
-    assert len(recorded) == tape.node_count - 2 and any(v is unused for v in recorded)
     assert all(v.grad is None and v.vjp is None for v in recorded)
-    assert all((v.value == v0).all() for v, v0 in zip(tape.nodes, values))
+    assert all((v.value == v0).all() for v, v0 in zip([x, y] + recorded, values))
     with pytest.raises(RuntimeError, match="once per tape"):
         tape.backward([(out, np.array(1.0))])
     assert (x.grad == dh * (1.0 - th * th) * Y + 1.0).all()
+
+
+def test_the_tape_frees_a_value_that_no_adjoint_reads():
+    # take_rows's adjoint reads only its index, and sum's only a shape, so
+    # the gathered array dies with its Var, before the sweep
+    idx = np.array([2, 0, 0, 3, 1, 2])
+    tape = ad.Tape()
+    x = tape.var(X.T)
+    gathered = ad.take_rows(x, idx)
+    ref = weakref.ref(gathered.value)
+    out = ad.sum(gathered)
+    del gathered
+    assert ref() is None
+    tape.backward([(out, np.array(1.0))])
+    assert _bitwise(x.grad, _loop_scatter(idx, np.ones((6, 3)), 4).T)
+
+
+def test_the_tape_keeps_a_value_that_an_adjoint_reads_until_the_sweep():
+    # y's adjoint in h * y reads h's value: it lives after its Var is
+    # dropped, until the sweep has run that adjoint
+    tape = ad.Tape()
+    x = tape.var(X)
+    y = tape.var(Y)
+    h = x + 1.0
+    ref = weakref.ref(h.value)
+    out = ad.sum(h * y)
+    del h
+    assert ref() is not None
+    tape.backward([(out, np.array(1.0))])
+    assert ref() is None
+    assert (y.grad == X + 1.0).all() and (x.grad == Y).all()
 
 
 # ---------------------------------------------------------------------------

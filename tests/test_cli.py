@@ -236,14 +236,27 @@ def _truncate_and_rehash(path):
     manifest_path.write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("name,corrupt,mesh_n", [
-    ("val_000.frames", _flip_a_data_bit, 6),
-    ("train_000.frames", _truncate, 6),
-    ("train_000.frames", _truncate_and_rehash, 6),
-    ("train_000.frames", None, 5),
-    ("train_001.frames", Path.unlink, 6),
-], ids=["flipped_bit", "truncated", "truncated_rehashed", "cell_count", "missing_file"])
-def test_a_corrupt_dataset_is_config_error(run, tmp_path, caplog, name, corrupt, mesh_n):
+def _empty_manifest(path):
+    path.write_text("{}")
+
+
+def _drop_a_file_key(path):
+    manifest = json.loads(path.read_text())
+    del manifest["trajectories"][1]["file"]
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("name,corrupt,mesh_n,key", [
+    ("val_000.frames", _flip_a_data_bit, 6, None),
+    ("train_000.frames", _truncate, 6, None),
+    ("train_000.frames", _truncate_and_rehash, 6, None),
+    ("train_000.frames", None, 5, None),
+    ("train_001.frames", Path.unlink, 6, None),
+    ("manifest.json", _empty_manifest, 6, "trajectories"),
+    ("manifest.json", _drop_a_file_key, 6, "file"),
+], ids=["flipped_bit", "truncated", "truncated_rehashed", "cell_count", "missing_file",
+        "empty_manifest", "entry_without_file"])
+def test_a_corrupt_dataset_is_config_error(run, tmp_path, caplog, name, corrupt, mesh_n, key):
     cfg = {**SMALL, "dataset": {"count": 2, "n_val": 1, "steps": 2},
            "train": {"epochs": 1, "require_gradcheck": False}}
     assert run("dataset", cfg) == cli.EXIT_OK
@@ -254,6 +267,22 @@ def test_a_corrupt_dataset_is_config_error(run, tmp_path, caplog, name, corrupt,
     caplog.clear()
     assert run("train", cfg) == cli.EXIT_CONFIG
     assert f"dataset file {name}" in caplog.text
+    if key is not None:
+        assert f"lacks key {key!r}" in caplog.text
+
+
+def test_dataset_manifest_lists_only_the_files_of_this_run(run, tmp_path):
+    # a smaller dataset written over a larger one leaves the larger one's
+    # extra frame files in place, but does not list them
+    cfg = {**SMALL, "dataset": {"count": 4, "n_val": 1, "steps": 2}}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    cfg["dataset"] = {**cfg["dataset"], "count": 2}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    out = _out(tmp_path)
+    assert (out / "dataset" / "train_003.frames").is_file()
+    artifacts = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+    assert artifacts == ["dataset/manifest.json", "dataset/train_000.frames",
+                         "dataset/train_001.frames", "dataset/val_000.frames"]
 
 
 @pytest.mark.parametrize("exc", [
