@@ -8,7 +8,11 @@ solver code runs untraced (fast path) or traced (training path).
 
 Every operation is written the same way: its numpy call when no operand is
 traced, else its forward value and one adjoint expression per operand,
-handed to ``_record``, which holds the one recording rule of the tape.
+handed to ``_record``, which holds the one recording rule of the tape.  One
+node is recorded outside this module the same way: ``solver.rusanov_flux``
+computes the flux in numpy and records it as one node, whose adjoints are
+its hand-derived transposed Jacobians, in place of the 109 nodes that
+recording it op by op took.
 
 Differentiable primitive set: + - * / ** sqrt log tanh abs min max,
 ``where`` with a non-differentiated condition, reductions, matmul, the

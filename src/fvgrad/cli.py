@@ -370,8 +370,10 @@ def cmd_dataset(cfg):
     manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir, gas_model(cfg))
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
-    _write_manifest(out, cfg, [str((ds_dir / f).relative_to(out))
-                               for f in train.dataset_files(manifest)], coarse)
+    # files under out_dir are listed relative to it, the others absolute
+    paths = [ds_dir / f for f in train.dataset_files(manifest)]
+    _write_manifest(out, cfg, [str(p.relative_to(out)) if p.is_relative_to(out)
+                               else str(p.absolute()) for p in paths], coarse)
     return EXIT_OK
 
 

@@ -30,7 +30,8 @@ the neighbor differences are (4, 3, N) (variable, neighbor, cell), the
 angles (3, N), every activation (features, N) and alpha (4, 3, N), with the
 cell axis last.  Its parameters keep the neighbor-major input order
 (j*4 + v) of the checkpoint format; the forward pass permutes them instead
-of the data.
+of the data, as it takes each layer from the flat vector with one gather
+(``_layer_index``).
 
 Cells touching a boundary get an exactly-zero alpha, which reduces the
 corrected gradients to the plain reconstruction there.  With every
@@ -38,6 +39,7 @@ parameter zero the output is identically zero, so the corrected solver
 reproduces the baseline bitwise.
 """
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -66,6 +68,10 @@ class NetConfig:
     alpha_max: float = 0.5
 
     def __post_init__(self):
+        for name in ("width", "combine", "n_neighbors", "n_vars"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise NetworkError(f"{name} must be a positive integer, got {value!r}")
         if not (np.isfinite(self.alpha_max) and self.alpha_max > 0):
             raise NetworkError(f"alpha_max must be finite and > 0, got {self.alpha_max!r}")
 
@@ -101,15 +107,6 @@ class NetParams:
     @property
     def count(self):
         return int(sum(int(np.prod(s)) for _, s, _ in self.table))
-
-    def view(self, vec=None):
-        """Per-layer views of the flat vector (plain array or traced)."""
-        vec = self.values if vec is None else vec
-        out = {}
-        for name, shape, off in self.table:
-            size = int(np.prod(shape))
-            out[name] = ad.reshape(vec[off:off + size], shape)
-        return out
 
     def with_values(self, vec):
         return NetParams(self.config, vec, self.table)
@@ -153,14 +150,37 @@ def _check_finite(name, x):
         raise NetworkError("non-finite activation", layer=name)
 
 
-def _variable_major(n_neighbors, n_vars):
-    """Flat input index j*n_vars + v of each row v*n_neighbors + j.
+@functools.cache
+def _layer_index(config):
+    """Index of each layer in the flat parameter vector, as the forward pass
+    takes it with one ``ad.take_rows`` gather: each name maps to an array of
+    the layer's working shape whose entries are positions in the vector.
 
     The network's parameters index its input neighbor-major (j*4 + v, the
     checkpoint's order); the solver's stencil arrays are variable-major
-    (4, 3, N), whose rows flatten to v*3 + j.  Permuting the parameters,
-    not the data, lets the forward pass run on the stencil array as it is."""
-    return np.arange(n_neighbors * n_vars).reshape(n_neighbors, n_vars).T.ravel()
+    (4, 3, N), whose rows flatten to v*3 + j.  So the index permutes every
+    input-indexed axis (the rows of the normalisation and of the head, the
+    columns of branch0) to variable-major order, which lets the forward pass
+    run on the stencil array as it is, and makes every (k,) vector a (k, 1)
+    column that broadcasts over cells.  Each vector position appears once.
+    Built once per configuration, from ``_make_table``, the one layout a
+    checkpoint may have (``load_params``)."""
+    m = config.n_in
+    vm = np.arange(m).reshape(config.n_neighbors, config.n_vars).T.ravel()
+    table, _ = _make_table(config)
+    idx = {name: off + np.arange(int(np.prod(shape))).reshape(shape)
+           for name, shape, off in table}
+    for name in ("norm_scale", "norm_shift"):
+        idx[name] = idx[name][vm, None]
+    for name in ("branch0_skip", "branch0_w"):
+        idx[name] = idx[name][:, vm]
+    for name in ("branch0_b", "branch1_b", "trunk_b"):
+        idx[name] = idx[name][:, None]
+    idx["head_w"] = idx["head_w"].reshape(m, -1)[vm]
+    idx["head_b"] = idx["head_b"].reshape(m, -1)[vm]
+    for i in idx.values():
+        i.flags.writeable = False
+    return idx
 
 
 def network_forward(params, du, theta, vec=None):
@@ -179,8 +199,8 @@ def network_forward(params, du, theta, vec=None):
     if ad.value_of(theta).shape != (3, n):
         raise NetworkError(f"theta shape {ad.value_of(theta).shape} does not match "
                            f"du {duv.shape}")
-    L = params.view(vec)
-    vm = _variable_major(cfg.n_neighbors, cfg.n_vars)
+    vec = params.values if vec is None else vec
+    L = {name: ad.take_rows(vec, idx) for name, idx in _layer_index(cfg).items()}
 
     z = ad.reshape(du, (cfg.n_in, n))
     mu = ad.mean(z, axis=0, keepdims=True)
@@ -188,16 +208,16 @@ def network_forward(params, du, theta, vec=None):
     var = ad.mean(centered * centered, axis=0, keepdims=True)
     scale = ad.sqrt(var + NORM_EPS)
     zn = centered / scale
-    zn = zn * _col(L["norm_scale"][vm]) + _col(L["norm_shift"][vm])
+    zn = zn * L["norm_scale"] + L["norm_shift"]
     _check_finite("norm", zn)
 
-    h = ad.matmul(L["branch0_skip"][:, vm], zn) + ad.tanh(
-        ad.matmul(L["branch0_w"][:, vm], zn) + _col(L["branch0_b"]))
+    h = ad.matmul(L["branch0_skip"], zn) + ad.tanh(
+        ad.matmul(L["branch0_w"], zn) + L["branch0_b"])
     _check_finite("branch0", h)
-    h = h + ad.tanh(ad.matmul(L["branch1_w"], h) + _col(L["branch1_b"]))
+    h = h + ad.tanh(ad.matmul(L["branch1_w"], h) + L["branch1_b"])
     _check_finite("branch1", h)
 
-    trunk = ad.tanh(ad.matmul(L["trunk_w"], theta) + _col(L["trunk_b"]))
+    trunk = ad.tanh(ad.matmul(L["trunk_w"], theta) + L["trunk_b"])
     _check_finite("trunk", trunk)
 
     # raw[m, n] = sum_p (head_w[m*P+p] . h[:, n] + head_b[m*P+p]) trunk[p, n]
@@ -206,19 +226,12 @@ def network_forward(params, du, theta, vec=None):
     pw = cfg.combine * cfg.width
     outer = ad.reshape(ad.reshape(trunk, (cfg.combine, 1, n))
                        * ad.reshape(h, (1, cfg.width, n)), (pw, n))
-    head_w = ad.reshape(L["head_w"], (cfg.n_in, pw))[vm]
-    head_b = ad.reshape(L["head_b"], (cfg.n_in, cfg.combine))[vm]
-    raw = ad.matmul(head_w, outer) + ad.matmul(head_b, trunk)
+    raw = ad.matmul(L["head_w"], outer) + ad.matmul(L["head_b"], trunk)
     raw = raw * scale
     alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
     _check_finite("head", alpha)
 
     return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
-
-
-def _col(b):
-    """A (k,) parameter as a (k, 1) column that broadcasts over cells."""
-    return ad.reshape(b, (ad.value_of(b).shape[0], 1))
 
 
 def masked_alpha(mesh, params, du, vec=None):
@@ -297,7 +310,8 @@ def load_params(path):
         raise NetworkError(f"truncated checkpoint: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise NetworkError(f"corrupt checkpoint: {exc}") from exc
-    expected, n = _make_table(cfg)
-    if [(a, b) for a, b, _ in table] != [(a, b) for a, b, _ in expected] or n != total:
-        raise NetworkError("shape table does not match this build's architecture")
+    expected, _ = _make_table(cfg)
+    if table != expected:
+        raise NetworkError("shape table (names, shapes and offsets) does not match "
+                           "this build's architecture")
     return NetParams(cfg, vals.astype(np.float64), table)

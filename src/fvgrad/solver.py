@@ -125,15 +125,69 @@ def rusanov_flux(u_l, u_r, n, gas=GasModel()):
     axis last; each side is converted to its conservative state w once, by
     ``prim_to_cons``, which also checks its admissibility.  v.n, p and the
     sound speed come from the primitives.  Returns (flux, s) with flux
-    (4, F) and s per face.
+    (4, F) and s per face, a plain array.
+
+    The values are computed by the same numpy code whether or not a state
+    is traced.  A traced call records the flux as one tape node, whose
+    adjoints are the transposed Jacobians dF/du_l and dF/du_r
+    (``_rusanov_adjoint``): statement-level preaccumulation (Griewank and
+    Walther, *Evaluating Derivatives*, 2008, ch. 10).  They follow the
+    tape's conventions: the s term goes to the left state at ties, as
+    ``ad.maximum`` sends it, and |v.n| has the derivative sign(v.n), zero
+    at zero, as ``ad.absolute``.
     """
+    vl, vr, n = ad.value_of(u_l), ad.value_of(u_r), np.asarray(n)
     # (F, 4) and (F, 2) views for the pointwise algebra
-    ul, ur, nt = ad.transpose(u_l), ad.transpose(u_r), ad.transpose(n)
+    ul, ur, nt = vl.T, vr.T, n.T
     wl, wr = prim_to_cons(ul, gas), prim_to_cons(ur, gas)
-    f_l = ad.transpose(physical_flux(ul, wl, nt))
-    f_r = ad.transpose(physical_flux(ur, wr, nt))
-    s = ad.maximum(max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas))
-    return 0.5 * (f_l + f_r) - 0.5 * s * (ad.transpose(wr) - ad.transpose(wl)), s
+    f_l = physical_flux(ul, wl, nt).T
+    f_r = physical_flux(ur, wr, nt).T
+    a_l, a_r = max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas)
+    s = np.maximum(a_l, a_r)
+    dw = wr.T - wl.T
+    flux = 0.5 * (f_l + f_r) - 0.5 * s * dw
+    if not (isinstance(u_l, ad.Var) or isinstance(u_r, ad.Var)):
+        return flux, s
+    left = (a_l >= a_r) | np.isnan(a_l)
+
+    def adjoint(u, t, side):
+        # the adjoint of s, -(g . dw) / 2, reaches the side whose speed was taken
+        return lambda g: _rusanov_adjoint(
+            g, u, n, t, np.where(side, -0.5 * np.einsum("kf,kf->f", g, dw), 0.0), gas.gamma)
+
+    return ad._record(flux, (u_l, adjoint(vl, s, left)), (u_r, adjoint(vr, -s, ~left))), s
+
+
+def _rusanov_adjoint(g, u, n, t, g_a, gamma):
+    """(dF/du)^T g for one side of the Rusanov flux F.
+
+    u is that side's primitive state (4, F), n the normals (2, F).  F holds
+    f(u) / 2 + t w(u) / 2, with w(u) the conservative state, t = s on the
+    left and -s on the right, and this side's wave speed a = |v.n| + c, whose
+    adjoint is g_a (zero where the other side's speed is s).  With h = g / 2,
+    A = h_0 + h_1 v_x + h_2 v_y, k = |v|^2 / 2 and the total enthalpy per
+    volume H = E + p = gamma p / (gamma - 1) + rho k:
+      rho: (v.n + t)(A + k h_3) - g_a c / (2 rho)
+      v_x: rho (v.n + t)(h_1 + h_3 v_x) + n_x (rho A + h_3 H + g_a sign(v.n))
+      v_y: the same with y for x
+      p:   h_1 n_x + h_2 n_y + h_3 (gamma v.n + t) / (gamma - 1) + g_a c / (2 p)
+    """
+    h = 0.5 * g
+    rho, vx, vy, p = u
+    nx, ny = n
+    vn = vx * nx + vy * ny
+    c = np.sqrt(gamma * p / rho)
+    vt = vn + t
+    a = h[0] + h[1] * vx + h[2] * vy
+    k = 0.5 * (vx * vx + vy * vy)
+    m = rho * a + h[3] * (gamma / (gamma - 1.0) * p + rho * k) + g_a * np.sign(vn)
+    out = np.empty(u.shape)
+    out[0] = vt * (a + k * h[3]) - g_a * (0.5 * c / rho)
+    out[1] = rho * vt * (h[1] + h[3] * vx) + nx * m
+    out[2] = rho * vt * (h[2] + h[3] * vy) + ny * m
+    out[3] = (h[1] * nx + h[2] * ny + h[3] * (gamma * vn + t) / (gamma - 1.0)
+              + g_a * (0.5 * c / p))
+    return out
 
 
 def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):

@@ -21,9 +21,10 @@ the children the rest.  Each item's result is computed exactly as the
 serial loop computes it, and the caller combines the results in item
 order, so parameters, history, checkpoints and dataset files are bitwise
 the same for any CPU count.  Each process holds one sample's tape at a
-time: on the 1,458-cell mesh it peaks at 4.3 MB (tracemalloc), 3.9 MB of
-it held when the forward pass ends, since the tape keeps only the values
-its adjoints read.  Threads gain nothing on the tape's small numpy calls.
+time: on the 1,458-cell mesh it records 181 nodes and peaks at 3.9 MB
+(tracemalloc), 3.3 MB of it held when the forward pass ends, since the
+tape keeps only the values its adjoints read.  Threads gain nothing on the
+tape's small numpy calls.
 
 The dataset format (file names, ``manifest.json``, frame files) lives
 here alone: ``generate_dataset`` writes it, each frame file in the process

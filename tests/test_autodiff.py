@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib
 import weakref
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
+from fvgrad import solver
 from conftest import finite_diff_grad
 
 
@@ -39,10 +41,13 @@ def check_vjp(build, *x0s, rtol=1e-8, rel_step=1e-6):
 RNG = np.random.default_rng(42)
 X = RNG.uniform(0.5, 2.0, (4, 3))
 Y = RNG.uniform(0.5, 2.0, (4, 3))
+# unit normals of three faces, for the flux: X and Y are admissible primitive
+# face states (rho, u, v, p), one face per column
+NORMALS = np.array([np.cos([0.3, 2.0, 4.4]), np.sin([0.3, 2.0, 4.4])])
 
 
-# one case or more for every public function that records a node
-# (test_every_recording_function_has_a_gradient_case)
+# one case or more for every public function of the package that records a
+# node (test_every_recording_function_has_a_gradient_case)
 PRIMITIVE_CASES = [
     lambda x: x + Y,
     lambda x: Y - x,
@@ -72,11 +77,14 @@ PRIMITIVE_CASES = [
     lambda x: ad.einsum("ij,ik->jk", x, Y),
     lambda x: ad.einsum("nj,njv->nv", Y, ad.stack([x, x * x], axis=2)),
     lambda x: ad.einsum("ij,ij->i", x, x * Y),
+    lambda x: solver.rusanov_flux(x, Y, NORMALS)[0],
+    lambda x: solver.rusanov_flux(Y * x, x, NORMALS)[0],
 ]
 PRIMITIVE_IDS = ["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
                  "tanh", "abs", "max", "min", "where", "sum_keep", "mean",
                  "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
-                 "stack", "take_rows", "segment_sum", "einsum_a", "einsum_b", "einsum_ab"]
+                 "stack", "take_rows", "segment_sum", "einsum_a", "einsum_b", "einsum_ab",
+                 "rusanov_l", "rusanov_lr"]
 
 
 @pytest.mark.parametrize("build", PRIMITIVE_CASES, ids=PRIMITIVE_IDS)
@@ -105,36 +113,47 @@ def test_gradients_of_two_traced_broadcast_operands(build):
 
 
 def _recording_functions():
-    """Public functions of ``ad`` that record a node: those whose body names
-    ``_record``, or a function that does."""
-    tree = ast.parse(Path(ad.__file__).read_text())
-    names = {f.name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
-             for f in tree.body if isinstance(f, ast.FunctionDef)}
-    recording = {"_record"}
-    while more := {f for f, used in names.items() if used & recording} - recording:
-        recording |= more
-    return sorted(f for f in recording if not f.startswith("_"))
+    """(module, name) of the package's public functions that record a node:
+    in ``autodiff`` those whose body names ``_record``, or a function that
+    does; in every other module those that call ``autodiff._record``."""
+    found = []
+    for path in sorted(Path(ad.__file__).parent.glob("[!_]*.py")):
+        funcs = [f for f in ast.parse(path.read_text()).body if isinstance(f, ast.FunctionDef)]
+        if path.stem == "autodiff":
+            names = {f.name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
+                     for f in funcs}
+            recording = {"_record"}
+            while more := {f for f, used in names.items() if used & recording} - recording:
+                recording |= more
+        else:
+            recording = {f.name for f in funcs if any(
+                isinstance(n, ast.Attribute) and n.attr == "_record" for n in ast.walk(f))}
+        found += [(path.stem, f) for f in sorted(recording) if not f.startswith("_")]
+    return found
 
 
 RECORDING = _recording_functions()
 
 
-@pytest.mark.parametrize("name", RECORDING)
-def test_every_recording_function_has_a_gradient_case(name, monkeypatch):
+@pytest.mark.parametrize("module,name", RECORDING,
+                         ids=[n if m == "autodiff" else f"{m}.{n}" for m, n in RECORDING])
+def test_every_recording_function_has_a_gradient_case(module, name, monkeypatch):
     """A function counts as covered when one of test_primitive_gradients'
-    cases calls it and it returns a traced value."""
+    cases calls it and it returns a traced value (the first of a tuple)."""
     covered = set()
-    for fn_name in RECORDING:
-        def spy(*args, _fn=getattr(ad, fn_name), _name=fn_name, **kwargs):
+    for mod_name, fn_name in RECORDING:
+        mod = importlib.import_module(f"fvgrad.{mod_name}")
+
+        def spy(*args, _fn=getattr(mod, fn_name), _key=(mod_name, fn_name), **kwargs):
             out = _fn(*args, **kwargs)
-            if isinstance(out, ad.Var):
-                covered.add(_name)
+            if isinstance(out[0] if isinstance(out, tuple) else out, ad.Var):
+                covered.add(_key)
             return out
 
-        monkeypatch.setattr(ad, fn_name, spy)
+        monkeypatch.setattr(mod, fn_name, spy)
     for build in PRIMITIVE_CASES:
         build(ad.Tape().var(X))
-    assert name in covered
+    assert (module, name) in covered
 
 
 @pytest.mark.parametrize("spec", ["ij,jk->k", "ij,jk->ik,", "ii,ik->k", "ij,jk",

@@ -149,9 +149,29 @@ def test_truncated_checkpoint_is_config_error(run, tmp_path, keep):
     assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
 
 
+def test_checkpoint_with_a_wrong_offset_is_config_error(run, tmp_path, caplog):
+    params = mlcorr.zero_params()
+    table = [(name, shape, 10**6 if name == "head_b" else off)
+             for name, shape, off in params.table]
+    path = tmp_path / "net.gfnn"
+    mlcorr.save_params(mlcorr.NetParams(params.config, params.values, table), path)
+    cfg = {**SMALL, "simulate": {"n_steps": 1}}
+    assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
+    assert "offsets" in caplog.text
+
+
 def test_bad_alpha_max_is_config_error(run):
     cfg = {**SMALL, "net": {"alpha_max": 0.0}, "bench": {"n": 4, "n_steps": 1}}
     assert run("bench", cfg) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("net", [{"width": -1}, {"width": 0}, {"combine": 0}])
+def test_a_net_size_below_one_is_config_error(run, caplog, net):
+    cfg = {**SMALL, "net": net, "dataset": {"count": 1, "n_val": 1, "steps": 1},
+           "train": {"epochs": 1, "require_gradcheck": False}}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    assert run("train", cfg) == cli.EXIT_CONFIG
+    assert "must be a positive integer" in caplog.text
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -283,6 +303,17 @@ def test_dataset_manifest_lists_only_the_files_of_this_run(run, tmp_path):
     artifacts = json.loads((out / "run_manifest.json").read_text())["artifacts"]
     assert artifacts == ["dataset/manifest.json", "dataset/train_000.frames",
                          "dataset/train_001.frames", "dataset/val_000.frames"]
+
+
+def test_a_dataset_outside_out_dir_is_listed_by_absolute_path(run, tmp_path):
+    ds_dir = tmp_path / "elsewhere"
+    cfg = {**SMALL, "dataset": {"count": 1, "n_val": 1, "steps": 2, "dir": str(ds_dir)},
+           "train": {"epochs": 1, "require_gradcheck": False}}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    artifacts = json.loads((_out(tmp_path) / "run_manifest.json").read_text())["artifacts"]
+    assert artifacts == [str(ds_dir / f) for f in
+                         ("manifest.json", "train_000.frames", "val_000.frames")]
+    assert run("train", cfg) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("exc", [

@@ -50,7 +50,8 @@ def _alpha_with_branch_head(params, du, theta):
     branch features, reshaped, then summed over P against the trunk.  Takes
     and returns cell-first (N, 3, 4) arrays and (N, 3) angles."""
     cfg = params.config
-    L = params.view()
+    L = {name: params.values[off:off + int(np.prod(shape))].reshape(shape)
+         for name, shape, off in params.table}
     n = du.shape[0]
     z = du.reshape(n, cfg.n_in)
     centered = z - np.mean(z, axis=1, keepdims=True)
@@ -282,6 +283,42 @@ def test_load_rejects_bad_alpha_max(tmp_path, params, text):
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:])
     with pytest.raises(NetworkError):
         mlcorr.load_params(path)
+
+
+def test_load_rejects_an_offset_that_is_not_the_layout(tmp_path, params):
+    """The forward pass takes each layer at its offset in this build's layout
+    (``mlcorr._layer_index``), so a checkpoint with any other offset is
+    rejected, even when its names and shapes are right."""
+    table = [(name, shape, 10**6 if name == "head_b" else off)
+             for name, shape, off in params.table]
+    path = tmp_path / "net.gfnn"
+    mlcorr.save_params(mlcorr.NetParams(params.config, params.values, table), path)
+    with pytest.raises(NetworkError, match="offsets"):
+        mlcorr.load_params(path)
+
+
+@pytest.mark.parametrize("field,value", [("width", -1), ("width", 0), ("combine", 0),
+                                         ("combine", 2.5), ("width", True),
+                                         ("n_neighbors", 0), ("n_vars", "4")])
+def test_net_sizes_must_be_positive_integers(field, value):
+    with pytest.raises(NetworkError, match=field):
+        NetConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config", [NetConfig(), NetConfig(width=3, combine=5)],
+                         ids=["default", "narrow"])
+def test_the_layer_gathers_take_every_parameter_once(config):
+    """network_forward takes each layer with one gather; together the gathers
+    read every entry of the flat vector exactly once, each layer inside its
+    own range of the table."""
+    index = mlcorr._layer_index(config)
+    table, count = mlcorr._make_table(config)
+    assert list(index) == [name for name, _, _ in table]
+    taken = np.concatenate([i.ravel() for i in index.values()])
+    assert np.sort(taken).tolist() == list(range(count))
+    for name, shape, off in table:
+        assert index[name].size == int(np.prod(shape))
+        assert off <= index[name].min() and index[name].max() < off + int(np.prod(shape))
 
 
 def test_width_config_changes_count():

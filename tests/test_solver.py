@@ -18,7 +18,7 @@ from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
                           prim_to_cons)
-from conftest import (digest, random_admissible_prim, seeded_network_params,
+from conftest import (digest, finite_diff_grad, random_admissible_prim, seeded_network_params,
                       smooth_prim_field)
 
 N_STEPS = 10
@@ -357,6 +357,109 @@ def test_rusanov_flux_of_equal_states_is_the_physical_flux_bitwise(faces):
     flux, _ = solver.rusanov_flux(np.ascontiguousarray(u.T), np.ascontiguousarray(u.T),
                                   np.ascontiguousarray(n.T), gas)
     assert (flux.T == physical_flux(u, prim_to_cons(u, gas), n)).all()
+
+
+def _op_by_op_rusanov(u_l, u_r, n, gas):
+    """The Rusanov flux with every operation recorded on the tape, as the
+    solver recorded it before the flux became one node: the oracle of that
+    node's adjoints."""
+    ul, ur, nt = ad.transpose(u_l), ad.transpose(u_r), ad.transpose(n)
+    wl, wr = prim_to_cons(ul, gas), prim_to_cons(ur, gas)
+    f_l = ad.transpose(physical_flux(ul, wl, nt))
+    f_r = ad.transpose(physical_flux(ur, wr, nt))
+    s = ad.maximum(max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas))
+    return 0.5 * (f_l + f_r) - 0.5 * s * (ad.transpose(wr) - ad.transpose(wl))
+
+
+def _flux_node(u_l, u_r, n, gas):
+    return solver.rusanov_flux(u_l, u_r, n, gas)[0]
+
+
+# one face: left state, right state, normal angle and how the right state is
+# tied to the left: "free"; "tie", the left state with rho and p scaled by 2^j,
+# so both wave speeds are equal bitwise; "still", both at rest, so v.n = 0
+_flux_face = st.tuples(_face, _face, st.sampled_from(["free", "tie", "still"]),
+                       st.integers(-3, 3))
+# ghost faces: the right state is the ghost of the left one, on the tape
+_GHOSTS = [None, msh.SLIP_WALL, msh.SUPERSONIC_OUT, msh.SUBSONIC_OUT]
+
+
+@settings(max_examples=150, deadline=None)
+@given(faces=st.lists(_flux_face, min_size=1, max_size=6), ghost=st.sampled_from(_GHOSTS),
+       back=st.floats(0.5, 2.0), seed=st.integers(0, 2**31))
+def test_the_flux_node_matches_the_op_by_op_flux_and_central_differences(
+        faces, ghost, back, seed):
+    """The traced flux is one node whose adjoints are hand-derived Jacobians.
+    Its value equals the op-by-op flux's bitwise.  Its adjoints of both face
+    states equal the op-by-op flux's to 1e-13 of each face's largest entry,
+    and so does the gradient of a ghost face's interior state, which sums
+    both adjoints through the ghost state (relative to the larger of those
+    entries and its own: a wall flux cancels most of them, and a subsonic
+    outflow ghost amplifies them by 1/c^2).  Away from the kinks of max and
+    |v.n|, each face's gradient equals central differences to 1e-6."""
+    gas = GasModel()
+    rows_l, rows_r = [], []
+    for (left, right, kind, j) in faces:
+        u_l = np.array(left[:4])
+        u_r = np.array(right[:4])
+        if kind == "tie":
+            u_r = u_l * [2.0 ** j, 1.0, 1.0, 2.0 ** j]
+        elif kind == "still":
+            u_l[1:3] = u_r[1:3] = 0.0
+        rows_l.append(u_l)
+        rows_r.append(u_r)
+    u_l, u_r = np.array(rows_l).T.copy(), np.array(rows_r).T.copy()
+    theta = np.array([left[4] for left, *_ in faces])
+    n = np.array([np.cos(theta), np.sin(theta)])
+    g = np.random.default_rng(seed).normal(size=u_l.shape)
+
+    def ghost_of(ul, face=slice(None)):
+        """Ghost states of the interior states ul of the given faces."""
+        spec = bclib.BCSpec(kind=ghost, back_pressure=back * u_l[3, face])
+        return ad.transpose(bclib.ghost_state(spec, ad.transpose(ul), n[:, face].T, gas)[0])
+
+    if ghost is not None:
+        u_r = ghost_of(u_l)
+
+    def gradients(flux, through_ghost):
+        tape = ad.Tape()
+        leaves = [tape.var(u_l)] if through_ghost else [tape.var(u_l), tape.var(u_r)]
+        out = ad.sum(g * flux(leaves[0], ghost_of(leaves[0]) if through_ghost
+                              else leaves[1], n, gas))
+        tape.backward([(out, np.array(1.0))])
+        return out.value, [x.grad for x in leaves]
+
+    (value, node), (expect, oracle) = (gradients(f, False)
+                                       for f in (_flux_node, _op_by_op_rusanov))
+    assert value == expect
+    for got, want in zip(node, oracle):
+        assert (np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0)).all()
+    scale = np.maximum(*(np.abs(x).max(axis=0) for x in oracle))
+    if ghost is not None:
+        (value, node), (expect, oracle) = (gradients(f, True)
+                                           for f in (_flux_node, _op_by_op_rusanov))
+        assert value == expect
+        scale = np.maximum(scale, np.abs(oracle[0]).max(axis=0))
+        assert (np.abs(node[0] - oracle[0]) <= 1e-13 * scale).all()
+
+    # central differences, face by face, on the faces away from the kinks
+    a_l, a_r = (max_wave_speed(u.T, n.T, gas) for u in (u_l, u_r))
+    vn = np.array([u[1] * n[0] + u[2] * n[1] for u in (u_l, u_r)])
+    s = np.maximum(a_l, a_r)
+    smooth = (np.abs(vn) > 1e-4 * s).all(axis=0)
+    if ghost != msh.SLIP_WALL:   # there a_r(u_l) = a_l(u_l): s is smooth at the tie
+        smooth &= np.abs(a_l - a_r) > 1e-4 * s
+    for f in np.flatnonzero(smooth):
+        face = [f]
+
+        def face_loss(ul, ur):
+            ur = ur if ghost is None else ghost_of(ul, face)
+            return float(np.sum(g[:, face] * _flux_node(ul, ur, n[:, face], gas)))
+
+        fds = [finite_diff_grad(lambda x: face_loss(x, u_r[:, face]), u_l[:, face]),
+               finite_diff_grad(lambda x: face_loss(u_l[:, face], x), u_r[:, face])]
+        for got, fd in zip(node, fds):
+            assert np.abs(got[:, face] - fd).max() <= 1e-6 * max(np.abs(fd).max(), scale[f])
 
 
 @pytest.mark.parametrize("family", train.FAMILIES)

@@ -67,10 +67,13 @@ def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
 # the Rusanov flux moved to primitive face states and the residual to
 # per-slot sums.  Against the earlier face-order form, the losses moved by
 # 5.4e-15 (periodic) and 5.6e-15 (forward step) relative, and the gradients
-# by 1.2e-14 and 6.7e-15 of their largest entry
+# by 1.2e-14 and 6.7e-15 of their largest entry.  The gradients were
+# re-recorded again when the flux became one tape node with hand-derived
+# adjoints: against the op-by-op flux they moved by 1.3e-16 (periodic) and
+# 2.6e-16 (forward step) of their largest entry; the losses stayed bitwise
 SAMPLE_GRADIENT_DIGESTS = {
-    "periodic_structured_6": ("f3eceb90ebd2f495", "b6c3d4a3bcc1deb2"),
-    "forward_step_0.2": ("1d2763c23b6e1bb2", "e0cc6bbbd815a228"),
+    "periodic_structured_6": ("f3eceb90ebd2f495", "cb93adad9490123d"),
+    "forward_step_0.2": ("1d2763c23b6e1bb2", "068f191cf8a8957d"),
 }
 
 
@@ -87,6 +90,26 @@ def test_sample_gradient_digests(gas, seeded_params):
                                            cons_to_prim(w_ref, gas), train.LossWeights(), gas)
         assert grad.shape == seeded_params.values.shape
         assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
+
+
+def test_a_traced_training_sample_records_181_nodes(gas, seeded_params, monkeypatch):
+    """One ml_lsq sample on the 1,458-cell training mesh.  The Rusanov flux
+    is one node and each network layer one gather; recorded op by op, the
+    flux took 109 nodes and the layers 39, for 313 in all."""
+    m = msh.periodic_structured_mesh(27)
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    u_ref = smooth_prim_field(m.centroid)
+    counts = []
+    real = ad.Tape.backward
+
+    def spy(tape, seeds):
+        counts.append(tape.node_count)
+        return real(tape, seeds)
+
+    monkeypatch.setattr(ad.Tape, "backward", spy)
+    train._sample_loss(m, solver.compute_dt(m, cfg), cfg, {}, seeded_params,
+                       prim_to_cons(u_ref, gas), u_ref, train.LossWeights(), gas)
+    assert counts == [181]
 
 
 def test_backward_adds_little_to_a_traced_samples_peak(gas, seeded_params, monkeypatch):
