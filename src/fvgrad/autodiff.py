@@ -466,7 +466,7 @@ def einsum(spec, a, b):
 
 def reshape(a, shape):
     if not isinstance(a, Var):
-        return np.reshape(a, shape)
+        return np.asarray(a).reshape(shape)      # the method: see take_rows
     a_shape = a.value.shape
     return _record(a.value.reshape(shape), (a, lambda g: g.reshape(a_shape)))
 
@@ -539,7 +539,10 @@ def take_rows(a, idx):
     """Gather a[..., idx] along the last axis; the adjoint is a scatter-add."""
     idx = np.asarray(idx)
     if not isinstance(a, Var):
-        return np.take(a, idx, axis=-1)
+        # the method, not np.take: each call of a numpy wrapper that forwards
+        # keywords leaves one block on CPython's dict free list until 80 such
+        # calls have run, so a process's first steps kept touching new pages
+        return np.asarray(a).take(idx, axis=-1)
     n = a.value.shape[-1]
     return _record(np.take(a.value, idx, axis=-1),
                    (a, lambda g: _scatter_rows(g, idx, n)))

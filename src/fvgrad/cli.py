@@ -11,15 +11,20 @@ Exit codes:
   2  config error: bad or unknown config key, a value out of its range
      (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1, a count such
      as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), missing
-     config file or ``mesh.path`` file, missing or corrupt ``--checkpoint``,
+     config file or ``mesh.path`` file, a ``mesh.path`` file that does not
+     parse (empty, a bad header, a row of the wrong form, an unknown boundary
+     type, fewer rows than the header counts), missing or corrupt
+     ``--checkpoint`` (also one whose network is not sized for the Euler
+     stencil: ``n_vars`` other than 4 or ``n_neighbors`` other than 3),
      dataset directory without manifest.json, corrupt dataset (a manifest
      key missing, a frame file missing, unreadable or not matching its
      manifest sha256, or frames of another cell count than the configured
      mesh)
   3  numeric failure: rejected solver step, inadmissible state (initial or
      boundary: an inflow state or back pressure taken from the initial
-     condition), mesh error, domain error while recording the tape,
-     non-finite network activation
+     condition), mesh error (a built-in mesh, or a ``mesh.path`` file that
+     parses, whose triangles the build rejects), domain error while
+     recording the tape, non-finite network activation
   4  gradient-check failure, or a missing / stale gradcheck report
 """
 
@@ -260,7 +265,7 @@ def build_mesh_from_config(cfg):
             raise ConfigError("mesh.kind 'file' requires mesh.path")
         try:
             mesh = msh.read_mesh_ascii(mc["path"])
-        except OSError as exc:
+        except (OSError, msh.MeshFileError) as exc:
             raise ConfigError(f"cannot read mesh.path: {exc}") from exc
         return mesh
     if kind not in ("structured", "irregular"):

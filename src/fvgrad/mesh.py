@@ -35,6 +35,15 @@ The per-step constants the solver reads with every field (``lsq_wd``,
 contiguous, like the step's own fields; the topology and geometry tables
 keep one row per cell or face.
 
+``build_mesh`` itself works cells-last, like the step: nodes, cells, edges
+and faces as one array per coordinate, and the per-cell tables as (3, N)
+rows, one per stencil slot.  Every reduction, sort or comparison over a
+cell's three entries is elementwise over the three rows, and a sum adds
+them in row order, ((a + b) + c), as numpy's reduction over an axis of
+three does, so the stored tables are bitwise those of a row-per-cell
+build.  The stencil order is one permutation of the slot rows, applied once
+to the slot tables; the face geometry of each slot is gathered after it.
+
 A stencil slot is one (neighbor j, cell i) pair of a per-cell table, at flat
 index ``j * n_cells + i`` of a (..., 3, n_cells) array reshaped to
 (..., 3 * n_cells).  Every slot is one side of exactly one face: the left
@@ -71,6 +80,10 @@ TAG_CODES = {v: k for k, v in TAG_NAMES.items()}
 
 class MeshError(ValueError):
     pass
+
+
+class MeshFileError(MeshError):
+    """A mesh file that does not parse (``read_mesh_ascii``)."""
 
 
 class BoundarySpec:
@@ -236,26 +249,19 @@ class ParentMap:
     parent_area: np.ndarray  # (Nc,)
 
 
-def _signed_area(nodes, tri):
-    p0 = nodes[tri[:, 0]]
-    p1 = nodes[tri[:, 1]]
-    p2 = nodes[tri[:, 2]]
-    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-
-
 STENCIL_TOL = 1e-9
 
 
-def _stencil_start(dxy):
-    """Canonical first neighbor of each stencil, as an index into ``dxy``.
+def _stencil_start(gap, dist):
+    """Canonical first neighbor of each stencil, as a row index (N,).
 
-    ``dxy`` (N, 3, 2) holds the centroid offsets of each cell's neighbors in
-    counterclockwise order.  Every cyclic start is scored by the tuple
-    (minus the angle that closes the stencil, the first angle, the distances
-    to the first, second and third neighbor) and the smallest tuple wins, so
-    the stencil starts right after its largest angle.  Each entry of the
-    tuple is compared within a tolerance: STENCIL_TOL radians for angles,
+    ``gap`` and ``dist`` (3, N) hold, for each cell's neighbors in
+    counterclockwise order, the angle from neighbor k to neighbor k+1 and the
+    centroid distance to neighbor k.  Every cyclic start is scored by the
+    tuple (minus the angle that closes the stencil, the first angle, the
+    distances to the first, second and third neighbor) and the smallest tuple
+    wins, so the stencil starts right after its largest angle.  Each entry of
+    the tuple is compared within a tolerance: STENCIL_TOL radians for angles,
     STENCIL_TOL times the longest offset for distances.  All the entries are
     invariant under rotation and translation.  Only a stencil on which all
     three angles and all three distances agree (threefold symmetric, like
@@ -263,28 +269,35 @@ def _stencil_start(dxy):
     neighbor, the first counterclockwise from +x, which depends on the
     orientation.
     """
-    ang = np.arctan2(dxy[..., 1], dxy[..., 0]) % (2.0 * np.pi)
-    gap = (np.roll(ang, -1, axis=1) - ang) % (2.0 * np.pi)   # neighbor k -> k+1
-    dist = np.hypot(dxy[..., 0], dxy[..., 1])
-    dtol = STENCIL_TOL * dist.max(axis=1, keepdims=True)
-    start = np.arange(3)
-    keys = [(-gap[:, start - 1], STENCIL_TOL), (gap, STENCIL_TOL)]
-    keys += [(dist[:, (start + k) % 3], dtol) for k in range(3)]
+    dtol = STENCIL_TOL * np.maximum(np.maximum(dist[0], dist[1]), dist[2])
+    keys = [(-np.roll(gap, 1, axis=0), STENCIL_TOL), (gap, STENCIL_TOL)]
+    keys += [(np.roll(dist, -k, axis=0), dtol) for k in range(3)]
     cand = np.ones(gap.shape, dtype=bool)
     for key, tol in keys:
-        best = np.where(cand, key, np.inf).min(axis=1, keepdims=True)
+        best = np.where(cand, key, np.inf)
+        best = np.minimum(np.minimum(best[0], best[1]), best[2])
         cand &= key <= best + tol
-    return cand.argmax(axis=1)
+    return np.where(cand[0], 0, np.where(cand[1], 1, 2))
 
 
 def first_occurrence_ids(key):
     """Number the distinct values of the flattened ``key`` by first occurrence:
     returns each entry's number and, per number, the index where it first occurs."""
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inv.ravel()], first[order]
+    key = np.ravel(key)
+    order = np.argsort(key)
+    sk = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    # the sort is not stable: a value first occurs at its group's least index
+    group_first = np.minimum.reduceat(order, starts)
+    is_first = np.zeros(key.size, dtype=bool)
+    is_first[group_first] = True
+    number = np.cumsum(is_first) - 1
+    ids = np.empty(key.size, dtype=np.int64)
+    ids[order] = number[group_first][np.cumsum(new) - 1]
+    return ids, np.flatnonzero(is_first)
 
 
 def _edges(tri, n_nodes):
@@ -305,15 +318,40 @@ def _edges(tri, n_nodes):
         h = first[over[0]]
         lo, hi = sorted((int(tail[h]), int(head[h])))
         raise MeshError(f"non-manifold edge {(lo, hi)}: {count[over[0]]} incident cells")
-    by_edge = np.argsort(edge, kind="stable")      # half-edges grouped by edge
-    nxt = np.minimum(np.cumsum(count) - count + 1, by_edge.size - 1)
-    second = np.where(count == 2, by_edge[nxt], -1)
+    later = np.ones(key.size, dtype=bool)
+    later[first] = False
+    later = np.flatnonzero(later)
+    second = np.full(first.size, -1, dtype=np.int64)
+    second[edge[later]] = later
     return edge, first, second
 
 
-def _cells_last(a):
-    """(N, ..., 2) per-cell table as a contiguous (2, ..., N) one."""
-    return np.ascontiguousarray(a.T)
+def _pair_periodic(group, on_a, mid, length, tol):
+    """Pair the two sides of one periodic group: side-a faces (``on_a``) in
+    their given order, each with the side-b face nearest to its midpoint
+    translated by the offset between the sides' mean midpoints.  ``mid``
+    (Fg, 2) and ``length`` (Fg,) are the group's face midpoints and lengths;
+    returns the side-a faces and their partners, as indices into them."""
+    fa, fb = np.flatnonzero(on_a), np.flatnonzero(~on_a)
+    if len(fa) != len(fb):
+        raise MeshError(f"periodic group {group}: sides do not split evenly")
+    mids_b = mid[fb]
+    t_ab = mids_b.mean(axis=0) - mid[fa].mean(axis=0)
+    target = mid[fa] + t_ab
+    d = np.hypot(mids_b[:, 0] - target[:, :1], mids_b[:, 1] - target[:, 1:])
+    j, dist = d.argmin(axis=1), d.min(axis=1)
+    # the first failure in side-a order: no partner within tol, a partner an
+    # earlier face took, or a partner of another length
+    taken = np.ones(len(fa), dtype=bool)
+    taken[np.unique(j, return_index=True)[1]] = False
+    no_partner = (dist > tol) | taken
+    fail = no_partner | (np.abs(length[fa] - length[fb[j]]) > 1e-10)
+    if fail.any():
+        k = int(fail.argmax())
+        if no_partner[k]:
+            raise MeshError(f"periodic group {group}: no partner for face at {mid[fa[k]]}")
+        raise MeshError(f"periodic group {group}: paired faces differ in length")
+    return fa, fb[j]
 
 
 def build_mesh(nodes, triangles, boundary_spec=None):
@@ -323,90 +361,95 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     populated here.  Faces come in edge order (``_edges``): plain interior
     faces, then merged periodic pairs by group, then boundary faces by tag.
     Each cell's neighbors are listed counterclockwise, starting right after
-    the largest stencil angle (``_stencil_start``).  Triangles with a
-    repeated node, degenerate (zero-area) or duplicate triangles and
-    non-manifold edges are rejected.  ``boundary_spec`` assigns BC tags;
-    None means supersonic outflow (extrapolation) everywhere.
+    the largest stencil angle (``_stencil_start``).  Non-finite node
+    coordinates, triangles with a repeated node, degenerate (zero-area) or
+    duplicate triangles and non-manifold edges are rejected.
+    ``boundary_spec`` assigns BC tags; None means supersonic outflow
+    (extrapolation) everywhere.  The work runs cells-last (module
+    docstring).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     tri = np.array(triangles, dtype=np.int64)
+    if nodes.ndim != 2 or nodes.shape[1] != 2:
+        raise MeshError("nodes must be (Nn, 2) coordinate pairs")
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise MeshError("triangles must be (M, 3) node index triples")
+    x, y = nodes[:, 0].copy(), nodes[:, 1].copy()
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        raise MeshError(f"non-finite node coordinate: node {bad[0]} at {nodes[bad[0]]}")
     if tri.min(initial=0) < 0 or tri.max(initial=-1) >= len(nodes):
         raise MeshError("triangle references a node out of range")
     if boundary_spec is None:
         boundary_spec = BoundarySpec.uniform(SUPERSONIC_OUT)
     n_cells = tri.shape[0]
+    t0, t1, t2 = tri.T.copy()
 
     # a repeated node also gives zero area; name it before the area check
-    srt = np.sort(tri, axis=1)
-    bad = np.flatnonzero((srt[:, 0] == srt[:, 1]) | (srt[:, 1] == srt[:, 2]))
+    lo = np.minimum(np.minimum(t0, t1), t2)
+    hi = np.maximum(np.maximum(t0, t1), t2)
+    mid = t0 + t1 + t2 - lo - hi
+    bad = np.flatnonzero((lo == mid) | (mid == hi))
     if bad.size:
         raise MeshError(f"triangle with repeated node: cell {bad[0]}")
 
-    scale = max(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1]), 1e-300)
-    sa = _signed_area(nodes, tri)
+    scale = max(np.ptp(x), np.ptp(y), 1e-300)
+    x0, x1, x2, y0, y1, y2 = x[t0], x[t1], x[t2], y[t0], y[t1], y[t2]
+    sa = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
     flip = sa < 0
-    tri[flip] = tri[flip][:, [0, 2, 1]]
+    tri[:, 1], tri[:, 2] = np.where(flip, t2, t1), np.where(flip, t1, t2)
+    x1, x2 = np.where(flip, x2, x1), np.where(flip, x1, x2)
+    y1, y2 = np.where(flip, y2, y1), np.where(flip, y1, y2)
     area = np.abs(sa)
     bad = np.where(area <= 1e-14 * scale * scale)[0]
     if bad.size:
         raise MeshError(f"degenerate triangle (zero area): cell {bad[0]}")
-    _, once, inv = np.unique(srt, axis=0, return_index=True, return_inverse=True)
-    first_copy = once[inv.ravel()]
-    bad = np.flatnonzero(first_copy != np.arange(n_cells))
-    if bad.size:
-        raise MeshError(f"duplicate triangle: cells {first_copy[bad[0]]} and {bad[0]}")
-    centroid = (nodes[tri[:, 0]] + nodes[tri[:, 1]] + nodes[tri[:, 2]]) / 3.0
+    # duplicates sort next to each other; a stable sort puts the first copy first
+    order = np.lexsort((hi, mid, lo))
+    s_lo, s_mid, s_hi = lo[order], mid[order], hi[order]
+    dup = order[1:][(s_lo[1:] == s_lo[:-1]) & (s_mid[1:] == s_mid[:-1])
+                    & (s_hi[1:] == s_hi[:-1])]
+    if dup.size:
+        cell = dup.min()
+        copy = np.flatnonzero((lo == lo[cell]) & (mid == mid[cell]) & (hi == hi[cell]))[0]
+        raise MeshError(f"duplicate triangle: cells {copy} and {cell}")
+    cx, cy = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
 
     # edge geometry along each edge's first half-edge; the cell of that
     # half-edge keeps the interior on its left: outward is (dy, -dx)
     _, first, second = _edges(tri, len(nodes))
-    e_a, e_b = tri.ravel()[first], tri[:, [1, 2, 0]].ravel()[first]
-    pa, pb = nodes[e_a], nodes[e_b]
-    d = pb - pa
-    e_len = np.hypot(d[:, 0], d[:, 1])
-    e_normal = np.column_stack([d[:, 1] / e_len, -d[:, 0] / e_len])
-    e_mid = (pa + pb) / 2.0
+    e_a = tri.ravel()[first]
+    e_b = tri.ravel()[first + np.where(first % 3 == 2, -2, 1)]
+    dx, dy = x[e_b] - x[e_a], y[e_b] - y[e_a]
+    e_len = np.hypot(dx, dy)
+    e_nx, e_ny = dy / e_len, -dx / e_len
+    e_mx, e_my = (x[e_a] + x[e_b]) / 2.0, (y[e_a] + y[e_b]) / 2.0
     e_cell = first // 3
     inner = np.flatnonzero(second >= 0)
     bnd = np.flatnonzero(second < 0)
 
-    tags = np.array([boundary_spec.assign(a, b, mid, nrm) for a, b, mid, nrm in
-                     zip(e_a[bnd].tolist(), e_b[bnd].tolist(), e_mid[bnd], e_normal[bnd])],
+    b_mid = np.column_stack([e_mx[bnd], e_my[bnd]])
+    b_normal = np.column_stack([e_nx[bnd], e_ny[bnd]])
+    tags = np.array([boundary_spec.assign(a, b, m, n) for a, b, m, n in
+                     zip(e_a[bnd].tolist(), e_b[bnd].tolist(), b_mid, b_normal)],
                     dtype=np.int64).reshape(-1, 2)
     boundary_edges = np.column_stack([e_a[bnd], e_b[bnd], tags])
 
     # pair periodic faces by translated midpoints and merge each pair into
-    # one interior-like face with a virtual translation for the right cell
+    # one interior-like face with a virtual translation for the right cell:
+    # side-a geometry, the partner's cell shifted by the pair's offset
     per = tags[:, 0] == PERIODIC
-    side_a, side_b = [], []
-    tol = 1e-9 * scale
+    side_a, side_b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for g in np.unique(tags[per, 1]).tolist():
-        gf = bnd[per & (tags[:, 1] == g)]
+        gf = np.flatnonzero(per & (tags[:, 1] == g))
         if len(gf) % 2:
             raise MeshError(f"periodic group {g} has an odd number of faces")
-        n0 = e_normal[gf[0]]
-        on_a = e_normal[gf, 0] * n0[0] + e_normal[gf, 1] * n0[1] > 0.0
-        fa, fb = gf[on_a], gf[~on_a]
-        if len(fa) != len(fb):
-            raise MeshError(f"periodic group {g}: sides do not split evenly")
-        mids_b = e_mid[fb]
-        t_ab = mids_b.mean(axis=0) - e_mid[fa].mean(axis=0)
-        used = np.zeros(len(fb), dtype=bool)
-        for ea in fa:
-            dist = np.hypot(*(mids_b - (e_mid[ea] + t_ab)).T)
-            j = int(np.argmin(dist))
-            if dist[j] > tol or used[j]:
-                raise MeshError(f"periodic group {g}: no partner for face at {e_mid[ea]}")
-            used[j] = True
-            if abs(e_len[ea] - e_len[fb[j]]) > 1e-10:
-                raise MeshError(f"periodic group {g}: paired faces differ in length")
-            # keep side-a geometry; the right cell is the partner's, shifted by -t_ab
-            side_a.append(ea)
-            side_b.append(fb[j])
-    side_a = np.array(side_a, dtype=np.int64)
-    side_b = np.array(side_b, dtype=np.int64)
+        n0 = b_normal[gf[0]]
+        on_a = b_normal[gf, 0] * n0[0] + b_normal[gf, 1] * n0[1] > 0.0
+        fa, fb = _pair_periodic(g, on_a, b_mid[gf], e_len[bnd[gf]], 1e-9 * scale)
+        side_a.append(bnd[gf[fa]])
+        side_b.append(bnd[gf[fb]])
+    side_a, side_b = np.concatenate(side_a), np.concatenate(side_b)
     by_tag = np.argsort(tags[~per, 0], kind="stable")
     b_tag = tags[~per, 0][by_tag]
     ghost = bnd[~per][by_tag]
@@ -418,67 +461,82 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     f_left = e_cell[f_edge]
     f_right = np.concatenate([second[inner] // 3, e_cell[side_b],
                               n_cells + np.arange(len(ghost))])
-    f_normal, f_len, f_mid = e_normal[f_edge], e_len[f_edge], e_mid[f_edge]
+    f_nx, f_ny, f_len = e_nx[f_edge], e_ny[f_edge], e_len[f_edge]
+    f_mx, f_my = e_mx[f_edge], e_my[f_edge]
     f_shift = np.zeros((F, 2))
-    f_shift[len(inner):n_iface] = e_mid[side_a] - e_mid[side_b]
-    g_cell, g_n = f_left[n_iface:], f_normal[n_iface:]
-    r = f_mid[n_iface:] - centroid[g_cell]
-    depth = r[:, 0] * g_n[:, 0] + r[:, 1] * g_n[:, 1]
-    ghost_centroid = centroid[g_cell] + 2.0 * depth[:, None] * g_n
+    f_shift[len(inner):n_iface, 0] = e_mx[side_a] - e_mx[side_b]
+    f_shift[len(inner):n_iface, 1] = e_my[side_a] - e_my[side_b]
+    f_sx, f_sy = f_shift.T
+    g_cell, g_nx, g_ny = f_left[n_iface:], f_nx[n_iface:], f_ny[n_iface:]
+    depth = (f_mx[n_iface:] - cx[g_cell]) * g_nx + (f_my[n_iface:] - cy[g_cell]) * g_ny
+    g_cx = cx[g_cell] + 2.0 * depth * g_nx
+    g_cy = cy[g_cell] + 2.0 * depth * g_ny
     tag_slices = {}
     for code in sorted(set(b_tag.tolist())):
         idx = np.where(b_tag == code)[0]
         tag_slices[code] = slice(int(idx[0]), int(idx[-1]) + 1)
 
-    # per-cell tables, one row per half-edge: its face, and whether the
-    # cell is that face's left cell
-    he_face = np.empty(3 * n_cells, dtype=np.int64)
-    he_left = np.zeros(3 * n_cells, dtype=bool)
-    he_face[first[f_edge]] = np.arange(F)
-    he_left[first[f_edge]] = True
-    he_face[np.concatenate([second[inner], first[side_b]])] = np.arange(n_iface)
-    face = he_face.reshape(n_cells, 3)
-    left = he_left.reshape(n_cells, 3)
-    own = centroid[:, None, :]
-    c_ext = np.concatenate([centroid, ghost_centroid])
+    # per-cell tables, one row per stencil slot: the face of each half-edge,
+    # and whether the cell is that face's left cell; slot k * N + i is
+    # half-edge 3 * i + k until the stencil is ordered
+    def slot(h):
+        return h % 3 * n_cells + h // 3
+
+    face = np.empty(3 * n_cells, dtype=np.int64)
+    left = np.zeros(3 * n_cells, dtype=bool)
+    face[slot(first[f_edge])] = np.arange(F)
+    left[slot(first[f_edge])] = True
+    face[slot(np.concatenate([second[inner], first[side_b]]))] = np.arange(n_iface)
+    face, left = face.reshape(3, n_cells), left.reshape(3, n_cells)
     nbr = np.where(left, f_right[face], f_left[face])
-    shift = np.where(left[..., None], f_shift[face], -f_shift[face])
-    dxy = c_ext[nbr] + shift - own
-    cell_foff = np.where(left[..., None], f_mid[face], f_mid[face] - f_shift[face]) - own
-    cell_n = np.where(left, 1.0, -1.0)[..., None] * f_normal[face]
-    slen = f_len[face]
+    sx, sy = f_sx[face], f_sy[face]
+    dx = np.concatenate([cx, g_cx])[nbr] + np.where(left, sx, -sx) - cx
+    dy = np.concatenate([cy, g_cy])[nbr] + np.where(left, sy, -sy) - cy
 
-    # order each stencil by face, then counterclockwise from +x, then roll
-    # it to its canonical start
-    cells = np.arange(n_cells)[:, None]
-    perm = np.argsort(2 * face + ~left, axis=1, kind="stable")
-    ang = np.arctan2(dxy[cells, perm, 1], dxy[cells, perm, 0]) % (2.0 * np.pi)
-    perm = perm[cells, np.argsort(ang, axis=1, kind="stable")]
-    roll = (_stencil_start(dxy[cells, perm])[:, None] + np.arange(3)) % 3
-    perm = perm[cells, roll]
-    nbr, dxy, cell_foff, cell_n, slen, face, left = (
-        a[cells, perm] for a in (nbr, dxy, cell_foff, cell_n, slen, face, left))
-    cell_sn = cell_n * slen[:, :, None]
-    slot = np.arange(3 * n_cells).reshape(3, n_cells).T      # (N, 3): j * N + i
+    # order each stencil counterclockwise from +x, ties by face and then
+    # left side first; rank each slot by pairwise comparison of the three
+    ang = np.arctan2(dy, dx) % (2.0 * np.pi)
+    key = 2 * face + ~left
+
+    def before(i, j):
+        return (ang[i] < ang[j]) | ((ang[i] == ang[j]) & (key[i] < key[j]))
+
+    b01, b02, b12 = (before(i, j).astype(np.int64) for i, j in ((0, 1), (0, 2), (1, 2)))
+    rank = (2 - b01 - b02, 1 + b01 - b12, b02 + b12)
+    cols = np.arange(n_cells)
+    ccw = np.empty((3, n_cells), dtype=np.int64)   # flat index of the k-th slot
+    for k in range(3):
+        ccw[rank[k], cols] = k * n_cells + cols
+    ang = ang.ravel()[ccw]
+    gap = (np.roll(ang, -1, axis=0) - ang) % (2.0 * np.pi)   # neighbor k -> k+1
+    # then roll each stencil to its canonical start, and apply the whole
+    # permutation once
+    roll = (_stencil_start(gap, np.hypot(dx, dy).ravel()[ccw]) + np.arange(3)[:, None]) % 3
+    roll = roll * n_cells + cols
+    angles = gap.ravel()[roll]
+    perm = ccw.ravel()[roll]
+    face, left, nbr, dx, dy = (a.ravel()[perm] for a in (face, left, nbr, dx, dy))
+
+    # the geometry of each slot's face, seen from the slot's cell
+    mx, nx, ny, slen = f_mx[face], f_nx[face], f_ny[face], f_len[face]
+    my = f_my[face]
+    cell_foff = np.stack([np.where(left, mx, mx - f_sx[face]) - cx,
+                          np.where(left, my, my - f_sy[face]) - cy])
+    sign = np.where(left, 1.0, -1.0)
+    cell_sn = np.stack([sign * nx * slen, sign * ny * slen])
+    slot_len = np.where(left, slen, -slen)
+    flat_left = left.ravel()
     f_slot_l = np.empty(F, dtype=np.int64)
-    f_slot_l[face[left]] = slot[left]
+    f_slot_l[face.ravel()[flat_left]] = np.flatnonzero(flat_left)
     f_slot_r = np.empty(n_iface, dtype=np.int64)
-    f_slot_r[face[~left]] = slot[~left]
-    slot_face = np.empty(3 * n_cells, dtype=np.int64)
-    slot_face[f_slot_l] = np.arange(F)
-    slot_face[f_slot_r] = np.arange(n_iface)
-    slot_len = np.empty(3 * n_cells)
-    slot_len[f_slot_l] = f_len
-    slot_len[f_slot_r] = -f_len[:n_iface]
+    f_slot_r[face.ravel()[~flat_left]] = np.flatnonzero(~flat_left)
 
-    nbr_dx = dxy[:, :, 0].copy()
-    nbr_dy = dxy[:, :, 1].copy()
-    dist2 = nbr_dx ** 2 + nbr_dy ** 2
-    lsq_w = 1.0 / dist2
-
-    a11 = (lsq_w * nbr_dx ** 2).sum(axis=1)
-    a12 = (lsq_w * nbr_dx * nbr_dy).sum(axis=1)
-    a22 = (lsq_w * nbr_dy ** 2).sum(axis=1)
+    lsq_w = 1.0 / (dx ** 2 + dy ** 2)
+    lsq_wd = np.stack([lsq_w * dx, lsq_w * dy])
+    a11 = lsq_w * dx ** 2
+    a12 = lsq_wd[0] * dy
+    a22 = lsq_w * dy ** 2
+    a11, a12, a22 = (a[0] + a[1] + a[2] for a in (a11, a12, a22))
     det = a11 * a22 - a12 ** 2
     trace = a11 + a22
     degen = np.where(det <= 1e-14 * trace ** 2)[0]
@@ -487,35 +545,31 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     inv11 = a22 / det
     inv12 = -a12 / det
     inv22 = a11 / det
-
-    ang = np.arctan2(nbr_dy, nbr_dx) % (2.0 * np.pi)
-    angles = (np.roll(ang, -1, axis=1) - ang) % (2.0 * np.pi)
-    interior_mask = (nbr < n_cells).all(axis=1)
+    interior_mask = (nbr[0] < n_cells) & (nbr[1] < n_cells) & (nbr[2] < n_cells)
 
     # closed-polygon identity, Sum n |S| = 0 per cell
-    closure = cell_sn.sum(axis=1)
-    perim = slen.sum(axis=1)
-    worst = np.abs(closure).max(axis=1) / perim
+    closure = cell_sn[:, 0] + cell_sn[:, 1] + cell_sn[:, 2]
+    perim = slen[0] + slen[1] + slen[2]
+    worst = np.maximum(np.abs(closure[0]), np.abs(closure[1])) / perim
     if worst.max() > 1e-12:
         raise MeshError(f"face closure violated at cell {int(worst.argmax())}")
-    asum = angles.sum(axis=1)
+    asum = angles[0] + angles[1] + angles[2]
     if np.abs(asum - 2.0 * np.pi).max() > 1e-10:
         raise MeshError("stencil angles do not wind once around a centroid")
 
     m = Mesh(
         nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, sqrt_area=np.sqrt(area),
-        centroid=centroid,
-        f_left=f_left, f_right=f_right, f_normal=f_normal, f_len=f_len,
-        f_mid=f_mid, f_shift=f_shift, n_iface=n_iface,
-        f_slot_l=f_slot_l, f_slot_r=f_slot_r,
-        slot_face=slot_face.reshape(3, n_cells), slot_len=slot_len.reshape(3, n_cells),
+        centroid=np.column_stack([cx, cy]),
+        f_left=f_left, f_right=f_right, f_normal=np.column_stack([f_nx, f_ny]),
+        f_len=f_len, f_mid=np.column_stack([f_mx, f_my]),
+        f_shift=f_shift, n_iface=n_iface,
+        f_slot_l=f_slot_l, f_slot_r=f_slot_r, slot_face=face, slot_len=slot_len,
         b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
-        nbr=nbr, nbr_dx=nbr_dx, nbr_dy=nbr_dy,
-        lsq_wd=_cells_last(np.stack([lsq_w * nbr_dx, lsq_w * nbr_dy], axis=2)),
-        inv11=inv11, inv12=inv12, inv22=inv22,
-        angles=angles, interior_mask=interior_mask,
-        cell_foff=_cells_last(cell_foff), cell_sn=_cells_last(cell_sn),
-        ghost_centroid=ghost_centroid,
+        nbr=nbr.T.copy(), nbr_dx=dx.T.copy(), nbr_dy=dy.T.copy(),
+        lsq_wd=lsq_wd, inv11=inv11, inv12=inv12, inv22=inv22,
+        angles=angles.T.copy(), interior_mask=interior_mask,
+        cell_foff=cell_foff, cell_sn=cell_sn,
+        ghost_centroid=np.column_stack([g_cx, g_cy]),
     )
     for arr in vars(m).values():
         if isinstance(arr, np.ndarray):
@@ -657,30 +711,59 @@ def write_mesh_ascii(mesh, path):
             fh.write(f"{k} {int(a)} {int(b)} {name}{extra}\n")
 
 
+def _tag_code(name):
+    return TAG_CODES[name.lower()]
+
+
 def read_mesh_ascii(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "nodes" or head[2] != "cells":
-        raise MeshError(f"bad mesh header: {lines[0]!r}")
+    """The mesh in an ASCII mesh file, built by ``build_mesh``.
+
+    A file that does not parse raises MeshFileError naming the file and the
+    line: a missing or bad header, a row of the wrong form, an unknown
+    boundary type, or fewer rows than the header counts.  A file that parses
+    but whose mesh the build rejects raises the build's MeshError.
+    """
+    try:
+        with open(path) as fh:
+            rows = [(k, ln.split()) for k, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MeshFileError(f"{path}: not a text file ({exc.reason})") from exc
+
+    def bad(k, parts, what):
+        return MeshFileError(f"{path}:{k}: expected {what}, got {' '.join(parts)!r}")
+
+    def fields(k, parts, kinds, n_min, what):
+        """The row's fields converted by ``kinds``, padded with zeros; the
+        last len(kinds) - n_min of them may be missing."""
+        try:
+            if n_min <= len(parts) <= len(kinds):
+                return [kind(v) for kind, v in zip(kinds, parts)] + [0] * (len(kinds) - len(parts))
+        except (ValueError, KeyError):
+            pass
+        raise bad(k, parts, what)
+
+    if not rows:
+        raise MeshFileError(f"{path}: empty mesh file")
+    k, head = rows[0]
+    if len(head) != 4 or head[::2] != ["nodes", "cells"] or not "".join(head[1::2]).isdigit():
+        raise bad(k, head, "the header 'nodes N cells M'")
     n_nodes, n_cells = int(head[1]), int(head[3])
-    nodes = np.array([[float(v) for v in ln.split()] for ln in lines[1:1 + n_nodes]])
-    tri_rows = lines[1 + n_nodes:1 + n_nodes + n_cells]
-    tris = []
-    region = []
-    for ln in tri_rows:
-        parts = ln.split()
-        tris.append((int(parts[0]), int(parts[1]), int(parts[2])))
-        region.append(int(parts[3]) if len(parts) > 3 else 0)
+    if len(rows) < 1 + n_nodes + n_cells:
+        raise MeshFileError(f"{path}:{k}: the header counts {n_nodes} nodes and {n_cells} "
+                            f"cells, but {len(rows) - 1} rows follow it")
+    nodes = [fields(k, parts, (float, float), 2, "a node row 'x y'")
+             for k, parts in rows[1:1 + n_nodes]]
+    tris = [fields(k, parts, (int,) * 4, 3, "a triangle row 'i j k [region]'")
+            for k, parts in rows[1 + n_nodes:1 + n_nodes + n_cells]]
     table = {}
-    for ln in lines[1 + n_nodes + n_cells:]:
-        parts = ln.split()
-        a, b = int(parts[1]), int(parts[2])
-        tag = TAG_CODES[parts[3].lower()]
-        group = int(parts[4]) if len(parts) > 4 else 0
+    types = "|".join(name.upper() for name in TAG_CODES)
+    for k, parts in rows[1 + n_nodes + n_cells:]:
+        _, a, b, tag, group = fields(k, parts, (int, int, int, _tag_code, int), 4,
+                                     f"a boundary row 'k a b {types} [group]'")
         table[(min(a, b), max(a, b))] = (tag, group)
     spec = BoundarySpec.from_edge_table(table) if table else None
-    m = build_mesh(nodes, tris, spec)
-    m.region = np.array(region, dtype=np.int64)
+    tris = np.array(tris, dtype=np.int64).reshape(-1, 4)
+    m = build_mesh(np.array(nodes, dtype=np.float64).reshape(-1, 2), tris[:, :3], spec)
+    m.region = tris[:, 3].copy()
     m.region.setflags(write=False)
     return m

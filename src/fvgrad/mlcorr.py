@@ -310,6 +310,10 @@ def load_params(path):
         raise NetworkError(f"truncated checkpoint: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise NetworkError(f"corrupt checkpoint: {exc}") from exc
+    # the solver feeds the network the 4 Euler variables of 3 neighbours
+    if (cfg.n_vars, cfg.n_neighbors) != (4, 3):
+        raise NetworkError(f"checkpoint network takes n_vars={cfg.n_vars} and "
+                           f"n_neighbors={cfg.n_neighbors}; the solver's stencil has 4 and 3")
     expected, _ = _make_table(cfg)
     if table != expected:
         raise NetworkError("shape table (names, shapes and offsets) does not match "

@@ -11,6 +11,7 @@ import yaml
 
 from fvgrad import autodiff as ad
 from fvgrad import bench, cli, mlcorr, solver, train
+from fvgrad import mesh as msh
 
 SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
@@ -158,6 +159,16 @@ def test_checkpoint_with_a_wrong_offset_is_config_error(run, tmp_path, caplog):
     cfg = {**SMALL, "simulate": {"n_steps": 1}}
     assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
     assert "offsets" in caplog.text
+
+
+@pytest.mark.parametrize("field", ["n_vars", "n_neighbors"])
+def test_checkpoint_not_sized_for_the_stencil_is_config_error(run, tmp_path, caplog, field):
+    path = tmp_path / "net.gfnn"
+    config = mlcorr.NetConfig(**{field: 5})
+    mlcorr.save_params(mlcorr.zero_params(config), path)
+    cfg = {**SMALL, "step": {"gradient": "ml_lsq"}, "simulate": {"n_steps": 1}}
+    assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
+    assert f"{field}=5" in caplog.text
 
 
 def test_bad_alpha_max_is_config_error(run):
@@ -364,6 +375,47 @@ def test_forward_step_mesh_file_simulates_like_the_built_in_mesh(run, tmp_path):
         assert run("simulate", from_file) == cli.EXIT_OK
         assert (_out(tmp_path) / "frames.bin").read_bytes() == runs[ic], ic
     assert runs["forward_step"] != runs["case:6"]
+
+
+MESH_FILE = "nodes 4 cells 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3 0\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", None),
+    ("nodes x cells 2\n", 1),
+    ("nodes 4\n", 1),
+    ("nodes -4 cells 2\n", 1),
+    (MESH_FILE.replace("0 2 3 0", "0 1"), 7),
+    (MESH_FILE.replace("1 1\n", "1.0 abc\n"), 4),
+    (MESH_FILE.replace("1 1\n", "1 1 1\n"), 4),
+    (MESH_FILE + "0 0 1 WOBBLY\n", 8),
+    (MESH_FILE + "0 0 1 SLIP_WALL x\n", 8),
+    (MESH_FILE.replace("cells 2", "cells 3"), 1),
+    (MESH_FILE.replace("nodes 4", "nodes 3"), 5),
+    ("\n\n" + MESH_FILE.replace("nodes 4", "nodes 5"), 3),
+    (MESH_FILE + "0 1 2 0\n", 8),
+], ids=["empty", "bad_count", "short_header", "negative_count", "short_triangle",
+        "bad_coordinate", "long_node_row", "unknown_bc", "bad_group", "too_few_rows",
+        "too_few_nodes", "too_many_nodes", "extra_triangle"])
+def test_a_mesh_file_that_does_not_parse_is_config_error(run, tmp_path, caplog, text, line):
+    """Each names the file and the line; the CLI exits 2, as for a corrupt
+    checkpoint or dataset."""
+    path = tmp_path / "bad_mesh.txt"
+    path.write_text(text)
+    with pytest.raises(msh.MeshFileError, match=f"{path}:{line}:" if line else str(path)):
+        msh.read_mesh_ascii(path)
+    assert run("mesh", {"mesh": {"kind": "file", "path": str(path)}}) == cli.EXIT_CONFIG
+    assert "cannot read mesh.path" in caplog.text
+
+
+@pytest.mark.parametrize("text", [MESH_FILE, MESH_FILE.replace("0 2 3 0", "0 1 2 0"),
+                                  MESH_FILE.replace("1 1\n", "nan 1\n")],
+                         ids=["well_formed", "duplicate_triangle", "nan_node"])
+def test_a_mesh_file_the_build_rejects_exits_numeric(run, tmp_path, text):
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    code = run("mesh", {"mesh": {"kind": "file", "path": str(path)}})
+    assert code == (cli.EXIT_OK if text == MESH_FILE else cli.EXIT_NUMERIC)
 
 
 def test_bench_bc_takes_the_mesh_bc_tag_names(run, caplog):

@@ -64,6 +64,18 @@ def test_repeated_node_rejected():
         msh.build_mesh(nodes, [(0, 1, 2), (1, 3, 3)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad_nodes,first", [([1], 1), ([4], 4), ([4, 2], 2)])
+def test_non_finite_node_rejected(bad, bad_nodes, first):
+    """The first such node is named, even an unused one (node 4), which
+    would poison the mesh's length scale.  A NaN gave NaN areas and
+    centroids, an inf a "zero area" triangle."""
+    nodes = np.array([(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)], dtype=np.float64)
+    nodes[bad_nodes, 1] = bad
+    with pytest.raises(MeshError, match=f"non-finite node coordinate: node {first} "):
+        msh.build_mesh(nodes, [(0, 1, 2), (1, 3, 2)])
+
+
 def test_non_manifold_edge_rejected():
     nodes = [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0.5)]
     tris = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
@@ -306,6 +318,42 @@ def _layout_mesh(name):
 @pytest.mark.parametrize("name", sorted(LAYOUT_DIGESTS))
 def test_mesh_layout_digests(name):
     assert _layout_digests(_layout_mesh(name)) == LAYOUT_DIGESTS[name]
+
+
+def _array_digest(m):
+    """One digest of every array of a mesh: its bytes, dtype, shape and
+    strides, so its memory layout too; plus n_iface and tag_slices."""
+    h = hashlib.sha256(f"{m.n_iface};{sorted(m.tag_slices.items())}".encode())
+    for name, a in sorted(vars(m).items()):
+        if isinstance(a, np.ndarray):
+            h.update(f"{name};{a.dtype.str};{a.shape};{a.strides};"
+                     f"{a.flags.c_contiguous}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+ARRAY_DIGESTS = {
+    "periodic_structured_6": "d0af6f547beed683",
+    "slip_wall_structured_6": "90ac8a069e582577",
+    "forward_step_0.2": "296f140efeb3f3ac",
+    "refined_periodic_structured_6": "d9dddc4c99ccaf0a",
+    "periodic_irregular_27": "c2ced02e48e012ff",
+    "forward_step_0.1": "3267cf538f499967",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_DIGESTS))
+def test_every_mesh_array_is_pinned(name):
+    """Every array bitwise and laid out as recorded, beyond the topology
+    that LAYOUT_DIGESTS pins: the build may change how it computes them,
+    never what it stores."""
+    if name == "periodic_irregular_27":
+        m = msh.periodic_irregular_mesh(27)
+    elif name == "forward_step_0.1":
+        m = bench.forward_step_mesh(0.1)[0]
+    else:
+        m = _layout_mesh(name)
+    assert _array_digest(m) == ARRAY_DIGESTS[name]
 
 
 def _square_fan(ys_left, ys_right):

@@ -297,6 +297,16 @@ def test_load_rejects_an_offset_that_is_not_the_layout(tmp_path, params):
         mlcorr.load_params(path)
 
 
+@pytest.mark.parametrize("field,value", [("n_vars", 5), ("n_neighbors", 4)])
+def test_load_rejects_a_network_not_sized_for_the_stencil(tmp_path, field, value):
+    """The solver feeds the network 4 Euler variables of 3 neighbours; a
+    checkpoint sized otherwise is corrupt, not a failure of the first step."""
+    path = tmp_path / "net.gfnn"
+    mlcorr.save_params(mlcorr.zero_params(NetConfig(**{field: value})), path)
+    with pytest.raises(NetworkError, match=f"{field}={value}"):
+        mlcorr.load_params(path)
+
+
 @pytest.mark.parametrize("field,value", [("width", -1), ("width", 0), ("combine", 0),
                                          ("combine", 2.5), ("width", True),
                                          ("n_neighbors", 0), ("n_vars", "4")])
