@@ -8,13 +8,15 @@ at equal resolution,
 
 where both L values are ``l1_error``: the mean over cells and primitive
 variables of the deviation from a refined-grid reference projected onto
-the coarse mesh.  All three runs (reference, plain, corrected) share the
-time step of the coarse mesh, the fine run sub-stepping as needed, so
-errors compare states at identical time instants.
+the coarse mesh.  One routine, ``score``, marches the reference and every
+run on the time step of the coarse mesh, the fine run sub-stepping as
+needed, so errors compare states at identical time instants.  The gain and
+the study call it.  A rejected step stops only its run, whose errors then
+read NaN, and is reported with its step and cell.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from . import mesh as msh
 from . import solver
 from .bc import BCSpec, table_from_ic
-from .euler import GasModel, cons_to_prim, prim_to_cons
+from .euler import cons_to_prim, prim_to_cons
 from .mesh import BoundarySpec
 
 # quadrant states printed in the reproduced study (they deviate slightly
@@ -98,73 +100,6 @@ def riemann_mesh(n, periodic=True):
 
 
 # ---------------------------------------------------------------------------
-# gain runs
-# ---------------------------------------------------------------------------
-
-GAIN_COLUMNS = ("step", "time", "L_coarse", "L_ML", "gain_pct")
-
-
-@dataclass
-class GainReport:
-    steps: np.ndarray
-    times: np.ndarray
-    l_coarse: np.ndarray
-    l_ml: np.ndarray
-    gain_pct: np.ndarray
-
-    def mean_gain(self, tail=1.0):
-        k = max(1, int(len(self.gain_pct) * tail))
-        return float(np.mean(self.gain_pct[-k:]))
-
-
-def l1_error(u, u_ref):
-    """Mean of |u - u_ref| over cells and primitive variables."""
-    return float(np.abs(u - u_ref).mean())
-
-
-def run_gain(case_or_ic, coarse, fine, pm, params, n_steps, co=0.01,
-             gas=GasModel(), record_every=10, gradient="lsq"):
-    """Reference / plain / corrected triple run and the per-step gain.
-
-    case_or_ic: a RiemannCase or a callable points -> primitive field; it
-    also gives each mesh's boundary table (``bc.table_from_ic``).  The
-    corrected run uses mode ml_<gradient> with the given parameters.
-    n_steps must be at least 1: the report always holds the last step.
-    """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    evaluate = case_or_ic.evaluate if hasattr(case_or_ic, "evaluate") else case_or_ic
-    bc_coarse = table_from_ic(coarse, evaluate)
-    bc_fine = table_from_ic(fine, evaluate)
-
-    w_co = prim_to_cons(evaluate(coarse.centroid), gas)
-    w_fi = prim_to_cons(evaluate(fine.centroid), gas)
-
-    cfg_plain = solver.StepConfig(co=co, gradient=gradient, gas=gas)
-    cfg_ml = solver.StepConfig(co=co, gradient=f"ml_{gradient}", gas=gas)
-    dt = solver.compute_dt(coarse, cfg_plain)
-    refs = solver.reference(coarse, fine, pm, w_fi, dt, n_steps, cfg_plain, bc_fine)
-    next(refs)                          # k = 0: the initial state
-    runs = zip(refs, solver.march(coarse, w_co, dt, n_steps, cfg_plain, bc_coarse),
-               solver.march(coarse, w_co, dt, n_steps, cfg_ml, bc_coarse, params=params))
-
-    rows = []
-    for (k, w_ref), (_, w_co, _), (_, w_ml, _) in runs:
-        if k % record_every == 0 or k == n_steps:
-            u_ref = cons_to_prim(w_ref, gas)
-            l_co = l1_error(cons_to_prim(w_co, gas), u_ref)
-            l_ml = l1_error(cons_to_prim(w_ml, gas), u_ref)
-            gain = 100.0 * (l_co - l_ml) / l_co if l_co > 0 else 0.0
-            rows.append((k, k * dt, l_co, l_ml, gain))
-
-    arr = np.array(rows)
-    return GainReport(steps=arr[:, 0].astype(int), times=arr[:, 1],
-                      l_coarse=arr[:, 2], l_ml=arr[:, 3], gain_pct=arr[:, 4])
-
-
-# ---------------------------------------------------------------------------
 # forward-facing step
 # ---------------------------------------------------------------------------
 
@@ -213,69 +148,140 @@ def forward_step_mesh(h_target=0.02):
 
 
 # ---------------------------------------------------------------------------
-# error-versus-cost study
+# scoring: gain runs and the error-versus-cost study
 # ---------------------------------------------------------------------------
+
+GAIN_COLUMNS = ("step", "time", "L_coarse", "L_ML", "gain_pct")
+STUDY_COLUMNS = ("mode", "case", "h", "cells", "wall_s", "error")
+REFERENCE = "reference"
+
+
+def l1_error(u, u_ref):
+    """Mean of |u - u_ref| over cells and primitive variables."""
+    return float(np.abs(u - u_ref).mean())
+
+
+def plain_and_corrected(cfg, params):
+    """The runs a gain and the study compare: cfg's plain mode without
+    parameters and ml_<mode> with params."""
+    ml = replace(cfg, gradient=f"ml_{cfg.gradient}")
+    return {cfg.gradient: (cfg, None), ml.gradient: (ml, params)}
+
+
+def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
+    """L1 errors of named coarse runs against the refined-grid reference.
+
+    evaluate maps points to the primitive initial condition and gives each
+    mesh's boundary table (``bc.table_from_ic``).  The reference is the fine
+    run with cfg projected onto the coarse mesh (``solver.reference``); runs
+    maps a name to a (StepConfig, params) pair.  All take the coarse time
+    step of cfg and advance together, one coarse step at a time.
+
+    Returns (rows, rejected).  rows holds (k, errors) at every record_every-th
+    step and at step n_steps, errors a dict name -> ``l1_error``.  A run whose
+    step raises ``SolverError`` stops there and its errors read NaN from that
+    step on; every run's do once the reference stops.  rejected lists each
+    stopped run as {"run", "step", "cell"}, the reference as REFERENCE with a
+    cell of the fine mesh.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    gas = cfg.gas
+    dt = solver.compute_dt(coarse, cfg)
+    refs = solver.reference(coarse, fine, pm, prim_to_cons(evaluate(fine.centroid), gas),
+                            dt, n_steps, cfg, table_from_ic(fine, evaluate))
+    next(refs)                          # k = 0: the initial state
+    marches = {REFERENCE: (w for _, w in refs)}
+    w0 = prim_to_cons(evaluate(coarse.centroid), gas)
+    bc_coarse = table_from_ic(coarse, evaluate)
+    for name, (run_cfg, params) in runs.items():
+        marches[name] = (w for _, w, _ in solver.march(coarse, w0, dt, n_steps, run_cfg,
+                                                       bc_coarse, params=params))
+    state, rejected, rows = {}, {}, []
+    for k in range(1, n_steps + 1):
+        for name in [name for name in marches if name not in rejected]:
+            try:
+                state[name] = next(marches[name])
+            except solver.SolverError as exc:
+                rejected[name] = exc
+        if k % record_every == 0 or k == n_steps:
+            errors = dict.fromkeys(runs, np.nan)
+            if REFERENCE not in rejected:
+                u_ref = cons_to_prim(state[REFERENCE], gas)
+                errors.update((name, l1_error(cons_to_prim(state[name], gas), u_ref))
+                              for name in runs if name not in rejected)
+            rows.append((k, errors))
+    return rows, [{"run": name, "step": exc.step, "cell": exc.cell}
+                  for name, exc in rejected.items()]
+
+
+def gain(evaluate, coarse, fine, pm, cfg, params, n_steps, record_every):
+    """Rows of GAIN_COLUMNS for ``plain_and_corrected`` and the rejected runs
+    (``score``).  gain_pct is 100 (L_coarse - L_ML) / L_coarse, NaN where
+    either error is and 0 where L_coarse is."""
+    dt = solver.compute_dt(coarse, cfg)
+    rows, rejected = score(evaluate, coarse, fine, pm, cfg, plain_and_corrected(cfg, params),
+                           n_steps, record_every)
+    out = []
+    for k, errors in rows:
+        l_co, l_ml = errors.values()
+        pct = (np.nan if np.isnan(l_co - l_ml)
+               else 100.0 * (l_co - l_ml) / l_co if l_co > 0 else 0.0)
+        out.append((k, k * dt, l_co, l_ml, pct))
+    return out, rejected
+
 
 def fit_loglog_slope(h, err):
     a, _b = np.polyfit(np.log(h), np.log(err), 1)
     return float(a)
 
 
-STUDY_COLUMNS = ("mode", "case", "h", "cells", "wall_s", "error")
-
-
-def error_cost_study(case_ids, levels, params=None, t_final=0.2, co=0.01,
-                     modes=("lsq", "ml_lsq"), gas=GasModel(), repeats=3):
+def error_cost_study(cases, levels, cfg, params, t_final=0.2, repeats=3):
     """Error and wall time per (level, case, mode) over a ladder of periodic meshes.
 
-    levels: structured resolutions (cells = 2 n^2).  error is ``l1_error``
-    against the projected refined-grid reference at t_final; wall_s is the
-    median of ``repeats`` coarse marches to t_final, after a one-step
-    warm-up.  Per mode, the slope is the log-log fit of the case-mean error
-    against h = sqrt(mean |C|).
+    levels: structured resolutions (cells = 2 n^2); the modes are
+    ``plain_and_corrected``.  error is the ``score`` at t_final; wall_s is the
+    median of ``repeats`` coarse marches to t_final after a one-step warm-up,
+    NaN for a rejected run.  Per mode, the slope is the log-log fit of the
+    case-mean error against h = sqrt(mean |C|), NaN where an error is.
 
-    Returns (rows, slopes): rows of STUDY_COLUMNS, slopes a dict mode -> slope.
+    Returns (rows, slopes, rejected): rows of STUDY_COLUMNS, slopes a dict
+    mode -> slope, rejected the ``score`` entries with their case and level n.
     """
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
-    if not case_ids:
-        raise ValueError("need at least one case")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
-    cases = [riemann_case(cid) for cid in case_ids]
-    cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
-    rows = []
-    hs = []
-    case_mean = {mode: [] for mode in modes}
+    runs = plain_and_corrected(cfg, params)
+    rows, rejected, hs = [], [], []
     for n in levels:
         coarse = riemann_mesh(n)
         fine, pm = msh.refine_uniform(coarse)
         dt = solver.compute_dt(coarse, cfg)
         n_steps = int(np.ceil(t_final / dt))
-        errors = {mode: [] for mode in modes}
         for case in cases:
-            w_fi = prim_to_cons(case.evaluate(fine.centroid), gas)
-            for _, w_ref in solver.reference(coarse, fine, pm, w_fi, dt, n_steps, cfg):
-                pass
-            u_ref = cons_to_prim(w_ref, gas)
-            w0 = prim_to_cons(case.evaluate(coarse.centroid), gas)
-            for mode in modes:
-                cfg_m = solver.StepConfig(co=co, gradient=mode, gas=gas)
-                p = params if cfg_m.uses_network else None
-                next(solver.march(coarse, w0, dt, 1, cfg_m, {}, params=p))  # warm-up
+            [(_, final)], stopped = score(case.evaluate, coarse, fine, pm, cfg, runs,
+                                          n_steps, n_steps)
+            rejected += [{"case": case.case_id, "n": n, **entry} for entry in stopped]
+            w0 = prim_to_cons(case.evaluate(coarse.centroid), cfg.gas)
+            for mode, (run_cfg, p) in runs.items():
                 times = []
-                for _rep in range(repeats):
-                    t0 = time.perf_counter()
-                    for _, w, _ in solver.march(coarse, w0, dt, n_steps, cfg_m, {}, params=p):
-                        pass
-                    times.append(time.perf_counter() - t0)
-                errors[mode].append(l1_error(cons_to_prim(w, gas), u_ref))
+                if mode not in [entry["run"] for entry in stopped]:
+                    next(solver.march(coarse, w0, dt, 1, run_cfg, {}, params=p))  # warm-up
+                    for _rep in range(repeats):
+                        t0 = time.perf_counter()
+                        for _ in solver.march(coarse, w0, dt, n_steps, run_cfg, {}, params=p):
+                            pass
+                        times.append(time.perf_counter() - t0)
                 rows.append((mode, case.case_id, coarse.mean_cell_length, coarse.n_cells,
-                             float(np.median(times)), errors[mode][-1]))
+                             float(np.median(times)) if times else np.nan, final[mode]))
         hs.append(coarse.mean_cell_length)
-        for mode in modes:
-            case_mean[mode].append(float(np.mean(errors[mode])))
-    slopes = {mode: fit_loglog_slope(hs, case_mean[mode]) for mode in modes}
-    return rows, slopes
+    slopes = {mode: fit_loglog_slope(hs, [np.mean([row[5] for row in rows
+                                                   if row[0] == mode and row[2] == h])
+                                          for h in hs])
+              for mode in runs}
+    return rows, slopes, rejected

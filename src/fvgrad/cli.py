@@ -24,7 +24,10 @@ Exit codes:
      boundary: an inflow state or back pressure taken from the initial
      condition), mesh error (a built-in mesh, or a ``mesh.path`` file that
      parses, whose triangles the build rejects), domain error while
-     recording the tape, non-finite network activation
+     recording the tape, non-finite network activation.  ``bench`` scores
+     past a rejected step: it writes every CSV, lists each rejected run
+     (case, mesh n, run, step and cell) under ``rejected`` in the run
+     manifest and logs it, then exits 3
   4  gradient-check failure, or a missing / stale gradcheck report
 """
 
@@ -136,13 +139,13 @@ SCHEMA = {
     },
     "bench": {
         "kind": (str, "gain"),              # gain|study
-        "cases": (list, [6]),
-        "n": (int, 27),
+        "cases": (list, [6]),               # Riemann case ids, for either kind
+        "n": (int, 27),                     # gain mesh: 2 n^2 cells; the study ignores it
         "n_steps": (int, 2000),
         "record_every": (int, 10),
         "levels": (list, [12, 16, 24]),
         "t_final": (float, 0.2),
-        "bc": (str, "subsonic_out"),        # or periodic
+        "bc": (str, "subsonic_out"),        # or periodic; gain only, the study is periodic
         "repeats": (int, 3),
     },
     "gradcheck": {
@@ -229,12 +232,13 @@ def blas_threads():
     return None
 
 
-def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None):
+def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None, rejected=None):
     """run_manifest.json: the config and its hash, the artifacts, the numpy
     version, the OpenBLAS thread count in effect (``blas_threads``), how
     many blocks a step on the run's mesh runs in (``solver.step_workers``; null for a study, which
-    steps on several) and how many processes a training minibatch runs on
-    (``train.workers``; null for a command that does not train)."""
+    steps on several), how many processes a training minibatch runs on
+    (``train.workers``; null for a command that does not train) and the
+    runs a bench rejected (``bench.score``; null for another command)."""
     manifest = {
         "config_hash": config_hash(cfg),
         "config": cfg,
@@ -243,6 +247,7 @@ def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None):
         "openblas_num_threads": blas_threads(),
         "step_workers": None if mesh is None else solver.step_workers(mesh.n_cells),
         "train_workers": train_workers,
+        "rejected": rejected,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True))
@@ -481,51 +486,44 @@ def cmd_simulate(cfg, checkpoint=None):
 def cmd_bench(cfg, checkpoint=None):
     out = out_dir_for(cfg)
     bc_cfg = cfg["bench"]
-    gas = gas_model(cfg)
-    params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(
-        net_config(cfg))
-    artifacts = []
-    mesh = None
-    head = f"config {config_hash(cfg)}"
+    params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(net_config(cfg))
+    if not bc_cfg["cases"]:
+        raise ConfigError("bench: need at least one case")
+    cases = [_checked("bench", benchmod.riemann_case, case_id=cid) for cid in bc_cfg["cases"]]
+    step_cfg = step_config(cfg, gradient=cfg["step"]["gradient"].removeprefix("ml_"))
+    head, mesh, rejected = f"config {config_hash(cfg)}", None, []
     if bc_cfg["kind"] == "gain":
-        if not bc_cfg["cases"]:
-            raise ConfigError("bench: need at least one case")
         if bc_cfg["bc"] not in ("subsonic_out", "periodic"):
             raise ConfigError(f"bench.bc must be 'subsonic_out' or 'periodic', "
                               f"got {bc_cfg['bc']!r}")
-        cases = [_checked("bench", benchmod.riemann_case, case_id=cid)
-                 for cid in bc_cfg["cases"]]
         mesh = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],
                         periodic=bc_cfg["bc"] == "periodic")
         fine, pm = msh.refine_uniform(mesh)
-        for case in cases:
-            cid = case.case_id
-            report = _checked(
-                "bench", benchmod.run_gain,
-                case_or_ic=case, coarse=mesh, fine=fine, pm=pm, params=params,
-                n_steps=bc_cfg["n_steps"], co=cfg["step"]["co"],
-                gas=gas, record_every=bc_cfg["record_every"])
-            name = f"gain_case{cid}.csv"
-            solver.write_csv(out / name, benchmod.GAIN_COLUMNS,
-                             zip(report.steps, report.times, report.l_coarse, report.l_ml,
-                                 report.gain_pct), header_comment=head)
-            artifacts.append(name)
-            log.info("case %d: mean gain over last quarter = %.2f%%",
-                     cid, report.mean_gain(0.25))
+        artifacts = [f"gain_case{case.case_id}.csv" for case in cases]
+        for case, name in zip(cases, artifacts):
+            rows, stopped = _checked(
+                "bench", benchmod.gain, evaluate=case.evaluate, coarse=mesh, fine=fine,
+                pm=pm, cfg=step_cfg, params=params, n_steps=bc_cfg["n_steps"],
+                record_every=bc_cfg["record_every"])
+            solver.write_csv(out / name, benchmod.GAIN_COLUMNS, rows, header_comment=head)
+            rejected += [{"case": case.case_id, "n": bc_cfg["n"], **entry} for entry in stopped]
+            log.info("case %d: mean gain over last quarter = %.2f%%", case.case_id,
+                     np.mean([row[-1] for row in rows[-max(1, len(rows) // 4):]]))
     elif bc_cfg["kind"] == "study":
-        rows, slopes = _checked(
-            "bench", benchmod.error_cost_study,
-            case_ids=bc_cfg["cases"], levels=bc_cfg["levels"], params=params,
-            t_final=bc_cfg["t_final"], co=cfg["step"]["co"], gas=gas,
-            repeats=bc_cfg["repeats"])
+        rows, slopes, rejected = _checked(
+            "bench", benchmod.error_cost_study, cases=cases, levels=bc_cfg["levels"],
+            cfg=step_cfg, params=params, t_final=bc_cfg["t_final"], repeats=bc_cfg["repeats"])
         solver.write_csv(out / "study.csv", benchmod.STUDY_COLUMNS, rows,
                          header_comment=f"{head} slopes {slopes}")
-        artifacts.append("study.csv")
+        artifacts = ["study.csv"]
         log.info("convergence slopes: %s", slopes)
     else:
         raise ConfigError(f"unknown bench.kind '{bc_cfg['kind']}'")
-    _write_manifest(out, cfg, artifacts, mesh)
-    return EXIT_OK
+    _write_manifest(out, cfg, artifacts, mesh, rejected=rejected)
+    for entry in rejected:
+        log.error("rejected: case %(case)s on n=%(n)s, run %(run)s at step %(step)s, "
+                  "cell %(cell)s", entry)
+    return EXIT_NUMERIC if rejected else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ length, signed by the side, so a per-face flux reaches the cells through one
 gather and a stencil sum.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -720,7 +721,9 @@ def read_mesh_ascii(path):
 
     A file that does not parse raises MeshFileError naming the file and the
     line: a missing or bad header, a row of the wrong form, an unknown
-    boundary type, or fewer rows than the header counts.  A file that parses
+    boundary type, fewer rows than the header counts, or a boundary row that
+    repeats an edge or names one that is not the side of exactly one
+    triangle row.  A file that parses
     but whose mesh the build rejects raises the build's MeshError.
     """
     try:
@@ -755,12 +758,22 @@ def read_mesh_ascii(path):
              for k, parts in rows[1:1 + n_nodes]]
     tris = [fields(k, parts, (int,) * 4, 3, "a triangle row 'i j k [region]'")
             for k, parts in rows[1 + n_nodes:1 + n_nodes + n_cells]]
-    table = {}
+    # triangle rows per edge: a boundary row may name only a side of one
+    shared = Counter((min(a, b), max(a, b)) for p, q, r, _ in tris
+                     for a, b in ((p, q), (q, r), (r, p)))
+    table, line_of = {}, {}
     types = "|".join(name.upper() for name in TAG_CODES)
     for k, parts in rows[1 + n_nodes + n_cells:]:
         _, a, b, tag, group = fields(k, parts, (int, int, int, _tag_code, int), 4,
                                      f"a boundary row 'k a b {types} [group]'")
-        table[(min(a, b), max(a, b))] = (tag, group)
+        edge = (min(a, b), max(a, b))
+        if edge in table:
+            raise MeshFileError(f"{path}:{k}: a second boundary row for edge {a} {b}, "
+                                f"first given on line {line_of[edge]}")
+        if shared[edge] != 1:
+            raise MeshFileError(f"{path}:{k}: a boundary row for edge {a} {b}, a side of "
+                                f"{shared[edge]} triangle rows, not 1")
+        table[edge], line_of[edge] = (tag, group), k
     spec = BoundarySpec.from_edge_table(table) if table else None
     tris = np.array(tris, dtype=np.int64).reshape(-1, 4)
     m = build_mesh(np.array(nodes, dtype=np.float64).reshape(-1, 2), tris[:, :3], spec)

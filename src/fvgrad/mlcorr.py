@@ -42,7 +42,8 @@ reproduces the baseline bitwise.
 import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -98,18 +99,22 @@ class NetConfig:
 
 @dataclass
 class NetParams:
-    """Flat parameter vector plus its layer shape table."""
+    """Flat parameter vector of a network.  Its layer table, one (name,
+    shape, offset) per layer, follows from the config (``_make_table``)."""
 
     config: NetConfig
     values: np.ndarray
-    table: list = field(default_factory=list)  # (name, shape, offset)
+
+    @property
+    def table(self):
+        return _make_table(self.config)[0]
 
     @property
     def count(self):
-        return int(sum(int(np.prod(s)) for _, s, _ in self.table))
+        return _make_table(self.config)[1]
 
     def with_values(self, vec):
-        return NetParams(self.config, vec, self.table)
+        return NetParams(self.config, vec)
 
 
 def _make_table(config):
@@ -122,8 +127,8 @@ def _make_table(config):
 
 
 def zero_params(config=NetConfig()):
-    table, n = _make_table(config)
-    return NetParams(config, np.zeros(n), table)
+    _, n = _make_table(config)
+    return NetParams(config, np.zeros(n))
 
 
 def init_params(config=NetConfig(), seed=0):
@@ -132,7 +137,7 @@ def init_params(config=NetConfig(), seed=0):
     table, n = _make_table(config)
     rng = np.random.default_rng(seed)
     vec = np.zeros(n)
-    p = NetParams(config, vec, table)
+    p = NetParams(config, vec)
     for name, shape, off in table:
         size = int(np.prod(shape))
         if name == "norm_scale":
@@ -245,6 +250,7 @@ def masked_alpha(mesh, params, du, vec=None):
 # ---------------------------------------------------------------------------
 
 def save_params(params, path):
+    """Write params; the shape table is the one its config gives."""
     cfg_blob = json.dumps({
         "width": params.config.width,
         "combine": params.config.combine,
@@ -315,7 +321,9 @@ def load_params(path):
         raise NetworkError(f"checkpoint network takes n_vars={cfg.n_vars} and "
                            f"n_neighbors={cfg.n_neighbors}; the solver's stencil has 4 and 3")
     expected, _ = _make_table(cfg)
-    if table != expected:
-        raise NetworkError("shape table (names, shapes and offsets) does not match "
-                           "this build's architecture")
-    return NetParams(cfg, vals.astype(np.float64), table)
+    for got, want in zip_longest(table, expected):
+        if got != want:
+            raise NetworkError(f"shape table (names, shapes and offsets) does not match "
+                               f"this build's architecture: the file has {got}, "
+                               f"the build {want}")
+    return NetParams(cfg, vals.astype(np.float64))

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def seeded_network_params():
         if name == "norm_scale":
             vec[off:off + size] += 1.0
     return params.with_values(vec)
+
+
+def save_params_with_offset(params, path, name, offset):
+    """Save params, then set the offset of layer ``name`` in the file's
+    shape table."""
+    mlcorr.save_params(params, path)
+    raw = bytearray(path.read_bytes())
+    pos = raw.index(name.encode()) + len(name)
+    pos += 1 + 4 * raw[pos]                 # ndim byte and the shape
+    raw[pos:pos + 8] = struct.pack("<Q", offset)
+    path.write_bytes(bytes(raw))
 
 
 def finite_diff_grad(fn, params, rel_step=1e-6):

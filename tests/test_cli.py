@@ -13,6 +13,8 @@ from fvgrad import autodiff as ad
 from fvgrad import bench, cli, mlcorr, solver, train
 from fvgrad import mesh as msh
 
+from conftest import save_params_with_offset, seeded_network_params
+
 SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
 
@@ -151,11 +153,8 @@ def test_truncated_checkpoint_is_config_error(run, tmp_path, keep):
 
 
 def test_checkpoint_with_a_wrong_offset_is_config_error(run, tmp_path, caplog):
-    params = mlcorr.zero_params()
-    table = [(name, shape, 10**6 if name == "head_b" else off)
-             for name, shape, off in params.table]
     path = tmp_path / "net.gfnn"
-    mlcorr.save_params(mlcorr.NetParams(params.config, params.values, table), path)
+    save_params_with_offset(mlcorr.zero_params(), path, "head_b", 10**6)
     cfg = {**SMALL, "simulate": {"n_steps": 1}}
     assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
     assert "offsets" in caplog.text
@@ -394,9 +393,13 @@ MESH_FILE = "nodes 4 cells 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3 0\n"
     (MESH_FILE.replace("nodes 4", "nodes 3"), 5),
     ("\n\n" + MESH_FILE.replace("nodes 4", "nodes 5"), 3),
     (MESH_FILE + "0 1 2 0\n", 8),
+    (MESH_FILE + "0 0 1 SLIP_WALL\n1 1 0 SUPERSONIC_IN\n", 9),
+    (MESH_FILE + "0 0 2 SUPERSONIC_IN\n", 8),
+    (MESH_FILE + "0 1 3 SUPERSONIC_IN\n", 8),
 ], ids=["empty", "bad_count", "short_header", "negative_count", "short_triangle",
         "bad_coordinate", "long_node_row", "unknown_bc", "bad_group", "too_few_rows",
-        "too_few_nodes", "too_many_nodes", "extra_triangle"])
+        "too_few_nodes", "too_many_nodes", "extra_triangle", "repeated_boundary_edge",
+        "interior_boundary_edge", "boundary_row_for_no_edge"])
 def test_a_mesh_file_that_does_not_parse_is_config_error(run, tmp_path, caplog, text, line):
     """Each names the file and the line; the CLI exits 2, as for a corrupt
     checkpoint or dataset."""
@@ -445,11 +448,85 @@ def test_limiter_k_zero_is_legal(run):
 
 def test_numeric_error_inside_a_bench_run_exits_numeric(run, monkeypatch):
     # the run goes through the config-value check, which must let it pass
-    def fail(**kwargs):
+    def fail(*args, **kwargs):
         raise mlcorr.NetworkError("non-finite activation", layer="head")
 
-    monkeypatch.setattr(cli.benchmod, "run_gain", fail)
+    monkeypatch.setattr(cli.benchmod, "score", fail)
     assert run("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1}}) == cli.EXIT_NUMERIC
+
+
+def test_bench_takes_the_step_config(run, tmp_path):
+    """The gain scores step.gradient (less any ml_ prefix) and ml_<that>, with
+    the configured limiter."""
+    bench_cfg = {"cases": [6], "n": 5, "n_steps": 6, "record_every": 3}
+
+    def rows(step):
+        assert run("bench", {**SMALL, "step": step, "bench": bench_cfg}) == cli.EXIT_OK
+        return (_out(tmp_path) / "gain_case6.csv").read_text().splitlines()[2:]
+
+    default, gg = rows({}), rows({"gradient": "ml_gg"})
+    assert rows({"limiter": False}) != default
+    assert gg != default
+    coarse = bench.riemann_mesh(5, periodic=False)
+    fine, pm = msh.refine_uniform(coarse)
+    runs = {"gg": (solver.StepConfig(gradient="gg"), None),
+            "ml_gg": (solver.StepConfig(gradient="ml_gg"), mlcorr.zero_params())}
+    direct, rejected = bench.score(bench.riemann_case(6).evaluate, coarse, fine, pm,
+                                   runs["gg"][0], runs, 6, 3)
+    assert rejected == []
+    assert [[float(v) for v in row.split(",")[2:4]] for row in gg] == [
+        [errors["gg"], errors["ml_gg"]] for _, errors in direct]
+
+
+def test_a_rejected_run_is_a_result(run, tmp_path, caplog):
+    """At co 0.2 on 72 cells, case 11's reference and both coarse runs are
+    rejected; case 6 is still scored, every file is written, and the command
+    exits 3 naming each rejected run."""
+    cfg = {**SMALL, "step": {"co": 0.2},
+           "bench": {"cases": [11, 6], "n": 6, "n_steps": 20, "record_every": 5}}
+    assert run("bench", cfg) == cli.EXIT_NUMERIC
+    out = _out(tmp_path)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["artifacts"] == ["gain_case11.csv", "gain_case6.csv"]
+    assert [(e["case"], e["n"], e["run"]) for e in manifest["rejected"]] == [
+        (11, 6, "reference"), (11, 6, "lsq"), (11, 6, "ml_lsq")]
+    steps = {e["run"]: e["step"] for e in manifest["rejected"]}
+    assert 5 < steps["reference"] < steps["lsq"] == steps["ml_lsq"] <= 20
+    assert all(isinstance(e["cell"], int) for e in manifest["rejected"])
+    for e in manifest["rejected"]:
+        assert f"case 11 on n=6, run {e['run']} at step {e['step']}, cell {e['cell']}" \
+            in caplog.text
+    for cid in (11, 6):
+        _, columns, *rows = (out / f"gain_case{cid}.csv").read_text().splitlines()
+        rows = [dict(zip(columns.split(","), row.split(","))) for row in rows]
+        assert [row["step"] for row in rows] == ["5", "10", "15", "20"]
+        for row in rows:
+            values = [float(row[c]) for c in ("L_coarse", "L_ML", "gain_pct")]
+            # the reference stops between steps 10 and 15, and with it every error
+            assert np.isnan(values).all() == (cid == 11 and int(row["step"]) > 10)
+            assert not np.isnan(values).any() or np.isnan(values).all()
+
+
+def test_a_rejected_study_run_is_a_result(run, tmp_path):
+    """At co 0.3 every level above n=4 rejects a reference: its errors and
+    the slopes read NaN, a rejected coarse run has no wall time, and the
+    command exits 3 after writing study.csv."""
+    cfg = {**SMALL, "step": {"co": 0.3},
+           "bench": {"kind": "study", "cases": [11, 6], "levels": [4, 5, 6], "t_final": 0.1,
+                     "repeats": 1}}
+    assert run("bench", cfg) == cli.EXIT_NUMERIC
+    out = _out(tmp_path)
+    rejected = json.loads((out / "run_manifest.json").read_text())["rejected"]
+    assert {(e["case"], e["n"]) for e in rejected if e["run"] == "reference"} == {
+        (cid, n) for cid in (11, 6) for n in (5, 6)}
+    assert any(e["run"] != "reference" for e in rejected)
+    header, _, *rows = (out / "study.csv").read_text().splitlines()
+    assert header.endswith("slopes {'lsq': nan, 'ml_lsq': nan}")
+    stopped = {(e["run"], e["case"], 2 * e["n"] ** 2) for e in rejected}
+    for row in rows:
+        mode, cid, _, cells, wall_s, error = row.split(",")
+        assert np.isnan(float(error)) == (cells != "32")
+        assert np.isnan(float(wall_s)) == ((mode, int(cid), int(cells)) in stopped)
 
 
 def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
@@ -474,3 +551,60 @@ def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
     assert columns == ",".join(bench.STUDY_COLUMNS) == "mode,case,h,cells,wall_s,error"
     assert len(rows) == 3 * 2 * 2
     assert json.loads((out / "run_manifest.json").read_text())["artifacts"] == ["study.csv"]
+
+
+# Outputs of `bench`, pinned bitwise: sha256 prefixes of the body (column line
+# and rows) of each gain CSV and of the error column of study.csv.  The
+# checkpoints are none (zero parameters), the seeded initialisation, whose
+# output head is zero, and a network with every entry non-zero.
+BENCH_RUNS = {
+    "gain_periodic": {"cases": [6, 3], "n": 6, "n_steps": 12, "record_every": 4,
+                      "bc": "periodic"},
+    "gain_subsonic_out": {"cases": [6, 3], "n": 6, "n_steps": 12, "record_every": 4,
+                          "bc": "subsonic_out"},
+    "study": {"kind": "study", "cases": [6, 3], "levels": [4, 5, 6], "t_final": 0.01,
+              "repeats": 1},
+}
+BENCH_CHECKPOINTS = {"zero": None, "init": lambda: mlcorr.init_params(seed=0),
+                     "seeded": seeded_network_params}
+BENCH_DIGESTS = {
+    ("gain_periodic", "zero"): {"gain_case3.csv": "dec4aaf4fc8cc18f",
+                                "gain_case6.csv": "f1457e5dd214875a"},
+    ("gain_periodic", "init"): {"gain_case3.csv": "dec4aaf4fc8cc18f",
+                                "gain_case6.csv": "f1457e5dd214875a"},
+    ("gain_periodic", "seeded"): {"gain_case3.csv": "ba9a1321667b6220",
+                                  "gain_case6.csv": "9db0721b10a5e1b3"},
+    ("gain_subsonic_out", "zero"): {"gain_case3.csv": "ef0152fd02826ea2",
+                                    "gain_case6.csv": "dfe3f98e9cc573d6"},
+    ("gain_subsonic_out", "init"): {"gain_case3.csv": "ef0152fd02826ea2",
+                                    "gain_case6.csv": "dfe3f98e9cc573d6"},
+    ("gain_subsonic_out", "seeded"): {"gain_case3.csv": "a223a20eea0602e7",
+                                      "gain_case6.csv": "8c234a0e31269827"},
+    ("study", "zero"): {"study.csv": "85f1dea2dd2c8aaf"},
+    ("study", "init"): {"study.csv": "85f1dea2dd2c8aaf"},
+    ("study", "seeded"): {"study.csv": "304b6e8f9c71cabf"},
+}
+
+
+def _bench_digests(out):
+    digests = {}
+    for path in sorted(out.glob("*.csv")):
+        header, *body = path.read_text().splitlines()
+        assert header.startswith("# config ")
+        if path.name == "study.csv":
+            error = body[0].split(",").index("error")
+            body = [row.split(",")[error] for row in body[1:]]
+        digests[path.name] = hashlib.sha256("\n".join(body).encode()).hexdigest()[:16]
+    return digests
+
+
+@pytest.mark.parametrize("checkpoint", BENCH_CHECKPOINTS)
+@pytest.mark.parametrize("kind", BENCH_RUNS)
+def test_bench_outputs_are_pinned(run, tmp_path, kind, checkpoint):
+    extra = []
+    if BENCH_CHECKPOINTS[checkpoint] is not None:
+        path = tmp_path / "net.gfnn"
+        mlcorr.save_params(BENCH_CHECKPOINTS[checkpoint](), path)
+        extra = ["--checkpoint", str(path)]
+    assert run("bench", {**SMALL, "bench": BENCH_RUNS[kind]}, *extra) == cli.EXIT_OK
+    assert _bench_digests(_out(tmp_path)) == BENCH_DIGESTS[kind, checkpoint]

@@ -8,7 +8,8 @@ from fvgrad import mesh as msh
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
-from conftest import random_admissible_prim, rotated_mesh, smooth_prim_field
+from conftest import (random_admissible_prim, rotated_mesh, save_params_with_offset,
+                      smooth_prim_field)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ def test_alpha_clamped(params, rng):
     theta = np.tile([2.0, 2.1, 2 * np.pi - 4.1], (50, 1)).T
     for cfg in (params.config, NetConfig(alpha_max=0.3)):
         alpha = mlcorr.network_forward(
-            mlcorr.NetParams(cfg, params.values, params.table), du, theta)
+            mlcorr.NetParams(cfg, params.values), du, theta)
         assert np.abs(alpha).max() < cfg.alpha_max
 
 
@@ -289,11 +290,9 @@ def test_load_rejects_an_offset_that_is_not_the_layout(tmp_path, params):
     """The forward pass takes each layer at its offset in this build's layout
     (``mlcorr._layer_index``), so a checkpoint with any other offset is
     rejected, even when its names and shapes are right."""
-    table = [(name, shape, 10**6 if name == "head_b" else off)
-             for name, shape, off in params.table]
     path = tmp_path / "net.gfnn"
-    mlcorr.save_params(mlcorr.NetParams(params.config, params.values, table), path)
-    with pytest.raises(NetworkError, match="offsets"):
+    save_params_with_offset(params, path, "head_b", 10**6)
+    with pytest.raises(NetworkError, match=r"offsets.*the file has \('head_b', .*, 1000000\)"):
         mlcorr.load_params(path)
 
 

@@ -225,12 +225,14 @@ def test_frame_diagnostics_carry_the_cfl_and_bc_clamps_of_their_step(gas):
 @pytest.mark.parametrize("gradient", ["lsq", "gg"])
 def test_gain_is_zero_at_zero_params(mesh, gradient):
     fine, pm = msh.refine_uniform(mesh)
-    rep = bench.run_gain(smooth_prim_field, mesh, fine, pm, mlcorr.zero_params(),
-                         N_STEPS, co=CO, record_every=3, gradient=gradient)
-    assert list(rep.steps) == [3, 6, 9, 10]
-    assert (rep.l_coarse > 0).all()
-    assert (rep.l_ml == rep.l_coarse).all()
-    assert (rep.gain_pct == 0.0).all()
+    cfg = solver.StepConfig(co=CO, gradient=gradient)
+    rows, rejected = bench.gain(smooth_prim_field, mesh, fine, pm, cfg, mlcorr.zero_params(),
+                                N_STEPS, record_every=3)
+    steps, _, l_coarse, l_ml, gain_pct = map(np.array, zip(*rows))
+    assert list(steps) == [3, 6, 9, 10] and rejected == []
+    assert (l_coarse > 0).all()
+    assert (l_ml == l_coarse).all()
+    assert (gain_pct == 0.0).all()
 
 
 def test_l1_error_is_the_mean_over_cells_and_primitives():
@@ -263,16 +265,25 @@ STUDY_CASES, STUDY_LEVELS = (6, 3), (4, 5, 6)
 
 @pytest.fixture(scope="module")
 def study():
-    return bench.error_cost_study(STUDY_CASES, STUDY_LEVELS, params=mlcorr.zero_params(),
-                                  t_final=0.01, modes=("lsq", "ml_lsq", "gg"), repeats=2)
+    """Rows and slopes of one study per plain mode, merged."""
+    rows, slopes = [], {}
+    for gradient in ("lsq", "gg"):
+        r, s, rejected = bench.error_cost_study(
+            [bench.riemann_case(cid) for cid in STUDY_CASES], STUDY_LEVELS,
+            solver.StepConfig(gradient=gradient), mlcorr.zero_params(),
+            t_final=0.01, repeats=2)
+        assert rejected == []
+        rows += r
+        slopes.update(s)
+    return rows, slopes
 
 
 def test_study_rows_cover_every_level_case_and_mode(study):
     rows, _ = study
     assert all(len(row) == len(bench.STUDY_COLUMNS) for row in rows)
     assert [(row[0], row[1], row[3]) for row in rows] == [
-        (mode, cid, 2 * n * n) for n in STUDY_LEVELS for cid in STUDY_CASES
-        for mode in ("lsq", "ml_lsq", "gg")]
+        (mode, cid, 2 * n * n) for plain in ("lsq", "gg") for n in STUDY_LEVELS
+        for cid in STUDY_CASES for mode in (plain, f"ml_{plain}")]
     assert all(row[4] > 0 and row[5] > 0 for row in rows)
 
 
@@ -280,6 +291,7 @@ def test_study_at_zero_params_gives_the_plain_errors_bitwise(study):
     rows, slopes = study
     errors = {mode: [row[5] for row in rows if row[0] == mode] for mode in slopes}
     assert errors["ml_lsq"] == errors["lsq"]
+    assert errors["ml_gg"] == errors["gg"]
     assert errors["gg"] != errors["lsq"]
     assert slopes["ml_lsq"] == slopes["lsq"]
 
@@ -296,7 +308,8 @@ def test_study_slopes_fit_the_case_mean_errors(study):
 def test_gain_rejects_fewer_than_one_step(mesh):
     fine, pm = msh.refine_uniform(mesh)
     with pytest.raises(ValueError, match="n_steps"):
-        bench.run_gain(smooth_prim_field, mesh, fine, pm, mlcorr.zero_params(), 0, co=CO)
+        bench.gain(smooth_prim_field, mesh, fine, pm, solver.StepConfig(co=CO),
+                   mlcorr.zero_params(), 0, record_every=10)
 
 
 def _cons_flux(w, n, gas):
