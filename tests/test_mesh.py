@@ -1,4 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +230,109 @@ def test_periodic_irregular_mesh_builds():
     assert (m.area > 0).all()
 
 
+def _triangle_set(tri):
+    return {tuple(sorted(t)) for t in np.asarray(tri).tolist()}
+
+
+@pytest.mark.parametrize("n,seeds", [(27, 5), (50, 5), (71, 5), (100, 5)]
+                         + [(n, 10) for n in (2, 3, 5, 6, 8, 12)])
+def test_irregular_mesh_is_the_delaunay_triangulation_of_its_nodes(n, seeds):
+    """Qhull is the oracle: the same triangles, 2 n^2 of them."""
+    delaunay = pytest.importorskip("scipy.spatial").Delaunay
+    for seed in range(seeds):
+        m = msh.periodic_irregular_mesh(n, seed)
+        assert m.n_cells == 2 * n * n, seed
+        assert _triangle_set(m.tri) == _triangle_set(delaunay(m.nodes).simplices), seed
+
+
+def _exact_delaunay_violations(m):
+    """Exact arithmetic on the float nodes, scaled to integers by their
+    common power-of-two denominator: the clockwise or flat triangles, the
+    interior edges whose opposite node lies strictly inside the circle
+    through the other triangle, and the total signed area."""
+    exact = [Fraction(v) for v in m.nodes.ravel().tolist()]
+    scale = max(v.denominator for v in exact)
+    ints = [int(v * scale) for v in exact]
+    p = list(zip(ints[0::2], ints[1::2]))
+
+    def orient(a, b, c):
+        return ((p[b][0] - p[a][0]) * (p[c][1] - p[a][1])
+                - (p[b][1] - p[a][1]) * (p[c][0] - p[a][0]))
+
+    def incircle(a, b, c, d):
+        rows = [(p[v][0] - p[d][0], p[v][1] - p[d][1]) for v in (a, b, c)]
+        (ax, ay), (bx, by), (cx, cy) = rows
+        return ((ax * ax + ay * ay) * (bx * cy - cx * by)
+                + (bx * bx + by * by) * (cx * ay - ax * cy)
+                + (cx * cx + cy * cy) * (ax * by - bx * ay))
+
+    tris = m.tri.tolist()
+    opposite = {(t[k], t[(k + 1) % 3]): t[(k + 2) % 3] for t in tris for k in range(3)}
+    flat = [t for t in tris if orient(*t) <= 0]
+    illegal = [(a, b) for (a, b), c in opposite.items()
+               if (b, a) in opposite and incircle(a, b, c, opposite[b, a]) > 0]
+    return flat, illegal, Fraction(sum(orient(*t) for t in tris), 2 * scale * scale)
+
+
+@pytest.mark.parametrize("jitter", [0.05, 0.35, 0.45, 0.49])
+@pytest.mark.parametrize("lx,ly", [(1.0, 1.0), (2.0, 0.5), (3.0, 1.0)])
+def test_irregular_mesh_is_exactly_delaunay(lx, ly, jitter):
+    """Every triangle counter-clockwise, every interior edge locally Delaunay
+    and the box covered once, in exact arithmetic.  This holds where Qhull
+    does not: its triangulation of irregular_mesh(3, seed=4, lx=3.0,
+    jitter=0.45) has one edge with the opposite node strictly inside."""
+    for n in range(1, 13):
+        for seed in (0, 4):
+            m = msh.irregular_mesh(n, seed, lx, ly, jitter)
+            assert m.n_cells == 2 * n * n
+            flat, illegal, area = _exact_delaunay_violations(m)
+            assert not flat and not illegal, (n, seed, flat, illegal)
+            assert area == Fraction(lx) * Fraction(ly), (n, seed)
+
+
+def test_irregular_mesh_at_zero_jitter_is_the_lattice_split():
+    """Every quad is co-circular and keeps the split of structured_mesh, quads
+    row by row where structured_mesh takes them column by column."""
+    for lx, ly in [(1.0, 1.0), (2.0, 0.5)]:
+        for n in (1, 2, 7):
+            m = msh.irregular_mesh(n, lx=lx, ly=ly, jitter=0.0)
+            s = msh.structured_mesh(n, lx=lx, ly=ly)
+            by_column = s.nodes[s.tri].reshape(n, n, 2, 3, 2)
+            assert np.array_equal(m.nodes[m.tri], by_column.transpose(1, 0, 2, 3, 4)
+                                  .reshape(-1, 3, 2)), (lx, ly, n)
+
+
+IRREGULAR_STEP_PROBE = """
+import sys
+import numpy as np
+from fvgrad import mesh, mlcorr, solver
+from fvgrad.euler import GasModel, prim_to_cons
+m = mesh.periodic_irregular_mesh(8)
+cfg = solver.StepConfig(co=0.05, gradient="ml_lsq")
+w = prim_to_cons(np.tile([1.0, 0.1, 0.2, 1.0], (m.n_cells, 1)), GasModel())
+solver.step_explicit_euler(m, w, solver.compute_dt(m, cfg), cfg, {}, mlcorr.zero_params())
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_an_irregular_mesh_step_loads_no_scipy():
+    """Importing scipy.spatial costs a process about 36 MB: building an irregular
+    mesh and stepping on it, in a fresh interpreter, must not load scipy."""
+    env = dict(os.environ)
+    src = str(Path(msh.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IRREGULAR_STEP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize("jitter", [-0.1, 0.5, np.nan])
+def test_irregular_mesh_rejects_jitter_outside_the_lattice_cell(jitter):
+    with pytest.raises(ValueError, match="jitter"):
+        msh.irregular_mesh(4, jitter=jitter)
+
+
 def test_ascii_roundtrip(tmp_path):
     m = msh.structured_mesh(3, boundary_spec=BoundarySpec.uniform("slip_wall"))
     path = tmp_path / "mesh.txt"
@@ -332,12 +440,15 @@ def _array_digest(m):
     return h.hexdigest()[:16]
 
 
+# periodic_irregular_27 was re-recorded when irregular meshes moved from Qhull
+# to Lawson flips: the same triangles, renumbered, with areas and centroids
+# within 1.5e-16 and 2.3e-16 of their largest entries
 ARRAY_DIGESTS = {
     "periodic_structured_6": "d0af6f547beed683",
     "slip_wall_structured_6": "90ac8a069e582577",
     "forward_step_0.2": "296f140efeb3f3ac",
     "refined_periodic_structured_6": "d9dddc4c99ccaf0a",
-    "periodic_irregular_27": "c2ced02e48e012ff",
+    "periodic_irregular_27": "516cb0bb6bc6ae75",
     "forward_step_0.1": "3267cf538f499967",
 }
 
