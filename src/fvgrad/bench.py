@@ -1,5 +1,7 @@
-"""Benchmark harness: Riemann suite gains, the forward-facing step and
-the error-versus-cost study (mesh-convergence slopes and wall times).
+"""Benchmark harness: the gain of the corrected solver, the error-versus-cost
+study (mesh-convergence slopes and wall times), the Riemann quadrant cases
+and the forward-facing step.  The scorers take the meshes and the initial
+conditions their caller builds.
 
 The central metric is the gain of the corrected solver over the plain one
 at equal resolution,
@@ -22,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from . import mesh as msh
-from . import solver
+from . import solver, train
 from .bc import BCSpec, table_from_ic
 from .euler import cons_to_prim, prim_to_cons
 from .mesh import BoundarySpec
@@ -44,18 +46,12 @@ _PAPER_CASES = {
 
 @dataclass
 class RiemannCase:
-    case_id: int
     quadrants: np.ndarray     # (4, 4) primitive states, Q1..Q4
 
     def evaluate(self, points):
         """Quadrant initial condition at the given points of [0,1]^2."""
-        x, y = points[:, 0], points[:, 1]
-        q = np.empty(len(points), dtype=np.int64)
-        q[(x >= 0.5) & (y >= 0.5)] = 0
-        q[(x < 0.5) & (y >= 0.5)] = 1
-        q[(x < 0.5) & (y < 0.5)] = 2
-        q[(x >= 0.5) & (y < 0.5)] = 3
-        return self.quadrants[q]
+        # train's quadrant order is Q3, Q4, Q2, Q1
+        return train._quadrant_field(points, self.quadrants[[2, 3, 1, 0]])
 
 
 def _load_case_file():
@@ -83,20 +79,12 @@ def riemann_case(case_id):
     """Quadrant states for one test case; 6 and 11 are hard-coded."""
     global _FILE_CASES
     if case_id in _PAPER_CASES:
-        return RiemannCase(case_id, np.array(_PAPER_CASES[case_id]))
+        return RiemannCase(np.array(_PAPER_CASES[case_id]))
     if _FILE_CASES is None:
         _FILE_CASES = _load_case_file()
     if case_id not in _FILE_CASES:
         raise ValueError(f"unknown Riemann case id {case_id}")
-    return RiemannCase(case_id, _FILE_CASES[case_id])
-
-
-def riemann_mesh(n, periodic=True):
-    """Structured mesh of the unit square with 2 n^2 cells for the Riemann
-    cases: periodic, or with subsonic outflow on every side."""
-    if periodic:
-        return msh.periodic_structured_mesh(n)
-    return msh.structured_mesh(n, boundary_spec=BoundarySpec.uniform(msh.SUBSONIC_OUT))
+    return RiemannCase(_FILE_CASES[case_id])
 
 
 # ---------------------------------------------------------------------------
@@ -238,48 +226,51 @@ def fit_loglog_slope(h, err):
     return float(a)
 
 
-def error_cost_study(cases, levels, cfg, params, t_final=0.2, repeats=3):
-    """Error and wall time per (level, case, mode) over a ladder of periodic meshes.
+def error_cost_study(cases, meshes, cfg, params, t_final=0.2, repeats=3):
+    """Error and wall time per (mesh, case, mode) over a ladder of meshes.
 
-    levels: structured resolutions (cells = 2 n^2); the modes are
+    cases maps a name to an initial-condition evaluator; meshes are the
+    coarse levels, each refined once for its reference; the modes are
     ``plain_and_corrected``.  error is the ``score`` at t_final; wall_s is the
     median of ``repeats`` coarse marches to t_final after a one-step warm-up,
     NaN for a rejected run.  Per mode, the slope is the log-log fit of the
     case-mean error against h = sqrt(mean |C|), NaN where an error is.
 
     Returns (rows, slopes, rejected): rows of STUDY_COLUMNS, slopes a dict
-    mode -> slope, rejected the ``score`` entries with their case and level n.
+    mode -> slope, rejected the ``score`` entries with their case and the
+    mesh's cell count.
     """
-    if len(levels) < 3:
+    if len(meshes) < 3:
         raise ValueError("need at least 3 mesh levels")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if t_final <= 0:
         raise ValueError(f"t_final must be positive, got {t_final}")
     runs = plain_and_corrected(cfg, params)
-    rows, rejected, hs = [], [], []
-    for n in levels:
-        coarse = riemann_mesh(n)
+    rows, rejected = [], []
+    for coarse in meshes:
         fine, pm = msh.refine_uniform(coarse)
         dt = solver.compute_dt(coarse, cfg)
         n_steps = int(np.ceil(t_final / dt))
-        for case in cases:
-            [(_, final)], stopped = score(case.evaluate, coarse, fine, pm, cfg, runs,
+        for case, evaluate in cases.items():
+            [(_, final)], stopped = score(evaluate, coarse, fine, pm, cfg, runs,
                                           n_steps, n_steps)
-            rejected += [{"case": case.case_id, "n": n, **entry} for entry in stopped]
-            w0 = prim_to_cons(case.evaluate(coarse.centroid), cfg.gas)
+            rejected += [{"case": case, "cells": coarse.n_cells, **entry} for entry in stopped]
+            w0 = prim_to_cons(evaluate(coarse.centroid), cfg.gas)
+            bc_table = table_from_ic(coarse, evaluate)
             for mode, (run_cfg, p) in runs.items():
                 times = []
                 if mode not in [entry["run"] for entry in stopped]:
-                    next(solver.march(coarse, w0, dt, 1, run_cfg, {}, params=p))  # warm-up
+                    next(solver.march(coarse, w0, dt, 1, run_cfg, bc_table, params=p))  # warm-up
                     for _rep in range(repeats):
                         t0 = time.perf_counter()
-                        for _ in solver.march(coarse, w0, dt, n_steps, run_cfg, {}, params=p):
+                        for _ in solver.march(coarse, w0, dt, n_steps, run_cfg, bc_table,
+                                              params=p):
                             pass
                         times.append(time.perf_counter() - t0)
-                rows.append((mode, case.case_id, coarse.mean_cell_length, coarse.n_cells,
+                rows.append((mode, case, coarse.mean_cell_length, coarse.n_cells,
                              float(np.median(times)) if times else np.nan, final[mode]))
-        hs.append(coarse.mean_cell_length)
+    hs = [coarse.mean_cell_length for coarse in meshes]
     slopes = {mode: fit_loglog_slope(hs, [np.mean([row[5] for row in rows
                                                    if row[0] == mode and row[2] == h])
                                           for h in hs])

@@ -10,10 +10,13 @@ Exit codes:
   0  ok
   2  config error: bad or unknown config key, a value out of its range
      (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1, a count such
-     as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), missing
-     config file or ``mesh.path`` file, a ``mesh.path`` file that does not
-     parse (empty, a bad header, a row of the wrong form, an unknown boundary
-     type, fewer rows than the header counts), missing or corrupt
+     as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), an IC
+     spec that does not parse (``simulate.ic`` or a ``bench.cases`` entry,
+     e.g. ``family:f9``), a study on a ``mesh.kind`` without ``mesh.n``
+     (``file``, ``forward_step``), missing config file or ``mesh.path``
+     file, a ``mesh.path`` file that does not parse (empty, a bad header, a
+     row of the wrong form, an unknown boundary type, fewer rows than the
+     header counts), missing or corrupt
      ``--checkpoint`` (also one whose network is not sized for the Euler
      stencil: ``n_vars`` other than 4 or ``n_neighbors`` other than 3),
      dataset directory without manifest.json, corrupt dataset (a manifest
@@ -26,8 +29,8 @@ Exit codes:
      parses, whose triangles the build rejects), domain error while
      recording the tape, non-finite network activation.  ``bench`` scores
      past a rejected step: it writes every CSV, lists each rejected run
-     (case, mesh n, run, step and cell) under ``rejected`` in the run
-     manifest and logs it, then exits 3
+     (IC spec, mesh cell count, run, step and cell) under ``rejected`` in
+     the run manifest and logs it, then exits 3
   4  gradient-check failure, or a missing / stale gradcheck report
 """
 
@@ -80,7 +83,6 @@ NUMERIC_ERRORS = (solver.SolverError, AdmissibilityError, msh.MeshError,
 
 # schema: key -> (type or nested dict, default); None type disables checking
 SCHEMA = {
-    "seed": (int, 0),
     "out_dir": (str, "runs/out"),
     "mesh": {
         "kind": (str, "structured"),        # structured|irregular|file|forward_step
@@ -138,14 +140,13 @@ SCHEMA = {
         "max_amp": (float, 6.0),
     },
     "bench": {
-        "kind": (str, "gain"),              # gain|study
-        "cases": (list, [6]),               # Riemann case ids, for either kind
-        "n": (int, 27),                     # gain mesh: 2 n^2 cells; the study ignores it
+        "kind": (str, "gain"),              # gain (on mesh) | study (mesh.n per level)
+        "cases": (list, ["case:6"]),        # IC specs as simulate.ic, family draws
+                                            # with simulate.ic_seed and max_amp
         "n_steps": (int, 2000),
         "record_every": (int, 10),
-        "levels": (list, [12, 16, 24]),
+        "levels": (list, [12, 16, 24]),     # study: mesh.n of each level
         "t_final": (float, 0.2),
-        "bc": (str, "subsonic_out"),        # or periodic; gain only, the study is periodic
         "repeats": (int, 3),
     },
     "gradcheck": {
@@ -288,27 +289,30 @@ def build_mesh_from_config(cfg):
                     boundary_spec=spec)
 
 
-def build_ic(cfg):
-    """Initial-condition evaluator points -> primitive field."""
+def build_ic(cfg, spec):
+    """Initial-condition evaluator points -> primitive field for an IC spec in
+    ``simulate.ic``'s syntax; a family draws with simulate.ic_seed and
+    simulate.max_amp.  A malformed spec is a config error that names it."""
     sc = cfg["simulate"]
-    spec = sc["ic"]
-    if spec.startswith("case:"):
-        case = _checked("simulate",
-                        lambda: benchmod.riemann_case(int(spec.split(":", 1)[1])))
-        return case.evaluate
-    if spec.startswith("family:"):
-        fam = spec.split(":", 1)[1]
-        params = train.draw_ic_params(fam, np.random.default_rng(sc["ic_seed"]))
-        return lambda pts: train.evaluate_ic(fam, params, pts, sc["max_amp"])
-    if spec.startswith("constant:"):
-        vals = np.array([float(v) for v in spec.split(":", 1)[1].split(",")])
-        if vals.shape != (4,):
-            raise ConfigError("constant IC needs 4 components rho,u,v,p")
-        return lambda pts: np.broadcast_to(vals, (len(pts), 4)).copy()
+    kind, _, arg = str(spec).partition(":")
+    try:
+        if kind == "case":
+            return benchmod.riemann_case(int(arg)).evaluate
+        if kind == "family":
+            params = train.draw_ic_params(arg, np.random.default_rng(sc["ic_seed"]))
+            return lambda pts: train.evaluate_ic(arg, params, pts, sc["max_amp"])
+        if kind == "constant":
+            vals = np.array([float(v) for v in arg.split(",")])
+            if vals.shape != (4,):
+                raise ValueError("a constant IC needs 4 components rho,u,v,p")
+            return lambda pts: np.broadcast_to(vals, (len(pts), 4)).copy()
+    except ValueError as exc:
+        raise ConfigError(f"IC spec {spec!r}: {exc}") from exc
     if spec == "forward_step":
         return lambda pts: np.broadcast_to(benchmod.FORWARD_STEP_STATE,
                                            (len(pts), 4)).copy()
-    raise ConfigError(f"unknown simulate.ic '{spec}'")
+    raise ConfigError(f"unknown IC spec {spec!r} (case:N, family:fX, "
+                      f"constant:rho,u,v,p or forward_step)")
 
 
 def _checked(section, make, **kwargs):
@@ -459,7 +463,7 @@ def cmd_train(cfg):
 def cmd_simulate(cfg, checkpoint=None):
     out = out_dir_for(cfg)
     mesh = build_mesh_from_config(cfg)
-    ic = build_ic(cfg)
+    ic = build_ic(cfg, cfg["simulate"]["ic"])
     bc_table = table_from_ic(mesh, ic)
     gas = gas_model(cfg)
     params = None
@@ -489,29 +493,30 @@ def cmd_bench(cfg, checkpoint=None):
     params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(net_config(cfg))
     if not bc_cfg["cases"]:
         raise ConfigError("bench: need at least one case")
-    cases = [_checked("bench", benchmod.riemann_case, case_id=cid) for cid in bc_cfg["cases"]]
+    cases = {spec: build_ic(cfg, spec) for spec in bc_cfg["cases"]}
     step_cfg = step_config(cfg, gradient=cfg["step"]["gradient"].removeprefix("ml_"))
     head, mesh, rejected = f"config {config_hash(cfg)}", None, []
     if bc_cfg["kind"] == "gain":
-        if bc_cfg["bc"] not in ("subsonic_out", "periodic"):
-            raise ConfigError(f"bench.bc must be 'subsonic_out' or 'periodic', "
-                              f"got {bc_cfg['bc']!r}")
-        mesh = _checked("bench", benchmod.riemann_mesh, n=bc_cfg["n"],
-                        periodic=bc_cfg["bc"] == "periodic")
+        mesh = build_mesh_from_config(cfg)
         fine, pm = msh.refine_uniform(mesh)
-        artifacts = [f"gain_case{case.case_id}.csv" for case in cases]
-        for case, name in zip(cases, artifacts):
+        artifacts = [f"gain_{spec.replace(':', '')}.csv" for spec in cases]
+        for (spec, evaluate), name in zip(cases.items(), artifacts):
             rows, stopped = _checked(
-                "bench", benchmod.gain, evaluate=case.evaluate, coarse=mesh, fine=fine,
+                "bench", benchmod.gain, evaluate=evaluate, coarse=mesh, fine=fine,
                 pm=pm, cfg=step_cfg, params=params, n_steps=bc_cfg["n_steps"],
                 record_every=bc_cfg["record_every"])
             solver.write_csv(out / name, benchmod.GAIN_COLUMNS, rows, header_comment=head)
-            rejected += [{"case": case.case_id, "n": bc_cfg["n"], **entry} for entry in stopped]
-            log.info("case %d: mean gain over last quarter = %.2f%%", case.case_id,
+            rejected += [{"case": spec, "cells": mesh.n_cells, **entry} for entry in stopped]
+            log.info("%s: mean gain over last quarter = %.2f%%", spec,
                      np.mean([row[-1] for row in rows[-max(1, len(rows) // 4):]]))
     elif bc_cfg["kind"] == "study":
+        if cfg["mesh"]["kind"] in ("file", "forward_step"):
+            raise ConfigError(f"bench.kind 'study' sets mesh.n per level; "
+                              f"mesh.kind '{cfg['mesh']['kind']}' has no mesh.n")
+        meshes = [build_mesh_from_config({**cfg, "mesh": {**cfg["mesh"], "n": n}})
+                  for n in bc_cfg["levels"]]
         rows, slopes, rejected = _checked(
-            "bench", benchmod.error_cost_study, cases=cases, levels=bc_cfg["levels"],
+            "bench", benchmod.error_cost_study, cases=cases, meshes=meshes,
             cfg=step_cfg, params=params, t_final=bc_cfg["t_final"], repeats=bc_cfg["repeats"])
         solver.write_csv(out / "study.csv", benchmod.STUDY_COLUMNS, rows,
                          header_comment=f"{head} slopes {slopes}")
@@ -521,7 +526,7 @@ def cmd_bench(cfg, checkpoint=None):
         raise ConfigError(f"unknown bench.kind '{bc_cfg['kind']}'")
     _write_manifest(out, cfg, artifacts, mesh, rejected=rejected)
     for entry in rejected:
-        log.error("rejected: case %(case)s on n=%(n)s, run %(run)s at step %(step)s, "
+        log.error("rejected: %(case)s on %(cells)s cells, run %(run)s at step %(step)s, "
                   "cell %(cell)s", entry)
     return EXIT_NUMERIC if rejected else EXIT_OK
 

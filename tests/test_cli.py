@@ -44,7 +44,8 @@ def test_mesh_command_writes_mesh_and_manifest(run, tmp_path):
     assert manifest["config"]["mesh"]["n"] == 6
 
 
-@pytest.mark.parametrize("n,config_hash", [(6, "57e8ee8355a06caf"), (71, "324467b8b1a505e8")])
+@pytest.mark.parametrize("n,config_hash", [(6, "69288dfdb83f57cc"), (71, "3f5e482c6af19801")],
+                         ids=["6", "71"])
 def test_manifest_records_step_workers_and_numpy_version(run, tmp_path, n, config_hash):
     cfg = {"mesh": {"kind": "structured", "n": n, "periodic": True}}
     assert run("mesh", cfg) == cli.EXIT_OK
@@ -139,7 +140,7 @@ def test_missing_config_file_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "bench"])
 def test_missing_checkpoint_is_config_error(run, tmp_path, command):
-    cfg = {**SMALL, "simulate": {"n_steps": 1}, "bench": {"n": 4, "n_steps": 1}}
+    cfg = {**SMALL, "simulate": {"n_steps": 1}, "bench": {"n_steps": 1}}
     assert run(command, cfg, "--checkpoint", str(tmp_path / "none.gfnn")) == cli.EXIT_CONFIG
 
 
@@ -171,7 +172,7 @@ def test_checkpoint_not_sized_for_the_stencil_is_config_error(run, tmp_path, cap
 
 
 def test_bad_alpha_max_is_config_error(run):
-    cfg = {**SMALL, "net": {"alpha_max": 0.0}, "bench": {"n": 4, "n_steps": 1}}
+    cfg = {**SMALL, "net": {"alpha_max": 0.0}, "bench": {"n_steps": 1}}
     assert run("bench", cfg) == cli.EXIT_CONFIG
 
 
@@ -192,14 +193,21 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
     ("gradcheck", {**SMALL, "loss": {"tvd": -1.0}}),
     ("simulate", {**SMALL, "simulate": {"ic": "case:99", "n_steps": 1}}),
     ("simulate", {**SMALL, "simulate": {"ic": "case:six", "n_steps": 1}}),
-    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1, "record_every": 0}}),
-    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 0}}),
-    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1, "cases": [99]}}),
-    ("bench", {**SMALL, "bench": {"n": 0, "n_steps": 1}}),
-    ("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1, "cases": []}}),
+    ("simulate", {**SMALL, "simulate": {"ic": "family:f9", "n_steps": 1}}),
+    ("simulate", {**SMALL, "simulate": {"ic": "constant:a,1,1,1", "n_steps": 1}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 1, "record_every": 0}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 0}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 1, "cases": ["case:99"]}}),
+    ("bench", {"mesh": {"kind": "structured", "n": 0}, "bench": {"n_steps": 1}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 1, "cases": []}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 1, "cases": ["family:f9"]}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 1, "cases": ["constant:a,1,1,1"]}}),
+    ("bench", {**SMALL, "bench": {"n_steps": 1, "cases": [6]}}),
     ("bench", {**SMALL, "bench": {"kind": "study", "levels": [4, 6]}}),
     ("bench", {**SMALL, "bench": {"kind": "study", "cases": []}}),
     ("bench", {**SMALL, "bench": {"kind": "study", "repeats": 0}}),
+    ("bench", {"mesh": {"kind": "forward_step", "h_target": 0.2},
+               "bench": {"kind": "study", "levels": [4, 5, 6]}}),
     ("mesh", {"mesh": {"kind": "structured", "n": 0}}),
     ("simulate", {"mesh": {"kind": "irregular", "n": 0}, "simulate": {"n_steps": 1}}),
     ("mesh", {"mesh": {"kind": "forward_step", "h_target": 0.0}}),
@@ -218,16 +226,20 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
                   "simulate": {"n_steps": 1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
+        "simulate_unknown_family", "simulate_constant_not_a_number",
         "bench_record_every_zero",
         "bench_n_steps_zero", "bench_unknown_case", "bench_n_zero", "bench_no_cases",
+        "bench_unknown_family", "bench_constant_not_a_number", "bench_integer_case",
         "study_two_levels", "study_no_cases",
-        "study_zero_repeats", "mesh_n_zero", "simulate_irregular_n_zero",
+        "study_zero_repeats", "study_on_the_forward_step", "mesh_n_zero",
+        "simulate_irregular_n_zero",
         "mesh_h_target_zero", "mesh_h_target_negative", "step_save_every_zero",
         "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan",
         "gradcheck_param_sample_zero", "gradcheck_n_steps_zero", "dataset_count_negative",
         "dataset_n_val_negative", "dataset_mix_negative_fraction", "mesh_path_missing"])
-def test_out_of_range_value_is_config_error(run, command, cfg):
+def test_out_of_range_value_is_config_error(run, caplog, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
+    assert "config error" in caplog.text and "unknown config key" not in caplog.text
 
 
 def test_bad_train_config_is_config_error(run, tmp_path):
@@ -422,11 +434,29 @@ def test_a_mesh_file_the_build_rejects_exits_numeric(run, tmp_path, text):
 
 
 def test_bench_bc_takes_the_mesh_bc_tag_names(run, caplog):
-    cfg = {**SMALL, "bench": {"n": 4, "n_steps": 1, "bc": "subsonic_out"}}
+    cfg = {"mesh": {"n": 4, "periodic": False, "bc": "subsonic_out"}, "bench": {"n_steps": 1}}
     assert run("bench", cfg) == cli.EXIT_OK
-    cfg["bench"]["bc"] = "subsonic_outflow"
+    cfg["mesh"]["bc"] = "subsonic_outflow"
     assert run("bench", cfg) == cli.EXIT_CONFIG
-    assert "'subsonic_out' or 'periodic'" in caplog.text
+    assert "unknown mesh.bc tag 'subsonic_outflow'" in caplog.text
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("simulate", "family:f9"), ("simulate", "constant:a,1,1,1"),
+    ("bench", "family:f9"), ("bench", "constant:a,1,1,1"), ("bench", 6)])
+def test_a_malformed_ic_spec_is_named(run, caplog, command, spec):
+    section = {"simulate": {"ic": spec, "n_steps": 1},
+               "bench": {"cases": ["case:6", spec], "n_steps": 1}}[command]
+    assert run(command, {**SMALL, command: section}) == cli.EXIT_CONFIG
+    assert f"IC spec {spec!r}" in caplog.text
+
+
+@pytest.mark.parametrize("key,cfg", [("seed", {"seed": 0}), ("bench.n", {"bench": {"n": 27}}),
+                                     ("bench.bc", {"bench": {"bc": "periodic"}})],
+                         ids=["seed", "bench_n", "bench_bc"])
+def test_removed_keys_are_unknown(run, caplog, key, cfg):
+    assert run("bench", cfg) == cli.EXIT_CONFIG
+    assert f"unknown config key '{key}'" in caplog.text
 
 
 def test_diagnostics_csv_has_cfl_and_bc_clamps(run, tmp_path):
@@ -452,22 +482,24 @@ def test_numeric_error_inside_a_bench_run_exits_numeric(run, monkeypatch):
         raise mlcorr.NetworkError("non-finite activation", layer="head")
 
     monkeypatch.setattr(cli.benchmod, "score", fail)
-    assert run("bench", {**SMALL, "bench": {"n": 4, "n_steps": 1}}) == cli.EXIT_NUMERIC
+    assert run("bench", {**SMALL, "bench": {"n_steps": 1}}) == cli.EXIT_NUMERIC
 
 
 def test_bench_takes_the_step_config(run, tmp_path):
     """The gain scores step.gradient (less any ml_ prefix) and ml_<that>, with
     the configured limiter."""
-    bench_cfg = {"cases": [6], "n": 5, "n_steps": 6, "record_every": 3}
+    mesh_cfg = {"kind": "structured", "n": 5, "periodic": False}
+    bench_cfg = {"cases": ["case:6"], "n_steps": 6, "record_every": 3}
 
     def rows(step):
-        assert run("bench", {**SMALL, "step": step, "bench": bench_cfg}) == cli.EXIT_OK
+        cfg = {"mesh": mesh_cfg, "step": step, "bench": bench_cfg}
+        assert run("bench", cfg) == cli.EXIT_OK
         return (_out(tmp_path) / "gain_case6.csv").read_text().splitlines()[2:]
 
     default, gg = rows({}), rows({"gradient": "ml_gg"})
     assert rows({"limiter": False}) != default
     assert gg != default
-    coarse = bench.riemann_mesh(5, periodic=False)
+    coarse = msh.structured_mesh(5, boundary_spec=msh.BoundarySpec.uniform(msh.SUBSONIC_OUT))
     fine, pm = msh.refine_uniform(coarse)
     runs = {"gg": (solver.StepConfig(gradient="gg"), None),
             "ml_gg": (solver.StepConfig(gradient="ml_gg"), mlcorr.zero_params())}
@@ -482,19 +514,19 @@ def test_a_rejected_run_is_a_result(run, tmp_path, caplog):
     """At co 0.2 on 72 cells, case 11's reference and both coarse runs are
     rejected; case 6 is still scored, every file is written, and the command
     exits 3 naming each rejected run."""
-    cfg = {**SMALL, "step": {"co": 0.2},
-           "bench": {"cases": [11, 6], "n": 6, "n_steps": 20, "record_every": 5}}
+    cfg = {"mesh": {"kind": "structured", "n": 6, "periodic": False}, "step": {"co": 0.2},
+           "bench": {"cases": ["case:11", "case:6"], "n_steps": 20, "record_every": 5}}
     assert run("bench", cfg) == cli.EXIT_NUMERIC
     out = _out(tmp_path)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["artifacts"] == ["gain_case11.csv", "gain_case6.csv"]
-    assert [(e["case"], e["n"], e["run"]) for e in manifest["rejected"]] == [
-        (11, 6, "reference"), (11, 6, "lsq"), (11, 6, "ml_lsq")]
+    assert [(e["case"], e["cells"], e["run"]) for e in manifest["rejected"]] == [
+        ("case:11", 72, "reference"), ("case:11", 72, "lsq"), ("case:11", 72, "ml_lsq")]
     steps = {e["run"]: e["step"] for e in manifest["rejected"]}
     assert 5 < steps["reference"] < steps["lsq"] == steps["ml_lsq"] <= 20
     assert all(isinstance(e["cell"], int) for e in manifest["rejected"])
     for e in manifest["rejected"]:
-        assert f"case 11 on n=6, run {e['run']} at step {e['step']}, cell {e['cell']}" \
+        assert f"case:11 on 72 cells, run {e['run']} at step {e['step']}, cell {e['cell']}" \
             in caplog.text
     for cid in (11, 6):
         _, columns, *rows = (out / f"gain_case{cid}.csv").read_text().splitlines()
@@ -512,21 +544,52 @@ def test_a_rejected_study_run_is_a_result(run, tmp_path):
     the slopes read NaN, a rejected coarse run has no wall time, and the
     command exits 3 after writing study.csv."""
     cfg = {**SMALL, "step": {"co": 0.3},
-           "bench": {"kind": "study", "cases": [11, 6], "levels": [4, 5, 6], "t_final": 0.1,
-                     "repeats": 1}}
+           "bench": {"kind": "study", "cases": ["case:11", "case:6"], "levels": [4, 5, 6],
+                     "t_final": 0.1, "repeats": 1}}
     assert run("bench", cfg) == cli.EXIT_NUMERIC
     out = _out(tmp_path)
     rejected = json.loads((out / "run_manifest.json").read_text())["rejected"]
-    assert {(e["case"], e["n"]) for e in rejected if e["run"] == "reference"} == {
-        (cid, n) for cid in (11, 6) for n in (5, 6)}
+    assert {(e["case"], e["cells"]) for e in rejected if e["run"] == "reference"} == {
+        (spec, 2 * n * n) for spec in ("case:11", "case:6") for n in (5, 6)}
     assert any(e["run"] != "reference" for e in rejected)
     header, _, *rows = (out / "study.csv").read_text().splitlines()
     assert header.endswith("slopes {'lsq': nan, 'ml_lsq': nan}")
-    stopped = {(e["run"], e["case"], 2 * e["n"] ** 2) for e in rejected}
+    stopped = {(e["run"], e["case"], e["cells"]) for e in rejected}
     for row in rows:
-        mode, cid, _, cells, wall_s, error = row.split(",")
+        mode, spec, _, cells, wall_s, error = row.split(",")
         assert np.isnan(float(error)) == (cells != "32")
-        assert np.isnan(float(wall_s)) == ((mode, int(cid), int(cells)) in stopped)
+        assert np.isnan(float(wall_s)) == ((mode, spec, int(cells)) in stopped)
+
+
+def _rows(path):
+    _, columns, *rows = path.read_text().splitlines()
+    return [dict(zip(columns.split(","), row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize("mesh_cfg,spec", [
+    ({"kind": "irregular", "n": 8}, "family:f3"),
+    ({"kind": "forward_step", "h_target": 0.2}, "forward_step"),
+], ids=["irregular_family", "forward_step"])
+def test_bench_gain_runs_on_any_configured_mesh_and_ic(run, tmp_path, mesh_cfg, spec):
+    cfg = {"mesh": mesh_cfg, "bench": {"cases": [spec], "n_steps": 6, "record_every": 3}}
+    assert run("bench", cfg) == cli.EXIT_OK
+    name = f"gain_{spec.replace(':', '')}.csv"
+    assert json.loads((_out(tmp_path) / "run_manifest.json").read_text())["artifacts"] == [name]
+    rows = _rows(_out(tmp_path) / name)
+    assert [row["step"] for row in rows] == ["3", "6"]
+    assert all(np.isfinite(float(v)) for row in rows for v in row.values())
+    assert all(float(row["L_coarse"]) > 0 for row in rows)
+
+
+def test_bench_study_runs_on_irregular_levels(run, tmp_path):
+    cfg = {"mesh": {"kind": "irregular"},
+           "bench": {"kind": "study", "cases": ["case:6", "family:f3"], "levels": [4, 5, 6],
+                     "t_final": 0.005, "repeats": 1}}
+    assert run("bench", cfg) == cli.EXIT_OK
+    rows = _rows(_out(tmp_path) / "study.csv")
+    assert sorted({row["cells"] for row in rows}) == ["32", "50", "72"]
+    assert {row["case"] for row in rows} == {"case:6", "family:f3"}
+    assert all(np.isfinite(float(row["error"])) and float(row["error"]) > 0 for row in rows)
 
 
 def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
@@ -534,7 +597,7 @@ def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
            "dataset": {"count": 4, "n_val": 1, "steps": 4},
            "train": {"epochs": 1},
            "simulate": {"ic": "family:f3", "n_steps": 10},
-           "bench": {"n": 6, "n_steps": 20},
+           "bench": {"n_steps": 20},
            "gradcheck": {"param_sample": 8}}
     codes = {command: run(command, cfg) for command in
              ("mesh", "dataset", "gradcheck", "train", "simulate", "bench")}
@@ -543,7 +606,7 @@ def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
     for name in ("mesh.txt", "dataset/manifest.json", "gradcheck.json", "history.csv",
                  "params.gfnn", "frames.bin", "diagnostics.csv", "gain_case6.csv"):
         assert (out / name).is_file(), name
-    study = {"kind": "study", "cases": [6, 3], "levels": [4, 5, 6], "t_final": 0.005,
+    study = {"kind": "study", "cases": ["case:6", "case:3"], "levels": [4, 5, 6], "t_final": 0.005,
              "repeats": 1}
     assert run("bench", {**cfg, "bench": study}) == cli.EXIT_OK
     header, columns, *rows = (out / "study.csv").read_text().splitlines()
@@ -553,17 +616,55 @@ def test_every_command_runs_on_a_small_periodic_config(run, tmp_path):
     assert json.loads((out / "run_manifest.json").read_text())["artifacts"] == ["study.csv"]
 
 
+class _ReadKeys(dict):
+    """A config section that adds the dotted name of every key read from it
+    to ``read``.  Hashing or writing the config reads none."""
+
+    def __init__(self, data, read, path=""):
+        super().__init__((k, _ReadKeys(v, read, f"{path}{k}.") if isinstance(v, dict) else v)
+                         for k, v in data.items())
+        self._read, self._path = read, path
+
+    def __getitem__(self, key):
+        self._read.add(self._path + key)
+        return super().__getitem__(key)
+
+
+def test_every_config_key_is_read(run, tmp_path, monkeypatch):
+    """Every command, and mesh once per mesh.kind, under configs that record
+    the keys read: each leaf of SCHEMA must be read by some run."""
+    read, load = set(), cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: _ReadKeys(load(path), read))
+    cfg = {"mesh": {"n": 4}, "dataset": {"count": 1, "n_val": 1, "steps": 2},
+           "train": {"epochs": 1}, "simulate": {"ic": "family:f3", "n_steps": 2},
+           "gradcheck": {"param_sample": 4}, "bench": {"n_steps": 2}}
+    for command in ("dataset", "gradcheck", "train", "simulate", "bench"):
+        assert run(command, cfg) == cli.EXIT_OK, command
+    study = {"kind": "study", "levels": [3, 4, 5], "t_final": 0.005, "repeats": 1}
+    assert run("bench", {**cfg, "bench": study}) == cli.EXIT_OK
+    mesh_file = tmp_path / "mesh_file.txt"
+    mesh_file.write_text(MESH_FILE)
+    for mesh in ({"kind": "structured", "periodic": False}, {"kind": "irregular"},
+                 {"kind": "forward_step", "h_target": 0.5},
+                 {"kind": "file", "path": str(mesh_file)}):
+        assert run("mesh", {"mesh": mesh}) == cli.EXIT_OK, mesh
+    leaves = set()
+    for section, spec in cli.SCHEMA.items():
+        leaves |= {f"{section}.{key}" for key in spec} if isinstance(spec, dict) else {section}
+    assert leaves - read == set()
+
+
 # Outputs of `bench`, pinned bitwise: sha256 prefixes of the body (column line
 # and rows) of each gain CSV and of the error column of study.csv.  The
 # checkpoints are none (zero parameters), the seeded initialisation, whose
 # output head is zero, and a network with every entry non-zero.
+BENCH_GAIN = {"cases": ["case:6", "case:3"], "n_steps": 12, "record_every": 4}
 BENCH_RUNS = {
-    "gain_periodic": {"cases": [6, 3], "n": 6, "n_steps": 12, "record_every": 4,
-                      "bc": "periodic"},
-    "gain_subsonic_out": {"cases": [6, 3], "n": 6, "n_steps": 12, "record_every": 4,
-                          "bc": "subsonic_out"},
-    "study": {"kind": "study", "cases": [6, 3], "levels": [4, 5, 6], "t_final": 0.01,
-              "repeats": 1},
+    "gain_periodic": {**SMALL, "bench": BENCH_GAIN},
+    "gain_subsonic_out": {"mesh": {"kind": "structured", "n": 6, "periodic": False,
+                                   "bc": "subsonic_out"}, "bench": BENCH_GAIN},
+    "study": {**SMALL, "bench": {"kind": "study", "cases": ["case:6", "case:3"],
+                                 "levels": [4, 5, 6], "t_final": 0.01, "repeats": 1}},
 }
 BENCH_CHECKPOINTS = {"zero": None, "init": lambda: mlcorr.init_params(seed=0),
                      "seeded": seeded_network_params}
@@ -606,5 +707,5 @@ def test_bench_outputs_are_pinned(run, tmp_path, kind, checkpoint):
         path = tmp_path / "net.gfnn"
         mlcorr.save_params(BENCH_CHECKPOINTS[checkpoint](), path)
         extra = ["--checkpoint", str(path)]
-    assert run("bench", {**SMALL, "bench": BENCH_RUNS[kind]}, *extra) == cli.EXIT_OK
+    assert run("bench", BENCH_RUNS[kind], *extra) == cli.EXIT_OK
     assert _bench_digests(_out(tmp_path)) == BENCH_DIGESTS[kind, checkpoint]

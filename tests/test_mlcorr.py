@@ -46,41 +46,102 @@ def test_zero_params_give_zero_alpha(rng):
     assert (alpha == 0.0).all()
 
 
+U = np.finfo(np.float64).eps / 2     # unit roundoff
+TANH_ULPS = 4                        # assumed accuracy of np.tanh, in units in the last place
+
+
+def _gamma(k):
+    """Bound on the relative error of a float64 sum of k terms, in any order."""
+    return k * U / (1 - k * U)
+
+
+def _linear(x, e_x, w, b=None):
+    """x @ w.T (+ b) and a bound on its error, given a bound e_x on x's."""
+    y, mag = x @ w.T, np.abs(x) @ np.abs(w).T
+    if b is not None:
+        y, mag = y + b, mag + np.abs(b)
+    return y, e_x @ np.abs(w).T + _gamma(w.shape[1] + 1) * mag
+
+
+def _tanh(y, e_y):
+    t = np.tanh(y)
+    return t, e_y + TANH_ULPS * 2 * U * np.abs(t)     # |tanh'| <= 1, ulp(t) <= 2u|t|
+
+
 def _alpha_with_branch_head(params, du, theta):
     """network_forward in numpy with the head as first written: (N, n_in*P)
     branch features, reshaped, then summed over P against the trunk.  Takes
-    and returns cell-first (N, 3, 4) arrays and (N, 3) angles."""
+    and returns cell-first (N, 3, 4) arrays and (N, 3) angles.
+
+    Also returns a bound on each entry's float64 error, by a first-order
+    running error analysis (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3): a sum of k terms is off by at most
+    gamma_k times the sum of their magnitudes, whatever its order, each
+    other operation by a rounding of its result, tanh by TANH_ULPS ulps, and
+    each operand's error carries through the operation's derivative.  The
+    head's bound covers both the branch-head order and network_forward's
+    contraction of (trunk x h) over (p, w), so each evaluation is within it
+    of the exact network."""
     cfg = params.config
     L = {name: params.values[off:off + int(np.prod(shape))].reshape(shape)
          for name, shape, off in params.table}
-    n = du.shape[0]
-    z = du.reshape(n, cfg.n_in)
-    centered = z - np.mean(z, axis=1, keepdims=True)
-    scale = np.sqrt(np.mean(centered * centered, axis=1, keepdims=True) + mlcorr.NORM_EPS)
-    zn = centered / scale * L["norm_scale"] + L["norm_shift"]
-    h = zn @ L["branch0_skip"].T + np.tanh(zn @ L["branch0_w"].T + L["branch0_b"])
-    h = h + np.tanh(h @ L["branch1_w"].T + L["branch1_b"])
-    branch = (h @ L["head_w"].T + L["head_b"]).reshape(n, cfg.n_in, cfg.combine)
-    trunk = np.tanh(theta @ L["trunk_w"].T + L["trunk_b"])
-    raw = np.sum(branch * trunk[:, None, :], axis=2) * scale
-    alpha = np.nextafter(cfg.alpha_max, 0.0) * np.tanh(raw * (1.0 / cfg.alpha_max))
-    return alpha.reshape(du.shape)
+    n, m, width, combine = du.shape[0], cfg.n_in, cfg.width, cfg.combine
+    z = du.reshape(n, m)
+    mu = np.mean(z, axis=1, keepdims=True)
+    e_mu = _gamma(m + 1) * np.mean(np.abs(z), axis=1, keepdims=True)
+    centered = z - mu
+    e_c = e_mu + U * np.abs(centered)
+    var = np.mean(centered * centered, axis=1, keepdims=True)
+    e_var = (np.mean(2 * np.abs(centered) * e_c, axis=1, keepdims=True)
+             + _gamma(m + 2) * var)
+    scale = np.sqrt(var + mlcorr.NORM_EPS)
+    e_s = (e_var + U * scale * scale) / (2 * scale) + U * scale
+    zn0 = centered / scale
+    e_zn0 = (e_c + np.abs(zn0) * e_s) / scale + U * np.abs(zn0)
+    zn = zn0 * L["norm_scale"] + L["norm_shift"]
+    e_zn = (np.abs(L["norm_scale"]) * e_zn0
+            + _gamma(2) * (np.abs(zn0 * L["norm_scale"]) + np.abs(L["norm_shift"])))
+    skip, e_skip = _linear(zn, e_zn, L["branch0_skip"])
+    t0, e_t0 = _tanh(*_linear(zn, e_zn, L["branch0_w"], L["branch0_b"]))
+    h = skip + t0
+    e_h = e_skip + e_t0 + U * np.abs(h)
+    t1, e_t1 = _tanh(*_linear(h, e_h, L["branch1_w"], L["branch1_b"]))
+    h = h + t1
+    e_h = e_h + e_t1 + U * np.abs(h)
+    trunk, e_trunk = _tanh(*_linear(theta, np.zeros_like(theta), L["trunk_w"], L["trunk_b"]))
+    branch = (h @ L["head_w"].T + L["head_b"]).reshape(n, m, combine)
+    mag = (np.abs(h) @ np.abs(L["head_w"]).T + np.abs(L["head_b"])).reshape(n, m, combine)
+    e_branch = (e_h @ np.abs(L["head_w"]).T).reshape(n, m, combine)
+    t = trunk[:, None, :]
+    raw0 = np.sum(branch * t, axis=2)
+    e_raw0 = (np.sum(e_branch * np.abs(t) + mag * e_trunk[:, None, :], axis=2)
+              + _gamma(combine * (width + 1) + 2) * np.sum(mag * np.abs(t), axis=2))
+    raw = raw0 * scale
+    e_raw = e_raw0 * scale + np.abs(raw0) * e_s + U * np.abs(raw)
+    q = raw * (1.0 / cfg.alpha_max)
+    e_q = e_raw / cfg.alpha_max + U * np.abs(q)
+    c = np.nextafter(cfg.alpha_max, 0.0)
+    squashed = np.tanh(q)
+    alpha = c * squashed
+    e_alpha = c * (e_q + TANH_ULPS * 2 * U * np.abs(squashed)) + U * np.abs(alpha)
+    return alpha.reshape(du.shape), e_alpha.reshape(du.shape)
 
 
 def test_head_contraction_matches_branch_head_oracle(seeded_params, rng,
                                                     periodic_mesh_irregular):
     """The head contracts (trunk x h) against head_w in one matmul; that sums
-    in another order than the branch head, so alpha may move by round-off."""
+    in another order than the branch head, so alpha may move by round-off:
+    each entry by at most twice the oracle's error bound."""
     m = periodic_mesh_irregular
     du = rng.normal(size=(m.n_cells, 3, 4))
     alpha = mlcorr.network_forward(seeded_params, du.T, m.angles.T).T
-    expect = _alpha_with_branch_head(seeded_params, du, m.angles)
+    expect, bound = _alpha_with_branch_head(seeded_params, du, m.angles)
     assert np.abs(alpha).max() > 0.1
-    assert np.abs(alpha - expect).max() <= 1e-15 * np.abs(expect).max()
+    assert (np.abs(alpha - expect) <= 2 * bound).all()
 
     zero = mlcorr.zero_params()
     assert (mlcorr.network_forward(zero, du.T, m.angles.T) == 0.0).all()
-    assert (_alpha_with_branch_head(zero, du, m.angles) == 0.0).all()
+    assert (_alpha_with_branch_head(zero, du, m.angles)[0] == 0.0).all()
 
 
 def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
