@@ -17,6 +17,7 @@ the study call it.  A rejected step stops only its run, whose errors then
 read NaN, and is reported with its step and cell.
 """
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -29,21 +30,6 @@ from .bc import BCSpec, table_from_ic
 from .euler import cons_to_prim, prim_to_cons
 from .mesh import BoundarySpec
 
-# quadrant states printed in the reproduced study (they deviate slightly
-# from the external catalog); quadrant order Q1 upper-right, Q2 upper-left,
-# Q3 lower-left, Q4 lower-right, components (rho, u, v, p)
-_PAPER_CASES = {
-    6: ((1.0, 0.75, -0.5, 1.0),
-        (2.0, 0.75, 0.5, 1.0),
-        (2.0, -0.75, 0.5, 1.0),
-        (3.0, -0.75, -0.5, 1.0)),
-    11: ((1.0, 0.1, 0.1, 1.0),
-         (0.5313, 0.8276, 0.0, 0.4),
-         (0.8, 0.1, 0.0, 1.4),
-         (0.5313, 0.1, 0.7276, 0.4)),
-}
-
-
 @dataclass
 class RiemannCase:
     quadrants: np.ndarray     # (4, 4) primitive states, Q1..Q4
@@ -54,6 +40,7 @@ class RiemannCase:
         return train._quadrant_field(points, self.quadrants[[2, 3, 1, 0]])
 
 
+@functools.cache
 def _load_case_file():
     cases = {}
     text = resources.files("fvgrad").joinpath("data/riemann_cases.txt").read_text()
@@ -72,19 +59,12 @@ def _load_case_file():
     return out
 
 
-_FILE_CASES = None
-
-
 def riemann_case(case_id):
-    """Quadrant states for one test case; 6 and 11 are hard-coded."""
-    global _FILE_CASES
-    if case_id in _PAPER_CASES:
-        return RiemannCase(np.array(_PAPER_CASES[case_id]))
-    if _FILE_CASES is None:
-        _FILE_CASES = _load_case_file()
-    if case_id not in _FILE_CASES:
+    """Quadrant states for one test case of ``data/riemann_cases.txt``."""
+    cases = _load_case_file()
+    if case_id not in cases:
         raise ValueError(f"unknown Riemann case id {case_id}")
-    return RiemannCase(_FILE_CASES[case_id])
+    return RiemannCase(cases[case_id].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +206,7 @@ def fit_loglog_slope(h, err):
     return float(a)
 
 
-def error_cost_study(cases, meshes, cfg, params, t_final=0.2, repeats=3):
+def error_cost_study(cases, meshes, cfg, params, t_final, repeats):
     """Error and wall time per (mesh, case, mode) over a ladder of meshes.
 
     cases maps a name to an initial-condition evaluator; meshes are the

@@ -2,15 +2,21 @@
 
 Everything that affects numerics lives in a YAML config file; flags only
 pick the command, config path and verbosity, so a run is reproducible from
-its config alone.  Unknown config keys are rejected.  Every artifact
-directory receives a run manifest with the config hash, and text artifacts
-carry the hash in a header comment.
+its config alone.  Unknown config keys are rejected.  The keys and defaults
+of the ``step``, ``dataset``, ``train``, ``loss`` and ``net`` sections are
+the fields of their dataclasses (``solver.StepConfig`` with
+``euler.GasModel``, ``train.DatasetSpec``, ``train.TrainConfig``,
+``train.LossWeights``, ``mlcorr.NetConfig``), plus ``dataset.dir`` and
+``train.require_gradcheck``.  Every artifact directory receives a run
+manifest with the config hash, and text artifacts carry the hash in a
+header comment.
 
 Exit codes:
   0  ok
   2  config error: bad or unknown config key, a value out of its range
-     (e.g. ``step.co: 0``, a ``dataset.mix`` not summing to 1, a count such
-     as ``train.batch_size`` or ``gradcheck.param_sample`` below 1), an IC
+     (e.g. ``step.co`` or ``dataset.co`` not > 0, a ``dataset.mix`` not
+     summing to 1, a count such as ``train.epochs``, ``train.batch_size``
+     or ``gradcheck.param_sample`` below 1), an IC
      spec that does not parse (``simulate.ic`` or a ``bench.cases`` entry,
      e.g. ``family:f9``), a study on a ``mesh.kind`` without ``mesh.n``
      (``file``, ``forward_step``), missing config file or ``mesh.path``
@@ -48,6 +54,7 @@ if "numpy" not in sys.modules:
 
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
@@ -81,7 +88,24 @@ NUMERIC_ERRORS = (solver.SolverError, AdmissibilityError, msh.MeshError,
                   TraceError, mlcorr.NetworkError)
 
 
-# schema: key -> (type or nested dict, default); None type disables checking
+def _fields(cls):
+    """Schema entries key -> (type, default) of a dataclass's fields.  A
+    field that holds a dataclass gives that class's fields instead, in the
+    same section; a tuple field takes a YAML list."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            out.update(_fields(f.type))
+        elif f.type is tuple:
+            out[f.name] = (list, list(f.default))
+        else:
+            out[f.name] = (f.type, f.default)
+    return out
+
+
+# schema: key -> (type or nested dict, default).  The step, dataset, train,
+# loss and net sections are the fields of the objects built from them
+# (``_build``), with each field's own type and default.
 SCHEMA = {
     "out_dir": (str, "runs/out"),
     "mesh": {
@@ -93,46 +117,11 @@ SCHEMA = {
         "periodic": (bool, True),
         "bc": (str, "subsonic_out"),        # uniform tag when not periodic
     },
-    "step": {
-        "co": (float, 0.01),
-        "gradient": (str, "lsq"),
-        "limiter": (bool, True),
-        "limiter_k": (float, 5.0),
-        "gamma": (float, 1.4),
-        "save_every": (int, 10),
-    },
-    "dataset": {
-        "count": (int, 8),
-        "mix": (list, [0.5, 0.25, 0.25]),
-        "steps": (int, 2000),
-        "co": (float, 0.03),
-        "max_amp": (float, 6.0),
-        "seed": (int, 0),
-        "n_val": (int, 4),
-        "dir": (str, "dataset"),
-    },
-    "train": {
-        "lr": (float, 6e-5),
-        "decay": (float, 0.9),
-        "epochs": (int, 30),
-        "batch_size": (int, 16),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.99),
-        "weight_decay": (float, 0.0),
-        "checkpoint_every": (int, 1),
-        "seed": (int, 0),
-        "require_gradcheck": (bool, True),
-    },
-    "loss": {
-        "tvd": (float, 1e-6),
-        "ent": (float, 1e5),
-        "reg": (float, 1e-4),
-    },
-    "net": {
-        "width": (int, 8),
-        "combine": (int, 8),
-        "alpha_max": (float, 0.5),
-    },
+    "step": _fields(solver.StepConfig),     # with GasModel's gamma
+    "dataset": {**_fields(train.DatasetSpec), "dir": (str, "dataset")},
+    "train": {**_fields(train.TrainConfig), "require_gradcheck": (bool, True)},
+    "loss": _fields(train.LossWeights),
+    "net": _fields(mlcorr.NetConfig),
     "simulate": {
         "ic": (str, "case:6"),              # case:N | family:fX | constant:r,u,v,p
         "n_steps": (int, 200),
@@ -317,7 +306,7 @@ def build_ic(cfg, spec):
 
 def _checked(section, make, **kwargs):
     """make(**kwargs); its checks' ValueError, or the TypeError of a value of
-    the wrong element type (``dataset.mix: [a]``), is a config error.  A
+    the wrong element type (``bench.levels: [a]``), is a config error.  A
     numeric failure while make runs passes through unchanged."""
     try:
         return make(**kwargs)
@@ -327,33 +316,27 @@ def _checked(section, make, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def gas_model(cfg):
-    return _checked("step", GasModel, gamma=cfg["step"]["gamma"])
-
-
-def step_config(cfg, gradient=None, co=None):
-    sc = cfg["step"]
-    return _checked(
-        "step", solver.StepConfig,
-        co=co if co is not None else sc["co"],
-        gradient=gradient if gradient is not None else sc["gradient"],
-        limiter=sc["limiter"], limiter_k=sc["limiter_k"],
-        gas=gas_model(cfg), save_every=sc["save_every"])
-
-
-def net_config(cfg):
-    nc = cfg["net"]
+def _build(cfg, section, cls, **given):
+    """cls from config section: each field the given value, else the
+    section's key of its name (a dataclass field built the same way).  A
+    value its checks reject, NetConfig's NetworkError included, is a config
+    error."""
+    kwargs = {f.name: _build(cfg, section, f.type) if dataclasses.is_dataclass(f.type)
+              else cfg[section][f.name]
+              for f in dataclasses.fields(cls) if f.name not in given}
     try:
-        return mlcorr.NetConfig(width=nc["width"], combine=nc["combine"],
-                                alpha_max=nc["alpha_max"])
-    except mlcorr.NetworkError as exc:      # NetConfig's own value check
-        raise ConfigError(f"net: {exc}") from exc
+        return cls(**kwargs, **given)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def loss_weights(cfg):
-    lc = cfg["loss"]
-    return _checked("loss", train.LossWeights, tvd=lc["tvd"], ent=lc["ent"],
-                    reg=lc["reg"])
+def _training_setup(cfg):
+    """What gradcheck and train take alike: the ml_lsq step at dataset.co, the
+    loss weights and the network config."""
+    return {"step_cfg": _build(cfg, "step", solver.StepConfig, gradient="ml_lsq",
+                               co=cfg["dataset"]["co"]),
+            "weights": _build(cfg, "loss", train.LossWeights),
+            "net_config": _build(cfg, "net", mlcorr.NetConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +360,9 @@ def cmd_dataset(cfg):
     if coarse.n_ghost:
         raise ConfigError("dataset generation requires a periodic mesh")
     fine, pm = msh.refine_uniform(coarse)
-    dc = cfg["dataset"]
-    spec = _checked("dataset", train.DatasetSpec, count=dc["count"],
-                    mix=tuple(dc["mix"]), steps=dc["steps"], co=dc["co"],
-                    max_amp=dc["max_amp"], seed=dc["seed"], n_val=dc["n_val"])
-    manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir, gas_model(cfg))
+    spec = _build(cfg, "dataset", train.DatasetSpec)
+    manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir,
+                                      _build(cfg, "step", GasModel))
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
     # files under out_dir are listed relative to it, the others absolute
@@ -406,9 +387,7 @@ def cmd_gradcheck(cfg):
     gc = cfg["gradcheck"]
     report = _checked(
         "gradcheck", train.gradient_check,
-        mesh=mesh, step_cfg=step_config(cfg, gradient="ml_lsq", co=cfg["dataset"]["co"]),
-        weights=loss_weights(cfg), net_config=net_config(cfg),
-        gas=gas_model(cfg),
+        mesh=mesh, **_training_setup(cfg),
         n_steps=gc["n_steps"], rel_tol=gc["rel_tol"],
         param_sample=gc["param_sample"], seed=gc["seed"])
     report["config_hash"] = config_hash(cfg)
@@ -435,17 +414,9 @@ def cmd_train(cfg):
     coarse = build_mesh_from_config(cfg)
     trains, vals = _checked("dataset", train.load_dataset,
                             ds_dir=out / cfg["dataset"]["dir"], n_cells=coarse.n_cells)
-    tcfg = _checked(
-        "train", train.TrainConfig,
-        lr=tc["lr"], decay=tc["decay"], epochs=tc["epochs"],
-        batch_size=tc["batch_size"], beta1=tc["beta1"], beta2=tc["beta2"],
-        weight_decay=tc["weight_decay"], checkpoint_every=tc["checkpoint_every"],
-        seed=tc["seed"])
-    result = train.train(
-        coarse, step_config(cfg, gradient="ml_lsq", co=cfg["dataset"]["co"]),
-        trains, vals, tcfg=tcfg, weights=loss_weights(cfg),
-        net_config=net_config(cfg), gas=gas_model(cfg),
-        out_dir=out)
+    tcfg = _build(cfg, "train", train.TrainConfig)
+    result = train.train(mesh=coarse, train_trajs=trains, val_trajs=vals, tcfg=tcfg,
+                         out_dir=out, **_training_setup(cfg))
     solver.write_csv(out / "history.csv", train.HISTORY_COLUMNS,
                      ([row[c] for c in train.HISTORY_COLUMNS] for row in result.history),
                      header_comment=f"config {config_hash(cfg)}")
@@ -465,7 +436,6 @@ def cmd_simulate(cfg, checkpoint=None):
     mesh = build_mesh_from_config(cfg)
     ic = build_ic(cfg, cfg["simulate"]["ic"])
     bc_table = table_from_ic(mesh, ic)
-    gas = gas_model(cfg)
     params = None
     gradient = cfg["step"]["gradient"]
     if checkpoint is not None:
@@ -474,8 +444,8 @@ def cmd_simulate(cfg, checkpoint=None):
             gradient = f"ml_{gradient}"
     elif gradient.startswith("ml_"):
         raise ConfigError(f"gradient mode '{gradient}' needs a checkpoint")
-    cfg_step = step_config(cfg, gradient=gradient)
-    w0 = prim_to_cons(ic(mesh.centroid), gas)
+    cfg_step = _build(cfg, "step", solver.StepConfig, gradient=gradient)
+    w0 = prim_to_cons(ic(mesh.centroid), cfg_step.gas)
     record = solver.rollout(mesh, w0, cfg["simulate"]["n_steps"], cfg_step,
                             bc_table, params=params)
     solver.write_frames(out / "frames.bin", record.times, record.frames)
@@ -490,11 +460,13 @@ def cmd_simulate(cfg, checkpoint=None):
 def cmd_bench(cfg, checkpoint=None):
     out = out_dir_for(cfg)
     bc_cfg = cfg["bench"]
-    params = _load_checkpoint(checkpoint) if checkpoint else mlcorr.zero_params(net_config(cfg))
+    params = (_load_checkpoint(checkpoint) if checkpoint
+              else mlcorr.zero_params(_build(cfg, "net", mlcorr.NetConfig)))
     if not bc_cfg["cases"]:
         raise ConfigError("bench: need at least one case")
     cases = {spec: build_ic(cfg, spec) for spec in bc_cfg["cases"]}
-    step_cfg = step_config(cfg, gradient=cfg["step"]["gradient"].removeprefix("ml_"))
+    step_cfg = _build(cfg, "step", solver.StepConfig,
+                      gradient=cfg["step"]["gradient"].removeprefix("ml_"))
     head, mesh, rejected = f"config {config_hash(cfg)}", None, []
     if bc_cfg["kind"] == "gain":
         mesh = build_mesh_from_config(cfg)

@@ -64,12 +64,14 @@ class NetworkError(ValueError):
 class NetConfig:
     width: int = 8          # branch block width
     combine: int = 8        # inner-product dimension between branch and trunk
-    n_neighbors: int = 3
-    n_vars: int = 4
     alpha_max: float = 0.5
+    # class constants, not fields: the solver's stencil feeds the network the
+    # 4 Euler variables of 3 neighbours
+    n_neighbors = 3
+    n_vars = 4
 
     def __post_init__(self):
-        for name in ("width", "combine", "n_neighbors", "n_vars"):
+        for name in ("width", "combine"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise NetworkError(f"{name} must be a positive integer, got {value!r}")
@@ -288,7 +290,10 @@ def load_params(path):
             raise NetworkError(f"unsupported checkpoint version {version}")
         blob_len, = struct.unpack_from("<I", raw, pos)
         pos += 4
-        cfg = NetConfig(**json.loads(raw[pos:pos + blob_len].decode()))
+        blob = dict(json.loads(raw[pos:pos + blob_len].decode()))
+        sizes = {name: blob.pop(name, getattr(NetConfig, name))
+                 for name in ("n_vars", "n_neighbors")}
+        cfg = NetConfig(**blob)
         pos += blob_len
         n_entries, = struct.unpack_from("<I", raw, pos)
         pos += 4
@@ -316,10 +321,10 @@ def load_params(path):
         raise NetworkError(f"truncated checkpoint: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise NetworkError(f"corrupt checkpoint: {exc}") from exc
-    # the solver feeds the network the 4 Euler variables of 3 neighbours
-    if (cfg.n_vars, cfg.n_neighbors) != (4, 3):
-        raise NetworkError(f"checkpoint network takes n_vars={cfg.n_vars} and "
-                           f"n_neighbors={cfg.n_neighbors}; the solver's stencil has 4 and 3")
+    if sizes != {"n_vars": cfg.n_vars, "n_neighbors": cfg.n_neighbors}:
+        raise NetworkError(f"checkpoint network takes n_vars={sizes['n_vars']} and "
+                           f"n_neighbors={sizes['n_neighbors']}; the solver's stencil "
+                           f"has {cfg.n_vars} and {cfg.n_neighbors}")
     expected, _ = _make_table(cfg)
     for got, want in zip_longest(table, expected):
         if got != want:

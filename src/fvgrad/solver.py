@@ -78,7 +78,7 @@ class StepConfig:
     limiter: bool = True
     limiter_k: float = 5.0
     gas: GasModel = field(default_factory=GasModel)
-    save_every: int = 1
+    save_every: int = 10
 
     def __post_init__(self):
         if not self.co > 0:

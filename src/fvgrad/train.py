@@ -74,12 +74,9 @@ def draw_ic_params(family, rng):
 
 
 def _quadrant_index(x, y):
-    q = np.empty(x.shape, dtype=np.int64)
-    q[(x < 0.5) & (y < 0.5)] = 0
-    q[(x >= 0.5) & (y < 0.5)] = 1
-    q[(x < 0.5) & (y >= 0.5)] = 2
-    q[(x >= 0.5) & (y >= 0.5)] = 3
-    return q
+    """0..3 for the lower-left, lower-right, upper-left and upper-right
+    quadrants of [0,1]^2 at finite points."""
+    return (x >= 0.5) + 2 * (y >= 0.5)
 
 
 def _disk_quadrant_field(points, p):
@@ -138,12 +135,15 @@ class DatasetSpec:
     n_val: int = 4
 
     def __post_init__(self):
+        self.mix = tuple(self.mix)
         if len(self.mix) != len(FAMILIES) or not all(f >= 0 for f in self.mix):
             raise ValueError(f"family mix needs {len(FAMILIES)} fractions >= 0")
         if abs(sum(self.mix) - 1.0) > 1e-12:
             raise ValueError("family mix fractions must sum to 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not self.co > 0:
+            raise ValueError("co must be positive")
         if self.count < 1 or self.n_val < 0:
             raise ValueError("count must be >= 1 and n_val >= 0")
 
@@ -536,8 +536,8 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
-        if self.batch_size < 1 or self.checkpoint_every < 1:
-            raise ValueError("batch_size and checkpoint_every must be >= 1")
+        if min(self.epochs, self.batch_size, self.checkpoint_every) < 1:
+            raise ValueError("epochs, batch_size and checkpoint_every must be >= 1")
 
 
 @dataclass
@@ -581,7 +581,7 @@ def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas)
 
 def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
           weights=LossWeights(), net_config=mlcorr.NetConfig(),
-          gas=GasModel(), bc_table=None, out_dir=None, init=None):
+          bc_table=None, out_dir=None, init=None):
     """Optimize the correction network on one-step supervision pairs.
 
     Deterministic for a fixed seed: each minibatch's samples, and the
@@ -593,10 +593,12 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     epoch, and the final parameters to params.gfnn, when out_dir is set
     (the history is returned; the caller writes it).  Training aborts
     (keeping the last finite parameters) if the loss stops being finite.
+    The gas model is step_cfg's.
     """
     bc_table = bc_table or {}
     if not step_cfg.uses_network:
         raise ValueError("training requires an ml_* gradient mode")
+    gas = step_cfg.gas
     dt = solver.compute_dt(mesh, step_cfg)
     params = init if init is not None else mlcorr.init_params(net_config, tcfg.seed)
     moment = np.zeros_like(params.values)
@@ -693,11 +695,12 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
 # ---------------------------------------------------------------------------
 
 def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
-                   net_config=mlcorr.NetConfig(), gas=GasModel(), bc_table=None,
+                   net_config=mlcorr.NetConfig(), bc_table=None,
                    n_steps=2, rel_tol=1e-5, rel_step=5e-5, seed=0,
                    param_sample=None):
     """Compare reverse-mode and central-difference gradients of the full
-    multi-step training loss.  Returns a report dict with the pass flag.
+    multi-step training loss, with step_cfg's gas model.  Returns a report
+    dict with the pass flag.
 
     The default step balances truncation against round-off for this loss
     scale.  Entries outside tolerance are re-checked ("audited") over a
@@ -713,6 +716,7 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
     bc_table = bc_table or {}
     if step_cfg is None:
         step_cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    gas = step_cfg.gas
     rng = np.random.default_rng(seed)
     params = mlcorr.init_params(net_config, seed=seed)
     # random but small head so every layer influences the loss

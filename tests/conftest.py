@@ -65,6 +65,16 @@ def save_params_with_offset(params, path, name, offset):
     path.write_bytes(bytes(raw))
 
 
+def save_params_sized(params, path, name, value):
+    """Save params, then write a one-digit ``value`` for the network size
+    ``name`` (n_vars or n_neighbors) into the file's config blob."""
+    mlcorr.save_params(params, path)
+    raw = path.read_bytes()
+    old = f'"{name}": {getattr(params.config, name)}'.encode()
+    assert raw.count(old) == 1
+    path.write_bytes(raw.replace(old, f'"{name}": {value}'.encode()))
+
+
 def finite_diff_grad(fn, params, rel_step=1e-6):
     """Central finite differences of a scalar fn(params) -> float: the
     oracle of the tape's vector-Jacobian products."""

@@ -13,7 +13,7 @@ from fvgrad import autodiff as ad
 from fvgrad import bench, cli, mlcorr, solver, train
 from fvgrad import mesh as msh
 
-from conftest import save_params_with_offset, seeded_network_params
+from conftest import save_params_sized, save_params_with_offset, seeded_network_params
 
 SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
@@ -164,11 +164,11 @@ def test_checkpoint_with_a_wrong_offset_is_config_error(run, tmp_path, caplog):
 @pytest.mark.parametrize("field", ["n_vars", "n_neighbors"])
 def test_checkpoint_not_sized_for_the_stencil_is_config_error(run, tmp_path, caplog, field):
     path = tmp_path / "net.gfnn"
-    config = mlcorr.NetConfig(**{field: 5})
-    mlcorr.save_params(mlcorr.zero_params(config), path)
+    value = {"n_vars": 5, "n_neighbors": 4}[field]
+    save_params_sized(mlcorr.zero_params(), path, field, value)
     cfg = {**SMALL, "step": {"gradient": "ml_lsq"}, "simulate": {"n_steps": 1}}
     assert run("simulate", cfg, "--checkpoint", str(path)) == cli.EXIT_CONFIG
-    assert f"{field}=5" in caplog.text
+    assert f"{field}={value}" in caplog.text
 
 
 def test_bad_alpha_max_is_config_error(run):
@@ -224,6 +224,8 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
     ("dataset", {**SMALL, "dataset": {"mix": [1.5, -0.5, 0], "steps": 1}}),
     ("simulate", {"mesh": {"kind": "file", "path": "no_such_mesh.txt"},
                   "simulate": {"n_steps": 1}}),
+    ("dataset", {**SMALL, "dataset": {"co": 0, "steps": 1}}),
+    ("dataset", {**SMALL, "dataset": {"co": float("nan"), "steps": 1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "simulate_unknown_family", "simulate_constant_not_a_number",
@@ -236,17 +238,44 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
         "mesh_h_target_zero", "mesh_h_target_negative", "step_save_every_zero",
         "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan",
         "gradcheck_param_sample_zero", "gradcheck_n_steps_zero", "dataset_count_negative",
-        "dataset_n_val_negative", "dataset_mix_negative_fraction", "mesh_path_missing"])
+        "dataset_n_val_negative", "dataset_mix_negative_fraction", "mesh_path_missing",
+        "dataset_co_zero", "dataset_co_nan"])
 def test_out_of_range_value_is_config_error(run, caplog, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
     assert "config error" in caplog.text and "unknown config key" not in caplog.text
+
+
+def test_an_empty_config_builds_the_dataclass_defaults(tmp_path):
+    """With no key set, the CLI builds each object its section describes
+    equal to the dataclass's own default."""
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    cfg = cli.load_config(path)
+    assert cli._build(cfg, "step", solver.StepConfig) == solver.StepConfig()
+    assert cli._build(cfg, "dataset", train.DatasetSpec) == train.DatasetSpec()
+    assert cli._build(cfg, "train", train.TrainConfig) == train.TrainConfig()
+    assert cli._build(cfg, "loss", train.LossWeights) == train.LossWeights()
+    assert cli._build(cfg, "net", mlcorr.NetConfig) == mlcorr.NetConfig()
+
+
+def test_help_names_every_config_key_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    epilog = capsys.readouterr().out.splitlines()
+    leaves = {f"{section}.{key}": spec[key] for section, spec in cli.SCHEMA.items()
+              if isinstance(spec, dict) for key in spec}
+    leaves |= {key: spec for key, spec in cli.SCHEMA.items() if not isinstance(spec, dict)}
+    assert len(leaves) == 53
+    for name, (typ, default) in leaves.items():
+        assert f"  {name} ({typ.__name__}, default {default!r})" in epilog, name
 
 
 def test_bad_train_config_is_config_error(run, tmp_path):
     ds = _out(tmp_path) / "dataset"
     ds.mkdir(parents=True)
     (ds / "manifest.json").write_text(json.dumps({"trajectories": []}))
-    for bad in ({"decay": 0.0}, {"batch_size": 0}, {"checkpoint_every": 0}):
+    for bad in ({"decay": 0.0}, {"batch_size": 0}, {"checkpoint_every": 0}, {"epochs": 0}):
         cfg = {**SMALL, "train": {"require_gradcheck": False, **bad}}
         assert run("train", cfg) == cli.EXIT_CONFIG, bad
 

@@ -8,8 +8,8 @@ from fvgrad import mesh as msh
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
-from conftest import (random_admissible_prim, rotated_mesh, save_params_with_offset,
-                      smooth_prim_field)
+from conftest import (random_admissible_prim, rotated_mesh, save_params_sized,
+                      save_params_with_offset, smooth_prim_field)
 
 
 @pytest.fixture(scope="module")
@@ -362,14 +362,13 @@ def test_load_rejects_a_network_not_sized_for_the_stencil(tmp_path, field, value
     """The solver feeds the network 4 Euler variables of 3 neighbours; a
     checkpoint sized otherwise is corrupt, not a failure of the first step."""
     path = tmp_path / "net.gfnn"
-    mlcorr.save_params(mlcorr.zero_params(NetConfig(**{field: value})), path)
+    save_params_sized(mlcorr.zero_params(), path, field, value)
     with pytest.raises(NetworkError, match=f"{field}={value}"):
         mlcorr.load_params(path)
 
 
 @pytest.mark.parametrize("field,value", [("width", -1), ("width", 0), ("combine", 0),
-                                         ("combine", 2.5), ("width", True),
-                                         ("n_neighbors", 0), ("n_vars", "4")])
+                                         ("combine", 2.5), ("width", True)])
 def test_net_sizes_must_be_positive_integers(field, value):
     with pytest.raises(NetworkError, match=field):
         NetConfig(**{field: value})

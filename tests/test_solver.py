@@ -240,6 +240,19 @@ def test_l1_error_is_the_mean_over_cells_and_primitives():
     assert bench.l1_error(u, np.zeros((3, 4))) == bench.l1_error(np.zeros((3, 4)), u) == 5.5
 
 
+@pytest.mark.parametrize("case_id,quadrants", [
+    (6, ((1.0, 0.75, -0.5, 1.0), (2.0, 0.75, 0.5, 1.0),
+         (2.0, -0.75, 0.5, 1.0), (3.0, -0.75, -0.5, 1.0))),
+    (11, ((1.0, 0.1, 0.1, 1.0), (0.5313, 0.8276, 0.0, 0.4),
+          (0.8, 0.1, 0.0, 1.4), (0.5313, 0.1, 0.7276, 0.4))),
+], ids=["6", "11"])
+def test_the_studied_cases_hold_the_reproduced_study_states(case_id, quadrants):
+    """Cases 6 and 11 are the quadrant states printed in the reproduced
+    study (Q1..Q4, rho u v p), read from the case file like every other."""
+    got = bench.riemann_case(case_id).quadrants
+    assert got.dtype == np.float64 and (got == np.array(quadrants)).all()
+
+
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "subsonic_outflow"])
 def test_reference_is_the_projected_fine_march(periodic, gas):
     case = bench.riemann_case(6)
