@@ -19,7 +19,7 @@ read NaN, and is reported with its step and cell.
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -131,9 +131,9 @@ def l1_error(u, u_ref):
 
 def plain_and_corrected(cfg, params):
     """The runs a gain and the study compare: cfg's plain mode without
-    parameters and ml_<mode> with params."""
-    ml = replace(cfg, gradient=f"ml_{cfg.gradient}")
-    return {cfg.gradient: (cfg, None), ml.gradient: (ml, params)}
+    parameters and its corrected mode with params."""
+    plain, ml = cfg.plain(), cfg.corrected()
+    return {plain.gradient: (plain, None), ml.gradient: (ml, params)}
 
 
 def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
@@ -141,9 +141,9 @@ def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
 
     evaluate maps points to the primitive initial condition and gives each
     mesh's boundary table (``bc.table_from_ic``).  The reference is the fine
-    run with cfg projected onto the coarse mesh (``solver.reference``); runs
-    maps a name to a (StepConfig, params) pair.  All take the coarse time
-    step of cfg and advance together, one coarse step at a time.
+    run of cfg's plain mode projected onto the coarse mesh, as the dataset's
+    (``solver.reference``); runs maps a name to a (StepConfig, params) pair.
+    All take the coarse time step of cfg and advance together.
 
     Returns (rows, rejected).  rows holds (k, errors) at every record_every-th
     step and at step n_steps, errors a dict name -> ``l1_error``.  A run whose
@@ -159,7 +159,7 @@ def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
     gas = cfg.gas
     dt = solver.compute_dt(coarse, cfg)
     refs = solver.reference(coarse, fine, pm, prim_to_cons(evaluate(fine.centroid), gas),
-                            dt, n_steps, cfg, table_from_ic(fine, evaluate))
+                            dt, n_steps, cfg.plain(), table_from_ic(fine, evaluate))
     next(refs)                          # k = 0: the initial state
     marches = {REFERENCE: (w for _, w in refs)}
     w0 = prim_to_cons(evaluate(coarse.centroid), gas)

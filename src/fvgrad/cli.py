@@ -9,14 +9,16 @@ the fields of their dataclasses (``solver.StepConfig`` with
 ``train.LossWeights``, ``mlcorr.NetConfig``), plus ``dataset.dir`` and
 ``train.require_gradcheck``.  Every artifact directory receives a run
 manifest with the config hash, and text artifacts carry the hash in a
-header comment.
+header comment.  The ``step`` section sets the step for the dataset's
+references, gradcheck, training and scoring: the references march its plain
+mode and training its corrected mode (``StepConfig.plain``, ``corrected``).
 
 Exit codes:
   0  ok
   2  config error: bad or unknown config key, a value out of its range
-     (e.g. ``step.co`` or ``dataset.co`` not > 0, a ``dataset.mix`` not
-     summing to 1, a count such as ``train.epochs``, ``train.batch_size``
-     or ``gradcheck.param_sample`` below 1), an IC
+     (e.g. ``step.co`` not > 0, a ``dataset.mix`` not summing to 1, a
+     count such as ``train.epochs``, ``train.batch_size`` or
+     ``gradcheck.param_sample`` below 1), an IC
      spec that does not parse (``simulate.ic`` or a ``bench.cases`` entry,
      e.g. ``family:f9``), a study on a ``mesh.kind`` without ``mesh.n``
      (``file``, ``forward_step``), missing config file or ``mesh.path``
@@ -28,7 +30,7 @@ Exit codes:
      dataset directory without manifest.json, corrupt dataset (a manifest
      key missing, a frame file missing, unreadable or not matching its
      manifest sha256, or frames of another cell count than the configured
-     mesh)
+     mesh), a dataset whose manifest records no step or another step
   3  numeric failure: rejected solver step, inadmissible state (initial or
      boundary: an inflow state or back pressure taken from the initial
      condition), mesh error (a built-in mesh, or a ``mesh.path`` file that
@@ -37,7 +39,7 @@ Exit codes:
      past a rejected step: it writes every CSV, lists each rejected run
      (IC spec, mesh cell count, run, step and cell) under ``rejected`` in
      the run manifest and logs it, then exits 3
-  4  gradient-check failure, or a missing / stale gradcheck report
+  4  gradient-check failure, or a missing / stale gradcheck report (``gradcheck_hash``)
 """
 
 import os
@@ -68,7 +70,7 @@ from . import mesh as msh  # noqa: E402
 from . import mlcorr, solver, train  # noqa: E402
 from .autodiff import TraceError  # noqa: E402
 from .bc import table_from_ic  # noqa: E402
-from .euler import AdmissibilityError, GasModel, prim_to_cons  # noqa: E402
+from .euler import AdmissibilityError, prim_to_cons  # noqa: E402
 from .mesh import BoundarySpec  # noqa: E402
 
 log = logging.getLogger("fvgrad")
@@ -189,6 +191,11 @@ def load_config(path):
 def config_hash(cfg):
     return hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def gradcheck_hash(cfg):
+    """A gradcheck report's key: the hash of the sections its result reads."""
+    return config_hash({s: cfg[s] for s in ("mesh", "step", "loss", "net", "gradcheck")})
 
 
 def out_dir_for(cfg):
@@ -316,25 +323,21 @@ def _checked(section, make, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _build(cfg, section, cls, **given):
-    """cls from config section: each field the given value, else the
-    section's key of its name (a dataclass field built the same way).  A
-    value its checks reject, NetConfig's NetworkError included, is a config
-    error."""
+def _build(cfg, section, cls):
+    """cls from config section: each field the section's key of its name (a
+    dataclass field built the same way).  A value its checks reject,
+    NetConfig's NetworkError included, is a config error."""
     kwargs = {f.name: _build(cfg, section, f.type) if dataclasses.is_dataclass(f.type)
-              else cfg[section][f.name]
-              for f in dataclasses.fields(cls) if f.name not in given}
+              else cfg[section][f.name] for f in dataclasses.fields(cls)}
     try:
-        return cls(**kwargs, **given)
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _training_setup(cfg):
-    """What gradcheck and train take alike: the ml_lsq step at dataset.co, the
-    loss weights and the network config."""
-    return {"step_cfg": _build(cfg, "step", solver.StepConfig, gradient="ml_lsq",
-                               co=cfg["dataset"]["co"]),
+    """What gradcheck and train take alike: step, loss weights and network."""
+    return {"step_cfg": _build(cfg, "step", solver.StepConfig),
             "weights": _build(cfg, "loss", train.LossWeights),
             "net_config": _build(cfg, "net", mlcorr.NetConfig)}
 
@@ -362,7 +365,7 @@ def cmd_dataset(cfg):
     fine, pm = msh.refine_uniform(coarse)
     spec = _build(cfg, "dataset", train.DatasetSpec)
     manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir,
-                                      _build(cfg, "step", GasModel))
+                                      _build(cfg, "step", solver.StepConfig))
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
     # files under out_dir are listed relative to it, the others absolute
@@ -390,7 +393,7 @@ def cmd_gradcheck(cfg):
         mesh=mesh, **_training_setup(cfg),
         n_steps=gc["n_steps"], rel_tol=gc["rel_tol"],
         param_sample=gc["param_sample"], seed=gc["seed"])
-    report["config_hash"] = config_hash(cfg)
+    report["sections_hash"] = gradcheck_hash(cfg)
     (out / "gradcheck.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     log.info("gradcheck: pass=%s frac_ok=%.4f (report in gradcheck.json)",
              report["pass"], report["frac_ok"])
@@ -408,15 +411,16 @@ def cmd_train(cfg):
                       "first or set train.require_gradcheck: false", out)
             return EXIT_GRADCHECK
         report = json.loads(gc_path.read_text())
-        if not report.get("pass") or report.get("config_hash") != config_hash(cfg):
+        if not report.get("pass") or report.get("sections_hash") != gradcheck_hash(cfg):
             log.error("gradcheck report is failing or stale; refusing to train")
             return EXIT_GRADCHECK
     coarse = build_mesh_from_config(cfg)
-    trains, vals = _checked("dataset", train.load_dataset,
-                            ds_dir=out / cfg["dataset"]["dir"], n_cells=coarse.n_cells)
+    setup = _training_setup(cfg)
+    trains, vals = _checked("dataset", train.load_dataset, ds_dir=out / cfg["dataset"]["dir"],
+                            n_cells=coarse.n_cells, step_cfg=setup["step_cfg"])
     tcfg = _build(cfg, "train", train.TrainConfig)
     result = train.train(mesh=coarse, train_trajs=trains, val_trajs=vals, tcfg=tcfg,
-                         out_dir=out, **_training_setup(cfg))
+                         out_dir=out, **setup)
     solver.write_csv(out / "history.csv", train.HISTORY_COLUMNS,
                      ([row[c] for c in train.HISTORY_COLUMNS] for row in result.history),
                      header_comment=f"config {config_hash(cfg)}")
@@ -437,14 +441,12 @@ def cmd_simulate(cfg, checkpoint=None):
     ic = build_ic(cfg, cfg["simulate"]["ic"])
     bc_table = table_from_ic(mesh, ic)
     params = None
-    gradient = cfg["step"]["gradient"]
+    cfg_step = _build(cfg, "step", solver.StepConfig)
     if checkpoint is not None:
         params = _load_checkpoint(checkpoint)
-        if not gradient.startswith("ml_"):
-            gradient = f"ml_{gradient}"
-    elif gradient.startswith("ml_"):
-        raise ConfigError(f"gradient mode '{gradient}' needs a checkpoint")
-    cfg_step = _build(cfg, "step", solver.StepConfig, gradient=gradient)
+        cfg_step = cfg_step.corrected()
+    elif cfg_step.uses_network:
+        raise ConfigError(f"gradient mode '{cfg_step.gradient}' needs a checkpoint")
     w0 = prim_to_cons(ic(mesh.centroid), cfg_step.gas)
     record = solver.rollout(mesh, w0, cfg["simulate"]["n_steps"], cfg_step,
                             bc_table, params=params)
@@ -465,8 +467,7 @@ def cmd_bench(cfg, checkpoint=None):
     if not bc_cfg["cases"]:
         raise ConfigError("bench: need at least one case")
     cases = {spec: build_ic(cfg, spec) for spec in bc_cfg["cases"]}
-    step_cfg = _build(cfg, "step", solver.StepConfig,
-                      gradient=cfg["step"]["gradient"].removeprefix("ml_"))
+    step_cfg = _build(cfg, "step", solver.StepConfig)
     head, mesh, rejected = f"config {config_hash(cfg)}", None, []
     if bc_cfg["kind"] == "gain":
         mesh = build_mesh_from_config(cfg)

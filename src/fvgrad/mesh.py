@@ -1,8 +1,8 @@
 """Unstructured triangular meshes for the cell-centered finite volume solver.
 
 A built ``Mesh`` is immutable and carries every derived quantity the solver
-needs: face geometry (length, midpoint, left/right cells, unit normal
-oriented left to right), per-cell neighbor tables in counter-clockwise
+needs: face geometry (midpoint, left/right cells, unit normal oriented
+left to right), per-cell neighbor tables in counter-clockwise
 order, the stencil angles between successive centroid-to-centroid
 directions, precomputed inverse least-squares normal matrices, ghost
 slots for non-periodic boundary faces, and the constants that
@@ -30,8 +30,8 @@ neighbouring quad.
 
 Periodic boundaries are resolved at build time: the two paired boundary
 faces are merged into a single interior-like face whose right cell sits at
-a virtually translated centroid (``f_shift`` records the translation), so
-periodic cells look like interior cells to every downstream consumer.
+a virtually translated centroid, so periodic cells look like interior
+cells to every downstream consumer.
 
 Ghost cells (one layer) mirror the interior centroid across the boundary
 face; their values are synthesized per step by the boundary-condition
@@ -155,22 +155,17 @@ class Mesh:
     f_left: np.ndarray         # (F,) left cell id
     f_right: np.ndarray        # (F,) right cell id or ghost slot >= n_cells
     f_normal: np.ndarray       # (F, 2) unit, left -> right
-    f_len: np.ndarray          # (F,)
     f_mid: np.ndarray          # (F, 2) midpoint on the left side
-    f_shift: np.ndarray        # (F, 2) left-midpoint minus right-midpoint (periodic)
     n_iface: int               # faces with a real cell on both sides
     f_slot_l: np.ndarray       # (F,) flat stencil slot of the left side
     f_slot_r: np.ndarray       # (n_iface,) flat stencil slot of the right side
     # boundary faces (face ids n_iface..F-1, grouped by tag)
-    b_tag: np.ndarray          # (Fb,)
     tag_slices: dict           # tag code -> slice into boundary order
     boundary_edges: np.ndarray # (Eb, 4) node_a, node_b, tag, group (pre-merge),
                                # in edge order
     # per-cell tables: neighbors CCW, starting right after the largest
     # stencil angle (ties: see _stencil_start), so angles[:, 2] is the largest
     nbr: np.ndarray            # (N, 3) extended ids (ghosts >= n_cells)
-    nbr_dx: np.ndarray         # (N, 3) neighbor centroid offsets (virtual)
-    nbr_dy: np.ndarray
     lsq_wd: np.ndarray         # (2, 3, N) LSQ weight 1/|d|^2 times offset d
     inv11: np.ndarray          # (N,) inverse LSQ normal matrix entries
     inv12: np.ndarray
@@ -182,7 +177,6 @@ class Mesh:
     cell_sn: np.ndarray        # (2, 3, N) outward normal times face length
     slot_face: np.ndarray      # (3, N) face of each stencil slot
     slot_len: np.ndarray       # (3, N) its length, negative on the right side
-    ghost_centroid: np.ndarray = field(default=None)  # (Fb, 2) mirrored centers
     region: np.ndarray = field(default=None)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -471,18 +465,15 @@ def build_mesh(nodes, triangles, boundary_spec=None):
                               n_cells + np.arange(len(ghost))])
     f_nx, f_ny, f_len = e_nx[f_edge], e_ny[f_edge], e_len[f_edge]
     f_mx, f_my = e_mx[f_edge], e_my[f_edge]
-    f_shift = np.zeros((F, 2))
-    f_shift[len(inner):n_iface, 0] = e_mx[side_a] - e_mx[side_b]
-    f_shift[len(inner):n_iface, 1] = e_my[side_a] - e_my[side_b]
-    f_sx, f_sy = f_shift.T
+    f_sx, f_sy = np.zeros(F), np.zeros(F)
+    f_sx[len(inner):n_iface] = e_mx[side_a] - e_mx[side_b]
+    f_sy[len(inner):n_iface] = e_my[side_a] - e_my[side_b]
     g_cell, g_nx, g_ny = f_left[n_iface:], f_nx[n_iface:], f_ny[n_iface:]
     depth = (f_mx[n_iface:] - cx[g_cell]) * g_nx + (f_my[n_iface:] - cy[g_cell]) * g_ny
     g_cx = cx[g_cell] + 2.0 * depth * g_nx
     g_cy = cy[g_cell] + 2.0 * depth * g_ny
-    tag_slices = {}
-    for code in sorted(set(b_tag.tolist())):
-        idx = np.where(b_tag == code)[0]
-        tag_slices[code] = slice(int(idx[0]), int(idx[-1]) + 1)
+    codes, starts, counts = np.unique(b_tag, return_index=True, return_counts=True)
+    tag_slices = {int(c): slice(int(s), int(s + n)) for c, s, n in zip(codes, starts, counts)}
 
     # per-cell tables, one row per stencil slot: the face of each half-edge,
     # and whether the cell is that face's left cell; slot k * N + i is
@@ -569,15 +560,12 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, sqrt_area=np.sqrt(area),
         centroid=np.column_stack([cx, cy]),
         f_left=f_left, f_right=f_right, f_normal=np.column_stack([f_nx, f_ny]),
-        f_len=f_len, f_mid=np.column_stack([f_mx, f_my]),
-        f_shift=f_shift, n_iface=n_iface,
+        f_mid=np.column_stack([f_mx, f_my]), n_iface=n_iface,
         f_slot_l=f_slot_l, f_slot_r=f_slot_r, slot_face=face, slot_len=slot_len,
-        b_tag=b_tag, tag_slices=tag_slices, boundary_edges=boundary_edges,
-        nbr=nbr.T.copy(), nbr_dx=dx.T.copy(), nbr_dy=dy.T.copy(),
+        tag_slices=tag_slices, boundary_edges=boundary_edges, nbr=nbr.T.copy(),
         lsq_wd=lsq_wd, inv11=inv11, inv12=inv12, inv22=inv22,
         angles=angles.T.copy(), interior_mask=interior_mask,
         cell_foff=cell_foff, cell_sn=cell_sn,
-        ghost_centroid=np.column_stack([g_cx, g_cy]),
     )
     for arr in vars(m).values():
         if isinstance(arr, np.ndarray):

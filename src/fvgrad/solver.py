@@ -45,7 +45,7 @@ import contextvars
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class StepConfig:
-    co: float = 0.01
+    co: float = 0.03
     gradient: str = "lsq"
     limiter: bool = True
     limiter_k: float = 5.0
@@ -94,6 +94,14 @@ class StepConfig:
     @property
     def uses_network(self):
         return self.gradient.startswith("ml_")
+
+    def plain(self):
+        """This step with the plain mode: the gradient less any ml_ prefix."""
+        return replace(self, gradient=self.gradient.removeprefix("ml_"))
+
+    def corrected(self):
+        """This step with the corrected mode: ml_ and the plain mode."""
+        return replace(self, gradient=f"ml_{self.plain().gradient}")
 
 
 @dataclass

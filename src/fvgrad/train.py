@@ -1,10 +1,10 @@
 """Dataset generation, the regularized loss, and the optimization loop.
 
-Reference data comes from the plain solver on a one-level refinement of the
-training mesh, projected back by area-weighted means, so every coarse frame
-has a matching fine-grid truth at the same time instant.  Supervision is
-one step: from the projected state at t, one corrected solver step is
-compared against the projected reference at t + dt.
+Reference data comes from the configured step's plain mode on a one-level
+refinement of the training mesh, projected back by area-weighted means
+(``solver.reference``), so every coarse frame has a matching fine-grid truth
+at the same time instant.  Supervision is one step: from the projected state
+at t, one corrected step is compared against the projected reference at t + dt.
 
 The total loss is the relative-L2 supervision error (scaled by 100) plus
 entropy-inequality, total-variation-growth and L1 parameter penalties.
@@ -129,7 +129,6 @@ class DatasetSpec:
     count: int = 8
     mix: tuple = (0.5, 0.25, 0.25)
     steps: int = 2000
-    co: float = 0.03
     max_amp: float = 6.0
     seed: int = 0
     n_val: int = 4
@@ -142,8 +141,6 @@ class DatasetSpec:
             raise ValueError("family mix fractions must sum to 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self.co > 0:
-            raise ValueError("co must be positive")
         if self.count < 1 or self.n_val < 0:
             raise ValueError("count must be >= 1 and n_val >= 0")
 
@@ -171,16 +168,15 @@ class Trajectory:
         return self.frames.shape[0] - 1
 
 
-def reference_trajectory(coarse, fine, pm, w0_fine, steps, co, gas=GasModel()):
-    """Fine-grid rollout projected onto the coarse mesh at every coarse step."""
-    cfg = solver.StepConfig(co=co, gradient="lsq", gas=gas)
-    dt = solver.compute_dt(coarse, cfg)
-    refs = solver.reference(coarse, fine, pm, w0_fine, dt, steps, cfg)
-    return np.stack([w for _, w in refs])
+def step_record(step_cfg):
+    """What a dataset's manifest records of the plain step its references march."""
+    plain = step_cfg.plain()
+    return {"co": plain.co, "gradient": plain.gradient, "limiter": plain.limiter,
+            "limiter_k": plain.limiter_k, "gamma": plain.gas.gamma}
 
 
-def generate_dataset(spec, coarse, fine, pm, out_dir, gas=GasModel()):
-    """Reference trajectories for training and validation, written to out_dir.
+def generate_dataset(spec, coarse, fine, pm, out_dir, step_cfg):
+    """Reference trajectories of step_cfg's plain mode, written to out_dir.
 
     The process that computes a trajectory writes its frame file and hashes
     it, so each process holds one trajectory at a time.  The caller writes
@@ -191,22 +187,23 @@ def generate_dataset(spec, coarse, fine, pm, out_dir, gas=GasModel()):
     n = spec.count + spec.n_val
     seeds = np.random.SeedSequence(spec.seed).spawn(n)
     fams = spec.families() + spec.families(spec.n_val)
-    dt = solver.compute_dt(coarse, solver.StepConfig(co=spec.co))
+    plain = step_cfg.plain()
+    dt = solver.compute_dt(coarse, plain)
 
     def make(j):
         fam = fams[j]
         kind, i = ("train", j) if j < spec.count else ("val", j - spec.count)
         name = f"{kind}_{i:03d}.frames"
         params = draw_ic_params(fam, np.random.default_rng(seeds[j]))
-        w0 = prim_to_cons(evaluate_ic(fam, params, fine.centroid, spec.max_amp), gas)
-        frames = reference_trajectory(coarse, fine, pm, w0, spec.steps, spec.co, gas)
-        solver.write_frames(out / name, [k * dt for k in range(frames.shape[0])], frames)
-        log.info("dataset trajectory %s (%s): %d frames", name, fam, frames.shape[0])
+        w0 = prim_to_cons(evaluate_ic(fam, params, fine.centroid, spec.max_amp), plain.gas)
+        frames = [w for _, w in solver.reference(coarse, fine, pm, w0, dt, spec.steps, plain)]
+        solver.write_frames(out / name, [k * dt for k in range(len(frames))], frames)
+        log.info("dataset trajectory %s (%s): %d frames", name, fam, len(frames))
         return {"file": name, "kind": kind, "family": fam, "sha256": _sha256(out / name)}
 
     with _Shares([make], n) as shares:
         entries = shares.map(make, range(n))
-    manifest = {"spec": asdict(spec), "trajectories": entries}
+    manifest = {"spec": asdict(spec), "step": step_record(step_cfg), "trajectories": entries}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
@@ -217,12 +214,13 @@ def dataset_files(manifest):
     return ["manifest.json"] + [entry["file"] for entry in manifest["trajectories"]]
 
 
-def load_dataset(ds_dir, n_cells):
+def load_dataset(ds_dir, n_cells, step_cfg):
     """(train, val) lists of Trajectory from a ``generate_dataset`` directory.
     A missing manifest, a manifest without ``trajectories`` or an entry
     without ``file``, ``kind`` or ``family``, a frame file that is missing,
     unreadable or not its manifest sha256, or frames of another cell count
-    than n_cells raise a ValueError naming the file (and the missing key)."""
+    than n_cells raise a ValueError naming the file (and the missing key), as
+    does a ``step_record`` other than step_cfg's (naming the first field)."""
     ds_dir = Path(ds_dir)
     if not (ds_dir / "manifest.json").is_file():
         raise ValueError(f"no dataset in {ds_dir} (manifest.json missing); "
@@ -230,6 +228,12 @@ def load_dataset(ds_dir, n_cells):
     manifest = json.loads((ds_dir / "manifest.json").read_text())
     if "trajectories" not in manifest:
         raise ValueError("dataset file manifest.json lacks key 'trajectories'")
+    recorded = manifest.get("step", {})
+    for key, want in step_record(step_cfg).items():
+        if recorded.get(key) != want:
+            got = f"step.{key} {recorded[key]!r}" if key in recorded else f"no step.{key}"
+            raise ValueError(f"dataset file manifest.json records {got}, configured "
+                             f"{want!r}; re-run the dataset command")
     trains, vals = [], []
     for j, entry in enumerate(manifest["trajectories"]):
         for key in ("file", "kind", "family"):
@@ -582,7 +586,7 @@ def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas)
 def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
           weights=LossWeights(), net_config=mlcorr.NetConfig(),
           bc_table=None, out_dir=None, init=None):
-    """Optimize the correction network on one-step supervision pairs.
+    """Optimize step_cfg's corrected mode on one-step supervision pairs.
 
     Deterministic for a fixed seed: each minibatch's samples, and the
     validation pairs, are computed in shares on every CPU the process may
@@ -596,8 +600,7 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     The gas model is step_cfg's.
     """
     bc_table = bc_table or {}
-    if not step_cfg.uses_network:
-        raise ValueError("training requires an ml_* gradient mode")
+    step_cfg = step_cfg.corrected()
     gas = step_cfg.gas
     dt = solver.compute_dt(mesh, step_cfg)
     params = init if init is not None else mlcorr.init_params(net_config, tcfg.seed)
@@ -699,8 +702,8 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
                    n_steps=2, rel_tol=1e-5, rel_step=5e-5, seed=0,
                    param_sample=None):
     """Compare reverse-mode and central-difference gradients of the full
-    multi-step training loss, with step_cfg's gas model.  Returns a report
-    dict with the pass flag.
+    multi-step training loss, step_cfg's corrected mode against its plain
+    mode (``StepConfig()`` if None).  Returns a report dict with the pass flag.
 
     The default step balances truncation against round-off for this loss
     scale.  Entries outside tolerance are re-checked ("audited") over a
@@ -714,8 +717,8 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
     if param_sample is not None and param_sample < 1:
         raise ValueError(f"param_sample must be >= 1, got {param_sample}")
     bc_table = bc_table or {}
-    if step_cfg is None:
-        step_cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    step_cfg = step_cfg or solver.StepConfig()
+    ref_cfg, step_cfg = step_cfg.plain(), step_cfg.corrected()
     gas = step_cfg.gas
     rng = np.random.default_rng(seed)
     params = mlcorr.init_params(net_config, seed=seed)
@@ -736,8 +739,6 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
     dt = solver.compute_dt(mesh, step_cfg)
 
     # fixed reference trajectory: baseline run from a slightly scaled state
-    ref_cfg = solver.StepConfig(co=step_cfg.co, gradient="lsq", gas=gas,
-                                limiter=step_cfg.limiter)
     w_ref = w0 * np.array([1.02, 1.0, 1.0, 1.02])
     refs = [cons_to_prim(w_ref, gas)]
     refs += [cons_to_prim(w, gas)

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,52 @@ def smooth_prim_field(points, amp=0.3):
         -amp * np.cos(2 * np.pi * x),
         1.0 + amp * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y),
     ])
+
+
+def _half_edge_midpoints(m, cells):
+    """Per cell, its three half-edges in ``tri`` order: their midpoints
+    (n, 3, 2) and node offsets head minus tail (n, 3, 2)."""
+    tail = m.nodes[m.tri[cells]]
+    head = m.nodes[m.tri[cells][:, [1, 2, 0]]]
+    return (tail + head) / 2.0, head - tail
+
+
+def mesh_geometry(m):
+    """The geometry ``build_mesh`` uses but does not keep, computed from
+    the nodes and the kept tables as the build computes it, bitwise:
+    ``f_len`` (F,), ``f_shift`` (F, 2) (left-side midpoint minus right-side
+    midpoint; non-zero only on merged periodic faces), ``b_tag`` (Fb,),
+    ``nbr_dx`` and ``nbr_dy`` (N, 3) (neighbour centroid offsets in stencil
+    order, across the periodic wrap) and ``ghost_centroid`` (Fb, 2)."""
+    n, ni = m.n_cells, m.n_iface
+    faces = np.arange(m.n_faces)
+    # each face is its left cell's half-edge with the face's midpoint
+    mids, offsets = _half_edge_midpoints(m, m.f_left)
+    k = np.argmax((mids == m.f_mid[:, None, :]).all(axis=2), axis=1)
+    assert (mids[faces, k] == m.f_mid).all()
+    f_len = np.hypot(*offsets[faces, k].T)
+    # the right cell's side of an interior face: the half-edge nearest the
+    # face midpoint the right slot's centroid-to-face offset points at
+    mids_r, _ = _half_edge_midpoints(m, m.f_right[:ni])
+    seen = (m.cell_foff.reshape(2, 3 * n)[:, m.f_slot_r].T + m.centroid[m.f_right[:ni]])
+    k_r = np.argmin(np.hypot(*(mids_r - seen[:, None, :]).transpose(2, 0, 1)), axis=1)
+    f_shift = np.zeros((m.n_faces, 2))
+    f_shift[:ni] = m.f_mid[:ni] - mids_r[np.arange(ni), k_r]
+    b_tag = np.empty(m.n_ghost, dtype=np.int64)
+    for code, where in m.tag_slices.items():
+        b_tag[where] = code
+    # ghosts mirror their cell's centroid across the boundary face
+    cell, (gnx, gny) = m.f_left[ni:], m.f_normal[ni:].T
+    cx, cy = m.centroid.T
+    depth = (m.f_mid[ni:, 0] - cx[cell]) * gnx + (m.f_mid[ni:, 1] - cy[cell]) * gny
+    ghost = np.column_stack([cx[cell] + 2.0 * depth * gnx, cy[cell] + 2.0 * depth * gny])
+    # a neighbour seen from its left side sits at its centroid plus the face's shift
+    left = m.slot_len > 0
+    shift = [np.where(left, s[m.slot_face], -s[m.slot_face]) for s in f_shift.T]
+    ext = np.concatenate([m.centroid, ghost])
+    nbr_dx, nbr_dy = ((ext[m.nbr.T, c] + s - m.centroid[:, c]).T for c, s in zip((0, 1), shift))
+    return SimpleNamespace(f_len=f_len, f_shift=f_shift, b_tag=b_tag,
+                           nbr_dx=nbr_dx, nbr_dy=nbr_dy, ghost_centroid=ghost)
 
 
 def rotated_mesh(m, theta):

@@ -44,7 +44,7 @@ def test_mesh_command_writes_mesh_and_manifest(run, tmp_path):
     assert manifest["config"]["mesh"]["n"] == 6
 
 
-@pytest.mark.parametrize("n,config_hash", [(6, "69288dfdb83f57cc"), (71, "3f5e482c6af19801")],
+@pytest.mark.parametrize("n,config_hash", [(6, "6637c827f629e1fd"), (71, "134e8cc7b2cb4f7b")],
                          ids=["6", "71"])
 def test_manifest_records_step_workers_and_numpy_version(run, tmp_path, n, config_hash):
     cfg = {"mesh": {"kind": "structured", "n": n, "periodic": True}}
@@ -224,8 +224,8 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
     ("dataset", {**SMALL, "dataset": {"mix": [1.5, -0.5, 0], "steps": 1}}),
     ("simulate", {"mesh": {"kind": "file", "path": "no_such_mesh.txt"},
                   "simulate": {"n_steps": 1}}),
-    ("dataset", {**SMALL, "dataset": {"co": 0, "steps": 1}}),
-    ("dataset", {**SMALL, "dataset": {"co": float("nan"), "steps": 1}}),
+    ("dataset", {**SMALL, "step": {"co": 0}, "dataset": {"steps": 1}}),
+    ("dataset", {**SMALL, "step": {"co": float("nan")}, "dataset": {"steps": 1}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "simulate_unknown_family", "simulate_constant_not_a_number",
@@ -266,7 +266,7 @@ def test_help_names_every_config_key_with_its_default(capsys):
     leaves = {f"{section}.{key}": spec[key] for section, spec in cli.SCHEMA.items()
               if isinstance(spec, dict) for key in spec}
     leaves |= {key: spec for key, spec in cli.SCHEMA.items() if not isinstance(spec, dict)}
-    assert len(leaves) == 53
+    assert len(leaves) == 52
     for name, (typ, default) in leaves.items():
         assert f"  {name} ({typ.__name__}, default {default!r})" in epilog, name
 
@@ -365,6 +365,122 @@ def test_a_dataset_outside_out_dir_is_listed_by_absolute_path(run, tmp_path):
     assert artifacts == [str(ds_dir / f) for f in
                          ("manifest.json", "train_000.frames", "val_000.frames")]
     assert run("train", cfg) == cli.EXIT_OK
+
+
+# sha256 prefixes of the frame files of a small dataset at the default step,
+# recorded when the dataset marched its own co (0.03, now the default step.co)
+# and the default limiter
+DATASET_DIGESTS = {"train_000.frames": "a066c5df49a9ce83",
+                   "train_001.frames": "2bd30827e8411b13",
+                   "val_000.frames": "fa2f603a954a3c88"}
+
+
+def test_dataset_references_march_the_configured_plain_step(run, tmp_path):
+    """Every field of the step changes every frame file, except an ml_
+    prefix: the references march the plain mode."""
+    def digests(step):
+        cfg = {**SMALL, "step": step, "dataset": {"count": 2, "n_val": 1, "steps": 5}}
+        assert run("dataset", cfg) == cli.EXIT_OK
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                for path in sorted((_out(tmp_path) / "dataset").glob("*.frames"))}
+
+    assert digests({}) == DATASET_DIGESTS
+    assert digests({"gradient": "ml_lsq"}) == DATASET_DIGESTS
+    for step in ({"limiter": False}, {"limiter_k": 0.5}, {"gradient": "gg"}, {"co": 0.02},
+                 {"gamma": 1.3}):
+        other = digests(step)
+        assert all(other[name] != DATASET_DIGESTS[name] for name in DATASET_DIGESTS), step
+
+
+@pytest.mark.parametrize("made_with,field", [
+    ({"limiter": False}, "limiter"), ({"limiter_k": 0.5, "co": 0.02}, "co"),
+    ({"gradient": "gg"}, "gradient"), ({"gamma": 1.3, "limiter_k": 0.5}, "limiter_k")],
+    ids=["limiter", "co", "gradient", "limiter_k"])
+def test_train_rejects_a_dataset_of_another_step(run, tmp_path, caplog, made_with, field):
+    """The manifest records the plain step; train names the first field
+    that differs from the configured one and exits 2."""
+    cfg = {**SMALL, "dataset": {"count": 1, "n_val": 1, "steps": 2},
+           "train": {"epochs": 1, "require_gradcheck": False}}
+    assert run("dataset", {**cfg, "step": made_with}) == cli.EXIT_OK
+    manifest = json.loads((_out(tmp_path) / "dataset" / "manifest.json").read_text())
+    assert manifest["step"] == {"co": 0.03, "gradient": "lsq", "limiter": True,
+                                "limiter_k": 5.0, "gamma": 1.4, **made_with}
+    assert run("train", cfg) == cli.EXIT_CONFIG
+    assert f"step.{field} " in caplog.text and "re-run the dataset command" in caplog.text
+    # its corrected mode is the same step
+    corrected = {**made_with, "gradient": f"ml_{made_with.get('gradient', 'lsq')}"}
+    assert run("train", {**cfg, "step": corrected}) == cli.EXIT_OK
+
+
+def test_train_rejects_a_dataset_that_records_no_step(run, tmp_path, caplog):
+    cfg = {**SMALL, "dataset": {"count": 1, "n_val": 1, "steps": 2},
+           "train": {"epochs": 1, "require_gradcheck": False}}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    path = _out(tmp_path) / "dataset" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["step"]
+    path.write_text(json.dumps(manifest))
+    assert run("train", cfg) == cli.EXIT_CONFIG
+    assert "records no step" in caplog.text and "re-run the dataset command" in caplog.text
+
+
+def test_every_command_steps_at_step_co(run, monkeypatch):
+    """The dataset, gradcheck, train, simulate and bench take their time
+    step from step.co alone."""
+    seen = []
+    compute_dt = solver.compute_dt
+
+    def spy(mesh, cfg):
+        seen.append(cfg.co)
+        return compute_dt(mesh, cfg)
+
+    monkeypatch.setattr(solver, "compute_dt", spy)
+    cfg = {**SMALL, "step": {"co": 0.02}, "dataset": {"count": 1, "n_val": 1, "steps": 2},
+           "train": {"epochs": 1}, "simulate": {"n_steps": 2}, "bench": {"n_steps": 2},
+           "gradcheck": {"param_sample": 4}}
+    for command in ("dataset", "gradcheck", "train", "simulate", "bench"):
+        seen.clear()
+        assert run(command, cfg) == cli.EXIT_OK, command
+        assert seen and set(seen) == {0.02}, (command, seen)
+
+
+def test_step_gradient_gg_trains_ml_gg_against_gg_references(run, tmp_path, monkeypatch):
+    """On one CPU every step of the pipeline runs in this process: the
+    references march gg, gradcheck and train step ml_gg."""
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+    modes = []
+    step = solver.step_explicit_euler
+
+    def spy(mesh, w, dt, cfg, *args, **kwargs):
+        modes.append(cfg.gradient)
+        return step(mesh, w, dt, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_explicit_euler", spy)
+    cfg = {**SMALL, "step": {"gradient": "gg"}, "dataset": {"count": 2, "n_val": 1, "steps": 3},
+           "train": {"epochs": 1}, "gradcheck": {"param_sample": 8}}
+    expect = {"dataset": {"gg"}, "gradcheck": {"gg", "ml_gg"}, "train": {"ml_gg"}}
+    for command, used in expect.items():
+        modes.clear()
+        assert run(command, cfg) == cli.EXIT_OK, command
+        assert set(modes) == used, command
+    assert json.loads((_out(tmp_path) / "gradcheck.json").read_text())["pass"]
+
+
+def test_a_gradcheck_report_is_keyed_by_the_sections_it_reads(run, caplog):
+    """Another train.seed or dataset.count leaves the report valid; another
+    step.co makes it stale."""
+    cfg = {**SMALL, "dataset": {"count": 1, "n_val": 0, "steps": 2}, "train": {"epochs": 1},
+           "gradcheck": {"param_sample": 4}}
+    assert run("dataset", cfg) == cli.EXIT_OK
+    assert run("gradcheck", cfg) == cli.EXIT_OK
+    assert run("train", cfg) == cli.EXIT_OK
+    assert run("train", {**cfg, "train": {"epochs": 1, "seed": 1}}) == cli.EXIT_OK
+    more = {**cfg, "dataset": {"count": 2, "n_val": 0, "steps": 2}}
+    assert run("dataset", more) == cli.EXIT_OK
+    assert run("train", more) == cli.EXIT_OK
+    caplog.clear()
+    assert run("train", {**cfg, "step": {"co": 0.02}}) == cli.EXIT_GRADCHECK
+    assert "failing or stale" in caplog.text
 
 
 @pytest.mark.parametrize("exc", [
@@ -481,8 +597,9 @@ def test_a_malformed_ic_spec_is_named(run, caplog, command, spec):
 
 
 @pytest.mark.parametrize("key,cfg", [("seed", {"seed": 0}), ("bench.n", {"bench": {"n": 27}}),
-                                     ("bench.bc", {"bench": {"bc": "periodic"}})],
-                         ids=["seed", "bench_n", "bench_bc"])
+                                     ("bench.bc", {"bench": {"bc": "periodic"}}),
+                                     ("dataset.co", {"dataset": {"co": 0.03}})],
+                         ids=["seed", "bench_n", "bench_bc", "dataset_co"])
 def test_removed_keys_are_unknown(run, caplog, key, cfg):
     assert run("bench", cfg) == cli.EXIT_CONFIG
     assert f"unknown config key '{key}'" in caplog.text
@@ -686,14 +803,19 @@ def test_every_config_key_is_read(run, tmp_path, monkeypatch):
 # Outputs of `bench`, pinned bitwise: sha256 prefixes of the body (column line
 # and rows) of each gain CSV and of the error column of study.csv.  The
 # checkpoints are none (zero parameters), the seeded initialisation, whose
-# output head is zero, and a network with every entry non-zero.
+# output head is zero, and a network with every entry non-zero.  The runs
+# set step.co 0.01, at which they were recorded (the default step.co was
+# 0.01 until it became the one co of every command, at 0.03).
 BENCH_GAIN = {"cases": ["case:6", "case:3"], "n_steps": 12, "record_every": 4}
+BENCH_STEP = {"co": 0.01}
 BENCH_RUNS = {
-    "gain_periodic": {**SMALL, "bench": BENCH_GAIN},
+    "gain_periodic": {**SMALL, "step": BENCH_STEP, "bench": BENCH_GAIN},
     "gain_subsonic_out": {"mesh": {"kind": "structured", "n": 6, "periodic": False,
-                                   "bc": "subsonic_out"}, "bench": BENCH_GAIN},
-    "study": {**SMALL, "bench": {"kind": "study", "cases": ["case:6", "case:3"],
-                                 "levels": [4, 5, 6], "t_final": 0.01, "repeats": 1}},
+                                   "bc": "subsonic_out"}, "step": BENCH_STEP,
+                          "bench": BENCH_GAIN},
+    "study": {**SMALL, "step": BENCH_STEP,
+              "bench": {"kind": "study", "cases": ["case:6", "case:3"],
+                        "levels": [4, 5, 6], "t_final": 0.01, "repeats": 1}},
 }
 BENCH_CHECKPOINTS = {"zero": None, "init": lambda: mlcorr.init_params(seed=0),
                      "seeded": seeded_network_params}

@@ -8,7 +8,7 @@ from fvgrad import mesh as msh
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
-from conftest import (random_admissible_prim, rotated_mesh, save_params_sized,
+from conftest import (mesh_geometry, random_admissible_prim, rotated_mesh, save_params_sized,
                       save_params_with_offset, smooth_prim_field)
 
 
@@ -265,11 +265,12 @@ def test_corrected_lsq_matches_normal_equation_oracle(rng, periodic_mesh_irregul
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
     gx, gy = recon.gradient_lsq(m, u.T, alpha=alpha.T)
     gx, gy = gx.T, gy.T
+    geo = mesh_geometry(m)
     for i in rng.integers(0, m.n_cells, 10):
         A = np.zeros((2, 2))
         rhs = np.zeros((2, 4))
         for k in range(3):
-            dx, dy = m.nbr_dx[i, k], m.nbr_dy[i, k]
+            dx, dy = geo.nbr_dx[i, k], geo.nbr_dy[i, k]
             w = 1.0 / (dx * dx + dy * dy)
             du = (1.0 + alpha[i, k]) * (u[m.nbr[i, k]] - u[i])
             A += w * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
@@ -398,7 +399,8 @@ def test_width_config_changes_count():
 def _threefold_symmetric(m):
     """Cells whose three stencil angles agree within STENCIL_TOL and whose
     three neighbor distances agree within STENCIL_TOL times the longest."""
-    dist = np.hypot(m.nbr_dx, m.nbr_dy)
+    geo = mesh_geometry(m)
+    dist = np.hypot(geo.nbr_dx, geo.nbr_dy)
     return ((np.ptp(m.angles, axis=1) <= msh.STENCIL_TOL)
             & (np.ptp(dist, axis=1) <= msh.STENCIL_TOL * dist.max(axis=1)))
 

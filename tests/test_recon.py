@@ -5,6 +5,7 @@ from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import recon
 from fvgrad.mesh import BoundarySpec
+from conftest import mesh_geometry
 
 
 def extended_field(mesh, fn):
@@ -12,7 +13,7 @@ def extended_field(mesh, fn):
     the (4, n_cells + n_ghost) field the reconstruction takes."""
     vals = fn(mesh.centroid)
     if mesh.n_ghost:
-        vals = np.vstack([vals, fn(mesh.ghost_centroid)])
+        vals = np.vstack([vals, fn(mesh_geometry(mesh).ghost_centroid)])
     return vals.T
 
 
@@ -89,11 +90,12 @@ def test_lsq_matches_dense_normal_equation_oracle(rng, periodic_mesh_irregular):
     u = rng.normal(size=(m.n_cells, 4))
     gx, gy = recon.gradient_lsq(m, u.T)
     gx, gy = gx.T, gy.T
+    geo = mesh_geometry(m)
     for cell in rng.integers(0, m.n_cells, 12):
         A = np.zeros((2, 2))
         rhs = np.zeros((2, 4))
         for k in range(3):
-            dx, dy = m.nbr_dx[cell, k], m.nbr_dy[cell, k]
+            dx, dy = geo.nbr_dx[cell, k], geo.nbr_dy[cell, k]
             w = 1.0 / (dx * dx + dy * dy)
             du = u[m.nbr[cell, k]] - u[cell]
             A += w * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
@@ -263,9 +265,10 @@ def _broadcast_gradients(m, u_ext, alpha):
     gg = (np.sum(face_val * ns[:, :, 0:1], axis=1) * inv_area,
           np.sum(face_val * ns[:, :, 1:2], axis=1) * inv_area)
     du = (1.0 + alpha) * (u_nb - u[:, None, :])
-    lsq_w = 1.0 / (m.nbr_dx ** 2 + m.nbr_dy ** 2)
-    bx = np.sum((lsq_w * m.nbr_dx)[:, :, None] * du, axis=1)
-    by = np.sum((lsq_w * m.nbr_dy)[:, :, None] * du, axis=1)
+    geo = mesh_geometry(m)
+    lsq_w = 1.0 / (geo.nbr_dx ** 2 + geo.nbr_dy ** 2)
+    bx = np.sum((lsq_w * geo.nbr_dx)[:, :, None] * du, axis=1)
+    by = np.sum((lsq_w * geo.nbr_dy)[:, :, None] * du, axis=1)
     lsq = (m.inv11[:, None] * bx + m.inv12[:, None] * by,
            m.inv12[:, None] * bx + m.inv22[:, None] * by)
     return gg, lsq
@@ -324,7 +327,7 @@ def _per_face_muscl(m, u_ext, grad, phi):
     u = u_ext[:, :n]
     right_int = m.f_right[:ni]
     off_l = (m.f_mid - m.centroid[m.f_left]).T
-    off_r = (m.f_mid[:ni] - m.f_shift[:ni] - m.centroid[right_int]).T
+    off_r = (m.f_mid[:ni] - mesh_geometry(m).f_shift[:ni] - m.centroid[right_int]).T
 
     def extrapolate(cells, off, limiter):
         incr = (off[0] * ad.take_rows(gx, cells)

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
                           prim_to_cons)
-from conftest import (digest, finite_diff_grad, random_admissible_prim, seeded_network_params,
-                      smooth_prim_field)
+from conftest import (digest, finite_diff_grad, mesh_geometry, random_admissible_prim,
+                      seeded_network_params, smooth_prim_field)
 
 N_STEPS = 10
 CO = 0.05
@@ -87,6 +88,15 @@ def test_an_unlimited_step_is_a_step_whose_limiter_is_one_everywhere(mesh, gas, 
     unlimited = step(limiter=False)
     assert np.abs(unlimited - step()).max() > 1e-3
     assert (unlimited == step(limiter_k=1e4)).all()
+
+
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+def test_plain_and_corrected_modes_keep_every_other_field(mode):
+    cfg = solver.StepConfig(co=0.02, gradient=mode, limiter=False, limiter_k=0.5,
+                            gas=GasModel(1.3), save_every=3)
+    plain = mode.removeprefix("ml_")
+    assert cfg.plain() == replace(cfg, gradient=plain)
+    assert cfg.corrected() == replace(cfg, gradient=f"ml_{plain}")
 
 
 def test_march_with_substeps_matches_hand_loop(mesh, w0):
@@ -195,14 +205,15 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     # left side and - on the right, each times the face length
     slot_face = {int(k): f for f, k in enumerate(mesh.f_slot_l)}
     right = {int(k): f for f, k in enumerate(mesh.f_slot_r)}
+    f_len = mesh_geometry(mesh).f_len
     expect = np.zeros_like(r)
     for j in range(3):
         for i in range(mesh.n_cells):
             k = j * mesh.n_cells + i
             if k in slot_face:
-                expect[i] += mesh.f_len[slot_face[k]] * flux.T[slot_face[k]]
+                expect[i] += f_len[slot_face[k]] * flux.T[slot_face[k]]
             else:
-                expect[i] += -mesh.f_len[right[k]] * flux.T[right[k]]
+                expect[i] += -f_len[right[k]] * flux.T[right[k]]
     assert (r == expect).all()
 
 
@@ -661,7 +672,7 @@ def _face_scatter_residual(mesh, w, cfg, bc_table, params):
     u_l, u_r = recon.muscl_face_values(mesh, u_ext, slots)
     flux, _ = _cons_rusanov(prim_to_cons(u_l.T, gas), prim_to_cons(u_r.T, gas),
                             mesh.f_normal, gas)
-    contrib = flux.T * mesh.f_len
+    contrib = flux.T * mesh_geometry(mesh).f_len
     r = np.zeros((4, mesh.n_cells))
     np.add.at(r.T, mesh.f_left, contrib.T)
     np.add.at(r.T, mesh.f_right[:mesh.n_iface], -contrib[:, :mesh.n_iface].T)
@@ -727,7 +738,7 @@ def test_residual_sums_to_the_boundary_flux(seeded_params, n, mesh_seed, state_s
             mp.setattr(solver, "rusanov_flux", spy)
             r, _ = solver.residual(m, np.ascontiguousarray(w.T), cfg, bc_table,
                                    seeded_params if cfg.uses_network else None)
-        flux_len = fluxes[0] * m.f_len
+        flux_len = fluxes[0] * mesh_geometry(m).f_len
         boundary = flux_len[:, m.n_iface:].sum(axis=1)
         scale = np.abs(flux_len).sum(axis=1)
         assert (np.abs(r.sum(axis=1) - boundary) <= 1e-12 * scale).all(), mode

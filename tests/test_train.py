@@ -21,6 +21,14 @@ def _f3_field(points, draw=0):
     return train.evaluate_ic("f3", ic, points)
 
 
+def _reference_frames(coarse, fine, pm, w0, steps, cfg):
+    """The projected reference of cfg's plain mode at every coarse step, as
+    the dataset marches it."""
+    dt = solver.compute_dt(coarse, cfg)
+    return np.stack([w for _, w in solver.reference(coarse, fine, pm, w0, dt, steps,
+                                                    cfg.plain())])
+
+
 def test_loss_tvd_on_piecewise_constant_field_has_finite_gradient(coarse, rng):
     u0 = _f3_field(coarse.centroid)
     u1 = (u0 * (1.0 + 0.01 * rng.normal(size=u0.shape))).T
@@ -53,14 +61,31 @@ def test_supervision_loss_is_zero_with_a_zero_gradient_at_its_target(coarse):
 def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
     fine, pm = msh.refine_uniform(coarse)
     w0 = prim_to_cons(_f3_field(fine.centroid), gas)
-    frames = train.reference_trajectory(coarse, fine, pm, w0, 4, 0.03, gas)
-    traj = train.Trajectory(family="f3", frames=frames, ic_params={})
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    frames = _reference_frames(coarse, fine, pm, w0, 4, cfg)
+    traj = train.Trajectory(family="f3", frames=frames, ic_params={})
     result = train.train(coarse, cfg, [traj], [traj], train.TrainConfig(epochs=1, batch_size=2))
     assert not result.aborted
     assert len(result.history) == 2
     assert all(np.isfinite(row["total"]) for row in result.history)
     assert np.isfinite(result.params.values).all()
+
+
+def test_gradient_check_marches_the_plain_and_corrected_modes_of_its_step(coarse, monkeypatch):
+    """Its reference marches the plain mode and its loss the corrected one,
+    each with every other field of the given step."""
+    cfgs = []
+    march = solver.march
+
+    def spy(mesh, w0, dt, n_steps, cfg, *args, **kwargs):
+        cfgs.append(cfg)
+        return march(mesh, w0, dt, n_steps, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "march", spy)
+    step = solver.StepConfig(co=0.02, gradient="gg", limiter_k=0.5)
+    assert train.gradient_check(coarse, step, param_sample=4)["pass"]
+    assert cfgs[0] == step and len(cfgs) > 1
+    assert all(cfg == step.corrected() for cfg in cfgs[1:])
 
 
 # sha256 prefixes of one ml_lsq sample's (loss, gradient), re-recorded when
@@ -149,7 +174,7 @@ def _trajectories(coarse, gas, draws, steps=4):
     out = []
     for draw in draws:
         w0 = prim_to_cons(_f3_field(fine.centroid, draw), gas)
-        frames = train.reference_trajectory(coarse, fine, pm, w0, steps, 0.03, gas)
+        frames = _reference_frames(coarse, fine, pm, w0, steps, solver.StepConfig(co=0.03))
         out.append(train.Trajectory(family="f3", frames=frames, ic_params={}))
     return out
 
@@ -262,12 +287,13 @@ def test_dataset_files_are_bitwise_the_same_on_one_two_or_three_cpus(coarse, mon
     files = {}
     for k in (1, 2, 3):
         monkeypatch.setattr(solver, "_cpus", lambda k=k: k)
-        manifest = train.generate_dataset(spec, coarse, fine, pm, tmp_path / str(k))
+        manifest = train.generate_dataset(spec, coarse, fine, pm, tmp_path / str(k),
+                                          solver.StepConfig())
         _no_child_left()
         assert [e["file"] for e in manifest["trajectories"]] == [
             "train_000.frames", "train_001.frames", "train_002.frames",
             "val_000.frames", "val_001.frames"]
-        tr, val = train.load_dataset(tmp_path / str(k), coarse.n_cells)
+        tr, val = train.load_dataset(tmp_path / str(k), coarse.n_cells, solver.StepConfig())
         assert [t.family for t in tr + val] == spec.families() + spec.families(2)
         assert all(t.frames.shape == (4, coarse.n_cells, 4) for t in tr + val)
         files[k] = {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()}
@@ -291,7 +317,7 @@ def test_each_dataset_file_is_written_where_its_trajectory_was_computed(
         return write_frames(path, *args)
 
     monkeypatch.setattr(solver, "write_frames", recorded)
-    train.generate_dataset(spec, coarse, fine, pm, tmp_path / "ds")
+    train.generate_dataset(spec, coarse, fine, pm, tmp_path / "ds", solver.StepConfig())
     _no_child_left()
     writers = dict(line.split() for line in log.read_text().splitlines())
     caller = str(os.getpid())
