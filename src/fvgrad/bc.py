@@ -7,14 +7,15 @@ faces).  A prescribed state or back pressure must be admissible as
 ``euler.not_positive`` reads it (rho and p > 0, NaN rejected); ghost states
 that come out below a small positive floor are clamped to it and counted.
 ``table_from_ic`` derives the prescribed values of every tag from an
-initial condition.
+initial condition, and ``tile_table`` a mesh's table for its copies
+(``Mesh.copies``).
 
 ``ghost_state`` takes states with a trailing component axis, (..., 4);
 ``ghost_rows`` and ``extend_with_ghosts`` work on the solver's (4, n)
 fields, cell axis last.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,6 +73,24 @@ def table_from_ic(mesh, ic):
         else:
             table[code] = BCSpec(kind=code)
     return table
+
+
+def tile_table(table, b):
+    """The table for ``Mesh.copies(b)`` of the mesh it was made for: every
+    per-face state or back pressure tiled b times, as the copies list each
+    tag's faces copy by copy; a state of one row, or a scalar pressure,
+    serves every copy as it is."""
+    if b == 1:
+        return table
+    out = {}
+    for code, spec in table.items():
+        state, back = spec.state, spec.back_pressure
+        if state is not None and np.ndim(state) == 2:
+            state = np.tile(state, (b, 1))
+        if np.ndim(back) == 1:
+            back = np.tile(back, b)
+        out[code] = replace(spec, state=state, back_pressure=back)
+    return out
 
 
 def ghost_state(spec, interior, n, gas=GasModel()):

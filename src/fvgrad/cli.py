@@ -229,13 +229,16 @@ def blas_threads():
     return None
 
 
-def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None, rejected=None):
+def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None,
+                    train_group_samples=None, rejected=None):
     """run_manifest.json: the config and its hash, the artifacts, the numpy
     version, the OpenBLAS thread count in effect (``blas_threads``), how
     many blocks a step on the run's mesh runs in (``solver.step_workers``; null for a study, which
     steps on several), how many processes a training minibatch runs on
-    (``train.workers``; null for a command that does not train) and the
-    runs a bench rejected (``bench.score``; null for another command)."""
+    (``train.workers`` of its groups) and how many samples a group holds
+    (``train.group_samples``; both null for a command that does not train)
+    and the runs a bench rejected (``bench.score``; null for another
+    command)."""
     manifest = {
         "config_hash": config_hash(cfg),
         "config": cfg,
@@ -244,6 +247,7 @@ def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None, rejected
         "openblas_num_threads": blas_threads(),
         "step_workers": None if mesh is None else solver.step_workers(mesh.n_cells),
         "train_workers": train_workers,
+        "train_group_samples": train_group_samples,
         "rejected": rejected,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
@@ -425,8 +429,10 @@ def cmd_train(cfg):
                      ([row[c] for c in train.HISTORY_COLUMNS] for row in result.history),
                      header_comment=f"config {config_hash(cfg)}")
     n_samples = sum(tr.n_pairs for tr in trains)
+    groups = train.batch_groups(min(tcfg.batch_size, n_samples), coarse.n_cells)
     _write_manifest(out, cfg, ["history.csv", "params.gfnn"], coarse,
-                    train_workers=train.workers(min(tcfg.batch_size, n_samples)))
+                    train_workers=train.workers(groups),
+                    train_group_samples=train.group_samples(coarse.n_cells))
     if result.aborted:
         log.error("training aborted on non-finite loss; last good checkpoint kept")
         return EXIT_NUMERIC

@@ -60,6 +60,10 @@ face states) reaches the faces through one gather per side.  The inverse
 tables ``slot_face`` and ``slot_len`` (3, N) name each slot's face and its
 length, signed by the side, so a per-face flux reaches the cells through one
 gather and a stencil sum.
+
+``Mesh.copies(b)`` lays b copies of a mesh side by side as one mesh with no
+face between them, so that one traced program steps b states at once
+(``train`` records a group of samples this way).
 """
 
 from collections import Counter
@@ -139,9 +143,9 @@ class BoundarySpec:
 class Mesh:
     """A built triangulation: topology, geometry and per-step constants.
 
-    Built only by ``build_mesh``; every array is read-only.  Face order and
-    stencil order fix the order of every sum over faces or neighbors, so
-    they are part of the layout, not an implementation detail.
+    Built by ``build_mesh`` and ``Mesh.copies``; every array is read-only.
+    Face order and stencil order fix the order of every sum over faces or
+    neighbors, so they are part of the layout, not an implementation detail.
     """
 
     nodes: np.ndarray          # (Nn, 2)
@@ -179,6 +183,12 @@ class Mesh:
     slot_len: np.ndarray       # (3, N) its length, negative on the right side
     region: np.ndarray = field(default=None)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     @property
     def n_cells(self):
@@ -214,6 +224,28 @@ class Mesh:
                                for lo, hi in zip(cuts[:-1], cuts[1:])]
         return self._blocks[k]
 
+    def copies(self, b):
+        """b copies of this mesh side by side, with no face between them, as
+        one mesh; built once per b and kept with the mesh.  One copy is the
+        mesh itself.
+
+        Copy c holds cells c N to (c + 1) N - 1 and nodes c Nn to
+        (c + 1) Nn - 1 in this mesh's order, so a field on the copies is b
+        fields of this mesh stacked along the cell axis.  The faces are
+        every copy's interior faces, copy by copy, then the boundary faces
+        grouped by tag as here, each tag's faces copy by copy; ghosts follow
+        the boundary faces, and each stencil slot keeps its neighbour row.
+        So per-face boundary data on the copies is each tag's data of this
+        mesh tiled b times (``bc.tile_table``), every per-cell and per-face
+        value of a step equals that of the copy's own mesh, and a step on
+        the copies records the ops of a step on one mesh.
+        """
+        if b == 1:
+            return self
+        if b not in self._copies:
+            self._copies[b] = _tile(self, b)
+        return self._copies[b]
+
 
 # Block cuts fall on multiples of this many cells.  Single-threaded
 # OpenBLAS can round a column of the network's matrix products differently
@@ -241,6 +273,49 @@ class CellBlock:
         for name in self.CELL_ARRAYS:
             setattr(self, name, getattr(mesh, name)[..., cells])
         self.angles = mesh.angles[cells]        # one row per cell
+
+
+def _tile(m, b):
+    """``Mesh.copies(b)`` of a mesh m."""
+    n, ni, nn = m.n_cells, m.n_iface, len(m.nodes)
+    copy = np.arange(b)
+    # (copy, face of m) of each face of the copies, in the order of Mesh.copies
+    runs = [np.arange(ni)] + [ni + np.arange(s.start, s.stop) for s in m.tag_slices.values()]
+    src_face = np.concatenate([np.tile(r, b) for r in runs])
+    src_copy = np.concatenate([np.repeat(copy, len(r)) for r in runs])
+    face = np.empty((b, m.n_faces), dtype=np.int64)
+    face[src_copy, src_face] = np.arange(b * m.n_faces)
+    # extended cell ids (cells, then ghosts) of each copy
+    ext = np.concatenate([n * copy[:, None] + np.arange(n), b * n + face[:, ni:] - b * ni],
+                         axis=1)
+
+    def slot(c, s):
+        return s // n * (b * n) + c * n + s % n
+
+    def tiled(a):
+        return np.tile(a, b)      # along the last (cell) axis
+
+    return Mesh(
+        nodes=np.tile(m.nodes, (b, 1)),
+        tri=(m.tri + nn * copy[:, None, None]).reshape(-1, 3),
+        area=tiled(m.area), inv_area=tiled(m.inv_area), sqrt_area=tiled(m.sqrt_area),
+        centroid=np.tile(m.centroid, (b, 1)),
+        f_left=ext[src_copy, m.f_left[src_face]], f_right=ext[src_copy, m.f_right[src_face]],
+        f_normal=m.f_normal[src_face], f_mid=m.f_mid[src_face], n_iface=b * ni,
+        f_slot_l=slot(src_copy, m.f_slot_l[src_face]),
+        f_slot_r=slot(src_copy[:b * ni], m.f_slot_r[src_face[:b * ni]]),
+        tag_slices={code: slice(b * s.start, b * s.stop) for code, s in m.tag_slices.items()},
+        boundary_edges=np.concatenate([m.boundary_edges + [nn * c, nn * c, 0, 0]
+                                       for c in copy]),
+        nbr=ext[:, m.nbr].reshape(-1, 3),
+        lsq_wd=tiled(m.lsq_wd), inv11=tiled(m.inv11), inv12=tiled(m.inv12),
+        inv22=tiled(m.inv22), angles=np.tile(m.angles, (b, 1)),
+        interior_mask=tiled(m.interior_mask), cell_foff=tiled(m.cell_foff),
+        cell_sn=tiled(m.cell_sn),
+        slot_face=face[:, m.slot_face].transpose(1, 0, 2).reshape(3, -1),
+        slot_len=tiled(m.slot_len),
+        region=None if m.region is None else tiled(m.region),
+    )
 
 
 @dataclass
@@ -556,7 +631,7 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     if np.abs(asum - 2.0 * np.pi).max() > 1e-10:
         raise MeshError("stencil angles do not wind once around a centroid")
 
-    m = Mesh(
+    return Mesh(
         nodes=nodes, tri=tri, area=area, inv_area=1.0 / area, sqrt_area=np.sqrt(area),
         centroid=np.column_stack([cx, cy]),
         f_left=f_left, f_right=f_right, f_normal=np.column_stack([f_nx, f_ny]),
@@ -567,10 +642,6 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         angles=angles.T.copy(), interior_mask=interior_mask,
         cell_foff=cell_foff, cell_sn=cell_sn,
     )
-    for arr in vars(m).values():
-        if isinstance(arr, np.ndarray):
-            arr.setflags(write=False)
-    return m
 
 
 def refine_uniform(mesh):

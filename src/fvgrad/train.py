@@ -11,20 +11,33 @@ entropy-inequality, total-variation-growth and L1 parameter penalties.
 Optimization uses a sign-of-momentum (Lion-style) update with an
 exponentially decaying learning rate.
 
+Training and validation run on groups of samples.  Each minibatch, and
+the validation pairs, are cut in order into groups of ``group_samples``
+samples (``CELL_BUDGET`` cells in all), and a group is recorded as one
+program on ``Mesh.copies`` of the training mesh, its samples' states
+stacked along the cell axis: at training sizes a traced sample is mostly
+fixed cost, which a group pays once.  A group's loss is the sum of its
+samples' losses (``total_loss``).  A group that raises, or whose loss is
+not finite, is run again one sample at a time, so errors and infinite
+losses are those of the samples alone.
+
 Independent work runs on every CPU the process may run on (``workers``):
-the traced samples of a minibatch, the untraced validation pairs and the
+the traced groups of a minibatch, the untraced validation groups and the
 dataset's trajectories.  ``_Shares`` forks its children once per training
 run (or dataset), and each inherits the mesh and the data copy-on-write;
-per minibatch only the parameters and the sample indices go down a pipe.
-It cuts the items into contiguous shares, the caller runs the first and
-the children the rest.  Each item's result is computed exactly as the
+per minibatch only the parameters and the groups' sample indices go down a
+pipe.  It cuts the items into contiguous shares, the caller runs the first
+and the children the rest.  Each item's result is computed exactly as the
 serial loop computes it, and the caller combines the results in item
 order, so parameters, history, checkpoints and dataset files are bitwise
-the same for any CPU count.  Each process holds one sample's tape at a
-time: on the 1,458-cell mesh it records 181 nodes and peaks at 3.9 MB
-(tracemalloc), 3.3 MB of it held when the forward pass ends, since the
-tape keeps only the values its adjoints read.  Threads gain nothing on the
-tape's small numpy calls.
+the same for any CPU count.  Each process holds one group's tape at a
+time, and the tape keeps only the values its adjoints read.  One sample
+records 181 nodes on a periodic mesh; a group records 2 more, and 2 more
+again where a sample's supervision term is 0.  A group of 8 samples on the
+504-cell forward step records 305 nodes (one sample there, 303) and peaks
+at 10.3 MB (tracemalloc); a group of 2 on the 1,458-cell mesh records 183
+nodes and peaks at 7.4 MB.  Threads gain nothing on the tape's small numpy
+calls.
 
 The dataset format (file names, ``manifest.json``, frame files) lives
 here alone: ``generate_dataset`` writes it, each frame file in the process
@@ -43,6 +56,7 @@ import logging
 import os
 import pickle
 import signal
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -361,7 +375,7 @@ def _fork_worker(fns):
     For each request the child computes every result it can before it
     writes any, so a full pipe never stalls it while the caller runs its
     own share, and sends them as one pickled list.  The results are small:
-    a sample's loss and gradient, or a dataset file's manifest entry, since
+    a group's losses and gradients, or a dataset file's manifest entry, since
     the child writes the file itself.  It leaves with ``os._exit`` when the
     request pipe closes or anything goes wrong: no exit handler, buffered
     output or test hook of the parent runs twice.
@@ -412,18 +426,29 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
 
 
-def loss_supervision(u_ml, u_ref):
+def loss_supervision(u_ml, u_ref, copies=1):
     """100 * ||u_ml - u_ref||_2 / ||u_ref||_2 over all cells and variables;
     0 with a zero derivative where u_ml equals u_ref, as for flat cells in
-    ``_grad_norm_lsq``."""
-    ref_norm = float(np.linalg.norm(ad.value_of(u_ref)))
-    if ref_norm == 0.0:
+    ``_grad_norm_lsq``.  On ``copies`` equal ranges of the cell axis (the
+    copies of ``Mesh.copies``), the sum of each range's loss, with its own
+    reference norm."""
+    ref = ad.value_of(u_ref)
+    n = ref.shape[-1] // copies
+    ref_norm = np.array([np.linalg.norm(ref[:, c * n:(c + 1) * n]) for c in range(copies)])
+    if not ref_norm.all():
         raise ValueError("reference field has zero norm; cannot normalize")
     diff = u_ml - u_ref
-    sq = ad.sum(diff * diff)
-    if ad.value_of(sq) == 0.0:
-        return 0.0 * sq
-    return 100.0 * ad.sqrt(sq) / ref_norm
+    sq = diff * diff
+    if copies == 1:
+        sq, ref_norm = ad.sum(sq), ref_norm[0]
+    else:
+        sq = ad.sum(ad.reshape(sq, (-1, copies, n)), axis=(0, 2))
+    same = ad.value_of(sq) == 0.0
+    if not same.any():
+        loss = 100.0 * ad.sqrt(sq) / ref_norm
+    else:
+        loss = ad.where(same, 0.0, 100.0 * ad.sqrt(ad.where(same, 1.0, sq)) / ref_norm)
+    return loss if copies == 1 else ad.sum(loss)
 
 
 def _prim(w, gas):
@@ -483,24 +508,29 @@ def loss_reg(params_vec):
 
 
 def total_loss(mesh, dt, w_prev, w_next_ml, u_ref_next, params_vec, weights,
-               gas=GasModel(), bc_table=None):
+               gas=GasModel(), bc_table=None, copies=1):
     """Weighted sum of the four loss terms; also returns the parts.
 
     The states come in the step's public (N, 4) layout; the terms run on
-    their (4, N) transposes.
+    their (4, N) transposes.  On ``Mesh.copies(copies)`` of a mesh, with one
+    pair's states per copy, the loss and each part are the sums over the
+    pairs, each term computed once for all of them: supervision per copy,
+    the entropy term (a mean over the cells) and the L1 term times the
+    number of copies, and the TVD term (a sum over the cells) as it is.
     """
     bc_table = bc_table or {}
     w_prev, w_next_ml, u_ref_next = (ad.transpose(x) for x in (w_prev, w_next_ml, u_ref_next))
     u_ml = _prim(w_next_ml, gas)
-    sup = loss_supervision(u_ml, u_ref_next)
+    sup = loss_supervision(u_ml, u_ref_next, copies)
     ent = loss_entropy(mesh, w_prev, w_next_ml, dt, gas, bc_table)
     u_prev_ext, _ = bclib.extend_with_ghosts(mesh, _prim(w_prev, gas), bc_table, gas)
     u_ml_ext, _ = bclib.extend_with_ghosts(mesh, u_ml, bc_table, gas)
     tvd = loss_tvd(mesh, u_prev_ext, u_ml_ext)
     reg = loss_reg(params_vec)
-    total = sup + weights.ent * ent + weights.tvd * tvd + weights.reg * reg
-    parts = {"sup": float(ad.value_of(sup)), "ent": float(ad.value_of(ent)),
-             "tvd": float(ad.value_of(tvd)), "reg": float(ad.value_of(reg))}
+    total = (sup + (weights.ent * copies) * ent + weights.tvd * tvd
+             + (weights.reg * copies) * reg)
+    parts = {"sup": float(ad.value_of(sup)), "ent": copies * float(ad.value_of(ent)),
+             "tvd": float(ad.value_of(tvd)), "reg": copies * float(ad.value_of(reg))}
     return total, parts
 
 
@@ -555,15 +585,75 @@ class TrainResult:
 HISTORY_COLUMNS = ("epoch", "step", "total", "sup", "ent", "tvd", "reg", "lr", "val_total")
 
 
-def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas):
-    """Traced one-step loss and its gradient for one supervision pair."""
+# Cells of the copies a group of samples is recorded on: a group holds
+# CELL_BUDGET // n_cells samples, and at least one.  At training sizes a
+# traced sample is mostly fixed cost (Python, numpy dispatch and 181 tape
+# nodes), not per-cell work.  A group's time per sample over one tape's per
+# sample, on one CPU of a 2-vCPU Xeon host (ml_lsq, periodic structured
+# meshes and the forward step):
+#   cells                   288    504 (step)   512    1,458
+#   4,096: samples, ratio   14 0.37  8 0.37    8 0.47   2 0.83
+#   2,048: samples, ratio    7 0.38  4 0.50    4 0.69   1 1.03
+# A group of 8 on 504 cells peaks at 10.3 MB of tape.  A minibatch of the
+# default 16 samples still makes 2 groups, one per CPU, at 512 cells.
+CELL_BUDGET = 4096
+
+
+def group_samples(n_cells):
+    """Samples one group holds on a mesh of n_cells cells."""
+    return max(1, CELL_BUDGET // n_cells)
+
+
+def _groups(items, b):
+    """items cut in order into groups of b, the last one shorter."""
+    items = list(items)
+    return [tuple(items[lo:lo + b]) for lo in range(0, len(items), b)]
+
+
+def batch_groups(n_samples, n_cells):
+    """Groups a minibatch of n_samples samples on n_cells cells is cut into."""
+    return len(_groups(range(n_samples), group_samples(n_cells)))
+
+
+def _stacked(trajs, pairs, group, gas):
+    """The states at t of a group's (trajectory, t) pairs, stacked as on
+    ``Mesh.copies``, and the primitive reference states at t + 1."""
+    at = [pairs[j] for j in group]
+    w_t = np.concatenate([trajs[i].frames[t] for i, t in at])
+    w_ref = np.concatenate([trajs[i].frames[t + 1] for i, t in at])
+    return w_t, cons_to_prim(w_ref, gas, check=False)
+
+
+def _alone_on_error(fn):
+    """fn(params, group) as a list of results to sum: the group's, or,
+    where a group of several raises or gives a loss that is not finite, one
+    per item, each run alone.  So the error raised is the first failing
+    item's own, with its type, message, cell and step, and a loss is
+    infinite only for the items that fail alone."""
+    def run(params, group):
+        if len(group) > 1:
+            try:
+                out = fn(params, group)
+            except Exception:   # the items run alone below and raise their own
+                out = None
+            if out is not None and np.isfinite(out[0]):
+                return [out]
+        return [fn(params, (item,)) for item in group]
+    return run
+
+
+def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
+                 copies=1):
+    """Traced one-step loss and its gradient for one supervision pair, or
+    summed over ``copies`` pairs stacked on ``mesh``, a ``Mesh.copies`` with
+    its tiled ``bc_table`` (``total_loss``)."""
     parts_box = {}
 
     def program(p_vec):
         w_next, _ = solver.step_explicit_euler(
             mesh, w_t, dt, cfg, bc_table, params, params_vec=p_vec)
         total, parts = total_loss(mesh, dt, w_t, w_next, u_ref_next, p_vec,
-                                  weights, gas, bc_table)
+                                  weights, gas, bc_table, copies)
         parts_box.update(parts)
         return total
 
@@ -571,15 +661,16 @@ def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas)
     return loss, grad, parts_box
 
 
-def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas):
-    """Untraced total and supervision losses of one pair; both inf where
-    the step fails."""
+def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
+                 copies=1):
+    """Untraced total and supervision losses of one pair, or summed over
+    ``copies`` pairs as in ``_sample_loss``; both inf where the step fails."""
     try:
         w_next, _ = solver.step_explicit_euler(mesh, w_t, dt, cfg, bc_table, params)
     except solver.SolverError:
         return np.inf, np.inf
     total, parts = total_loss(mesh, dt, w_t, w_next, u_ref_next,
-                              params.values, weights, gas, bc_table)
+                              params.values, weights, gas, bc_table, copies)
     return float(ad.value_of(total)), parts["sup"]
 
 
@@ -588,16 +679,19 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
           bc_table=None, out_dir=None, init=None):
     """Optimize step_cfg's corrected mode on one-step supervision pairs.
 
-    Deterministic for a fixed seed: each minibatch's samples, and the
-    validation pairs, are computed in shares on every CPU the process may
-    run on (module docstring) and summed in sample order, so parameters,
+    Deterministic for a fixed seed: each minibatch, and the validation
+    pairs, are cut in order into groups of ``group_samples`` samples, each
+    group is recorded as one program on the mesh's copies, the groups are
+    computed in shares on every CPU the process may run on (module
+    docstring) and their results summed in group order, so parameters,
     history and checkpoints are bitwise the same for any CPU count.  A
     failing sample raises the error serial training would: that of the
     first failing sample in batch order.  Checkpoints are written per
     epoch, and the final parameters to params.gfnn, when out_dir is set
-    (the history is returned; the caller writes it).  Training aborts
-    (keeping the last finite parameters) if the loss stops being finite.
-    The gas model is step_cfg's.
+    (the history is returned; the caller writes it).  Each epoch logs its
+    seconds in minibatches and in validation and its traced samples per
+    second.  Training aborts (keeping the last finite parameters) if the
+    loss stops being finite.  The gas model is step_cfg's.
     """
     bc_table = bc_table or {}
     step_cfg = step_cfg.corrected()
@@ -609,26 +703,29 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
 
     samples = [(i, t) for i, tr in enumerate(train_trajs) for t in range(tr.n_pairs)]
     val_pairs = [(i, t) for i, tr in enumerate(val_trajs) for t in range(tr.n_pairs)]
+    b = group_samples(mesh.n_cells)
+    val_groups = _groups(range(len(val_pairs)), b)
 
-    def sample_loss(params, s):
-        i, t = samples[s]
-        tr = train_trajs[i]
-        u_ref = cons_to_prim(tr.frames[t + 1], gas, check=False)
-        return _sample_loss(mesh, dt, step_cfg, bc_table, params, tr.frames[t], u_ref,
-                            weights, gas)
+    def on_copies(k):
+        return mesh.copies(k), dt, step_cfg, bclib.tile_table(bc_table, k)
 
-    def val_losses(params, v):
-        i, t = val_pairs[v]
-        tr = val_trajs[i]
-        u_ref = cons_to_prim(tr.frames[t + 1], gas, check=False)
-        return _pair_losses(mesh, dt, step_cfg, bc_table, params, tr.frames[t], u_ref,
-                            weights, gas)
+    @_alone_on_error
+    def sample_loss(params, group):
+        w_t, u_ref = _stacked(train_trajs, samples, group, gas)
+        return _sample_loss(*on_copies(len(group)), params, w_t, u_ref, weights, gas,
+                            len(group))
+
+    @_alone_on_error
+    def val_losses(params, group):
+        w_t, u_ref = _stacked(val_trajs, val_pairs, group, gas)
+        return _pair_losses(*on_copies(len(group)), params, w_t, u_ref, weights, gas,
+                            len(group))
 
     def validate(shares, params):
         """Mean untraced total and supervision losses over the validation pairs."""
-        losses = shares.map(val_losses, range(len(val_pairs)), params)
-        return (float(np.mean([tot for tot, _ in losses])),
-                float(np.mean([sup for _, sup in losses])))
+        losses = [x for r in shares.map(val_losses, val_groups, params) for x in r]
+        return (sum(tot for tot, _ in losses) / len(val_pairs),
+                sum(sup for _, sup in losses) / len(val_pairs))
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -641,7 +738,8 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     aborted = False
     global_step = 0
 
-    n_items = max(min(tcfg.batch_size, len(samples)), len(val_pairs))
+    n_items = max(batch_groups(min(tcfg.batch_size, len(samples)), mesh.n_cells),
+                  len(val_groups))
     with _Shares([sample_loss, val_losses], n_items) as shares:
         if val_trajs:
             val_total, v_sup = validate(shares, params)
@@ -649,16 +747,18 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
         for epoch in range(tcfg.epochs):
             lr_e = tcfg.lr * tcfg.decay ** epoch
             order = rng.permutation(len(samples))
+            t0 = time.perf_counter()
             for lo in range(0, len(order), tcfg.batch_size):
                 batch = order[lo:lo + tcfg.batch_size]
                 grad_sum = np.zeros_like(params.values)
                 loss_sum = 0.0
                 part_sum = {"sup": 0.0, "ent": 0.0, "tvd": 0.0, "reg": 0.0}
-                for loss, grad, parts in shares.map(sample_loss, batch, params):
-                    grad_sum += grad
-                    loss_sum += loss
-                    for k in part_sum:
-                        part_sum[k] += parts[k]
+                for r in shares.map(sample_loss, _groups(batch.tolist(), b), params):
+                    for loss, grad, parts in r:
+                        grad_sum += grad
+                        loss_sum += loss
+                        for k in part_sum:
+                            part_sum[k] += parts[k]
                 m = len(batch)
                 mean_loss = loss_sum / m
                 if not np.isfinite(mean_loss):
@@ -681,9 +781,14 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
             if aborted:
                 break
             last_good = params.values.copy()
+            t1 = time.perf_counter()
             if val_trajs:
                 val_total, v_sup = validate(shares, params)
                 val_sup.append(v_sup)
+            t2 = time.perf_counter()
+            log.info("epoch %d: %.3f s in minibatches (%.1f traced samples/s), "
+                     "%.3f s in validation", epoch, t1 - t0, len(samples) / (t1 - t0),
+                     t2 - t1)
             if out is not None and (epoch + 1) % tcfg.checkpoint_every == 0:
                 mlcorr.save_params(params, out / f"ckpt_epoch_{epoch:03d}.gfnn")
 

@@ -132,6 +132,33 @@ def test_table_from_ic_evaluates_each_tag_at_its_own_faces():
     assert bclib.table_from_ic(msh.periodic_structured_mesh(3), ic) == {}
 
 
+def test_a_table_from_ic_tiles_to_the_table_of_the_copies():
+    """Each tag's per-face states and back pressures, tiled, are the table
+    the copies give; a state of one row stays one row."""
+    m = msh.structured_mesh(4, boundary_spec=msh.BoundarySpec(rules=[
+        (msh.SUBSONIC_IN, 0, lambda mid, n: mid[0] < 1e-9),
+        (msh.SUBSONIC_OUT, 0, lambda mid, n: mid[0] > 1.0 - 1e-9),
+        (msh.SUPERSONIC_IN, 0, lambda mid, n: mid[1] < 1e-9),
+        (msh.SLIP_WALL, 0, lambda mid, n: True)]))
+
+    def ic(points):
+        return np.column_stack([1.0 + points[:, 1], points, 2.0 + points[:, 0]])
+
+    table = bclib.table_from_ic(m, ic)
+    table[msh.SUPERSONIC_IN] = BCSpec(kind=msh.SUPERSONIC_IN, state=[1.4, 3.0, 0.0, 1.0])
+    tiled = bclib.tile_table(table, 3)
+    of_copies = bclib.table_from_ic(m.copies(3), ic)
+    assert bclib.tile_table(table, 1) is table
+    assert sorted(tiled) == sorted(of_copies) == sorted(table)
+    g_in = m.tag_slices[msh.SUBSONIC_IN].stop - m.tag_slices[msh.SUBSONIC_IN].start
+    assert tiled[msh.SUBSONIC_IN].state.shape == (3 * g_in, 4)
+    assert (tiled[msh.SUBSONIC_IN].state == of_copies[msh.SUBSONIC_IN].state).all()
+    assert (tiled[msh.SUBSONIC_OUT].back_pressure
+            == of_copies[msh.SUBSONIC_OUT].back_pressure).all()
+    assert (tiled[msh.SUPERSONIC_IN].state == table[msh.SUPERSONIC_IN].state).all()
+    assert tiled[msh.SLIP_WALL] == table[msh.SLIP_WALL]
+
+
 def test_ghost_rows_ordering_and_missing_tag(rng):
     m = msh.structured_mesh(3, boundary_spec=msh.BoundarySpec.uniform("slip_wall"))
     u = random_admissible_prim(rng, m.n_cells).T

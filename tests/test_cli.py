@@ -107,6 +107,7 @@ def test_cli_runs_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_va
         expect = min(int(user_value or "1"), len(os.sched_getaffinity(0)))
         assert int(loaded) == expect == manifest["openblas_num_threads"]
     assert manifest["train_workers"] is None
+    assert manifest["train_group_samples"] is None
 
 
 def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
@@ -123,10 +124,13 @@ def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
 
 
 def test_manifest_records_train_workers(tmp_path):
+    """A minibatch of 3 samples on 72 cells is one group, which runs on one
+    process."""
     cfg = {**SMALL, "dataset": {"count": 2, "n_val": 0, "steps": 4},
            "train": {"epochs": 1, "batch_size": 3, "require_gradcheck": False}}
     _, manifest = _fresh_cli(tmp_path, cfg, ["dataset", "train"])
-    assert manifest["train_workers"] == train.workers(3) == min(3, solver._cpus())
+    assert manifest["train_group_samples"] == train.group_samples(72) == 56
+    assert manifest["train_workers"] == train.workers(1) == 1
 
 
 def test_unknown_key_is_config_error(run):

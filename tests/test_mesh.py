@@ -523,6 +523,8 @@ SLOT_MESHES = {
     "slip_wall_structured_6": lambda: msh.structured_mesh(
         6, boundary_spec=BoundarySpec.uniform("slip_wall")),
     "refined_irregular_6": lambda: msh.refine_uniform(msh.irregular_mesh(6, seed=5))[0],
+    "periodic_irregular_8_copies_3": lambda: msh.periodic_irregular_mesh(8, seed=3).copies(3),
+    "forward_step_0.1_copies_2": lambda: bench.forward_step_mesh(0.1)[0].copies(2),
 }
 
 
@@ -554,3 +556,42 @@ def test_face_slots_cover_every_stencil_slot_once(name):
     assert (length[m.f_slot_r] == -geo.f_len[:ni]).all()
     # the signed length along the face normal is the cell's outward scaled normal
     assert (m.slot_len * m.f_normal[m.slot_face].transpose(2, 0, 1) == m.cell_sn).all()
+
+
+@pytest.mark.parametrize("b", [2, 3])
+@pytest.mark.parametrize("name", ["periodic_structured_27", "forward_step_0.1",
+                                  "slip_wall_structured_6"])
+def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
+    """Copy c is cells c N to (c + 1) N - 1 with this mesh's per-cell
+    constants and its neighbours offset by c N; interior faces come copy by
+    copy, then each tag's boundary faces copy by copy, with their ghosts."""
+    m = SLOT_MESHES[name]()
+    c = m.copies(b)
+    assert m.copies(1) is m and m.copies(b) is c
+    n, ni, nb = m.n_cells, m.n_iface, m.n_ghost
+    assert (c.n_cells, c.n_faces, c.n_iface) == (b * n, b * m.n_faces, b * ni)
+    assert c.tag_slices == {k: slice(b * s.start, b * s.stop) for k, s in m.tag_slices.items()}
+    assert [k for k, v in vars(c).items() if isinstance(v, np.ndarray) and v.flags.writeable] == []
+    for name_ in ("area", "lsq_wd", "cell_foff", "cell_sn", "slot_len", "interior_mask"):
+        assert (getattr(c, name_) == np.tile(getattr(m, name_), b)).all(), name_
+    assert (c.angles == np.tile(m.angles, (b, 1))).all()
+    # interior faces of copy k are this mesh's, offset by k N
+    for k in range(b):
+        f = slice(k * ni, (k + 1) * ni)
+        assert (c.f_left[f] == m.f_left[:ni] + k * n).all()
+        assert (c.f_right[f] == m.f_right[:ni] + k * n).all()
+        assert (c.f_normal[f] == m.f_normal[:ni]).all()
+    # boundary faces: per tag, copy by copy; the ghost of face n_iface + g is b N + g
+    for code, s in m.tag_slices.items():
+        g = np.arange(s.start, s.stop)
+        for k in range(b):
+            cg = b * s.start + k * len(g) + np.arange(len(g))
+            assert (c.f_left[c.n_iface + cg] == m.f_left[ni + g] + k * n).all()
+            assert (c.f_mid[c.n_iface + cg] == m.f_mid[ni + g]).all()
+            assert (c.f_right[c.n_iface + cg] == b * n + cg).all()
+    # no neighbour across copies; a cell's ghost neighbours are its copy's
+    cells = np.arange(b * n)[:, None] // n
+    real = c.nbr < b * n
+    assert (c.nbr[real] // n == np.broadcast_to(cells, c.nbr.shape)[real]).all()
+    assert ((c.nbr >= b * n).sum(axis=1) == np.tile((m.nbr >= n).sum(axis=1), b)).all()
+    assert nb * b == c.n_ghost

@@ -1018,3 +1018,63 @@ def test_a_forked_child_steps_in_blocks(gas, seeded_params, block_cases, monkeyp
     assert status[0] == pid, "the child's step did not finish within 60 s"
     assert os.waitstatus_to_exitcode(status[1]) == 0
     assert got == digest(w1)
+
+
+def _inflow_outflow_mesh():
+    """A box with per-face subsonic inflow states and back pressures, and
+    slip walls."""
+    m = msh.structured_mesh(5, boundary_spec=msh.BoundarySpec(rules=[
+        (msh.SUBSONIC_IN, 0, lambda mid, n: mid[0] < 1e-9),
+        (msh.SUBSONIC_OUT, 0, lambda mid, n: mid[0] > 1.0 - 1e-9),
+        (msh.SLIP_WALL, 0, lambda mid, n: True)]))
+    return m, bclib.table_from_ic(m, lambda p: smooth_prim_field(p) * (1.0 + 0.1 * p[:, :1]))
+
+
+COPIES_MESHES = {
+    "periodic_structured_6": lambda: (msh.periodic_structured_mesh(6), {}),
+    "forward_step_0.2": lambda: bench.forward_step_mesh(0.2),
+    "inflow_outflow_5": _inflow_outflow_mesh,
+}
+
+
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+@pytest.mark.parametrize("name", sorted(COPIES_MESHES))
+def test_a_step_on_copies_is_the_step_on_each_copy(name, mode, gas, seeded_params):
+    """A step on 3 copies of 3 stacked states is the 3 steps, bitwise where
+    the network's matrix products see whole blocks of 8 cells on each copy
+    (OpenBLAS rounds a column tail apart, ``mesh.BLOCK_ALIGN``), else to
+    1e-15; the diagnostics are the copies' sums and maximum."""
+    m, bc_table = COPIES_MESHES[name]()
+    cfg = solver.StepConfig(co=0.03, gradient=mode)
+    params = seeded_params if cfg.uses_network else None
+    dt = solver.compute_dt(m, cfg)
+    rng = np.random.default_rng(2)
+    w0 = [prim_to_cons(smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4)),
+                       gas) for _ in range(3)]
+    steps = [solver.step_explicit_euler(m, w, dt, cfg, bc_table, params) for w in w0]
+    w1, diag = solver.step_explicit_euler(m.copies(3), np.concatenate(w0), dt, cfg,
+                                          bclib.tile_table(bc_table, 3), params)
+    each = np.concatenate([w for w, _ in steps])
+    if cfg.uses_network and m.n_cells % 8:
+        assert np.abs(w1 - each).max() <= 1e-15 * np.abs(each).max()
+    else:
+        assert w1.tobytes() == each.tobytes()
+    for key in ("bc_clamps", "fallback_cells"):
+        assert diag[key] == sum(d[key] for _, d in steps)
+    assert diag["max_wave_speed"] == max(d["max_wave_speed"] for _, d in steps)
+
+
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+def test_conservation_on_each_periodic_copy(mesh, gas, seeded_params, mode):
+    cfg = solver.StepConfig(co=CO, gradient=mode)
+    copies = mesh.copies(3)
+    w0 = np.concatenate([prim_to_cons(smooth_prim_field(mesh.centroid, amp), gas)
+                         for amp in (0.1, 0.2, 0.3)])
+    w = _final(copies, w0, cfg, seeded_params if cfg.uses_network else None)
+    n = mesh.n_cells
+    for c in range(3):
+        cells = slice(c * n, (c + 1) * n)
+        before = (mesh.area[:, None] * w0[cells]).sum(axis=0)
+        after = (mesh.area[:, None] * w[cells]).sum(axis=0)
+        scale = (mesh.area[:, None] * np.abs(w0[cells])).sum(axis=0)
+        assert (np.abs(after - before) / scale).max() < 1e-12, c

@@ -1,10 +1,12 @@
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
+from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
 from fvgrad.euler import AdmissibilityError, cons_to_prim, prim_to_cons
@@ -179,10 +181,11 @@ def _trajectories(coarse, gas, draws, steps=4):
     return out
 
 
-def _train_on(monkeypatch, k, *args, **kwargs):
-    """train.train with k CPUs; returns its result and how many samples the
-    calling process recorded itself."""
+def _train_on(monkeypatch, k, *args, group=2, **kwargs):
+    """train.train with k CPUs and groups of ``group`` samples; returns its
+    result and how many groups the calling process recorded itself."""
     monkeypatch.setattr(solver, "_cpus", lambda: k)
+    monkeypatch.setattr(train, "CELL_BUDGET", group * args[0].n_cells)
     recorded = []
     sample_loss = train._sample_loss
 
@@ -207,7 +210,8 @@ def _same_training(a, b):
 def test_training_is_bitwise_the_same_on_one_two_or_three_cpus(coarse, gas, monkeypatch):
     trajs = _trajectories(coarse, gas, (0, 1, 2), steps=6)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
-    # 12 samples in batches of 5, 5 and 2, validated on 6 pairs every epoch
+    # 12 samples in batches of 5, 5 and 2, so in 3, 3 and 1 groups of at
+    # most 2, validated on 6 pairs (3 groups) every epoch
     tcfg = train.TrainConfig(epochs=2, batch_size=5)
     runs = {k: _train_on(monkeypatch, k, coarse, cfg, trajs[:2], trajs[2:], tcfg)
             for k in (1, 2, 3)}
@@ -217,7 +221,7 @@ def test_training_is_bitwise_the_same_on_one_two_or_three_cpus(coarse, gas, monk
     for k, (result, own) in runs.items():
         _same_training(result, serial)
         # the caller records the first share of every batch, the children the rest
-        assert own == 2 * sum(m // min(k, m) for m in (5, 5, 2)), k
+        assert own == 2 * sum(m // min(k, m) for m in (3, 3, 1)), k
 
 
 def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, gas, monkeypatch):
@@ -232,7 +236,7 @@ def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, gas, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     forked, own = _train_on(monkeypatch, 2, coarse, cfg, trajs[:1], trajs[1:], tcfg)
     _same_training(forked, serial)
-    assert own == 4
+    assert own == 2
 
 
 def test_a_training_run_forks_once_per_extra_cpu(coarse, gas, monkeypatch):
@@ -240,9 +244,10 @@ def test_a_training_run_forks_once_per_extra_cpu(coarse, gas, monkeypatch):
     a fork's cost is paid once per call, not once per minibatch."""
     trajs = _trajectories(coarse, gas, (0, 1))
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
-    # 4 samples in batches of 2 over 2 epochs, and 3 validations
+    # 4 samples in batches of 2 over 2 epochs, and 3 validations; groups of
+    # one sample, so that the 4 validation pairs keep 3 CPUs busy
     tcfg = train.TrainConfig(epochs=2, batch_size=2)
-    serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg, group=1)
     forks = []
     fork = os.fork
 
@@ -253,7 +258,8 @@ def test_a_training_run_forks_once_per_extra_cpu(coarse, gas, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
-    forked, own = _train_on(monkeypatch, 3, coarse, cfg, trajs[:1], trajs[1:], tcfg)
+    forked, own = _train_on(monkeypatch, 3, coarse, cfg, trajs[:1], trajs[1:], tcfg,
+                            group=1)
     _same_training(forked, serial)
     assert len(forks) == 2
     assert own == 4
@@ -277,7 +283,7 @@ def test_a_child_that_dies_leaves_its_shares_to_the_caller(coarse, gas, monkeypa
     monkeypatch.setattr(train, "_sample_loss", dying)
     forked, own = _train_on(monkeypatch, 2, coarse, cfg, trajs[:1], trajs[1:], tcfg)
     _same_training(forked, serial)
-    assert own == 8
+    assert own == 4
 
 
 def test_dataset_files_are_bitwise_the_same_on_one_two_or_three_cpus(coarse, monkeypatch,
@@ -375,4 +381,128 @@ def test_training_after_a_two_block_step_is_bitwise_serial(coarse, gas, monkeypa
     serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
     forked, own = _train_on(monkeypatch, 2, coarse, cfg, trajs[:1], trajs[1:], tcfg)
     _same_training(forked, serial)
-    assert own == 2
+    assert own == 1
+
+
+# ---------------------------------------------------------------------------
+# groups of samples recorded as one program on the mesh's copies
+# ---------------------------------------------------------------------------
+
+def _group_case(name, gas, params, b):
+    """A mesh, its bc table, b distinct states and their references for a
+    group of b samples; sample 1's reference is its own corrected step, so
+    its supervision term is 0 with a zero derivative."""
+    m, bc_table = {"periodic": lambda: (msh.periodic_structured_mesh(6), {}),
+                   "forward_step": lambda: bench.forward_step_mesh(0.2)}[name]()
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    dt = solver.compute_dt(m, cfg)
+    rng = np.random.default_rng(5)
+    w_t = [prim_to_cons(smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4)),
+                        gas) for _ in range(b)]
+    plain = [solver.step_explicit_euler(m, w, dt, cfg.plain(), bc_table)[0] for w in w_t]
+    plain[1] = solver.step_explicit_euler(m, w_t[1], dt, cfg, bc_table, params)[0]
+    u_ref = [cons_to_prim(w, gas) for w in plain]
+    return m, bc_table, cfg, dt, w_t, u_ref
+
+
+@pytest.mark.parametrize("name", ["periodic", "forward_step"])
+def test_a_group_loss_is_the_sum_of_its_samples_losses(name, gas, seeded_params):
+    """Loss, gradient and parts of a group of 4 on the mesh's copies equal
+    the sums of the 4 samples' own, traced and untraced, to 1e-12."""
+    b, weights = 4, train.LossWeights()
+    m, bc_table, cfg, dt, w_t, u_ref = _group_case(name, gas, seeded_params, b)
+    singles = [train._sample_loss(m, dt, cfg, bc_table, seeded_params, w, u, weights, gas)
+               for w, u in zip(w_t, u_ref)]
+    assert singles[1][2]["sup"] == 0.0 and singles[0][2]["sup"] > 0.0
+    on_copies = (m.copies(b), dt, cfg, bclib.tile_table(bc_table, b), seeded_params,
+                 np.concatenate(w_t), np.concatenate(u_ref), weights, gas, b)
+    loss, grad, parts = train._sample_loss(*on_copies)
+    grad_sum = np.sum([g for _, g, _ in singles], axis=0)
+    assert loss == pytest.approx(sum(s[0] for s in singles), rel=1e-12, abs=0)
+    assert np.abs(grad - grad_sum).max() <= 1e-12 * np.abs(grad_sum).max()
+    for key in parts:
+        assert parts[key] == pytest.approx(sum(s[2][key] for s in singles), rel=1e-12), key
+    total, sup = train._pair_losses(*on_copies)
+    pairs = [train._pair_losses(m, dt, cfg, bc_table, seeded_params, w, u, weights, gas)
+             for w, u in zip(w_t, u_ref)]
+    assert total == pytest.approx(sum(t for t, _ in pairs), rel=1e-12, abs=0)
+    assert sup == pytest.approx(sum(s for _, s in pairs), rel=1e-12, abs=0)
+    assert total == pytest.approx(loss, rel=1e-12, abs=0)
+
+
+def test_a_group_records_the_nodes_of_one_sample(gas, seeded_params, monkeypatch):
+    """A group of 8 records one sample's nodes and four more: the reshape
+    and the sum of the per-copy supervision terms, and the two ``where``
+    that give a copy whose term is 0 (sample 1's) a zero derivative."""
+    m, _, cfg, dt, w_t, u_ref = _group_case("periodic", gas, seeded_params, 8)
+    counts = []
+    real = ad.Tape.backward
+
+    def spy(tape, seeds):
+        counts.append(tape.node_count)
+        return real(tape, seeds)
+
+    monkeypatch.setattr(ad.Tape, "backward", spy)
+    weights = train.LossWeights()
+    train._sample_loss(m, dt, cfg, {}, seeded_params, w_t[0], u_ref[0], weights, gas)
+    train._sample_loss(m.copies(8), dt, cfg, {}, seeded_params, np.concatenate(w_t),
+                       np.concatenate(u_ref), weights, gas, 8)
+    assert counts == [181, 185]
+
+
+def test_a_group_holding_one_failing_sample_raises_its_serial_error(coarse, gas, monkeypatch):
+    """Sample 5 of a batch of 8 in one group has a state whose update is not
+    admissible at cell 4; on the copies that cell is 5 * 72 + 4.  The group
+    runs its samples alone and raises sample 5's own error."""
+    (traj,) = _trajectories(coarse, gas, (0,), steps=8)
+    tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=3)
+    order = np.random.default_rng(tcfg.seed).permutation(traj.n_pairs)
+    frames = traj.frames.copy()
+    u = cons_to_prim(frames[order[5]], gas)
+    u[17] = (0.01, 0.0, 0.0, 1e6)
+    frames[order[5]] = prim_to_cons(u, gas)
+    bad = train.Trajectory(family="f3", frames=frames, ic_params={})
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    errors = []
+    for group in (1, 8):
+        with pytest.raises(solver.SolverError) as info:
+            _train_on(monkeypatch, 1, coarse, cfg, [bad], [], tcfg, group=group)
+        errors.append((str(info.value), info.value.cell, info.value.step))
+    assert errors[1] == errors[0] == ("step rejected: non-admissible update (cell=4)", 4, None)
+
+
+def test_a_group_that_fails_runs_its_items_alone():
+    """A group that raises, or whose loss is not finite, gives one result
+    per item, each run alone; an item that fails alone raises its error."""
+    def fn(params, group):
+        if 2 in group and len(group) > 1:
+            raise solver.SolverError("the group failed", cell=99)
+        if group == (5,):
+            raise solver.SolverError("item 5 failed", cell=3)
+        return (np.inf if 3 in group else float(sum(group)), group)
+
+    run = train._alone_on_error(fn)
+    assert run(None, (0, 1)) == [(1.0, (0, 1))]
+    assert run(None, (1, 2)) == [(1.0, (1,)), (2.0, (2,))]
+    assert run(None, (3, 4)) == [(np.inf, (3,)), (4.0, (4,))]
+    with pytest.raises(solver.SolverError, match=r"item 5 failed \(cell=3\)"):
+        run(None, (4, 5, 2))
+
+
+def test_each_epoch_logs_where_its_time_went(coarse, gas, caplog):
+    trajs = _trajectories(coarse, gas, (0, 1))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    with caplog.at_level("INFO", logger="fvgrad.train"):
+        result = train.train(coarse, cfg, trajs[:1], trajs[1:],
+                             train.TrainConfig(epochs=2, batch_size=2))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+    assert len(lines) == 2 and len(result.history) == 4
+    pattern = (r"epoch (\d): (\d+\.\d{3}) s in minibatches \((\d+\.\d) traced samples/s\), "
+               r"(\d+\.\d{3}) s in validation")
+    for epoch, line in enumerate(lines):
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        assert int(match[1]) == epoch
+        # 4 samples in an epoch, each figure within its printed rounding
+        secs, rate = float(match[2]), float(match[3])
+        assert (rate - 0.05) * (secs - 0.0005) <= 4 <= (rate + 0.05) * (secs + 0.0005)
