@@ -8,24 +8,32 @@ solver code runs untraced (fast path) or traced (training path).
 
 Every operation is written the same way: its numpy call when no operand is
 traced, else its forward value and one adjoint expression per operand,
-handed to ``_record``, which holds the one recording rule of the tape.  One
-node is recorded outside this module the same way: ``solver.rusanov_flux``
-computes the flux in numpy and records it as one node, whose adjoints are
-its hand-derived transposed Jacobians, in place of the 109 nodes that
-recording it op by op took.
+handed to ``_record``, which holds the one recording rule of the tape.  An
+operand is traced when its class is ``Var``; the test reads ``__class__``
+rather than calling ``isinstance``, because an untraced step is mostly the
+fixed cost of its calls.  One node is recorded outside this module the same
+way: ``solver.rusanov_flux`` computes the flux in numpy and hands it to
+``_record``, which records it as one node, whose adjoints are its
+hand-derived transposed Jacobians, in place of the 109 nodes that recording
+it op by op took, and returns the plain value when nothing is traced.
 
 Differentiable primitive set: + - * / ** sqrt log tanh abs min max,
-``where`` with a non-differentiated condition, reductions, matmul, the
-two-operand contraction ``einsum``, row gather/scatter and reshaping.
-Nondifferentiable points follow the taken-branch convention:
-``maximum``/``minimum`` send the adjoint to the first argument at ties,
-``where`` follows its condition, ``abs`` uses the sign (zero at zero).
+``where`` with a non-differentiated condition, reductions (``amin`` and
+``amax`` over one axis among them), matmul, the two-operand contraction
+``einsum``, row gather/scatter and reshaping.  Nondifferentiable points
+follow the taken-branch convention: ``maximum``/``minimum`` send the
+adjoint to the first argument at ties, and ``amax``/``amin`` to the first
+extreme entry along their axis, ``where`` follows its condition, ``abs``
+uses the sign (zero at zero).
 Comparisons on traced values return plain boolean arrays, i.e. branches are
 frozen at the recorded values.
 
 Mesh values move through ``take_rows``, a gather along the last axis, which
 is the cell (or face) axis of every per-cell array in the solver:
-``np.take(a, idx, axis=-1)`` for any leading shape.  Its adjoint is a
+``np.take(a, idx, axis=-1)`` for any leading shape, or from two arrays laid
+end to end, which gathers both sides of every face, the ghost states
+included, in one take.  ``take_rows_split`` takes several pieces through
+their joined index in one take.  The adjoint of a gather is a
 scatter-add with one ``np.bincount(idx, weights=row)`` per leading row.
 bincount starts every output entry at 0.0 and adds the values of its
 repeated indices in index order, the order ``np.add.at`` into zeros uses, so
@@ -66,7 +74,17 @@ be shared between nodes (``add`` passes one ``g`` to both operands,
 never write to ``.grad`` in place.
 """
 
+import functools
+import math
+
 import numpy as np
+
+try:
+    # the C function np.einsum calls when it does not optimize, without the
+    # wrapper's Python-level dispatch
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:      # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 
 class TraceError(ValueError):
@@ -235,14 +253,17 @@ class Var:
 
 def value_of(x):
     """Underlying numpy value of a Var, or the input coerced to an array."""
-    if isinstance(x, Var):
+    cls = x.__class__
+    if cls is np.ndarray:
+        return x
+    if cls is Var:
         return x.value
     return np.asarray(x)
 
 
 def _tape_of(*xs):
     for x in xs:
-        if isinstance(x, Var):
+        if x.__class__ is Var:
             return x.tape
     return None
 
@@ -263,8 +284,10 @@ def _unbroadcast(g, shape):
 def _record(out, *pairs):
     """Record the value ``out`` of an operation on (operand, adjoint) pairs.
 
-    The recording rule of the tape: the caller has taken its numpy fast path
-    when no operand is traced, and raised any record-time ``TraceError``.
+    The recording rule of the tape: the caller has raised any record-time
+    ``TraceError``.  With no operand traced it records nothing and returns
+    ``out`` itself, so a caller that computes its value in numpy either way
+    (``solver.rusanov_flux``) needs no branch of its own.
     The reverse sweep sends each traced operand, in the order given,
     ``_unbroadcast(adjoint(g), operand shape)``, where g is the node's
     adjoint; untraced operands get nothing.  The node keeps each traced
@@ -275,10 +298,12 @@ def _record(out, *pairs):
     traced = []
     tape = None
     for x, adjoint in pairs:
-        if isinstance(x, Var):
+        if x.__class__ is Var:
             traced.append((x.node, adjoint))
             if tape is None:
                 tape = x.tape
+    if tape is None:
+        return out
 
     # traced is bound as a default, not held in a closure cell: that records
     # about 0.4 us faster per node on a 2-vCPU Xeon host
@@ -298,46 +323,45 @@ def _same(g):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.add(a, b)
     return _record(value_of(a) + value_of(b), (a, _same), (b, _same))
 
 
 def subtract(a, b):
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.subtract(a, b)
     return _record(value_of(a) - value_of(b), (a, _same), (b, np.negative))
 
 
 def multiply(a, b):
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.multiply(a, b)
     av, bv = value_of(a), value_of(b)
     return _record(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def divide(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.divide(a, b)
     av, bv = value_of(a), value_of(b)
     if np.any(bv == 0.0):
-        raise TraceError("division by zero", "divide", len(tape.nodes))
+        raise TraceError("division by zero", "divide", len(_tape_of(a, b).nodes))
     out = av / bv
     return _record(out, (a, lambda g: g / bv), (b, lambda g: -g * out / bv))
 
 
 def negative(a):
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.negative(a)
     return _record(-a.value, (a, np.negative))
 
 
 def power(a, exponent):
     """Elementwise power with a constant (non-traced) exponent."""
-    if isinstance(exponent, Var):
+    if exponent.__class__ is Var:
         raise TypeError("traced exponents are not supported")
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.power(a, exponent)
     av = a.value
     return _record(np.power(av, exponent),
@@ -345,7 +369,7 @@ def power(a, exponent):
 
 
 def sqrt(a):
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.sqrt(a)
     if np.any(a.value <= 0.0):
         raise TraceError("sqrt of non-positive value", "sqrt", len(a.tape.nodes))
@@ -354,7 +378,7 @@ def sqrt(a):
 
 
 def log(a):
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.log(a)
     if np.any(a.value <= 0.0):
         raise TraceError("log of non-positive value", "log", len(a.tape.nodes))
@@ -363,14 +387,14 @@ def log(a):
 
 
 def tanh(a):
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.tanh(a)
     out = np.tanh(a.value)
     return _record(out, (a, lambda g: g * (1.0 - out * out)))
 
 
 def absolute(a):
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.abs(a)
     s = np.sign(a.value)
     return _record(np.abs(a.value), (a, lambda g: g * s))
@@ -378,14 +402,14 @@ def absolute(a):
 
 def maximum(a, b):
     """Elementwise max, keeping NaNs as np.maximum does; ties send the adjoint to a."""
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.maximum(a, b)
     return where((value_of(a) >= value_of(b)) | np.isnan(value_of(a)), a, b)
 
 
 def minimum(a, b):
     """Elementwise min, keeping NaNs as np.minimum does; ties send the adjoint to a."""
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.minimum(a, b)
     return where((value_of(a) <= value_of(b)) | np.isnan(value_of(a)), a, b)
 
@@ -393,11 +417,44 @@ def minimum(a, b):
 def where(cond, a, b):
     """Select per element; cond is never differentiated."""
     cond = value_of(cond)
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.where(cond, a, b)
     return _record(np.where(cond, value_of(a), value_of(b)),
                    (a, lambda g: np.where(cond, g, 0.0)),
                    (b, lambda g: np.where(cond, 0.0, g)))
+
+
+def _extreme(a, axis, ufunc, keeps):
+    """ufunc.reduce(a, axis), traced or not, as the chain
+    ufunc(ufunc(a_0, a_1), a_2)... along the axis, its traced value and
+    adjoint as a chain of ``maximum`` or ``minimum`` gives them: the running
+    pick keeps where ``keeps(pick, a_j)`` or it is NaN, so the adjoint goes
+    to the first extreme entry at ties."""
+    if a.__class__ is not Var:
+        return ufunc.reduce(a, axis=axis)
+    v = a.value
+    axis = axis % v.ndim
+    pick = np.take(v, 0, axis=axis)
+    k = np.zeros(pick.shape, dtype=np.intp)
+    for j in range(1, v.shape[axis]):
+        vj = np.take(v, j, axis=axis)
+        moves = ~(keeps(pick, vj) | np.isnan(pick))
+        k = np.where(moves, j, k)
+        pick = np.where(moves, vj, pick)
+    slots = np.arange(v.shape[axis]).reshape((-1,) + (1,) * (v.ndim - 1 - axis))
+    chosen = np.expand_dims(k, axis) == slots
+    # 0.0 + g, as the chain's gathers scatter their adjoints into zeros
+    return _record(pick, (a, lambda g: np.where(chosen, 0.0 + np.expand_dims(g, axis), 0.0)))
+
+
+def amax(a, axis):
+    """Maximum over one axis (``_extreme``); ties send the adjoint to the first."""
+    return _extreme(a, axis, np.maximum, np.greater_equal)
+
+
+def amin(a, axis):
+    """Minimum over one axis (``_extreme``); ties send the adjoint to the first."""
+    return _extreme(a, axis, np.minimum, np.less_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +470,40 @@ def _spread(g, axis, keepdims, shape):
 
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.sum(a, axis=axis, keepdims=keepdims)
     shape = a.value.shape
     return _record(np.sum(a.value, axis=axis, keepdims=keepdims),
                    (a, lambda g: _spread(g, axis, keepdims, shape)))
 
 
+def _mean(v, axis, keepdims):
+    """np.mean(v, axis, keepdims=keepdims) of a float64 array, bitwise: the
+    sum over the axes divided by their length, as np.mean computes it,
+    without its Python-level wrapper."""
+    out = np.add.reduce(v, axis=axis, keepdims=keepdims)
+    return out / (v.size // max(out.size, 1))
+
+
 def mean(a, axis=None, keepdims=False):
-    """np.mean, traced or not: the traced value is np.mean's, bitwise."""
-    if not isinstance(a, Var):
-        return np.mean(a, axis=axis, keepdims=keepdims)
-    out = np.mean(a.value, axis=axis, keepdims=keepdims)
+    """np.mean of a float array, traced or not, bitwise (``_mean``)."""
+    if a.__class__ is not Var:
+        return _mean(np.asarray(a, dtype=np.float64), axis, keepdims)
+    out = _mean(a.value, axis, keepdims)
     n = a.value.size // max(out.size, 1)
     shape = a.value.shape
     return _record(out, (a, lambda g: _spread(g / n, axis, keepdims, shape)))
 
 
 def matmul(a, b):
-    if _tape_of(a, b) is None:
+    if a.__class__ is not Var and b.__class__ is not Var:
         return np.matmul(a, b)
     av, bv = value_of(a), value_of(b)
     return _record(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
                    (b, lambda g: np.swapaxes(av, -1, -2) @ g))
 
 
+@functools.cache
 def _einsum_terms(spec):
     """Split an explicit two-operand spec into its three index strings."""
     lhs, arrow, out = spec.replace(" ", "").partition("->")
@@ -456,8 +522,8 @@ def einsum(spec, a, b):
     """Two-operand contraction ``np.einsum(spec, a, b)``; both adjoints are
     einsums, e.g. for "nj,njv->nv" the adjoint of a is "nv,njv->nj"."""
     sa, sb, so = _einsum_terms(spec)
-    if _tape_of(a, b) is None:
-        return np.einsum(spec, a, b)
+    if a.__class__ is not Var and b.__class__ is not Var:
+        return _c_einsum(spec, a, b)
     av, bv = value_of(a), value_of(b)
     return _record(np.einsum(spec, av, bv),
                    (a, lambda g: np.einsum(f"{so},{sb}->{sa}", g, bv)),
@@ -465,15 +531,15 @@ def einsum(spec, a, b):
 
 
 def reshape(a, shape):
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return np.asarray(a).reshape(shape)      # the method: see take_rows
     a_shape = a.value.shape
     return _record(a.value.reshape(shape), (a, lambda g: g.reshape(a_shape)))
 
 
 def transpose(a):
-    """2-D transpose; the adjoint transposes back."""
-    if not isinstance(a, Var):
+    """Reverse the axes, as ``.T`` does; the adjoint reverses them back."""
+    if a.__class__ is not Var:
         return np.asarray(a).T
     return _record(a.value.T, (a, lambda g: g.T))
 
@@ -481,7 +547,7 @@ def transpose(a):
 def getitem(a, key):
     """Basic indexing (slices / ints), or an index array without repeats such
     as a permutation; the adjoint scatters into zeros."""
-    if not isinstance(a, Var):
+    if a.__class__ is not Var:
         return a[key]
     shape = a.value.shape
 
@@ -506,7 +572,9 @@ def concatenate(parts, axis=0):
 
 def stack(parts, axis=0):
     if _tape_of(*parts) is None:
-        return np.stack(parts, axis=axis)
+        # np.array stacks along a new first axis in one call, where np.stack
+        # makes about fifteen
+        return np.array(parts) if axis == 0 else np.stack(parts, axis=axis)
     return _record(np.stack([value_of(p) for p in parts], axis=axis),
                    *((p, lambda g, k=k: np.take(g, k, axis=axis))
                      for k, p in enumerate(parts)))
@@ -535,17 +603,75 @@ def _scatter_rows(vals, idx, n):
     return out.reshape(lead + (n,))
 
 
-def take_rows(a, idx):
-    """Gather a[..., idx] along the last axis; the adjoint is a scatter-add."""
-    idx = np.asarray(idx)
-    if not isinstance(a, Var):
+def _take(av, idx, mv):
+    """av[..., idx] along the last axis, or with mv, idx indexing av and mv
+    laid end to end; the entries that index mv are filled in after one take
+    from av.  Returns (gathered, flat positions of those entries)."""
+    if mv is None:
         # the method, not np.take: each call of a numpy wrapper that forwards
         # keywords leaves one block on CPython's dict free list until 80 such
         # calls have run, so a process's first steps kept touching new pages
-        return np.asarray(a).take(idx, axis=-1)
-    n = a.value.shape[-1]
-    return _record(np.take(a.value, idx, axis=-1),
-                   (a, lambda g: _scatter_rows(g, idx, n)))
+        return av.take(idx, axis=-1), None
+    n = av.shape[-1]
+    out = av.take(idx, axis=-1, mode="clip")
+    far = (idx >= n).ravel().nonzero()[0]
+    rows = out.reshape(out.shape[:out.ndim - idx.ndim] + (idx.size,))
+    rows[..., far] = mv.take(idx.ravel()[far] - n, axis=-1)
+    return out, far
+
+
+def take_rows(a, idx, more=None):
+    """Gather a[..., idx] along the last axis; the adjoint is a scatter-add.
+
+    With ``more``, idx indexes a and more laid end to end along that axis,
+    ``concatenate([a, more], axis=-1)[..., idx]``, without forming the
+    concatenation: the entries below a's length read a, the others more."""
+    idx = np.asarray(idx)
+    if a.__class__ is not Var and more.__class__ is not Var:
+        return _take(np.asarray(a), idx, None if more is None else np.asarray(more))[0]
+    av = value_of(a)
+    n = av.shape[-1]
+    if more is None:
+        return _record(_take(av, idx, None)[0], (a, lambda g: _scatter_rows(g, idx, n)))
+    mv = value_of(more)
+    out, far = _take(av, idx, mv)
+    m = n + mv.shape[-1]
+    far_idx = idx.ravel()[far] - n
+
+    def more_adjoint(g):
+        rows = np.reshape(g, g.shape[:g.ndim - idx.ndim] + (idx.size,))
+        return _scatter_rows(rows.take(far, axis=-1), far_idx, mv.shape[-1])
+
+    # a's adjoint is the scatter over every entry, cut to a's length: its
+    # bins are those of a scatter of a's entries alone, bitwise
+    return _record(out, (a, lambda g: _scatter_rows(g, idx, m)[..., :n]), (more, more_adjoint))
+
+
+@functools.cache
+def _cuts(shapes):
+    """(lo, hi, shape) of consecutive pieces of the given shapes."""
+    cuts = []
+    lo = 0
+    for shape in shapes:
+        cuts.append((lo, lo + math.prod(shape), tuple(shape)))
+        lo += math.prod(shape)
+    return cuts
+
+
+def take_rows_split(a, idx, shapes):
+    """Gather a[..., idx] along the last axis for a 1-D idx, cut into
+    consecutive pieces of the given shapes: piece k is
+    ``take_rows(a, idx[lo:hi].reshape(shape))`` for its range lo:hi of idx.
+    Untraced, one take serves every piece; traced, each piece is its own
+    ``take_rows`` node.  Returns a tuple of the pieces."""
+    idx = np.asarray(idx)
+    cuts = _cuts(shapes)
+    # tuple() of a list, not of a generator: see _blockwise in solver
+    if a.__class__ is not Var:
+        flat = np.asarray(a).take(idx, axis=-1)
+        lead = flat.shape[:-1]
+        return tuple([flat[..., lo:hi].reshape(lead + shape) for lo, hi, shape in cuts])
+    return tuple([take_rows(a, idx[lo:hi].reshape(shape)) for lo, hi, shape in cuts])
 
 
 def segment_sum(vals, idx, n):
@@ -553,7 +679,7 @@ def segment_sum(vals, idx, n):
     the adjoint is a gather.  Kept for the benchmark's tracer only (module
     docstring)."""
     idx = np.asarray(idx)
-    if not isinstance(vals, Var):
+    if vals.__class__ is not Var:
         return _scatter_rows(vals, idx, n)
     return _record(_scatter_rows(vals.value, idx, n),
                    (vals, lambda g: np.take(g, idx, axis=-1)))

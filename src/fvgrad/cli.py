@@ -18,7 +18,10 @@ Exit codes:
   2  config error: bad or unknown config key, a value out of its range
      (e.g. ``step.co`` not > 0, a ``dataset.mix`` not summing to 1, a
      count such as ``train.epochs``, ``train.batch_size`` or
-     ``gradcheck.param_sample`` below 1), an IC
+     ``gradcheck.param_sample`` below 1, a ``train.lr`` or
+     ``train.weight_decay`` not finite and >= 0, a ``train.beta1`` or
+     ``train.beta2`` outside [0, 1), a ``loss`` weight not finite and
+     >= 0), an IC
      spec that does not parse (``simulate.ic`` or a ``bench.cases`` entry,
      e.g. ``family:f9``), a study on a ``mesh.kind`` without ``mesh.n``
      (``file``, ``forward_step``), missing config file or ``mesh.path``
@@ -230,15 +233,16 @@ def blas_threads():
 
 
 def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None,
-                    train_group_samples=None, rejected=None):
+                    train_group_samples=None, skipped_steps=None, rejected=None):
     """run_manifest.json: the config and its hash, the artifacts, the numpy
     version, the OpenBLAS thread count in effect (``blas_threads``), how
     many blocks a step on the run's mesh runs in (``solver.step_workers``; null for a study, which
     steps on several), how many processes a training minibatch runs on
-    (``train.workers`` of its groups) and how many samples a group holds
-    (``train.group_samples``; both null for a command that does not train)
-    and the runs a bench rejected (``bench.score``; null for another
-    command)."""
+    (``train.workers`` of its groups), how many samples a group holds
+    (``train.group_samples``) and how many optimizer steps were skipped on
+    a non-finite gradient (``TrainResult.skipped_steps``; all three null for
+    a command that does not train) and the runs a bench rejected
+    (``bench.score``; null for another command)."""
     manifest = {
         "config_hash": config_hash(cfg),
         "config": cfg,
@@ -248,6 +252,7 @@ def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None,
         "step_workers": None if mesh is None else solver.step_workers(mesh.n_cells),
         "train_workers": train_workers,
         "train_group_samples": train_group_samples,
+        "skipped_steps": skipped_steps,
         "rejected": rejected,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2,
@@ -408,6 +413,8 @@ def cmd_gradcheck(cfg):
 def cmd_train(cfg):
     out = out_dir_for(cfg)
     tc = cfg["train"]
+    tcfg = _build(cfg, "train", train.TrainConfig)
+    setup = _training_setup(cfg)
     if tc["require_gradcheck"]:
         gc_path = out / "gradcheck.json"
         if not gc_path.exists():
@@ -419,10 +426,8 @@ def cmd_train(cfg):
             log.error("gradcheck report is failing or stale; refusing to train")
             return EXIT_GRADCHECK
     coarse = build_mesh_from_config(cfg)
-    setup = _training_setup(cfg)
     trains, vals = _checked("dataset", train.load_dataset, ds_dir=out / cfg["dataset"]["dir"],
                             n_cells=coarse.n_cells, step_cfg=setup["step_cfg"])
-    tcfg = _build(cfg, "train", train.TrainConfig)
     result = train.train(mesh=coarse, train_trajs=trains, val_trajs=vals, tcfg=tcfg,
                          out_dir=out, **setup)
     solver.write_csv(out / "history.csv", train.HISTORY_COLUMNS,
@@ -432,7 +437,8 @@ def cmd_train(cfg):
     groups = train.batch_groups(min(tcfg.batch_size, n_samples), coarse.n_cells)
     _write_manifest(out, cfg, ["history.csv", "params.gfnn"], coarse,
                     train_workers=train.workers(groups),
-                    train_group_samples=train.group_samples(coarse.n_cells))
+                    train_group_samples=train.group_samples(coarse.n_cells),
+                    skipped_steps=result.skipped_steps)
     if result.aborted:
         log.error("training aborted on non-finite loss; last good checkpoint kept")
         return EXIT_NUMERIC

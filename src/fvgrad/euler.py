@@ -9,14 +9,17 @@ reconstruction delivers at the faces.
 
 Admissibility (rho > 0 and p, or the internal energy, > 0) is one rule:
 every check in the package applies ``not_positive``, the values-only mask
-``~(x > 0)``, to rho and to p or ``internal_energy``.  A NaN is outside the
+``~(x > 0)``, to rho and to p or ``internal_energy``, or asks
+``any_not_positive``, whether that mask holds anywhere.  A NaN is outside the
 admissible set, because NaN > 0 is False.
 
 The solver step stores its fields component-first, (4, n) with the cell
-axis contiguous, and passes them here as (n, 4) transposed views.  A
-function that returns a state lays it out in memory like its input, as
-numpy's elementwise operations do: such a view gives back the transposed
-view of a fresh (4, n) array, and a C-ordered input a C-ordered output.
+axis contiguous, and passes them here as (n, 4) transposed views; the flux
+passes both sides of every face at once, as the (F, 2, 4) transposed view
+of its (4, 2, F) face states.  A function that returns a state lays it out
+in memory like its input, as numpy's elementwise operations do: such a view
+gives back the transposed view of a fresh component-first array, and a
+C-ordered input a C-ordered output.
 """
 
 from dataclasses import dataclass
@@ -56,9 +59,13 @@ class GasModel:
 
 
 def _components(parts, like):
-    """Stack ``parts`` on a trailing component axis, laid out like ``like``."""
+    """Stack ``parts`` on a trailing component axis, laid out like ``like``:
+    where its component axis is the slowest in memory, as in a transposed
+    view of a component-first array, the state is such a view too."""
     v = ad.value_of(like)
-    if v.ndim == 2 and v.strides[0] < v.strides[1]:
+    if v.ndim > 1 and v.strides[-1] > v.strides[0]:
+        if v.ndim > 2:
+            parts = [ad.transpose(p) for p in parts]
         return ad.transpose(ad.stack(parts, axis=0))
     return ad.stack(parts, axis=-1)
 
@@ -68,6 +75,11 @@ def not_positive(x):
     return ~np.greater(ad.value_of(x), 0.0)
 
 
+def any_not_positive(x):
+    """Whether some entry of x is ``not_positive``: not all are > 0."""
+    return not np.logical_and.reduce(np.greater(ad.value_of(x), 0.0), axis=None)
+
+
 def internal_energy(w):
     """Internal energy per volume, E - |m|^2 / (2 rho), of states (..., 4)."""
     return w[..., EN] - 0.5 * (w[..., MX] ** 2 + w[..., MY] ** 2) / w[..., RHO]
@@ -75,17 +87,17 @@ def internal_energy(w):
 
 def _check_prim(u):
     uv = ad.value_of(u)
-    if not_positive(uv[..., RHO]).any():
+    if any_not_positive(uv[..., RHO]):
         raise AdmissibilityError("rho", "not > 0")
-    if not_positive(uv[..., P]).any():
+    if any_not_positive(uv[..., P]):
         raise AdmissibilityError("p", "not > 0")
 
 
 def _check_cons(w):
     wv = ad.value_of(w)
-    if not_positive(wv[..., RHO]).any():
+    if any_not_positive(wv[..., RHO]):
         raise AdmissibilityError("rho", "not > 0")
-    if not_positive(internal_energy(wv)).any():
+    if any_not_positive(internal_energy(wv)):
         raise AdmissibilityError("internal_energy", "not > 0")
 
 

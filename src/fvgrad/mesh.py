@@ -54,9 +54,11 @@ to the slot tables; the face geometry of each slot is gathered after it.
 A stencil slot is one (neighbor j, cell i) pair of a per-cell table, at flat
 index ``j * n_cells + i`` of a (..., 3, n_cells) array reshaped to
 (..., 3 * n_cells).  Every slot is one side of exactly one face: the left
-side of any face, or the right side of an interior one.  ``f_slot_l`` and
-``f_slot_r`` name each face's two slots, so a per-slot quantity (MUSCL's
-face states) reaches the faces through one gather per side.  The inverse
+side of any face, or the right side of an interior one.  ``face_slots``
+(2, F) names each face's left and right slot; the right side of a boundary
+face is its ghost, numbered 3 N + its ghost slot, as if the ghost states
+followed the slots.  So a per-slot quantity (MUSCL's face states) reaches
+both sides of every face through one gather.  The inverse
 tables ``slot_face`` and ``slot_len`` (3, N) name each slot's face and its
 length, signed by the side, so a per-face flux reaches the cells through one
 gather and a stencil sum.
@@ -161,8 +163,8 @@ class Mesh:
     f_normal: np.ndarray       # (F, 2) unit, left -> right
     f_mid: np.ndarray          # (F, 2) midpoint on the left side
     n_iface: int               # faces with a real cell on both sides
-    f_slot_l: np.ndarray       # (F,) flat stencil slot of the left side
-    f_slot_r: np.ndarray       # (n_iface,) flat stencil slot of the right side
+    face_slots: np.ndarray     # (2, F) flat stencil slot of the left and right
+                               # side; 3 N + ghost slot for a boundary face's right
     # boundary faces (face ids n_iface..F-1, grouped by tag)
     tag_slices: dict           # tag code -> slice into boundary order
     boundary_edges: np.ndarray # (Eb, 4) node_a, node_b, tag, group (pre-merge),
@@ -189,6 +191,8 @@ class Mesh:
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
+        # no cell touches a boundary: the corrected step masks no alpha
+        self.all_interior = bool(self.interior_mask.all())
 
     @property
     def n_cells(self):
@@ -272,6 +276,7 @@ class CellBlock:
         self.n_cells = cells.stop - cells.start
         for name in self.CELL_ARRAYS:
             setattr(self, name, getattr(mesh, name)[..., cells])
+        self.all_interior = bool(self.interior_mask.all())
         self.angles = mesh.angles[cells]        # one row per cell
 
 
@@ -295,6 +300,9 @@ def _tile(m, b):
     def tiled(a):
         return np.tile(a, b)      # along the last (cell) axis
 
+    face_slots = slot(src_copy, m.face_slots[:, src_face])
+    face_slots[1, b * ni:] = 3 * b * n + np.arange(b * (m.n_faces - ni))
+
     return Mesh(
         nodes=np.tile(m.nodes, (b, 1)),
         tri=(m.tri + nn * copy[:, None, None]).reshape(-1, 3),
@@ -302,8 +310,7 @@ def _tile(m, b):
         centroid=np.tile(m.centroid, (b, 1)),
         f_left=ext[src_copy, m.f_left[src_face]], f_right=ext[src_copy, m.f_right[src_face]],
         f_normal=m.f_normal[src_face], f_mid=m.f_mid[src_face], n_iface=b * ni,
-        f_slot_l=slot(src_copy, m.f_slot_l[src_face]),
-        f_slot_r=slot(src_copy[:b * ni], m.f_slot_r[src_face[:b * ni]]),
+        face_slots=face_slots,
         tag_slices={code: slice(b * s.start, b * s.stop) for code, s in m.tag_slices.items()},
         boundary_edges=np.concatenate([m.boundary_edges + [nn * c, nn * c, 0, 0]
                                        for c in copy]),
@@ -600,10 +607,10 @@ def build_mesh(nodes, triangles, boundary_spec=None):
     cell_sn = np.stack([sign * nx * slen, sign * ny * slen])
     slot_len = np.where(left, slen, -slen)
     flat_left = left.ravel()
-    f_slot_l = np.empty(F, dtype=np.int64)
-    f_slot_l[face.ravel()[flat_left]] = np.flatnonzero(flat_left)
-    f_slot_r = np.empty(n_iface, dtype=np.int64)
-    f_slot_r[face.ravel()[~flat_left]] = np.flatnonzero(~flat_left)
+    face_slots = np.empty((2, F), dtype=np.int64)
+    face_slots[0, face.ravel()[flat_left]] = np.flatnonzero(flat_left)
+    face_slots[1, face.ravel()[~flat_left]] = np.flatnonzero(~flat_left)
+    face_slots[1, n_iface:] = 3 * n_cells + np.arange(F - n_iface)
 
     lsq_w = 1.0 / (dx ** 2 + dy ** 2)
     lsq_wd = np.stack([lsq_w * dx, lsq_w * dy])
@@ -636,7 +643,7 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         centroid=np.column_stack([cx, cy]),
         f_left=f_left, f_right=f_right, f_normal=np.column_stack([f_nx, f_ny]),
         f_mid=np.column_stack([f_mx, f_my]), n_iface=n_iface,
-        f_slot_l=f_slot_l, f_slot_r=f_slot_r, slot_face=face, slot_len=slot_len,
+        face_slots=face_slots, slot_face=face, slot_len=slot_len,
         tag_slices=tag_slices, boundary_edges=boundary_edges, nbr=nbr.T.copy(),
         lsq_wd=lsq_wd, inv11=inv11, inv12=inv12, inv22=inv22,
         angles=angles.T.copy(), interior_mask=interior_mask,

@@ -30,8 +30,8 @@ the neighbor differences are (4, 3, N) (variable, neighbor, cell), the
 angles (3, N), every activation (features, N) and alpha (4, 3, N), with the
 cell axis last.  Its parameters keep the neighbor-major input order
 (j*4 + v) of the checkpoint format; the forward pass permutes them instead
-of the data, as it takes each layer from the flat vector with one gather
-(``_layer_index``).
+of the data, as it takes the layers from the flat vector through one
+gather of their joined indices (``_layer_index``, ``_layer_gather``).
 
 Cells touching a boundary get an exactly-zero alpha, which reduces the
 corrected gradients to the plain reconstruction there.  With every
@@ -41,6 +41,7 @@ reproduces the baseline bitwise.
 
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -153,7 +154,12 @@ def init_params(config=NetConfig(), seed=0):
 
 
 def _check_finite(name, x):
-    if not np.all(np.isfinite(ad.value_of(x))):
+    # all finite iff the largest and the smallest entry are, as both
+    # reductions keep a NaN: two passes and no temporary array (0.0 joins
+    # both, for a block without cells)
+    v = ad.value_of(x)
+    if not (math.isfinite(np.maximum.reduce(v, axis=None, initial=0.0))
+            and math.isfinite(np.minimum.reduce(v, axis=None, initial=0.0))):
         raise NetworkError("non-finite activation", layer=name)
 
 
@@ -190,6 +196,17 @@ def _layer_index(config):
     return idx
 
 
+@functools.cache
+def _layer_gather(config):
+    """``_layer_index`` as one gather: the layer names, their indices joined
+    in that order, and each layer's working shape, for
+    ``ad.take_rows_split``."""
+    idx = _layer_index(config)
+    joined = np.concatenate([i.ravel() for i in idx.values()])
+    joined.flags.writeable = False
+    return tuple(idx), joined, tuple(i.shape for i in idx.values())
+
+
 def network_forward(params, du, theta, vec=None):
     """Correction coefficients for stencil inputs.
 
@@ -207,7 +224,8 @@ def network_forward(params, du, theta, vec=None):
         raise NetworkError(f"theta shape {ad.value_of(theta).shape} does not match "
                            f"du {duv.shape}")
     vec = params.values if vec is None else vec
-    L = {name: ad.take_rows(vec, idx) for name, idx in _layer_index(cfg).items()}
+    names, idx, shapes = _layer_gather(cfg)
+    L = dict(zip(names, ad.take_rows_split(vec, idx, shapes)))
 
     z = ad.reshape(du, (cfg.n_in, n))
     mu = ad.mean(z, axis=0, keepdims=True)
@@ -244,6 +262,8 @@ def network_forward(params, du, theta, vec=None):
 def masked_alpha(mesh, params, du, vec=None):
     """Network forward over all cells with boundary cells forced to zero."""
     alpha = network_forward(params, du, mesh.angles.T, vec=vec)
+    if mesh.all_interior:
+        return alpha
     return ad.where(mesh.interior_mask, alpha, 0.0)
 
 

@@ -13,7 +13,8 @@ One entry of a stencil array belongs to a stencil slot, neighbor j of cell i
 (see ``mesh``), and each slot is one side of one face.  The step forms the
 face increments (r_ij - r_i) . grad u_i once per slot (``face_increments``);
 the limiter reads them, ``slot_states`` extrapolates each slot's limited
-state, and ``muscl_face_values`` gathers the face states from the slots.
+state, and ``muscl_face_values`` gathers both sides' face states from the
+slots and the ghosts.
 
 Every function here but ``neighbor_values`` and ``muscl_face_values`` reads
 only its own cells.  Given those cells' neighbour values (``u_nb``) or
@@ -110,10 +111,8 @@ def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
     if u_nb is None:
         u_nb = neighbor_values(mesh, u_ext)
 
-    nb_min = ad.minimum(ad.minimum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2])
-    nb_max = ad.maximum(ad.maximum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2])
-    u_min = ad.minimum(nb_min, u)
-    u_max = ad.maximum(nb_max, u)
+    u_min = ad.minimum(ad.amin(u_nb, axis=1), u)
+    u_max = ad.maximum(ad.amax(u_nb, axis=1), u)
 
     omega = (k_limiter * mesh.sqrt_area) ** 3
     a_max = ad.reshape(u_max - u, (4, 1, n))
@@ -127,8 +126,7 @@ def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
     ab = a * b
     smooth = (aa + 2.0 * ab + omega) / (aa + 2.0 * (b * b) + ab)
     phi_face = ad.where(zero, 1.0, smooth)
-    phi = ad.minimum(ad.minimum(phi_face[:, 0], phi_face[:, 1]), phi_face[:, 2])
-    return ad.minimum(ad.maximum(phi, 0.0), 1.0)
+    return ad.minimum(ad.maximum(ad.amin(phi_face, axis=1), 0.0), 1.0)
 
 
 def slot_states(mesh, u_ext, delta, phi):
@@ -148,8 +146,8 @@ def slot_states(mesh, u_ext, delta, phi):
 
     s = extrapolate(phi)
     sv = ad.value_of(s)
-    bad = (not_positive(sv[RHO]) | not_positive(sv[P])).any(axis=0)
-    n_fallback = int(bad.sum())
+    bad = np.logical_or.reduce(not_positive(sv[RHO]) | not_positive(sv[P]), axis=0)
+    n_fallback = int(np.count_nonzero(bad))
     if n_fallback:
         phi = phi * np.where(bad, 0.0, 1.0)
         s = extrapolate(phi)
@@ -157,18 +155,14 @@ def slot_states(mesh, u_ext, delta, phi):
 
 
 def muscl_face_values(mesh, u_ext, slots):
-    """One-sided face states u_ij, u_ji at every face midpoint, each (4, F).
+    """One-sided face states at every face midpoint, (4, 2, F): u_ij and
+    u_ji, the left and the right state of each face.
 
     ``slots`` are the slot states of ``slot_states``.  Every slot is one side
-    of exactly one face, so the left states and the right states of interior
-    faces are gathers of the slot states through ``mesh.f_slot_l`` and
-    ``mesh.f_slot_r``; a boundary face's right state is its ghost value
-    (first order).
+    of exactly one face, and a boundary face's right state is its ghost
+    value (first order), so every face state is one gather through
+    ``mesh.face_slots`` from the slot states followed by the ghost states.
     """
     s = ad.reshape(slots, (4, 3 * mesh.n_cells))
-    u_l = ad.take_rows(s, mesh.f_slot_l)
-    u_r = ad.take_rows(s, mesh.f_slot_r)
-    if mesh.n_ghost:
-        u_ghost = ad.take_rows(u_ext, mesh.f_right[mesh.n_iface:])
-        u_r = ad.concatenate([u_r, u_ghost], axis=1)
-    return u_l, u_r
+    ghosts = u_ext[:, mesh.n_cells:] if mesh.n_ghost else None
+    return ad.take_rows(s, mesh.face_slots, ghosts)

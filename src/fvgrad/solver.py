@@ -13,7 +13,19 @@ States cross the public boundary (``step_explicit_euler``, ``march``,
 ``rollout``, ``reference``, frames) as (N, 4) arrays.  Inside the step the
 cell or face axis is last and contiguous: fields are (4, N), or
 (4, N + n_ghost) with their ghost states, stencil arrays (4, 3, N) and face
-states (4, F), so every numpy operation runs over long contiguous rows.
+states (4, 2, F), both sides of each face, so every numpy operation runs
+over long contiguous rows.
+
+An untraced step pays a fixed cost per call as well as its work per cell,
+and on the meshes the runs use, a few hundred to a few thousand cells, the
+calls weigh most.  On the 72-cell periodic mesh an ``ml_lsq`` step makes
+about 310 Python-level calls (function and C-function calls, as
+``sys.setprofile`` counts them; a test pins the count) and takes about
+0.36 ms in a warm loop on one CPU of a 2-vCPU Xeon host, where its arrays
+are nearly empty; at 1,458 cells it takes 2.3-2.6 ms.  So each stage takes whole
+arrays in as few numpy calls as it can: one gather takes both sides of
+every face, ghosts included (``recon.muscl_face_values``), and the Rusanov
+flux runs its pointwise algebra once over both sides.
 
 The per-cell and per-face stages run in blocks.  After the neighbour
 gather, every stage up to the MUSCL slot states (neighbour deltas, network
@@ -124,55 +136,57 @@ def compute_dt(mesh, cfg):
     return cfg.co * mesh.min_sqrt_area
 
 
-def rusanov_flux(u_l, u_r, n, gas=GasModel()):
+def rusanov_flux(u_lr, n, gas=GasModel()):
     """Godunov-type flux: central average plus max-wave-speed dissipation.
 
     F = (f(u_l) + f(u_r)) / 2 - s (w_r - w_l) / 2 with s the larger of the
     two states' maximum wave speeds (Toro, Riemann Solvers, ch. 10).  The
-    one-sided states are primitive, (4, F), and unit normals (2, F), face
-    axis last; each side is converted to its conservative state w once, by
-    ``prim_to_cons``, which also checks its admissibility.  v.n, p and the
-    sound speed come from the primitives.  Returns (flux, s) with flux
+    face states u_lr are primitive, (4, 2, F): the left and the right state
+    of each face, face axis last; n holds the unit normals (2, F).  The
+    pointwise algebra runs once over both sides: ``prim_to_cons`` converts
+    them to their conservative states w and checks their admissibility,
+    then ``physical_flux`` and ``max_wave_speed`` follow, v.n, p and the
+    sound speed coming from the primitives.  Returns (flux, s) with flux
     (4, F) and s per face, a plain array.
 
-    The values are computed by the same numpy code whether or not a state
-    is traced.  A traced call records the flux as one tape node, whose
-    adjoints are the transposed Jacobians dF/du_l and dF/du_r
+    The values are computed by the same numpy code whether or not the states
+    are traced.  A traced call records the flux as one tape node, whose
+    adjoint is the transposed Jacobian dF/du of each side
     (``_rusanov_adjoint``): statement-level preaccumulation (Griewank and
-    Walther, *Evaluating Derivatives*, 2008, ch. 10).  They follow the
-    tape's conventions: the s term goes to the left state at ties, as
+    Walther, *Evaluating Derivatives*, 2008, ch. 10).  It follows the tape's
+    conventions: the s term goes to the left state at ties, as
     ``ad.maximum`` sends it, and |v.n| has the derivative sign(v.n), zero
     at zero, as ``ad.absolute``.
     """
-    vl, vr, n = ad.value_of(u_l), ad.value_of(u_r), np.asarray(n)
-    # (F, 4) and (F, 2) views for the pointwise algebra
-    ul, ur, nt = vl.T, vr.T, n.T
-    wl, wr = prim_to_cons(ul, gas), prim_to_cons(ur, gas)
-    f_l = physical_flux(ul, wl, nt).T
-    f_r = physical_flux(ur, wr, nt).T
-    a_l, a_r = max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas)
-    s = np.maximum(a_l, a_r)
-    dw = wr.T - wl.T
-    flux = 0.5 * (f_l + f_r) - 0.5 * s * dw
-    if not (isinstance(u_l, ad.Var) or isinstance(u_r, ad.Var)):
-        return flux, s
-    left = (a_l >= a_r) | np.isnan(a_l)
+    v, n = ad.value_of(u_lr), np.asarray(n)
+    # (F, 2, 4) and (F, 1, 2) views: each face's normal serves both sides
+    u, nt = v.T, n[:, None].T
+    w = prim_to_cons(u, gas)
+    f = physical_flux(u, w, nt).T
+    a = max_wave_speed(u, nt, gas).T
+    s = np.maximum(a[0], a[1])
+    wv = w.T
+    dw = wv[:, 1] - wv[:, 0]
+    flux = 0.5 * (f[:, 0] + f[:, 1]) - 0.5 * s * dw
 
-    def adjoint(u, t, side):
+    def adjoint(g):
         # the adjoint of s, -(g . dw) / 2, reaches the side whose speed was taken
-        return lambda g: _rusanov_adjoint(
-            g, u, n, t, np.where(side, -0.5 * np.einsum("kf,kf->f", g, dw), 0.0), gas.gamma)
+        left = (a[0] >= a[1]) | np.isnan(a[0])
+        g_s = -0.5 * np.einsum("kf,kf->f", g, dw)
+        g_a = np.array([np.where(left, g_s, 0.0), np.where(~left, g_s, 0.0)])
+        return _rusanov_adjoint(g, v, n, np.array([s, -s]), g_a, gas.gamma)
 
-    return ad._record(flux, (u_l, adjoint(vl, s, left)), (u_r, adjoint(vr, -s, ~left))), s
+    return ad._record(flux, (u_lr, adjoint)), s
 
 
 def _rusanov_adjoint(g, u, n, t, g_a, gamma):
-    """(dF/du)^T g for one side of the Rusanov flux F.
+    """(dF/du)^T g for both sides of the Rusanov flux F.
 
-    u is that side's primitive state (4, F), n the normals (2, F).  F holds
-    f(u) / 2 + t w(u) / 2, with w(u) the conservative state, t = s on the
-    left and -s on the right, and this side's wave speed a = |v.n| + c, whose
-    adjoint is g_a (zero where the other side's speed is s).  With h = g / 2,
+    u holds the sides' primitive states (4, 2, F), n the normals (2, F).  F
+    holds f(u) / 2 + t w(u) / 2 of each side, with w(u) the conservative
+    state, t = s on the left and -s on the right (t is (2, F)), and the
+    side's wave speed a = |v.n| + c, whose adjoint is g_a (2, F), zero where
+    the other side's speed is s.  With h = g / 2,
     A = h_0 + h_1 v_x + h_2 v_y, k = |v|^2 / 2 and the total enthalpy per
     volume H = E + p = gamma p / (gamma - 1) + rho k:
       rho: (v.n + t)(A + k h_3) - g_a c / (2 rho)
@@ -223,16 +237,16 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
         lambda c, ui, ue, nb: _slot_states(c, ui, ue, nb, cfg, params, params_vec),
         cells, u_in, u_ext, u_nb)
 
-    u_l, u_r = recon.muscl_face_values(mesh, u_ext, slots)
+    u_lr = recon.muscl_face_values(mesh, u_ext, slots)
     f = mesh.n_faces
     faces = [(None, slice(f * b // k, f * (b + 1) // k)) for b in range(k)]
-    flux, s = _blockwise(lambda _, ul, ur, n: rusanov_flux(ul, ur, n, gas),
-                         faces, u_l, u_r, mesh.f_normal.T)
+    flux, s = _blockwise(lambda _, lr, n: rusanov_flux(lr, n, gas),
+                         faces, u_lr, mesh.f_normal.T)
     # each cell sums its three slots' face fluxes times the signed face length
     r = ad.einsum("jn,vjn->vn", mesh.slot_len, ad.take_rows(flux, mesh.slot_face))
 
     diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
-            "max_wave_speed": float(np.max(ad.value_of(s)))}
+            "max_wave_speed": float(np.maximum.reduce(s, axis=None))}
     return r, diag
 
 
@@ -284,7 +298,8 @@ def _cpus():
 def step_workers(n_cells):
     """Blocks a step on n_cells cells runs in: one per CPU this process may
     run on, with at least MIN_BLOCK_CELLS cells in each, and at least one."""
-    return max(1, min(_cpus(), n_cells // MIN_BLOCK_CELLS))
+    most = n_cells // MIN_BLOCK_CELLS
+    return 1 if most <= 1 else min(_cpus(), most)
 
 
 def _blockwise(stage, blocks, *fields):
@@ -367,7 +382,7 @@ def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
     # |m|^2 / rho may divide by a non-positive rho; its cell is rejected anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = not_positive(wv[:, RHO]) | not_positive(internal_energy(wv))
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         raise SolverError("step rejected: non-admissible update",
                           cell=int(np.argmax(bad)), step=step_index)
     return _flip(w_next), diag

@@ -32,10 +32,10 @@ serial loop computes it, and the caller combines the results in item
 order, so parameters, history, checkpoints and dataset files are bitwise
 the same for any CPU count.  Each process holds one group's tape at a
 time, and the tape keeps only the values its adjoints read.  One sample
-records 181 nodes on a periodic mesh; a group records 2 more, and 2 more
+records 175 nodes on a periodic mesh; a group records 2 more, and 2 more
 again where a sample's supervision term is 0.  A group of 8 samples on the
-504-cell forward step records 305 nodes (one sample there, 303) and peaks
-at 10.3 MB (tracemalloc); a group of 2 on the 1,458-cell mesh records 183
+504-cell forward step records 299 nodes (one sample there, 297) and peaks
+at 10.3 MB (tracemalloc); a group of 2 on the 1,458-cell mesh records 177
 nodes and peaks at 7.4 MB.  Threads gain nothing on the tape's small numpy
 calls.
 
@@ -422,8 +422,10 @@ class LossWeights:
     reg: float = 1e-4
 
     def __post_init__(self):
-        if min(self.tvd, self.ent, self.reg) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name in ("tvd", "ent", "reg"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"loss weight {name} must be finite and >= 0, got {value!r}")
 
 
 def loss_supervision(u_ml, u_ref, copies=1):
@@ -566,8 +568,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
         if min(self.epochs, self.batch_size, self.checkpoint_every) < 1:
@@ -580,6 +587,7 @@ class TrainResult:
     history: list
     val_sup: list
     aborted: bool = False
+    skipped_steps: int = 0     # optimizer steps lion_step skipped (non-finite gradient)
 
 
 HISTORY_COLUMNS = ("epoch", "step", "total", "sup", "ent", "tvd", "reg", "lr", "val_total")
@@ -587,7 +595,7 @@ HISTORY_COLUMNS = ("epoch", "step", "total", "sup", "ent", "tvd", "reg", "lr", "
 
 # Cells of the copies a group of samples is recorded on: a group holds
 # CELL_BUDGET // n_cells samples, and at least one.  At training sizes a
-# traced sample is mostly fixed cost (Python, numpy dispatch and 181 tape
+# traced sample is mostly fixed cost (Python, numpy dispatch and 175 tape
 # nodes), not per-cell work.  A group's time per sample over one tape's per
 # sample, on one CPU of a 2-vCPU Xeon host (ml_lsq, periodic structured
 # meshes and the forward step):
@@ -736,7 +744,7 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     val_total, v_sup = (np.nan, np.nan)
     last_good = params.values.copy()
     aborted = False
-    global_step = 0
+    global_step = skipped = 0
 
     n_items = max(batch_groups(min(tcfg.batch_size, len(samples)), mesh.n_cells),
                   len(val_groups))
@@ -770,6 +778,8 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
                 new_vals, moment = lion_step(
                     params.values, grad_sum / m, moment, lr_e,
                     tcfg.beta1, tcfg.beta2, tcfg.weight_decay)
+                # a skipped step hands back the parameter vector itself
+                skipped += new_vals is params.values
                 params = params.with_values(new_vals)
                 history.append({
                     "epoch": epoch, "step": global_step, "total": mean_loss,
@@ -795,7 +805,7 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     if out is not None:
         mlcorr.save_params(params, out / "params.gfnn")
     return TrainResult(params=params, history=history, val_sup=val_sup,
-                       aborted=aborted)
+                       aborted=aborted, skipped_steps=skipped)
 
 
 # ---------------------------------------------------------------------------

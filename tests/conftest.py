@@ -144,7 +144,7 @@ def mesh_geometry(m):
     # the right cell's side of an interior face: the half-edge nearest the
     # face midpoint the right slot's centroid-to-face offset points at
     mids_r, _ = _half_edge_midpoints(m, m.f_right[:ni])
-    seen = (m.cell_foff.reshape(2, 3 * n)[:, m.f_slot_r].T + m.centroid[m.f_right[:ni]])
+    seen = (m.cell_foff.reshape(2, 3 * n)[:, m.face_slots[1, :ni]].T + m.centroid[m.f_right[:ni]])
     k_r = np.argmin(np.hypot(*(mids_r - seen[:, None, :]).transpose(2, 0, 1)), axis=1)
     f_shift = np.zeros((m.n_faces, 2))
     f_shift[:ni] = m.f_mid[:ni] - mids_r[np.arange(ni), k_r]

@@ -73,17 +73,25 @@ PRIMITIVE_CASES = [
     lambda x: ad.concatenate([x, 2.0 * x], axis=0),
     lambda x: ad.stack([x, x * Y], axis=1),
     lambda x: ad.take_rows(ad.transpose(x), np.array([2, 0, 0, 3, 1])),
+    lambda x: ad.take_rows(ad.transpose(x), np.array([[2, 0, 6], [5, 1, 6]]), 2.0 * x[:3]),
+    lambda x: ad.take_rows(x, np.array([2, 0, 0, 1])) * ad.take_rows(Y, np.array([3, 4, 1, 5]), x),
+    lambda x: (lambda p: p[0] * p[1])(ad.take_rows_split(ad.reshape(x, (12,)),
+                                                         np.array([3, 1, 0, 2, 5, 4, 11, 10, 7]),
+                                                         ((2, 3), (3,)))),
+    lambda x: ad.amax(x, axis=1),
+    lambda x: ad.amin(x, axis=0),
     lambda x: ad.segment_sum(ad.transpose(x), np.array([1, 0, 1, 2]), 3),
     lambda x: ad.einsum("ij,ik->jk", x, Y),
     lambda x: ad.einsum("nj,njv->nv", Y, ad.stack([x, x * x], axis=2)),
     lambda x: ad.einsum("ij,ij->i", x, x * Y),
-    lambda x: solver.rusanov_flux(x, Y, NORMALS)[0],
-    lambda x: solver.rusanov_flux(Y * x, x, NORMALS)[0],
+    lambda x: solver.rusanov_flux(ad.stack([x, Y], axis=1), NORMALS)[0],
+    lambda x: solver.rusanov_flux(ad.stack([Y * x, x], axis=1), NORMALS)[0],
 ]
 PRIMITIVE_IDS = ["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
                  "tanh", "abs", "max", "min", "where", "sum_keep", "mean",
                  "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
-                 "stack", "take_rows", "segment_sum", "einsum_a", "einsum_b", "einsum_ab",
+                 "stack", "take_rows", "take_rows_more", "take_rows_more_only", "take_rows_split",
+                 "amax", "amin", "segment_sum", "einsum_a", "einsum_b", "einsum_ab",
                  "rusanov_l", "rusanov_lr"]
 
 
@@ -230,6 +238,84 @@ def test_traced_max_and_min_propagate_a_nan_as_numpy_does(op, np_op, traced_firs
     expect = np_op(*(x if a is v else a for a in args))
     assert np.array_equal(ad.value_of(op(*args)), expect, equal_nan=True)
     assert np.isnan(expect[0])
+
+
+def _extreme_cases():
+    """(4, 3, 5) arrays with ties, signed zeros and NaNs along axis 1."""
+    rng = np.random.default_rng(11)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(4, 3, 5))
+    x[0, :, 0] = [np.nan, 1.0, 2.0]
+    x[1, :, 1] = [1.0, np.nan, 0.0]
+    x[2, :, 2] = [-0.0, 0.0, -0.0]
+    return x
+
+
+@pytest.mark.parametrize("name", ["amin", "amax"])
+def test_an_extreme_over_an_axis_is_the_chain_of_pairwise_extremes(name):
+    """ad.amin / ad.amax over axis 1 give the values of the chain
+    minimum(minimum(x0, x1), x2) (maximum alike), untraced as numpy's and
+    traced as ad's, bitwise with signed zeros and NaNs; the traced gradient
+    equals the chain's bitwise, ties going to the first entry."""
+    x = _extreme_cases()
+    op, pair = (ad.amin, ad.minimum) if name == "amin" else (ad.amax, ad.maximum)
+    np_pair = np.minimum if name == "amin" else np.maximum
+    chain = np_pair(np_pair(x[:, 0], x[:, 1]), x[:, 2])
+    assert op(x, axis=1).tobytes() == chain.tobytes()
+    g = np.random.default_rng(12).normal(size=(4, 5))
+    results = []
+    for build in (lambda v: op(v, axis=1), lambda v: pair(pair(v[:, 0], v[:, 1]), v[:, 2])):
+        tape = ad.Tape()
+        v = tape.var(x)
+        out = build(v)
+        tape.backward([(ad.sum(out * g), np.array(1.0))])
+        results.append((out.value.tobytes(), v.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_take_rows_with_more_gathers_from_both_arrays_laid_end_to_end():
+    """take_rows(a, idx, more) is take_rows(concatenate([a, more]), idx),
+    untraced and traced, with both adjoints equal bitwise."""
+    rng = np.random.default_rng(13)
+    a, more = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
+    idx = np.array([[7, 0, 2, 8], [1, 6, 6, 5]])
+    joined = np.concatenate([a, more], axis=1)
+    assert ad.take_rows(a, idx, more).tobytes() == joined.take(idx, axis=-1).tobytes()
+    g = rng.normal(size=(4, 2, 4))
+    grads = []
+    for build in (lambda x, y: ad.take_rows(x, idx, y),
+                  lambda x, y: ad.take_rows(ad.concatenate([x, y], axis=1), idx)):
+        tape = ad.Tape()
+        x, y = tape.var(a), tape.var(more)
+        out = build(x, y)
+        tape.backward([(ad.sum(out * g), np.array(1.0))])
+        grads.append((out.value.tobytes(), x.grad.tobytes(), y.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_take_rows_split_is_one_take_per_piece():
+    """Each piece equals take_rows through its part of the index, untraced
+    and traced, and the traced gradient equals the per-piece gathers'."""
+    rng = np.random.default_rng(14)
+    vec = rng.normal(size=20)
+    idx = rng.permutation(20)[:14]
+    shapes = ((2, 3), (4,), (4, 1))
+    pieces = ad.take_rows_split(vec, idx, shapes)
+    bounds = [0, 6, 10, 14]
+    expect = [vec.take(idx[lo:hi].reshape(shape))
+              for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)]
+    assert all(p.tobytes() == e.tobytes() and p.shape == e.shape
+               for p, e in zip(pieces, expect))
+    grads = []
+    for split in (lambda v: ad.take_rows_split(v, idx, shapes),
+                  lambda v: [ad.take_rows(v, idx[lo:hi].reshape(shape))
+                             for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)]):
+        tape = ad.Tape()
+        v = tape.var(vec)
+        p = split(v)
+        out = ad.sum(p[0] * 2.0) + ad.sum(p[1] * p[1]) + ad.sum(p[2] * 3.0)
+        tape.backward([(out, np.array(1.0))])
+        grads.append(v.grad.tobytes())
+    assert grads[0] == grads[1]
 
 
 def test_comparisons_return_plain_bools():

@@ -108,6 +108,7 @@ def test_cli_runs_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_va
         assert int(loaded) == expect == manifest["openblas_num_threads"]
     assert manifest["train_workers"] is None
     assert manifest["train_group_samples"] is None
+    assert manifest["skipped_steps"] is None
 
 
 def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
@@ -131,6 +132,7 @@ def test_manifest_records_train_workers(tmp_path):
     _, manifest = _fresh_cli(tmp_path, cfg, ["dataset", "train"])
     assert manifest["train_group_samples"] == train.group_samples(72) == 56
     assert manifest["train_workers"] == train.workers(1) == 1
+    assert manifest["skipped_steps"] == 0
 
 
 def test_unknown_key_is_config_error(run):
@@ -230,6 +232,17 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
                   "simulate": {"n_steps": 1}}),
     ("dataset", {**SMALL, "step": {"co": 0}, "dataset": {"steps": 1}}),
     ("dataset", {**SMALL, "step": {"co": float("nan")}, "dataset": {"steps": 1}}),
+    ("train", {**SMALL, "train": {"lr": float("nan"), "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"lr": float("inf"), "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"weight_decay": float("nan"), "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"weight_decay": -0.1, "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"beta1": 1.5, "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"beta1": 1.0, "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"beta2": -1.0, "require_gradcheck": False}}),
+    ("train", {**SMALL, "train": {"beta2": float("nan"), "require_gradcheck": False}}),
+    ("train", {**SMALL, "loss": {"ent": float("nan")}, "train": {"require_gradcheck": False}}),
+    ("train", {**SMALL, "loss": {"tvd": float("inf")}, "train": {"require_gradcheck": False}}),
+    ("gradcheck", {**SMALL, "loss": {"reg": float("nan")}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "simulate_unknown_family", "simulate_constant_not_a_number",
@@ -243,10 +256,17 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
         "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan",
         "gradcheck_param_sample_zero", "gradcheck_n_steps_zero", "dataset_count_negative",
         "dataset_n_val_negative", "dataset_mix_negative_fraction", "mesh_path_missing",
-        "dataset_co_zero", "dataset_co_nan"])
+        "dataset_co_zero", "dataset_co_nan", "train_lr_nan", "train_lr_inf",
+        "train_weight_decay_nan", "train_weight_decay_negative", "train_beta1_above_one",
+        "train_beta1_one", "train_beta2_negative", "train_beta2_nan", "loss_ent_nan",
+        "loss_tvd_inf", "gradcheck_loss_reg_nan"])
 def test_out_of_range_value_is_config_error(run, caplog, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
     assert "config error" in caplog.text and "unknown config key" not in caplog.text
+    # a rejected training or loss setting names its key
+    for section in ("train", "loss"):
+        for key in set(cfg.get(section, {})) - {"require_gradcheck"}:
+            assert f"{key} must" in caplog.text, key
 
 
 def test_an_empty_config_builds_the_dataclass_defaults(tmp_path):

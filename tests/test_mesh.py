@@ -449,14 +449,17 @@ def _array_digest(m):
 # within 1.5e-16 and 2.3e-16 of their largest entries.  All six were
 # re-recorded when the mesh stopped keeping f_len, f_shift, b_tag, nbr_dx,
 # nbr_dy and ghost_centroid (``conftest.mesh_geometry`` computes them): the
-# new values are the old digests taken without those six arrays
+# new values are the old digests taken without those six arrays.  All six
+# were re-recorded when f_slot_l and f_slot_r became the rows of face_slots:
+# each new value is the old build's digest with those two arrays replaced by
+# the (2, F) table made of them and the ghosts' 3 N + j
 ARRAY_DIGESTS = {
-    "periodic_structured_6": "99923b567943a65a",
-    "slip_wall_structured_6": "ae3836d5b088ff5c",
-    "forward_step_0.2": "6cc1d494a47067e1",
-    "refined_periodic_structured_6": "d4c6b38447db0237",
-    "periodic_irregular_27": "877db53459405889",
-    "forward_step_0.1": "4c8abb45f4e6badb",
+    "periodic_structured_6": "3580a61c3f508adc",
+    "slip_wall_structured_6": "9fc9a795eedb0620",
+    "forward_step_0.2": "ed9c06e1674236d7",
+    "refined_periodic_structured_6": "d85162d8e0448b87",
+    "periodic_irregular_27": "180132aa16e11dc6",
+    "forward_step_0.1": "da48ed6069a221d0",
 }
 
 
@@ -533,27 +536,31 @@ def test_face_slots_cover_every_stencil_slot_once(name):
     m = SLOT_MESHES[name]()
     n, ni = m.n_cells, m.n_iface
     geo = mesh_geometry(m)
-    assert m.f_slot_l.shape == (m.n_faces,) and m.f_slot_r.shape == (ni,)
-    slots = np.concatenate([m.f_slot_l, m.f_slot_r])
+    assert m.face_slots.shape == (2, m.n_faces)
+    f_slot_l, f_slot_r = m.face_slots[0], m.face_slots[1, :ni]
+    # a boundary face's right side is its ghost, numbered after the slots
+    assert (m.face_slots[1, ni:] == 3 * n + m.f_right[ni:] - n).all()
+    assert (m.f_right[ni:] == n + np.arange(m.n_ghost)).all()
+    slots = np.concatenate([f_slot_l, f_slot_r])
     assert (np.sort(slots) == np.arange(3 * n)).all()
     # the slot's cell is the face's cell on that side, its neighbor the other
     nbr = m.nbr.T.ravel()
-    assert (m.f_slot_l % n == m.f_left).all()
-    assert (m.f_slot_r % n == m.f_right[:ni]).all()
-    assert (nbr[m.f_slot_l] == m.f_right).all()
-    assert (nbr[m.f_slot_r] == m.f_left[:ni]).all()
+    assert (f_slot_l % n == m.f_left).all()
+    assert (f_slot_r % n == m.f_right[:ni]).all()
+    assert (nbr[f_slot_l] == m.f_right).all()
+    assert (nbr[f_slot_r] == m.f_left[:ni]).all()
     # the centroid-to-face offset at each side's slot, bitwise
     off = m.cell_foff.reshape(2, 3 * n)
-    assert (off[:, m.f_slot_l].T == m.f_mid - m.centroid[m.f_left]).all()
-    assert (off[:, m.f_slot_r].T
+    assert (off[:, f_slot_l].T == m.f_mid - m.centroid[m.f_left]).all()
+    assert (off[:, f_slot_r].T
             == m.f_mid[:ni] - geo.f_shift[:ni] - m.centroid[m.f_right[:ni]]).all()
     # the inverse tables: each slot's face, and its length signed by the side
     face, length = m.slot_face.ravel(), m.slot_len.ravel()
     assert m.slot_face.shape == m.slot_len.shape == (3, n)
-    assert (face[m.f_slot_l] == np.arange(m.n_faces)).all()
-    assert (face[m.f_slot_r] == np.arange(ni)).all()
-    assert (length[m.f_slot_l] == geo.f_len).all()
-    assert (length[m.f_slot_r] == -geo.f_len[:ni]).all()
+    assert (face[f_slot_l] == np.arange(m.n_faces)).all()
+    assert (face[f_slot_r] == np.arange(ni)).all()
+    assert (length[f_slot_l] == geo.f_len).all()
+    assert (length[f_slot_r] == -geo.f_len[:ni]).all()
     # the signed length along the face normal is the cell's outward scaled normal
     assert (m.slot_len * m.f_normal[m.slot_face].transpose(2, 0, 1) == m.cell_sn).all()
 

@@ -211,7 +211,7 @@ def test_muscl_first_order_when_phi_zero(rng, periodic_mesh_small):
     grad = recon.gradient_lsq(m, u.T)
     slots, nfb = recon.slot_states(m, u.T, recon.face_increments(m, grad),
                                    np.zeros((4, m.n_cells)))
-    u_l, u_r = recon.muscl_face_values(m, u.T, slots)
+    u_l, u_r = recon.muscl_face_values(m, u.T, slots).transpose(1, 0, 2)
     np.testing.assert_allclose(u_l.T, u[m.f_left], atol=0, rtol=0)
     assert nfb == 0
 
@@ -225,7 +225,7 @@ def test_muscl_exact_on_linear_both_sides(bounded_irregular):
     grad = recon.gradient_lsq(m, u)
     phi = np.ones((4, m.n_cells))
     slots, nfb = recon.slot_states(m, u, recon.face_increments(m, grad), phi)
-    u_l, u_r = recon.muscl_face_values(m, u, slots)
+    u_l, u_r = recon.muscl_face_values(m, u, slots).transpose(1, 0, 2)
     u_l, u_r = u_l.T, u_r.T
     expect = fn2(m.f_mid)
     np.testing.assert_allclose(u_l, expect, atol=1e-12)
@@ -245,7 +245,7 @@ def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
     gx[0, cell] = 10.0
     slots, nfb = recon.slot_states(m, u, recon.face_increments(m, (gx, gy)),
                                    np.ones((4, m.n_cells)))
-    u_l, u_r = recon.muscl_face_values(m, u, slots)
+    u_l, u_r = recon.muscl_face_values(m, u, slots).transpose(1, 0, 2)
     assert nfb >= 1
     assert (u_l[0] > 0).all() and (u_r[0] > 0).all()
 
@@ -363,8 +363,8 @@ def _muscl_pair(m, u_ext, limit):
     delta = recon.face_increments(m, grad)
     phi = recon.venkat_limiter(m, u_ext, delta, 5.0) * limit
     slots, nfb = recon.slot_states(m, u_ext, delta, phi)
-    return ((*recon.muscl_face_values(m, u_ext, slots), nfb),
-            _per_face_muscl(m, u_ext, grad, phi))
+    faces = recon.muscl_face_values(m, u_ext, slots)
+    return ((faces[:, 0], faces[:, 1], nfb), _per_face_muscl(m, u_ext, grad, phi))
 
 
 @pytest.mark.parametrize("path", ["plain", "fallback"])

@@ -177,7 +177,7 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     delta = recon.face_increments(mesh, grad)
     phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
     slots, _ = recon.slot_states(mesh, u, delta, phi)
-    u_l, u_r = recon.muscl_face_values(mesh, u, slots)
+    u_l, u_r = recon.muscl_face_values(mesh, u, slots).transpose(1, 0, 2)
     s = np.maximum(max_wave_speed(u_l.T, mesh.f_normal, gas),
                    max_wave_speed(u_r.T, mesh.f_normal, gas))
     assert diag["max_wave_speed"] == float(s.max())
@@ -199,12 +199,12 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
     slots, _ = recon.slot_states(mesh, u, delta, phi)
-    u_l, u_r = recon.muscl_face_values(mesh, u, slots)
-    flux, _ = solver.rusanov_flux(u_l, u_r, mesh.f_normal.T, gas)
+    flux, _ = solver.rusanov_flux(recon.muscl_face_values(mesh, u, slots),
+                                  mesh.f_normal.T, gas)
     # each cell adds its faces' fluxes in stencil order, + on its face's
     # left side and - on the right, each times the face length
-    slot_face = {int(k): f for f, k in enumerate(mesh.f_slot_l)}
-    right = {int(k): f for f, k in enumerate(mesh.f_slot_r)}
+    slot_face = {int(k): f for f, k in enumerate(mesh.face_slots[0])}
+    right = {int(k): f for f, k in enumerate(mesh.face_slots[1, :mesh.n_iface])}
     f_len = mesh_geometry(mesh).f_len
     expect = np.zeros_like(r)
     for j in range(3):
@@ -371,12 +371,12 @@ def test_rusanov_flux_matches_the_textbook_formula(rng, gas):
     theta = rng.uniform(0.0, 2 * np.pi, 50)
     n = np.column_stack([np.cos(theta), np.sin(theta)])
     expect, s_cons = _cons_rusanov(w_l, w_r, n, gas)
-    flux, s_out = solver.rusanov_flux(u_l.T, u_r.T, n.T, gas)
+    flux, s_out = solver.rusanov_flux(np.stack([u_l.T, u_r.T], axis=1), n.T, gas)
     assert (s_out == np.maximum(max_wave_speed(u_l, n, gas), max_wave_speed(u_r, n, gas))).all()
     np.testing.assert_allclose(s_out, s_cons, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(flux.T, expect, rtol=1e-14, atol=1e-14)
     # consistency: equal states give the physical flux
-    same, _ = solver.rusanov_flux(u_l.T, u_l.T, n.T, gas)
+    same, _ = solver.rusanov_flux(np.stack([u_l.T, u_l.T], axis=1), n.T, gas)
     np.testing.assert_allclose(same.T, _cons_flux(w_l, n, gas), rtol=1e-14, atol=1e-14)
 
 
@@ -393,8 +393,7 @@ def test_rusanov_flux_of_equal_states_is_the_physical_flux_bitwise(faces):
     arr = np.array(faces)
     u = arr[:, :4]
     n = np.column_stack([np.cos(arr[:, 4]), np.sin(arr[:, 4])])
-    flux, _ = solver.rusanov_flux(np.ascontiguousarray(u.T), np.ascontiguousarray(u.T),
-                                  np.ascontiguousarray(n.T), gas)
+    flux, _ = solver.rusanov_flux(np.stack([u.T, u.T], axis=1), np.ascontiguousarray(n.T), gas)
     assert (flux.T == physical_flux(u, prim_to_cons(u, gas), n)).all()
 
 
@@ -411,7 +410,7 @@ def _op_by_op_rusanov(u_l, u_r, n, gas):
 
 
 def _flux_node(u_l, u_r, n, gas):
-    return solver.rusanov_flux(u_l, u_r, n, gas)[0]
+    return solver.rusanov_flux(ad.stack([u_l, u_r], axis=1), n, gas)[0]
 
 
 # one face: left state, right state, normal angle and how the right state is
@@ -669,7 +668,7 @@ def _face_scatter_residual(mesh, w, cfg, bc_table, params):
     delta = recon.face_increments(mesh, grad)
     phi = recon.venkat_limiter(mesh, u_ext, delta, cfg.limiter_k, u_nb=u_nb)
     slots, _ = recon.slot_states(mesh, u_ext, delta, phi)
-    u_l, u_r = recon.muscl_face_values(mesh, u_ext, slots)
+    u_l, u_r = recon.muscl_face_values(mesh, u_ext, slots).transpose(1, 0, 2)
     flux, _ = _cons_rusanov(prim_to_cons(u_l.T, gas), prim_to_cons(u_r.T, gas),
                             mesh.f_normal, gas)
     contrib = flux.T * mesh_geometry(mesh).f_len
@@ -750,6 +749,43 @@ def _has_mallopt():
     except (AttributeError, OSError, TypeError):
         return False
     return True
+
+
+# Python-level calls (``call`` and ``c_call`` profile events) of one warm
+# untraced step on periodic_structured_mesh(6), where the arrays are nearly
+# empty and a step's cost is its calls.  Each budget is the count at which
+# the step's primitives were cut to fewer, larger numpy calls, plus 10%;
+# before that cut the step made 548 (lsq), 555 (gg), 754 (ml_lsq) and 767
+# (ml_gg) calls (numpy 2.4, CPython 3.11).
+STEP_CALL_BUDGET = {"lsq": 242, "gg": 245, "ml_lsq": 340, "ml_gg": 349}
+
+
+def _step_calls(mode, params):
+    mesh = msh.periodic_structured_mesh(6)
+    w = prim_to_cons(smooth_prim_field(mesh.centroid), GasModel())
+    cfg = solver.StepConfig(gradient=mode)
+    dt = solver.compute_dt(mesh, cfg)
+    params = params if cfg.uses_network else None
+    for _ in range(3):
+        solver.step_explicit_euler(mesh, w, dt, cfg, {}, params)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        solver.step_explicit_euler(mesh, w, dt, cfg, {}, params)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
+def test_an_untraced_step_makes_few_python_level_calls(mode, seeded_params):
+    calls = _step_calls(mode, seeded_params)
+    assert calls <= STEP_CALL_BUDGET[mode], calls
 
 
 @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt to pin the heap with")
