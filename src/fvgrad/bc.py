@@ -11,8 +11,11 @@ initial condition, and ``tile_table`` a mesh's table for its copies
 (``Mesh.copies``).
 
 ``ghost_state`` takes states with a trailing component axis, (..., 4);
-``ghost_rows`` and ``extend_with_ghosts`` work on the solver's (4, n)
-fields, cell axis last.
+``extend_with_ghosts`` works on the solver's (4, n) fields, cell axis last,
+and returns the ghost states as their own (4, n_ghost) array, ghost slot k
+at column k.  A stencil or a face reaches them through ``ad.take_rows``
+with the ghosts as its second array (``recon.neighbor_values``,
+``recon.muscl_face_values``), so no field is ever laid out with its ghosts.
 """
 
 from dataclasses import dataclass, replace
@@ -149,11 +152,13 @@ def ghost_state(spec, interior, n, gas=GasModel()):
     return ad.stack([rho_g, gu, gv, p_g], axis=-1), n_clamped
 
 
-def ghost_rows(mesh, u, bc_table, gas=GasModel()):
+def extend_with_ghosts(mesh, u, bc_table, gas=GasModel()):
     """Ghost primitive states for every boundary face, in ghost-slot order.
 
     u is the (4, n_cells) primitive field, cell axis last; bc_table maps tag
-    code -> BCSpec.  Returns (rows (4, n_ghost), clamps).
+    code -> BCSpec.  Returns (ghosts (4, n_ghost), clamps), or (None, 0) on a
+    mesh without boundary faces.  The name is older than this form; the
+    benchmark's tracer resolves the ghost stage by it.
     """
     if mesh.n_ghost == 0:
         return None, 0
@@ -171,13 +176,5 @@ def ghost_rows(mesh, u, bc_table, gas=GasModel()):
         rows, nc = ghost_state(spec, interior, normals[sl], gas)
         parts.append(ad.transpose(rows))
         clamps += nc
-    rows = parts[0] if len(parts) == 1 else ad.concatenate(parts, axis=1)
-    return rows, clamps
-
-
-def extend_with_ghosts(mesh, u, bc_table, gas=GasModel()):
-    """Primitive field extended with ghost states: shape (4, n_cells + n_ghost)."""
-    rows, clamps = ghost_rows(mesh, u, bc_table, gas)
-    if rows is None:
-        return u, 0
-    return ad.concatenate([u, rows], axis=1), clamps
+    ghosts = parts[0] if len(parts) == 1 else ad.concatenate(parts, axis=1)
+    return ghosts, clamps

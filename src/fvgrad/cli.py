@@ -33,7 +33,9 @@ Exit codes:
      dataset directory without manifest.json, corrupt dataset (a manifest
      key missing, a frame file missing, unreadable or not matching its
      manifest sha256, or frames of another cell count than the configured
-     mesh), a dataset whose manifest records no step or another step
+     mesh), a dataset whose manifest records no step or another step,
+     ``dataset``, ``gradcheck`` or ``train`` on a mesh with boundary faces
+     (their runs march periodic initial conditions)
   3  numeric failure: rejected solver step, inadmissible state (initial or
      boundary: an inflow state or back pressure taken from the initial
      condition), mesh error (a built-in mesh, or a ``mesh.path`` file that
@@ -365,12 +367,19 @@ def cmd_mesh(cfg):
     return EXIT_OK
 
 
+def _periodic_mesh(cfg, command):
+    """The configured mesh for dataset, gradcheck and train, whose runs have
+    no boundary states: one with boundary faces is a config error."""
+    mesh = build_mesh_from_config(cfg)
+    if mesh.n_ghost:
+        raise ConfigError(f"{command} requires a periodic mesh ({mesh.n_ghost} boundary faces)")
+    return mesh
+
+
 def cmd_dataset(cfg):
     out = out_dir_for(cfg)
     ds_dir = out / cfg["dataset"]["dir"]
-    coarse = build_mesh_from_config(cfg)
-    if coarse.n_ghost:
-        raise ConfigError("dataset generation requires a periodic mesh")
+    coarse = _periodic_mesh(cfg, "dataset")
     fine, pm = msh.refine_uniform(coarse)
     spec = _build(cfg, "dataset", train.DatasetSpec)
     manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir,
@@ -395,7 +404,7 @@ def _load_checkpoint(path):
 
 def cmd_gradcheck(cfg):
     out = out_dir_for(cfg)
-    mesh = build_mesh_from_config(cfg)
+    mesh = _periodic_mesh(cfg, "gradcheck")
     gc = cfg["gradcheck"]
     report = _checked(
         "gradcheck", train.gradient_check,
@@ -415,6 +424,7 @@ def cmd_train(cfg):
     tc = cfg["train"]
     tcfg = _build(cfg, "train", train.TrainConfig)
     setup = _training_setup(cfg)
+    coarse = _periodic_mesh(cfg, "train")
     if tc["require_gradcheck"]:
         gc_path = out / "gradcheck.json"
         if not gc_path.exists():
@@ -425,7 +435,6 @@ def cmd_train(cfg):
         if not report.get("pass") or report.get("sections_hash") != gradcheck_hash(cfg):
             log.error("gradcheck report is failing or stale; refusing to train")
             return EXIT_GRADCHECK
-    coarse = build_mesh_from_config(cfg)
     trains, vals = _checked("dataset", train.load_dataset, ds_dir=out / cfg["dataset"]["dir"],
                             n_cells=coarse.n_cells, step_cfg=setup["step_cfg"])
     result = train.train(mesh=coarse, train_trajs=trains, val_trajs=vals, tcfg=tcfg,

@@ -34,13 +34,15 @@ a virtually translated centroid, so periodic cells look like interior
 cells to every downstream consumer.
 
 Ghost cells (one layer) mirror the interior centroid across the boundary
-face; their values are synthesized per step by the boundary-condition
-layer and live at index ``n_cells + k`` of the cell axis of extended fields.
+face; the boundary-condition layer synthesizes their values per step as an
+array of their own.  ``f_right`` and ``nbr`` name ghost slot k
+``n_cells + k``, as if the ghost states followed the cells;
+``autodiff.take_rows`` gathers through such an index without joining them.
 
-The per-step constants the solver reads with every field (``lsq_wd``,
-``cell_foff``, ``cell_sn``) are stored with the cell axis last and
-contiguous, like the step's own fields; the topology and geometry tables
-keep one row per cell or face.
+The per-cell tables the step reads (``nbr``, ``angles``, ``lsq_wd``,
+``cell_foff``, ``cell_sn``, ``slot_face``, ``slot_len``) are stored with the
+cell axis last and contiguous, like the step's own fields; the other
+topology and geometry tables keep one row per cell or face.
 
 ``build_mesh`` itself works cells-last, like the step: nodes, cells, edges
 and faces as one array per coordinate, and the per-cell tables as (3, N)
@@ -170,13 +172,13 @@ class Mesh:
     boundary_edges: np.ndarray # (Eb, 4) node_a, node_b, tag, group (pre-merge),
                                # in edge order
     # per-cell tables: neighbors CCW, starting right after the largest
-    # stencil angle (ties: see _stencil_start), so angles[:, 2] is the largest
-    nbr: np.ndarray            # (N, 3) extended ids (ghosts >= n_cells)
+    # stencil angle (ties: see _stencil_start), so angles[2] is the largest
+    nbr: np.ndarray            # (3, N) neighbor ids; n_cells + k for ghost slot k
     lsq_wd: np.ndarray         # (2, 3, N) LSQ weight 1/|d|^2 times offset d
     inv11: np.ndarray          # (N,) inverse LSQ normal matrix entries
     inv12: np.ndarray
     inv22: np.ndarray
-    angles: np.ndarray         # (N, 3) stencil angles, radians; angles[:, k]
+    angles: np.ndarray         # (3, N) stencil angles, radians; angles[k]
                                # lies between neighbors k and k+1 (mod 3)
     interior_mask: np.ndarray  # (N,) True when all neighbors are real cells
     cell_foff: np.ndarray      # (2, 3, N) centroid -> own-side face midpoint
@@ -269,7 +271,7 @@ class CellBlock:
     """
 
     CELL_ARRAYS = ("inv_area", "sqrt_area", "lsq_wd", "inv11", "inv12", "inv22",
-                   "interior_mask", "cell_foff", "cell_sn")
+                   "angles", "interior_mask", "cell_foff", "cell_sn")
 
     def __init__(self, mesh, cells):
         self.cells = cells
@@ -277,7 +279,6 @@ class CellBlock:
         for name in self.CELL_ARRAYS:
             setattr(self, name, getattr(mesh, name)[..., cells])
         self.all_interior = bool(self.interior_mask.all())
-        self.angles = mesh.angles[cells]        # one row per cell
 
 
 def _tile(m, b):
@@ -290,7 +291,7 @@ def _tile(m, b):
     src_copy = np.concatenate([np.repeat(copy, len(r)) for r in runs])
     face = np.empty((b, m.n_faces), dtype=np.int64)
     face[src_copy, src_face] = np.arange(b * m.n_faces)
-    # extended cell ids (cells, then ghosts) of each copy
+    # each copy's ids as f_right and nbr name them: cells, then ghosts
     ext = np.concatenate([n * copy[:, None] + np.arange(n), b * n + face[:, ni:] - b * ni],
                          axis=1)
 
@@ -314,9 +315,9 @@ def _tile(m, b):
         tag_slices={code: slice(b * s.start, b * s.stop) for code, s in m.tag_slices.items()},
         boundary_edges=np.concatenate([m.boundary_edges + [nn * c, nn * c, 0, 0]
                                        for c in copy]),
-        nbr=ext[:, m.nbr].reshape(-1, 3),
+        nbr=ext[:, m.nbr].transpose(1, 0, 2).reshape(3, -1),
         lsq_wd=tiled(m.lsq_wd), inv11=tiled(m.inv11), inv12=tiled(m.inv12),
-        inv22=tiled(m.inv22), angles=np.tile(m.angles, (b, 1)),
+        inv22=tiled(m.inv22), angles=tiled(m.angles),
         interior_mask=tiled(m.interior_mask), cell_foff=tiled(m.cell_foff),
         cell_sn=tiled(m.cell_sn),
         slot_face=face[:, m.slot_face].transpose(1, 0, 2).reshape(3, -1),
@@ -644,9 +645,9 @@ def build_mesh(nodes, triangles, boundary_spec=None):
         f_left=f_left, f_right=f_right, f_normal=np.column_stack([f_nx, f_ny]),
         f_mid=np.column_stack([f_mx, f_my]), n_iface=n_iface,
         face_slots=face_slots, slot_face=face, slot_len=slot_len,
-        tag_slices=tag_slices, boundary_edges=boundary_edges, nbr=nbr.T.copy(),
+        tag_slices=tag_slices, boundary_edges=boundary_edges, nbr=nbr,
         lsq_wd=lsq_wd, inv11=inv11, inv12=inv12, inv22=inv22,
-        angles=angles.T.copy(), interior_mask=interior_mask,
+        angles=angles, interior_mask=interior_mask,
         cell_foff=cell_foff, cell_sn=cell_sn,
     )
 

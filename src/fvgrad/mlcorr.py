@@ -261,7 +261,7 @@ def network_forward(params, du, theta, vec=None):
 
 def masked_alpha(mesh, params, du, vec=None):
     """Network forward over all cells with boundary cells forced to zero."""
-    alpha = network_forward(params, du, mesh.angles.T, vec=vec)
+    alpha = network_forward(params, du, mesh.angles, vec=vec)
     if mesh.all_interior:
         return alpha
     return ad.where(mesh.interior_mask, alpha, 0.0)

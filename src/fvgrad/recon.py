@@ -1,13 +1,18 @@
 """Gradient reconstruction and slope limiting on the primitive variables.
 
 Every array here keeps the cell (or face) axis last and contiguous: fields
-and gradients are (4, n_cells), with the extended field (interior cells
-followed by ghost entries) (4, n_cells + n_ghost) so boundary stencils are
-complete; stencil arrays are (4, 3, n_cells) (variable, neighbor, cell), and
-face states (4, n_faces).  A gradient is a (gx, gy) pair.  The optional
-``alpha`` argument (per-variable, per-neighbor, per-cell coefficients,
-(4, 3, n_cells)) applies the learned correction; ``alpha=None`` is the plain
-scheme and ``alpha == 0`` reproduces it bitwise.
+and gradients are (4, n_cells), stencil arrays (4, 3, n_cells) (variable,
+neighbor, cell), and face states (4, 2, n_faces).  Fields hold the cells
+alone; on a mesh with boundary faces their ghost states are a separate
+(4, n_ghost) array (``bc.extend_with_ghosts``).  The two gathers that read
+past the cells, ``neighbor_values`` and ``muscl_face_values``, take the
+ghosts as their second array, and every other function takes the stencil
+input its caller gathered: neighbour values ``u_nb`` or deltas ``du``.
+
+A gradient is a (gx, gy) pair.  The optional ``alpha`` argument
+(per-variable, per-neighbor, per-cell coefficients, (4, 3, n_cells)) applies
+the learned correction; ``alpha=None`` is the plain scheme and
+``alpha == 0`` reproduces it bitwise.
 
 One entry of a stencil array belongs to a stencil slot, neighbor j of cell i
 (see ``mesh``), and each slot is one side of one face.  The step forms the
@@ -16,10 +21,9 @@ the limiter reads them, ``slot_states`` extrapolates each slot's limited
 state, and ``muscl_face_values`` gathers both sides' face states from the
 slots and the ghosts.
 
-Every function here but ``neighbor_values`` and ``muscl_face_values`` reads
-only its own cells.  Given those cells' neighbour values (``u_nb``) or
-deltas (``du``), it also takes a ``mesh.CellBlock`` in place of the mesh,
-with the block's cells' fields.
+Every function here but those two gathers reads only its own cells, so it
+also takes a ``mesh.CellBlock`` in place of the mesh, with the block's
+cells' fields and stencil inputs.
 """
 
 import numpy as np
@@ -28,15 +32,10 @@ from . import autodiff as ad
 from .euler import P, RHO, not_positive
 
 
-def _cells(mesh, u_ext):
-    """The interior (4, n_cells) part of a field that may carry ghosts."""
-    n = mesh.n_cells
-    return u_ext[:, :n] if ad.value_of(u_ext).shape[-1] != n else u_ext
-
-
-def neighbor_values(mesh, u_ext):
-    """Neighbor primitive states in stencil order, shape (4, 3, N)."""
-    return ad.take_rows(u_ext, mesh.nbr.T)
+def neighbor_values(mesh, u, ghosts):
+    """Neighbor states in stencil order, (k, 3, N), of a (k, N) field u and
+    its (k, n_ghost) ghost states (None on a mesh without boundary faces)."""
+    return ad.take_rows(u, mesh.nbr, ghosts)
 
 
 def neighbor_deltas(mesh, u, u_nb):
@@ -44,16 +43,15 @@ def neighbor_deltas(mesh, u, u_nb):
     return u_nb - ad.reshape(u, (4, 1, mesh.n_cells))
 
 
-def gradient_gg(mesh, u_ext, alpha=None, u_nb=None):
+def gradient_gg(mesh, u, u_nb, alpha=None):
     """Green-Gauss gradient with optional per-neighbor correction weights.
 
-    ``u_ext`` is any (k, n_cells + n_ghost) field: the step's four
-    primitives, or the entropy flux components of the training loss.
+    ``u`` is any (k, n_cells) field and ``u_nb`` its neighbour values: the
+    step's four primitives, or the entropy flux components of the training
+    loss.
     """
-    if u_nb is None:
-        u_nb = neighbor_values(mesh, u_ext)
-    k = ad.value_of(u_ext).shape[0]
-    ui = ad.reshape(_cells(mesh, u_ext), (k, 1, mesh.n_cells))
+    k = ad.value_of(u).shape[0]
+    ui = ad.reshape(u, (k, 1, mesh.n_cells))
     if alpha is None:
         face_val = 0.5 * ui + 0.5 * u_nb
     else:
@@ -63,15 +61,14 @@ def gradient_gg(mesh, u_ext, alpha=None, u_nb=None):
     return gx, gy
 
 
-def gradient_lsq(mesh, u_ext, alpha=None, du=None):
-    """Inverse-distance-squared weighted least-squares gradient.
+def gradient_lsq(mesh, du, alpha=None):
+    """Inverse-distance-squared weighted least-squares gradient from
+    ``neighbor_deltas`` du.
 
     Solves the 2x2 normal equations per cell (matrix precomputed at mesh
     build, with a determinant guard).  ``alpha`` reweights the right-hand
     side terms by (1 + alpha_j).  Exact for globally linear fields.
     """
-    if du is None:
-        du = neighbor_deltas(mesh, _cells(mesh, u_ext), neighbor_values(mesh, u_ext))
     if alpha is not None:
         du = (1.0 + alpha) * du
     bx = ad.einsum("jn,vjn->vn", mesh.lsq_wd[0], du)
@@ -95,7 +92,7 @@ def face_increments(mesh, grad):
             + off[1] * ad.reshape(gy, (4, 1, n)))
 
 
-def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
+def venkat_limiter(mesh, u, u_nb, delta, k_limiter=5.0):
     """Smooth slope limiter, one value per variable and cell, clipped to [0,1].
 
     Per face j of cell i, with a = (neighborhood max/min minus u_i) and
@@ -103,14 +100,9 @@ def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
     factor is L(a, b) = (a^2 + 2ab + w) / (a^2 + 2b^2 + ab), w = (K h)^3,
     h = sqrt(|C|); a takes the max where b > 0 and the min where b < 0, so
     L is evaluated once per face; the cell value is the minimum over its
-    faces (1 where b = 0).  ``u_nb`` reuses neighbor values the caller
-    already gathered.
+    faces (1 where b = 0).  ``u_nb`` are the neighbor values of u.
     """
     n = mesh.n_cells
-    u = _cells(mesh, u_ext)
-    if u_nb is None:
-        u_nb = neighbor_values(mesh, u_ext)
-
     u_min = ad.minimum(ad.amin(u_nb, axis=1), u)
     u_max = ad.maximum(ad.amax(u_nb, axis=1), u)
 
@@ -129,7 +121,7 @@ def venkat_limiter(mesh, u_ext, delta, k_limiter=5.0, u_nb=None):
     return ad.minimum(ad.maximum(ad.amin(phi_face, axis=1), 0.0), 1.0)
 
 
-def slot_states(mesh, u_ext, delta, phi):
+def slot_states(mesh, u, delta, phi):
     """Each stencil slot's limited linear extrapolation, (4, 3, N), and the
     number of cells that fell back to first order.
 
@@ -139,7 +131,7 @@ def slot_states(mesh, u_ext, delta, phi):
     first order (phi = 0 for that cell) and is counted.
     """
     n = mesh.n_cells
-    u = ad.reshape(_cells(mesh, u_ext), (4, 1, n))
+    u = ad.reshape(u, (4, 1, n))
 
     def extrapolate(limiter):
         return u + ad.reshape(limiter, (4, 1, n)) * delta
@@ -154,15 +146,15 @@ def slot_states(mesh, u_ext, delta, phi):
     return s, n_fallback
 
 
-def muscl_face_values(mesh, u_ext, slots):
+def muscl_face_values(mesh, slots, ghosts):
     """One-sided face states at every face midpoint, (4, 2, F): u_ij and
     u_ji, the left and the right state of each face.
 
-    ``slots`` are the slot states of ``slot_states``.  Every slot is one side
-    of exactly one face, and a boundary face's right state is its ghost
-    value (first order), so every face state is one gather through
+    ``slots`` are the slot states of ``slot_states`` and ``ghosts`` the
+    ghost states, or None on a mesh without boundary faces.  Every slot is
+    one side of exactly one face, and a boundary face's right state is its
+    ghost value (first order), so every face state is one gather through
     ``mesh.face_slots`` from the slot states followed by the ghost states.
     """
     s = ad.reshape(slots, (4, 3 * mesh.n_cells))
-    ghosts = u_ext[:, mesh.n_cells:] if mesh.n_ghost else None
     return ad.take_rows(s, mesh.face_slots, ghosts)

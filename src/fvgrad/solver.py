@@ -11,10 +11,10 @@ refinement and the corrected solver all share time instants.
 
 States cross the public boundary (``step_explicit_euler``, ``march``,
 ``rollout``, ``reference``, frames) as (N, 4) arrays.  Inside the step the
-cell or face axis is last and contiguous: fields are (4, N), or
-(4, N + n_ghost) with their ghost states, stencil arrays (4, 3, N) and face
-states (4, 2, F), both sides of each face, so every numpy operation runs
-over long contiguous rows.
+cell or face axis is last and contiguous: fields are (4, N), ghost states
+(4, n_ghost) (only the two gathers read them), stencil arrays (4, 3, N) and
+face states (4, 2, F), both sides of each face, so every numpy operation
+runs over long contiguous rows.
 
 An untraced step pays a fixed cost per call as well as its work per cell,
 and on the meshes the runs use, a few hundred to a few thousand cells, the
@@ -223,9 +223,8 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     bc_table = bc_table or {}
     gas = cfg.gas
     u = ad.transpose(cons_to_prim(ad.transpose(w), gas))
-    u_ext, n_clamp = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
-    u_in = u_ext[:, :mesh.n_cells] if mesh.n_ghost else u_ext
-    u_nb = recon.neighbor_values(mesh, u_ext)
+    ghosts, n_clamp = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
+    u_nb = recon.neighbor_values(mesh, u, ghosts)
     if cfg.uses_network and params is None:
         raise SolverError("gradient mode requires network parameters")
 
@@ -234,10 +233,10 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     k = 1 if traced else step_workers(mesh.n_cells)
     cells = [(mesh, None)] if k == 1 else [(c, c.cells) for c in mesh.cell_blocks(k)]
     slots, n_fallback = _blockwise(
-        lambda c, ui, ue, nb: _slot_states(c, ui, ue, nb, cfg, params, params_vec),
-        cells, u_in, u_ext, u_nb)
+        lambda c, ui, nb: _slot_states(c, ui, nb, cfg, params, params_vec),
+        cells, u, u_nb)
 
-    u_lr = recon.muscl_face_values(mesh, u_ext, slots)
+    u_lr = recon.muscl_face_values(mesh, slots, ghosts)
     f = mesh.n_faces
     faces = [(None, slice(f * b // k, f * (b + 1) // k)) for b in range(k)]
     flux, s = _blockwise(lambda _, lr, n: rusanov_flux(lr, n, gas),
@@ -250,33 +249,31 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     return r, diag
 
 
-def _slot_states(cells, u_in, u_ext, u_nb, cfg, params, params_vec):
+def _slot_states(cells, u, u_nb, cfg, params, params_vec):
     """The per-cell stages of one block: neighbour deltas, network alpha,
     gradient, face increments, limiter and MUSCL slot states.
 
-    ``cells`` is the mesh or a ``mesh.CellBlock``; u_in (4, n) and u_nb
-    (4, 3, n) are its cells' states and neighbour states.  On the whole mesh
-    u_ext is the field with its ghosts, which recon's functions cut to the
-    cells themselves, as the one-block tape always recorded; on a block it
-    is u_in.  Returns (slot states (4, 3, n), fallback cells).
+    ``cells`` is the mesh or a ``mesh.CellBlock``; u (4, n) and u_nb
+    (4, 3, n) are its cells' states and neighbour states, ghosts included.
+    Returns (slot states (4, 3, n), fallback cells).
     """
     gg = cfg.gradient.endswith("gg")
     du = None
     if cfg.uses_network or not gg:
-        du = recon.neighbor_deltas(cells, u_in, u_nb)
+        du = recon.neighbor_deltas(cells, u, u_nb)
     alpha = None
     if cfg.uses_network:
         alpha = mlcorr.masked_alpha(cells, params, du, vec=params_vec)
     if gg:
-        grad = recon.gradient_gg(cells, u_ext, alpha=alpha, u_nb=u_nb)
+        grad = recon.gradient_gg(cells, u, u_nb, alpha=alpha)
     else:
-        grad = recon.gradient_lsq(cells, u_ext, alpha=alpha, du=du)
+        grad = recon.gradient_lsq(cells, du, alpha=alpha)
     delta = recon.face_increments(cells, grad)
     if cfg.limiter:
-        phi = recon.venkat_limiter(cells, u_ext, delta, cfg.limiter_k, u_nb=u_nb)
+        phi = recon.venkat_limiter(cells, u, u_nb, delta, cfg.limiter_k)
     else:
         phi = np.ones((4, cells.n_cells))
-    return recon.slot_states(cells, u_ext, delta, phi)
+    return recon.slot_states(cells, u, delta, phi)
 
 
 # Fewest cells per block: a step on fewer than twice this many cells runs as

@@ -34,7 +34,7 @@ the same for any CPU count.  Each process holds one group's tape at a
 time, and the tape keeps only the values its adjoints read.  One sample
 records 175 nodes on a periodic mesh; a group records 2 more, and 2 more
 again where a sample's supervision term is 0.  A group of 8 samples on the
-504-cell forward step records 299 nodes (one sample there, 297) and peaks
+504-cell forward step records 295 nodes (one sample there, 293) and peaks
 at 10.3 MB (tracemalloc); a group of 2 on the 1,458-cell mesh records 177
 nodes and peaks at 7.4 MB.  Threads gain nothing on the tape's small numpy
 calls.
@@ -458,21 +458,22 @@ def _prim(w, gas):
     return ad.transpose(cons_to_prim(ad.transpose(w), gas, check=False))
 
 
-def _entropy_ext(mesh, w, bc_table, gas):
-    """Entropy eta on the cells and the entropy flux as one (2, N + n_ghost)
-    field, its ghost entries from the primitive ghost states."""
+def _entropy_fluxes(mesh, w, bc_table, gas):
+    """Entropy eta on the cells, the (2, N) entropy flux and the flux of the
+    primitive ghost states, (2, n_ghost) or None."""
     eta, qx, qy = entropy_pair(ad.transpose(w), gas)
+    q_ghosts = None
     if mesh.n_ghost:
-        rows, _ = bclib.ghost_rows(mesh, _prim(w, gas), bc_table, gas)
-        w_g = prim_to_cons(ad.transpose(rows), gas, check=False)
+        ghosts, _ = bclib.extend_with_ghosts(mesh, _prim(w, gas), bc_table, gas)
+        w_g = prim_to_cons(ad.transpose(ghosts), gas, check=False)
         _, qx_g, qy_g = entropy_pair(w_g, gas, check=False)
-        qx, qy = ad.concatenate([qx, qx_g]), ad.concatenate([qy, qy_g])
-    return eta, ad.stack([qx, qy], axis=0)
+        q_ghosts = ad.stack([qx_g, qy_g], axis=0)
+    return eta, ad.stack([qx, qy], axis=0), q_ghosts
 
 
-def _divergence(mesh, q_ext):
-    """Green-Gauss divergence of a (2, N + n_ghost) vector field."""
-    gx, gy = recon.gradient_gg(mesh, q_ext)
+def _divergence(mesh, q, q_ghosts):
+    """Green-Gauss divergence of a (2, N) vector field and its ghost values."""
+    gx, gy = recon.gradient_gg(mesh, q, recon.neighbor_values(mesh, q, q_ghosts))
     return gx[0] + gy[1]
 
 
@@ -480,27 +481,29 @@ def loss_entropy(mesh, w_prev, w_next, dt, gas=GasModel(), bc_table=None):
     """Mean squared positive part of the discrete entropy-inequality residual
     between two (4, N) conservative states."""
     bc_table = bc_table or {}
-    eta0, q0 = _entropy_ext(mesh, w_prev, bc_table, gas)
-    eta1, q1 = _entropy_ext(mesh, w_next, bc_table, gas)
-    r = (mesh.area * (eta1 - eta0)
-         + (mesh.area * dt / 2.0) * (_divergence(mesh, q1) + _divergence(mesh, q0)))
+    eta0, q0, q0_g = _entropy_fluxes(mesh, w_prev, bc_table, gas)
+    eta1, q1, q1_g = _entropy_fluxes(mesh, w_next, bc_table, gas)
+    div = _divergence(mesh, q1, q1_g) + _divergence(mesh, q0, q0_g)
+    r = mesh.area * (eta1 - eta0) + (mesh.area * dt / 2.0) * div
     pos = ad.maximum(0.0, r)
     return ad.sum(pos * pos) / mesh.n_cells
 
 
-def _grad_norm_lsq(mesh, u_ext):
+def _grad_norm_lsq(mesh, u, gas, bc_table):
     """Per-cell |grad u|; 0 with a zero derivative where the field is flat."""
-    gx, gy = recon.gradient_lsq(mesh, u_ext)
+    ghosts, _ = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
+    du = recon.neighbor_deltas(mesh, u, recon.neighbor_values(mesh, u, ghosts))
+    gx, gy = recon.gradient_lsq(mesh, du)
     g2 = ad.sum(gx * gx + gy * gy, axis=0)
     flat = ad.value_of(g2) == 0.0
     return ad.where(flat, 0.0, ad.sqrt(ad.where(flat, 1.0, g2)))
 
 
-def loss_tvd(mesh, u_prev_ext, u_next_ext):
+def loss_tvd(mesh, u_prev, u_next, gas, bc_table):
     """Positive growth of the per-cell gradient magnitude between two
-    extended (4, N + n_ghost) primitive fields."""
-    g0 = _grad_norm_lsq(mesh, u_prev_ext)
-    g1 = _grad_norm_lsq(mesh, u_next_ext)
+    (4, N) primitive fields."""
+    g0 = _grad_norm_lsq(mesh, u_prev, gas, bc_table)
+    g1 = _grad_norm_lsq(mesh, u_next, gas, bc_table)
     return ad.sum(ad.maximum(0.0, g1 - g0))
 
 
@@ -525,9 +528,7 @@ def total_loss(mesh, dt, w_prev, w_next_ml, u_ref_next, params_vec, weights,
     u_ml = _prim(w_next_ml, gas)
     sup = loss_supervision(u_ml, u_ref_next, copies)
     ent = loss_entropy(mesh, w_prev, w_next_ml, dt, gas, bc_table)
-    u_prev_ext, _ = bclib.extend_with_ghosts(mesh, _prim(w_prev, gas), bc_table, gas)
-    u_ml_ext, _ = bclib.extend_with_ghosts(mesh, u_ml, bc_table, gas)
-    tvd = loss_tvd(mesh, u_prev_ext, u_ml_ext)
+    tvd = loss_tvd(mesh, _prim(w_prev, gas), u_ml, gas, bc_table)
     reg = loss_reg(params_vec)
     total = (sup + (weights.ent * copies) * ent + weights.tvd * tvd
              + (weights.reg * copies) * reg)

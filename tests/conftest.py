@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fvgrad import mesh as msh
-from fvgrad import mlcorr
+from fvgrad import mlcorr, recon
 from fvgrad.euler import GasModel
 
 
@@ -160,9 +160,29 @@ def mesh_geometry(m):
     left = m.slot_len > 0
     shift = [np.where(left, s[m.slot_face], -s[m.slot_face]) for s in f_shift.T]
     ext = np.concatenate([m.centroid, ghost])
-    nbr_dx, nbr_dy = ((ext[m.nbr.T, c] + s - m.centroid[:, c]).T for c, s in zip((0, 1), shift))
+    nbr_dx, nbr_dy = ((ext[m.nbr, c] + s - m.centroid[:, c]).T for c, s in zip((0, 1), shift))
     return SimpleNamespace(f_len=f_len, f_shift=f_shift, b_tag=b_tag,
                            nbr_dx=nbr_dx, nbr_dy=nbr_dy, ghost_centroid=ghost)
+
+
+def with_neighbors(m, u_ext):
+    """(u, u_nb) of a (k, n_cells + n_ghost) field laid out with its ghost
+    states after its cells: the cells' (k, n_cells) values and their
+    neighbour values through ``recon.neighbor_values``."""
+    n = m.n_cells
+    u = u_ext[:, :n]
+    return u, recon.neighbor_values(m, u, u_ext[:, n:] if m.n_ghost else None)
+
+
+def gradient_gg_of(m, u_ext, alpha=None):
+    """``recon.gradient_gg`` of a field laid out as ``with_neighbors`` takes it."""
+    return recon.gradient_gg(m, *with_neighbors(m, u_ext), alpha=alpha)
+
+
+def gradient_lsq_of(m, u_ext, alpha=None):
+    """``recon.gradient_lsq`` of a field laid out as ``with_neighbors`` takes it."""
+    return recon.gradient_lsq(m, recon.neighbor_deltas(m, *with_neighbors(m, u_ext)),
+                              alpha=alpha)
 
 
 def rotated_mesh(m, theta):

@@ -448,6 +448,30 @@ def test_train_rejects_a_dataset_that_records_no_step(run, tmp_path, caplog):
     assert "records no step" in caplog.text and "re-run the dataset command" in caplog.text
 
 
+BOUNDED_MESHES = {"structured_4": {"kind": "structured", "n": 4, "periodic": False},
+                  "forward_step": {"kind": "forward_step", "h_target": 0.2}}
+
+
+@pytest.mark.parametrize("mesh", sorted(BOUNDED_MESHES))
+@pytest.mark.parametrize("command", ["dataset", "gradcheck", "train"])
+def test_a_command_of_periodic_runs_on_a_bounded_mesh_is_config_error(run, caplog, command,
+                                                                      mesh):
+    """dataset, gradcheck and train march periodic initial conditions with
+    no boundary states.  On a mesh with boundary faces each exits 2 naming
+    itself; train does so before it reads the gradcheck report or the
+    dataset, here one made on the periodic mesh of 4 x 4 quads."""
+    cfg = {"dataset": {"count": 1, "n_val": 1, "steps": 2}, "gradcheck": {"param_sample": 4},
+           "train": {"epochs": 1, "require_gradcheck": False}}
+    periodic = {**cfg, "mesh": {"kind": "structured", "n": 4, "periodic": True}}
+    assert run("dataset", periodic) == cli.EXIT_OK
+    bounded = {**cfg, "mesh": BOUNDED_MESHES[mesh]}
+    caplog.clear()
+    assert run(command, bounded) == cli.EXIT_CONFIG
+    assert f"config error: {command} requires a periodic mesh" in caplog.text
+    if command == "train":
+        assert run(command, {**bounded, "train": {"epochs": 1}}) == cli.EXIT_CONFIG
+
+
 def test_every_command_steps_at_step_co(run, monkeypatch):
     """The dataset, gradcheck, train, simulate and bench take their time
     step from step.co alone."""

@@ -180,7 +180,8 @@ def test_entropy_pair_compatibility_smooth_advection(gas):
                                  np.full_like(x, p0)]), gas)
 
         def divergence(qx, qy):
-            gx, gy = recon.gradient_gg(m, np.stack([qx, qy]))
+            q = np.stack([qx, qy])
+            gx, gy = recon.gradient_gg(m, q, recon.neighbor_values(m, q, None))
             return gx[0] + gy[1]
 
         eta0, qx0, qy0 = euler.entropy_pair(state(0.0), gas)

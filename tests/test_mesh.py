@@ -158,7 +158,7 @@ def _triforce_mesh():
 
 def test_stencil_angles_equilateral():
     m = _triforce_mesh()
-    np.testing.assert_allclose(m.angles[0], 2 * np.pi / 3, rtol=1e-12)
+    np.testing.assert_allclose(m.angles[:, 0], 2 * np.pi / 3, rtol=1e-12)
 
 
 def test_stencil_angles_rotation_invariant():
@@ -166,9 +166,9 @@ def test_stencil_angles_rotation_invariant():
     th = 37 * np.pi / 180
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     m2 = msh.build_mesh(m.nodes @ rot.T, m.tri.copy())
-    np.testing.assert_allclose(sorted(m2.angles[0]), sorted(m.angles[0]),
+    np.testing.assert_allclose(sorted(m2.angles[:, 0]), sorted(m.angles[:, 0]),
                                atol=1e-12)
-    np.testing.assert_allclose(m2.angles[0], m.angles[0], atol=1e-12)
+    np.testing.assert_allclose(m2.angles[:, 0], m.angles[:, 0], atol=1e-12)
     # the triforce's equal angles cannot show a cyclic shift of the stencil;
     # an irregular mesh has a unique largest angle in every cell
     m = msh.periodic_irregular_mesh(5, seed=21)
@@ -190,19 +190,19 @@ def test_stencil_order_rotation_invariant_with_tied_angles():
 def test_stencil_angles_translation_invariant():
     m = _triforce_mesh()
     m2 = msh.build_mesh(m.nodes + np.array([2.3, -1.7]), m.tri.copy())
-    np.testing.assert_allclose(m2.angles[0], m.angles[0], atol=1e-12)
+    np.testing.assert_allclose(m2.angles[:, 0], m.angles[:, 0], atol=1e-12)
 
 
 def test_stencil_angles_match_atan2_oracle():
     m = msh.periodic_irregular_mesh(5, seed=9)
     # every stencil starts right after its (here unique) largest angle
-    assert (m.angles.argmax(axis=1) == 2).all()
+    assert (m.angles.argmax(axis=0) == 2).all()
     geo = mesh_geometry(m)
     for cell in np.where(m.interior_mask)[0][:20]:
         dirs = np.column_stack([geo.nbr_dx[cell], geo.nbr_dy[cell]])
         ang = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2 * np.pi)
         expect = (np.roll(ang, -1) - ang) % (2 * np.pi)
-        got = m.angles[cell]
+        got = m.angles[:, cell]
         np.testing.assert_allclose(got, expect, atol=1e-13)
         assert all(0 < a < 2 * np.pi for a in got)
         assert abs(sum(got) - 2 * np.pi) < 1e-10
@@ -217,8 +217,8 @@ def test_periodic_pairing_lengths_and_topology():
     # antisymmetric neighbor offsets across the periodic wrap
     for i in range(m.n_cells):
         for k in range(3):
-            j = m.nbr[i, k]
-            back = np.where(m.nbr[j] == i)[0]
+            j = m.nbr[k, i]
+            back = np.where(m.nbr[:, j] == i)[0]
             assert back.size >= 1
             d_ij = np.array([geo.nbr_dx[i, k], geo.nbr_dy[i, k]])
             d_ji = np.column_stack([geo.nbr_dx[j, back], geo.nbr_dy[j, back]])
@@ -383,7 +383,8 @@ def test_ghost_centroids_are_mirrors():
 
 def _layout_digests(m):
     out = {}
-    arrays = {**vars(m), "b_tag": mesh_geometry(m).b_tag}
+    # nbr hashed one row per cell, as the build stored it when these were pinned
+    arrays = {**vars(m), "b_tag": mesh_geometry(m).b_tag, "nbr": m.nbr.T}
     for name in ("tri", "f_left", "f_right", "nbr", "b_tag", "boundary_edges"):
         a = np.ascontiguousarray(arrays[name], dtype="<i8")
         out[name] = hashlib.sha256(a.tobytes()).hexdigest()[:16]
@@ -452,14 +453,17 @@ def _array_digest(m):
 # new values are the old digests taken without those six arrays.  All six
 # were re-recorded when f_slot_l and f_slot_r became the rows of face_slots:
 # each new value is the old build's digest with those two arrays replaced by
-# the (2, F) table made of them and the ghosts' 3 N + j
+# the (2, F) table made of them and the ghosts' 3 N + j.  All six were
+# re-recorded when nbr and angles moved from (N, 3) to (3, N): each new
+# value is the old build's digest with those two arrays transposed and
+# contiguous
 ARRAY_DIGESTS = {
-    "periodic_structured_6": "3580a61c3f508adc",
-    "slip_wall_structured_6": "9fc9a795eedb0620",
-    "forward_step_0.2": "ed9c06e1674236d7",
-    "refined_periodic_structured_6": "d85162d8e0448b87",
-    "periodic_irregular_27": "180132aa16e11dc6",
-    "forward_step_0.1": "da48ed6069a221d0",
+    "periodic_structured_6": "9ed5efad9a7dd18f",
+    "slip_wall_structured_6": "2f1b5ed798778073",
+    "forward_step_0.2": "faea9d5b38db6b41",
+    "refined_periodic_structured_6": "3d00c2a3efd4b6cd",
+    "periodic_irregular_27": "238be4c5606934b3",
+    "forward_step_0.1": "6e5b5c6355eb9715",
 }
 
 
@@ -544,7 +548,7 @@ def test_face_slots_cover_every_stencil_slot_once(name):
     slots = np.concatenate([f_slot_l, f_slot_r])
     assert (np.sort(slots) == np.arange(3 * n)).all()
     # the slot's cell is the face's cell on that side, its neighbor the other
-    nbr = m.nbr.T.ravel()
+    nbr = m.nbr.ravel()
     assert (f_slot_l % n == m.f_left).all()
     assert (f_slot_r % n == m.f_right[:ni]).all()
     assert (nbr[f_slot_l] == m.f_right).all()
@@ -581,7 +585,7 @@ def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
     assert [k for k, v in vars(c).items() if isinstance(v, np.ndarray) and v.flags.writeable] == []
     for name_ in ("area", "lsq_wd", "cell_foff", "cell_sn", "slot_len", "interior_mask"):
         assert (getattr(c, name_) == np.tile(getattr(m, name_), b)).all(), name_
-    assert (c.angles == np.tile(m.angles, (b, 1))).all()
+    assert (c.angles == np.tile(m.angles, b)).all()
     # interior faces of copy k are this mesh's, offset by k N
     for k in range(b):
         f = slice(k * ni, (k + 1) * ni)
@@ -597,8 +601,8 @@ def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
             assert (c.f_mid[c.n_iface + cg] == m.f_mid[ni + g]).all()
             assert (c.f_right[c.n_iface + cg] == b * n + cg).all()
     # no neighbour across copies; a cell's ghost neighbours are its copy's
-    cells = np.arange(b * n)[:, None] // n
+    cells = np.arange(b * n) // n
     real = c.nbr < b * n
     assert (c.nbr[real] // n == np.broadcast_to(cells, c.nbr.shape)[real]).all()
-    assert ((c.nbr >= b * n).sum(axis=1) == np.tile((m.nbr >= n).sum(axis=1), b)).all()
+    assert ((c.nbr >= b * n).sum(axis=0) == np.tile((m.nbr >= n).sum(axis=0), b)).all()
     assert nb * b == c.n_ghost

@@ -8,8 +8,9 @@ from fvgrad import mesh as msh
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon
 from fvgrad.mlcorr import NetConfig, NetworkError
-from conftest import (mesh_geometry, random_admissible_prim, rotated_mesh, save_params_sized,
-                      save_params_with_offset, smooth_prim_field)
+from conftest import (gradient_gg_of, gradient_lsq_of, mesh_geometry, random_admissible_prim,
+                      rotated_mesh, save_params_sized, save_params_with_offset,
+                      smooth_prim_field)
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +23,10 @@ def params():
 
 
 def _alpha(m, u, params, bc_table=None):
-    """alpha (4, 3, N) for a (4, N) primitive field, gathered through the
-    ghost-extended field as ``solver.residual`` gathers it."""
-    u_ext, _ = bclib.extend_with_ghosts(m, u, bc_table or {})
-    du = recon.neighbor_deltas(m, u, recon.neighbor_values(m, u_ext))
+    """alpha (4, 3, N) for a (4, N) primitive field, gathered with its ghost
+    states as ``solver.residual`` gathers it."""
+    ghosts, _ = bclib.extend_with_ghosts(m, u, bc_table or {})
+    du = recon.neighbor_deltas(m, u, recon.neighbor_values(m, u, ghosts))
     return mlcorr.masked_alpha(m, params, du)
 
 
@@ -134,14 +135,14 @@ def test_head_contraction_matches_branch_head_oracle(seeded_params, rng,
     each entry by at most twice the oracle's error bound."""
     m = periodic_mesh_irregular
     du = rng.normal(size=(m.n_cells, 3, 4))
-    alpha = mlcorr.network_forward(seeded_params, du.T, m.angles.T).T
-    expect, bound = _alpha_with_branch_head(seeded_params, du, m.angles)
+    alpha = mlcorr.network_forward(seeded_params, du.T, m.angles).T
+    expect, bound = _alpha_with_branch_head(seeded_params, du, m.angles.T)
     assert np.abs(alpha).max() > 0.1
     assert (np.abs(alpha - expect) <= 2 * bound).all()
 
     zero = mlcorr.zero_params()
-    assert (mlcorr.network_forward(zero, du.T, m.angles.T) == 0.0).all()
-    assert (_alpha_with_branch_head(zero, du, m.angles)[0] == 0.0).all()
+    assert (mlcorr.network_forward(zero, du.T, m.angles) == 0.0).all()
+    assert (_alpha_with_branch_head(zero, du, m.angles.T)[0] == 0.0).all()
 
 
 def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
@@ -189,8 +190,8 @@ def test_rotation_invariance_of_alpha(params):
     a1 = _alpha(m1, u, params).T
     a2 = _alpha(m2, u, params).T
     for cell in range(m1.n_cells):
-        order1 = np.argsort(m1.nbr[cell])
-        order2 = np.argsort(m2.nbr[cell])
+        order1 = np.argsort(m1.nbr[:, cell])
+        order2 = np.argsort(m2.nbr[:, cell])
         np.testing.assert_allclose(a2[cell][order2], a1[cell][order1],
                                    atol=1e-12)
 
@@ -235,7 +236,7 @@ def test_corrected_gradients_reduce_to_plain_bitwise(rng, periodic_mesh_irregula
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells).T
     zero = np.zeros((4, 3, m.n_cells))
-    for fn in (recon.gradient_gg, recon.gradient_lsq):
+    for fn in (gradient_gg_of, gradient_lsq_of):
         gx0, gy0 = fn(m, u)
         gx1, gy1 = fn(m, u, alpha=zero)
         assert (gx1 == gx0).all() and (gy1 == gy0).all()
@@ -245,12 +246,12 @@ def test_corrected_gg_matches_loop_oracle(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    gx, gy = recon.gradient_gg(m, u.T, alpha=alpha.T)
+    gx, gy = gradient_gg_of(m, u.T, alpha=alpha.T)
     gx, gy = gx.T, gy.T
     for i in rng.integers(0, m.n_cells, 10):
         acc = np.zeros((4, 2))
         for k in range(3):
-            j = m.nbr[i, k]
+            j = m.nbr[k, i]
             ns = m.cell_sn[:, k, i]
             fv = (0.5 + alpha[i, k]) * u[i] + (0.5 - alpha[i, k]) * u[j]
             acc += np.outer(fv, ns)
@@ -263,7 +264,7 @@ def test_corrected_lsq_matches_normal_equation_oracle(rng, periodic_mesh_irregul
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells)
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4))
-    gx, gy = recon.gradient_lsq(m, u.T, alpha=alpha.T)
+    gx, gy = gradient_lsq_of(m, u.T, alpha=alpha.T)
     gx, gy = gx.T, gy.T
     geo = mesh_geometry(m)
     for i in rng.integers(0, m.n_cells, 10):
@@ -272,7 +273,7 @@ def test_corrected_lsq_matches_normal_equation_oracle(rng, periodic_mesh_irregul
         for k in range(3):
             dx, dy = geo.nbr_dx[i, k], geo.nbr_dy[i, k]
             w = 1.0 / (dx * dx + dy * dy)
-            du = (1.0 + alpha[i, k]) * (u[m.nbr[i, k]] - u[i])
+            du = (1.0 + alpha[i, k]) * (u[m.nbr[k, i]] - u[i])
             A += w * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
             rhs += w * np.outer([dx, dy], du)
         sol = np.linalg.solve(A, rhs)
@@ -284,7 +285,7 @@ def test_corrected_shift_invariance(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = random_admissible_prim(rng, m.n_cells).T
     alpha = rng.uniform(-0.4, 0.4, size=(m.n_cells, 3, 4)).T
-    for fn in (recon.gradient_gg, recon.gradient_lsq):
+    for fn in (gradient_gg_of, gradient_lsq_of):
         gx0, gy0 = fn(m, u, alpha=alpha)
         gx1, gy1 = fn(m, u + 3.0, alpha=alpha)
         assert np.abs(gx1 - gx0).max() < 1e-12
@@ -295,7 +296,7 @@ def test_constant_field_any_alpha_zero_gradient(rng, periodic_mesh_small):
     m = periodic_mesh_small
     u = np.full((4, m.n_cells), 1.8)
     alpha = rng.uniform(-0.5, 0.5, size=(m.n_cells, 3, 4)).T
-    for fn in (recon.gradient_gg, recon.gradient_lsq):
+    for fn in (gradient_gg_of, gradient_lsq_of):
         gx, gy = fn(m, u, alpha=alpha)
         assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
 
@@ -401,7 +402,7 @@ def _threefold_symmetric(m):
     three neighbor distances agree within STENCIL_TOL times the longest."""
     geo = mesh_geometry(m)
     dist = np.hypot(geo.nbr_dx, geo.nbr_dy)
-    return ((np.ptp(m.angles, axis=1) <= msh.STENCIL_TOL)
+    return ((np.ptp(m.angles, axis=0) <= msh.STENCIL_TOL)
             & (np.ptp(dist, axis=1) <= msh.STENCIL_TOL * dist.max(axis=1)))
 
 

@@ -5,12 +5,12 @@ from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import recon
 from fvgrad.mesh import BoundarySpec
-from conftest import mesh_geometry
+from conftest import gradient_gg_of, gradient_lsq_of, mesh_geometry, with_neighbors
 
 
 def extended_field(mesh, fn):
     """Evaluate an analytic primitive field on cells and ghost mirrors, as
-    the (4, n_cells + n_ghost) field the reconstruction takes."""
+    one (4, n_cells + n_ghost) field, its ghost states after its cells."""
     vals = fn(mesh.centroid)
     if mesh.n_ghost:
         vals = np.vstack([vals, fn(mesh_geometry(mesh).ghost_centroid)])
@@ -35,14 +35,14 @@ def bounded_irregular():
 
 def test_gg_zero_on_constants(periodic_mesh_irregular):
     u = np.full((4, periodic_mesh_irregular.n_cells), 2.3)
-    gx, gy = recon.gradient_gg(periodic_mesh_irregular, u)
+    gx, gy = gradient_gg_of(periodic_mesh_irregular, u)
     assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
 
 
 def test_gg_first_order_on_linear_interior(bounded_irregular):
     fn, a, b = linear_field()
     u = extended_field(bounded_irregular, fn)
-    gx, gy = recon.gradient_gg(bounded_irregular, u)
+    gx, gy = gradient_gg_of(bounded_irregular, u)
     gx, gy = gx.T, gy.T
     sel = bounded_irregular.interior_mask
     h = bounded_irregular.mean_cell_length
@@ -50,7 +50,7 @@ def test_gg_first_order_on_linear_interior(bounded_irregular):
     # refined mesh shrinks the deviation (first-order consistency)
     fine, _ = msh.refine_uniform(bounded_irregular)
     uf = extended_field(fine, fn)
-    gxf = recon.gradient_gg(fine, uf)[0].T
+    gxf = gradient_gg_of(fine, uf)[0].T
     err_c = np.abs(gx[sel] - a).mean()
     err_f = np.abs(gxf[fine.interior_mask] - a).mean()
     assert err_f < err_c
@@ -64,7 +64,7 @@ def test_gg_exact_on_symmetric_stencil():
     m = msh.build_mesh(nodes, tris)
     fn, a, b = linear_field()
     u = extended_field(m, fn)
-    gx, gy = recon.gradient_gg(m, u)
+    gx, gy = gradient_gg_of(m, u)
     np.testing.assert_allclose(gx[:, 0], a, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gy[:, 0], b, rtol=0, atol=1e-12)
 
@@ -72,7 +72,7 @@ def test_gg_exact_on_symmetric_stencil():
 def test_lsq_exact_on_linear(bounded_irregular):
     fn, a, b = linear_field()
     u = extended_field(bounded_irregular, fn)
-    gx, gy = recon.gradient_lsq(bounded_irregular, u)
+    gx, gy = gradient_lsq_of(bounded_irregular, u)
     np.testing.assert_allclose(gx.T, np.tile(a, (bounded_irregular.n_cells, 1)),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(gy.T, np.tile(b, (bounded_irregular.n_cells, 1)),
@@ -81,14 +81,14 @@ def test_lsq_exact_on_linear(bounded_irregular):
 
 def test_lsq_zero_on_constants(periodic_mesh_irregular):
     u = np.full((4, periodic_mesh_irregular.n_cells), -1.7)
-    gx, gy = recon.gradient_lsq(periodic_mesh_irregular, u)
+    gx, gy = gradient_lsq_of(periodic_mesh_irregular, u)
     assert np.abs(gx).max() < 1e-13 and np.abs(gy).max() < 1e-13
 
 
 def test_lsq_matches_dense_normal_equation_oracle(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
-    gx, gy = recon.gradient_lsq(m, u.T)
+    gx, gy = gradient_lsq_of(m, u.T)
     gx, gy = gx.T, gy.T
     geo = mesh_geometry(m)
     for cell in rng.integers(0, m.n_cells, 12):
@@ -97,7 +97,7 @@ def test_lsq_matches_dense_normal_equation_oracle(rng, periodic_mesh_irregular):
         for k in range(3):
             dx, dy = geo.nbr_dx[cell, k], geo.nbr_dy[cell, k]
             w = 1.0 / (dx * dx + dy * dy)
-            du = u[m.nbr[cell, k]] - u[cell]
+            du = u[m.nbr[k, cell]] - u[cell]
             A += w * np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]])
             rhs += w * np.outer([dx, dy], du)
         sol = np.linalg.solve(A, rhs)
@@ -109,7 +109,7 @@ def test_shift_invariance(periodic_mesh_irregular, rng):
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
     # constant cancellation (the shift itself rounds u at machine epsilon)
-    for grad_fn in (recon.gradient_lsq, recon.gradient_gg):
+    for grad_fn in (gradient_lsq_of, gradient_gg_of):
         gx0, gy0 = grad_fn(m, u.T)
         gx1, gy1 = grad_fn(m, u.T + 2.0)
         assert np.abs(gx1 - gx0).max() < 1e-13
@@ -130,7 +130,7 @@ def test_rotation_equivariance(rng):
 
     u1 = extended_field(m1, fn)
     u2 = extended_field(m2, lambda pts: fn(pts @ rot))  # same physical field
-    for grad_fn in (recon.gradient_gg, recon.gradient_lsq):
+    for grad_fn in (gradient_gg_of, gradient_lsq_of):
         gx1, gy1 = grad_fn(m1, u1)
         gx2, gy2 = grad_fn(m2, u2)
         for c in range(4):
@@ -142,8 +142,8 @@ def test_rotation_equivariance(rng):
 def test_limiter_one_on_constant(periodic_mesh_small):
     m = periodic_mesh_small
     u = np.full((4, m.n_cells), 0.9)
-    grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, recon.face_increments(m, grad))
+    grad = gradient_lsq_of(m, u)
+    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, grad))
     assert (phi == 1.0).all()
 
 
@@ -153,8 +153,8 @@ def test_limiter_near_one_on_monotone_linear(periodic_mesh_small):
     fn, a, b = linear_field(a=(0.1, 0.1, 0.1, 0.1), b=(0.05,) * 4)
     u = fn(m.centroid).T
     # periodic wrap creates jumps; restrict the check to cells away from it
-    grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, recon.face_increments(m, grad))
+    grad = gradient_lsq_of(m, u)
+    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, grad))
     inner = ((m.centroid[:, 0] > 0.25) & (m.centroid[:, 0] < 0.75)
              & (m.centroid[:, 1] > 0.25) & (m.centroid[:, 1] < 0.75))
     assert phi[:, inner].min() >= 0.99
@@ -168,15 +168,15 @@ def test_limiter_cuts_overshoot_at_local_max(periodic_mesh_small):
     gx = np.zeros((4, m.n_cells))
     gy = np.zeros((4, m.n_cells))
     gx[:, cell] = 50.0  # large artificial slope at the peak
-    phi = recon.venkat_limiter(m, u, recon.face_increments(m, (gx, gy)))
+    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, (gx, gy)))
     assert phi[:, cell].max() < 0.5
 
 
 def test_limiter_bounds_and_clip(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4)).T
-    grad = recon.gradient_lsq(m, u)
-    phi = recon.venkat_limiter(m, u, recon.face_increments(m, grad))
+    grad = gradient_lsq_of(m, u)
+    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, grad))
     assert (phi >= 0.0).all() and (phi <= 1.0).all()
 
 
@@ -184,11 +184,12 @@ def test_limited_reconstruction_bounded_by_neighbors(rng, periodic_mesh_irregula
     """u_face stays within [min, max] of the stencil up to the omega slack."""
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
-    grad = recon.gradient_lsq(m, u.T)
-    phi = recon.venkat_limiter(m, u.T, recon.face_increments(m, grad), k_limiter=5.0).T
+    grad = gradient_lsq_of(m, u.T)
+    phi = recon.venkat_limiter(m, *with_neighbors(m, u.T), recon.face_increments(m, grad),
+                               k_limiter=5.0).T
     gx, gy = grad[0].T, grad[1].T
     omega = (5.0 * np.sqrt(m.area)) ** 3
-    u_nb = u[m.nbr]
+    u_nb = u[m.nbr.T]
     u_max = np.maximum(u_nb.max(axis=1), u)
     u_min = np.minimum(u_nb.min(axis=1), u)
     off = m.cell_foff.T
@@ -208,10 +209,10 @@ def test_muscl_first_order_when_phi_zero(rng, periodic_mesh_small):
 
     m = periodic_mesh_small
     u = random_admissible_prim(rng, m.n_cells)
-    grad = recon.gradient_lsq(m, u.T)
+    grad = gradient_lsq_of(m, u.T)
     slots, nfb = recon.slot_states(m, u.T, recon.face_increments(m, grad),
                                    np.zeros((4, m.n_cells)))
-    u_l, u_r = recon.muscl_face_values(m, u.T, slots).transpose(1, 0, 2)
+    u_l, u_r = recon.muscl_face_values(m, slots, None).transpose(1, 0, 2)
     np.testing.assert_allclose(u_l.T, u[m.f_left], atol=0, rtol=0)
     assert nfb == 0
 
@@ -222,10 +223,11 @@ def test_muscl_exact_on_linear_both_sides(bounded_irregular):
     # positive offset keeps every reconstructed state admissible
     fn2 = lambda pts: fn(pts) + 4.0
     u = extended_field(m, fn2)
-    grad = recon.gradient_lsq(m, u)
+    grad = gradient_lsq_of(m, u)
     phi = np.ones((4, m.n_cells))
-    slots, nfb = recon.slot_states(m, u, recon.face_increments(m, grad), phi)
-    u_l, u_r = recon.muscl_face_values(m, u, slots).transpose(1, 0, 2)
+    n = m.n_cells
+    slots, nfb = recon.slot_states(m, u[:, :n], recon.face_increments(m, grad), phi)
+    u_l, u_r = recon.muscl_face_values(m, slots, u[:, n:]).transpose(1, 0, 2)
     u_l, u_r = u_l.T, u_r.T
     expect = fn2(m.f_mid)
     np.testing.assert_allclose(u_l, expect, atol=1e-12)
@@ -245,7 +247,7 @@ def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
     gx[0, cell] = 10.0
     slots, nfb = recon.slot_states(m, u, recon.face_increments(m, (gx, gy)),
                                    np.ones((4, m.n_cells)))
-    u_l, u_r = recon.muscl_face_values(m, u, slots).transpose(1, 0, 2)
+    u_l, u_r = recon.muscl_face_values(m, slots, None).transpose(1, 0, 2)
     assert nfb >= 1
     assert (u_l[0] > 0).all() and (u_r[0] > 0).all()
 
@@ -258,7 +260,7 @@ def test_muscl_fallback_on_inadmissible_reconstruction(periodic_mesh_small):
 
 def _broadcast_gradients(m, u_ext, alpha):
     n = m.n_cells
-    u, u_nb = u_ext[:n], u_ext[m.nbr]
+    u, u_nb = u_ext[:n], u_ext[m.nbr.T]
     face_val = (0.5 + alpha) * u[:, None, :] + (0.5 - alpha) * u_nb
     ns = m.cell_sn.T
     inv_area = (1.0 / m.area)[:, None]
@@ -277,7 +279,7 @@ def _broadcast_gradients(m, u_ext, alpha):
 def _two_branch_limiter(m, u_ext, grad, k):
     """Venkatakrishnan's factor evaluated on both branches, then selected."""
     n = m.n_cells
-    u, u_nb = u_ext[:n], u_ext[m.nbr]
+    u, u_nb = u_ext[:n], u_ext[m.nbr.T]
     u_max = np.maximum(np.maximum(np.maximum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2]), u)
     u_min = np.minimum(np.minimum(np.minimum(u_nb[:, 0], u_nb[:, 1]), u_nb[:, 2]), u)
     off = m.cell_foff.T
@@ -301,17 +303,15 @@ def test_stencil_contractions_bitwise_equal_broadcast_sums(rng, periodic_mesh_ir
     u_ext = rng.normal(size=(m.n_cells + m.n_ghost, 4))
     for alpha in (np.zeros((m.n_cells, 3, 4)), rng.uniform(-0.4, 0.4, (m.n_cells, 3, 4))):
         gg, lsq = _broadcast_gradients(m, u_ext, alpha)
-        for got, want in ((recon.gradient_gg(m, u_ext.T, alpha=alpha.T), gg),
-                          (recon.gradient_lsq(m, u_ext.T, alpha=alpha.T), lsq)):
+        for got, want in ((gradient_gg_of(m, u_ext.T, alpha=alpha.T), gg),
+                          (gradient_lsq_of(m, u_ext.T, alpha=alpha.T), lsq)):
             assert (got[0].T == want[0]).all() and (got[1].T == want[1]).all()
-    for gx, gy in (recon.gradient_lsq(m, u_ext.T), recon.gradient_gg(m, u_ext.T)):
+    for gx, gy in (gradient_lsq_of(m, u_ext.T), gradient_gg_of(m, u_ext.T)):
         gx[:, ::5], gy[:, ::5] = 0.0, 0.0   # faces with delta == 0
         delta = recon.face_increments(m, (gx, gy))
-        phi = recon.venkat_limiter(m, u_ext.T, delta, 5.0)
+        phi = recon.venkat_limiter(m, *with_neighbors(m, u_ext.T), delta, 5.0)
         assert (phi == 1.0).any() and (phi < 1.0).any()
         assert (phi.T == _two_branch_limiter(m, u_ext, (gx.T, gy.T), 5.0)).all()
-        u_nb = recon.neighbor_values(m, u_ext.T)
-        assert (recon.venkat_limiter(m, u_ext.T, delta, 5.0, u_nb=u_nb) == phi).all()
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +359,12 @@ def _per_face_muscl(m, u_ext, grad, phi):
 def _muscl_pair(m, u_ext, limit):
     """(per-slot, per-face) MUSCL on the limited LSQ reconstruction of u_ext;
     ``limit`` scales the limiter so the fallback path can be forced."""
-    grad = recon.gradient_lsq(m, u_ext)
+    grad = gradient_lsq_of(m, u_ext)
     delta = recon.face_increments(m, grad)
-    phi = recon.venkat_limiter(m, u_ext, delta, 5.0) * limit
-    slots, nfb = recon.slot_states(m, u_ext, delta, phi)
-    faces = recon.muscl_face_values(m, u_ext, slots)
+    u, u_nb = with_neighbors(m, u_ext)
+    phi = recon.venkat_limiter(m, u, u_nb, delta, 5.0) * limit
+    slots, nfb = recon.slot_states(m, u, delta, phi)
+    faces = recon.muscl_face_values(m, slots, u_ext[:, m.n_cells:] if m.n_ghost else None)
     return ((faces[:, 0], faces[:, 1], nfb), _per_face_muscl(m, u_ext, grad, phi))
 
 

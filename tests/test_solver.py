@@ -173,11 +173,12 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     cfg = solver.StepConfig(co=CO, gradient="lsq")
     _, diag = solver.residual(mesh, w0.T, cfg, {})
     u = cons_to_prim(w0, gas).T
-    grad = recon.gradient_lsq(mesh, u)
+    u_nb = recon.neighbor_values(mesh, u, None)
+    grad = recon.gradient_lsq(mesh, recon.neighbor_deltas(mesh, u, u_nb))
     delta = recon.face_increments(mesh, grad)
-    phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
+    phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
     slots, _ = recon.slot_states(mesh, u, delta, phi)
-    u_l, u_r = recon.muscl_face_values(mesh, u, slots).transpose(1, 0, 2)
+    u_l, u_r = recon.muscl_face_values(mesh, slots, None).transpose(1, 0, 2)
     s = np.maximum(max_wave_speed(u_l.T, mesh.f_normal, gas),
                    max_wave_speed(u_r.T, mesh.f_normal, gas))
     assert diag["max_wave_speed"] == float(s.max())
@@ -185,8 +186,7 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
 
 @pytest.mark.parametrize("mode", ["lsq", "gg"])
 def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
-    """The residual shares one neighbour gather between its stages; calling
-    each stage on its own (the limiter gathers again) gives it bitwise."""
+    """Calling each stage of the residual on its own gives it bitwise."""
     gas = GasModel()
     rng = np.random.default_rng(4)
     w = prim_to_cons(cons_to_prim(w0, gas) * rng.uniform(0.8, 1.2, w0.shape), gas)
@@ -194,12 +194,14 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     r, _ = solver.residual(mesh, w.T, cfg, {})
     r = r.T
     u = cons_to_prim(w, gas).T
-    grad = recon.gradient_lsq(mesh, u) if mode == "lsq" else recon.gradient_gg(mesh, u)
+    u_nb = recon.neighbor_values(mesh, u, None)
+    grad = (recon.gradient_lsq(mesh, recon.neighbor_deltas(mesh, u, u_nb)) if mode == "lsq"
+            else recon.gradient_gg(mesh, u, u_nb))
     delta = recon.face_increments(mesh, grad)
-    phi = recon.venkat_limiter(mesh, u, delta, cfg.limiter_k)
+    phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
     slots, _ = recon.slot_states(mesh, u, delta, phi)
-    flux, _ = solver.rusanov_flux(recon.muscl_face_values(mesh, u, slots),
+    flux, _ = solver.rusanov_flux(recon.muscl_face_values(mesh, slots, None),
                                   mesh.f_normal.T, gas)
     # each cell adds its faces' fluxes in stencil order, + on its face's
     # left side and - on the right, each times the face length
@@ -657,18 +659,18 @@ def _face_scatter_residual(mesh, w, cfg, bc_table, params):
     subtracted from its right cell in face order.  w and R are (4, N)."""
     gas = cfg.gas
     u = cons_to_prim(w.T, gas).T
-    u_ext, _ = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
-    u_nb = recon.neighbor_values(mesh, u_ext)
-    du = recon.neighbor_deltas(mesh, u_ext[:, :mesh.n_cells], u_nb)
+    ghosts, _ = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
+    u_nb = recon.neighbor_values(mesh, u, ghosts)
+    du = recon.neighbor_deltas(mesh, u, u_nb)
     alpha = mlcorr.masked_alpha(mesh, params, du) if cfg.uses_network else None
     if cfg.gradient.endswith("gg"):
-        grad = recon.gradient_gg(mesh, u_ext, alpha=alpha, u_nb=u_nb)
+        grad = recon.gradient_gg(mesh, u, u_nb, alpha=alpha)
     else:
-        grad = recon.gradient_lsq(mesh, u_ext, alpha=alpha, du=du)
+        grad = recon.gradient_lsq(mesh, du, alpha=alpha)
     delta = recon.face_increments(mesh, grad)
-    phi = recon.venkat_limiter(mesh, u_ext, delta, cfg.limiter_k, u_nb=u_nb)
-    slots, _ = recon.slot_states(mesh, u_ext, delta, phi)
-    u_l, u_r = recon.muscl_face_values(mesh, u_ext, slots).transpose(1, 0, 2)
+    phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
+    slots, _ = recon.slot_states(mesh, u, delta, phi)
+    u_l, u_r = recon.muscl_face_values(mesh, slots, ghosts).transpose(1, 0, 2)
     flux, _ = _cons_rusanov(prim_to_cons(u_l.T, gas), prim_to_cons(u_r.T, gas),
                             mesh.f_normal, gas)
     contrib = flux.T * mesh_geometry(mesh).f_len
@@ -942,8 +944,8 @@ def _alpha_split_differences():
                                 ("periodic_100", (msh.periodic_irregular_mesh(100), {})),
                                 ("forward_step", bench.forward_step_mesh(0.02))]:
         u = np.ascontiguousarray(bench.riemann_case(6).evaluate(m.centroid).T)
-        u_ext, _ = bclib.extend_with_ghosts(m, u, bc_table, GasModel())
-        du = recon.neighbor_deltas(m, u, recon.neighbor_values(m, u_ext))
+        ghosts, _ = bclib.extend_with_ghosts(m, u, bc_table, GasModel())
+        du = recon.neighbor_deltas(m, u, recon.neighbor_values(m, u, ghosts))
         whole = mlcorr.masked_alpha(m, params, du)
         for k in range(2, 8):
             split = np.concatenate([mlcorr.masked_alpha(b, params, du[..., b.cells])

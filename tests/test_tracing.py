@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from fvgrad import bench, solver, train
 from fvgrad import mesh as msh
-from fvgrad import solver, train
 from fvgrad.euler import GasModel, prim_to_cons
 from conftest import smooth_prim_field
 
@@ -76,3 +76,28 @@ def test_tracer_records_the_spans_and_hook_values_of_a_step_and_a_train_call(see
             assert info and all(np.isfinite(v) for v in info.values()), (name, info)
     # the tape is read after backward returns, so it must still hold its nodes
     assert all(info["nodes"] > 0 for info in spans["autodiff.Tape.backward"])
+
+
+# the wrapped stages a step on a mesh with boundary faces calls, which the
+# benchmark's per-layer step metrics read; a stage the step stops calling
+# would read 0 there
+STEP_STAGES = ("bc.extend_with_ghosts", "recon.neighbor_values", "recon.venkat_limiter",
+               "recon.muscl_face_values", "solver.rusanov_flux", "euler.cons_to_prim",
+               "autodiff.take_rows")
+MODE_STAGES = {"ml_lsq": ("recon.neighbor_deltas", "recon.gradient_lsq", "mlcorr.masked_alpha"),
+               "gg": ("recon.gradient_gg",)}
+
+
+def test_a_step_on_a_bounded_mesh_calls_every_stage_the_step_metrics_read(seeded_params):
+    tracing = _import_tracing()
+    mesh, bc_table = bench.forward_step_mesh(0.2)
+    w0 = prim_to_cons(smooth_prim_field(mesh.centroid), GasModel())
+    for mode, stages in MODE_STAGES.items():
+        tracer = tracing.Tracer()
+        cfg = solver.StepConfig(co=0.03, gradient=mode)
+        with tracer.active():
+            solver.step_explicit_euler(mesh, w0, solver.compute_dt(mesh, cfg), cfg, bc_table,
+                                       seeded_params)
+        seen = {span[tracing.NAME] for span in tracer.spans}
+        missing = [name for name in STEP_STAGES + stages if name not in seen]
+        assert missing == [], (mode, missing)

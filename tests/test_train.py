@@ -7,10 +7,10 @@ import pytest
 
 from fvgrad import autodiff as ad
 from fvgrad import bc as bclib
-from fvgrad import bench, mlcorr, recon, solver, train
+from fvgrad import bench, mlcorr, solver, train
 from fvgrad import mesh as msh
-from fvgrad.euler import AdmissibilityError, cons_to_prim, prim_to_cons
-from conftest import digest, smooth_prim_field
+from fvgrad.euler import AdmissibilityError, GasModel, cons_to_prim, prim_to_cons
+from conftest import digest, gradient_lsq_of, smooth_prim_field
 
 
 @pytest.fixture(scope="module")
@@ -35,17 +35,19 @@ def test_loss_tvd_on_piecewise_constant_field_has_finite_gradient(coarse, rng):
     u0 = _f3_field(coarse.centroid)
     u1 = (u0 * (1.0 + 0.01 * rng.normal(size=u0.shape))).T
     u0 = np.ascontiguousarray(u0.T)
-    g0 = recon.gradient_lsq(coarse, u0)
+    g0 = gradient_lsq_of(coarse, u0)
     assert ((g0[0] ** 2 + g0[1] ** 2).sum(axis=0) == 0.0).any()  # flat cells
 
     def norm(u):
-        gx, gy = recon.gradient_lsq(coarse, u)
+        gx, gy = gradient_lsq_of(coarse, u)
         return np.sqrt((gx * gx + gy * gy).sum(axis=0))
 
     # the traced field is the flat one, on either side of the loss
     for program, expect in (
-            (lambda u: train.loss_tvd(coarse, u, u1), np.maximum(0.0, norm(u1) - norm(u0))),
-            (lambda u: train.loss_tvd(coarse, u1, u), np.maximum(0.0, norm(u0) - norm(u1)))):
+            (lambda u: train.loss_tvd(coarse, u, u1, GasModel(), {}),
+             np.maximum(0.0, norm(u1) - norm(u0))),
+            (lambda u: train.loss_tvd(coarse, u1, u, GasModel(), {}),
+             np.maximum(0.0, norm(u0) - norm(u1)))):
         value, grad = ad.record_and_backprop(program, u0)
         assert value == expect.sum()
         assert np.isfinite(grad).all()
@@ -479,6 +481,32 @@ def test_a_group_records_the_nodes_of_one_sample(gas, seeded_params, monkeypatch
     train._sample_loss(m.copies(8), dt, cfg, {}, seeded_params, np.concatenate(w_t),
                        np.concatenate(u_ref), weights, gas, 8)
     assert counts == [175, 179]
+
+
+def test_a_traced_group_on_the_forward_step_records_295_nodes(gas, seeded_params, monkeypatch):
+    """A group of 8 ml_lsq samples on the 504-cell forward step, whose 80
+    ghost states reach the stencils and the faces as the gathers' second
+    array.  Joining them to the field and cutting the cells back out
+    recorded 299 nodes."""
+    m, bc_table = bench.forward_step_mesh(0.1)
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    dt = solver.compute_dt(m, cfg)
+    rng = np.random.default_rng(5)
+    w_t = [prim_to_cons(smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4)),
+                        gas) for _ in range(8)]
+    u_ref = [cons_to_prim(solver.step_explicit_euler(m, w, dt, cfg.plain(), bc_table)[0], gas)
+             for w in w_t]
+    counts = []
+    real = ad.Tape.backward
+
+    def spy(tape, seeds):
+        counts.append(tape.node_count)
+        return real(tape, seeds)
+
+    monkeypatch.setattr(ad.Tape, "backward", spy)
+    train._sample_loss(m.copies(8), dt, cfg, bclib.tile_table(bc_table, 8), seeded_params,
+                       np.concatenate(w_t), np.concatenate(u_ref), train.LossWeights(), gas, 8)
+    assert counts == [295]
 
 
 def test_a_group_holding_one_failing_sample_raises_its_serial_error(coarse, gas, monkeypatch):
