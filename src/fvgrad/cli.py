@@ -32,10 +32,10 @@ Exit codes:
      stencil: ``n_vars`` other than 4 or ``n_neighbors`` other than 3),
      dataset directory without manifest.json, corrupt dataset (a manifest
      key missing, a frame file missing, unreadable or not matching its
-     manifest sha256, or frames of another cell count than the configured
-     mesh), a dataset whose manifest records no step or another step,
-     ``dataset``, ``gradcheck`` or ``train`` on a mesh with boundary faces
-     (their runs march periodic initial conditions)
+     manifest sha256, fewer than 2 frames, or frames of another cell count
+     than the configured mesh), a dataset whose manifest records no step or
+     another step, ``dataset``, ``gradcheck`` or ``train`` on a mesh with
+     boundary faces (their runs march periodic initial conditions)
   3  numeric failure: rejected solver step, inadmissible state (initial or
      boundary: an inflow state or back pressure taken from the initial
      condition), mesh error (a built-in mesh, or a ``mesh.path`` file that

@@ -4,8 +4,9 @@ States are arrays with a trailing component axis: conservative
 ``w = (rho, rho*u, rho*v, E)`` and primitive ``u = (rho, u, v, p)``.
 Every function accepts plain numpy arrays or traced variables, so the same
 code serves the fast solver path and the differentiated training path.
-The normal flux and the wave speed take primitive states, the form the
-reconstruction delivers at the faces.
+The normal flux, the wave speed and the entropy pair take primitive states,
+the form the reconstruction delivers at the faces and the training loss
+converts each state to once.
 
 Admissibility (rho > 0 and p, or the internal energy, > 0) is one rule:
 every check in the package applies ``not_positive``, the values-only mask
@@ -147,14 +148,12 @@ def max_wave_speed(u, n, gas):
     return ad.absolute(vn) + ad.sqrt(gas.gamma * u[..., P] / u[..., RHO])
 
 
-def entropy_pair(w, gas, check=True):
-    """Entropy pair eta = -rho s, q = -rho s v with s = cv log(p / rho^gamma)."""
+def entropy_pair(u, gas, check=True):
+    """Entropy pair eta = -rho s, q = -rho s v with s = cv log(p / rho^gamma)
+    of primitive states u (..., 4)."""
     if check:
-        _check_cons(w)
-    rho = w[..., RHO]
-    vx = w[..., MX] / rho
-    vy = w[..., MY] / rho
-    p = (gas.gamma - 1.0) * (w[..., EN] - 0.5 * rho * (vx * vx + vy * vy))
-    s = gas.cv * ad.log(p / ad.power(rho, gas.gamma))
+        _check_prim(u)
+    rho = u[..., RHO]
+    s = gas.cv * ad.log(u[..., P] / ad.power(rho, gas.gamma))
     eta = -(rho * s)
-    return eta, eta * vx, eta * vy
+    return eta, eta * u[..., U], eta * u[..., V]

@@ -31,13 +31,12 @@ and the children the rest.  Each item's result is computed exactly as the
 serial loop computes it, and the caller combines the results in item
 order, so parameters, history, checkpoints and dataset files are bitwise
 the same for any CPU count.  Each process holds one group's tape at a
-time, and the tape keeps only the values its adjoints read.  One sample
-records 175 nodes on a periodic mesh; a group records 2 more, and 2 more
-again where a sample's supervision term is 0.  A group of 8 samples on the
-504-cell forward step records 295 nodes (one sample there, 293) and peaks
-at 10.3 MB (tracemalloc); a group of 2 on the 1,458-cell mesh records 177
-nodes and peaks at 7.4 MB.  Threads gain nothing on the tape's small numpy
-calls.
+time, and the tape keeps only the values its adjoints read.  A sample, or
+a group of any size, records 166 nodes on a periodic mesh, and 2 more where
+a sample's supervision term is 0.  On the 504-cell forward step a sample or
+a group records 212 nodes, and a group of 8 peaks at 10.5 MB (tracemalloc);
+a group of 2 on the 1,458-cell mesh peaks at 7.6 MB.  Threads gain nothing
+on the tape's small numpy calls.
 
 The dataset format (file names, ``manifest.json``, frame files) lives
 here alone: ``generate_dataset`` writes it, each frame file in the process
@@ -232,7 +231,8 @@ def load_dataset(ds_dir, n_cells, step_cfg):
     """(train, val) lists of Trajectory from a ``generate_dataset`` directory.
     A missing manifest, a manifest without ``trajectories`` or an entry
     without ``file``, ``kind`` or ``family``, a frame file that is missing,
-    unreadable or not its manifest sha256, or frames of another cell count
+    unreadable or not its manifest sha256, a trajectory of fewer than 2
+    frames (it makes no supervision pair), or frames of another cell count
     than n_cells raise a ValueError naming the file (and the missing key), as
     does a ``step_record`` other than step_cfg's (naming the first field)."""
     ds_dir = Path(ds_dir)
@@ -258,9 +258,12 @@ def load_dataset(ds_dir, n_cells, step_cfg):
         try:
             if _sha256(ds_dir / name) != entry.get("sha256"):
                 raise ValueError(f"dataset file {name} does not match its manifest sha256")
-            frames = np.stack(solver.read_frames(ds_dir / name)[1])
+            frames = solver.read_frames(ds_dir / name)[1]
         except (OSError, solver.SolverError) as exc:
             raise ValueError(f"cannot read dataset file {name}: {exc}") from exc
+        if len(frames) < 2:
+            raise ValueError(f"dataset file {name} holds {len(frames)} frame(s), not 2 or more")
+        frames = np.stack(frames)
         if frames.shape[1] != n_cells:
             raise ValueError(f"dataset file {name} has {frames.shape[1]} cells, "
                              f"configured mesh has {n_cells}")
@@ -440,58 +443,45 @@ def loss_supervision(u_ml, u_ref, copies=1):
     if not ref_norm.all():
         raise ValueError("reference field has zero norm; cannot normalize")
     diff = u_ml - u_ref
-    sq = diff * diff
-    if copies == 1:
-        sq, ref_norm = ad.sum(sq), ref_norm[0]
-    else:
-        sq = ad.sum(ad.reshape(sq, (-1, copies, n)), axis=(0, 2))
+    sq = ad.sum(ad.reshape(diff * diff, (-1, copies, n)), axis=(0, 2))
     same = ad.value_of(sq) == 0.0
     if not same.any():
         loss = 100.0 * ad.sqrt(sq) / ref_norm
     else:
         loss = ad.where(same, 0.0, 100.0 * ad.sqrt(ad.where(same, 1.0, sq)) / ref_norm)
-    return loss if copies == 1 else ad.sum(loss)
+    return ad.sum(loss)
 
 
 def _prim(w, gas):
-    """Primitive (4, N) field of a conservative (4, N) one."""
-    return ad.transpose(cons_to_prim(ad.transpose(w), gas, check=False))
+    """Checked primitive (4, N) field of (N, 4) conservative states."""
+    return ad.transpose(cons_to_prim(w, gas))
 
 
-def _entropy_fluxes(mesh, w, bc_table, gas):
-    """Entropy eta on the cells, the (2, N) entropy flux and the flux of the
-    primitive ghost states, (2, n_ghost) or None."""
-    eta, qx, qy = entropy_pair(ad.transpose(w), gas)
+def _entropy_divergence(mesh, u, ghosts, gas):
+    """Entropy eta on the cells of a (4, N) primitive field and the
+    Green-Gauss divergence of its entropy flux, whose ghost values are the
+    flux of its ghost states (None on a periodic mesh)."""
+    eta, qx, qy = entropy_pair(ad.transpose(u), gas, check=False)
+    q = ad.stack([qx, qy], axis=0)
     q_ghosts = None
-    if mesh.n_ghost:
-        ghosts, _ = bclib.extend_with_ghosts(mesh, _prim(w, gas), bc_table, gas)
-        w_g = prim_to_cons(ad.transpose(ghosts), gas, check=False)
-        _, qx_g, qy_g = entropy_pair(w_g, gas, check=False)
-        q_ghosts = ad.stack([qx_g, qy_g], axis=0)
-    return eta, ad.stack([qx, qy], axis=0), q_ghosts
-
-
-def _divergence(mesh, q, q_ghosts):
-    """Green-Gauss divergence of a (2, N) vector field and its ghost values."""
+    if ghosts is not None:
+        q_ghosts = ad.stack(entropy_pair(ad.transpose(ghosts), gas, check=False)[1:], axis=0)
     gx, gy = recon.gradient_gg(mesh, q, recon.neighbor_values(mesh, q, q_ghosts))
-    return gx[0] + gy[1]
+    return eta, gx[0] + gy[1]
 
 
-def loss_entropy(mesh, w_prev, w_next, dt, gas=GasModel(), bc_table=None):
+def loss_entropy(mesh, prev, next_, dt, gas):
     """Mean squared positive part of the discrete entropy-inequality residual
-    between two (4, N) conservative states."""
-    bc_table = bc_table or {}
-    eta0, q0, q0_g = _entropy_fluxes(mesh, w_prev, bc_table, gas)
-    eta1, q1, q1_g = _entropy_fluxes(mesh, w_next, bc_table, gas)
-    div = _divergence(mesh, q1, q1_g) + _divergence(mesh, q0, q0_g)
-    r = mesh.area * (eta1 - eta0) + (mesh.area * dt / 2.0) * div
+    between two states, each a (4, N) primitive field and its ghost states."""
+    eta0, div0 = _entropy_divergence(mesh, *prev, gas)
+    eta1, div1 = _entropy_divergence(mesh, *next_, gas)
+    r = mesh.area * (eta1 - eta0) + (mesh.area * dt / 2.0) * (div1 + div0)
     pos = ad.maximum(0.0, r)
     return ad.sum(pos * pos) / mesh.n_cells
 
 
-def _grad_norm_lsq(mesh, u, gas, bc_table):
+def _grad_norm_lsq(mesh, u, ghosts):
     """Per-cell |grad u|; 0 with a zero derivative where the field is flat."""
-    ghosts, _ = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
     du = recon.neighbor_deltas(mesh, u, recon.neighbor_values(mesh, u, ghosts))
     gx, gy = recon.gradient_lsq(mesh, du)
     g2 = ad.sum(gx * gx + gy * gy, axis=0)
@@ -499,11 +489,11 @@ def _grad_norm_lsq(mesh, u, gas, bc_table):
     return ad.where(flat, 0.0, ad.sqrt(ad.where(flat, 1.0, g2)))
 
 
-def loss_tvd(mesh, u_prev, u_next, gas, bc_table):
+def loss_tvd(mesh, prev, next_):
     """Positive growth of the per-cell gradient magnitude between two
-    (4, N) primitive fields."""
-    g0 = _grad_norm_lsq(mesh, u_prev, gas, bc_table)
-    g1 = _grad_norm_lsq(mesh, u_next, gas, bc_table)
+    states, each a (4, N) primitive field and its ghost states."""
+    g0 = _grad_norm_lsq(mesh, *prev)
+    g1 = _grad_norm_lsq(mesh, *next_)
     return ad.sum(ad.maximum(0.0, g1 - g0))
 
 
@@ -516,19 +506,20 @@ def total_loss(mesh, dt, w_prev, w_next_ml, u_ref_next, params_vec, weights,
                gas=GasModel(), bc_table=None, copies=1):
     """Weighted sum of the four loss terms; also returns the parts.
 
-    The states come in the step's public (N, 4) layout; the terms run on
-    their (4, N) transposes.  On ``Mesh.copies(copies)`` of a mesh, with one
-    pair's states per copy, the loss and each part are the sums over the
-    pairs, each term computed once for all of them: supervision per copy,
+    The states come in the step's public (N, 4) layout; the terms share each
+    state's checked (4, N) primitive field and ghost states (None on a
+    periodic mesh), each made once.  On ``Mesh.copies(copies)`` of a mesh,
+    with one pair's states per copy, the loss and each part are the sums over
+    the pairs, each term computed once for all of them: supervision per copy,
     the entropy term (a mean over the cells) and the L1 term times the
     number of copies, and the TVD term (a sum over the cells) as it is.
     """
     bc_table = bc_table or {}
-    w_prev, w_next_ml, u_ref_next = (ad.transpose(x) for x in (w_prev, w_next_ml, u_ref_next))
-    u_ml = _prim(w_next_ml, gas)
-    sup = loss_supervision(u_ml, u_ref_next, copies)
-    ent = loss_entropy(mesh, w_prev, w_next_ml, dt, gas, bc_table)
-    tvd = loss_tvd(mesh, _prim(w_prev, gas), u_ml, gas, bc_table)
+    prev, next_ = ((u, bclib.extend_with_ghosts(mesh, u, bc_table, gas)[0])
+                   for u in (_prim(w_prev, gas), _prim(w_next_ml, gas)))
+    sup = loss_supervision(next_[0], ad.transpose(u_ref_next), copies)
+    ent = loss_entropy(mesh, prev, next_, dt, gas)
+    tvd = loss_tvd(mesh, prev, next_)
     reg = loss_reg(params_vec)
     total = (sup + (weights.ent * copies) * ent + weights.tvd * tvd
              + (weights.reg * copies) * reg)
@@ -596,14 +587,14 @@ HISTORY_COLUMNS = ("epoch", "step", "total", "sup", "ent", "tvd", "reg", "lr", "
 
 # Cells of the copies a group of samples is recorded on: a group holds
 # CELL_BUDGET // n_cells samples, and at least one.  At training sizes a
-# traced sample is mostly fixed cost (Python, numpy dispatch and 175 tape
+# traced sample is mostly fixed cost (Python, numpy dispatch and 166 tape
 # nodes), not per-cell work.  A group's time per sample over one tape's per
 # sample, on one CPU of a 2-vCPU Xeon host (ml_lsq, periodic structured
 # meshes and the forward step):
 #   cells                   288    504 (step)   512    1,458
 #   4,096: samples, ratio   14 0.37  8 0.37    8 0.47   2 0.83
 #   2,048: samples, ratio    7 0.38  4 0.50    4 0.69   1 1.03
-# A group of 8 on 504 cells peaks at 10.3 MB of tape.  A minibatch of the
+# A group of 8 on 504 cells peaks at 10.5 MB of tape.  A minibatch of the
 # default 16 samples still makes 2 groups, one per CPU, at 512 cells.
 CELL_BUDGET = 4096
 
@@ -651,35 +642,43 @@ def _alone_on_error(fn):
     return run
 
 
-def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
-                 copies=1):
-    """Traced one-step loss and its gradient for one supervision pair, or
-    summed over ``copies`` pairs stacked on ``mesh``, a ``Mesh.copies`` with
-    its tiled ``bc_table`` (``total_loss``)."""
-    parts_box = {}
+def _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
+                  copies):
+    """The step from w_t and its ``total_loss`` as a function of the parameter
+    vector, for one pair or ``copies`` pairs stacked on ``mesh``, a
+    ``Mesh.copies`` with its tiled ``bc_table``; and the dict of its parts."""
+    parts = {}
 
     def program(p_vec):
         w_next, _ = solver.step_explicit_euler(
             mesh, w_t, dt, cfg, bc_table, params, params_vec=p_vec)
-        total, parts = total_loss(mesh, dt, w_t, w_next, u_ref_next, p_vec,
+        total, terms = total_loss(mesh, dt, w_t, w_next, u_ref_next, p_vec,
                                   weights, gas, bc_table, copies)
-        parts_box.update(parts)
+        parts.update(terms)
         return total
 
+    return program, parts
+
+
+def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
+                 copies=1):
+    """Traced loss, gradient and parts of ``_loss_program``."""
+    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next,
+                                   weights, gas, copies)
     loss, grad = ad.record_and_backprop(program, params.values)
-    return loss, grad, parts_box
+    return loss, grad, parts
 
 
 def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
                  copies=1):
-    """Untraced total and supervision losses of one pair, or summed over
-    ``copies`` pairs as in ``_sample_loss``; both inf where the step fails."""
+    """Untraced total and supervision losses of ``_loss_program``; both inf
+    where the step fails."""
+    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next,
+                                   weights, gas, copies)
     try:
-        w_next, _ = solver.step_explicit_euler(mesh, w_t, dt, cfg, bc_table, params)
+        total = program(params.values)
     except solver.SolverError:
         return np.inf, np.inf
-    total, parts = total_loss(mesh, dt, w_t, w_next, u_ref_next,
-                              params.values, weights, gas, bc_table, copies)
     return float(ad.value_of(total)), parts["sup"]
 
 

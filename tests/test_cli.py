@@ -319,16 +319,29 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-5])
 
 
-def _truncate_and_rehash(path):
-    """A truncated file whose manifest entry carries its new hash: the frame
-    reader, not the hash check, finds it."""
-    _truncate(path)
+def _rehash(path):
+    """Write the file's new hash into its manifest entry."""
     manifest_path = path.parent / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for entry in manifest["trajectories"]:
         if entry["file"] == path.name:
             entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
+
+
+def _truncate_and_rehash(path):
+    """A truncated file whose manifest entry carries its new hash: the frame
+    reader, not the hash check, finds it."""
+    _truncate(path)
+    _rehash(path)
+
+
+def _keep_one_frame(path):
+    """The file's first frame alone, its manifest entry rehashed: a
+    trajectory with no supervision pair."""
+    times, frames = solver.read_frames(path)
+    solver.write_frames(path, times[:1], frames[:1])
+    _rehash(path)
 
 
 def _empty_manifest(path):
@@ -345,12 +358,14 @@ def _drop_a_file_key(path):
     ("val_000.frames", _flip_a_data_bit, 6, None),
     ("train_000.frames", _truncate, 6, None),
     ("train_000.frames", _truncate_and_rehash, 6, None),
+    ("train_000.frames", _keep_one_frame, 6, None),
+    ("val_000.frames", _keep_one_frame, 6, None),
     ("train_000.frames", None, 5, None),
     ("train_001.frames", Path.unlink, 6, None),
     ("manifest.json", _empty_manifest, 6, "trajectories"),
     ("manifest.json", _drop_a_file_key, 6, "file"),
-], ids=["flipped_bit", "truncated", "truncated_rehashed", "cell_count", "missing_file",
-        "empty_manifest", "entry_without_file"])
+], ids=["flipped_bit", "truncated", "truncated_rehashed", "one_train_frame", "one_val_frame",
+        "cell_count", "missing_file", "empty_manifest", "entry_without_file"])
 def test_a_corrupt_dataset_is_config_error(run, tmp_path, caplog, name, corrupt, mesh_n, key):
     cfg = {**SMALL, "dataset": {"count": 2, "n_val": 1, "steps": 2},
            "train": {"epochs": 1, "require_gradcheck": False}}

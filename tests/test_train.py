@@ -9,7 +9,7 @@ from fvgrad import autodiff as ad
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, solver, train
 from fvgrad import mesh as msh
-from fvgrad.euler import AdmissibilityError, GasModel, cons_to_prim, prim_to_cons
+from fvgrad.euler import AdmissibilityError, cons_to_prim, prim_to_cons
 from conftest import digest, gradient_lsq_of, smooth_prim_field
 
 
@@ -44,9 +44,9 @@ def test_loss_tvd_on_piecewise_constant_field_has_finite_gradient(coarse, rng):
 
     # the traced field is the flat one, on either side of the loss
     for program, expect in (
-            (lambda u: train.loss_tvd(coarse, u, u1, GasModel(), {}),
+            (lambda u: train.loss_tvd(coarse, (u, None), (u1, None)),
              np.maximum(0.0, norm(u1) - norm(u0))),
-            (lambda u: train.loss_tvd(coarse, u1, u, GasModel(), {}),
+            (lambda u: train.loss_tvd(coarse, (u1, None), (u, None)),
              np.maximum(0.0, norm(u0) - norm(u1)))):
         value, grad = ad.record_and_backprop(program, u0)
         assert value == expect.sum()
@@ -126,10 +126,14 @@ def test_gradient_check_marches_the_plain_and_corrected_modes_of_its_step(coarse
 # by 1.2e-14 and 6.7e-15 of their largest entry.  The gradients were
 # re-recorded again when the flux became one tape node with hand-derived
 # adjoints: against the op-by-op flux they moved by 1.3e-16 (periodic) and
-# 2.6e-16 (forward step) of their largest entry; the losses stayed bitwise
+# 2.6e-16 (forward step) of their largest entry; the losses stayed bitwise.
+# The gradients were re-recorded once more when the loss came to convert
+# each state once and to build its ghost states once: the order of the
+# adjoint sums changed, and they moved by 1.3e-16 (periodic) and 2.6e-16
+# (forward step) of their largest entry; the losses stayed bitwise
 SAMPLE_GRADIENT_DIGESTS = {
-    "periodic_structured_6": ("f3eceb90ebd2f495", "cb93adad9490123d"),
-    "forward_step_0.2": ("1d2763c23b6e1bb2", "068f191cf8a8957d"),
+    "periodic_structured_6": ("f3eceb90ebd2f495", "761dc0185ecedb5d"),
+    "forward_step_0.2": ("1d2763c23b6e1bb2", "37e60c416a2980ea"),
 }
 
 
@@ -148,14 +152,17 @@ def test_sample_gradient_digests(gas, seeded_params):
         assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
 
 
-def test_a_traced_training_sample_records_175_nodes(gas, seeded_params, monkeypatch):
+def test_a_traced_training_sample_records_166_nodes(gas, seeded_params, monkeypatch):
     """One ml_lsq sample on the 1,458-cell training mesh.  The Rusanov flux
     is one node and each network layer one gather; recorded op by op, the
     flux took 109 nodes and the layers 39, for 313 in all.  The limiter's
     minimum over a cell's faces is one node (three gathers and two
     ``where`` made it), both sides' face states are one gather (two), and
     alpha on a mesh without boundary cells is not masked (one ``where``):
-    181 nodes before those three."""
+    181 nodes before those three.  The loss converts each state once and
+    ``entropy_pair`` takes the primitive field: 175 nodes when the entropy
+    term converted the states again, with the supervision term's reshape
+    and per-copy sum then left out for one sample."""
     m = msh.periodic_structured_mesh(27)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     u_ref = smooth_prim_field(m.centroid)
@@ -169,7 +176,7 @@ def test_a_traced_training_sample_records_175_nodes(gas, seeded_params, monkeypa
     monkeypatch.setattr(ad.Tape, "backward", spy)
     train._sample_loss(m, solver.compute_dt(m, cfg), cfg, {}, seeded_params,
                        prim_to_cons(u_ref, gas), u_ref, train.LossWeights(), gas)
-    assert counts == [175]
+    assert counts == [166]
 
 
 def test_backward_adds_little_to_a_traced_samples_peak(gas, seeded_params, monkeypatch):
@@ -463,10 +470,12 @@ def test_a_group_loss_is_the_sum_of_its_samples_losses(name, gas, seeded_params)
     assert total == pytest.approx(loss, rel=1e-12, abs=0)
 
 
-def test_a_group_records_the_nodes_of_one_sample(gas, seeded_params, monkeypatch):
-    """A group of 8 records one sample's nodes and four more: the reshape
-    and the sum of the per-copy supervision terms, and the two ``where``
-    that give a copy whose term is 0 (sample 1's) a zero derivative."""
+def test_a_group_records_the_nodes_of_one_sample_and_two_where(gas, seeded_params,
+                                                               monkeypatch):
+    """A group of 8 records one sample's nodes and two more: the two
+    ``where`` that give a copy whose term is 0 (sample 1's) a zero
+    derivative.  One sample is the one-copy group, so it records the
+    reshape and the sum of the per-copy supervision terms too."""
     m, _, cfg, dt, w_t, u_ref = _group_case("periodic", gas, seeded_params, 8)
     counts = []
     real = ad.Tape.backward
@@ -480,22 +489,31 @@ def test_a_group_records_the_nodes_of_one_sample(gas, seeded_params, monkeypatch
     train._sample_loss(m, dt, cfg, {}, seeded_params, w_t[0], u_ref[0], weights, gas)
     train._sample_loss(m.copies(8), dt, cfg, {}, seeded_params, np.concatenate(w_t),
                        np.concatenate(u_ref), weights, gas, 8)
-    assert counts == [175, 179]
+    assert counts == [166, 168]
 
 
-def test_a_traced_group_on_the_forward_step_records_295_nodes(gas, seeded_params, monkeypatch):
-    """A group of 8 ml_lsq samples on the 504-cell forward step, whose 80
-    ghost states reach the stencils and the faces as the gathers' second
-    array.  Joining them to the field and cutting the cells back out
-    recorded 299 nodes."""
+def _forward_step_group(gas, b):
+    """The 504-cell forward step, its bc table, an ml_lsq StepConfig, its dt, and
+    b states and their plain steps' primitive references."""
     m, bc_table = bench.forward_step_mesh(0.1)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     dt = solver.compute_dt(m, cfg)
     rng = np.random.default_rng(5)
     w_t = [prim_to_cons(smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4)),
-                        gas) for _ in range(8)]
+                        gas) for _ in range(b)]
     u_ref = [cons_to_prim(solver.step_explicit_euler(m, w, dt, cfg.plain(), bc_table)[0], gas)
              for w in w_t]
+    return m, bc_table, cfg, dt, w_t, u_ref
+
+
+def test_a_traced_group_on_the_forward_step_records_212_nodes(gas, seeded_params, monkeypatch):
+    """A group of 8 ml_lsq samples on the 504-cell forward step, whose 80
+    ghost states reach the stencils and the faces as the gathers' second
+    array.  Joining them to the field and cutting the cells back out
+    recorded 299 nodes; converting each state and building its ghost states
+    again for the entropy term, and the entropy pair's own copy of the
+    primitive algebra, 295."""
+    m, bc_table, cfg, dt, w_t, u_ref = _forward_step_group(gas, 8)
     counts = []
     real = ad.Tape.backward
 
@@ -506,7 +524,31 @@ def test_a_traced_group_on_the_forward_step_records_295_nodes(gas, seeded_params
     monkeypatch.setattr(ad.Tape, "backward", spy)
     train._sample_loss(m.copies(8), dt, cfg, bclib.tile_table(bc_table, 8), seeded_params,
                        np.concatenate(w_t), np.concatenate(u_ref), train.LossWeights(), gas, 8)
-    assert counts == [295]
+    assert counts == [212]
+
+
+def test_a_traced_sample_converts_each_state_and_builds_its_ghosts_once(
+        gas, seeded_params, monkeypatch):
+    """One ml_lsq sample on the 504-cell forward step: the step builds the
+    ghost states of the state at t, and the loss converts the states at t
+    and t + dt to primitives and builds their ghost states once each, for
+    every term.  Converting and building again for the entropy term made 4
+    conversions and 5 ghost builds."""
+    m, bc_table, cfg, dt, w_t, u_ref = _forward_step_group(gas, 1)
+    calls = {"ghosts": 0, "cons_to_prim": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(bclib, "extend_with_ghosts",
+                        counted("ghosts", bclib.extend_with_ghosts))
+    monkeypatch.setattr(train, "cons_to_prim", counted("cons_to_prim", train.cons_to_prim))
+    train._sample_loss(m, dt, cfg, bc_table, seeded_params, w_t[0], u_ref[0],
+                       train.LossWeights(), gas)
+    assert calls == {"ghosts": 3, "cons_to_prim": 2}
 
 
 def test_a_group_holding_one_failing_sample_raises_its_serial_error(coarse, gas, monkeypatch):
