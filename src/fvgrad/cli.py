@@ -240,7 +240,7 @@ def _write_manifest(out, cfg, artifacts, mesh=None, train_workers=None,
     version, the OpenBLAS thread count in effect (``blas_threads``), how
     many blocks a step on the run's mesh runs in (``solver.step_workers``; null for a study, which
     steps on several), how many processes a training minibatch runs on
-    (``train.workers`` of its groups), how many samples a group holds
+    (``train.workers`` of its groups), the most samples a group holds
     (``train.group_samples``) and how many optimizer steps were skipped on
     a non-finite gradient (``TrainResult.skipped_steps``; all three null for
     a command that does not train) and the runs a bench rejected

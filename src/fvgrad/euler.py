@@ -125,13 +125,17 @@ def cons_to_prim(w, gas, check=True):
     return _components([rho, vx, vy, p], w)
 
 
-def physical_flux(u, w, n):
+def normal_velocity(u, n):
+    """v.n of primitive states u (..., 4) in plain-array directions n (..., 2)."""
+    return u[..., U] * n[..., 0] + u[..., V] * n[..., 1]
+
+
+def physical_flux(u, w, n, vn):
     """Normal physical flux f . n = (v.n) w + p (0, n_x, n_y, v.n) of primitive
-    states u (..., 4), given their conservative form w = ``prim_to_cons(u)``,
-    for unit directions n (..., 2)."""
+    states u (..., 4), given their conservative form w = ``prim_to_cons(u)``
+    and their ``normal_velocity`` vn, for unit directions n (..., 2)."""
     n = ad.value_of(n)
     p = u[..., P]
-    vn = u[..., U] * n[..., 0] + u[..., V] * n[..., 1]
     return _components([
         u[..., RHO] * vn,
         w[..., MX] * vn + p * n[..., 0],
@@ -140,11 +144,9 @@ def physical_flux(u, w, n):
     ], u)
 
 
-def max_wave_speed(u, n, gas):
+def max_wave_speed(u, vn, gas):
     """|v.n| + c with c = sqrt(gamma p / rho), the largest characteristic
-    speed of primitive states u (..., 4) in direction n."""
-    n = ad.value_of(n)
-    vn = u[..., U] * n[..., 0] + u[..., V] * n[..., 1]
+    speed of primitive states u (..., 4) whose ``normal_velocity`` is vn."""
     return ad.absolute(vn) + ad.sqrt(gas.gamma * u[..., P] / u[..., RHO])
 
 

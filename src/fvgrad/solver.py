@@ -66,7 +66,7 @@ from . import bc as bclib
 from . import mesh as msh
 from . import mlcorr, recon
 from .euler import (RHO, GasModel, cons_to_prim, internal_energy, max_wave_speed,
-                    not_positive, physical_flux, prim_to_cons)
+                    normal_velocity, not_positive, physical_flux, prim_to_cons)
 
 FRAME_MAGIC = b"FVFR"
 FRAME_VERSION = 1
@@ -145,9 +145,9 @@ def rusanov_flux(u_lr, n, gas=GasModel()):
     of each face, face axis last; n holds the unit normals (2, F).  The
     pointwise algebra runs once over both sides: ``prim_to_cons`` converts
     them to their conservative states w and checks their admissibility,
-    then ``physical_flux`` and ``max_wave_speed`` follow, v.n, p and the
-    sound speed coming from the primitives.  Returns (flux, s) with flux
-    (4, F) and s per face, a plain array.
+    then ``physical_flux`` and ``max_wave_speed`` follow, sharing each side's
+    v.n, with p and the sound speed coming from the primitives.  Returns
+    (flux, s) with flux (4, F) and s per face, a plain array.
 
     The values are computed by the same numpy code whether or not the states
     are traced.  A traced call records the flux as one tape node, whose
@@ -162,8 +162,9 @@ def rusanov_flux(u_lr, n, gas=GasModel()):
     # (F, 2, 4) and (F, 1, 2) views: each face's normal serves both sides
     u, nt = v.T, n[:, None].T
     w = prim_to_cons(u, gas)
-    f = physical_flux(u, w, nt).T
-    a = max_wave_speed(u, nt, gas).T
+    vn = normal_velocity(u, nt)
+    f = physical_flux(u, w, nt, vn).T
+    a = max_wave_speed(u, vn, gas).T
     s = np.maximum(a[0], a[1])
     wv = w.T
     dw = wv[:, 1] - wv[:, 0]

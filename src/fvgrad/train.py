@@ -3,23 +3,24 @@
 Reference data comes from the configured step's plain mode on a one-level
 refinement of the training mesh, projected back by area-weighted means
 (``solver.reference``), so every coarse frame has a matching fine-grid truth
-at the same time instant.  Supervision is one step: from the projected state
-at t, one corrected step is compared against the projected reference at t + dt.
+at the same time instant.  Supervision is one step, K = 1 of ``_loss_program``:
+from the projected state at t, one corrected step is compared against the
+projected reference at t + dt.  The gate (``gradient_check``) runs K = n_steps.
 
 The total loss is the relative-L2 supervision error (scaled by 100) plus
 entropy-inequality, total-variation-growth and L1 parameter penalties.
 Optimization uses a sign-of-momentum (Lion-style) update with an
 exponentially decaying learning rate.
 
-Training and validation run on groups of samples.  Each minibatch, and
-the validation pairs, are cut in order into groups of ``group_samples``
-samples (``CELL_BUDGET`` cells in all), and a group is recorded as one
-program on ``Mesh.copies`` of the training mesh, its samples' states
-stacked along the cell axis: at training sizes a traced sample is mostly
-fixed cost, which a group pays once.  A group's loss is the sum of its
-samples' losses (``total_loss``).  A group that raises, or whose loss is
-not finite, is run again one sample at a time, so errors and infinite
-losses are those of the samples alone.
+Training and validation run on groups of samples.  Each minibatch, and the
+validation pairs, are cut in order into the fewest near-equal groups of at
+most ``group_samples`` samples (``CELL_BUDGET`` cells in all), and a group
+is recorded as one program on ``Mesh.copies`` of the training mesh, its
+samples' states stacked along the cell axis: at training sizes a traced
+sample is mostly fixed cost, which a group pays once.  A group's loss is
+the sum of its samples' losses (``total_loss``).  A group that raises, or
+whose loss is not finite, is run again one sample at a time, so errors and
+infinite losses are those of the samples alone.
 
 Independent work runs on every CPU the process may run on (``workers``):
 the traced groups of a minibatch, the untraced validation groups and the
@@ -335,10 +336,8 @@ class _Shares:
 
     def map(self, fn, items, *args):
         items = list(items)
-        k = max(1, min(len(self.children) + 1, len(items)))
-        cuts = [len(items) * b // k for b in range(k + 1)]
-        shares = [items[cuts[b]:cuts[b + 1]] for b in range(k)]
-        children = self.children[:k - 1]
+        shares = _cut(items, max(1, min(len(self.children) + 1, len(items))))
+        children = self.children[:len(shares) - 1]
         try:
             for (_, requests, _), share in zip(children, shares[1:]):
                 try:
@@ -604,10 +603,15 @@ def group_samples(n_cells):
     return max(1, CELL_BUDGET // n_cells)
 
 
+def _cut(items, k):
+    """items cut in order into k tuples whose sizes differ by at most 1."""
+    items = tuple(items)
+    return [items[len(items) * j // k:len(items) * (j + 1) // k] for j in range(k)]
+
+
 def _groups(items, b):
-    """items cut in order into groups of b, the last one shorter."""
-    items = list(items)
-    return [tuple(items[lo:lo + b]) for lo in range(0, len(items), b)]
+    """items cut in order into the fewest near-equal groups of at most b."""
+    return _cut(items, -(-len(items) // b))
 
 
 def batch_groups(n_samples, n_cells):
@@ -642,19 +646,24 @@ def _alone_on_error(fn):
     return run
 
 
-def _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
+def _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_refs, weights, gas,
                   copies):
-    """The step from w_t and its ``total_loss`` as a function of the parameter
-    vector, for one pair or ``copies`` pairs stacked on ``mesh``, a
-    ``Mesh.copies`` with its tiled ``bc_table``; and the dict of its parts."""
+    """Sum of ``total_loss`` over K = ``len(u_refs)`` corrected steps from w_t
+    (``solver.march``), step k's against u_refs[k - 1], as a function of the
+    parameter vector, on one mesh or on ``copies`` stacked on a ``Mesh.copies``
+    with its tiled ``bc_table``; and the dict of its parts, summed over steps."""
     parts = {}
 
     def program(p_vec):
-        w_next, _ = solver.step_explicit_euler(
-            mesh, w_t, dt, cfg, bc_table, params, params_vec=p_vec)
-        total, terms = total_loss(mesh, dt, w_t, w_next, u_ref_next, p_vec,
-                                  weights, gas, bc_table, copies)
-        parts.update(terms)
+        total, w, terms = None, w_t, []
+        for u_ref, (_, w_next, _) in zip(u_refs, solver.march(
+                mesh, w_t, dt, len(u_refs), cfg, bc_table, params, params_vec=p_vec)):
+            loss, step_parts = total_loss(mesh, dt, w, w_next, u_ref, p_vec,
+                                          weights, gas, bc_table, copies)
+            total = loss if total is None else total + loss
+            terms.append(step_parts)
+            w = w_next
+        parts.update({key: sum(t[key] for t in terms) for key in terms[0]})
         return total
 
     return program, parts
@@ -662,8 +671,8 @@ def _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas
 
 def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
                  copies=1):
-    """Traced loss, gradient and parts of ``_loss_program``."""
-    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next,
+    """Traced loss, gradient and parts of ``_loss_program`` at K = 1."""
+    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, [u_ref_next],
                                    weights, gas, copies)
     loss, grad = ad.record_and_backprop(program, params.values)
     return loss, grad, parts
@@ -671,9 +680,9 @@ def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
 
 def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
                  copies=1):
-    """Untraced total and supervision losses of ``_loss_program``; both inf
-    where the step fails."""
-    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_ref_next,
+    """Untraced total and supervision losses of ``_loss_program`` at K = 1;
+    both inf where the step fails."""
+    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, [u_ref_next],
                                    weights, gas, copies)
     try:
         total = program(params.values)
@@ -687,19 +696,17 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
           bc_table=None, out_dir=None, init=None):
     """Optimize step_cfg's corrected mode on one-step supervision pairs.
 
-    Deterministic for a fixed seed: each minibatch, and the validation
-    pairs, are cut in order into groups of ``group_samples`` samples, each
-    group is recorded as one program on the mesh's copies, the groups are
-    computed in shares on every CPU the process may run on (module
-    docstring) and their results summed in group order, so parameters,
-    history and checkpoints are bitwise the same for any CPU count.  A
-    failing sample raises the error serial training would: that of the
-    first failing sample in batch order.  Checkpoints are written per
-    epoch, and the final parameters to params.gfnn, when out_dir is set
-    (the history is returned; the caller writes it).  Each epoch logs its
-    seconds in minibatches and in validation and its traced samples per
-    second.  Training aborts (keeping the last finite parameters) if the
-    loss stops being finite.  The gas model is step_cfg's.
+    Deterministic for a fixed seed: the groups of samples (module
+    docstring) are computed in shares on every CPU the process may run on
+    and their results summed in group order, so parameters, history and
+    checkpoints are bitwise the same for any CPU count.  A failing sample
+    raises the error serial training would: that of the first failing
+    sample in batch order.  Checkpoints are written per epoch, and the
+    final parameters to params.gfnn, when out_dir is set (the history is
+    returned; the caller writes it).  Each epoch logs its seconds in
+    minibatches and in validation and its traced samples per second.
+    Training aborts (keeping the last finite parameters) if the loss stops
+    being finite.  The gas model is step_cfg's.
     """
     bc_table = bc_table or {}
     step_cfg = step_cfg.corrected()
@@ -816,9 +823,10 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
                    net_config=mlcorr.NetConfig(), bc_table=None,
                    n_steps=2, rel_tol=1e-5, rel_step=5e-5, seed=0,
                    param_sample=None):
-    """Compare reverse-mode and central-difference gradients of the full
-    multi-step training loss, step_cfg's corrected mode against its plain
-    mode (``StepConfig()`` if None).  Returns a report dict with the pass flag.
+    """Compare reverse-mode and central-difference gradients of the training
+    loss, ``_loss_program`` at K = n_steps on the mesh, step_cfg's corrected
+    mode against its plain mode (``StepConfig()`` if None).  Returns a report
+    dict with the pass flag.
 
     The default step balances truncation against round-off for this loss
     scale.  Entries outside tolerance are re-checked ("audited") over a
@@ -855,25 +863,13 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
 
     # fixed reference trajectory: baseline run from a slightly scaled state
     w_ref = w0 * np.array([1.02, 1.0, 1.0, 1.02])
-    refs = [cons_to_prim(w_ref, gas)]
-    refs += [cons_to_prim(w, gas)
-             for _, w, _ in solver.march(mesh, w_ref, dt, n_steps, ref_cfg, bc_table)]
-
-    def loss_fn(p_vec):
-        w = w0
-        total = None
-        for k, w_next, _ in solver.march(mesh, w0, dt, n_steps, step_cfg, bc_table,
-                                         params, params_vec=p_vec):
-            term, _ = total_loss(mesh, dt, w, w_next, refs[k], p_vec,
-                                 weights, gas, bc_table)
-            total = term if total is None else total + term
-            w = w_next
-        return total
-
-    loss_val, grad_ad = ad.record_and_backprop(loss_fn, params.values)
+    refs = [cons_to_prim(w, gas)
+            for _, w, _ in solver.march(mesh, w_ref, dt, n_steps, ref_cfg, bc_table)]
+    program, _ = _loss_program(mesh, dt, step_cfg, bc_table, params, w0, refs, weights, gas, 1)
+    loss_val, grad_ad = ad.record_and_backprop(program, params.values)
 
     def plain(p):
-        return float(ad.value_of(loss_fn(p)))
+        return float(ad.value_of(program(p)))
 
     def central(i, h):
         hi = params.values.copy()

@@ -17,8 +17,8 @@ from fvgrad import autodiff as ad
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
-from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, physical_flux,
-                          prim_to_cons)
+from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, normal_velocity,
+                          physical_flux, prim_to_cons)
 from conftest import (digest, finite_diff_grad, mesh_geometry, random_admissible_prim,
                       seeded_network_params, smooth_prim_field)
 
@@ -179,8 +179,8 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
     slots, _ = recon.slot_states(mesh, u, delta, phi)
     u_l, u_r = recon.muscl_face_values(mesh, slots, None).transpose(1, 0, 2)
-    s = np.maximum(max_wave_speed(u_l.T, mesh.f_normal, gas),
-                   max_wave_speed(u_r.T, mesh.f_normal, gas))
+    s = np.maximum(*(max_wave_speed(u.T, normal_velocity(u.T, mesh.f_normal), gas)
+                     for u in (u_l, u_r)))
     assert diag["max_wave_speed"] == float(s.max())
 
 
@@ -374,7 +374,8 @@ def test_rusanov_flux_matches_the_textbook_formula(rng, gas):
     n = np.column_stack([np.cos(theta), np.sin(theta)])
     expect, s_cons = _cons_rusanov(w_l, w_r, n, gas)
     flux, s_out = solver.rusanov_flux(np.stack([u_l.T, u_r.T], axis=1), n.T, gas)
-    assert (s_out == np.maximum(max_wave_speed(u_l, n, gas), max_wave_speed(u_r, n, gas))).all()
+    assert (s_out == np.maximum(*(max_wave_speed(u, normal_velocity(u, n), gas)
+                                  for u in (u_l, u_r)))).all()
     np.testing.assert_allclose(s_out, s_cons, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(flux.T, expect, rtol=1e-14, atol=1e-14)
     # consistency: equal states give the physical flux
@@ -396,7 +397,7 @@ def test_rusanov_flux_of_equal_states_is_the_physical_flux_bitwise(faces):
     u = arr[:, :4]
     n = np.column_stack([np.cos(arr[:, 4]), np.sin(arr[:, 4])])
     flux, _ = solver.rusanov_flux(np.stack([u.T, u.T], axis=1), np.ascontiguousarray(n.T), gas)
-    assert (flux.T == physical_flux(u, prim_to_cons(u, gas), n)).all()
+    assert (flux.T == physical_flux(u, prim_to_cons(u, gas), n, normal_velocity(u, n))).all()
 
 
 def _op_by_op_rusanov(u_l, u_r, n, gas):
@@ -405,9 +406,10 @@ def _op_by_op_rusanov(u_l, u_r, n, gas):
     node's adjoints."""
     ul, ur, nt = ad.transpose(u_l), ad.transpose(u_r), ad.transpose(n)
     wl, wr = prim_to_cons(ul, gas), prim_to_cons(ur, gas)
-    f_l = ad.transpose(physical_flux(ul, wl, nt))
-    f_r = ad.transpose(physical_flux(ur, wr, nt))
-    s = ad.maximum(max_wave_speed(ul, nt, gas), max_wave_speed(ur, nt, gas))
+    vl, vr = normal_velocity(ul, nt), normal_velocity(ur, nt)
+    f_l = ad.transpose(physical_flux(ul, wl, nt, vl))
+    f_r = ad.transpose(physical_flux(ur, wr, nt, vr))
+    s = ad.maximum(max_wave_speed(ul, vl, gas), max_wave_speed(ur, vr, gas))
     return 0.5 * (f_l + f_r) - 0.5 * s * (ad.transpose(wr) - ad.transpose(wl))
 
 
@@ -483,8 +485,8 @@ def test_the_flux_node_matches_the_op_by_op_flux_and_central_differences(
         assert (np.abs(node[0] - oracle[0]) <= 1e-13 * scale).all()
 
     # central differences, face by face, on the faces away from the kinks
-    a_l, a_r = (max_wave_speed(u.T, n.T, gas) for u in (u_l, u_r))
-    vn = np.array([u[1] * n[0] + u[2] * n[1] for u in (u_l, u_r)])
+    vn = np.array([normal_velocity(u.T, n.T) for u in (u_l, u_r)])
+    a_l, a_r = (max_wave_speed(u.T, v, gas) for u, v in zip((u_l, u_r), vn))
     s = np.maximum(a_l, a_r)
     smooth = (np.abs(vn) > 1e-4 * s).all(axis=0)
     if ghost != msh.SLIP_WALL:   # there a_r(u_l) = a_l(u_l): s is smooth at the tie

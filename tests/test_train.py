@@ -119,6 +119,36 @@ def test_gradient_check_marches_the_plain_and_corrected_modes_of_its_step(coarse
     assert all(cfg == step.corrected() for cfg in cfgs[1:])
 
 
+def test_the_gate_and_training_run_the_one_loss_program(coarse, gas, monkeypatch):
+    """The gate runs ``_loss_program`` at K = n_steps on the mesh itself;
+    training runs it at K = 1 on the copies of a group of 4 samples, in
+    validation before and after the epoch and in its one minibatch."""
+    calls = []
+    program = train._loss_program
+
+    def spy(mesh, dt, cfg, bc_table, params, w_t, u_refs, *args):
+        calls.append((mesh.n_cells, len(u_refs)))
+        return program(mesh, dt, cfg, bc_table, params, w_t, u_refs, *args)
+
+    monkeypatch.setattr(train, "_loss_program", spy)
+    train.gradient_check(coarse, n_steps=3, param_sample=2)
+    assert calls == [(72, 3)]
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+    trajs = _trajectories(coarse, gas, (0, 1))
+    train.train(coarse, solver.StepConfig(co=0.03, gradient="ml_lsq"), trajs[:1], trajs[1:],
+                train.TrainConfig(epochs=1, batch_size=4))
+    assert calls[1:] == [(4 * 72, 1)] * 3
+
+
+def test_the_gate_report_of_a_small_config():
+    """The default gate's loss and largest relative error on 72 cells with 8
+    sampled entries, pinned bitwise."""
+    report = train.gradient_check(msh.periodic_structured_mesh(6), param_sample=8)
+    assert report["pass"] and report["n_checked"] == 8
+    assert report["loss"] == 4.038500872028099
+    assert report["max_rel_err"] == 2.4641164632963497e-06
+
+
 # sha256 prefixes of one ml_lsq sample's (loss, gradient), re-recorded when
 # the Rusanov flux moved to primitive face states and the residual to
 # per-slot sums.  Against the earlier face-order form, the losses moved by
@@ -470,6 +500,28 @@ def test_a_group_loss_is_the_sum_of_its_samples_losses(name, gas, seeded_params)
     assert total == pytest.approx(loss, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("name", ["periodic", "forward_step"])
+def test_a_two_step_program_on_copies_is_the_sum_of_each_copys(name, gas, seeded_params):
+    """At K = 2 on ``Mesh.copies(2)``, with a tiled bc table, the loss and
+    gradient equal the sums of each copy's own K = 2 program to 1e-12."""
+    weights = train.LossWeights()
+    m, bc_table, cfg, dt, w_t, _ = _group_case(name, gas, seeded_params, 2)
+    refs = [[cons_to_prim(w, gas) for _, w, _ in solver.march(m, w0, dt, 2, cfg.plain(),
+                                                              bc_table)] for w0 in w_t]
+
+    def run(mesh, bc, w0, u_refs, copies):
+        program, _ = train._loss_program(mesh, dt, cfg, bc, seeded_params, w0, u_refs,
+                                         weights, gas, copies)
+        return ad.record_and_backprop(program, seeded_params.values)
+
+    singles = [run(m, bc_table, w0, u_refs, 1) for w0, u_refs in zip(w_t, refs)]
+    loss, grad = run(m.copies(2), bclib.tile_table(bc_table, 2), np.concatenate(w_t),
+                     [np.concatenate(pair) for pair in zip(*refs)], 2)
+    grad_sum = singles[0][1] + singles[1][1]
+    assert loss == pytest.approx(singles[0][0] + singles[1][0], rel=1e-12, abs=0)
+    assert np.abs(grad - grad_sum).max() <= 1e-12 * np.abs(grad_sum).max()
+
+
 def test_a_group_records_the_nodes_of_one_sample_and_two_where(gas, seeded_params,
                                                                monkeypatch):
     """A group of 8 records one sample's nodes and two more: the two
@@ -554,7 +606,8 @@ def test_a_traced_sample_converts_each_state_and_builds_its_ghosts_once(
 def test_a_group_holding_one_failing_sample_raises_its_serial_error(coarse, gas, monkeypatch):
     """Sample 5 of a batch of 8 in one group has a state whose update is not
     admissible at cell 4; on the copies that cell is 5 * 72 + 4.  The group
-    runs its samples alone and raises sample 5's own error."""
+    runs its samples alone and raises sample 5's own error, in its one
+    marched step."""
     (traj,) = _trajectories(coarse, gas, (0,), steps=8)
     tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=3)
     order = np.random.default_rng(tcfg.seed).permutation(traj.n_pairs)
@@ -569,7 +622,17 @@ def test_a_group_holding_one_failing_sample_raises_its_serial_error(coarse, gas,
         with pytest.raises(solver.SolverError) as info:
             _train_on(monkeypatch, 1, coarse, cfg, [bad], [], tcfg, group=group)
         errors.append((str(info.value), info.value.cell, info.value.step))
-    assert errors[1] == errors[0] == ("step rejected: non-admissible update (cell=4)", 4, None)
+    assert errors[1] == errors[0] == (
+        "step rejected: non-admissible update (cell=4) (step=1)", 4, 1)
+
+
+def test_a_minibatch_is_cut_into_near_equal_groups():
+    """At 288 cells a group holds at most 14 samples: a minibatch of 16 makes
+    two groups of 8, so that two processes share it evenly."""
+    assert train._groups(range(16), train.group_samples(288)) == [
+        tuple(range(8)), tuple(range(8, 16))]
+    assert train._groups(range(5), 2) == [(0,), (1, 2), (3, 4)]
+    assert train.batch_groups(16, 288) == 2
 
 
 def test_a_group_that_fails_runs_its_items_alone():
