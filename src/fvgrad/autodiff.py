@@ -11,11 +11,13 @@ traced, else its forward value and one adjoint expression per operand,
 handed to ``_record``, which holds the one recording rule of the tape.  An
 operand is traced when its class is ``Var``; the test reads ``__class__``
 rather than calling ``isinstance``, because an untraced step is mostly the
-fixed cost of its calls.  One node is recorded outside this module the same
-way: ``solver.rusanov_flux`` computes the flux in numpy and hands it to
-``_record``, which records it as one node, whose adjoints are its
-hand-derived transposed Jacobians, in place of the 109 nodes that recording
-it op by op took, and returns the plain value when nothing is traced.
+fixed cost of its calls.  Two nodes are recorded outside this module the
+same way, each computed in numpy and handed to ``_record``, which records it
+as one node whose adjoints are hand-derived, and returns the plain value
+when nothing is traced: ``solver.rusanov_flux``, the flux, whose adjoints
+are its transposed Jacobians, in place of the 109 nodes that recording it op
+by op took; and ``mlcorr.network_forward``, the correction network, whose
+adjoints run back through it one layer at a time, in place of 37 nodes.
 
 Differentiable primitive set: + - * / ** sqrt log tanh abs min max,
 ``where`` with a non-differentiated condition, reductions (``amin`` and
@@ -525,9 +527,9 @@ def einsum(spec, a, b):
     if a.__class__ is not Var and b.__class__ is not Var:
         return _c_einsum(spec, a, b)
     av, bv = value_of(a), value_of(b)
-    return _record(np.einsum(spec, av, bv),
-                   (a, lambda g: np.einsum(f"{so},{sb}->{sa}", g, bv)),
-                   (b, lambda g: np.einsum(f"{so},{sa}->{sb}", g, av)))
+    return _record(_c_einsum(spec, av, bv),
+                   (a, lambda g: _c_einsum(f"{so},{sb}->{sa}", g, bv)),
+                   (b, lambda g: _c_einsum(f"{so},{sa}->{sb}", g, av)))
 
 
 def reshape(a, shape):

@@ -33,6 +33,17 @@ cell axis last.  Its parameters keep the neighbor-major input order
 of the data, as it takes the layers from the flat vector through one
 gather of their joined indices (``_layer_index``, ``_layer_gather``).
 
+Traced, the network is one tape node on the parameter vector and du, as
+the Rusanov flux is one node in ``solver``.  Its values come from the same
+numpy code as untraced, so the untraced step is unchanged bitwise.  Its
+adjoint (``_network_adjoint``) runs back through the network one layer at
+a time and scatters each layer's parameter adjoint into the flat vector
+through the same index.  The node keeps only the activations that adjoint
+reads: not the (combine*width, N) product of the trunk and the branch
+output that the head contracts, which the adjoint rebuilds.  Recorded op
+by op, the network took 37 nodes and kept that product, the largest array
+of a traced step.
+
 Cells touching a boundary get an exactly-zero alpha, which reduces the
 corrected gradients to the plain reconstruction there.  With every
 parameter zero the output is identically zero, so the corrected solver
@@ -166,8 +177,9 @@ def _check_finite(name, x):
 @functools.cache
 def _layer_index(config):
     """Index of each layer in the flat parameter vector, as the forward pass
-    takes it with one ``ad.take_rows`` gather: each name maps to an array of
-    the layer's working shape whose entries are positions in the vector.
+    takes it with one gather and the adjoint scatters it back: each name
+    maps to an array of the layer's working shape whose entries are
+    positions in the vector.
 
     The network's parameters index its input neighbor-major (j*4 + v, the
     checkpoint's order); the solver's stencil arrays are variable-major
@@ -211,8 +223,17 @@ def network_forward(params, du, theta, vec=None):
     """Correction coefficients for stencil inputs.
 
     du: neighbor differences, (4, 3, N) (variable, neighbor, cell); theta:
-    stencil angles, (3, N), in the same neighbor order.  Returns alpha with
-    the shape of du.  Activations are (features, N), with the cell axis last.
+    stencil angles, (3, N), in the same neighbor order, a mesh constant that
+    is never traced.  Returns alpha with the shape of du.  Activations are
+    (features, N), with the cell axis last.
+
+    The values are computed by the same numpy code whether or not du or the
+    parameter vector ``vec`` is traced.  A traced call records alpha as one
+    tape node on those two operands (``_network_adjoint``), which keeps the
+    activations its adjoint reads: the normalised input, the input scale,
+    both branch blocks' tanh outputs and the first block's output, the
+    trunk and the squash's tanh; with du traced, also the centered input
+    and the head's raw output.
     """
     cfg = params.config
     duv = ad.value_of(du)
@@ -225,38 +246,128 @@ def network_forward(params, du, theta, vec=None):
                            f"du {duv.shape}")
     vec = params.values if vec is None else vec
     names, idx, shapes = _layer_gather(cfg)
-    L = dict(zip(names, ad.take_rows_split(vec, idx, shapes)))
+    L = dict(zip(names, ad.take_rows_split(ad.value_of(vec), idx, shapes)))
 
-    z = ad.reshape(du, (cfg.n_in, n))
-    mu = ad.mean(z, axis=0, keepdims=True)
-    centered = z - mu
-    var = ad.mean(centered * centered, axis=0, keepdims=True)
-    scale = ad.sqrt(var + NORM_EPS)
-    zn = centered / scale
-    zn = zn * L["norm_scale"] + L["norm_shift"]
+    z = duv.reshape(cfg.n_in, n)
+    centered = z - ad.mean(z, axis=0, keepdims=True)
+    scale = np.sqrt(ad.mean(centered * centered, axis=0, keepdims=True) + NORM_EPS)
+    zn0 = centered / scale
+    zn = zn0 * L["norm_scale"] + L["norm_shift"]
     _check_finite("norm", zn)
 
-    h = ad.matmul(L["branch0_skip"], zn) + ad.tanh(
-        ad.matmul(L["branch0_w"], zn) + L["branch0_b"])
-    _check_finite("branch0", h)
-    h = h + ad.tanh(ad.matmul(L["branch1_w"], h) + L["branch1_b"])
+    t0 = np.tanh(L["branch0_w"] @ zn + L["branch0_b"])
+    h0 = L["branch0_skip"] @ zn + t0
+    _check_finite("branch0", h0)
+    t1 = np.tanh(L["branch1_w"] @ h0 + L["branch1_b"])
+    h = h0 + t1
     _check_finite("branch1", h)
 
-    trunk = ad.tanh(ad.matmul(L["trunk_w"], theta) + L["trunk_b"])
+    trunk = np.tanh(L["trunk_w"] @ theta + L["trunk_b"])
     _check_finite("trunk", trunk)
+    # untraced, the head runs with no more arrays alive than it reads, so
+    # the step's peak memory stays where it was
+    traced = du.__class__ is ad.Var or vec.__class__ is ad.Var
+    acts = (zn0, scale, t0, h0, t1, trunk) if traced else None
+    del zn0, t0, h0, t1
 
     # raw[m, n] = sum_p (head_w[m*P+p] . h[:, n] + head_b[m*P+p]) trunk[p, n]
     # with P = combine, contracted over (p, w) in one matmul so the
     # (n_in*P, N) branch features are never formed
-    pw = cfg.combine * cfg.width
-    outer = ad.reshape(ad.reshape(trunk, (cfg.combine, 1, n))
-                       * ad.reshape(h, (1, cfg.width, n)), (pw, n))
-    raw = ad.matmul(L["head_w"], outer) + ad.matmul(L["head_b"], trunk)
-    raw = raw * scale
-    alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
+    raw0 = L["head_w"] @ _outer(trunk, h) + L["head_b"] @ trunk
+    squash = np.tanh(raw0 * scale * (1.0 / cfg.alpha_max))
+    alpha = np.nextafter(cfg.alpha_max, 0.0) * squash
     _check_finite("head", alpha)
+    alpha = alpha.reshape(duv.shape)
+    if not traced:
+        return alpha
 
-    return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
+    acts += (squash,)
+    du_acts = (centered, raw0) if du.__class__ is ad.Var else None
+    shape = duv.shape
+    both = []
+
+    def adjoints(g):
+        # one pass gives both operands' adjoints, whichever asks first
+        if not both:
+            both.extend(_network_adjoint(cfg, L, theta, acts, du_acts,
+                                         g.reshape(cfg.n_in, shape[-1])))
+        return both
+
+    return ad._record(alpha, (vec, lambda g: adjoints(g)[0]),
+                      (du, lambda g: adjoints(g)[1].reshape(shape)))
+
+
+def _outer(trunk, h):
+    """trunk (P, N) times h (W, N) per cell, as the (P*W, N) rows p*W + w."""
+    return (trunk[:, None] * h).reshape(trunk.shape[0] * h.shape[0], h.shape[-1])
+
+
+def _network_adjoint(cfg, L, theta, acts, du_acts, g):
+    """Adjoints of ``network_forward`` for the adjoint g of alpha, (n_in, N):
+    the parameter vector's, and du's as (n_in, N) (None if du_acts is None).
+
+    One small adjoint per layer, from the squash back to the input
+    normalisation (Griewank and Walther, *Evaluating Derivatives*, 2008,
+    ch. 10).  Each layer's parameter adjoint is scattered into the flat
+    vector through ``_layer_index``.  The head rebuilds the (P*W, N)
+    product trunk x h, which the forward pass drops, and forms that
+    product's adjoint once for both factors.  Sums are taken in the order
+    the op-by-op network's tape took them, so the adjoints agree with it to
+    round-off."""
+    zn0, scale, t0, h0, t1, trunk, squash = acts
+    grads = {}
+    # squash: alpha = c tanh(raw0 scale / alpha_max)
+    c = np.nextafter(cfg.alpha_max, 0.0)
+    g_raw = g * c * (1.0 - squash * squash) * (1.0 / cfg.alpha_max)
+    g_raw0 = g_raw * scale
+
+    # head: raw0 = head_w (trunk x h) + head_b trunk
+    h = h0 + t1
+    grads["head_w"] = g_raw0 @ _outer(trunk, h).T
+    grads["head_b"] = g_raw0 @ trunk.T
+    g_outer = (L["head_w"].T @ g_raw0).reshape(cfg.combine, cfg.width, g.shape[-1])
+    g_trunk = L["head_b"].T @ g_raw0 + np.einsum("pwn,wn->pn", g_outer, h)
+    g_h = np.einsum("pwn,pn->wn", g_outer, trunk)
+
+    # trunk: tanh(trunk_w theta + trunk_b)
+    g_a = g_trunk * (1.0 - trunk * trunk)
+    grads["trunk_w"] = g_a @ theta.T
+    grads["trunk_b"] = g_a.sum(axis=1, keepdims=True)
+
+    # branch1: h = h0 + tanh(branch1_w h0 + branch1_b)
+    g_a = g_h * (1.0 - t1 * t1)
+    grads["branch1_w"] = g_a @ h0.T
+    grads["branch1_b"] = g_a.sum(axis=1, keepdims=True)
+    g_h0 = g_h + L["branch1_w"].T @ g_a
+
+    # branch0: h0 = branch0_skip zn + tanh(branch0_w zn + branch0_b)
+    zn = zn0 * L["norm_scale"] + L["norm_shift"]
+    g_a = g_h0 * (1.0 - t0 * t0)
+    grads["branch0_skip"] = g_h0 @ zn.T
+    grads["branch0_w"] = g_a @ zn.T
+    grads["branch0_b"] = g_a.sum(axis=1, keepdims=True)
+    g_zn = L["branch0_w"].T @ g_a + L["branch0_skip"].T @ g_h0
+
+    # normalisation: zn = (centered / scale) norm_scale + norm_shift
+    grads["norm_scale"] = (g_zn * zn0).sum(axis=1, keepdims=True)
+    grads["norm_shift"] = g_zn.sum(axis=1, keepdims=True)
+    names, idx, _ = _layer_gather(cfg)
+    g_vec = np.empty(idx.size)
+    g_vec[idx] = np.concatenate([grads[name].ravel() for name in names])
+    if du_acts is None:
+        return g_vec, None
+
+    # scale = sqrt(mean(centered^2) + eps) enters zn and raw = raw0 scale;
+    # centered = z - mean(z)
+    centered, raw0 = du_acts
+    g_zn0 = g_zn * L["norm_scale"]
+    g_scale = ((g_raw * raw0).sum(axis=0, keepdims=True)
+               + (-g_zn0 * zn0 / scale).sum(axis=0, keepdims=True))
+    m = cfg.n_in
+    # one t per factor of centered * centered, added as the tape adds them
+    t = (g_scale * (0.5 / scale) / m) * centered
+    g_c = g_zn0 / scale + t + t
+    return g_vec, g_c - g_c.sum(axis=0, keepdims=True) / m
 
 
 def masked_alpha(mesh, params, du, vec=None):

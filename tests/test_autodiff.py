@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
-from fvgrad import solver
-from conftest import finite_diff_grad
+from fvgrad import mlcorr, solver
+from conftest import finite_diff_grad, seeded_network_params
 
 
 def check_vjp(build, *x0s, rtol=1e-8, rel_step=1e-6):
@@ -44,6 +44,11 @@ Y = RNG.uniform(0.5, 2.0, (4, 3))
 # unit normals of three faces, for the flux: X and Y are admissible primitive
 # face states (rho, u, v, p), one face per column
 NORMALS = np.array([np.cos([0.3, 2.0, 4.4]), np.sin([0.3, 2.0, 4.4])])
+# the network on two cells: its stencil angles, and a projection that moves
+# every parameter with X
+NET = seeded_network_params()
+ANGLES = np.array([[2.0, 1.7], [2.1, 2.4], [2 * np.pi - 4.1, 2 * np.pi - 4.1]])
+PROJ = np.random.default_rng(45).normal(0.0, 0.05, (NET.count, 12))
 
 
 # one case or more for every public function of the package that records a
@@ -86,13 +91,18 @@ PRIMITIVE_CASES = [
     lambda x: ad.einsum("ij,ij->i", x, x * Y),
     lambda x: solver.rusanov_flux(ad.stack([x, Y], axis=1), NORMALS)[0],
     lambda x: solver.rusanov_flux(ad.stack([Y * x, x], axis=1), NORMALS)[0],
+    lambda x: mlcorr.network_forward(NET, ad.stack([x, x * Y], axis=2), ANGLES),
+    lambda x: mlcorr.network_forward(NET, np.stack([X, Y], axis=2), ANGLES,
+                                     NET.values + ad.matmul(PROJ, ad.reshape(x, (12,)))),
+    lambda x: mlcorr.network_forward(NET, ad.stack([x, Y], axis=2), ANGLES,
+                                     NET.values + ad.matmul(PROJ, ad.reshape(x, (12,)))),
 ]
 PRIMITIVE_IDS = ["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
                  "tanh", "abs", "max", "min", "where", "sum_keep", "mean",
                  "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
                  "stack", "take_rows", "take_rows_more", "take_rows_more_only", "take_rows_split",
                  "amax", "amin", "segment_sum", "einsum_a", "einsum_b", "einsum_ab",
-                 "rusanov_l", "rusanov_lr"]
+                 "rusanov_l", "rusanov_lr", "network_du", "network_vec", "network_du_vec"]
 
 
 @pytest.mark.parametrize("build", PRIMITIVE_CASES, ids=PRIMITIVE_IDS)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import bc as bclib
-from fvgrad import bench, mlcorr, recon
-from fvgrad.mlcorr import NetConfig, NetworkError
+from fvgrad import bench, mlcorr, recon, solver, train
+from fvgrad.euler import GasModel, cons_to_prim, prim_to_cons
+from fvgrad.mlcorr import NORM_EPS, NetConfig, NetworkError
 from conftest import (gradient_gg_of, gradient_lsq_of, mesh_geometry, random_admissible_prim,
                       rotated_mesh, save_params_sized, save_params_with_offset,
                       smooth_prim_field)
@@ -152,6 +154,106 @@ def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
     traced = _alpha(m, ad.Tape().var(u), params)
     assert np.abs(plain).max() > 0.1
     assert (traced.value == plain).all()
+
+
+def _op_by_op_network(params, du, theta, vec=None):
+    """The network with every operation recorded on the tape, as it was
+    recorded before it became one node: the oracle of that node's adjoints."""
+    cfg = params.config
+    n = ad.value_of(du).shape[-1]
+    vec = params.values if vec is None else vec
+    names, idx, shapes = mlcorr._layer_gather(cfg)
+    L = dict(zip(names, ad.take_rows_split(vec, idx, shapes)))
+    z = ad.reshape(du, (cfg.n_in, n))
+    mu = ad.mean(z, axis=0, keepdims=True)
+    centered = z - mu
+    var = ad.mean(centered * centered, axis=0, keepdims=True)
+    scale = ad.sqrt(var + NORM_EPS)
+    zn = centered / scale * L["norm_scale"] + L["norm_shift"]
+    h = ad.matmul(L["branch0_skip"], zn) + ad.tanh(
+        ad.matmul(L["branch0_w"], zn) + L["branch0_b"])
+    h = h + ad.tanh(ad.matmul(L["branch1_w"], h) + L["branch1_b"])
+    trunk = ad.tanh(ad.matmul(L["trunk_w"], theta) + L["trunk_b"])
+    outer = ad.reshape(ad.reshape(trunk, (cfg.combine, 1, n))
+                       * ad.reshape(h, (1, cfg.width, n)), (cfg.combine * cfg.width, n))
+    raw = (ad.matmul(L["head_w"], outer) + ad.matmul(L["head_b"], trunk)) * scale
+    alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
+    return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
+
+
+def _network_case(mesh_name, b, k):
+    """A mesh of b copies, its bc table, an ml_lsq StepConfig, its dt, the
+    stacked states at t and the plain mode's k primitive reference states."""
+    gas = GasModel()
+    m, bc_table = ((msh.periodic_structured_mesh(6), {}) if mesh_name == "periodic"
+                   else bench.forward_step_mesh(0.2))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    dt = solver.compute_dt(m, cfg)
+    rng = np.random.default_rng(5)
+    w_t = [prim_to_cons(smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4)),
+                        gas) for _ in range(b)]
+    refs = [[cons_to_prim(w, gas) for _, w, _ in solver.march(m, w0, dt, k, cfg.plain(),
+                                                              bc_table)] for w0 in w_t]
+    return (m.copies(b), bclib.tile_table(bc_table, b), cfg, dt, np.concatenate(w_t),
+            [np.concatenate(step) for step in zip(*refs)])
+
+
+def _network_gradients(monkeypatch, forward, params, mesh_name, b, k):
+    """Loss and gradient of the training loss program at K = k on a group
+    of b, with ``forward`` as the network."""
+    m, bc_table, cfg, dt, w_t, u_refs = _network_case(mesh_name, b, k)
+    monkeypatch.setattr(mlcorr, "network_forward", forward)
+    program, _ = train._loss_program(m, dt, cfg, bc_table, params, w_t, u_refs,
+                                     train.LossWeights(), GasModel(), b)
+    return ad.record_and_backprop(program, params.values)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("mesh_name", ["periodic", "forward_step"])
+@pytest.mark.parametrize("saturated", [False, True], ids=["seeded", "saturated"])
+def test_the_network_node_matches_the_op_by_op_oracle(monkeypatch, params, seeded_params,
+                                                      saturated, mesh_name, b, k):
+    """The traced network is one node whose adjoints are hand-derived.  Through
+    the training loss, on one sample and a group, the loss equals the op-by-op
+    network's bitwise and the gradient equals it to 1e-14 of its largest
+    entry.  At K = 2 the second step's du is traced, so the adjoint of the
+    input normalisation is checked too.  Saturated: heads drawn from
+    N(0, 0.2) drive alpha close to +-alpha_max."""
+    net = params if saturated else seeded_params
+    loss, grad = _network_gradients(monkeypatch, mlcorr.network_forward, net, mesh_name, b, k)
+    expect, oracle = _network_gradients(monkeypatch, _op_by_op_network, net, mesh_name, b, k)
+    assert loss == expect
+    assert np.abs(oracle).max() > 0.0
+    assert np.abs(grad - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_the_network_node_keeps_no_trunk_h_product(monkeypatch, seeded_params):
+    """A traced group of 2 on the 1,458-cell training mesh peaks (tracemalloc)
+    lower with the network as one node than op by op, by at least the bytes
+    of the (combine * width, N) product trunk x h that the op-by-op tape
+    keeps and the node does not."""
+    gas = GasModel()
+    m = msh.periodic_structured_mesh(27).copies(2)
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
+    u_ref = smooth_prim_field(m.centroid)
+    sample = (m, solver.compute_dt(m, cfg), cfg, {}, seeded_params, prim_to_cons(u_ref, gas),
+              u_ref, train.LossWeights(), gas, 2)
+
+    def peak(forward):
+        monkeypatch.setattr(mlcorr, "network_forward", forward)
+        train._sample_loss(*sample)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train._sample_loss(*sample)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    node, op_by_op = peak(mlcorr.network_forward), peak(_op_by_op_network)
+    cfg = seeded_params.config
+    assert op_by_op - node >= cfg.combine * cfg.width * m.n_cells * 8, (node, op_by_op)
 
 
 def test_zero_du_gives_finite_bounded_alpha(params):

@@ -182,17 +182,18 @@ def test_sample_gradient_digests(gas, seeded_params):
         assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
 
 
-def test_a_traced_training_sample_records_166_nodes(gas, seeded_params, monkeypatch):
+def test_a_traced_training_sample_records_130_nodes(gas, seeded_params, monkeypatch):
     """One ml_lsq sample on the 1,458-cell training mesh.  The Rusanov flux
-    is one node and each network layer one gather; recorded op by op, the
-    flux took 109 nodes and the layers 39, for 313 in all.  The limiter's
-    minimum over a cell's faces is one node (three gathers and two
-    ``where`` made it), both sides' face states are one gather (two), and
-    alpha on a mesh without boundary cells is not masked (one ``where``):
-    181 nodes before those three.  The loss converts each state once and
-    ``entropy_pair`` takes the primitive field: 175 nodes when the entropy
-    term converted the states again, with the supervision term's reshape
-    and per-copy sum then left out for one sample."""
+    and the network are one node each; recorded op by op, the flux took 109
+    nodes and the network 37 (one gather per layer among them), for 313 in
+    all.  The limiter's minimum over a cell's faces is one node (three
+    gathers and two ``where`` made it), both sides' face states are one
+    gather (two), and alpha on a mesh without boundary cells is not masked
+    (one ``where``): 181 nodes before those three.  The loss converts each
+    state once and ``entropy_pair`` takes the primitive field: 175 nodes
+    when the entropy term converted the states again, with the supervision
+    term's reshape and per-copy sum then left out for one sample, and 166
+    with the network op by op."""
     m = msh.periodic_structured_mesh(27)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     u_ref = smooth_prim_field(m.centroid)
@@ -206,7 +207,7 @@ def test_a_traced_training_sample_records_166_nodes(gas, seeded_params, monkeypa
     monkeypatch.setattr(ad.Tape, "backward", spy)
     train._sample_loss(m, solver.compute_dt(m, cfg), cfg, {}, seeded_params,
                        prim_to_cons(u_ref, gas), u_ref, train.LossWeights(), gas)
-    assert counts == [166]
+    assert counts == [130]
 
 
 def test_backward_adds_little_to_a_traced_samples_peak(gas, seeded_params, monkeypatch):
@@ -541,7 +542,7 @@ def test_a_group_records_the_nodes_of_one_sample_and_two_where(gas, seeded_param
     train._sample_loss(m, dt, cfg, {}, seeded_params, w_t[0], u_ref[0], weights, gas)
     train._sample_loss(m.copies(8), dt, cfg, {}, seeded_params, np.concatenate(w_t),
                        np.concatenate(u_ref), weights, gas, 8)
-    assert counts == [166, 168]
+    assert counts == [130, 132]
 
 
 def _forward_step_group(gas, b):
@@ -558,13 +559,13 @@ def _forward_step_group(gas, b):
     return m, bc_table, cfg, dt, w_t, u_ref
 
 
-def test_a_traced_group_on_the_forward_step_records_212_nodes(gas, seeded_params, monkeypatch):
+def test_a_traced_group_on_the_forward_step_records_176_nodes(gas, seeded_params, monkeypatch):
     """A group of 8 ml_lsq samples on the 504-cell forward step, whose 80
     ghost states reach the stencils and the faces as the gathers' second
     array.  Joining them to the field and cutting the cells back out
     recorded 299 nodes; converting each state and building its ghost states
     again for the entropy term, and the entropy pair's own copy of the
-    primitive algebra, 295."""
+    primitive algebra, 295; the network recorded op by op, 212."""
     m, bc_table, cfg, dt, w_t, u_ref = _forward_step_group(gas, 8)
     counts = []
     real = ad.Tape.backward
@@ -576,7 +577,7 @@ def test_a_traced_group_on_the_forward_step_records_212_nodes(gas, seeded_params
     monkeypatch.setattr(ad.Tape, "backward", spy)
     train._sample_loss(m.copies(8), dt, cfg, bclib.tile_table(bc_table, 8), seeded_params,
                        np.concatenate(w_t), np.concatenate(u_ref), train.LossWeights(), gas, 8)
-    assert counts == [212]
+    assert counts == [176]
 
 
 def test_a_traced_sample_converts_each_state_and_builds_its_ghosts_once(
