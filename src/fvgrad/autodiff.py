@@ -19,7 +19,7 @@ are its transposed Jacobians, in place of the 109 nodes that recording it op
 by op took; and ``mlcorr.network_forward``, the correction network, whose
 adjoints run back through it one layer at a time, in place of 37 nodes.
 
-Differentiable primitive set: + - * / ** sqrt log tanh abs min max,
+Differentiable primitive set: + - * / ** sqrt log abs min max,
 ``where`` with a non-differentiated condition, reductions (``amin`` and
 ``amax`` over one axis among them), matmul, the two-operand contraction
 ``einsum``, row gather/scatter and reshaping.  Nondifferentiable points
@@ -34,16 +34,15 @@ Mesh values move through ``take_rows``, a gather along the last axis, which
 is the cell (or face) axis of every per-cell array in the solver:
 ``np.take(a, idx, axis=-1)`` for any leading shape, or from two arrays laid
 end to end, which gathers both sides of every face, the ghost states
-included, in one take.  ``take_rows_split`` takes several pieces through
-their joined index in one take.  The adjoint of a gather is a
-scatter-add with one ``np.bincount(idx, weights=row)`` per leading row.
-bincount starts every output entry at 0.0 and adds the values of its
-repeated indices in index order, the order ``np.add.at`` into zeros uses, so
-the sums are bitwise those of an explicit loop (an entry that receives only
--0.0 reads +0.0).  ``segment_sum``, the same scatter-add as a forward
-operation, is called by nothing in the package: the solver's residual sums
-each cell's slots instead.  It stays because the benchmark's tracer resolves
-it by name, so removing it is a change to the benchmark.
+included, in one take.  The adjoint of a gather is a scatter-add with one
+``np.bincount(idx, weights=row)`` per leading row.  bincount starts every
+output entry at 0.0 and adds the values of its repeated indices in index
+order, the order ``np.add.at`` into zeros uses, so the sums are bitwise
+those of an explicit loop (an entry that receives only -0.0 reads +0.0).
+``segment_sum``, the same scatter-add as a forward operation, is called by
+nothing in the package: the solver's residual sums each cell's slots
+instead.  It stays because the benchmark's tracer resolves it by name, so
+removing it is a change to the benchmark.
 
 ``einsum(spec, a, b)`` contracts two operands under an explicit
 ``"ab,bc->ac"`` spec.  Its adjoints are einsums too, so every index of an
@@ -57,7 +56,7 @@ yields bitwise-identical gradients.
 Lifetime.  A tape holds backward records, not values: ``Tape.nodes`` has
 one ``_Node`` per op, its adjoint slot and its ``vjp`` closure.  A ``Var``
 holds its value, its node and its tape.  A ``vjp`` holds its operands'
-nodes and whatever arrays its adjoint expressions read (``tanh`` its
+nodes and whatever arrays its adjoint expressions read (``sqrt`` its
 output, ``multiply`` the other operand, ``take_rows`` only its index),
 never an operand ``Var``.  So a recorded value is freed by reference counting
 as soon as the program drops its ``Var`` and no pending adjoint reads it; a
@@ -77,7 +76,6 @@ never write to ``.grad`` in place.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -388,13 +386,6 @@ def log(a):
     return _record(np.log(av), (a, lambda g: g / av))
 
 
-def tanh(a):
-    if a.__class__ is not Var:
-        return np.tanh(a)
-    out = np.tanh(a.value)
-    return _record(out, (a, lambda g: g * (1.0 - out * out)))
-
-
 def absolute(a):
     if a.__class__ is not Var:
         return np.abs(a)
@@ -647,33 +638,6 @@ def take_rows(a, idx, more=None):
     # a's adjoint is the scatter over every entry, cut to a's length: its
     # bins are those of a scatter of a's entries alone, bitwise
     return _record(out, (a, lambda g: _scatter_rows(g, idx, m)[..., :n]), (more, more_adjoint))
-
-
-@functools.cache
-def _cuts(shapes):
-    """(lo, hi, shape) of consecutive pieces of the given shapes."""
-    cuts = []
-    lo = 0
-    for shape in shapes:
-        cuts.append((lo, lo + math.prod(shape), tuple(shape)))
-        lo += math.prod(shape)
-    return cuts
-
-
-def take_rows_split(a, idx, shapes):
-    """Gather a[..., idx] along the last axis for a 1-D idx, cut into
-    consecutive pieces of the given shapes: piece k is
-    ``take_rows(a, idx[lo:hi].reshape(shape))`` for its range lo:hi of idx.
-    Untraced, one take serves every piece; traced, each piece is its own
-    ``take_rows`` node.  Returns a tuple of the pieces."""
-    idx = np.asarray(idx)
-    cuts = _cuts(shapes)
-    # tuple() of a list, not of a generator: see _blockwise in solver
-    if a.__class__ is not Var:
-        flat = np.asarray(a).take(idx, axis=-1)
-        lead = flat.shape[:-1]
-        return tuple([flat[..., lo:hi].reshape(lead + shape) for lo, hi, shape in cuts])
-    return tuple([take_rows(a, idx[lo:hi].reshape(shape)) for lo, hi, shape in cuts])
 
 
 def segment_sum(vals, idx, n):

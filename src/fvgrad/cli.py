@@ -18,7 +18,8 @@ Exit codes:
   2  config error: bad or unknown config key, a value out of its range
      (e.g. ``step.co`` not > 0, a ``dataset.mix`` not summing to 1, a
      count such as ``train.epochs``, ``train.batch_size`` or
-     ``gradcheck.param_sample`` below 1, a ``train.lr`` or
+     ``gradcheck.param_sample`` below 1, a ``simulate.n_steps`` below 0, a
+     ``gradcheck.rel_tol`` not finite and > 0, a ``train.lr`` or
      ``train.weight_decay`` not finite and >= 0, a ``train.beta1`` or
      ``train.beta2`` outside [0, 1), a ``loss`` weight not finite and
      >= 0), an IC
@@ -469,8 +470,9 @@ def cmd_simulate(cfg, checkpoint=None):
     elif cfg_step.uses_network:
         raise ConfigError(f"gradient mode '{cfg_step.gradient}' needs a checkpoint")
     w0 = prim_to_cons(ic(mesh.centroid), cfg_step.gas)
-    record = solver.rollout(mesh, w0, cfg["simulate"]["n_steps"], cfg_step,
-                            bc_table, params=params)
+    record = _checked("simulate", solver.rollout, mesh=mesh, w0=w0,
+                      n_steps=cfg["simulate"]["n_steps"], cfg=cfg_step,
+                      bc_table=bc_table, params=params)
     solver.write_frames(out / "frames.bin", record.times, record.frames)
     solver.write_csv(out / "diagnostics.csv", solver.DIAGNOSTIC_COLUMNS,
                      ([row[c] for c in solver.DIAGNOSTIC_COLUMNS] for row in record.diagnostics),

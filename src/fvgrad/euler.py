@@ -102,10 +102,10 @@ def _check_cons(w):
         raise AdmissibilityError("internal_energy", "not > 0")
 
 
-def prim_to_cons(u, gas, check=True):
-    """(rho, u, v, p) -> (rho, rho u, rho v, E) with E = p/(gamma-1) + rho|v|^2/2."""
-    if check:
-        _check_prim(u)
+def prim_to_cons(u, gas):
+    """(rho, u, v, p) -> (rho, rho u, rho v, E) with E = p/(gamma-1) + rho|v|^2/2;
+    raises an AdmissibilityError where rho or p is not > 0."""
+    _check_prim(u)
     rho = u[..., RHO]
     vx = u[..., U]
     vy = u[..., V]
@@ -150,11 +150,10 @@ def max_wave_speed(u, vn, gas):
     return ad.absolute(vn) + ad.sqrt(gas.gamma * u[..., P] / u[..., RHO])
 
 
-def entropy_pair(u, gas, check=True):
+def entropy_pair(u, gas):
     """Entropy pair eta = -rho s, q = -rho s v with s = cv log(p / rho^gamma)
-    of primitive states u (..., 4)."""
-    if check:
-        _check_prim(u)
+    of primitive states u (..., 4), unchecked: the training loss passes
+    states its conversion has already checked."""
     rho = u[..., RHO]
     s = gas.cv * ad.log(u[..., P] / ad.power(rho, gas.gamma))
     eta = -(rho * s)

@@ -195,6 +195,8 @@ class Mesh:
                 arr.setflags(write=False)
         # no cell touches a boundary: the corrected step masks no alpha
         self.all_interior = bool(self.interior_mask.all())
+        # copies of a built mesh this mesh holds side by side (``copies``)
+        self.n_copies = 1
 
     @property
     def n_cells(self):
@@ -233,7 +235,7 @@ class Mesh:
     def copies(self, b):
         """b copies of this mesh side by side, with no face between them, as
         one mesh; built once per b and kept with the mesh.  One copy is the
-        mesh itself.
+        mesh itself.  The result's ``n_copies`` is b times this mesh's.
 
         Copy c holds cells c N to (c + 1) N - 1 and nodes c Nn to
         (c + 1) Nn - 1 in this mesh's order, so a field on the copies is b
@@ -249,7 +251,9 @@ class Mesh:
         if b == 1:
             return self
         if b not in self._copies:
-            self._copies[b] = _tile(self, b)
+            tiled = _tile(self, b)
+            tiled.n_copies = b * self.n_copies
+            self._copies[b] = tiled
         return self._copies[b]
 
 

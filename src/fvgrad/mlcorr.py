@@ -34,7 +34,9 @@ of the data, as it takes the layers from the flat vector through one
 gather of their joined indices (``_layer_index``, ``_layer_gather``).
 
 Traced, the network is one tape node on the parameter vector and du, as
-the Rusanov flux is one node in ``solver``.  Its values come from the same
+the Rusanov flux is one node in ``solver``.  The parameters arrive as one
+``NetParams``: the training loss traces them by handing the step
+``params.with_values(v)`` with v a ``Var``.  Its values come from the same
 numpy code as untraced, so the untraced step is unchanged bitwise.  Its
 adjoint (``_network_adjoint``) runs back through the network one layer at
 a time and scatters each layer's parameter adjoint into the flat vector
@@ -210,16 +212,19 @@ def _layer_index(config):
 
 @functools.cache
 def _layer_gather(config):
-    """``_layer_index`` as one gather: the layer names, their indices joined
-    in that order, and each layer's working shape, for
-    ``ad.take_rows_split``."""
+    """``_layer_index`` as one gather: the layers' indices joined in table
+    order, and each layer's (name, cut of the joined index, working shape)."""
     idx = _layer_index(config)
     joined = np.concatenate([i.ravel() for i in idx.values()])
     joined.flags.writeable = False
-    return tuple(idx), joined, tuple(i.shape for i in idx.values())
+    cuts, lo = [], 0
+    for name, i in idx.items():
+        cuts.append((name, slice(lo, lo + i.size), i.shape))
+        lo += i.size
+    return joined, tuple(cuts)
 
 
-def network_forward(params, du, theta, vec=None):
+def network_forward(params, du, theta):
     """Correction coefficients for stencil inputs.
 
     du: neighbor differences, (4, 3, N) (variable, neighbor, cell); theta:
@@ -228,12 +233,12 @@ def network_forward(params, du, theta, vec=None):
     (features, N), with the cell axis last.
 
     The values are computed by the same numpy code whether or not du or the
-    parameter vector ``vec`` is traced.  A traced call records alpha as one
-    tape node on those two operands (``_network_adjoint``), which keeps the
-    activations its adjoint reads: the normalised input, the input scale,
-    both branch blocks' tanh outputs and the first block's output, the
-    trunk and the squash's tanh; with du traced, also the centered input
-    and the head's raw output.
+    parameter vector ``params.values`` is traced.  A traced call records
+    alpha as one tape node on those two operands (``_network_adjoint``),
+    which keeps the activations its adjoint reads: the normalised input, the
+    input scale, both branch blocks' tanh outputs and the first block's
+    output, the trunk and the squash's tanh; with du traced, also the
+    centered input and the head's raw output.
     """
     cfg = params.config
     duv = ad.value_of(du)
@@ -244,9 +249,10 @@ def network_forward(params, du, theta, vec=None):
     if ad.value_of(theta).shape != (3, n):
         raise NetworkError(f"theta shape {ad.value_of(theta).shape} does not match "
                            f"du {duv.shape}")
-    vec = params.values if vec is None else vec
-    names, idx, shapes = _layer_gather(cfg)
-    L = dict(zip(names, ad.take_rows_split(ad.value_of(vec), idx, shapes)))
+    vec = params.values
+    joined, cuts = _layer_gather(cfg)
+    flat = ad.value_of(vec).take(joined)
+    L = {name: flat[cut].reshape(shape) for name, cut, shape in cuts}
 
     z = duv.reshape(cfg.n_in, n)
     centered = z - ad.mean(z, axis=0, keepdims=True)
@@ -351,9 +357,9 @@ def _network_adjoint(cfg, L, theta, acts, du_acts, g):
     # normalisation: zn = (centered / scale) norm_scale + norm_shift
     grads["norm_scale"] = (g_zn * zn0).sum(axis=1, keepdims=True)
     grads["norm_shift"] = g_zn.sum(axis=1, keepdims=True)
-    names, idx, _ = _layer_gather(cfg)
-    g_vec = np.empty(idx.size)
-    g_vec[idx] = np.concatenate([grads[name].ravel() for name in names])
+    joined, cuts = _layer_gather(cfg)
+    g_vec = np.empty(joined.size)
+    g_vec[joined] = np.concatenate([grads[name].ravel() for name, _, _ in cuts])
     if du_acts is None:
         return g_vec, None
 
@@ -370,9 +376,9 @@ def _network_adjoint(cfg, L, theta, acts, du_acts, g):
     return g_vec, g_c - g_c.sum(axis=0, keepdims=True) / m
 
 
-def masked_alpha(mesh, params, du, vec=None):
+def masked_alpha(mesh, params, du):
     """Network forward over all cells with boundary cells forced to zero."""
-    alpha = network_forward(params, du, mesh.angles, vec=vec)
+    alpha = network_forward(params, du, mesh.angles)
     if mesh.all_interior:
         return alpha
     return ad.where(mesh.interior_mask, alpha, 0.0)

@@ -42,7 +42,10 @@ matrix products round each cell as in one block), so frames and
 diagnostics do not depend on the split, and an error keeps the type the
 one-block step raises: the first failing block's, once every block has
 returned.  A mesh of fewer than ``2 * MIN_BLOCK_CELLS`` cells, and a traced
-step, run as one block on the calling thread.
+step, run as one block on the calling thread.  A step is traced when its
+state or its network's parameter vector (``params.values``, a
+``mlcorr.NetParams``) is a ``Var``: the parameters reach the step as that
+one argument, traced or not.
 
 ``march`` is the one time-marching loop: rollouts, fine-grid references
 (sub-stepped to the coarse time instants), gain runs, the error-versus-cost
@@ -213,7 +216,7 @@ def _rusanov_adjoint(g, u, n, t, g_a, gamma):
     return out
 
 
-def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
+def residual(mesh, w, cfg, bc_table=None, params=None):
     """Per-cell flux sum R_i; the semi-discrete form is |C_i| dw_i/dt + R_i = 0.
 
     w and R are (4, N), cell axis last.  Returns (R, diag) where diag carries
@@ -230,11 +233,12 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
         raise SolverError("gradient mode requires network parameters")
 
     # a tape records in order, so a traced step runs as one block
-    traced = isinstance(w, ad.Var) or isinstance(params_vec, ad.Var)
+    traced = w.__class__ is ad.Var or (params is not None
+                                       and params.values.__class__ is ad.Var)
     k = 1 if traced else step_workers(mesh.n_cells)
     cells = [(mesh, None)] if k == 1 else [(c, c.cells) for c in mesh.cell_blocks(k)]
     slots, n_fallback = _blockwise(
-        lambda c, ui, nb: _slot_states(c, ui, nb, cfg, params, params_vec),
+        lambda c, ui, nb: _slot_states(c, ui, nb, cfg, params),
         cells, u, u_nb)
 
     u_lr = recon.muscl_face_values(mesh, slots, ghosts)
@@ -250,7 +254,7 @@ def residual(mesh, w, cfg, bc_table=None, params=None, params_vec=None):
     return r, diag
 
 
-def _slot_states(cells, u, u_nb, cfg, params, params_vec):
+def _slot_states(cells, u, u_nb, cfg, params):
     """The per-cell stages of one block: neighbour deltas, network alpha,
     gradient, face increments, limiter and MUSCL slot states.
 
@@ -264,7 +268,7 @@ def _slot_states(cells, u, u_nb, cfg, params, params_vec):
         du = recon.neighbor_deltas(cells, u, u_nb)
     alpha = None
     if cfg.uses_network:
-        alpha = mlcorr.masked_alpha(cells, params, du, vec=params_vec)
+        alpha = mlcorr.masked_alpha(cells, params, du)
     if gg:
         grad = recon.gradient_gg(cells, u, u_nb, alpha=alpha)
     else:
@@ -368,12 +372,11 @@ def _flip(x):
     return np.ascontiguousarray(np.asarray(x).T)
 
 
-def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
-                        params_vec=None, step_index=None):
+def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None, step_index=None):
     """w - (dt/|C|) R for an (N, 4) state; raises if any updated cell leaves
     the admissible set.  The step itself runs on (4, N) fields."""
     w = _flip(w)
-    r, diag = residual(mesh, w, cfg, bc_table, params, params_vec)
+    r, diag = residual(mesh, w, cfg, bc_table, params)
     w_next = w - (dt / mesh.area) * r
 
     wv = ad.value_of(w_next).T
@@ -386,20 +389,20 @@ def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None,
     return _flip(w_next), diag
 
 
-def march(mesh, w0, dt, n_steps, cfg, bc_table=None, params=None,
-          params_vec=None, substeps=1):
+def march(mesh, w0, dt, n_steps, cfg, bc_table=None, params=None, substeps=1):
     """Advance n_steps coarse steps of size dt, yielding (k, w, diag) after each.
 
     Coarse step k = 1..n_steps runs ``substeps`` explicit Euler steps of
     dt/substeps, each tagged with step_index=k; diag is the last substep's.
-    States pass through unchanged, so a traced ``Var`` stays traced.
+    States pass through unchanged, so a traced ``Var`` stays traced, and
+    params whose ``values`` is a ``Var`` trace every step.
     """
     h = dt / substeps
     w = w0
     for k in range(1, n_steps + 1):
         for _ in range(substeps):
             w, diag = step_explicit_euler(mesh, w, h, cfg, bc_table, params,
-                                          params_vec, step_index=k)
+                                          step_index=k)
         yield k, w, diag
 
 
@@ -423,8 +426,11 @@ def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None):
     Deterministic for fixed inputs.  Diagnostics per saved frame: totals of
     the conserved quantities, and of the step that produced the frame its
     first-order fallback cells, its realized CFL number co * max wave speed
-    and its clamped ghost states (frame 0: 0, NaN and 0).
+    and its clamped ghost states (frame 0: 0, NaN and 0).  n_steps = 0
+    records frame 0 alone; a negative n_steps raises a ValueError.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     dt = compute_dt(mesh, cfg)
     rec = RolloutRecord()
     w = np.asarray(ad.value_of(w0), dtype=np.float64)

@@ -67,7 +67,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bc as bclib
 from . import mlcorr, recon, solver
-from .euler import GasModel, cons_to_prim, entropy_pair, prim_to_cons
+from .euler import cons_to_prim, entropy_pair, prim_to_cons
 
 log = logging.getLogger(__name__)
 
@@ -462,11 +462,11 @@ def _entropy_divergence(mesh, u, ghosts, gas):
     """Entropy eta on the cells of a (4, N) primitive field and the
     Green-Gauss divergence of its entropy flux, whose ghost values are the
     flux of its ghost states (None on a periodic mesh)."""
-    eta, qx, qy = entropy_pair(ad.transpose(u), gas, check=False)
+    eta, qx, qy = entropy_pair(ad.transpose(u), gas)
     q = ad.stack([qx, qy], axis=0)
     q_ghosts = None
     if ghosts is not None:
-        q_ghosts = ad.stack(entropy_pair(ad.transpose(ghosts), gas, check=False)[1:], axis=0)
+        q_ghosts = ad.stack(entropy_pair(ad.transpose(ghosts), gas)[1:], axis=0)
     gx, gy = recon.gradient_gg(mesh, q, recon.neighbor_values(mesh, q, q_ghosts))
     return eta, gx[0] + gy[1]
 
@@ -503,23 +503,26 @@ def loss_reg(params_vec):
     return ad.sum(ad.absolute(params_vec))
 
 
-def total_loss(mesh, dt, w_prev, w_next_ml, u_ref_next, params_vec, weights,
-               gas=GasModel(), bc_table=None, copies=1):
+def total_loss(mesh, cfg, w_prev, w_next_ml, u_ref_next, params_vec, weights,
+               bc_table=None):
     """Weighted sum of the four loss terms; also returns the parts.
 
-    The states come in the step's public (N, 4) layout; the terms share each
+    The states come in the step's public (N, 4) layout, one step of cfg
+    apart: its dt (``solver.compute_dt``) and its gas.  The terms share each
     state's checked (4, N) primitive field and ghost states (None on a
-    periodic mesh), each made once.  On ``Mesh.copies(copies)`` of a mesh,
-    with one pair's states per copy, the loss and each part are the sums over
-    the pairs, each term computed once for all of them: supervision per copy,
+    periodic mesh), each made once.  On ``Mesh.copies`` of a mesh, with one
+    pair's states per copy, the loss and each part are the sums over the
+    pairs, each term computed once for all of them: supervision per copy,
     the entropy term (a mean over the cells) and the L1 term times the
-    number of copies, and the TVD term (a sum over the cells) as it is.
+    number of copies (``mesh.n_copies``), and the TVD term (a sum over the
+    cells) as it is.
     """
     bc_table = bc_table or {}
+    gas, copies = cfg.gas, mesh.n_copies
     prev, next_ = ((u, bclib.extend_with_ghosts(mesh, u, bc_table, gas)[0])
                    for u in (_prim(w_prev, gas), _prim(w_next_ml, gas)))
     sup = loss_supervision(next_[0], ad.transpose(u_ref_next), copies)
-    ent = loss_entropy(mesh, prev, next_, dt, gas)
+    ent = loss_entropy(mesh, prev, next_, solver.compute_dt(mesh, cfg), gas)
     tvd = loss_tvd(mesh, prev, next_)
     reg = loss_reg(params_vec)
     total = (sup + (weights.ent * copies) * ent + weights.tvd * tvd
@@ -649,20 +652,21 @@ def _alone_on_error(fn):
     return run
 
 
-def _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_refs, weights, gas,
-                  copies):
-    """Sum of ``total_loss`` over K = ``len(u_refs)`` corrected steps from w_t
-    (``solver.march``), step k's against u_refs[k - 1], as a function of the
-    parameter vector, on one mesh or on ``copies`` stacked on a ``Mesh.copies``
-    with its tiled ``bc_table``; and the dict of its parts, summed over steps."""
+def _loss_program(mesh, cfg, bc_table, params, w_t, u_refs, weights):
+    """Sum of ``total_loss`` over K = ``len(u_refs)`` corrected steps of cfg
+    from w_t (``solver.march`` at ``solver.compute_dt``), step k's against
+    u_refs[k - 1], as a function of the parameter vector, on one mesh or on
+    the samples stacked on a ``Mesh.copies`` with its tiled ``bc_table``; and
+    the dict of its parts, summed over steps."""
     parts = {}
+    dt = solver.compute_dt(mesh, cfg)
 
     def program(p_vec):
         total, w, terms = None, w_t, []
         for u_ref, (_, w_next, _) in zip(u_refs, solver.march(
-                mesh, w_t, dt, len(u_refs), cfg, bc_table, params, params_vec=p_vec)):
-            loss, step_parts = total_loss(mesh, dt, w, w_next, u_ref, p_vec,
-                                          weights, gas, bc_table, copies)
+                mesh, w_t, dt, len(u_refs), cfg, bc_table, params.with_values(p_vec))):
+            loss, step_parts = total_loss(mesh, cfg, w, w_next, u_ref, p_vec, weights,
+                                          bc_table)
             total = loss if total is None else total + loss
             terms.append(step_parts)
             w = w_next
@@ -672,21 +676,19 @@ def _loss_program(mesh, dt, cfg, bc_table, params, w_t, u_refs, weights, gas,
     return program, parts
 
 
-def _sample_loss(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
-                 copies=1):
+def _sample_loss(mesh, cfg, bc_table, params, w_t, u_ref_next, weights):
     """Traced loss, gradient and parts of ``_loss_program`` at K = 1."""
-    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, [u_ref_next],
-                                   weights, gas, copies)
+    program, parts = _loss_program(mesh, cfg, bc_table, params, w_t, [u_ref_next],
+                                   weights)
     loss, grad = ad.record_and_backprop(program, params.values)
     return loss, grad, parts
 
 
-def _pair_losses(mesh, dt, cfg, bc_table, params, w_t, u_ref_next, weights, gas,
-                 copies=1):
+def _pair_losses(mesh, cfg, bc_table, params, w_t, u_ref_next, weights):
     """Untraced total and supervision losses of ``_loss_program`` at K = 1;
     both inf where the step fails."""
-    program, parts = _loss_program(mesh, dt, cfg, bc_table, params, w_t, [u_ref_next],
-                                   weights, gas, copies)
+    program, parts = _loss_program(mesh, cfg, bc_table, params, w_t, [u_ref_next],
+                                   weights)
     try:
         total = program(params.values)
     except solver.SolverError:
@@ -714,7 +716,6 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     bc_table = bc_table or {}
     step_cfg = step_cfg.corrected()
     gas = step_cfg.gas
-    dt = solver.compute_dt(mesh, step_cfg)
     params = init if init is not None else mlcorr.init_params(net_config, tcfg.seed)
     moment = np.zeros_like(params.values)
     rng = np.random.default_rng(tcfg.seed)
@@ -725,19 +726,19 @@ def train(mesh, step_cfg, train_trajs, val_trajs, tcfg=TrainConfig(),
     val_groups = _groups(range(len(val_pairs)), b)
 
     def on_copies(k):
-        return mesh.copies(k), dt, step_cfg, bclib.tile_table(bc_table, k)
+        return mesh.copies(k), bclib.tile_table(bc_table, k)
 
     @_alone_on_error
     def sample_loss(params, group):
+        m, bc = on_copies(len(group))
         w_t, u_ref = _stacked(train_trajs, samples, group, gas)
-        return _sample_loss(*on_copies(len(group)), params, w_t, u_ref, weights, gas,
-                            len(group))
+        return _sample_loss(m, step_cfg, bc, params, w_t, u_ref, weights)
 
     @_alone_on_error
     def val_losses(params, group):
+        m, bc = on_copies(len(group))
         w_t, u_ref = _stacked(val_trajs, val_pairs, group, gas)
-        return _pair_losses(*on_copies(len(group)), params, w_t, u_ref, weights, gas,
-                            len(group))
+        return _pair_losses(m, step_cfg, bc, params, w_t, u_ref, weights)
 
     def validate(shares, params):
         """Mean untraced total and supervision losses over the validation pairs."""
@@ -845,6 +846,8 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not (np.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     if param_sample is not None and param_sample < 1:
         raise ValueError(f"param_sample must be >= 1, got {param_sample}")
     bc_table = bc_table or {}
@@ -873,7 +876,7 @@ def gradient_check(mesh, step_cfg=None, weights=LossWeights(),
     w_ref = w0 * np.array([1.02, 1.0, 1.0, 1.02])
     refs = [cons_to_prim(w, gas)
             for _, w, _ in solver.march(mesh, w_ref, dt, n_steps, ref_cfg, bc_table)]
-    program, _ = _loss_program(mesh, dt, step_cfg, bc_table, params, w0, refs, weights, gas, 1)
+    program, _ = _loss_program(mesh, step_cfg, bc_table, params, w0, refs, weights)
     loss_val, grad_ad = ad.record_and_backprop(program, params.values)
 
     def plain(p):

@@ -5,9 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import mlcorr, recon
 from fvgrad.euler import GasModel
+
+
+def tanh(a):
+    """np.tanh of a plain or a traced array, recorded as a tape node whose
+    adjoint reads the output: the network's activation for the tests that
+    record it op by op."""
+    out = np.tanh(ad.value_of(a))
+    return ad._record(out, (a, lambda g: g * (1.0 - out * out)))
 
 
 @pytest.fixture

@@ -575,10 +575,12 @@ def test_face_slots_cover_every_stencil_slot_once(name):
 def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
     """Copy c is cells c N to (c + 1) N - 1 with this mesh's per-cell
     constants and its neighbours offset by c N; interior faces come copy by
-    copy, then each tag's boundary faces copy by copy, with their ghosts."""
+    copy, then each tag's boundary faces copy by copy, with their ghosts.
+    The copies report their count: b, and b * 2 for copies of them."""
     m = SLOT_MESHES[name]()
     c = m.copies(b)
     assert m.copies(1) is m and m.copies(b) is c
+    assert (m.n_copies, c.n_copies, c.copies(2).n_copies) == (1, b, 2 * b)
     n, ni, nb = m.n_cells, m.n_iface, m.n_ghost
     assert (c.n_cells, c.n_faces, c.n_iface) == (b * n, b * m.n_faces, b * ni)
     assert c.tag_slices == {k: slice(b * s.start, b * s.stop) for k, s in m.tag_slices.items()}

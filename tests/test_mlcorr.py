@@ -12,7 +12,7 @@ from fvgrad.euler import GasModel, cons_to_prim, prim_to_cons
 from fvgrad.mlcorr import NORM_EPS, NetConfig, NetworkError
 from conftest import (gradient_gg_of, gradient_lsq_of, mesh_geometry, random_admissible_prim,
                       rotated_mesh, save_params_sized, save_params_with_offset,
-                      smooth_prim_field)
+                      smooth_prim_field, tanh)
 
 
 @pytest.fixture(scope="module")
@@ -156,34 +156,34 @@ def test_traced_alpha_equals_untraced_bitwise(params, periodic_mesh_irregular):
     assert (traced.value == plain).all()
 
 
-def _op_by_op_network(params, du, theta, vec=None):
+def _op_by_op_network(params, du, theta):
     """The network with every operation recorded on the tape, as it was
-    recorded before it became one node: the oracle of that node's adjoints."""
+    recorded before it became one node: the oracle of that node's adjoints.
+    Each layer is one gather of the parameter vector."""
     cfg = params.config
     n = ad.value_of(du).shape[-1]
-    vec = params.values if vec is None else vec
-    names, idx, shapes = mlcorr._layer_gather(cfg)
-    L = dict(zip(names, ad.take_rows_split(vec, idx, shapes)))
+    L = {name: ad.take_rows(params.values, i)
+         for name, i in mlcorr._layer_index(cfg).items()}
     z = ad.reshape(du, (cfg.n_in, n))
     mu = ad.mean(z, axis=0, keepdims=True)
     centered = z - mu
     var = ad.mean(centered * centered, axis=0, keepdims=True)
     scale = ad.sqrt(var + NORM_EPS)
     zn = centered / scale * L["norm_scale"] + L["norm_shift"]
-    h = ad.matmul(L["branch0_skip"], zn) + ad.tanh(
+    h = ad.matmul(L["branch0_skip"], zn) + tanh(
         ad.matmul(L["branch0_w"], zn) + L["branch0_b"])
-    h = h + ad.tanh(ad.matmul(L["branch1_w"], h) + L["branch1_b"])
-    trunk = ad.tanh(ad.matmul(L["trunk_w"], theta) + L["trunk_b"])
+    h = h + tanh(ad.matmul(L["branch1_w"], h) + L["branch1_b"])
+    trunk = tanh(ad.matmul(L["trunk_w"], theta) + L["trunk_b"])
     outer = ad.reshape(ad.reshape(trunk, (cfg.combine, 1, n))
                        * ad.reshape(h, (1, cfg.width, n)), (cfg.combine * cfg.width, n))
     raw = (ad.matmul(L["head_w"], outer) + ad.matmul(L["head_b"], trunk)) * scale
-    alpha = np.nextafter(cfg.alpha_max, 0.0) * ad.tanh(raw * (1.0 / cfg.alpha_max))
+    alpha = np.nextafter(cfg.alpha_max, 0.0) * tanh(raw * (1.0 / cfg.alpha_max))
     return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
 
 
 def _network_case(mesh_name, b, k):
-    """A mesh of b copies, its bc table, an ml_lsq StepConfig, its dt, the
-    stacked states at t and the plain mode's k primitive reference states."""
+    """A mesh of b copies, its bc table, an ml_lsq StepConfig, the stacked
+    states at t and the plain mode's k primitive reference states."""
     gas = GasModel()
     m, bc_table = ((msh.periodic_structured_mesh(6), {}) if mesh_name == "periodic"
                    else bench.forward_step_mesh(0.2))
@@ -194,17 +194,17 @@ def _network_case(mesh_name, b, k):
                         gas) for _ in range(b)]
     refs = [[cons_to_prim(w, gas) for _, w, _ in solver.march(m, w0, dt, k, cfg.plain(),
                                                               bc_table)] for w0 in w_t]
-    return (m.copies(b), bclib.tile_table(bc_table, b), cfg, dt, np.concatenate(w_t),
+    return (m.copies(b), bclib.tile_table(bc_table, b), cfg, np.concatenate(w_t),
             [np.concatenate(step) for step in zip(*refs)])
 
 
 def _network_gradients(monkeypatch, forward, params, mesh_name, b, k):
     """Loss and gradient of the training loss program at K = k on a group
     of b, with ``forward`` as the network."""
-    m, bc_table, cfg, dt, w_t, u_refs = _network_case(mesh_name, b, k)
+    m, bc_table, cfg, w_t, u_refs = _network_case(mesh_name, b, k)
     monkeypatch.setattr(mlcorr, "network_forward", forward)
-    program, _ = train._loss_program(m, dt, cfg, bc_table, params, w_t, u_refs,
-                                     train.LossWeights(), GasModel(), b)
+    program, _ = train._loss_program(m, cfg, bc_table, params, w_t, u_refs,
+                                     train.LossWeights())
     return ad.record_and_backprop(program, params.values)
 
 
@@ -237,8 +237,8 @@ def test_the_network_node_keeps_no_trunk_h_product(monkeypatch, seeded_params):
     m = msh.periodic_structured_mesh(27).copies(2)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     u_ref = smooth_prim_field(m.centroid)
-    sample = (m, solver.compute_dt(m, cfg), cfg, {}, seeded_params, prim_to_cons(u_ref, gas),
-              u_ref, train.LossWeights(), gas, 2)
+    sample = (m, cfg, {}, seeded_params, prim_to_cons(u_ref, gas), u_ref,
+              train.LossWeights())
 
     def peak(forward):
         monkeypatch.setattr(mlcorr, "network_forward", forward)
@@ -492,6 +492,10 @@ def test_the_layer_gathers_take_every_parameter_once(config):
     for name, shape, off in table:
         assert index[name].size == int(np.prod(shape))
         assert off <= index[name].min() and index[name].max() < off + int(np.prod(shape))
+    # the one gather of the joined index, cut, gives each layer
+    joined, cuts = mlcorr._layer_gather(config)
+    assert [(name, shape) for name, _, shape in cuts] == [(n, i.shape) for n, i in index.items()]
+    assert all((joined[cut].reshape(shape) == index[name]).all() for name, cut, shape in cuts)
 
 
 def test_width_config_changes_count():

@@ -139,7 +139,8 @@ def test_march_passes_traced_states_through(mesh, w0, seeded_params, mode):
     tape = ad.Tape()
     w_var = tape.var(w0)
     p = tape.var(seeded_params.values) if cfg.uses_network else None
-    traced = list(solver.march(mesh, w_var, dt, 3, cfg, {}, params, params_vec=p))
+    traced = list(solver.march(mesh, w_var, dt, 3, cfg, {},
+                               params and params.with_values(p)))
     plain = list(solver.march(mesh, w0, dt, 3, cfg, {}, params))
     for (_, wt, _), (_, wp, _) in zip(traced, plain):
         assert isinstance(wt, ad.Var)
@@ -967,8 +968,8 @@ def test_a_traced_step_runs_as_one_block(mesh, w0, seeded_params, monkeypatch):
     monkeypatch.setattr(solver, "_run_tasks", lambda task, k: ran.append(k) or real(task, k))
 
     def loss(p_vec):
-        w1, _ = solver.step_explicit_euler(mesh, w0, dt, cfg, {}, seeded_params,
-                                           params_vec=p_vec)
+        w1, _ = solver.step_explicit_euler(mesh, w0, dt, cfg, {},
+                                           seeded_params.with_values(p_vec))
         return ad.sum(w1 * w1)
 
     ad.record_and_backprop(loss, seeded_params.values)

@@ -126,9 +126,9 @@ def test_the_gate_and_training_run_the_one_loss_program(coarse, gas, monkeypatch
     calls = []
     program = train._loss_program
 
-    def spy(mesh, dt, cfg, bc_table, params, w_t, u_refs, *args):
+    def spy(mesh, cfg, bc_table, params, w_t, u_refs, *args):
         calls.append((mesh.n_cells, len(u_refs)))
-        return program(mesh, dt, cfg, bc_table, params, w_t, u_refs, *args)
+        return program(mesh, cfg, bc_table, params, w_t, u_refs, *args)
 
     monkeypatch.setattr(train, "_loss_program", spy)
     train.gradient_check(coarse, n_steps=3, param_sample=2)
@@ -176,8 +176,8 @@ def test_sample_gradient_digests(gas, seeded_params):
         w0 = prim_to_cons(smooth_prim_field(m.centroid), gas)
         dt = solver.compute_dt(m, cfg)
         w_ref, _ = solver.step_explicit_euler(m, w0, dt, plain, bc_table)
-        loss, grad, _ = train._sample_loss(m, dt, cfg, bc_table, seeded_params, w0,
-                                           cons_to_prim(w_ref, gas), train.LossWeights(), gas)
+        loss, grad, _ = train._sample_loss(m, cfg, bc_table, seeded_params, w0,
+                                           cons_to_prim(w_ref, gas), train.LossWeights())
         assert grad.shape == seeded_params.values.shape
         assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
 
@@ -205,8 +205,8 @@ def test_a_traced_training_sample_records_130_nodes(gas, seeded_params, monkeypa
         return real(tape, seeds)
 
     monkeypatch.setattr(ad.Tape, "backward", spy)
-    train._sample_loss(m, solver.compute_dt(m, cfg), cfg, {}, seeded_params,
-                       prim_to_cons(u_ref, gas), u_ref, train.LossWeights(), gas)
+    train._sample_loss(m, cfg, {}, seeded_params, prim_to_cons(u_ref, gas), u_ref,
+                       train.LossWeights())
     assert counts == [130]
 
 
@@ -218,19 +218,17 @@ def test_backward_adds_little_to_a_traced_samples_peak(gas, seeded_params, monke
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     u_ref = smooth_prim_field(m.centroid)
     w0 = prim_to_cons(u_ref, gas)
-    dt = solver.compute_dt(m, cfg)
 
     def peak():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train._sample_loss(m, dt, cfg, {}, seeded_params, w0, u_ref,
-                               train.LossWeights(), gas)
+            train._sample_loss(m, cfg, {}, seeded_params, w0, u_ref, train.LossWeights())
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
-    train._sample_loss(m, dt, cfg, {}, seeded_params, w0, u_ref, train.LossWeights(), gas)
+    train._sample_loss(m, cfg, {}, seeded_params, w0, u_ref, train.LossWeights())
     full = peak()
     monkeypatch.setattr(ad.Tape, "backward", lambda tape, seeds: None)
     forward = peak()
@@ -473,7 +471,7 @@ def _group_case(name, gas, params, b):
     plain = [solver.step_explicit_euler(m, w, dt, cfg.plain(), bc_table)[0] for w in w_t]
     plain[1] = solver.step_explicit_euler(m, w_t[1], dt, cfg, bc_table, params)[0]
     u_ref = [cons_to_prim(w, gas) for w in plain]
-    return m, bc_table, cfg, dt, w_t, u_ref
+    return m, bc_table, cfg, w_t, u_ref
 
 
 @pytest.mark.parametrize("name", ["periodic", "forward_step"])
@@ -481,12 +479,12 @@ def test_a_group_loss_is_the_sum_of_its_samples_losses(name, gas, seeded_params)
     """Loss, gradient and parts of a group of 4 on the mesh's copies equal
     the sums of the 4 samples' own, traced and untraced, to 1e-12."""
     b, weights = 4, train.LossWeights()
-    m, bc_table, cfg, dt, w_t, u_ref = _group_case(name, gas, seeded_params, b)
-    singles = [train._sample_loss(m, dt, cfg, bc_table, seeded_params, w, u, weights, gas)
+    m, bc_table, cfg, w_t, u_ref = _group_case(name, gas, seeded_params, b)
+    singles = [train._sample_loss(m, cfg, bc_table, seeded_params, w, u, weights)
                for w, u in zip(w_t, u_ref)]
     assert singles[1][2]["sup"] == 0.0 and singles[0][2]["sup"] > 0.0
-    on_copies = (m.copies(b), dt, cfg, bclib.tile_table(bc_table, b), seeded_params,
-                 np.concatenate(w_t), np.concatenate(u_ref), weights, gas, b)
+    on_copies = (m.copies(b), cfg, bclib.tile_table(bc_table, b), seeded_params,
+                 np.concatenate(w_t), np.concatenate(u_ref), weights)
     loss, grad, parts = train._sample_loss(*on_copies)
     grad_sum = np.sum([g for _, g, _ in singles], axis=0)
     assert loss == pytest.approx(sum(s[0] for s in singles), rel=1e-12, abs=0)
@@ -494,7 +492,7 @@ def test_a_group_loss_is_the_sum_of_its_samples_losses(name, gas, seeded_params)
     for key in parts:
         assert parts[key] == pytest.approx(sum(s[2][key] for s in singles), rel=1e-12), key
     total, sup = train._pair_losses(*on_copies)
-    pairs = [train._pair_losses(m, dt, cfg, bc_table, seeded_params, w, u, weights, gas)
+    pairs = [train._pair_losses(m, cfg, bc_table, seeded_params, w, u, weights)
              for w, u in zip(w_t, u_ref)]
     assert total == pytest.approx(sum(t for t, _ in pairs), rel=1e-12, abs=0)
     assert sup == pytest.approx(sum(s for _, s in pairs), rel=1e-12, abs=0)
@@ -506,18 +504,18 @@ def test_a_two_step_program_on_copies_is_the_sum_of_each_copys(name, gas, seeded
     """At K = 2 on ``Mesh.copies(2)``, with a tiled bc table, the loss and
     gradient equal the sums of each copy's own K = 2 program to 1e-12."""
     weights = train.LossWeights()
-    m, bc_table, cfg, dt, w_t, _ = _group_case(name, gas, seeded_params, 2)
+    m, bc_table, cfg, w_t, _ = _group_case(name, gas, seeded_params, 2)
+    dt = solver.compute_dt(m, cfg)
     refs = [[cons_to_prim(w, gas) for _, w, _ in solver.march(m, w0, dt, 2, cfg.plain(),
                                                               bc_table)] for w0 in w_t]
 
-    def run(mesh, bc, w0, u_refs, copies):
-        program, _ = train._loss_program(mesh, dt, cfg, bc, seeded_params, w0, u_refs,
-                                         weights, gas, copies)
+    def run(mesh, bc, w0, u_refs):
+        program, _ = train._loss_program(mesh, cfg, bc, seeded_params, w0, u_refs, weights)
         return ad.record_and_backprop(program, seeded_params.values)
 
-    singles = [run(m, bc_table, w0, u_refs, 1) for w0, u_refs in zip(w_t, refs)]
+    singles = [run(m, bc_table, w0, u_refs) for w0, u_refs in zip(w_t, refs)]
     loss, grad = run(m.copies(2), bclib.tile_table(bc_table, 2), np.concatenate(w_t),
-                     [np.concatenate(pair) for pair in zip(*refs)], 2)
+                     [np.concatenate(pair) for pair in zip(*refs)])
     grad_sum = singles[0][1] + singles[1][1]
     assert loss == pytest.approx(singles[0][0] + singles[1][0], rel=1e-12, abs=0)
     assert np.abs(grad - grad_sum).max() <= 1e-12 * np.abs(grad_sum).max()
@@ -529,7 +527,7 @@ def test_a_group_records_the_nodes_of_one_sample_and_two_where(gas, seeded_param
     ``where`` that give a copy whose term is 0 (sample 1's) a zero
     derivative.  One sample is the one-copy group, so it records the
     reshape and the sum of the per-copy supervision terms too."""
-    m, _, cfg, dt, w_t, u_ref = _group_case("periodic", gas, seeded_params, 8)
+    m, _, cfg, w_t, u_ref = _group_case("periodic", gas, seeded_params, 8)
     counts = []
     real = ad.Tape.backward
 
@@ -539,15 +537,15 @@ def test_a_group_records_the_nodes_of_one_sample_and_two_where(gas, seeded_param
 
     monkeypatch.setattr(ad.Tape, "backward", spy)
     weights = train.LossWeights()
-    train._sample_loss(m, dt, cfg, {}, seeded_params, w_t[0], u_ref[0], weights, gas)
-    train._sample_loss(m.copies(8), dt, cfg, {}, seeded_params, np.concatenate(w_t),
-                       np.concatenate(u_ref), weights, gas, 8)
+    train._sample_loss(m, cfg, {}, seeded_params, w_t[0], u_ref[0], weights)
+    train._sample_loss(m.copies(8), cfg, {}, seeded_params, np.concatenate(w_t),
+                       np.concatenate(u_ref), weights)
     assert counts == [130, 132]
 
 
 def _forward_step_group(gas, b):
-    """The 504-cell forward step, its bc table, an ml_lsq StepConfig, its dt, and
-    b states and their plain steps' primitive references."""
+    """The 504-cell forward step, its bc table, an ml_lsq StepConfig, and b
+    states and their plain steps' primitive references."""
     m, bc_table = bench.forward_step_mesh(0.1)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     dt = solver.compute_dt(m, cfg)
@@ -556,7 +554,7 @@ def _forward_step_group(gas, b):
                         gas) for _ in range(b)]
     u_ref = [cons_to_prim(solver.step_explicit_euler(m, w, dt, cfg.plain(), bc_table)[0], gas)
              for w in w_t]
-    return m, bc_table, cfg, dt, w_t, u_ref
+    return m, bc_table, cfg, w_t, u_ref
 
 
 def test_a_traced_group_on_the_forward_step_records_176_nodes(gas, seeded_params, monkeypatch):
@@ -566,7 +564,7 @@ def test_a_traced_group_on_the_forward_step_records_176_nodes(gas, seeded_params
     recorded 299 nodes; converting each state and building its ghost states
     again for the entropy term, and the entropy pair's own copy of the
     primitive algebra, 295; the network recorded op by op, 212."""
-    m, bc_table, cfg, dt, w_t, u_ref = _forward_step_group(gas, 8)
+    m, bc_table, cfg, w_t, u_ref = _forward_step_group(gas, 8)
     counts = []
     real = ad.Tape.backward
 
@@ -575,8 +573,8 @@ def test_a_traced_group_on_the_forward_step_records_176_nodes(gas, seeded_params
         return real(tape, seeds)
 
     monkeypatch.setattr(ad.Tape, "backward", spy)
-    train._sample_loss(m.copies(8), dt, cfg, bclib.tile_table(bc_table, 8), seeded_params,
-                       np.concatenate(w_t), np.concatenate(u_ref), train.LossWeights(), gas, 8)
+    train._sample_loss(m.copies(8), cfg, bclib.tile_table(bc_table, 8), seeded_params,
+                       np.concatenate(w_t), np.concatenate(u_ref), train.LossWeights())
     assert counts == [176]
 
 
@@ -587,7 +585,7 @@ def test_a_traced_sample_converts_each_state_and_builds_its_ghosts_once(
     and t + dt to primitives and builds their ghost states once each, for
     every term.  Converting and building again for the entropy term made 4
     conversions and 5 ghost builds."""
-    m, bc_table, cfg, dt, w_t, u_ref = _forward_step_group(gas, 1)
+    m, bc_table, cfg, w_t, u_ref = _forward_step_group(gas, 1)
     calls = {"ghosts": 0, "cons_to_prim": 0}
 
     def counted(name, fn):
@@ -599,8 +597,8 @@ def test_a_traced_sample_converts_each_state_and_builds_its_ghosts_once(
     monkeypatch.setattr(bclib, "extend_with_ghosts",
                         counted("ghosts", bclib.extend_with_ghosts))
     monkeypatch.setattr(train, "cons_to_prim", counted("cons_to_prim", train.cons_to_prim))
-    train._sample_loss(m, dt, cfg, bc_table, seeded_params, w_t[0], u_ref[0],
-                       train.LossWeights(), gas)
+    train._sample_loss(m, cfg, bc_table, seeded_params, w_t[0], u_ref[0],
+                       train.LossWeights())
     assert calls == {"ghosts": 3, "cons_to_prim": 2}
 
 

@@ -3,8 +3,10 @@
 A definition counts as used when its name occurs in ``src/`` or
 ``perfbench/`` outside its own body: as a name, an attribute, an imported
 name, or a string equal to the name (the benchmark's tracer resolves its
-targets by ``getattr``).  Dunder methods are called by the interpreter and
-are exempt.  Code that only tests call belongs in the tests.
+targets by ``getattr``).  An attribute of numpy (``np.tanh``) names numpy's
+function, not the package's, and does not count.  Dunder methods are
+called by the interpreter and are exempt.  Code that only tests call
+belongs in the tests.
 """
 
 import ast
@@ -18,6 +20,8 @@ def _names(node):
     if isinstance(node, ast.Name):
         return [node.id]
     if isinstance(node, ast.Attribute):
+        if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            return []       # numpy's own function, not the package's namesake
         return [node.attr]
     if isinstance(node, ast.alias):
         return [node.name.rsplit(".", 1)[-1]]
