@@ -11,22 +11,24 @@ traced, else its forward value and one adjoint expression per operand,
 handed to ``_record``, which holds the one recording rule of the tape.  An
 operand is traced when its class is ``Var``; the test reads ``__class__``
 rather than calling ``isinstance``, because an untraced step is mostly the
-fixed cost of its calls.  Two nodes are recorded outside this module the
+fixed cost of its calls.  Three nodes are recorded outside this module the
 same way, each computed in numpy and handed to ``_record``, which records it
 as one node whose adjoints are hand-derived, and returns the plain value
 when nothing is traced: ``solver.rusanov_flux``, the flux, whose adjoints
 are its transposed Jacobians, in place of the 109 nodes that recording it op
-by op took; and ``mlcorr.network_forward``, the correction network, whose
-adjoints run back through it one layer at a time, in place of 37 nodes.
+by op took; ``mlcorr.network_forward``, the correction network, whose
+adjoints run back through it one layer at a time, in place of 37 nodes; and
+``recon.venkat_limiter``, the slope limiter, in place of 14 nodes (with only
+its face increments traced) to 24.
 
-Differentiable primitive set: + - * / ** sqrt log abs min max,
-``where`` with a non-differentiated condition, reductions (``amin`` and
-``amax`` over one axis among them), matmul, the two-operand contraction
-``einsum``, row gather/scatter and reshaping.  Nondifferentiable points
-follow the taken-branch convention: ``maximum``/``minimum`` send the
-adjoint to the first argument at ties, and ``amax``/``amin`` to the first
-extreme entry along their axis, ``where`` follows its condition, ``abs``
-uses the sign (zero at zero).
+Differentiable primitive set: + - * / ** sqrt log abs max,
+``where`` with a non-differentiated condition, reductions, matmul, the
+two-operand contraction ``einsum``, row gather/scatter and reshaping.
+Nondifferentiable points follow the taken-branch convention: ``maximum``
+sends the adjoint to the first argument at ties, ``where`` follows its
+condition, ``abs`` uses the sign (zero at zero).  The hand-derived nodes
+follow it too, and an extreme over an axis sends its adjoint to the first
+extreme entry (``_first_extreme``).
 Comparisons on traced values return plain boolean arrays, i.e. branches are
 frozen at the recorded values.
 
@@ -400,13 +402,6 @@ def maximum(a, b):
     return where((value_of(a) >= value_of(b)) | np.isnan(value_of(a)), a, b)
 
 
-def minimum(a, b):
-    """Elementwise min, keeping NaNs as np.minimum does; ties send the adjoint to a."""
-    if a.__class__ is not Var and b.__class__ is not Var:
-        return np.minimum(a, b)
-    return where((value_of(a) <= value_of(b)) | np.isnan(value_of(a)), a, b)
-
-
 def where(cond, a, b):
     """Select per element; cond is never differentiated."""
     cond = value_of(cond)
@@ -417,16 +412,13 @@ def where(cond, a, b):
                    (b, lambda g: np.where(cond, 0.0, g)))
 
 
-def _extreme(a, axis, ufunc, keeps):
-    """ufunc.reduce(a, axis), traced or not, as the chain
-    ufunc(ufunc(a_0, a_1), a_2)... along the axis, its traced value and
-    adjoint as a chain of ``maximum`` or ``minimum`` gives them: the running
-    pick keeps where ``keeps(pick, a_j)`` or it is NaN, so the adjoint goes
-    to the first extreme entry at ties."""
-    if a.__class__ is not Var:
-        return ufunc.reduce(a, axis=axis)
-    v = a.value
-    axis = axis % v.ndim
+def _first_extreme(v, axis, keeps):
+    """The extreme of an array v along an axis, as a chain of pairwise
+    maxima or minima takes it, and a mask of v's shape, True at the entry
+    it took: the running pick keeps where ``keeps(pick, v_j)``
+    (``np.greater_equal`` for a maximum, ``np.less_equal`` for a minimum)
+    or it is NaN, so the first extreme entry at ties.  The adjoint of such
+    an extreme goes to that entry (``recon.venkat_limiter``)."""
     pick = np.take(v, 0, axis=axis)
     k = np.zeros(pick.shape, dtype=np.intp)
     for j in range(1, v.shape[axis]):
@@ -435,19 +427,7 @@ def _extreme(a, axis, ufunc, keeps):
         k = np.where(moves, j, k)
         pick = np.where(moves, vj, pick)
     slots = np.arange(v.shape[axis]).reshape((-1,) + (1,) * (v.ndim - 1 - axis))
-    chosen = np.expand_dims(k, axis) == slots
-    # 0.0 + g, as the chain's gathers scatter their adjoints into zeros
-    return _record(pick, (a, lambda g: np.where(chosen, 0.0 + np.expand_dims(g, axis), 0.0)))
-
-
-def amax(a, axis):
-    """Maximum over one axis (``_extreme``); ties send the adjoint to the first."""
-    return _extreme(a, axis, np.maximum, np.greater_equal)
-
-
-def amin(a, axis):
-    """Minimum over one axis (``_extreme``); ties send the adjoint to the first."""
-    return _extreme(a, axis, np.minimum, np.less_equal)
+    return pick, np.expand_dims(k, axis) == slots
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ directions, precomputed inverse least-squares normal matrices, ghost
 slots for non-periodic boundary faces, and the constants that
 reconstruction would otherwise recompute every step (centroid-to-face
 offsets and each face's stencil slots, Green-Gauss scaled normals, LSQ
-weighted offsets, 1/|C| and sqrt|C|).
+weighted offsets, 1/|C| and sqrt|C|, and the limiter's (K sqrt|C|)^3 per
+K once a step asks for it).
 
 Topology comes from one array-based edge numbering (``_edges``): edges are
 numbered in the order of their first half-edge, and faces, ghosts, the
@@ -188,6 +189,7 @@ class Mesh:
     region: np.ndarray = field(default=None)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _omega: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in vars(self).values():
@@ -222,15 +224,18 @@ class Mesh:
         """The cells in k contiguous blocks of near-equal size, as
         ``CellBlock`` views; built once per k and kept with the mesh.
 
-        Each cut is the equal split rounded down to a multiple of
-        BLOCK_ALIGN cells, so on a mesh of fewer than k * BLOCK_ALIGN cells
-        the first blocks may be empty."""
+        The blocks are cut by ``aligned_cuts``, so on a mesh of fewer than
+        k * BLOCK_ALIGN cells the first blocks may be empty."""
         if k not in self._blocks:
-            n = self.n_cells
-            cuts = [BLOCK_ALIGN * (n * b // (k * BLOCK_ALIGN)) for b in range(k)] + [n]
+            cuts = aligned_cuts(self.n_cells, k)
             self._blocks[k] = [CellBlock(self, slice(lo, hi))
                                for lo, hi in zip(cuts[:-1], cuts[1:])]
         return self._blocks[k]
+
+    def limiter_omega(self, k):
+        """The limiter's smoothing term (k sqrt|C|)^3 per cell
+        (``recon.venkat_limiter``); built once per k and kept with the mesh."""
+        return _limiter_omega(self._omega, self.sqrt_area, k)
 
     def copies(self, b):
         """b copies of this mesh side by side, with no face between them, as
@@ -266,6 +271,26 @@ class Mesh:
 BLOCK_ALIGN = 64
 
 
+def aligned_cuts(n, k):
+    """The k + 1 bounds of n cells cut into k contiguous parts of near-equal
+    size: each inner cut is the equal split n b / k rounded down to a
+    multiple of BLOCK_ALIGN, so every part holds fewer than
+    n / k + BLOCK_ALIGN cells.  The step's cell blocks and the network's
+    head chunks (``mlcorr``) are cut here."""
+    return [BLOCK_ALIGN * (n * b // (k * BLOCK_ALIGN)) for b in range(k)] + [n]
+
+
+def _limiter_omega(cache, sqrt_area, k):
+    """(k sqrt_area)^3, read-only, from ``cache`` or made and kept there.
+    Two blocks of a step may both make it on the first step; the values are
+    the same either way."""
+    if k not in cache:
+        omega = (k * sqrt_area) ** 3
+        omega.setflags(write=False)
+        cache[k] = omega
+    return cache[k]
+
+
 class CellBlock:
     """A contiguous range of a mesh's cells, for the step's per-cell stages.
 
@@ -274,7 +299,7 @@ class CellBlock:
     passes where the stages take a mesh.  ``cells`` is the range as a slice.
     """
 
-    CELL_ARRAYS = ("inv_area", "sqrt_area", "lsq_wd", "inv11", "inv12", "inv22",
+    CELL_ARRAYS = ("inv_area", "lsq_wd", "inv11", "inv12", "inv22",
                    "angles", "interior_mask", "cell_foff", "cell_sn")
 
     def __init__(self, mesh, cells):
@@ -283,6 +308,12 @@ class CellBlock:
         for name in self.CELL_ARRAYS:
             setattr(self, name, getattr(mesh, name)[..., cells])
         self.all_interior = bool(self.interior_mask.all())
+        # the mesh's cache, not the mesh, so the mesh and its blocks form no cycle
+        self._omega, self._sqrt_area = mesh._omega, mesh.sqrt_area
+
+    def limiter_omega(self, k):
+        """This block's cells' slice of ``Mesh.limiter_omega(k)``."""
+        return _limiter_omega(self._omega, self._sqrt_area, k)[self.cells]
 
 
 def _tile(m, b):

@@ -46,6 +46,11 @@ output that the head contracts, which the adjoint rebuilds.  Recorded op
 by op, the network took 37 nodes and kept that product, the largest array
 of a traced step.
 
+The forward pass writes in place every array the node does not keep, all
+of them untraced, and never writes into one the node keeps.  It contracts
+the head over near-equal chunks of at most ``HEAD_CELLS`` cells, so the
+product trunk x h exists for one chunk at a time.
+
 Cells touching a boundary get an exactly-zero alpha, which reduces the
 corrected gradients to the plain reconstruction there.  With every
 parameter zero the output is identically zero, so the corrected solver
@@ -62,10 +67,18 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
+from . import mesh as msh
 
 MAGIC = b"GFNN"
 VERSION = 1
 NORM_EPS = 1e-6
+# Most cells per chunk of the head's contraction (``network_forward``).  The
+# chunks are cut by ``mesh.aligned_cuts``, at multiples of BLOCK_ALIGN
+# cells like the step's blocks, so alpha does not depend on where the
+# chunks or the blocks fall, and they are of near-equal size: OpenBLAS
+# rounds a short tail chunk differently.  At 4,096 cells, trunk x h of a
+# chunk is 2 MB.
+HEAD_CELLS = 4096
 
 
 class NetworkError(ValueError):
@@ -253,42 +266,57 @@ def network_forward(params, du, theta):
     joined, cuts = _layer_gather(cfg)
     flat = ad.value_of(vec).take(joined)
     L = {name: flat[cut].reshape(shape) for name, cut, shape in cuts}
+    # the node keeps every activation below when traced, and centered and
+    # raw0 too when du is traced; any other array is overwritten in place
+    traced = du.__class__ is ad.Var or vec.__class__ is ad.Var
+    keeps_du = du.__class__ is ad.Var
 
     z = duv.reshape(cfg.n_in, n)
     centered = z - ad.mean(z, axis=0, keepdims=True)
     scale = np.sqrt(ad.mean(centered * centered, axis=0, keepdims=True) + NORM_EPS)
-    zn0 = centered / scale
-    zn = zn0 * L["norm_scale"] + L["norm_shift"]
+    zn0 = np.divide(centered, scale, out=None if keeps_du else centered)
+    zn = np.multiply(zn0, L["norm_scale"], out=None if traced else zn0)
+    zn += L["norm_shift"]
     _check_finite("norm", zn)
 
-    t0 = np.tanh(L["branch0_w"] @ zn + L["branch0_b"])
-    h0 = L["branch0_skip"] @ zn + t0
+    t0 = _tanh_layer(L["branch0_w"], zn, L["branch0_b"])
+    h0 = L["branch0_skip"] @ zn
+    h0 += t0
     _check_finite("branch0", h0)
-    t1 = np.tanh(L["branch1_w"] @ h0 + L["branch1_b"])
-    h = h0 + t1
+    t1 = _tanh_layer(L["branch1_w"], h0, L["branch1_b"])
+    h = np.add(h0, t1, out=None if traced else h0)
     _check_finite("branch1", h)
 
-    trunk = np.tanh(L["trunk_w"] @ theta + L["trunk_b"])
+    trunk = _tanh_layer(L["trunk_w"], theta, L["trunk_b"])
     _check_finite("trunk", trunk)
-    # untraced, the head runs with no more arrays alive than it reads, so
-    # the step's peak memory stays where it was
-    traced = du.__class__ is ad.Var or vec.__class__ is ad.Var
+    # untraced, the head runs with no more arrays alive than it reads
     acts = (zn0, scale, t0, h0, t1, trunk) if traced else None
-    del zn0, t0, h0, t1
+    du_acts = [centered] if keeps_du else None
+    del centered, zn0, zn, t0, h0, t1
 
     # raw[m, n] = sum_p (head_w[m*P+p] . h[:, n] + head_b[m*P+p]) trunk[p, n]
-    # with P = combine, contracted over (p, w) in one matmul so the
-    # (n_in*P, N) branch features are never formed
-    raw0 = L["head_w"] @ _outer(trunk, h) + L["head_b"] @ trunk
-    squash = np.tanh(raw0 * scale * (1.0 / cfg.alpha_max))
-    alpha = np.nextafter(cfg.alpha_max, 0.0) * squash
+    # with P = combine, contracted over (p, w) in one matmul per chunk of
+    # cells, so the (n_in*P, N) branch features are never formed, nor the
+    # (P*W, N) product trunk x h for more than one chunk.  A chunk holds
+    # fewer than n / k + BLOCK_ALIGN cells, so this k keeps it in HEAD_CELLS
+    raw0 = np.empty((cfg.n_in, n))
+    bounds = msh.aligned_cuts(n, max(1, -(-n // (HEAD_CELLS - msh.BLOCK_ALIGN))))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        raw0[:, lo:hi] = L["head_w"] @ _outer(trunk[:, lo:hi], h[:, lo:hi])
+        raw0[:, lo:hi] += L["head_b"] @ trunk[:, lo:hi]
+    q = np.multiply(raw0, scale, out=None if keeps_du else raw0)
+    q *= 1.0 / cfg.alpha_max
+    squash = np.tanh(q, out=q)
+    alpha = np.multiply(squash, np.nextafter(cfg.alpha_max, 0.0),
+                        out=None if traced else squash)
     _check_finite("head", alpha)
     alpha = alpha.reshape(duv.shape)
     if not traced:
         return alpha
 
     acts += (squash,)
-    du_acts = (centered, raw0) if du.__class__ is ad.Var else None
+    if keeps_du:
+        du_acts.append(raw0)
     shape = duv.shape
     both = []
 
@@ -301,6 +329,13 @@ def network_forward(params, du, theta):
 
     return ad._record(alpha, (vec, lambda g: adjoints(g)[0]),
                       (du, lambda g: adjoints(g)[1].reshape(shape)))
+
+
+def _tanh_layer(w, x, b):
+    """tanh(w @ x + b), computed in the product's own array."""
+    a = w @ x
+    a += b
+    return np.tanh(a, out=a)
 
 
 def _outer(trunk, h):

@@ -273,7 +273,10 @@ def _slot_states(cells, u, u_nb, cfg, params):
         grad = recon.gradient_gg(cells, u, u_nb, alpha=alpha)
     else:
         grad = recon.gradient_lsq(cells, du, alpha=alpha)
+    # each array is dropped once read, so the limiter's peak is not added to it
+    del du, alpha
     delta = recon.face_increments(cells, grad)
+    del grad
     if cfg.limiter:
         phi = recon.venkat_limiter(cells, u, u_nb, delta, cfg.limiter_k)
     else:

@@ -33,13 +33,15 @@ serial loop computes it, and the caller combines the results in item
 order, so parameters, history, checkpoints and dataset files are bitwise
 the same for any CPU count.  Each process holds one group's tape at a
 time, and the tape keeps only the values its adjoints read.  A sample, or
-a group of any size, records 130 nodes on a periodic mesh, and 2 more where
+a group of any size, records 117 nodes on a periodic mesh, and 2 more where
 a sample's supervision term is 0.  On the 504-cell forward step a sample or
-a group records 176 nodes, and a group of 8 peaks at 7.8 MB (tracemalloc);
-a group of 2 on the 1,458-cell mesh peaks at 5.6 MB.  The flux and the
-network are one node each (``solver.rusanov_flux``,
-``mlcorr.network_forward``).  Threads gain nothing on the tape's small
-numpy calls.
+a group records 163 nodes, and a group of 8 peaks at 7.6 MB (tracemalloc);
+a group of 2 on the 1,458-cell mesh peaks at 5.5 MB, in the reverse sweep,
+and holds 4.3 MB of tape when the sweep starts, 1.0 MB of it the
+limiter's.  The flux, the network and the limiter are one node each
+(``solver.rusanov_flux``, ``mlcorr.network_forward``,
+``recon.venkat_limiter``).  Threads gain nothing on the tape's small numpy
+calls.
 
 The dataset format (file names, ``manifest.json``, frame files) lives
 here alone: ``generate_dataset`` writes it, each frame file in the process
@@ -591,15 +593,15 @@ HISTORY_COLUMNS = ("epoch", "step", "total", "sup", "ent", "tvd", "reg", "lr", "
 
 # Cells of the copies a group of samples is recorded on: a group holds
 # CELL_BUDGET // n_cells samples, and at least one.  At training sizes a
-# traced sample is mostly fixed cost (Python, numpy dispatch and 130 tape
+# traced sample is mostly fixed cost (Python, numpy dispatch and 117 tape
 # nodes), not per-cell work.  A group's time per sample over one tape's per
 # sample, on one CPU of a 2-vCPU Xeon host (ml_lsq, periodic structured
 # meshes and the forward step):
 #   cells                   288    504 (step)   512    1,458
 #   4,096: samples, ratio   14 0.37  8 0.37    8 0.47   2 0.83
 #   2,048: samples, ratio    7 0.38  4 0.50    4 0.69   1 1.03
-# The ratios were measured with the network recorded op by op (166 nodes).
-# A group of 8 on 504 cells peaks at 7.8 MB of tape.  A minibatch of the
+# The ratios were measured with the network and the limiter recorded op by
+# op (166 nodes).  A group of 8 on 504 cells peaks at 7.6 MB.  A minibatch of the
 # default 16 samples still makes 2 groups, one per CPU, at 512 cells.
 CELL_BUDGET = 4096
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
-from fvgrad import mlcorr, recon
-from fvgrad.euler import GasModel
+from fvgrad import bc as bclib
+from fvgrad import bench, mlcorr, recon, solver, train
+from fvgrad.euler import GasModel, cons_to_prim, prim_to_cons
 
 
 def tanh(a):
@@ -17,6 +19,37 @@ def tanh(a):
     record it op by op."""
     out = np.tanh(ad.value_of(a))
     return ad._record(out, (a, lambda g: g * (1.0 - out * out)))
+
+
+def minimum(a, b):
+    """Elementwise min of plain or traced arrays, keeping NaNs as np.minimum
+    does; ties send the adjoint to a, as ``ad.maximum`` does.  With ``amin``
+    and ``amax``, the op-by-op limiter's."""
+    if a.__class__ is not ad.Var and b.__class__ is not ad.Var:
+        return np.minimum(a, b)
+    av = ad.value_of(a)
+    return ad.where((av <= ad.value_of(b)) | np.isnan(av), a, b)
+
+
+def _extreme(a, axis, ufunc, keeps):
+    """ufunc.reduce(a, axis), traced or not; traced, its value and adjoint
+    are those of the chain of pairwise extremes (``ad._first_extreme``)."""
+    if a.__class__ is not ad.Var:
+        return ufunc.reduce(a, axis=axis)
+    axis = axis % a.value.ndim
+    pick, chosen = ad._first_extreme(a.value, axis, keeps)
+    # 0.0 + g, as the chain's gathers scatter their adjoints into zeros
+    return ad._record(pick, (a, lambda g: np.where(chosen, 0.0 + np.expand_dims(g, axis), 0.0)))
+
+
+def amax(a, axis):
+    """Maximum over one axis; ties send the adjoint to the first entry."""
+    return _extreme(a, axis, np.maximum, np.greater_equal)
+
+
+def amin(a, axis):
+    """Minimum over one axis; ties send the adjoint to the first entry."""
+    return _extreme(a, axis, np.minimum, np.less_equal)
 
 
 @pytest.fixture
@@ -126,6 +159,68 @@ def smooth_prim_field(points, amp=0.3):
         -amp * np.cos(2 * np.pi * x),
         1.0 + amp * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y),
     ])
+
+
+def loss_case(mesh_name, b, k, state="smooth", limiter_k=5.0):
+    """Inputs of the training loss program at K = k on a group of b: a mesh
+    of b copies of ``periodic_structured_mesh(6)`` or of the 504-cell
+    forward step, its bc table, an ml_lsq StepConfig, the stacked states at
+    t and the plain mode's k primitive reference states.  ``state`` is
+    "smooth" (``smooth_prim_field`` times noise per cell and variable) or
+    "piecewise" (two constant states, left and right of the mesh's mean x,
+    each sample's scaled by one factor)."""
+    gas = GasModel()
+    m, bc_table = ((msh.periodic_structured_mesh(6), {}) if mesh_name == "periodic"
+                   else bench.forward_step_mesh(0.2))
+    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq", limiter_k=limiter_k)
+    dt = solver.compute_dt(m, cfg)
+    rng = np.random.default_rng(5)
+    if state == "smooth":
+        u_t = [smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4))
+               for _ in range(b)]
+    else:
+        left = m.centroid[:, :1] < m.centroid[:, 0].mean()
+        u_t = [np.where(left, [1.0, 0.2, 0.0, 1.0], [0.5, 0.2, 0.0, 0.4]) * rng.uniform(0.9, 1.1)
+               for _ in range(b)]
+    w_t = [prim_to_cons(u, gas) for u in u_t]
+    refs = [[cons_to_prim(w, gas) for _, w, _ in solver.march(m, w0, dt, k, cfg.plain(),
+                                                              bc_table)] for w0 in w_t]
+    return (m.copies(b), bclib.tile_table(bc_table, b), cfg, np.concatenate(w_t),
+            [np.concatenate(step) for step in zip(*refs)])
+
+
+def loss_gradients(case, params):
+    """Loss and gradient of the training loss program on ``loss_case``'s
+    inputs, with respect to the network's parameter vector."""
+    m, bc_table, cfg, w_t, u_refs = case
+    program, _ = train._loss_program(m, cfg, bc_table, params, w_t, u_refs,
+                                     train.LossWeights())
+    return ad.record_and_backprop(program, params.values)
+
+
+@pytest.fixture(scope="session")
+def stencils_10k():
+    """The untraced step's stencil inputs on the 10,082-cell
+    ``periodic_irregular_mesh(71)`` under Riemann case 6: (mesh, u, u_nb,
+    du, delta), delta the face increments of the plain LSQ gradient."""
+    m = msh.periodic_irregular_mesh(71)
+    u = np.ascontiguousarray(bench.riemann_case(6).evaluate(m.centroid).T)
+    u_nb = recon.neighbor_values(m, u, None)
+    du = recon.neighbor_deltas(m, u, u_nb)
+    return m, u, u_nb, du, recon.face_increments(m, recon.gradient_lsq(m, du))
+
+
+def untraced_peak(call):
+    """Bytes a warm ``call()`` allocates at its peak above what it starts
+    with (tracemalloc, which sees numpy's arrays)."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def _half_edge_midpoints(m, cells):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fvgrad import autodiff as ad
-from fvgrad import mlcorr, solver
-from conftest import finite_diff_grad, seeded_network_params, tanh
+from fvgrad import mlcorr, recon, solver
+from conftest import amax, amin, finite_diff_grad, minimum, seeded_network_params, tanh
 
 
 def check_vjp(build, *x0s, rtol=1e-8, rel_step=1e-6):
@@ -51,6 +51,19 @@ ANGLES = np.array([[2.0, 1.7], [2.1, 2.4], [2 * np.pi - 4.1, 2 * np.pi - 4.1]])
 PROJ = np.random.default_rng(45).normal(0.0, 0.05, (NET.count, 12))
 
 
+class _LimiterCells:
+    """What the limiter reads of a mesh, for three cells: its smoothing term."""
+
+    @staticmethod
+    def limiter_omega(k):
+        return (k * np.array([0.02, 0.05, 0.03])) ** 3
+
+
+# the limiter on three cells: neighbour values, and face increments of both signs
+NB = np.stack([Y, X * Y, 2.5 - X], axis=1)
+DELTA = np.stack([X - 1.2, Y - X, 0.3 * X - 0.4], axis=1)
+
+
 def _moved(params, x):
     """params whose vector moves with X along PROJ, traced with x."""
     return params.with_values(params.values + ad.matmul(PROJ, ad.reshape(x, (12,))))
@@ -70,7 +83,7 @@ PRIMITIVE_CASES = [
     lambda x: ad.log(x),
     lambda x: ad.absolute(x - 1.2),
     lambda x: ad.maximum(x, Y),
-    lambda x: ad.minimum(x, Y),
+    lambda x: minimum(x, Y),
     lambda x: ad.where(Y > 1.0, x, 2.0 * x),
     lambda x: ad.sum(x, axis=1, keepdims=True) + x,
     lambda x: ad.mean(x, axis=0),
@@ -84,8 +97,8 @@ PRIMITIVE_CASES = [
     lambda x: ad.take_rows(ad.transpose(x), np.array([2, 0, 0, 3, 1])),
     lambda x: ad.take_rows(ad.transpose(x), np.array([[2, 0, 6], [5, 1, 6]]), 2.0 * x[:3]),
     lambda x: ad.take_rows(x, np.array([2, 0, 0, 1])) * ad.take_rows(Y, np.array([3, 4, 1, 5]), x),
-    lambda x: ad.amax(x, axis=1),
-    lambda x: ad.amin(x, axis=0),
+    lambda x: amax(x, axis=1),
+    lambda x: amin(x, axis=0),
     lambda x: ad.segment_sum(ad.transpose(x), np.array([1, 0, 1, 2]), 3),
     lambda x: ad.einsum("ij,ik->jk", x, Y),
     lambda x: ad.einsum("nj,njv->nv", Y, ad.stack([x, x * x], axis=2)),
@@ -95,13 +108,19 @@ PRIMITIVE_CASES = [
     lambda x: mlcorr.network_forward(NET, ad.stack([x, x * Y], axis=2), ANGLES),
     lambda x: mlcorr.network_forward(_moved(NET, x), np.stack([X, Y], axis=2), ANGLES),
     lambda x: mlcorr.network_forward(_moved(NET, x), ad.stack([x, Y], axis=2), ANGLES),
+    lambda x: recon.venkat_limiter(_LimiterCells, Y, NB,
+                                   ad.stack([x - 1.2, Y - x, 0.3 * x - 0.4], axis=1)),
+    lambda x: recon.venkat_limiter(_LimiterCells, x, NB, DELTA),
+    lambda x: recon.venkat_limiter(_LimiterCells, x, ad.stack([Y, x * Y, 2.5 - x], axis=1),
+                                   ad.stack([x - 1.2, Y - x, 0.3 * x - 0.4], axis=1)),
 ]
 PRIMITIVE_IDS = ["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "sqrt", "log",
                  "abs", "max", "min", "where", "sum_keep", "mean",
                  "matmul_r", "matmul_l", "transpose", "reshape", "getitem", "concat",
                  "stack", "take_rows", "take_rows_more", "take_rows_more_only",
                  "amax", "amin", "segment_sum", "einsum_a", "einsum_b", "einsum_ab",
-                 "rusanov_l", "rusanov_lr", "network_du", "network_vec", "network_du_vec"]
+                 "rusanov_l", "rusanov_lr", "network_du", "network_vec", "network_du_vec",
+                 "limiter_delta", "limiter_u", "limiter_all"]
 
 
 @pytest.mark.parametrize("build", PRIMITIVE_CASES, ids=PRIMITIVE_IDS)
@@ -121,7 +140,7 @@ B = np.random.default_rng(44).uniform(0.5, 2.0, (1, 3))
     lambda a, b: a * b,
     lambda a, b: a / b,
     lambda a, b: ad.maximum(a, b),
-    lambda a, b: ad.minimum(a, b),
+    lambda a, b: minimum(a, b),
     lambda a, b: ad.where(X > 1.2, a, b),
     lambda a, b: ad.matmul(ad.reshape(a, (4, 1, 1)), b),
 ], ids=["add", "subtract", "multiply", "divide", "maximum", "minimum", "where", "matmul"])
@@ -230,13 +249,13 @@ def test_min_tie_takes_first_argument():
     tape = ad.Tape()
     a = tape.var(np.array([2.0]))
     b = tape.var(np.array([2.0]))
-    out = ad.sum(ad.minimum(a, b))
+    out = ad.sum(minimum(a, b))
     tape.backward([(out, np.array(1.0))])
     assert a.grad[0] == 1.0
     assert b.grad is None or b.grad[0] == 0.0
 
 
-@pytest.mark.parametrize("op,np_op", [(ad.maximum, np.maximum), (ad.minimum, np.minimum)],
+@pytest.mark.parametrize("op,np_op", [(ad.maximum, np.maximum), (minimum, np.minimum)],
                          ids=["maximum", "minimum"])
 @pytest.mark.parametrize("traced_first", [True, False], ids=["traced_first", "traced_second"])
 def test_traced_max_and_min_propagate_a_nan_as_numpy_does(op, np_op, traced_first):
@@ -261,12 +280,13 @@ def _extreme_cases():
 
 @pytest.mark.parametrize("name", ["amin", "amax"])
 def test_an_extreme_over_an_axis_is_the_chain_of_pairwise_extremes(name):
-    """ad.amin / ad.amax over axis 1 give the values of the chain
-    minimum(minimum(x0, x1), x2) (maximum alike), untraced as numpy's and
-    traced as ad's, bitwise with signed zeros and NaNs; the traced gradient
-    equals the chain's bitwise, ties going to the first entry."""
+    """amin / amax over axis 1 (``ad._first_extreme`` when traced) give the
+    values of the chain minimum(minimum(x0, x1), x2) (maximum alike),
+    untraced as numpy's and traced as the recorded chain's, bitwise with
+    signed zeros and NaNs; the traced gradient equals the chain's bitwise,
+    ties going to the first entry."""
     x = _extreme_cases()
-    op, pair = (ad.amin, ad.minimum) if name == "amin" else (ad.amax, ad.maximum)
+    op, pair = (amin, minimum) if name == "amin" else (amax, ad.maximum)
     np_pair = np.minimum if name == "amin" else np.maximum
     chain = np_pair(np_pair(x[:, 0], x[:, 1]), x[:, 2])
     assert op(x, axis=1).tobytes() == chain.tobytes()

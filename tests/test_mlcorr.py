@@ -8,11 +8,11 @@ from fvgrad import autodiff as ad
 from fvgrad import mesh as msh
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon, solver, train
-from fvgrad.euler import GasModel, cons_to_prim, prim_to_cons
+from fvgrad.euler import GasModel, prim_to_cons
 from fvgrad.mlcorr import NORM_EPS, NetConfig, NetworkError
-from conftest import (gradient_gg_of, gradient_lsq_of, mesh_geometry, random_admissible_prim,
-                      rotated_mesh, save_params_sized, save_params_with_offset,
-                      smooth_prim_field, tanh)
+from conftest import (gradient_gg_of, gradient_lsq_of, loss_case, loss_gradients, mesh_geometry,
+                      random_admissible_prim, rotated_mesh, save_params_sized,
+                      save_params_with_offset, smooth_prim_field, tanh, untraced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -181,33 +181,6 @@ def _op_by_op_network(params, du, theta):
     return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
 
 
-def _network_case(mesh_name, b, k):
-    """A mesh of b copies, its bc table, an ml_lsq StepConfig, the stacked
-    states at t and the plain mode's k primitive reference states."""
-    gas = GasModel()
-    m, bc_table = ((msh.periodic_structured_mesh(6), {}) if mesh_name == "periodic"
-                   else bench.forward_step_mesh(0.2))
-    cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
-    dt = solver.compute_dt(m, cfg)
-    rng = np.random.default_rng(5)
-    w_t = [prim_to_cons(smooth_prim_field(m.centroid) * rng.uniform(0.9, 1.1, (m.n_cells, 4)),
-                        gas) for _ in range(b)]
-    refs = [[cons_to_prim(w, gas) for _, w, _ in solver.march(m, w0, dt, k, cfg.plain(),
-                                                              bc_table)] for w0 in w_t]
-    return (m.copies(b), bclib.tile_table(bc_table, b), cfg, np.concatenate(w_t),
-            [np.concatenate(step) for step in zip(*refs)])
-
-
-def _network_gradients(monkeypatch, forward, params, mesh_name, b, k):
-    """Loss and gradient of the training loss program at K = k on a group
-    of b, with ``forward`` as the network."""
-    m, bc_table, cfg, w_t, u_refs = _network_case(mesh_name, b, k)
-    monkeypatch.setattr(mlcorr, "network_forward", forward)
-    program, _ = train._loss_program(m, cfg, bc_table, params, w_t, u_refs,
-                                     train.LossWeights())
-    return ad.record_and_backprop(program, params.values)
-
-
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("b", [1, 3])
 @pytest.mark.parametrize("mesh_name", ["periodic", "forward_step"])
@@ -221,8 +194,10 @@ def test_the_network_node_matches_the_op_by_op_oracle(monkeypatch, params, seede
     input normalisation is checked too.  Saturated: heads drawn from
     N(0, 0.2) drive alpha close to +-alpha_max."""
     net = params if saturated else seeded_params
-    loss, grad = _network_gradients(monkeypatch, mlcorr.network_forward, net, mesh_name, b, k)
-    expect, oracle = _network_gradients(monkeypatch, _op_by_op_network, net, mesh_name, b, k)
+    case = loss_case(mesh_name, b, k)
+    loss, grad = loss_gradients(case, net)
+    monkeypatch.setattr(mlcorr, "network_forward", _op_by_op_network)
+    expect, oracle = loss_gradients(case, net)
     assert loss == expect
     assert np.abs(oracle).max() > 0.0
     assert np.abs(grad - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -254,6 +229,34 @@ def test_the_network_node_keeps_no_trunk_h_product(monkeypatch, seeded_params):
     node, op_by_op = peak(mlcorr.network_forward), peak(_op_by_op_network)
     cfg = seeded_params.config
     assert op_by_op - node >= cfg.combine * cfg.width * m.n_cells * 8, (node, op_by_op)
+
+
+def test_the_untraced_network_peaks_at_few_stencil_arrays(seeded_params, stencils_10k):
+    """Untraced, the network computes in place the activations no adjoint
+    keeps, drops them before the head and contracts the head in chunks of
+    at most ``HEAD_CELLS`` cells: on 10,082 cells it peaks (tracemalloc)
+    below 5.5 (4, 3, N) arrays, where with the head in one piece it peaked
+    at 9.8 (9.45 MB)."""
+    m, _, _, du, _ = stencils_10k
+    peak = untraced_peak(lambda: mlcorr.network_forward(seeded_params, du, m.angles))
+    assert peak < 5.5 * du.nbytes, peak / du.nbytes
+
+
+def test_alpha_over_several_head_chunks_is_the_one_piece_alpha(monkeypatch, seeded_params,
+                                                               stencils_10k):
+    """The head contracts near-equal chunks of at most ``HEAD_CELLS`` cells,
+    cut at multiples of ``mesh.BLOCK_ALIGN`` (``mesh.aligned_cuts``); alpha
+    over 10,082 cells, three chunks, is bitwise the op-by-op network's,
+    which contracts the head in one piece."""
+    m, _, _, du, _ = stencils_10k
+    cuts = []
+    real = msh.aligned_cuts
+    monkeypatch.setattr(msh, "aligned_cuts", lambda n, k: cuts.extend(real(n, k)) or real(n, k))
+    alpha = mlcorr.network_forward(seeded_params, du, m.angles)
+    assert len(cuts) == 4 and cuts[0] == 0 and cuts[-1] == m.n_cells
+    assert all(c % msh.BLOCK_ALIGN == 0 for c in cuts[:-1])
+    assert max(np.diff(cuts)) <= mlcorr.HEAD_CELLS
+    assert alpha.tobytes() == _op_by_op_network(seeded_params, du, m.angles).tobytes()
 
 
 def test_zero_du_gives_finite_bounded_alpha(params):

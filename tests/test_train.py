@@ -182,18 +182,19 @@ def test_sample_gradient_digests(gas, seeded_params):
         assert (digest(np.float64(loss)), digest(grad)) == SAMPLE_GRADIENT_DIGESTS[name], name
 
 
-def test_a_traced_training_sample_records_130_nodes(gas, seeded_params, monkeypatch):
-    """One ml_lsq sample on the 1,458-cell training mesh.  The Rusanov flux
-    and the network are one node each; recorded op by op, the flux took 109
-    nodes and the network 37 (one gather per layer among them), for 313 in
-    all.  The limiter's minimum over a cell's faces is one node (three
-    gathers and two ``where`` made it), both sides' face states are one
-    gather (two), and alpha on a mesh without boundary cells is not masked
-    (one ``where``): 181 nodes before those three.  The loss converts each
-    state once and ``entropy_pair`` takes the primitive field: 175 nodes
-    when the entropy term converted the states again, with the supervision
-    term's reshape and per-copy sum then left out for one sample, and 166
-    with the network op by op."""
+def test_a_traced_training_sample_records_117_nodes(gas, seeded_params, monkeypatch):
+    """One ml_lsq sample on the 1,458-cell training mesh.  The Rusanov flux,
+    the network and the limiter are one node each; recorded op by op, the
+    flux took 109 nodes and the network 37 (one gather per layer among
+    them), for 313 in all.  The limiter's minimum over a cell's faces was
+    one node (three gathers and two ``where`` made it), both sides' face
+    states are one gather (two), and alpha on a mesh without boundary cells
+    is not masked (one ``where``): 181 nodes before those three.  The loss
+    converts each state once and ``entropy_pair`` takes the primitive
+    field: 175 nodes when the entropy term converted the states again, with
+    the supervision term's reshape and per-copy sum then left out for one
+    sample, 166 with the network op by op, and 130 with the limiter op by
+    op (14 nodes, only its face increments traced)."""
     m = msh.periodic_structured_mesh(27)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     u_ref = smooth_prim_field(m.centroid)
@@ -207,7 +208,7 @@ def test_a_traced_training_sample_records_130_nodes(gas, seeded_params, monkeypa
     monkeypatch.setattr(ad.Tape, "backward", spy)
     train._sample_loss(m, cfg, {}, seeded_params, prim_to_cons(u_ref, gas), u_ref,
                        train.LossWeights())
-    assert counts == [130]
+    assert counts == [117]
 
 
 def test_backward_adds_little_to_a_traced_samples_peak(gas, seeded_params, monkeypatch):
@@ -540,7 +541,7 @@ def test_a_group_records_the_nodes_of_one_sample_and_two_where(gas, seeded_param
     train._sample_loss(m, cfg, {}, seeded_params, w_t[0], u_ref[0], weights)
     train._sample_loss(m.copies(8), cfg, {}, seeded_params, np.concatenate(w_t),
                        np.concatenate(u_ref), weights)
-    assert counts == [130, 132]
+    assert counts == [117, 119]
 
 
 def _forward_step_group(gas, b):
@@ -557,13 +558,14 @@ def _forward_step_group(gas, b):
     return m, bc_table, cfg, w_t, u_ref
 
 
-def test_a_traced_group_on_the_forward_step_records_176_nodes(gas, seeded_params, monkeypatch):
+def test_a_traced_group_on_the_forward_step_records_163_nodes(gas, seeded_params, monkeypatch):
     """A group of 8 ml_lsq samples on the 504-cell forward step, whose 80
     ghost states reach the stencils and the faces as the gathers' second
     array.  Joining them to the field and cutting the cells back out
     recorded 299 nodes; converting each state and building its ghost states
     again for the entropy term, and the entropy pair's own copy of the
-    primitive algebra, 295; the network recorded op by op, 212."""
+    primitive algebra, 295; the network recorded op by op, 212; the
+    limiter recorded op by op, 176."""
     m, bc_table, cfg, w_t, u_ref = _forward_step_group(gas, 8)
     counts = []
     real = ad.Tape.backward
@@ -575,7 +577,7 @@ def test_a_traced_group_on_the_forward_step_records_176_nodes(gas, seeded_params
     monkeypatch.setattr(ad.Tape, "backward", spy)
     train._sample_loss(m.copies(8), cfg, bclib.tile_table(bc_table, 8), seeded_params,
                        np.concatenate(w_t), np.concatenate(u_ref), train.LossWeights())
-    assert counts == [176]
+    assert counts == [163]
 
 
 def test_a_traced_sample_converts_each_state_and_builds_its_ghosts_once(
