@@ -387,7 +387,8 @@ def _stencil_start(gap, dist):
     three angles and all three distances agree (threefold symmetric, like
     the equilateral one) has no geometric start; it keeps the given first
     neighbor, the first counterclockwise from +x, which depends on the
-    orientation.
+    orientation.  The comparison stops once no stencil has two candidate
+    starts left: a later entry cannot change a stencil's only candidate.
     """
     dtol = STENCIL_TOL * np.maximum(np.maximum(dist[0], dist[1]), dist[2])
     keys = [(-np.roll(gap, 1, axis=0), STENCIL_TOL), (gap, STENCIL_TOL)]
@@ -397,6 +398,8 @@ def _stencil_start(gap, dist):
         best = np.where(cand, key, np.inf)
         best = np.minimum(np.minimum(best[0], best[1]), best[2])
         cand &= key <= best + tol
+        if (cand.sum(axis=0) < 2).all():
+            break
     return np.where(cand[0], 0, np.where(cand[1], 1, 2))
 
 
@@ -771,6 +774,8 @@ def periodic_structured_mesh(nx, ny=None, lx=1.0, ly=1.0):
 
 # Lawson rounds before _lattice_delaunay gives up.  Measured at jitter < 0.5:
 # at most 4 on square lattice cells, 9 at aspect ratio 4, 16 at 16 and at 64.
+# A round after the first costs the edges near the last round's flips, not
+# a re-pairing and re-test of every edge.
 LAWSON_MAX_ROUNDS = 50
 
 
@@ -802,10 +807,19 @@ def _lattice_delaunay(pts, grid, tol):
     then flip every illegal interior edge, one whose incircle determinant
     exceeds ``tol``, that is the least illegal edge of both of its
     triangles: an independent set that holds the least illegal edge, so
-    each round makes progress.  A flip rewrites its two triangles in their
-    own rows.  Without ``tol``, round-off in the determinants of co-circular
-    quads flips them back and forth forever.  More than LAWSON_MAX_ROUNDS
-    rounds raise MeshError.
+    each round makes progress.  Edges are ordered by their lower half-edge
+    id, the order ``_edges`` numbers them in.  A flip rewrites its two
+    triangles in their own rows.  Without ``tol``, round-off in the
+    determinants of co-circular quads flips them back and forth forever.
+    More than LAWSON_MAX_ROUNDS rounds raise MeshError.
+
+    The half-edges are paired once, by ``_edges`` on the initial split, and
+    each flip re-pairs its quad: the new diagonal, and the four outer
+    half-edges, which move to new ids, with their twins.  The first round
+    tests every interior edge; a later one tests only the edges of the
+    triangles the last round rewrote and the edges it found illegal.  Every
+    other edge has kept both of its triangles since a round found it legal,
+    so it is still legal.
     """
     a, b = grid[:-1, :-1].ravel(), grid[:-1, 1:].ravel()
     c, d = grid[1:, 1:].ravel(), grid[1:, :-1].ravel()
@@ -814,23 +828,42 @@ def _lattice_delaunay(pts, grid, tol):
     bd = ~ac | (_incircle(pts, a, b, c, d) > tol)
     tri = np.where(bd[:, None], np.column_stack([a, b, d, b, c, d]),
                    np.column_stack([a, b, c, a, c, d])).reshape(-1, 3)
+    # twin[h]: the other half-edge of h's edge, -1 on the boundary
+    _, first, second = _edges(tri, len(pts))
+    inner = second >= 0
+    twin = np.full(tri.size, -1, dtype=np.int64)
+    twin[first[inner]], twin[second[inner]] = second[inner], first[inner]
+    h1 = first[inner]       # the edges to test, by their lower half-edge
     for _ in range(LAWSON_MAX_ROUNDS):
-        _, first, second = _edges(tri, len(pts))
-        e = np.flatnonzero(second >= 0)
-        t1, k1 = np.divmod(first[e], 3)
-        t2, k2 = np.divmod(second[e], 3)
+        t1, k1 = np.divmod(h1, 3)
+        t2, k2 = np.divmod(twin[h1], 3)
         # t1 is (p, q, r), t2 is (q, p, s): r and s face the edge p-q
         p, q, r = tri[t1, k1], tri[t1, (k1 + 1) % 3], tri[t1, (k1 + 2) % 3]
         s = tri[t2, (k2 + 2) % 3]
         bad = np.flatnonzero(_incircle(pts, p, q, r, s) > tol)
         if not bad.size:
             return tri
-        least = np.full(len(tri), len(e))
+        least = np.full(len(tri), len(h1))
         np.minimum.at(least, t1[bad], bad)
         np.minimum.at(least, t2[bad], bad)
         go = bad[(least[t1[bad]] == bad) & (least[t2[bad]] == bad)]
-        tri[t1[go]] = np.column_stack([p[go], s[go], r[go]])
-        tri[t2[go]] = np.column_stack([s[go], q[go], r[go]])
+        t1, k1, t2, k2 = t1[go], k1[go], t2[go], k2[go]
+        tri[t1] = np.column_stack([p[go], s[go], r[go]])
+        tri[t2] = np.column_stack([s[go], q[go], r[go]])
+        # the outer half-edges q-r, r-p, p-s and s-q move to the new ids
+        # of (p, s, r) and (s, q, r); each keeps its twin, which may move too
+        old = np.concatenate([3 * t1 + (k1 + 1) % 3, 3 * t1 + (k1 + 2) % 3,
+                              3 * t2 + (k2 + 1) % 3, 3 * t2 + (k2 + 2) % 3])
+        new = np.concatenate([3 * t2 + 1, 3 * t1 + 2, 3 * t1, 3 * t2])
+        out = twin[old]
+        moved = np.arange(tri.size)
+        moved[old] = new
+        twin[new] = np.where(out >= 0, moved[out], -1)
+        twin[moved[out[out >= 0]]] = new[out >= 0]
+        twin[3 * t1 + 1], twin[3 * t2 + 2] = 3 * t2 + 2, 3 * t1 + 1
+        # retest the rewritten triangles' edges and the illegal ones
+        h = np.concatenate([new, 3 * t1 + 1, h1[bad]])
+        h1 = np.unique(np.minimum(h, twin[h])[twin[h] >= 0])
     raise MeshError(f"Lawson flips did not converge in {LAWSON_MAX_ROUNDS} rounds")
 
 

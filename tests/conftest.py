@@ -289,6 +289,36 @@ def gradient_lsq_of(m, u_ext, alpha=None):
                               alpha=alpha)
 
 
+def full_round_lattice_delaunay(pts, grid, tol):
+    """``mesh._lattice_delaunay`` with every round re-pairing all half-edges
+    by ``mesh._edges`` and re-testing every interior edge: the oracle of the
+    rounds that re-test only the edges near the last flips.  The same split,
+    the same selection rule and the same flips, so the same triangles."""
+    a, b = grid[:-1, :-1].ravel(), grid[:-1, 1:].ravel()
+    c, d = grid[1:, 1:].ravel(), grid[1:, :-1].ravel()
+    ac = (msh._orient(pts, a, b, c) > 0) & (msh._orient(pts, a, c, d) > 0)
+    bd = ~ac | (msh._incircle(pts, a, b, c, d) > tol)
+    tri = np.where(bd[:, None], np.column_stack([a, b, d, b, c, d]),
+                   np.column_stack([a, b, c, a, c, d])).reshape(-1, 3)
+    for _ in range(msh.LAWSON_MAX_ROUNDS):
+        _, first, second = msh._edges(tri, len(pts))
+        e = np.flatnonzero(second >= 0)
+        t1, k1 = np.divmod(first[e], 3)
+        t2, k2 = np.divmod(second[e], 3)
+        p, q, r = tri[t1, k1], tri[t1, (k1 + 1) % 3], tri[t1, (k1 + 2) % 3]
+        s = tri[t2, (k2 + 2) % 3]
+        bad = np.flatnonzero(msh._incircle(pts, p, q, r, s) > tol)
+        if not bad.size:
+            return tri
+        least = np.full(len(tri), len(e))
+        np.minimum.at(least, t1[bad], bad)
+        np.minimum.at(least, t2[bad], bad)
+        go = bad[(least[t1[bad]] == bad) & (least[t2[bad]] == bad)]
+        tri[t1[go]] = np.column_stack([p[go], s[go], r[go]])
+        tri[t2[go]] = np.column_stack([s[go], q[go], r[go]])
+    raise msh.MeshError(f"Lawson flips did not converge in {msh.LAWSON_MAX_ROUNDS} rounds")
+
+
 def rotated_mesh(m, theta):
     """``m`` with every node rotated by ``theta`` about the origin.
 

@@ -11,7 +11,7 @@ import pytest
 from fvgrad import bench
 from fvgrad import mesh as msh
 from fvgrad.mesh import BoundarySpec, MeshError
-from conftest import mesh_geometry, rotated_mesh
+from conftest import full_round_lattice_delaunay, mesh_geometry, rotated_mesh
 
 
 def test_unit_right_triangle_geometry():
@@ -304,6 +304,48 @@ def test_irregular_mesh_at_zero_jitter_is_the_lattice_split():
                                   .reshape(-1, 3, 2)), (lx, ly, n)
 
 
+def _lattice_inputs(monkeypatch, n, seed, lx, ly, jitter):
+    """The nodes, lattice grid and flip tolerance that ``irregular_mesh``
+    hands to ``_lattice_delaunay``, without the flips or the build."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(msh, "_lattice_delaunay", lambda *args: seen.append(args))
+        patch.setattr(msh, "build_mesh", lambda *args: None)
+        msh.irregular_mesh(n, seed, lx, ly, jitter)
+    return seen[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 27, 100])
+def test_lawson_rounds_flip_as_the_full_rounds_do(monkeypatch, n):
+    """Rounds that re-test only the edges near the last flips give the
+    triangles, rows and node order of rounds that re-pair and re-test every
+    edge, bitwise; aspect ratio 16 takes up to 16 rounds.  At jitter 0 every
+    seed gives the same nodes."""
+    for jitter in (0.0, 0.05, 0.35, 0.49):
+        for seed in range(5 if jitter else 1):
+            for aspect in (1.0, 4.0, 16.0):
+                pts, grid, tol = _lattice_inputs(monkeypatch, n, seed, aspect, 1.0, jitter)
+                assert np.array_equal(msh._lattice_delaunay(pts, grid, tol),
+                                      full_round_lattice_delaunay(pts, grid, tol)), \
+                    (seed, jitter, aspect)
+
+
+def test_lawson_rounds_pair_the_half_edges_once(monkeypatch):
+    """periodic_irregular_mesh(100) takes three rounds (42 flips, 1, then
+    none): ``_edges`` runs once for the flips and once for the build."""
+    calls = []
+    edges = msh._edges
+    monkeypatch.setattr(msh, "_edges", lambda *args: calls.append(1) or edges(*args))
+    msh.periodic_irregular_mesh(100)
+    assert len(calls) == 2
+
+
+def test_lawson_rounds_that_do_not_converge_raise(monkeypatch):
+    monkeypatch.setattr(msh, "LAWSON_MAX_ROUNDS", 1)
+    with pytest.raises(MeshError, match="did not converge in 1 rounds"):
+        msh.periodic_irregular_mesh(100)
+
+
 IRREGULAR_STEP_PROBE = """
 import sys
 import numpy as np
@@ -456,7 +498,8 @@ def _array_digest(m):
 # the (2, F) table made of them and the ghosts' 3 N + j.  All six were
 # re-recorded when nbr and angles moved from (N, 3) to (3, N): each new
 # value is the old build's digest with those two arrays transposed and
-# contiguous
+# contiguous.  periodic_irregular_100, recorded later, is the only one whose
+# Lawson flips take more than one round
 ARRAY_DIGESTS = {
     "periodic_structured_6": "9ed5efad9a7dd18f",
     "slip_wall_structured_6": "2f1b5ed798778073",
@@ -464,6 +507,7 @@ ARRAY_DIGESTS = {
     "refined_periodic_structured_6": "3d00c2a3efd4b6cd",
     "periodic_irregular_27": "238be4c5606934b3",
     "forward_step_0.1": "6e5b5c6355eb9715",
+    "periodic_irregular_100": "f4f32d7db6d7041b",
 }
 
 
@@ -472,8 +516,8 @@ def test_every_mesh_array_is_pinned(name):
     """Every array bitwise and laid out as recorded, beyond the topology
     that LAYOUT_DIGESTS pins: the build may change how it computes them,
     never what it stores."""
-    if name == "periodic_irregular_27":
-        m = msh.periodic_irregular_mesh(27)
+    if name.startswith("periodic_irregular_"):
+        m = msh.periodic_irregular_mesh(int(name.rsplit("_", 1)[1]))
     elif name == "forward_step_0.1":
         m = bench.forward_step_mesh(0.1)[0]
     else:
