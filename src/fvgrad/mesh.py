@@ -188,6 +188,7 @@ class Mesh:
     slot_len: np.ndarray       # (3, N) its length, negative on the right side
     region: np.ndarray = field(default=None)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _face_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _omega: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -203,6 +204,11 @@ class Mesh:
     @property
     def n_cells(self):
         return self.tri.shape[0]
+
+    @property
+    def cells(self):
+        """All its cells as a range, as a ``CellBlock`` names its own."""
+        return slice(0, self.n_cells)
 
     @property
     def n_faces(self):
@@ -231,6 +237,15 @@ class Mesh:
             self._blocks[k] = [CellBlock(self, slice(lo, hi))
                                for lo, hi in zip(cuts[:-1], cuts[1:])]
         return self._blocks[k]
+
+    def face_blocks(self, k):
+        """The faces in k contiguous ranges of near-equal size, as
+        ``FaceBlock`` views; built once per k and kept with the mesh."""
+        if k not in self._face_blocks:
+            f = self.n_faces
+            self._face_blocks[k] = [FaceBlock(self, slice(f * b // k, f * (b + 1) // k))
+                                    for b in range(k)]
+        return self._face_blocks[k]
 
     def limiter_omega(self, k):
         """The limiter's smoothing term (k sqrt|C|)^3 per cell
@@ -297,10 +312,13 @@ class CellBlock:
     It holds views of the per-cell arrays those stages read, under the
     mesh's own names and cut to the range on the cell axis, so a block
     passes where the stages take a mesh.  ``cells`` is the range as a slice.
+    The index tables (``nbr``, ``slot_face``) name the mesh's cells, ghosts
+    and faces, so a block's gathers read the step's whole arrays.
     """
 
-    CELL_ARRAYS = ("inv_area", "lsq_wd", "inv11", "inv12", "inv22",
-                   "angles", "interior_mask", "cell_foff", "cell_sn")
+    CELL_ARRAYS = ("area", "inv_area", "lsq_wd", "inv11", "inv12", "inv22",
+                   "angles", "interior_mask", "cell_foff", "cell_sn",
+                   "nbr", "slot_face", "slot_len")
 
     def __init__(self, mesh, cells):
         self.cells = cells
@@ -314,6 +332,22 @@ class CellBlock:
     def limiter_omega(self, k):
         """This block's cells' slice of ``Mesh.limiter_omega(k)``."""
         return _limiter_omega(self._omega, self._sqrt_area, k)[self.cells]
+
+
+class FaceBlock:
+    """A contiguous range of a mesh's faces, for the step's per-face stage.
+
+    It holds the face arrays that stage reads, cut to the range, and the
+    mesh's cell count, which numbers the stencil slots: a block passes
+    where the face gather and the flux take a mesh.  ``faces`` is the
+    range as a slice.
+    """
+
+    def __init__(self, mesh, faces):
+        self.faces = faces
+        self.n_cells = mesh.n_cells
+        self.face_slots = mesh.face_slots[:, faces]
+        self.f_normal = mesh.f_normal[faces]
 
 
 def _tile(m, b):

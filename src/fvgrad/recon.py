@@ -23,7 +23,10 @@ slots and the ghosts.
 
 Every function here but those two gathers reads only its own cells, so it
 also takes a ``mesh.CellBlock`` in place of the mesh, with the block's
-cells' fields and stencil inputs.
+cells' fields and stencil inputs.  The gathers take a block too, with the
+whole field and ghosts: ``neighbor_values`` a ``mesh.CellBlock``, for its
+cells' neighbours, and ``muscl_face_values`` a ``mesh.FaceBlock``, for its
+faces' two sides.
 
 The limiter is one tape node (``venkat_limiter``), computed by one numpy
 body traced or not.  That body writes an array in place once nothing reads

@@ -27,25 +27,36 @@ arrays in as few numpy calls as it can: one gather takes both sides of
 every face, ghosts included (``recon.muscl_face_values``), and the Rusanov
 flux runs its pointwise algebra once over both sides.
 
-The per-cell and per-face stages run in blocks.  After the neighbour
-gather, every stage up to the MUSCL slot states (neighbour deltas, network
-alpha, GG or LSQ gradient, face increments, limiter, slot states) reads only
-its own cell, and the Rusanov flux only its own face.  ``residual`` runs
-them as contiguous blocks of cells and then of faces, one block per CPU the
-process may run on (``step_workers``): the calling thread runs the first
-block and a persistent pool of worker threads the others, on views of the
-mesh's per-cell arrays cut once per mesh (``mesh.CellBlock``).  cons->prim,
-the ghosts, the gathers, the assembly and the update stay whole.  Each
-block's outputs are the one-block outputs of its cells or faces (cell
-blocks are cut at multiples of ``mesh.BLOCK_ALIGN`` cells, so the network's
-matrix products round each cell as in one block), so frames and
-diagnostics do not depend on the split, and an error keeps the type the
-one-block step raises: the first failing block's, once every block has
-returned.  A mesh of fewer than ``2 * MIN_BLOCK_CELLS`` cells, and a traced
-step, run as one block on the calling thread.  A step is traced when its
-state or its network's parameter vector (``params.values``, a
-``mlcorr.NetParams``) is a ``Var``: the parameters reach the step as that
-one argument, traced or not.
+An untraced step on a large mesh runs in blocks, in five phases
+(``residual``):
+  1. per block of cells, the flip of the state to (4, n) and its checked
+     conversion to primitives;
+  2. whole, the ghost states: 400 on the 12,600-cell forward step, none on
+     a periodic mesh;
+  3. per block of cells, the neighbour gather and every stage up to the
+     MUSCL slot states (neighbour deltas, network alpha, GG or LSQ
+     gradient, face increments, limiter, slot states);
+  4. per range of faces, the face gather and the Rusanov flux, with the
+     range's largest wave speed;
+  5. per block of cells, the gather of each slot's face flux, the sum R,
+     the update w - (dt / |C|) R, its check and the flip back to (N, 4).
+Each block writes its outputs into the step's whole arrays, which the later
+phases' gathers read.  There is one block per CPU the process may run on
+(``step_workers``): the calling thread runs the first block and a
+persistent pool of worker threads the others, on views of the mesh's
+per-cell and per-face arrays cut once per mesh (``mesh.CellBlock``,
+``mesh.FaceBlock``).  Each block's outputs are the one-block outputs of its
+cells or faces (cell blocks are cut at multiples of ``mesh.BLOCK_ALIGN``
+cells, so the network's matrix products round each cell as in one block),
+so frames and diagnostics do not depend on the split.  An error is the one
+the one-block step raises, once every block has returned: a rejected update
+names the first bad cell in cell order, and an inadmissible state raises
+the one-block ``AdmissibilityError``, which checks every density before any
+internal energy.  A mesh of fewer than ``2 * MIN_BLOCK_CELLS`` cells, and a
+traced step, run the same stages once, on whole arrays, on the calling
+thread.  A step is traced when its state or its network's parameter vector
+(``params.values``, a ``mlcorr.NetParams``) is a ``Var``: the parameters
+reach the step as that one argument, traced or not.
 
 ``march`` is the one time-marching loop: rollouts, fine-grid references
 (sub-stepped to the coarse time instants), gain runs, the error-versus-cost
@@ -68,8 +79,9 @@ from . import autodiff as ad
 from . import bc as bclib
 from . import mesh as msh
 from . import mlcorr, recon
-from .euler import (RHO, GasModel, cons_to_prim, internal_energy, max_wave_speed,
-                    normal_velocity, not_positive, physical_flux, prim_to_cons)
+from .euler import (RHO, AdmissibilityError, GasModel, cons_to_prim, internal_energy,
+                    max_wave_speed, normal_velocity, not_positive, physical_flux,
+                    prim_to_cons)
 
 FRAME_MAGIC = b"FVFR"
 FRAME_VERSION = 1
@@ -216,42 +228,66 @@ def _rusanov_adjoint(g, u, n, t, g_a, gamma):
     return out
 
 
-def residual(mesh, w, cfg, bc_table=None, params=None):
+def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None):
     """Per-cell flux sum R_i; the semi-discrete form is |C_i| dw_i/dt + R_i = 0.
 
-    w and R are (4, N), cell axis last.  Returns (R, diag) where diag carries
-    the clamp / first-order fallback counters and the largest wave speed
-    seen at any face.  The per-cell and per-face stages run in blocks
-    (module docstring).
+    w and R are (4, N), cell axis last; w may be a transposed view, as the
+    step passes its (N, 4) state.  Returns (R, diag) where diag carries the
+    clamp / first-order fallback counters and the largest wave speed seen at
+    any face.  With ``dt``, the last phase also forms each cell's update
+    w - (dt / |C|) R and checks it (``step_explicit_euler``), and returns
+    it in place of R.  The phases run in blocks (module docstring).
     """
     bc_table = bc_table or {}
     gas = cfg.gas
-    u = ad.transpose(cons_to_prim(ad.transpose(w), gas))
-    ghosts, n_clamp = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
-    u_nb = recon.neighbor_values(mesh, u, ghosts)
-    if cfg.uses_network and params is None:
-        raise SolverError("gradient mode requires network parameters")
-
     # a tape records in order, so a traced step runs as one block
     traced = w.__class__ is ad.Var or (params is not None
                                        and params.values.__class__ is ad.Var)
     k = 1 if traced else step_workers(mesh.n_cells)
-    cells = [(mesh, None)] if k == 1 else [(c, c.cells) for c in mesh.cell_blocks(k)]
-    slots, n_fallback = _blockwise(
-        lambda c, ui, nb: _slot_states(c, ui, nb, cfg, params),
-        cells, u, u_nb)
+    if k == 1:
+        cells = faces = [(mesh, None)]
+        empty = _no_array
+    else:
+        cells = [(c, c.cells) for c in mesh.cell_blocks(k)]
+        faces = [(f, f.faces) for f in mesh.face_blocks(k)]
+        empty = np.empty
+    n = mesh.n_cells
 
-    u_lr = recon.muscl_face_values(mesh, slots, ghosts)
-    f = mesh.n_faces
-    faces = [(None, slice(f * b // k, f * (b + 1) // k)) for b in range(k)]
-    flux, s = _blockwise(lambda _, lr, n: rusanov_flux(lr, n, gas),
-                         faces, u_lr, mesh.f_normal.T)
-    # each cell sums its three slots' face fluxes times the signed face length
-    r = ad.einsum("jn,vjn->vn", mesh.slot_len, ad.take_rows(flux, mesh.slot_face))
+    try:
+        u, = _blockwise(lambda c, wc: _checked_prim(wc, gas), cells, [empty((4, n))], w)
+    except AdmissibilityError:
+        if k > 1:
+            # one block checks every density before any internal energy
+            cons_to_prim(ad.transpose(w), gas)
+        raise
+    ghosts, n_clamp = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
+    if cfg.uses_network and params is None:
+        raise SolverError("gradient mode requires network parameters")
+    slots, n_fallback = _blockwise(
+        lambda c, uc: _slot_states(c, uc, recon.neighbor_values(c, u, ghosts), cfg, params),
+        cells, [empty((4, 3, n))], u)
+    flux, s = _blockwise(lambda f: _face_flux(f, slots, ghosts, gas),
+                         faces, [empty((4, mesh.n_faces))])
+    # the step's state goes back to (N, 4) as its blocks write it
+    out, = _blockwise(lambda c, wc: _finish(c, wc, flux, dt, step_index),
+                      cells, [empty((4, n), order="C" if dt is None else "F")], w)
 
     diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
-            "max_wave_speed": float(np.maximum.reduce(s, axis=None))}
-    return r, diag
+            "max_wave_speed": float(s)}
+    return out, diag
+
+
+def _no_array(shape, order="C"):
+    """One block writes into no array of the step's: it returns its own."""
+
+
+def _checked_prim(w, gas):
+    """The first phase of a block of cells: its state w (4, n), flipped to
+    contiguous rows if it is a plain view, converted to primitives; raises
+    an ``AdmissibilityError`` where w is not admissible."""
+    if w.__class__ is not ad.Var:
+        w = np.ascontiguousarray(w)
+    return (ad.transpose(cons_to_prim(ad.transpose(w), gas)),)
 
 
 def _slot_states(cells, u, u_nb, cfg, params):
@@ -285,12 +321,41 @@ def _slot_states(cells, u, u_nb, cfg, params):
 
 
 # Fewest cells per block: a step on fewer than twice this many cells runs as
-# one block on the calling thread.  On a 2-vCPU Xeon host with little CPU
-# steal, two blocks beat one from about 6,000 cells (ml_lsq) and 9,000
-# (lsq) of a periodic irregular mesh; below that the threads' hand-offs of
-# the interpreter lock cost more than the second core gives.  10,000 keeps
-# a margin for a busier host.
+# one block on the calling thread.  On a 2-vCPU Xeon host, with every phase
+# of the step in blocks, two blocks beat one from about 6,000-7,000 cells
+# (ml_lsq) and 7,000-8,500 (lsq) of a periodic irregular mesh (two runs of
+# 12 interleaved rounds per size, each size's ratio within about 15%);
+# below that the threads' hand-offs of the interpreter lock cost more than
+# the second core gives.  10,000 keeps a margin for a busier host.
 MIN_BLOCK_CELLS = 5000
+
+
+def _face_flux(faces, slots, ghosts, gas):
+    """The per-face phase of a range of faces (the mesh or a
+    ``mesh.FaceBlock``): its face states from the slot states and the
+    ghosts, their Rusanov flux (4, f), and the largest wave speed."""
+    u_lr = recon.muscl_face_values(faces, slots, ghosts)
+    flux, s = rusanov_flux(u_lr, faces.f_normal.T, gas)
+    return flux, np.maximum.reduce(s, axis=None)
+
+
+def _finish(cells, w, flux, dt, step_index):
+    """The last phase of a block of cells: each cell sums its three slots'
+    face fluxes times the signed face length, R (4, n).  With dt it returns
+    the update w - (dt / |C|) R instead, and raises a ``SolverError`` naming
+    the first cell whose update leaves the admissible set."""
+    r = ad.einsum("jn,vjn->vn", cells.slot_len, ad.take_rows(flux, cells.slot_face))
+    if dt is None:
+        return (r,)
+    w_next = w - (dt / cells.area) * r
+    wv = ad.value_of(w_next).T
+    # |m|^2 / rho may divide by a non-positive rho; its cell is rejected anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = not_positive(wv[:, RHO]) | not_positive(internal_energy(wv))
+    if np.logical_or.reduce(bad, axis=None):
+        raise SolverError("step rejected: non-admissible update",
+                          cell=cells.cells.start + int(np.argmax(bad)), step=step_index)
+    return (w_next,)
 
 
 def _cpus():
@@ -307,28 +372,33 @@ def step_workers(n_cells):
     return 1 if most <= 1 else min(_cpus(), most)
 
 
-def _blockwise(stage, blocks, *fields):
-    """stage(view, *fields) over blocks of the fields' last axis, joined.
+def _blockwise(stage, blocks, outs, *fields):
+    """stage(view, *fields) over blocks of the fields' last axis.
 
     ``blocks`` lists (view, range) pairs, the range a slice of the last
-    axis.  One block runs on the calling thread with the fields whole.  With
-    more, block b runs stage(view_b, *fields cut to range_b), and the
-    outputs are joined in block order: arrays along their last axis, counts
-    summed.  Every stage given here reads only its own cells or faces, so
-    the joined outputs equal the one-block outputs bitwise.
+    axis.  One block runs on the calling thread with the fields whole and
+    returns the stage's outputs.  With more, block b runs stage(view_b,
+    *fields cut to range_b) and writes its first outputs, arrays, into the
+    range of ``outs``; its further outputs, a count or a largest value, are
+    summed or maximised over the blocks.  Returns outs and those.  Every
+    stage given here reads only its own cells or faces of the fields it is
+    given cut, so the outputs equal the one-block outputs bitwise.
     """
     if len(blocks) == 1:
         return stage(blocks[0][0], *fields)
 
     def task(b):
         view, cut = blocks[b]
-        return stage(view, *(x[..., cut] for x in fields))
+        res = stage(view, *(x[..., cut] for x in fields))
+        for out, x in zip(outs, res):
+            out[..., cut] = x
+        return res[len(outs):]
 
     parts = _run_tasks(task, len(blocks))
     # a list: tuple() of a generator resizes a 10-slot tuple, which then
     # grows the 2-tuple free list by one every call, a page every 30 steps
-    return [sum(p) if isinstance(p[0], int) else np.concatenate(p, axis=-1)
-            for p in zip(*parts)]
+    return [*outs, *(sum(p) if isinstance(p[0], int) else np.maximum.reduce(p)
+                     for p in zip(*parts))]
 
 
 _pool = None
@@ -377,18 +447,10 @@ def _flip(x):
 
 def step_explicit_euler(mesh, w, dt, cfg, bc_table=None, params=None, step_index=None):
     """w - (dt/|C|) R for an (N, 4) state; raises if any updated cell leaves
-    the admissible set.  The step itself runs on (4, N) fields."""
-    w = _flip(w)
-    r, diag = residual(mesh, w, cfg, bc_table, params)
-    w_next = w - (dt / mesh.area) * r
-
-    wv = ad.value_of(w_next).T
-    # |m|^2 / rho may divide by a non-positive rho; its cell is rejected anyway
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = not_positive(wv[:, RHO]) | not_positive(internal_energy(wv))
-    if np.logical_or.reduce(bad, axis=None):
-        raise SolverError("step rejected: non-admissible update",
-                          cell=int(np.argmax(bad)), step=step_index)
+    the admissible set.  The step itself runs on (4, N) fields: ``residual``
+    flips the state in its first phase and updates and checks it in its
+    last."""
+    w_next, diag = residual(mesh, ad.transpose(w), cfg, bc_table, params, dt, step_index)
     return _flip(w_next), diag
 
 

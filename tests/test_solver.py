@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import os
 import resource
 import signal
@@ -17,8 +18,8 @@ from fvgrad import autodiff as ad
 from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad import mesh as msh
-from fvgrad.euler import (GasModel, cons_to_prim, max_wave_speed, normal_velocity,
-                          physical_flux, prim_to_cons)
+from fvgrad.euler import (AdmissibilityError, GasModel, cons_to_prim, max_wave_speed,
+                          normal_velocity, physical_flux, prim_to_cons)
 from conftest import (digest, finite_diff_grad, mesh_geometry, random_admissible_prim,
                       seeded_network_params, smooth_prim_field)
 
@@ -151,19 +152,19 @@ def test_march_passes_traced_states_through(mesh, w0, seeded_params, mode):
         assert p.grad is not None and np.abs(p.grad).max() > 0
 
 
-def test_step_rejects_a_nan_update_naming_the_cell(mesh, w0, monkeypatch):
-    real = solver.residual
+def _with_nan_areas(m, cells):
+    """m with |C| NaN at the given cells: the update w - (dt / |C|) R of
+    those cells, and of no other, is NaN."""
+    area = m.area.copy()
+    area[cells] = np.nan
+    return replace(m, area=area)
 
-    def nan_at_cell_5(*args, **kwargs):
-        r, diag = real(*args, **kwargs)
-        r = r.copy()
-        r[2, 5] = np.nan
-        return r, diag
 
-    monkeypatch.setattr(solver, "residual", nan_at_cell_5)
+def test_step_rejects_a_nan_update_naming_the_cell(mesh, w0):
     cfg = solver.StepConfig(co=CO, gradient="lsq")
     with pytest.raises(solver.SolverError) as err:
-        solver.step_explicit_euler(mesh, w0, solver.compute_dt(mesh, cfg), cfg, {})
+        solver.step_explicit_euler(_with_nan_areas(mesh, [5]), w0,
+                                   solver.compute_dt(mesh, cfg), cfg, {})
     assert err.value.cell == 5
 
 
@@ -611,17 +612,19 @@ PLAIN_STEP_DIGESTS = {
 }
 
 
-def test_plain_step_digests(gas):
+def test_plain_step_digests(gas, monkeypatch):
+    """The digests hold with every step in one, two or three blocks."""
     for name, (m, bc_table) in _digest_meshes().items():
         w0 = prim_to_cons(bench.riemann_case(6).evaluate(m.centroid), gas)
-        for mode in ("lsq", "gg"):
+        for mode, k in itertools.product(("lsq", "gg"), (1, 2, 3)):
+            _split_steps_into(monkeypatch, k)
             cfg = solver.StepConfig(co=CO, gradient=mode)
             dt = solver.compute_dt(m, cfg)
             w1, _ = solver.step_explicit_euler(m, w0, dt, cfg, bc_table)
             for _, w5, _ in solver.march(m, w0, dt, 5, cfg, bc_table):
                 pass
             assert w1.shape == w5.shape == (m.n_cells, 4)
-            assert (digest(w1), digest(w5)) == PLAIN_STEP_DIGESTS[(name, mode)], (name, mode)
+            assert (digest(w1), digest(w5)) == PLAIN_STEP_DIGESTS[(name, mode)], (name, mode, k)
 
 
 def _thin_state(m):
@@ -654,11 +657,13 @@ STEP_DIGESTS = {
 
 @pytest.mark.parametrize("state,modes", [("riemann_6", ("ml_lsq", "ml_gg")),
                                          ("thin", solver.GRADIENT_MODES)])
-def test_step_digests(gas, seeded_params, state, modes):
+def test_step_digests(gas, seeded_params, state, modes, monkeypatch):
+    """The digests hold with every step in one, two or three blocks."""
     for name, (m, bc_table) in _digest_meshes().items():
         u0 = bench.riemann_case(6).evaluate(m.centroid) if state == "riemann_6" else _thin_state(m)
         w0 = prim_to_cons(u0, gas)
-        for mode in modes:
+        for mode, k in itertools.product(modes, (1, 2, 3)):
+            _split_steps_into(monkeypatch, k)
             cfg = solver.StepConfig(co=CO, gradient=mode)
             params = seeded_params if cfg.uses_network else None
             dt = solver.compute_dt(m, cfg)
@@ -666,9 +671,9 @@ def test_step_digests(gas, seeded_params, state, modes):
             for _, w5, _ in solver.march(m, w0, dt, 5, cfg, bc_table, params):
                 pass
             if state == "thin":
-                assert diag["fallback_cells"] > 0, (name, mode)
+                assert diag["fallback_cells"] > 0, (name, mode, k)
             key = (name, state, mode)
-            assert (digest(w1), digest(w5)) == STEP_DIGESTS[key], key
+            assert (digest(w1), digest(w5)) == STEP_DIGESTS[key], (key, k)
 
 
 def _face_scatter_residual(mesh, w, cfg, bc_table, params):
@@ -991,7 +996,49 @@ def test_a_traced_step_runs_as_one_block(mesh, w0, seeded_params, monkeypatch):
     ad.record_and_backprop(loss, seeded_params.values)
     assert ran == []
     solver.step_explicit_euler(mesh, w0, dt, cfg, {}, seeded_params)
-    assert ran == [3, 3]                    # cells, then faces
+    assert ran == [3, 3, 3, 3]      # the state, the slot states, the faces, the update
+
+
+def test_a_rejected_update_in_a_later_block_names_the_one_block_cell_and_step(gas, monkeypatch):
+    """The first rejected cell in cell order is named, with its step, in one,
+    two or three blocks: cell 400 lies in the second block at k = 2 and 3,
+    and cell 700 in the last, whose error the earlier block's beats."""
+    m = msh.periodic_irregular_mesh(20)
+    bad = _with_nan_areas(m, [400, 700])
+    w0 = prim_to_cons(smooth_prim_field(m.centroid), gas)
+    cfg = solver.StepConfig(gradient="lsq")
+    dt = solver.compute_dt(m, cfg)
+    for k in (1, 2, 3):
+        _split_steps_into(monkeypatch, k)
+        if k > 1:
+            second = bad.cell_blocks(k)[1].cells
+            assert second.start <= 400 < second.stop
+        with pytest.raises(solver.SolverError) as err:
+            solver.step_explicit_euler(bad, w0, dt, cfg, {}, step_index=7)
+        assert (err.value.cell, err.value.step) == (400, 7), k
+
+
+def test_an_inadmissible_state_in_a_later_block_raises_the_one_block_error(gas, monkeypatch):
+    """A state whose density fails in the second block, and one whose
+    internal energy fails in the first block and density in a later one:
+    one block checks every density first, and so do two and three."""
+    m = msh.periodic_irregular_mesh(20)
+    w0 = prim_to_cons(smooth_prim_field(m.centroid), gas)
+    rho_late = w0.copy()
+    rho_late[400, 0] = 0.0
+    energy_early = w0.copy()
+    energy_early[100, 3] = 0.0
+    energy_early[600, 0] = -1.0
+    cfg = solver.StepConfig(gradient="lsq")
+    dt = solver.compute_dt(m, cfg)
+    for w in (rho_late, energy_early):
+        outcomes = []
+        for k in (1, 2, 3):
+            _split_steps_into(monkeypatch, k)
+            with pytest.raises(AdmissibilityError) as err:
+                solver.step_explicit_euler(m, w, dt, cfg, {})
+            outcomes.append((type(err.value), str(err.value)))
+        assert outcomes == [(AdmissibilityError, "non-admissible state: rho not > 0")] * 3
 
 
 def test_a_block_error_is_raised_once_every_block_has_returned():
