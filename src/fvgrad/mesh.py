@@ -206,11 +206,6 @@ class Mesh:
         return self.tri.shape[0]
 
     @property
-    def cells(self):
-        """All its cells as a range, as a ``CellBlock`` names its own."""
-        return slice(0, self.n_cells)
-
-    @property
     def n_faces(self):
         return self.f_left.shape[0]
 
@@ -313,11 +308,13 @@ class CellBlock:
     mesh's own names and cut to the range on the cell axis, so a block
     passes where the stages take a mesh.  ``cells`` is the range as a slice.
     The index tables (``nbr``, ``slot_face``) name the mesh's cells, ghosts
-    and faces, so a block's gathers read the step's whole arrays.
+    and faces, so a block's gathers read the step's whole arrays.  A step
+    that runs as one block runs on ``cell_blocks(1)``, whose views are the
+    whole arrays.
     """
 
-    CELL_ARRAYS = ("area", "inv_area", "lsq_wd", "inv11", "inv12", "inv22",
-                   "angles", "interior_mask", "cell_foff", "cell_sn",
+    CELL_ARRAYS = ("area", "inv_area", "sqrt_area", "lsq_wd", "inv11", "inv12",
+                   "inv22", "angles", "interior_mask", "cell_foff", "cell_sn",
                    "nbr", "slot_face", "slot_len")
 
     def __init__(self, mesh, cells):
@@ -326,12 +323,13 @@ class CellBlock:
         for name in self.CELL_ARRAYS:
             setattr(self, name, getattr(mesh, name)[..., cells])
         self.all_interior = bool(self.interior_mask.all())
-        # the mesh's cache, not the mesh, so the mesh and its blocks form no cycle
-        self._omega, self._sqrt_area = mesh._omega, mesh.sqrt_area
+        # the mesh's cache and whole sqrt_area, not the mesh, so the mesh
+        # and its blocks form no cycle
+        self._omega, self._mesh_sqrt_area = mesh._omega, mesh.sqrt_area
 
     def limiter_omega(self, k):
         """This block's cells' slice of ``Mesh.limiter_omega(k)``."""
-        return _limiter_omega(self._omega, self._sqrt_area, k)[self.cells]
+        return _limiter_omega(self._omega, self._mesh_sqrt_area, k)[self.cells]
 
 
 class FaceBlock:
@@ -340,7 +338,7 @@ class FaceBlock:
     It holds the face arrays that stage reads, cut to the range, and the
     mesh's cell count, which numbers the stencil slots: a block passes
     where the face gather and the flux take a mesh.  ``faces`` is the
-    range as a slice.
+    range as a slice; ``face_blocks(1)`` is one block of every face.
     """
 
     def __init__(self, mesh, faces):

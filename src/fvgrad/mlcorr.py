@@ -369,6 +369,8 @@ def _network_adjoint(cfg, L, theta, acts, du_acts, g):
     g_outer = (L["head_w"].T @ g_raw0).reshape(cfg.combine, cfg.width, g.shape[-1])
     g_trunk = L["head_b"].T @ g_raw0 + np.einsum("pwn,wn->pn", g_outer, h)
     g_h = np.einsum("pwn,pn->wn", g_outer, trunk)
+    # dropped once read, so no later layer's adjoint adds to its (P*W, N)
+    del g_outer, h
 
     # trunk: tanh(trunk_w theta + trunk_b)
     g_a = g_trunk * (1.0 - trunk * trunk)

@@ -29,8 +29,8 @@ flux runs its pointwise algebra once over both sides.
 
 An untraced step on a large mesh runs in blocks, in five phases
 (``residual``):
-  1. per block of cells, the flip of the state to (4, n) and its checked
-     conversion to primitives;
+  1. per block of cells, the flip of the state to contiguous (4, n) rows,
+     which the update reads, and its checked conversion to primitives;
   2. whole, the ghost states: 400 on the 12,600-cell forward step, none on
      a periodic mesh;
   3. per block of cells, the neighbour gather and every stage up to the
@@ -53,10 +53,11 @@ the one-block step raises, once every block has returned: a rejected update
 names the first bad cell in cell order, and an inadmissible state raises
 the one-block ``AdmissibilityError``, which checks every density before any
 internal energy.  A mesh of fewer than ``2 * MIN_BLOCK_CELLS`` cells, and a
-traced step, run the same stages once, on whole arrays, on the calling
-thread.  A step is traced when its state or its network's parameter vector
-(``params.values``, a ``mlcorr.NetParams``) is a ``Var``: the parameters
-reach the step as that one argument, traced or not.
+traced step, run the same stages once, as one block of every cell and
+face, on whole arrays, on the calling thread.  A step is traced when its
+state or its network's parameter vector (``params.values``, a
+``mlcorr.NetParams``) is a ``Var``: the parameters reach the step as that
+one argument, traced or not.
 
 ``march`` is the one time-marching loop: rollouts, fine-grid references
 (sub-stepped to the coarse time instants), gain runs, the error-versus-cost
@@ -244,17 +245,12 @@ def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None)
     traced = w.__class__ is ad.Var or (params is not None
                                        and params.values.__class__ is ad.Var)
     k = 1 if traced else step_workers(mesh.n_cells)
-    if k == 1:
-        cells = faces = [(mesh, None)]
-        empty = _no_array
-    else:
-        cells = [(c, c.cells) for c in mesh.cell_blocks(k)]
-        faces = [(f, f.faces) for f in mesh.face_blocks(k)]
-        empty = np.empty
-    n = mesh.n_cells
+    cells = [(c, c.cells) for c in mesh.cell_blocks(k)]
+    faces = [(f, f.faces) for f in mesh.face_blocks(k)]
+    state = ((4, mesh.n_cells), "C")
 
     try:
-        u, = _blockwise(lambda c, wc: _checked_prim(wc, gas), cells, [empty((4, n))], w)
+        w, u = _blockwise(lambda c, wc: _checked_prim(wc, gas), cells, [state, state], (), w)
     except AdmissibilityError:
         if k > 1:
             # one block checks every density before any internal energy
@@ -265,37 +261,33 @@ def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None)
         raise SolverError("gradient mode requires network parameters")
     slots, n_fallback = _blockwise(
         lambda c, uc: _slot_states(c, uc, recon.neighbor_values(c, u, ghosts), cfg, params),
-        cells, [empty((4, 3, n))], u)
+        cells, [((4, 3, mesh.n_cells), "C")], (sum,), u)
     flux, s = _blockwise(lambda f: _face_flux(f, slots, ghosts, gas),
-                         faces, [empty((4, mesh.n_faces))])
+                         faces, [((4, mesh.n_faces), "C")], (np.maximum.reduce,))
     # the step's state goes back to (N, 4) as its blocks write it
     out, = _blockwise(lambda c, wc: _finish(c, wc, flux, dt, step_index),
-                      cells, [empty((4, n), order="C" if dt is None else "F")], w)
+                      cells, [state if dt is None else (state[0], "F")], (), w)
 
     diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
             "max_wave_speed": float(s)}
     return out, diag
 
 
-def _no_array(shape, order="C"):
-    """One block writes into no array of the step's: it returns its own."""
-
-
 def _checked_prim(w, gas):
     """The first phase of a block of cells: its state w (4, n), flipped to
-    contiguous rows if it is a plain view, converted to primitives; raises
-    an ``AdmissibilityError`` where w is not admissible."""
+    contiguous rows if it is a plain view, and that state's primitives.
+    Raises an ``AdmissibilityError`` where w is not admissible."""
     if w.__class__ is not ad.Var:
         w = np.ascontiguousarray(w)
-    return (ad.transpose(cons_to_prim(ad.transpose(w), gas)),)
+    return w, ad.transpose(cons_to_prim(ad.transpose(w), gas))
 
 
 def _slot_states(cells, u, u_nb, cfg, params):
     """The per-cell stages of one block: neighbour deltas, network alpha,
     gradient, face increments, limiter and MUSCL slot states.
 
-    ``cells`` is the mesh or a ``mesh.CellBlock``; u (4, n) and u_nb
-    (4, 3, n) are its cells' states and neighbour states, ghosts included.
+    ``cells`` is a ``mesh.CellBlock``; u (4, n) and u_nb (4, 3, n) are its
+    cells' states and neighbour states, ghosts included.
     Returns (slot states (4, 3, n), fallback cells).
     """
     gg = cfg.gradient.endswith("gg")
@@ -322,18 +314,18 @@ def _slot_states(cells, u, u_nb, cfg, params):
 
 # Fewest cells per block: a step on fewer than twice this many cells runs as
 # one block on the calling thread.  On a 2-vCPU Xeon host, with every phase
-# of the step in blocks, two blocks beat one from about 6,000-7,000 cells
-# (ml_lsq) and 7,000-8,500 (lsq) of a periodic irregular mesh (two runs of
-# 12 interleaved rounds per size, each size's ratio within about 15%);
-# below that the threads' hand-offs of the interpreter lock cost more than
-# the second core gives.  10,000 keeps a margin for a busier host.
+# of the step in blocks, two blocks beat one from about 6,000-8,500 cells
+# (ml_lsq) and 8,500-10,000 (lsq) of a periodic irregular mesh (two runs of
+# 12 interleaved rounds per size, whose ratios differ by up to 20%); below
+# that the threads' hand-offs of the interpreter lock cost more than the
+# second core gives.  10,000 lies at the top of both ranges.
 MIN_BLOCK_CELLS = 5000
 
 
 def _face_flux(faces, slots, ghosts, gas):
-    """The per-face phase of a range of faces (the mesh or a
-    ``mesh.FaceBlock``): its face states from the slot states and the
-    ghosts, their Rusanov flux (4, f), and the largest wave speed."""
+    """The per-face phase of a range of faces (a ``mesh.FaceBlock``): its
+    face states from the slot states and the ghosts, their Rusanov flux
+    (4, f), and the largest wave speed."""
     u_lr = recon.muscl_face_values(faces, slots, ghosts)
     flux, s = rusanov_flux(u_lr, faces.f_normal.T, gas)
     return flux, np.maximum.reduce(s, axis=None)
@@ -372,20 +364,23 @@ def step_workers(n_cells):
     return 1 if most <= 1 else min(_cpus(), most)
 
 
-def _blockwise(stage, blocks, outs, *fields):
+def _blockwise(stage, blocks, arrays, combine, *fields):
     """stage(view, *fields) over blocks of the fields' last axis.
 
     ``blocks`` lists (view, range) pairs, the range a slice of the last
-    axis.  One block runs on the calling thread with the fields whole and
-    returns the stage's outputs.  With more, block b runs stage(view_b,
-    *fields cut to range_b) and writes its first outputs, arrays, into the
-    range of ``outs``; its further outputs, a count or a largest value, are
-    summed or maximised over the blocks.  Returns outs and those.  Every
+    axis.  The stage returns arrays, one per (shape, order) in ``arrays``,
+    then one further output per function in ``combine``.  One block runs on
+    the calling thread with the fields whole and returns the stage's
+    outputs.  With more, the step's arrays are allocated here, block b runs
+    stage(view_b, *fields cut to range_b) and writes its arrays into their
+    range, and each further output, a count or a largest value, is combined
+    over the blocks by its function.  Returns the arrays and those.  Every
     stage given here reads only its own cells or faces of the fields it is
     given cut, so the outputs equal the one-block outputs bitwise.
     """
     if len(blocks) == 1:
         return stage(blocks[0][0], *fields)
+    outs = [np.empty(shape, order=order) for shape, order in arrays]
 
     def task(b):
         view, cut = blocks[b]
@@ -397,8 +392,7 @@ def _blockwise(stage, blocks, outs, *fields):
     parts = _run_tasks(task, len(blocks))
     # a list: tuple() of a generator resizes a 10-slot tuple, which then
     # grows the 2-tuple free list by one every call, a page every 30 steps
-    return [*outs, *(sum(p) if isinstance(p[0], int) else np.maximum.reduce(p)
-                     for p in zip(*parts))]
+    return [*outs, *(f(p) for f, p in zip(combine, zip(*parts)))]
 
 
 _pool = None

@@ -204,42 +204,29 @@ def test_the_network_node_matches_the_op_by_op_oracle(monkeypatch, params, seede
 
 
 def test_the_network_node_keeps_no_trunk_h_product(monkeypatch, seeded_params):
-    """A traced group of 2 on the 1,458-cell training mesh holds less
-    (tracemalloc) when its backward pass starts with the network as one
-    node than op by op, by at least the bytes of the (combine * width, N)
-    product trunk x h that the op-by-op tape keeps and the node does not.
-
-    What the tape holds, not the peak: the two peaks fall in different
-    passes (op by op in the forward pass, the node in the backward), so
-    their difference moves with every untraced temporary of the step."""
+    """A traced group of 2 on the 1,458-cell training mesh peaks (tracemalloc)
+    lower with the network as one node than op by op, by at least the bytes
+    of the (combine * width, N) product trunk x h that the op-by-op tape
+    keeps and the node does not."""
     gas = GasModel()
     m = msh.periodic_structured_mesh(27).copies(2)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     u_ref = smooth_prim_field(m.centroid)
     sample = (m, cfg, {}, seeded_params, prim_to_cons(u_ref, gas), u_ref,
               train.LossWeights())
-    backward = ad.Tape.backward
 
-    def held(forward):
+    def peak(forward):
         monkeypatch.setattr(mlcorr, "network_forward", forward)
         train._sample_loss(*sample)
-        at_backward = []
-
-        def spy(tape, *args, **kwargs):
-            at_backward.append(tracemalloc.get_traced_memory()[0])
-            return backward(tape, *args, **kwargs)
-
-        monkeypatch.setattr(ad.Tape, "backward", spy)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             train._sample_loss(*sample)
-            return at_backward[0] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-            monkeypatch.setattr(ad.Tape, "backward", backward)
 
-    node, op_by_op = held(mlcorr.network_forward), held(_op_by_op_network)
+    node, op_by_op = peak(mlcorr.network_forward), peak(_op_by_op_network)
     cfg = seeded_params.config
     assert op_by_op - node >= cfg.combine * cfg.width * m.n_cells * 8, (node, op_by_op)
 
