@@ -22,8 +22,9 @@ adjoints run back through it one layer at a time, in place of 37 nodes; and
 its face increments traced) to 24.
 
 Differentiable primitive set: + - * / ** sqrt log abs max,
-``where`` with a non-differentiated condition, reductions, matmul, the
-two-operand contraction ``einsum``, row gather/scatter and reshaping.
+``where`` with a non-differentiated condition, ``sum``, the two-operand
+contraction ``einsum``, row gather/scatter and reshaping.  ``mean`` is
+untraced only: the network's normalisation takes it on plain arrays.
 Nondifferentiable points follow the taken-branch convention: ``maximum``
 sends the adjoint to the first argument at ties, ``where`` follows its
 condition, ``abs`` uses the sign (zero at zero).  The hand-derived nodes
@@ -218,12 +219,6 @@ class Var:
 
     def __neg__(self):
         return negative(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -450,30 +445,13 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
                    (a, lambda g: _spread(g, axis, keepdims, shape)))
 
 
-def _mean(v, axis, keepdims):
-    """np.mean(v, axis, keepdims=keepdims) of a float64 array, bitwise: the
-    sum over the axes divided by their length, as np.mean computes it,
-    without its Python-level wrapper."""
+def mean(a, axis=None, keepdims=False):
+    """np.mean(a, axis, keepdims=keepdims) of an untraced float array,
+    bitwise: the sum over the axes divided by their length, as np.mean
+    computes it, without its Python-level wrapper."""
+    v = np.asarray(a, dtype=np.float64)
     out = np.add.reduce(v, axis=axis, keepdims=keepdims)
     return out / (v.size // max(out.size, 1))
-
-
-def mean(a, axis=None, keepdims=False):
-    """np.mean of a float array, traced or not, bitwise (``_mean``)."""
-    if a.__class__ is not Var:
-        return _mean(np.asarray(a, dtype=np.float64), axis, keepdims)
-    out = _mean(a.value, axis, keepdims)
-    n = a.value.size // max(out.size, 1)
-    shape = a.value.shape
-    return _record(out, (a, lambda g: _spread(g / n, axis, keepdims, shape)))
-
-
-def matmul(a, b):
-    if a.__class__ is not Var and b.__class__ is not Var:
-        return np.matmul(a, b)
-    av, bv = value_of(a), value_of(b)
-    return _record(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
-                   (b, lambda g: np.swapaxes(av, -1, -2) @ g))
 
 
 @functools.cache

@@ -206,9 +206,6 @@ def gradcheck_hash(cfg):
 
 def out_dir_for(cfg):
     out = Path(cfg["out_dir"])
-    root = os.environ.get("FVGRAD_OUT_ROOT")
-    if root and not out.is_absolute():
-        out = Path(root) / out
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -68,7 +68,10 @@ gather and a stencil sum.
 
 ``Mesh.copies(b)`` lays b copies of a mesh side by side as one mesh with no
 face between them, so that one traced program steps b states at once
-(``train`` records a group of samples this way).
+(``train`` records a group of samples this way).  ``build_mesh`` builds
+them like any other mesh, from the mesh's nodes and triangles tiled b times
+and its boundary table with each copy's periodic groups renumbered, so
+each copy pairs with itself and no table is derived a second way.
 """
 
 from collections import Counter
@@ -148,7 +151,8 @@ class BoundarySpec:
 class Mesh:
     """A built triangulation: topology, geometry and per-step constants.
 
-    Built by ``build_mesh`` and ``Mesh.copies``; every array is read-only.
+    Built by ``build_mesh`` alone, which every generator, ``refine_uniform``,
+    the file reader and ``Mesh.copies`` call; every array is read-only.
     Face order and stencil order fix the order of every sum over faces or
     neighbors, so they are part of the layout, not an implementation detail.
     """
@@ -254,19 +258,33 @@ class Mesh:
 
         Copy c holds cells c N to (c + 1) N - 1 and nodes c Nn to
         (c + 1) Nn - 1 in this mesh's order, so a field on the copies is b
-        fields of this mesh stacked along the cell axis.  The faces are
-        every copy's interior faces, copy by copy, then the boundary faces
-        grouped by tag as here, each tag's faces copy by copy; ghosts follow
-        the boundary faces, and each stencil slot keeps its neighbour row.
-        So per-face boundary data on the copies is each tag's data of this
-        mesh tiled b times (``bc.tile_table``), every per-cell and per-face
-        value of a step equals that of the copy's own mesh, and a step on
-        the copies records the ops of a step on one mesh.
+        fields of this mesh stacked along the cell axis.  ``build_mesh``
+        builds them from the tiled nodes and triangles and ``boundary_edges``
+        tiled the same way, each copy's group ids offset past the previous
+        copy's so that every periodic face pairs within its copy; the
+        copies' ``boundary_edges`` keep those groups.  In the build's face
+        order the merged periodic faces of every copy follow the plain
+        interior faces of every copy, and each tag's boundary faces come
+        copy by copy, with their ghosts.  So the faces whose left cell lies
+        in copy c are, in face order, this mesh's faces with their cells
+        offset by c N; per-face boundary data on the copies is each tag's
+        data of this mesh tiled b times (``bc.tile_table``); every per-cell
+        and per-face value of a step equals that of the copy's own mesh, and
+        a step on the copies records the ops of a step on one mesh.
         """
         if b == 1:
             return self
         if b not in self._copies:
-            tiled = _tile(self, b)
+            nn, group = len(self.nodes), self.boundary_edges[:, 3]
+            copy = np.arange(b)[:, None, None]
+            span = group.max(initial=0) - group.min(initial=0) + 1
+            rows = (self.boundary_edges + copy * [nn, nn, 0, span]).reshape(-1, 4)
+            table = {(min(p, q), max(p, q)): (tag, g) for p, q, tag, g in rows.tolist()}
+            tiled = build_mesh(np.tile(self.nodes, (b, 1)), (self.tri + nn * copy).reshape(-1, 3),
+                               BoundarySpec.from_edge_table(table))
+            if self.region is not None:
+                tiled.region = np.tile(self.region, b)
+                tiled.region.setflags(write=False)
             tiled.n_copies = b * self.n_copies
             self._copies[b] = tiled
         return self._copies[b]
@@ -346,51 +364,6 @@ class FaceBlock:
         self.n_cells = mesh.n_cells
         self.face_slots = mesh.face_slots[:, faces]
         self.f_normal = mesh.f_normal[faces]
-
-
-def _tile(m, b):
-    """``Mesh.copies(b)`` of a mesh m."""
-    n, ni, nn = m.n_cells, m.n_iface, len(m.nodes)
-    copy = np.arange(b)
-    # (copy, face of m) of each face of the copies, in the order of Mesh.copies
-    runs = [np.arange(ni)] + [ni + np.arange(s.start, s.stop) for s in m.tag_slices.values()]
-    src_face = np.concatenate([np.tile(r, b) for r in runs])
-    src_copy = np.concatenate([np.repeat(copy, len(r)) for r in runs])
-    face = np.empty((b, m.n_faces), dtype=np.int64)
-    face[src_copy, src_face] = np.arange(b * m.n_faces)
-    # each copy's ids as f_right and nbr name them: cells, then ghosts
-    ext = np.concatenate([n * copy[:, None] + np.arange(n), b * n + face[:, ni:] - b * ni],
-                         axis=1)
-
-    def slot(c, s):
-        return s // n * (b * n) + c * n + s % n
-
-    def tiled(a):
-        return np.tile(a, b)      # along the last (cell) axis
-
-    face_slots = slot(src_copy, m.face_slots[:, src_face])
-    face_slots[1, b * ni:] = 3 * b * n + np.arange(b * (m.n_faces - ni))
-
-    return Mesh(
-        nodes=np.tile(m.nodes, (b, 1)),
-        tri=(m.tri + nn * copy[:, None, None]).reshape(-1, 3),
-        area=tiled(m.area), inv_area=tiled(m.inv_area), sqrt_area=tiled(m.sqrt_area),
-        centroid=np.tile(m.centroid, (b, 1)),
-        f_left=ext[src_copy, m.f_left[src_face]], f_right=ext[src_copy, m.f_right[src_face]],
-        f_normal=m.f_normal[src_face], f_mid=m.f_mid[src_face], n_iface=b * ni,
-        face_slots=face_slots,
-        tag_slices={code: slice(b * s.start, b * s.stop) for code, s in m.tag_slices.items()},
-        boundary_edges=np.concatenate([m.boundary_edges + [nn * c, nn * c, 0, 0]
-                                       for c in copy]),
-        nbr=ext[:, m.nbr].transpose(1, 0, 2).reshape(3, -1),
-        lsq_wd=tiled(m.lsq_wd), inv11=tiled(m.inv11), inv12=tiled(m.inv12),
-        inv22=tiled(m.inv22), angles=tiled(m.angles),
-        interior_mask=tiled(m.interior_mask), cell_foff=tiled(m.cell_foff),
-        cell_sn=tiled(m.cell_sn),
-        slot_face=face[:, m.slot_face].transpose(1, 0, 2).reshape(3, -1),
-        slot_len=tiled(m.slot_len),
-        region=None if m.region is None else tiled(m.region),
-    )
 
 
 @dataclass

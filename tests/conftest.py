@@ -52,6 +52,28 @@ def amin(a, axis):
     return _extreme(a, axis, np.minimum, np.less_equal)
 
 
+def matmul(a, b):
+    """a @ b of plain or traced arrays, recorded as one tape node: the
+    op-by-op network's layers."""
+    if a.__class__ is not ad.Var and b.__class__ is not ad.Var:
+        return np.matmul(a, b)
+    av, bv = ad.value_of(a), ad.value_of(b)
+    return ad._record(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
+                      (b, lambda g: np.swapaxes(av, -1, -2) @ g))
+
+
+def mean(a, axis=None, keepdims=False):
+    """``ad.mean`` of a plain or traced array; traced, its adjoint spreads
+    g / n back over the n entries of each mean: the op-by-op network's
+    normalisation."""
+    if a.__class__ is not ad.Var:
+        return ad.mean(a, axis, keepdims)
+    out = ad.mean(a.value, axis, keepdims)
+    n = a.value.size // max(out.size, 1)
+    shape = a.value.shape
+    return ad._record(out, (a, lambda g: ad._spread(g / n, axis, keepdims, shape)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -317,6 +339,55 @@ def full_round_lattice_delaunay(pts, grid, tol):
         tri[t1[go]] = np.column_stack([p[go], s[go], r[go]])
         tri[t2[go]] = np.column_stack([s[go], q[go], r[go]])
     raise msh.MeshError(f"Lawson flips did not converge in {msh.LAWSON_MAX_ROUNDS} rounds")
+
+
+def tiled_copies(m, b):
+    """``Mesh.copies(b)`` of a mesh m with every table tiled field by field
+    from m's, without a build: the oracle of the copies' per-cell tables,
+    nodes, triangles, tag slices and ghosts.  Its interior faces come copy by
+    copy, each copy's periodic faces after its plain ones, where the build
+    lists every copy's plain interior faces before the periodic ones."""
+    n, ni, nn = m.n_cells, m.n_iface, len(m.nodes)
+    copy = np.arange(b)
+    # (copy, face of m) of each face of the copies, in this tiling's order
+    runs = [np.arange(ni)] + [ni + np.arange(s.start, s.stop) for s in m.tag_slices.values()]
+    src_face = np.concatenate([np.tile(r, b) for r in runs])
+    src_copy = np.concatenate([np.repeat(copy, len(r)) for r in runs])
+    face = np.empty((b, m.n_faces), dtype=np.int64)
+    face[src_copy, src_face] = np.arange(b * m.n_faces)
+    # each copy's ids as f_right and nbr name them: cells, then ghosts
+    ext = np.concatenate([n * copy[:, None] + np.arange(n), b * n + face[:, ni:] - b * ni],
+                         axis=1)
+
+    def slot(c, s):
+        return s // n * (b * n) + c * n + s % n
+
+    def tiled(a):
+        return np.tile(a, b)      # along the last (cell) axis
+
+    face_slots = slot(src_copy, m.face_slots[:, src_face])
+    face_slots[1, b * ni:] = 3 * b * n + np.arange(b * (m.n_faces - ni))
+
+    return msh.Mesh(
+        nodes=np.tile(m.nodes, (b, 1)),
+        tri=(m.tri + nn * copy[:, None, None]).reshape(-1, 3),
+        area=tiled(m.area), inv_area=tiled(m.inv_area), sqrt_area=tiled(m.sqrt_area),
+        centroid=np.tile(m.centroid, (b, 1)),
+        f_left=ext[src_copy, m.f_left[src_face]], f_right=ext[src_copy, m.f_right[src_face]],
+        f_normal=m.f_normal[src_face], f_mid=m.f_mid[src_face], n_iface=b * ni,
+        face_slots=face_slots,
+        tag_slices={code: slice(b * s.start, b * s.stop) for code, s in m.tag_slices.items()},
+        boundary_edges=np.concatenate([m.boundary_edges + [nn * c, nn * c, 0, 0]
+                                       for c in copy]),
+        nbr=ext[:, m.nbr].transpose(1, 0, 2).reshape(3, -1),
+        lsq_wd=tiled(m.lsq_wd), inv11=tiled(m.inv11), inv12=tiled(m.inv12),
+        inv22=tiled(m.inv22), angles=tiled(m.angles),
+        interior_mask=tiled(m.interior_mask), cell_foff=tiled(m.cell_foff),
+        cell_sn=tiled(m.cell_sn),
+        slot_face=face[:, m.slot_face].transpose(1, 0, 2).reshape(3, -1),
+        slot_len=tiled(m.slot_len),
+        region=None if m.region is None else tiled(m.region),
+    )
 
 
 def rotated_mesh(m, theta):

@@ -9,7 +9,8 @@ import pytest
 
 from fvgrad import autodiff as ad
 from fvgrad import mlcorr, recon, solver
-from conftest import amax, amin, finite_diff_grad, minimum, seeded_network_params, tanh
+from conftest import (amax, amin, finite_diff_grad, matmul, mean, minimum, seeded_network_params,
+                      tanh)
 
 
 def check_vjp(build, *x0s, rtol=1e-8, rel_step=1e-6):
@@ -66,7 +67,7 @@ DELTA = np.stack([X - 1.2, Y - X, 0.3 * X - 0.4], axis=1)
 
 def _moved(params, x):
     """params whose vector moves with X along PROJ, traced with x."""
-    return params.with_values(params.values + ad.matmul(PROJ, ad.reshape(x, (12,))))
+    return params.with_values(params.values + matmul(PROJ, ad.reshape(x, (12,))))
 
 
 # one case or more for every public function of the package that records a
@@ -86,9 +87,9 @@ PRIMITIVE_CASES = [
     lambda x: minimum(x, Y),
     lambda x: ad.where(Y > 1.0, x, 2.0 * x),
     lambda x: ad.sum(x, axis=1, keepdims=True) + x,
-    lambda x: ad.mean(x, axis=0),
-    lambda x: ad.matmul(x, Y.T),
-    lambda x: ad.matmul(Y.T, x),
+    lambda x: mean(x, axis=0),
+    lambda x: matmul(x, Y.T),
+    lambda x: matmul(Y.T, x),
     lambda x: ad.transpose(x),
     lambda x: ad.reshape(x, (2, 6)),
     lambda x: x[1:, :2],
@@ -142,7 +143,7 @@ B = np.random.default_rng(44).uniform(0.5, 2.0, (1, 3))
     lambda a, b: ad.maximum(a, b),
     lambda a, b: minimum(a, b),
     lambda a, b: ad.where(X > 1.2, a, b),
-    lambda a, b: ad.matmul(ad.reshape(a, (4, 1, 1)), b),
+    lambda a, b: matmul(ad.reshape(a, (4, 1, 1)), b),
 ], ids=["add", "subtract", "multiply", "divide", "maximum", "minimum", "where", "matmul"])
 def test_gradients_of_two_traced_broadcast_operands(build):
     check_vjp(build, A, B)
@@ -214,7 +215,7 @@ def test_traced_mean_is_numpy_mean():
     tape = ad.Tape()
     xv = tape.var(x)
     for axis, keepdims in ((1, True), (0, False), (None, False)):
-        assert (ad.mean(xv, axis=axis, keepdims=keepdims).value
+        assert (mean(xv, axis=axis, keepdims=keepdims).value
                 == np.mean(x, axis=axis, keepdims=keepdims)).all()
 
 
@@ -352,7 +353,7 @@ def test_recording_is_deterministic():
     mat = rng.normal(size=(50, 50))
 
     def program(p):
-        h = tanh(ad.matmul(mat, p))
+        h = tanh(matmul(mat, p))
         return ad.sum(h * h) + ad.sum(ad.absolute(p))
 
     l1, g1 = ad.record_and_backprop(program, p0)

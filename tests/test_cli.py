@@ -20,8 +20,9 @@ SMALL = {"mesh": {"kind": "structured", "n": 6, "periodic": True}}
 
 @pytest.fixture
 def run(tmp_path, monkeypatch):
-    """cli.main on a YAML config written from a dict, artifacts under tmp_path."""
-    monkeypatch.setenv("FVGRAD_OUT_ROOT", str(tmp_path))
+    """cli.main on a YAML config written from a dict, run from tmp_path, so
+    artifacts land under it."""
+    monkeypatch.chdir(tmp_path)
 
     def _run(command, cfg, *extra):
         path = tmp_path / "config.yaml"
@@ -79,19 +80,18 @@ sys.exit(code)
 
 
 def _fresh_cli(tmp_path, cfg, commands, blas_threads=None):
-    """The CLI in a fresh interpreter, where numpy has not loaded yet, with
-    OPENBLAS_NUM_THREADS unset or set to blas_threads.  Returns the loaded
+    """The CLI in a fresh interpreter run from tmp_path, where numpy has not
+    loaded yet, with OPENBLAS_NUM_THREADS unset or set to blas_threads.  Returns the loaded
     OpenBLAS's thread count and the last command's manifest."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    env["FVGRAD_OUT_ROOT"] = str(tmp_path)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     done = subprocess.run([sys.executable, "-c", CLI_PROBE, str(path), *commands], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == cli.EXIT_OK, done.stderr
     manifest = json.loads((_out(tmp_path) / "run_manifest.json").read_text())
     return done.stdout.split()[-1], manifest

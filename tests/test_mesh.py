@@ -11,7 +11,7 @@ import pytest
 from fvgrad import bench
 from fvgrad import mesh as msh
 from fvgrad.mesh import BoundarySpec, MeshError
-from conftest import full_round_lattice_delaunay, mesh_geometry, rotated_mesh
+from conftest import full_round_lattice_delaunay, mesh_geometry, rotated_mesh, tiled_copies
 
 
 def test_unit_right_triangle_geometry():
@@ -618,9 +618,10 @@ def test_face_slots_cover_every_stencil_slot_once(name):
                                   "slip_wall_structured_6"])
 def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
     """Copy c is cells c N to (c + 1) N - 1 with this mesh's per-cell
-    constants and its neighbours offset by c N; interior faces come copy by
-    copy, then each tag's boundary faces copy by copy, with their ghosts.
-    The copies report their count: b, and b * 2 for copies of them."""
+    constants and its neighbours offset by c N; the faces whose left cell
+    lies in copy c are, in face order, this mesh's faces offset by c N; each
+    tag's boundary faces come copy by copy, with their ghosts.  The copies
+    report their count: b, and b * 2 for copies of them."""
     m = SLOT_MESHES[name]()
     c = m.copies(b)
     assert m.copies(1) is m and m.copies(b) is c
@@ -632,12 +633,14 @@ def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
     for name_ in ("area", "lsq_wd", "cell_foff", "cell_sn", "slot_len", "interior_mask"):
         assert (getattr(c, name_) == np.tile(getattr(m, name_), b)).all(), name_
     assert (c.angles == np.tile(m.angles, b)).all()
-    # interior faces of copy k are this mesh's, offset by k N
+    # the faces whose left cell lies in copy k, in face order, are this
+    # mesh's, offset by k N
     for k in range(b):
-        f = slice(k * ni, (k + 1) * ni)
-        assert (c.f_left[f] == m.f_left[:ni] + k * n).all()
-        assert (c.f_right[f] == m.f_right[:ni] + k * n).all()
-        assert (c.f_normal[f] == m.f_normal[:ni]).all()
+        f = np.flatnonzero(c.f_left // n == k)
+        assert len(f) == m.n_faces
+        assert (c.f_left[f] == m.f_left + k * n).all()
+        assert (c.f_right[f[:ni]] == m.f_right[:ni] + k * n).all()
+        assert (c.f_normal[f] == m.f_normal).all()
     # boundary faces: per tag, copy by copy; the ghost of face n_iface + g is b N + g
     for code, s in m.tag_slices.items():
         g = np.arange(s.start, s.stop)
@@ -652,3 +655,70 @@ def test_copies_are_the_mesh_b_times_with_no_face_between_them(name, b):
     assert (c.nbr[real] // n == np.broadcast_to(cells, c.nbr.shape)[real]).all()
     assert ((c.nbr >= b * n).sum(axis=0) == np.tile((m.nbr >= n).sum(axis=0), b)).all()
     assert nb * b == c.n_ghost
+
+
+# the tables that number faces: the copies number their periodic faces
+# after every copy's plain ones, where the field-by-field tiling numbered
+# them copy by copy
+FACE_NUMBERED = ("f_left", "f_right", "f_normal", "f_mid", "face_slots", "slot_face",
+                 "boundary_edges")
+
+
+@pytest.mark.parametrize("b", [2, 3, 8])
+@pytest.mark.parametrize("name", sorted(SLOT_MESHES))
+def test_copies_are_bitwise_the_tiled_tables(name, b):
+    """Built by ``build_mesh``, the copies hold bitwise the tables that
+    tiling the mesh field by field gives (``conftest.tiled_copies``): every
+    array that numbers no face, the tag slices, the ghost faces, and the
+    normal of each stencil slot's face."""
+    m = SLOT_MESHES[name]()
+    c, want = m.copies(b), tiled_copies(m, b)
+    for key, a in vars(want).items():
+        if isinstance(a, np.ndarray) and key not in FACE_NUMBERED:
+            got = getattr(c, key)
+            assert (got.dtype, got.shape) == (a.dtype, a.shape), key
+            assert got.tobytes() == a.tobytes(), key
+    assert (c.n_iface, c.tag_slices) == (want.n_iface, want.tag_slices)
+    ghosts = slice(c.n_iface, None)
+    for key in ("f_left", "f_right", "f_mid", "f_normal"):
+        assert getattr(c, key)[ghosts].tobytes() == getattr(want, key)[ghosts].tobytes(), key
+    assert c.face_slots[:, ghosts].tobytes() == want.face_slots[:, ghosts].tobytes()
+    assert c.f_normal[c.slot_face].tobytes() == want.f_normal[want.slot_face].tobytes()
+
+
+def test_copies_of_a_mesh_file_pair_each_periodic_group_within_its_copy(tmp_path):
+    """A mesh read from a file whose periodic groups are 3 and 7, and 0 for
+    one pair whose second row gives no group: each copy pairs its faces with
+    its own (no face joins two copies, and the copies' boundary rows give
+    each copy groups of its own), the file's regions are tiled, and copies
+    of the copies count every copy."""
+    m = msh.periodic_structured_mesh(4)
+    path = tmp_path / "mesh.txt"
+    msh.write_mesh_ascii(m, path)
+    lines = path.read_text().splitlines()
+    head = 1 + len(m.nodes)
+    for i in range(m.n_cells):          # regions 0, 1 and 2
+        lines[head + i] = f"{lines[head + i].rsplit(' ', 1)[0]} {i % 3}"
+    head += m.n_cells
+    for k, (a, b, _, group) in enumerate(m.boundary_edges.tolist()):
+        row = lines[head + k].rsplit(" ", 1)[0]
+        if group == 2 and max(m.nodes[a, 0], m.nodes[b, 0]) <= 0.25:
+            # the pair of y sides at x < 1/4: group 0, given on the bottom row only
+            lines[head + k] = row + (" 0" if m.nodes[a, 1] == 0.0 else "")
+        else:
+            lines[head + k] = f"{row} {3 if group == 1 else 7}"
+    path.write_text("\n".join(lines) + "\n")
+    r = msh.read_mesh_ascii(path)
+    assert sorted(set(r.boundary_edges[:, 3].tolist())) == [0, 3, 7]
+    assert r.n_ghost == 0 and (r.region == np.arange(r.n_cells) % 3).all()
+    n = r.n_cells
+    for b in (2, 3):
+        c = r.copies(b)
+        assert c.n_ghost == 0 and c.n_iface == b * r.n_iface
+        assert (c.f_left // n == c.f_right // n).all()
+        assert (c.nbr // n == np.arange(b * n) // n).all()
+        groups = [set(c.boundary_edges[c.boundary_edges[:, 0] // len(r.nodes) == k, 3].tolist())
+                  for k in range(b)]
+        assert sum(map(len, groups)) == len(set().union(*groups)) == 3 * b
+        assert (c.region == np.tile(r.region, b)).all() and not c.region.flags.writeable
+        assert c.copies(2).n_copies == 2 * b

@@ -10,8 +10,8 @@ from fvgrad import bc as bclib
 from fvgrad import bench, mlcorr, recon, solver, train
 from fvgrad.euler import GasModel, prim_to_cons
 from fvgrad.mlcorr import NORM_EPS, NetConfig, NetworkError
-from conftest import (gradient_gg_of, gradient_lsq_of, loss_case, loss_gradients, mesh_geometry,
-                      random_admissible_prim, rotated_mesh, save_params_sized,
+from conftest import (gradient_gg_of, gradient_lsq_of, loss_case, loss_gradients, matmul, mean,
+                      mesh_geometry, random_admissible_prim, rotated_mesh, save_params_sized,
                       save_params_with_offset, smooth_prim_field, tanh, untraced_peak)
 
 
@@ -165,18 +165,18 @@ def _op_by_op_network(params, du, theta):
     L = {name: ad.take_rows(params.values, i)
          for name, i in mlcorr._layer_index(cfg).items()}
     z = ad.reshape(du, (cfg.n_in, n))
-    mu = ad.mean(z, axis=0, keepdims=True)
+    mu = mean(z, axis=0, keepdims=True)
     centered = z - mu
-    var = ad.mean(centered * centered, axis=0, keepdims=True)
+    var = mean(centered * centered, axis=0, keepdims=True)
     scale = ad.sqrt(var + NORM_EPS)
     zn = centered / scale * L["norm_scale"] + L["norm_shift"]
-    h = ad.matmul(L["branch0_skip"], zn) + tanh(
-        ad.matmul(L["branch0_w"], zn) + L["branch0_b"])
-    h = h + tanh(ad.matmul(L["branch1_w"], h) + L["branch1_b"])
-    trunk = tanh(ad.matmul(L["trunk_w"], theta) + L["trunk_b"])
+    h = matmul(L["branch0_skip"], zn) + tanh(
+        matmul(L["branch0_w"], zn) + L["branch0_b"])
+    h = h + tanh(matmul(L["branch1_w"], h) + L["branch1_b"])
+    trunk = tanh(matmul(L["trunk_w"], theta) + L["trunk_b"])
     outer = ad.reshape(ad.reshape(trunk, (cfg.combine, 1, n))
                        * ad.reshape(h, (1, cfg.width, n)), (cfg.combine * cfg.width, n))
-    raw = (ad.matmul(L["head_w"], outer) + ad.matmul(L["head_b"], trunk)) * scale
+    raw = (matmul(L["head_w"], outer) + matmul(L["head_b"], trunk)) * scale
     alpha = np.nextafter(cfg.alpha_max, 0.0) * tanh(raw * (1.0 / cfg.alpha_max))
     return ad.reshape(alpha, (cfg.n_vars, cfg.n_neighbors, n))
 
