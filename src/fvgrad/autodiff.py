@@ -1,27 +1,32 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tape`` records array operations as they execute; ``Tape.backward``
-replays them in reverse, accumulating adjoints.  Operations are exposed as
-module-level functions (``sqrt``, ``where``, ``take_rows``, ...) that
-accept either plain numpy arrays or traced ``Var`` objects, so the same
-solver code runs untraced (fast path) or traced (training path).
+replays them in reverse, accumulating adjoints.  Arithmetic is ``Var``'s
+operators (+ - * /, unary minus and indexing), and every other operation
+a module-level function (``sqrt``, ``where``, ``take_rows``, ...) that
+accepts either plain numpy arrays or traced ``Var`` objects, so the same
+solver code runs untraced (fast path) or traced (training path).  The
+reflected / and ** are not recorded: a plain value over a ``Var``
+(``2.0 / x``) and ``x ** p`` raise ``TypeError``; ``power`` takes a
+constant exponent.
 
 Every operation is written the same way: its numpy call when no operand is
-traced, else its forward value and one adjoint expression per operand,
-handed to ``_record``, which holds the one recording rule of the tape.  An
-operand is traced when its class is ``Var``; the test reads ``__class__``
-rather than calling ``isinstance``, because an untraced step is mostly the
-fixed cost of its calls.  Three nodes are recorded outside this module the
-same way, each computed in numpy and handed to ``_record``, which records it
-as one node whose adjoints are hand-derived, and returns the plain value
-when nothing is traced: ``solver.rusanov_flux``, the flux, whose adjoints
-are its transposed Jacobians, in place of the 109 nodes that recording it op
-by op took; ``mlcorr.network_forward``, the correction network, whose
-adjoints run back through it one layer at a time, in place of 37 nodes; and
+traced (an operator runs only when one is), else its forward value and one
+adjoint expression per operand, handed to ``_record``, which holds the one
+recording rule of the tape.  An operand is traced when its class is ``Var``;
+the test reads ``__class__`` rather than calling ``isinstance``, because an
+untraced step is mostly the fixed cost of its calls.  Three nodes are
+recorded outside this module the same way, each computed in numpy and handed
+to ``_record``, which records it as one node whose adjoints are
+hand-derived, and returns the plain value when nothing is traced:
+``solver.rusanov_flux``, the flux, whose adjoints are its transposed
+Jacobians, in place of the 109 nodes that recording it op by op took;
+``mlcorr.network_forward``, the correction network, whose adjoints run back
+through it one layer at a time, in place of 37 nodes; and
 ``recon.venkat_limiter``, the slope limiter, in place of 14 nodes (with only
 its face increments traced) to 24.
 
-Differentiable primitive set: + - * / ** sqrt log abs max,
+Differentiable primitive set: + - * / ``power`` sqrt log abs max,
 ``where`` with a non-differentiated condition, ``sum``, the two-operand
 contraction ``einsum``, row gather/scatter and reshaping.  ``mean`` is
 untraced only: the network's normalisation takes it on plain arrays.
@@ -60,20 +65,21 @@ Lifetime.  A tape holds backward records, not values: ``Tape.nodes`` has
 one ``_Node`` per op, its adjoint slot and its ``vjp`` closure.  A ``Var``
 holds its value, its node and its tape.  A ``vjp`` holds its operands'
 nodes and whatever arrays its adjoint expressions read (``sqrt`` its
-output, ``multiply`` the other operand, ``take_rows`` only its index),
-never an operand ``Var``.  So a recorded value is freed by reference counting
-as soon as the program drops its ``Var`` and no pending adjoint reads it; a
+output, * the other operand, ``take_rows`` only its index), never an
+operand ``Var``.  So a recorded value is freed by reference counting as
+soon as the program drops its ``Var`` and no pending adjoint reads it; a
 value that an adjoint reads is freed when the sweep has run that ``vjp``.
 ``Tape.backward`` runs once per tape.  The reverse sweep drops each recorded
 node's closure and adjoint as soon as it has propagated them, so it holds
 only the adjoints still to be propagated and the arrays their closures
-read.  Leaves (``Tape.var``) keep their ``.grad``; a recorded node's
-``.grad`` and ``.vjp`` read ``None`` after the sweep.  A second sweep would
-find no closures and propagate nothing, so it raises.  Nodes refer only to
-earlier nodes, never to a ``Var`` or the tape, so a tape and its records are
-freed when the last ``Var`` of it is dropped, without the cyclic collector.
+read.  Leaves (``Tape.var``) keep their ``.grad``; a recorded ``Var``'s
+``.grad`` and ``.node.vjp`` read ``None`` after the sweep.  A second sweep
+would find no closures and propagate nothing, so it raises.  Nodes refer
+only to earlier nodes, never to a ``Var`` or the tape, so a tape and its
+records are freed when the last ``Var`` of it is dropped, without the
+cyclic collector.
 A node keeps the first adjoint it receives as given, so one adjoint array may
-be shared between nodes (``add`` passes one ``g`` to both operands,
+be shared between nodes (+ passes one ``g`` to both operands,
 ``reshape`` and ``transpose`` pass views, a seed is the caller's array):
 never write to ``.grad`` in place.
 """
@@ -177,51 +183,48 @@ class Var:
     def grad(self):
         return self.node.grad
 
-    @property
-    def vjp(self):
-        return self.node.vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    # arithmetic
+    # arithmetic: each operator records its node itself.  The other operand
+    # of a reflected operator is never a Var, and + and * commute bitwise,
+    # so __radd__ and __rmul__ are __add__ and __mul__; a plain value over a
+    # Var (``2.0 / x``) and ``x ** p`` have no operator and raise TypeError
     def __add__(self, other):
-        return add(self, other)
+        return _record(self.value + value_of(other), (self, _same), (other, _same))
 
-    def __radd__(self, other):
-        return add(other, self)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return subtract(self, other)
+        return _record(self.value - value_of(other), (self, _same), (other, np.negative))
 
     def __rsub__(self, other):
-        return subtract(other, self)
+        return _record(value_of(other) - self.value, (other, _same), (self, np.negative))
 
     def __mul__(self, other):
-        return multiply(self, other)
+        av, bv = self.value, value_of(other)
+        return _record(av * bv, (self, lambda g: g * bv), (other, lambda g: g * av))
 
-    def __rmul__(self, other):
-        return multiply(other, self)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
+        bv = value_of(other)
+        if np.any(bv == 0.0):
+            raise TraceError("division by zero", "divide", len(self.tape.nodes))
+        out = self.value / bv
+        return _record(out, (self, lambda g: g / bv), (other, lambda g: -g * out / bv))
 
     def __neg__(self):
-        return negative(self)
+        return _record(-self.value, (self, np.negative))
 
     def __getitem__(self, key):
-        return getitem(self, key)
+        """Basic indexing (slices / ints), or an index array without repeats
+        such as a permutation; the adjoint scatters into zeros."""
+        shape = self.value.shape
+
+        def scatter(g):
+            gz = np.zeros(shape, dtype=np.float64)
+            gz[key] += g
+            return gz
+
+        return _record(self.value[key], (self, scatter))
 
     # comparisons freeze branches: plain boolean arrays, never recorded
     def __lt__(self, other):
@@ -316,43 +319,8 @@ def _same(g):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# elementwise functions
 # ---------------------------------------------------------------------------
-
-def add(a, b):
-    if a.__class__ is not Var and b.__class__ is not Var:
-        return np.add(a, b)
-    return _record(value_of(a) + value_of(b), (a, _same), (b, _same))
-
-
-def subtract(a, b):
-    if a.__class__ is not Var and b.__class__ is not Var:
-        return np.subtract(a, b)
-    return _record(value_of(a) - value_of(b), (a, _same), (b, np.negative))
-
-
-def multiply(a, b):
-    if a.__class__ is not Var and b.__class__ is not Var:
-        return np.multiply(a, b)
-    av, bv = value_of(a), value_of(b)
-    return _record(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
-
-
-def divide(a, b):
-    if a.__class__ is not Var and b.__class__ is not Var:
-        return np.divide(a, b)
-    av, bv = value_of(a), value_of(b)
-    if np.any(bv == 0.0):
-        raise TraceError("division by zero", "divide", len(_tape_of(a, b).nodes))
-    out = av / bv
-    return _record(out, (a, lambda g: g / bv), (b, lambda g: -g * out / bv))
-
-
-def negative(a):
-    if a.__class__ is not Var:
-        return np.negative(a)
-    return _record(-a.value, (a, np.negative))
-
 
 def power(a, exponent):
     """Elementwise power with a constant (non-traced) exponent."""
@@ -493,21 +461,6 @@ def transpose(a):
     if a.__class__ is not Var:
         return np.asarray(a).T
     return _record(a.value.T, (a, lambda g: g.T))
-
-
-def getitem(a, key):
-    """Basic indexing (slices / ints), or an index array without repeats such
-    as a permutation; the adjoint scatters into zeros."""
-    if a.__class__ is not Var:
-        return a[key]
-    shape = a.value.shape
-
-    def scatter(g):
-        gz = np.zeros(shape, dtype=np.float64)
-        gz[key] += g
-        return gz
-
-    return _record(a.value[key], (a, scatter))
 
 
 def concatenate(parts, axis=0):

@@ -172,11 +172,11 @@ def _validate(data, schema, path=""):
         if val is None:
             out[key] = None
             continue
-        if typ is float and isinstance(val, int):
+        # a YAML boolean is an int, yet no number key takes one: a bool is
+        # neither widened to a float nor accepted as an int
+        if typ is float and type(val) is int:
             val = float(val)
-        if typ is int and isinstance(val, bool):
-            raise ConfigError(f"config key '{path}{key}' must be {typ.__name__}")
-        if not isinstance(val, typ):
+        if not isinstance(val, typ) or (isinstance(val, bool) and typ is not bool):
             raise ConfigError(f"config key '{path}{key}' must be {typ.__name__}, "
                               f"got {type(val).__name__}")
         out[key] = val

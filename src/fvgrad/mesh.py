@@ -8,8 +8,9 @@ directions, precomputed inverse least-squares normal matrices, ghost
 slots for non-periodic boundary faces, and the constants that
 reconstruction would otherwise recompute every step (centroid-to-face
 offsets and each face's stencil slots, Green-Gauss scaled normals, LSQ
-weighted offsets, 1/|C| and sqrt|C|, and the limiter's (K sqrt|C|)^3 per
-K once a step asks for it).
+weighted offsets, 1/|C| and sqrt|C|).  The limiter's (K sqrt|C|)^3 lives
+on the cell blocks the step runs on (``Mesh.cell_blocks``): each
+``CellBlock`` builds its cells' values per K once a step asks for it.
 
 Topology comes from one array-based edge numbering (``_edges``): edges are
 numbered in the order of their first half-edge, and faces, ghosts, the
@@ -155,6 +156,8 @@ class Mesh:
     the file reader and ``Mesh.copies`` call; every array is read-only.
     Face order and stencil order fix the order of every sum over faces or
     neighbors, so they are part of the layout, not an implementation detail.
+    Every step runs on the mesh's cell blocks (``cell_blocks``), and the
+    limiter's omega lives per block (``CellBlock.limiter_omega``).
     """
 
     nodes: np.ndarray          # (Nn, 2)
@@ -194,7 +197,6 @@ class Mesh:
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _face_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _copies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _omega: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in vars(self).values():
@@ -245,11 +247,6 @@ class Mesh:
             self._face_blocks[k] = [FaceBlock(self, slice(f * b // k, f * (b + 1) // k))
                                     for b in range(k)]
         return self._face_blocks[k]
-
-    def limiter_omega(self, k):
-        """The limiter's smoothing term (k sqrt|C|)^3 per cell
-        (``recon.venkat_limiter``); built once per k and kept with the mesh."""
-        return _limiter_omega(self._omega, self.sqrt_area, k)
 
     def copies(self, b):
         """b copies of this mesh side by side, with no face between them, as
@@ -308,17 +305,6 @@ def aligned_cuts(n, k):
     return [BLOCK_ALIGN * (n * b // (k * BLOCK_ALIGN)) for b in range(k)] + [n]
 
 
-def _limiter_omega(cache, sqrt_area, k):
-    """(k sqrt_area)^3, read-only, from ``cache`` or made and kept there.
-    Two blocks of a step may both make it on the first step; the values are
-    the same either way."""
-    if k not in cache:
-        omega = (k * sqrt_area) ** 3
-        omega.setflags(write=False)
-        cache[k] = omega
-    return cache[k]
-
-
 class CellBlock:
     """A contiguous range of a mesh's cells, for the step's per-cell stages.
 
@@ -328,7 +314,8 @@ class CellBlock:
     The index tables (``nbr``, ``slot_face``) name the mesh's cells, ghosts
     and faces, so a block's gathers read the step's whole arrays.  A step
     that runs as one block runs on ``cell_blocks(1)``, whose views are the
-    whole arrays.
+    whole arrays.  The block builds and keeps the limiter's omega of its
+    cells (``limiter_omega``); the mesh keeps none.
     """
 
     CELL_ARRAYS = ("area", "inv_area", "sqrt_area", "lsq_wd", "inv11", "inv12",
@@ -341,13 +328,16 @@ class CellBlock:
         for name in self.CELL_ARRAYS:
             setattr(self, name, getattr(mesh, name)[..., cells])
         self.all_interior = bool(self.interior_mask.all())
-        # the mesh's cache and whole sqrt_area, not the mesh, so the mesh
-        # and its blocks form no cycle
-        self._omega, self._mesh_sqrt_area = mesh._omega, mesh.sqrt_area
+        self._omega = {}
 
     def limiter_omega(self, k):
-        """This block's cells' slice of ``Mesh.limiter_omega(k)``."""
-        return _limiter_omega(self._omega, self._mesh_sqrt_area, k)[self.cells]
+        """The limiter's smoothing term (k sqrt|C|)^3 per cell of the block
+        (``recon.venkat_limiter``), read-only; built once per k and kept."""
+        if k not in self._omega:
+            omega = (k * self.sqrt_area) ** 3
+            omega.setflags(write=False)
+            self._omega[k] = omega
+        return self._omega[k]
 
 
 class FaceBlock:

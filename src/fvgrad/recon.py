@@ -23,7 +23,9 @@ slots and the ghosts.
 
 Every function here but those two gathers reads only its own cells, so it
 also takes a ``mesh.CellBlock`` in place of the mesh, with the block's
-cells' fields and stencil inputs.  The gathers take a block too, with the
+cells' fields and stencil inputs; ``venkat_limiter`` takes a block only,
+as its omega lives on the block (``CellBlock.limiter_omega``; a whole mesh
+is ``mesh.cell_blocks(1)[0]``).  The gathers take a block too, with the
 whole field and ghosts: ``neighbor_values`` a ``mesh.CellBlock``, for its
 cells' neighbours, and ``muscl_face_values`` a ``mesh.FaceBlock``, for its
 faces' two sides.
@@ -100,16 +102,16 @@ def face_increments(mesh, grad):
             + off[1] * ad.reshape(gy, (4, 1, n)))
 
 
-def venkat_limiter(mesh, u, u_nb, delta, k_limiter=5.0):
+def venkat_limiter(cells, u, u_nb, delta, k_limiter=5.0):
     """Smooth slope limiter, one value per variable and cell, clipped to [0,1].
 
     Per face j of cell i, with a = (neighborhood max/min minus u_i) and
     b = delta_ij = (r_ij - r_i) . grad u_i (``face_increments``), the face
     factor is L(a, b) = (a^2 + 2ab + w) / (a^2 + 2b^2 + ab), w = (K h)^3,
-    h = sqrt(|C|) (``limiter_omega`` of the mesh or block); a takes the max
-    where b > 0 and the min where b < 0, so L is evaluated once per face;
-    the cell value is the minimum over its faces (1 where b = 0).  ``u_nb``
-    are the neighbor values of u.
+    h = sqrt(|C|) (``cells.limiter_omega``); a takes the max where b > 0
+    and the min where b < 0, so L is evaluated once per face; the cell
+    value is the minimum over its faces (1 where b = 0).  ``cells`` is a
+    ``mesh.CellBlock`` and ``u_nb`` are the neighbor values of u.
 
     The values are computed by the same numpy code whether or not u, u_nb
     or delta is traced (module docstring).  A traced call records phi as
@@ -155,7 +157,7 @@ def venkat_limiter(mesh, u, u_nb, delta, k_limiter=5.0):
     num = np.multiply(ab, 2.0, out=ab)
     num += aa
     del a, b, aa, ab
-    num += mesh.limiter_omega(k_limiter)
+    num += cells.limiter_omega(k_limiter)
     smooth = np.divide(num, den, out=num)
     if not (to_u or to_delta):
         np.copyto(smooth, 1.0, where=zero)

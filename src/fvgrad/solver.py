@@ -19,45 +19,46 @@ runs over long contiguous rows.
 An untraced step pays a fixed cost per call as well as its work per cell,
 and on the meshes the runs use, a few hundred to a few thousand cells, the
 calls weigh most.  On the 72-cell periodic mesh an ``ml_lsq`` step makes
-about 310 Python-level calls (function and C-function calls, as
-``sys.setprofile`` counts them; a test pins the count) and takes about
-0.36 ms in a warm loop on one CPU of a 2-vCPU Xeon host, where its arrays
-are nearly empty; at 1,458 cells it takes 2.3-2.6 ms.  So each stage takes whole
-arrays in as few numpy calls as it can: one gather takes both sides of
-every face, ghosts included (``recon.muscl_face_values``), and the Rusanov
-flux runs its pointwise algebra once over both sides.
+265 Python-level calls and an ``lsq`` step 194 (function and C-function
+calls, as ``sys.setprofile`` counts them; numpy 2.4, CPython 3.11; a test
+bounds the count), and an ``ml_lsq`` step takes about 0.36 ms in a warm loop
+on one CPU of a 2-vCPU Xeon host, where its arrays are nearly empty; at
+1,458 cells it takes 2.3-2.6 ms.  So each stage takes whole arrays in as
+few numpy calls as it can: one gather takes both sides of every face,
+ghosts included (``recon.muscl_face_values``), and the Rusanov flux runs
+its pointwise algebra once over both sides.
 
-An untraced step on a large mesh runs in blocks, in five phases
-(``residual``):
-  1. per block of cells, the flip of the state to contiguous (4, n) rows,
-     which the update reads, and its checked conversion to primitives;
-  2. whole, the ghost states: 400 on the 12,600-cell forward step, none on
-     a periodic mesh;
-  3. per block of cells, the neighbour gather and every stage up to the
+An untraced step on a large mesh runs in four phases (``residual``), the
+first whole and the others in blocks:
+  1. whole, the flip of the state to contiguous (4, N) rows, which the
+     update reads, its checked conversion to primitives and the ghost
+     states (400 on the 12,600-cell forward step, none on a periodic mesh):
+     short numpy calls, which two threads run no faster than one;
+  2. per block of cells, the neighbour gather and every stage up to the
      MUSCL slot states (neighbour deltas, network alpha, GG or LSQ
      gradient, face increments, limiter, slot states);
-  4. per range of faces, the face gather and the Rusanov flux, with the
+  3. per range of faces, the face gather and the Rusanov flux, with the
      range's largest wave speed;
-  5. per block of cells, the gather of each slot's face flux, the sum R,
+  4. per block of cells, the gather of each slot's face flux, the sum R,
      the update w - (dt / |C|) R, its check and the flip back to (N, 4).
 Each block writes its outputs into the step's whole arrays, which the later
-phases' gathers read.  There is one block per CPU the process may run on
-(``step_workers``): the calling thread runs the first block and a
-persistent pool of worker threads the others, on views of the mesh's
-per-cell and per-face arrays cut once per mesh (``mesh.CellBlock``,
-``mesh.FaceBlock``).  Each block's outputs are the one-block outputs of its
-cells or faces (cell blocks are cut at multiples of ``mesh.BLOCK_ALIGN``
-cells, so the network's matrix products round each cell as in one block),
-so frames and diagnostics do not depend on the split.  An error is the one
-the one-block step raises, once every block has returned: a rejected update
-names the first bad cell in cell order, and an inadmissible state raises
-the one-block ``AdmissibilityError``, which checks every density before any
-internal energy.  A mesh of fewer than ``2 * MIN_BLOCK_CELLS`` cells, and a
-traced step, run the same stages once, as one block of every cell and
-face, on whole arrays, on the calling thread.  A step is traced when its
-state or its network's parameter vector (``params.values``, a
-``mlcorr.NetParams``) is a ``Var``: the parameters reach the step as that
-one argument, traced or not.
+phases' gathers read, so a step makes three hand-offs to the pool.  There
+is one block per CPU the process may run on (``step_workers``): the calling
+thread runs the first block and a persistent pool of worker threads the
+others, on views of the mesh's per-cell and per-face arrays cut once per
+mesh (``mesh.CellBlock``, ``mesh.FaceBlock``).  Each block's outputs are
+the one-block outputs of its cells or faces (cell blocks are cut at
+multiples of ``mesh.BLOCK_ALIGN`` cells, so the network's matrix products
+round each cell as in one block), so frames and diagnostics do not depend
+on the split.  An error is the one the one-block step raises: an
+inadmissible state fails in the first phase, which checks every density
+before any internal energy, and a rejected update, once every block has
+returned, names the first bad cell in cell order.  A mesh of fewer than
+``2 * MIN_BLOCK_CELLS`` cells, and a traced step, run the same stages once,
+as one block of every cell and face, on whole arrays, on the calling
+thread.  A step is traced when its state or its network's parameter vector
+(``params.values``, a ``mlcorr.NetParams``) is a ``Var``: the parameters
+reach the step as that one argument, traced or not.
 
 ``march`` is the one time-marching loop: rollouts, fine-grid references
 (sub-stepped to the coarse time instants), gain runs, the error-versus-cost
@@ -80,9 +81,8 @@ from . import autodiff as ad
 from . import bc as bclib
 from . import mesh as msh
 from . import mlcorr, recon
-from .euler import (RHO, AdmissibilityError, GasModel, cons_to_prim, internal_energy,
-                    max_wave_speed, normal_velocity, not_positive, physical_flux,
-                    prim_to_cons)
+from .euler import (RHO, GasModel, cons_to_prim, internal_energy, max_wave_speed,
+                    normal_velocity, not_positive, physical_flux, prim_to_cons)
 
 FRAME_MAGIC = b"FVFR"
 FRAME_VERSION = 1
@@ -237,7 +237,8 @@ def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None)
     clamp / first-order fallback counters and the largest wave speed seen at
     any face.  With ``dt``, the last phase also forms each cell's update
     w - (dt / |C|) R and checks it (``step_explicit_euler``), and returns
-    it in place of R.  The phases run in blocks (module docstring).
+    it in place of R.  The phases after the first run in blocks (module
+    docstring).
     """
     bc_table = bc_table or {}
     gas = cfg.gas
@@ -247,15 +248,8 @@ def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None)
     k = 1 if traced else step_workers(mesh.n_cells)
     cells = [(c, c.cells) for c in mesh.cell_blocks(k)]
     faces = [(f, f.faces) for f in mesh.face_blocks(k)]
-    state = ((4, mesh.n_cells), "C")
 
-    try:
-        w, u = _blockwise(lambda c, wc: _checked_prim(wc, gas), cells, [state, state], (), w)
-    except AdmissibilityError:
-        if k > 1:
-            # one block checks every density before any internal energy
-            cons_to_prim(ad.transpose(w), gas)
-        raise
+    w, u = _checked_prim(w, gas)
     ghosts, n_clamp = bclib.extend_with_ghosts(mesh, u, bc_table, gas)
     if cfg.uses_network and params is None:
         raise SolverError("gradient mode requires network parameters")
@@ -266,7 +260,7 @@ def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None)
                          faces, [((4, mesh.n_faces), "C")], (np.maximum.reduce,))
     # the step's state goes back to (N, 4) as its blocks write it
     out, = _blockwise(lambda c, wc: _finish(c, wc, flux, dt, step_index),
-                      cells, [state if dt is None else (state[0], "F")], (), w)
+                      cells, [((4, mesh.n_cells), "C" if dt is None else "F")], (), w)
 
     diag = {"bc_clamps": n_clamp, "fallback_cells": n_fallback,
             "max_wave_speed": float(s)}
@@ -274,9 +268,10 @@ def residual(mesh, w, cfg, bc_table=None, params=None, dt=None, step_index=None)
 
 
 def _checked_prim(w, gas):
-    """The first phase of a block of cells: its state w (4, n), flipped to
-    contiguous rows if it is a plain view, and that state's primitives.
-    Raises an ``AdmissibilityError`` where w is not admissible."""
+    """The start of a step's first phase, on every cell: the state w (4, N),
+    flipped to contiguous rows if it is a plain view, and that state's
+    primitives.  Raises an ``AdmissibilityError`` where w is not
+    admissible, every density checked before any internal energy."""
     if w.__class__ is not ad.Var:
         w = np.ascontiguousarray(w)
     return w, ad.transpose(cons_to_prim(ad.transpose(w), gas))

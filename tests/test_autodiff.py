@@ -26,7 +26,7 @@ def check_vjp(build, *x0s, rtol=1e-8, rel_step=1e-6):
 
     tape = ad.Tape()
     xvs = [tape.var(x0) for x0 in x0s]
-    out = ad.sum(ad.multiply(r, build(*xvs)))
+    out = ad.sum(r * build(*xvs))
     tape.backward([(out, np.array(1.0))])
 
     for k, (xv, x0) in enumerate(zip(xvs, x0s)):
@@ -53,7 +53,7 @@ PROJ = np.random.default_rng(45).normal(0.0, 0.05, (NET.count, 12))
 
 
 class _LimiterCells:
-    """What the limiter reads of a mesh, for three cells: its smoothing term."""
+    """What the limiter reads of a cell block, for three cells: its smoothing term."""
 
     @staticmethod
     def limiter_omega(k):
@@ -77,7 +77,7 @@ PRIMITIVE_CASES = [
     lambda x: Y - x,
     lambda x: x * Y,
     lambda x: x / Y,
-    lambda x: Y / x,
+    lambda x: (Y + x) / x,
     lambda x: -x,
     lambda x: ad.power(x, 3),
     lambda x: ad.sqrt(x),
@@ -344,7 +344,35 @@ def test_divide_by_zero_during_recording():
     tape = ad.Tape()
     x = tape.var(np.array([1.0, 0.0]))
     with pytest.raises(ad.TraceError):
-        ad.divide(1.0, x)
+        (x + 1.0) / x
+
+
+@pytest.mark.parametrize("op", [lambda x: 2.0 / x, lambda x: Y / x, lambda x: x ** 2],
+                         ids=["float_over_var", "array_over_var", "pow"])
+def test_reflected_division_and_power_are_not_recorded(op):
+    """A plain value over a Var and x ** p have no operator: they raise
+    rather than record (``ad.power`` takes a constant exponent)."""
+    tape = ad.Tape()
+    with pytest.raises(TypeError):
+        op(tape.var(X))
+    assert tape.node_count == 1
+
+
+@pytest.mark.parametrize("reflected,direct", [(lambda x: Y * x, lambda x: x * Y),
+                                              (lambda x: 2.0 + x, lambda x: x + 2.0)],
+                         ids=["mul", "add"])
+def test_reflected_add_and_multiply_are_the_direct_ops_bitwise(reflected, direct):
+    """Y * x and 2.0 + x record the value and the adjoint of x * Y and
+    x + 2.0, bitwise."""
+    seed = np.random.default_rng(5).normal(size=X.shape)
+    results = []
+    for build in (reflected, direct):
+        tape = ad.Tape()
+        x = tape.var(X)
+        out = build(x)
+        tape.backward([(ad.sum(out * seed), np.array(1.0))])
+        results.append((out.value.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_recording_is_deterministic():
@@ -448,7 +476,7 @@ def test_backward_frees_non_leaf_adjoints_and_closures():
     dh = 2.0 * th + (th >= Y)
     assert (x.grad == dh * (1.0 - th * th) * Y + 1.0).all()
     assert (y.grad == dh * (1.0 - th * th) * X + (th < Y)).all()
-    assert all(v.grad is None and v.vjp is None for v in recorded)
+    assert all(v.grad is None and v.node.vjp is None for v in recorded)
     assert all((v.value == v0).all() for v, v0 in zip([x, y] + recorded, values))
     with pytest.raises(RuntimeError, match="once per tape"):
         tape.backward([(out, np.array(1.0))])

@@ -247,6 +247,8 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
     ("gradcheck", {**SMALL, "gradcheck": {"rel_tol": 0.0}}),
     ("gradcheck", {**SMALL, "gradcheck": {"rel_tol": -1e-5}}),
     ("gradcheck", {**SMALL, "gradcheck": {"rel_tol": float("nan")}}),
+    ("simulate", {**SMALL, "step": {"co": True}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "simulate": {"n_steps": True}}),
 ], ids=["step_co_zero", "gamma_one", "dataset_mix", "dataset_mix_not_numbers",
         "negative_loss_weight", "simulate_unknown_case", "simulate_case_not_a_number",
         "simulate_unknown_family", "simulate_constant_not_a_number",
@@ -264,7 +266,8 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
         "train_weight_decay_nan", "train_weight_decay_negative", "train_beta1_above_one",
         "train_beta1_one", "train_beta2_negative", "train_beta2_nan", "loss_ent_nan",
         "loss_tvd_inf", "gradcheck_loss_reg_nan", "simulate_n_steps_negative",
-        "gradcheck_rel_tol_zero", "gradcheck_rel_tol_negative", "gradcheck_rel_tol_nan"])
+        "gradcheck_rel_tol_zero", "gradcheck_rel_tol_negative", "gradcheck_rel_tol_nan",
+        "step_co_bool", "simulate_n_steps_bool"])
 def test_out_of_range_value_is_config_error(run, caplog, command, cfg):
     assert run(command, cfg) == cli.EXIT_CONFIG
     assert "config error" in caplog.text and "unknown config key" not in caplog.text

@@ -144,7 +144,8 @@ def test_limiter_one_on_constant(periodic_mesh_small):
     m = periodic_mesh_small
     u = np.full((4, m.n_cells), 0.9)
     grad = gradient_lsq_of(m, u)
-    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, grad))
+    phi = recon.venkat_limiter(m.cell_blocks(1)[0], *with_neighbors(m, u),
+                               recon.face_increments(m, grad))
     assert (phi == 1.0).all()
 
 
@@ -155,7 +156,8 @@ def test_limiter_near_one_on_monotone_linear(periodic_mesh_small):
     u = fn(m.centroid).T
     # periodic wrap creates jumps; restrict the check to cells away from it
     grad = gradient_lsq_of(m, u)
-    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, grad))
+    phi = recon.venkat_limiter(m.cell_blocks(1)[0], *with_neighbors(m, u),
+                               recon.face_increments(m, grad))
     inner = ((m.centroid[:, 0] > 0.25) & (m.centroid[:, 0] < 0.75)
              & (m.centroid[:, 1] > 0.25) & (m.centroid[:, 1] < 0.75))
     assert phi[:, inner].min() >= 0.99
@@ -169,7 +171,8 @@ def test_limiter_cuts_overshoot_at_local_max(periodic_mesh_small):
     gx = np.zeros((4, m.n_cells))
     gy = np.zeros((4, m.n_cells))
     gx[:, cell] = 50.0  # large artificial slope at the peak
-    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, (gx, gy)))
+    phi = recon.venkat_limiter(m.cell_blocks(1)[0], *with_neighbors(m, u),
+                               recon.face_increments(m, (gx, gy)))
     assert phi[:, cell].max() < 0.5
 
 
@@ -177,7 +180,8 @@ def test_limiter_bounds_and_clip(rng, periodic_mesh_irregular):
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4)).T
     grad = gradient_lsq_of(m, u)
-    phi = recon.venkat_limiter(m, *with_neighbors(m, u), recon.face_increments(m, grad))
+    phi = recon.venkat_limiter(m.cell_blocks(1)[0], *with_neighbors(m, u),
+                               recon.face_increments(m, grad))
     assert (phi >= 0.0).all() and (phi <= 1.0).all()
 
 
@@ -186,7 +190,8 @@ def test_limited_reconstruction_bounded_by_neighbors(rng, periodic_mesh_irregula
     m = periodic_mesh_irregular
     u = rng.normal(size=(m.n_cells, 4))
     grad = gradient_lsq_of(m, u.T)
-    phi = recon.venkat_limiter(m, *with_neighbors(m, u.T), recon.face_increments(m, grad),
+    phi = recon.venkat_limiter(m.cell_blocks(1)[0], *with_neighbors(m, u.T),
+                               recon.face_increments(m, grad),
                                k_limiter=5.0).T
     gx, gy = grad[0].T, grad[1].T
     omega = (5.0 * np.sqrt(m.area)) ** 3
@@ -272,7 +277,7 @@ def test_the_untraced_limiter_peaks_at_few_stencil_arrays(stencils_10k):
     nothing reads them again: on 10,082 cells it peaks (tracemalloc) below
     4.5 such arrays, where the op-by-op form peaked at 8.2 (7.95 MB)."""
     m, u, u_nb, _, delta = stencils_10k
-    peak = untraced_peak(lambda: recon.venkat_limiter(m, u, u_nb, delta, 5.0))
+    peak = untraced_peak(lambda: recon.venkat_limiter(m.cell_blocks(1)[0], u, u_nb, delta, 5.0))
     assert peak < 4.5 * delta.nbytes, peak / delta.nbytes
 
 
@@ -381,7 +386,7 @@ def test_stencil_contractions_bitwise_equal_broadcast_sums(rng, periodic_mesh_ir
     for gx, gy in (gradient_lsq_of(m, u_ext.T), gradient_gg_of(m, u_ext.T)):
         gx[:, ::5], gy[:, ::5] = 0.0, 0.0   # faces with delta == 0
         delta = recon.face_increments(m, (gx, gy))
-        phi = recon.venkat_limiter(m, *with_neighbors(m, u_ext.T), delta, 5.0)
+        phi = recon.venkat_limiter(m.cell_blocks(1)[0], *with_neighbors(m, u_ext.T), delta, 5.0)
         assert (phi == 1.0).any() and (phi < 1.0).any()
         assert (phi.T == _two_branch_limiter(m, u_ext, (gx.T, gy.T), 5.0)).all()
 
@@ -434,7 +439,7 @@ def _muscl_pair(m, u_ext, limit):
     grad = gradient_lsq_of(m, u_ext)
     delta = recon.face_increments(m, grad)
     u, u_nb = with_neighbors(m, u_ext)
-    phi = recon.venkat_limiter(m, u, u_nb, delta, 5.0) * limit
+    phi = recon.venkat_limiter(m.cell_blocks(1)[0], u, u_nb, delta, 5.0) * limit
     slots, nfb = recon.slot_states(m, u, delta, phi)
     faces = recon.muscl_face_values(m, slots, u_ext[:, m.n_cells:] if m.n_ghost else None)
     return ((faces[:, 0], faces[:, 1], nfb), _per_face_muscl(m, u_ext, grad, phi))

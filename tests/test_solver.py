@@ -178,7 +178,7 @@ def test_max_wave_speed_diag_matches_face_oracle(mesh, w0):
     u_nb = recon.neighbor_values(mesh, u, None)
     grad = recon.gradient_lsq(mesh, recon.neighbor_deltas(mesh, u, u_nb))
     delta = recon.face_increments(mesh, grad)
-    phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
+    phi = recon.venkat_limiter(mesh.cell_blocks(1)[0], u, u_nb, delta, cfg.limiter_k)
     slots, _ = recon.slot_states(mesh, u, delta, phi)
     u_l, u_r = recon.muscl_face_values(mesh, slots, None).transpose(1, 0, 2)
     s = np.maximum(*(max_wave_speed(u.T, normal_velocity(u.T, mesh.f_normal), gas)
@@ -200,7 +200,7 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
     grad = (recon.gradient_lsq(mesh, recon.neighbor_deltas(mesh, u, u_nb)) if mode == "lsq"
             else recon.gradient_gg(mesh, u, u_nb))
     delta = recon.face_increments(mesh, grad)
-    phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
+    phi = recon.venkat_limiter(mesh.cell_blocks(1)[0], u, u_nb, delta, cfg.limiter_k)
     assert (phi < 1.0).mean() > 0.2
     slots, _ = recon.slot_states(mesh, u, delta, phi)
     flux, _ = solver.rusanov_flux(recon.muscl_face_values(mesh, slots, None),
@@ -692,7 +692,7 @@ def _face_scatter_residual(mesh, w, cfg, bc_table, params):
     else:
         grad = recon.gradient_lsq(mesh, du, alpha=alpha)
     delta = recon.face_increments(mesh, grad)
-    phi = recon.venkat_limiter(mesh, u, u_nb, delta, cfg.limiter_k)
+    phi = recon.venkat_limiter(mesh.cell_blocks(1)[0], u, u_nb, delta, cfg.limiter_k)
     slots, _ = recon.slot_states(mesh, u, delta, phi)
     u_l, u_r = recon.muscl_face_values(mesh, slots, ghosts).transpose(1, 0, 2)
     flux, _ = _cons_rusanov(prim_to_cons(u_l.T, gas), prim_to_cons(u_r.T, gas),
@@ -996,7 +996,7 @@ def test_a_traced_step_runs_as_one_block(mesh, w0, seeded_params, monkeypatch):
     ad.record_and_backprop(loss, seeded_params.values)
     assert ran == []
     solver.step_explicit_euler(mesh, w0, dt, cfg, {}, seeded_params)
-    assert ran == [3, 3, 3, 3]      # the state, the slot states, the faces, the update
+    assert ran == [3, 3, 3]      # the slot states, the faces, the update
 
 
 def test_a_rejected_update_in_a_later_block_names_the_one_block_cell_and_step(gas, monkeypatch):
