@@ -1,7 +1,7 @@
 """Benchmark harness: the gain of the corrected solver, the error-versus-cost
 study (mesh-convergence slopes and wall times), the Riemann quadrant cases
-and the forward-facing step.  The scorers take the meshes and the initial
-conditions their caller builds.
+and the forward-facing step.  The scorers take the coarse meshes and the
+initial conditions their caller builds.
 
 The central metric is the gain of the corrected solver over the plain one
 at equal resolution,
@@ -136,14 +136,14 @@ def plain_and_corrected(cfg, params):
     return {plain.gradient: (plain, None), ml.gradient: (ml, params)}
 
 
-def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
+def score(evaluate, coarse, cfg, runs, n_steps, record_every):
     """L1 errors of named coarse runs against the refined-grid reference.
 
     evaluate maps points to the primitive initial condition and gives each
-    mesh's boundary table (``bc.table_from_ic``).  The reference is the fine
-    run of cfg's plain mode projected onto the coarse mesh, as the dataset's
-    (``solver.reference``); runs maps a name to a (StepConfig, params) pair.
-    All take the coarse time step of cfg and advance together.
+    mesh's boundary table (``bc.table_from_ic``).  The reference is
+    ``solver.reference`` of cfg, as the dataset's; runs maps a name to a
+    (StepConfig, params) pair.  All take the coarse time step of cfg and
+    advance together.
 
     Returns (rows, rejected).  rows holds (k, errors) at every record_every-th
     step and at step n_steps, errors a dict name -> ``l1_error``.  A run whose
@@ -158,8 +158,7 @@ def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     gas = cfg.gas
     dt = solver.compute_dt(coarse, cfg)
-    refs = solver.reference(coarse, fine, pm, prim_to_cons(evaluate(fine.centroid), gas),
-                            dt, n_steps, cfg.plain(), table_from_ic(fine, evaluate))
+    refs = solver.reference(coarse, evaluate, n_steps, cfg)
     next(refs)                          # k = 0: the initial state
     marches = {REFERENCE: (w for _, w in refs)}
     w0 = prim_to_cons(evaluate(coarse.centroid), gas)
@@ -185,12 +184,12 @@ def score(evaluate, coarse, fine, pm, cfg, runs, n_steps, record_every):
                   for name, exc in rejected.items()]
 
 
-def gain(evaluate, coarse, fine, pm, cfg, params, n_steps, record_every):
+def gain(evaluate, coarse, cfg, params, n_steps, record_every):
     """Rows of GAIN_COLUMNS for ``plain_and_corrected`` and the rejected runs
     (``score``).  gain_pct is 100 (L_coarse - L_ML) / L_coarse, NaN where
     either error is and 0 where L_coarse is."""
     dt = solver.compute_dt(coarse, cfg)
-    rows, rejected = score(evaluate, coarse, fine, pm, cfg, plain_and_corrected(cfg, params),
+    rows, rejected = score(evaluate, coarse, cfg, plain_and_corrected(cfg, params),
                            n_steps, record_every)
     out = []
     for k, errors in rows:
@@ -210,7 +209,7 @@ def error_cost_study(cases, meshes, cfg, params, t_final, repeats):
     """Error and wall time per (mesh, case, mode) over a ladder of meshes.
 
     cases maps a name to an initial-condition evaluator; meshes are the
-    coarse levels, each refined once for its reference; the modes are
+    coarse levels, each refined once by its reference; the modes are
     ``plain_and_corrected``.  error is the ``score`` at t_final; wall_s is the
     median of ``repeats`` coarse marches to t_final after a one-step warm-up,
     NaN for a rejected run.  Per mode, the slope is the log-log fit of the
@@ -229,12 +228,10 @@ def error_cost_study(cases, meshes, cfg, params, t_final, repeats):
     runs = plain_and_corrected(cfg, params)
     rows, rejected = [], []
     for coarse in meshes:
-        fine, pm = msh.refine_uniform(coarse)
         dt = solver.compute_dt(coarse, cfg)
         n_steps = int(np.ceil(t_final / dt))
         for case, evaluate in cases.items():
-            [(_, final)], stopped = score(evaluate, coarse, fine, pm, cfg, runs,
-                                          n_steps, n_steps)
+            [(_, final)], stopped = score(evaluate, coarse, cfg, runs, n_steps, n_steps)
             rejected += [{"case": case, "cells": coarse.n_cells, **entry} for entry in stopped]
             w0 = prim_to_cons(evaluate(coarse.centroid), cfg.gas)
             bc_table = table_from_ic(coarse, evaluate)

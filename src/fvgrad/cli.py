@@ -17,8 +17,9 @@ Exit codes:
   0  ok
   2  config error: bad or unknown config key, a value out of its range
      (e.g. ``step.co`` not > 0, a ``dataset.mix`` not summing to 1, a
-     count such as ``train.epochs``, ``train.batch_size`` or
-     ``gradcheck.param_sample`` below 1, a ``simulate.n_steps`` below 0, a
+     count such as ``train.epochs``, ``train.batch_size``,
+     ``gradcheck.param_sample`` or ``simulate.save_every`` below 1, a
+     ``simulate.n_steps`` below 0, a
      ``gradcheck.rel_tol`` not finite and > 0, a ``train.lr`` or
      ``train.weight_decay`` not finite and >= 0, a ``train.beta1`` or
      ``train.beta2`` outside [0, 1), a ``loss`` weight not finite and
@@ -133,6 +134,7 @@ SCHEMA = {
     "simulate": {
         "ic": (str, "case:6"),              # case:N | family:fX | constant:r,u,v,p
         "n_steps": (int, 200),
+        "save_every": (int, 10),
         "ic_seed": (int, 0),
         "max_amp": (float, 6.0),
     },
@@ -378,10 +380,8 @@ def cmd_dataset(cfg):
     out = out_dir_for(cfg)
     ds_dir = out / cfg["dataset"]["dir"]
     coarse = _periodic_mesh(cfg, "dataset")
-    fine, pm = msh.refine_uniform(coarse)
     spec = _build(cfg, "dataset", train.DatasetSpec)
-    manifest = train.generate_dataset(spec, coarse, fine, pm, ds_dir,
-                                      _build(cfg, "step", solver.StepConfig))
+    manifest = train.generate_dataset(spec, coarse, ds_dir, _build(cfg, "step", solver.StepConfig))
     log.info("dataset: %d train + %d val trajectories -> %s",
              spec.count, spec.n_val, ds_dir)
     # files under out_dir are listed relative to it, the others absolute
@@ -469,7 +469,8 @@ def cmd_simulate(cfg, checkpoint=None):
     w0 = prim_to_cons(ic(mesh.centroid), cfg_step.gas)
     record = _checked("simulate", solver.rollout, mesh=mesh, w0=w0,
                       n_steps=cfg["simulate"]["n_steps"], cfg=cfg_step,
-                      bc_table=bc_table, params=params)
+                      bc_table=bc_table, params=params,
+                      save_every=cfg["simulate"]["save_every"])
     solver.write_frames(out / "frames.bin", record.times, record.frames)
     solver.write_csv(out / "diagnostics.csv", solver.DIAGNOSTIC_COLUMNS,
                      ([row[c] for c in solver.DIAGNOSTIC_COLUMNS] for row in record.diagnostics),
@@ -491,13 +492,11 @@ def cmd_bench(cfg, checkpoint=None):
     head, mesh, rejected = f"config {config_hash(cfg)}", None, []
     if bc_cfg["kind"] == "gain":
         mesh = build_mesh_from_config(cfg)
-        fine, pm = msh.refine_uniform(mesh)
         artifacts = [f"gain_{spec.replace(':', '')}.csv" for spec in cases]
         for (spec, evaluate), name in zip(cases.items(), artifacts):
             rows, stopped = _checked(
-                "bench", benchmod.gain, evaluate=evaluate, coarse=mesh, fine=fine,
-                pm=pm, cfg=step_cfg, params=params, n_steps=bc_cfg["n_steps"],
-                record_every=bc_cfg["record_every"])
+                "bench", benchmod.gain, evaluate=evaluate, coarse=mesh, cfg=step_cfg,
+                params=params, n_steps=bc_cfg["n_steps"], record_every=bc_cfg["record_every"])
             solver.write_csv(out / name, benchmod.GAIN_COLUMNS, rows, header_comment=head)
             rejected += [{"case": spec, "cells": mesh.n_cells, **entry} for entry in stopped]
             log.info("%s: mean gain over last quarter = %.2f%%", spec,

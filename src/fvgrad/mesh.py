@@ -358,8 +358,8 @@ class FaceBlock:
 
 @dataclass
 class ParentMap:
-    parent: np.ndarray       # (Nf,) coarse parent of each fine cell
-    children: np.ndarray     # (Nc, 4) fine children of each coarse cell
+    """Areas of a ``refine_uniform`` split, whose fine cell order is the map."""
+
     child_area: np.ndarray   # (Nc, 4)
     parent_area: np.ndarray  # (Nc,)
 
@@ -690,8 +690,8 @@ def refine_uniform(mesh):
 
     Midpoint nodes follow the mesh nodes in edge order (``_edges``).
     Boundary tags (and periodic pairing groups) are inherited by the two
-    child edges of each boundary edge.  Returns the fine mesh and the
-    parent map used by the conservative projection.
+    child edges of each boundary edge.  Returns the fine mesh and its
+    ``ParentMap``: coarse cell i's children are the fine cells 4 i to 4 i + 3.
     """
     n_nodes = len(mesh.nodes)
     he_edge, first, second = _edges(mesh.tri, n_nodes)
@@ -710,15 +710,7 @@ def refine_uniform(mesh):
 
     fine = build_mesh(nodes, tris.reshape(-1, 3), BoundarySpec.from_edge_table(edge_table))
 
-    n_coarse = mesh.n_cells
-    children = np.arange(4 * n_coarse, dtype=np.int64).reshape(n_coarse, 4)
-    parent = np.repeat(np.arange(n_coarse, dtype=np.int64), 4)
-    pm = ParentMap(
-        parent=parent,
-        children=children,
-        child_area=fine.area[children],
-        parent_area=mesh.area.copy(),
-    )
+    pm = ParentMap(child_area=fine.area.reshape(-1, 4), parent_area=mesh.area)
     if np.abs(pm.child_area.sum(axis=1) - pm.parent_area).max() > 1e-10 * pm.parent_area.max():
         raise MeshError("child areas do not sum to parent areas")
     return fine, pm
@@ -731,10 +723,10 @@ def project_fine_to_coarse(fine_field, pm):
     preserved up to round-off.
     """
     fine_field = np.asarray(fine_field)
-    if fine_field.shape[0] != pm.parent.shape[0]:
+    if fine_field.shape[0] != pm.child_area.size:
         raise ValueError(
-            f"field has {fine_field.shape[0]} rows, parent map expects {pm.parent.shape[0]}")
-    vals = fine_field[pm.children]                      # (Nc, 4, C)
+            f"field has {fine_field.shape[0]} rows, parent map expects {pm.child_area.size}")
+    vals = fine_field.reshape(pm.child_area.shape + fine_field.shape[1:])   # (Nc, 4, C)
     w = pm.child_area[:, :, None]
     return (vals * w).sum(axis=1) / pm.parent_area[:, None]
 

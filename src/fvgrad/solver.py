@@ -60,8 +60,8 @@ thread.  A step is traced when its state or its network's parameter vector
 (``params.values``, a ``mlcorr.NetParams``) is a ``Var``: the parameters
 reach the step as that one argument, traced or not.
 
-``march`` is the one time-marching loop: rollouts, fine-grid references
-(sub-stepped to the coarse time instants), gain runs, the error-versus-cost
+``march`` is the one time-marching loop: rollouts, ``reference``'s own fine
+run (sub-stepped to the coarse time instants), gain runs, the error-versus-cost
 study and the multi-step gradient check all advance through it.
 
 Gradient modes: "gg", "lsq" (plain) and "ml_gg", "ml_lsq" (corrected).
@@ -106,7 +106,6 @@ class StepConfig:
     limiter: bool = True
     limiter_k: float = 5.0
     gas: GasModel = field(default_factory=GasModel)
-    save_every: int = 10
 
     def __post_init__(self):
         if not self.co > 0:
@@ -116,8 +115,6 @@ class StepConfig:
         # K = 0 is legal: omega = 0 is well defined
         if not (np.isfinite(self.limiter_k) and self.limiter_k >= 0):
             raise ValueError("limiter_k must be finite and >= 0")
-        if not self.save_every >= 1:
-            raise ValueError("save_every must be at least 1")
 
     @property
     def uses_network(self):
@@ -460,37 +457,47 @@ def march(mesh, w0, dt, n_steps, cfg, bc_table=None, params=None, substeps=1):
         yield k, w, diag
 
 
-def reference(coarse, fine, pm, w0_fine, dt, n_steps, cfg, bc_table=None):
-    """Refined-grid run projected onto the coarse mesh at each coarse instant.
+def reference(coarse, evaluate, n_steps, cfg):
+    """cfg's plain mode on one ``refine_uniform`` of the coarse mesh, from the
+    initial condition evaluate (points -> primitive states) at the fine
+    centroids, with the boundary states it gives (``bc.table_from_ic``).
 
     Yields (k, w) for k = 0..n_steps: the fine state after k coarse steps of
-    dt, projected with ``project_fine_to_coarse`` (k = 0 is the projected
-    initial state).  The fine run takes the fewest substeps per coarse step
-    that keep its Courant number at or below the coarse one.
+    ``compute_dt(coarse, cfg)``, projected with ``project_fine_to_coarse``.
+    The fine run takes the fewest substeps per coarse step that keep its
+    Courant number at or below the coarse one.
     """
+    fine, pm = msh.refine_uniform(coarse)
+    plain = cfg.plain()
+    w0 = prim_to_cons(evaluate(fine.centroid), plain.gas)
+    bc_table = bclib.table_from_ic(fine, evaluate)
     substeps = int(np.ceil(coarse.min_sqrt_area / fine.min_sqrt_area - 1e-12))
-    yield 0, msh.project_fine_to_coarse(w0_fine, pm)
-    for k, w, _ in march(fine, w0_fine, dt, n_steps, cfg, bc_table, substeps=substeps):
+    yield 0, msh.project_fine_to_coarse(w0, pm)
+    for k, w, _ in march(fine, w0, compute_dt(coarse, plain), n_steps, plain, bc_table,
+                         substeps=substeps):
         yield k, msh.project_fine_to_coarse(w, pm)
 
 
-def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None):
-    """Advance n_steps with a fixed dt, saving every cfg.save_every-th frame.
+def rollout(mesh, w0, n_steps, cfg, bc_table=None, params=None, save_every=10):
+    """Advance n_steps with a fixed dt, saving every save_every-th frame.
 
     Deterministic for fixed inputs.  Diagnostics per saved frame: totals of
     the conserved quantities, and of the step that produced the frame its
     first-order fallback cells, its realized CFL number co * max wave speed
     and its clamped ghost states (frame 0: 0, NaN and 0).  n_steps = 0
-    records frame 0 alone; a negative n_steps raises a ValueError.
+    records frame 0 alone; a negative n_steps, or a save_every below 1,
+    raises a ValueError.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if save_every < 1:
+        raise ValueError(f"save_every must be >= 1, got {save_every}")
     dt = compute_dt(mesh, cfg)
     rec = RolloutRecord()
     w = np.asarray(ad.value_of(w0), dtype=np.float64)
     rec.append(0.0, w, _frame_diag(mesh, 0, 0.0, w, None, cfg))
     for k, w, diag in march(mesh, w, dt, n_steps, cfg, bc_table, params):
-        if k % cfg.save_every == 0 or k == n_steps:
+        if k % save_every == 0 or k == n_steps:
             rec.append(k * dt, w, _frame_diag(mesh, k, k * dt, w, diag, cfg))
     return rec
 

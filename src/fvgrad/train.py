@@ -1,8 +1,8 @@
 """Dataset generation, the regularized loss, and the optimization loop.
 
-Reference data comes from the configured step's plain mode on a one-level
-refinement of the training mesh, projected back by area-weighted means
-(``solver.reference``), so every coarse frame has a matching fine-grid truth
+Reference data is ``solver.reference`` of the configured step: its plain
+mode on a one-level refinement of the training mesh, projected back by
+area-weighted means, so every coarse frame has a matching fine-grid truth
 at the same time instant.  Supervision is one step, K = 1 of ``_loss_program``:
 from the projected state at t, one corrected step is compared against the
 projected reference at t + dt.  The gate (``gradient_check``) runs K = n_steps.
@@ -193,7 +193,7 @@ def step_record(step_cfg):
             "limiter_k": plain.limiter_k, "gamma": plain.gas.gamma}
 
 
-def generate_dataset(spec, coarse, fine, pm, out_dir, step_cfg):
+def generate_dataset(spec, coarse, out_dir, step_cfg):
     """Reference trajectories of step_cfg's plain mode, written to out_dir.
 
     The process that computes a trajectory writes its frame file and hashes
@@ -205,16 +205,15 @@ def generate_dataset(spec, coarse, fine, pm, out_dir, step_cfg):
     n = spec.count + spec.n_val
     seeds = np.random.SeedSequence(spec.seed).spawn(n)
     fams = spec.families() + spec.families(spec.n_val)
-    plain = step_cfg.plain()
-    dt = solver.compute_dt(coarse, plain)
+    dt = solver.compute_dt(coarse, step_cfg)
 
     def make(j):
         fam = fams[j]
         kind, i = ("train", j) if j < spec.count else ("val", j - spec.count)
         name = f"{kind}_{i:03d}.frames"
         params = draw_ic_params(fam, np.random.default_rng(seeds[j]))
-        w0 = prim_to_cons(evaluate_ic(fam, params, fine.centroid, spec.max_amp), plain.gas)
-        frames = [w for _, w in solver.reference(coarse, fine, pm, w0, dt, spec.steps, plain)]
+        frames = [w for _, w in solver.reference(
+            coarse, lambda pts: evaluate_ic(fam, params, pts, spec.max_amp), spec.steps, step_cfg)]
         solver.write_frames(out / name, [k * dt for k in range(len(frames))], frames)
         log.info("dataset trajectory %s (%s): %d frames", name, fam, len(frames))
         return {"file": name, "kind": kind, "family": fam, "sha256": _sha256(out / name)}

@@ -45,7 +45,7 @@ def test_mesh_command_writes_mesh_and_manifest(run, tmp_path):
     assert manifest["config"]["mesh"]["n"] == 6
 
 
-@pytest.mark.parametrize("n,config_hash", [(6, "6637c827f629e1fd"), (71, "134e8cc7b2cb4f7b")],
+@pytest.mark.parametrize("n,config_hash", [(6, "fb3a24eb2ff3bfc6"), (71, "5f1617d6159c10fe")],
                          ids=["6", "71"])
 def test_manifest_records_step_workers_and_numpy_version(run, tmp_path, n, config_hash):
     cfg = {"mesh": {"kind": "structured", "n": n, "periodic": True}}
@@ -218,7 +218,7 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
     ("simulate", {"mesh": {"kind": "irregular", "n": 0}, "simulate": {"n_steps": 1}}),
     ("mesh", {"mesh": {"kind": "forward_step", "h_target": 0.0}}),
     ("mesh", {"mesh": {"kind": "forward_step", "h_target": -0.1}}),
-    ("simulate", {**SMALL, "step": {"save_every": 0}, "simulate": {"n_steps": 1}}),
+    ("simulate", {**SMALL, "simulate": {"n_steps": 1, "save_every": 0}}),
     ("simulate", {**SMALL, "step": {"limiter_k": float("nan")}, "simulate": {"n_steps": 1}}),
     ("simulate", {**SMALL, "step": {"limiter_k": -5.0}, "simulate": {"n_steps": 1}}),
     ("simulate", {**SMALL, "step": {"co": float("nan")}, "simulate": {"n_steps": 1}}),
@@ -258,7 +258,7 @@ def test_a_net_size_below_one_is_config_error(run, caplog, net):
         "study_two_levels", "study_no_cases",
         "study_zero_repeats", "study_on_the_forward_step", "mesh_n_zero",
         "simulate_irregular_n_zero",
-        "mesh_h_target_zero", "mesh_h_target_negative", "step_save_every_zero",
+        "mesh_h_target_zero", "mesh_h_target_negative", "simulate_save_every_zero",
         "step_limiter_k_nan", "step_limiter_k_negative", "step_co_nan", "gamma_nan",
         "gradcheck_param_sample_zero", "gradcheck_n_steps_zero", "dataset_count_negative",
         "dataset_n_val_negative", "dataset_mix_negative_fraction", "mesh_path_missing",
@@ -538,14 +538,15 @@ def test_step_gradient_gg_trains_ml_gg_against_gg_references(run, tmp_path, monk
 
 
 def test_a_gradcheck_report_is_keyed_by_the_sections_it_reads(run, caplog):
-    """Another train.seed or dataset.count leaves the report valid; another
-    step.co makes it stale."""
+    """Another train.seed, dataset.count or simulate.save_every leaves the
+    report valid; another step.co makes it stale."""
     cfg = {**SMALL, "dataset": {"count": 1, "n_val": 0, "steps": 2}, "train": {"epochs": 1},
            "gradcheck": {"param_sample": 4}}
     assert run("dataset", cfg) == cli.EXIT_OK
     assert run("gradcheck", cfg) == cli.EXIT_OK
     assert run("train", cfg) == cli.EXIT_OK
     assert run("train", {**cfg, "train": {"epochs": 1, "seed": 1}}) == cli.EXIT_OK
+    assert run("train", {**cfg, "simulate": {"save_every": 5}}) == cli.EXIT_OK
     more = {**cfg, "dataset": {"count": 2, "n_val": 0, "steps": 2}}
     assert run("dataset", more) == cli.EXIT_OK
     assert run("train", more) == cli.EXIT_OK
@@ -669,15 +670,16 @@ def test_a_malformed_ic_spec_is_named(run, caplog, command, spec):
 
 @pytest.mark.parametrize("key,cfg", [("seed", {"seed": 0}), ("bench.n", {"bench": {"n": 27}}),
                                      ("bench.bc", {"bench": {"bc": "periodic"}}),
-                                     ("dataset.co", {"dataset": {"co": 0.03}})],
-                         ids=["seed", "bench_n", "bench_bc", "dataset_co"])
+                                     ("dataset.co", {"dataset": {"co": 0.03}}),
+                                     ("step.save_every", {"step": {"save_every": 5}})],
+                         ids=["seed", "bench_n", "bench_bc", "dataset_co", "step_save_every"])
 def test_removed_keys_are_unknown(run, caplog, key, cfg):
     assert run("bench", cfg) == cli.EXIT_CONFIG
     assert f"unknown config key '{key}'" in caplog.text
 
 
 def test_diagnostics_csv_has_cfl_and_bc_clamps(run, tmp_path):
-    cfg = {**BOUNDED, "step": {"save_every": 2}, "simulate": {"n_steps": 3}}
+    cfg = {**BOUNDED, "simulate": {"n_steps": 3, "save_every": 2}}
     assert run("simulate", cfg) == cli.EXIT_OK
     header, columns, *rows = (_out(tmp_path) / "diagnostics.csv").read_text().splitlines()
     columns = columns.split(",")
@@ -717,11 +719,10 @@ def test_bench_takes_the_step_config(run, tmp_path):
     assert rows({"limiter": False}) != default
     assert gg != default
     coarse = msh.structured_mesh(5, boundary_spec=msh.BoundarySpec.uniform(msh.SUBSONIC_OUT))
-    fine, pm = msh.refine_uniform(coarse)
     runs = {"gg": (solver.StepConfig(gradient="gg"), None),
             "ml_gg": (solver.StepConfig(gradient="ml_gg"), mlcorr.zero_params())}
-    direct, rejected = bench.score(bench.riemann_case(6).evaluate, coarse, fine, pm,
-                                   runs["gg"][0], runs, 6, 3)
+    direct, rejected = bench.score(bench.riemann_case(6).evaluate, coarse, runs["gg"][0], runs,
+                                   6, 3)
     assert rejected == []
     assert [[float(v) for v in row.split(",")[2:4]] for row in gg] == [
         [errors["gg"], errors["ml_gg"]] for _, errors in direct]

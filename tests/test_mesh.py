@@ -106,16 +106,33 @@ def test_refine_quadruples_and_preserves_area():
     assert 4 * 2614 == 10456
 
 
+@pytest.mark.parametrize("make", [
+    lambda: msh.structured_mesh(4, boundary_spec=BoundarySpec.uniform(msh.SLIP_WALL)),
+    lambda: msh.irregular_mesh(5, seed=3, boundary_spec=BoundarySpec.uniform(msh.SLIP_WALL)),
+    lambda: bench.forward_step_mesh(0.2)[0],
+    lambda: msh.periodic_irregular_mesh(5, seed=2),
+], ids=["structured", "irregular", "forward_step", "periodic"])
+def test_a_refinements_children_are_its_cell_order(make):
+    """Coarse cell i's children are the fine cells 4 i to 4 i + 3, which
+    ``ParentMap`` relies on: each one's centroid lies inside triangle i."""
+    m = make()
+    fine, _ = msh.refine_uniform(m)
+    corners = m.nodes[m.tri][:, None]                   # (N, 1, 3, 2)
+    q = fine.centroid.reshape(-1, 4, 1, 2)
+    edge = np.roll(corners, -1, axis=2) - corners
+    to_q = q - corners
+    # left of every edge of a CCW triangle
+    assert (edge[..., 0] * to_q[..., 1] - edge[..., 1] * to_q[..., 0] > 0).all()
+
+
 def test_refine_twice_composes_parent_maps():
     m = msh.periodic_structured_mesh(3)
-    f1, pm1 = msh.refine_uniform(m)
-    f2, pm2 = msh.refine_uniform(f1)
+    f1, _ = msh.refine_uniform(m)
+    f2, _ = msh.refine_uniform(f1)
     assert f2.n_cells == 16 * m.n_cells
-    # areas of the 16 descendants sum to the root area
+    # areas of the 16 descendants, fine cells 16 r to 16 r + 15, sum to the root area
     for root in range(m.n_cells):
-        mids = pm1.children[root]
-        leaves = pm2.children[mids].ravel()
-        assert abs(f2.area[leaves].sum() - m.area[root]) <= 1e-12
+        assert abs(f2.area[16 * root:16 * root + 16].sum() - m.area[root]) <= 1e-12
 
 
 def test_projection_constant_and_mean():

@@ -60,10 +60,11 @@ def test_conservation_on_periodic_mesh(mesh, w0, seeded_params, mode):
 
 @pytest.mark.parametrize("mode", ["gg", "lsq"])
 def test_zero_params_reproduce_plain_rollout_bitwise(mesh, w0, mode):
-    cfg = solver.StepConfig(co=CO, gradient=mode, save_every=3)
-    cfg_ml = solver.StepConfig(co=CO, gradient=f"ml_{mode}", save_every=3)
-    plain = solver.rollout(mesh, w0, N_STEPS, cfg, {})
-    ml = solver.rollout(mesh, w0, N_STEPS, cfg_ml, {}, params=mlcorr.zero_params())
+    cfg = solver.StepConfig(co=CO, gradient=mode)
+    cfg_ml = solver.StepConfig(co=CO, gradient=f"ml_{mode}")
+    plain = solver.rollout(mesh, w0, N_STEPS, cfg, {}, save_every=3)
+    ml = solver.rollout(mesh, w0, N_STEPS, cfg_ml, {}, params=mlcorr.zero_params(),
+                        save_every=3)
     assert [r["step"] for r in plain.diagnostics] == [0, 3, 6, 9, 10]
     assert plain.times == ml.times
     assert len(plain.frames) == len(ml.frames) == 5
@@ -94,7 +95,7 @@ def test_an_unlimited_step_is_a_step_whose_limiter_is_one_everywhere(mesh, gas, 
 @pytest.mark.parametrize("mode", solver.GRADIENT_MODES)
 def test_plain_and_corrected_modes_keep_every_other_field(mode):
     cfg = solver.StepConfig(co=0.02, gradient=mode, limiter=False, limiter_k=0.5,
-                            gas=GasModel(1.3), save_every=3)
+                            gas=GasModel(1.3))
     plain = mode.removeprefix("ml_")
     assert cfg.plain() == replace(cfg, gradient=plain)
     assert cfg.corrected() == replace(cfg, gradient=f"ml_{plain}")
@@ -224,8 +225,8 @@ def test_residual_equals_its_stages_called_one_by_one(mesh, w0, mode):
 def test_frame_diagnostics_carry_the_cfl_and_bc_clamps_of_their_step(gas):
     m, bc_table = bench.forward_step_mesh(0.2)
     w0 = prim_to_cons(bench.riemann_case(6).evaluate(m.centroid), gas)
-    cfg = solver.StepConfig(co=CO, gradient="lsq", save_every=2)
-    rec = solver.rollout(m, w0, 5, cfg, bc_table)
+    cfg = solver.StepConfig(co=CO, gradient="lsq")
+    rec = solver.rollout(m, w0, 5, cfg, bc_table, save_every=2)
     diags = [d for _, _, d in solver.march(m, w0, solver.compute_dt(m, cfg), 5, cfg, bc_table)]
     assert [row["step"] for row in rec.diagnostics] == [0, 2, 4, 5]
     first = rec.diagnostics[0]
@@ -239,10 +240,9 @@ def test_frame_diagnostics_carry_the_cfl_and_bc_clamps_of_their_step(gas):
 
 @pytest.mark.parametrize("gradient", ["lsq", "gg"])
 def test_gain_is_zero_at_zero_params(mesh, gradient):
-    fine, pm = msh.refine_uniform(mesh)
     cfg = solver.StepConfig(co=CO, gradient=gradient)
-    rows, rejected = bench.gain(smooth_prim_field, mesh, fine, pm, cfg, mlcorr.zero_params(),
-                                N_STEPS, record_every=3)
+    rows, rejected = bench.gain(smooth_prim_field, mesh, cfg, mlcorr.zero_params(), N_STEPS,
+                                record_every=3)
     steps, _, l_coarse, l_ml, gain_pct = map(np.array, zip(*rows))
     assert list(steps) == [3, 6, 9, 10] and rejected == []
     assert (l_coarse > 0).all()
@@ -279,7 +279,8 @@ def test_reference_is_the_projected_fine_march(periodic, gas):
     w0 = prim_to_cons(case.evaluate(fine.centroid), gas)
     cfg = solver.StepConfig(co=CO, gradient="lsq")
     dt = solver.compute_dt(coarse, cfg)
-    got = list(solver.reference(coarse, fine, pm, w0, dt, 4, cfg, bc_fine))
+    # the reference marches the plain mode of the step it is given
+    got = list(solver.reference(coarse, case.evaluate, 4, cfg.corrected()))
     # uniform refinement halves every length: two fine substeps per coarse step
     expect = [(0, msh.project_fine_to_coarse(w0, pm))] + [
         (k, msh.project_fine_to_coarse(w, pm))
@@ -336,10 +337,9 @@ def test_study_slopes_fit_the_case_mean_errors(study):
 
 
 def test_gain_rejects_fewer_than_one_step(mesh):
-    fine, pm = msh.refine_uniform(mesh)
     with pytest.raises(ValueError, match="n_steps"):
-        bench.gain(smooth_prim_field, mesh, fine, pm, solver.StepConfig(co=CO),
-                   mlcorr.zero_params(), 0, record_every=10)
+        bench.gain(smooth_prim_field, mesh, solver.StepConfig(co=CO), mlcorr.zero_params(), 0,
+                   record_every=10)
 
 
 def _cons_flux(w, n, gas):

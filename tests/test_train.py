@@ -23,12 +23,10 @@ def _f3_field(points, draw=0):
     return train.evaluate_ic("f3", ic, points)
 
 
-def _reference_frames(coarse, fine, pm, w0, steps, cfg):
+def _reference_frames(coarse, evaluate, steps, cfg):
     """The projected reference of cfg's plain mode at every coarse step, as
     the dataset marches it."""
-    dt = solver.compute_dt(coarse, cfg)
-    return np.stack([w for _, w in solver.reference(coarse, fine, pm, w0, dt, steps,
-                                                    cfg.plain())])
+    return np.stack([w for _, w in solver.reference(coarse, evaluate, steps, cfg)])
 
 
 def test_loss_tvd_on_piecewise_constant_field_has_finite_gradient(coarse, rng):
@@ -62,11 +60,9 @@ def test_supervision_loss_is_zero_with_a_zero_gradient_at_its_target(coarse):
     assert train.loss_supervision(u.copy(), u) == 0.0
 
 
-def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
-    fine, pm = msh.refine_uniform(coarse)
-    w0 = prim_to_cons(_f3_field(fine.centroid), gas)
+def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse):
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
-    frames = _reference_frames(coarse, fine, pm, w0, 4, cfg)
+    frames = _reference_frames(coarse, _f3_field, 4, cfg)
     traj = train.Trajectory(family="f3", frames=frames, ic_params={})
     result = train.train(coarse, cfg, [traj], [traj], train.TrainConfig(epochs=1, batch_size=2))
     assert not result.aborted
@@ -75,14 +71,12 @@ def test_one_training_epoch_on_a_piecewise_constant_trajectory(coarse, gas):
     assert np.isfinite(result.params.values).all()
 
 
-def test_skipped_optimizer_steps_are_counted(coarse, gas, monkeypatch):
+def test_skipped_optimizer_steps_are_counted(coarse, monkeypatch):
     """lion_step skips a step whose gradient is not finite; the result counts
     the skips: none in a clean run, one where one minibatch's gradient is
     NaN (its loss finite).  Two minibatches of one two-sample group each."""
-    fine, pm = msh.refine_uniform(coarse)
-    w0 = prim_to_cons(_f3_field(fine.centroid), gas)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
-    frames = _reference_frames(coarse, fine, pm, w0, 4, cfg)
+    frames = _reference_frames(coarse, _f3_field, 4, cfg)
     traj = train.Trajectory(family="f3", frames=frames, ic_params={})
     tcfg = train.TrainConfig(epochs=1, batch_size=2)
     clean = train.train(coarse, cfg, [traj], [], tcfg)
@@ -119,7 +113,7 @@ def test_gradient_check_marches_the_plain_and_corrected_modes_of_its_step(coarse
     assert all(cfg == step.corrected() for cfg in cfgs[1:])
 
 
-def test_the_gate_and_training_run_the_one_loss_program(coarse, gas, monkeypatch):
+def test_the_gate_and_training_run_the_one_loss_program(coarse, monkeypatch):
     """The gate runs ``_loss_program`` at K = n_steps on the mesh itself;
     training runs it at K = 1 on the copies of a group of 4 samples, in
     validation before and after the epoch and in its one minibatch."""
@@ -134,7 +128,7 @@ def test_the_gate_and_training_run_the_one_loss_program(coarse, gas, monkeypatch
     train.gradient_check(coarse, n_steps=3, param_sample=2)
     assert calls == [(72, 3)]
     monkeypatch.setattr(solver, "_cpus", lambda: 1)
-    trajs = _trajectories(coarse, gas, (0, 1))
+    trajs = _trajectories(coarse, (0, 1))
     train.train(coarse, solver.StepConfig(co=0.03, gradient="ml_lsq"), trajs[:1], trajs[1:],
                 train.TrainConfig(epochs=1, batch_size=4))
     assert calls[1:] == [(4 * 72, 1)] * 3
@@ -241,12 +235,11 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _trajectories(coarse, gas, draws, steps=4):
-    fine, pm = msh.refine_uniform(coarse)
+def _trajectories(coarse, draws, steps=4):
     out = []
     for draw in draws:
-        w0 = prim_to_cons(_f3_field(fine.centroid, draw), gas)
-        frames = _reference_frames(coarse, fine, pm, w0, steps, solver.StepConfig(co=0.03))
+        frames = _reference_frames(coarse, lambda pts: _f3_field(pts, draw), steps,
+                                   solver.StepConfig(co=0.03))
         out.append(train.Trajectory(family="f3", frames=frames, ic_params={}))
     return out
 
@@ -277,8 +270,8 @@ def _same_training(a, b):
     assert a.aborted == b.aborted
 
 
-def test_training_is_bitwise_the_same_on_one_two_or_three_cpus(coarse, gas, monkeypatch):
-    trajs = _trajectories(coarse, gas, (0, 1, 2), steps=6)
+def test_training_is_bitwise_the_same_on_one_two_or_three_cpus(coarse, monkeypatch):
+    trajs = _trajectories(coarse, (0, 1, 2), steps=6)
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     # 12 samples in batches of 5, 5 and 2, so in 3, 3 and 1 groups of at
     # most 2, validated on 6 pairs (3 groups) every epoch
@@ -294,8 +287,8 @@ def test_training_is_bitwise_the_same_on_one_two_or_three_cpus(coarse, gas, monk
         assert own == 2 * sum(m // min(k, m) for m in (3, 3, 1)), k
 
 
-def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, gas, monkeypatch):
-    trajs = _trajectories(coarse, gas, (0, 1))
+def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, monkeypatch):
+    trajs = _trajectories(coarse, (0, 1))
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     tcfg = train.TrainConfig(epochs=1, batch_size=4)
     serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
@@ -309,10 +302,10 @@ def test_a_failed_fork_leaves_the_share_to_the_caller(coarse, gas, monkeypatch):
     assert own == 2
 
 
-def test_a_training_run_forks_once_per_extra_cpu(coarse, gas, monkeypatch):
+def test_a_training_run_forks_once_per_extra_cpu(coarse, monkeypatch):
     """The children serve every minibatch and validation of a train call, so
     a fork's cost is paid once per call, not once per minibatch."""
-    trajs = _trajectories(coarse, gas, (0, 1))
+    trajs = _trajectories(coarse, (0, 1))
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     # 4 samples in batches of 2 over 2 epochs, and 3 validations; groups of
     # one sample, so that the 4 validation pairs keep 3 CPUs busy
@@ -335,10 +328,10 @@ def test_a_training_run_forks_once_per_extra_cpu(coarse, gas, monkeypatch):
     assert own == 4
 
 
-def test_a_child_that_dies_leaves_its_shares_to_the_caller(coarse, gas, monkeypatch):
+def test_a_child_that_dies_leaves_its_shares_to_the_caller(coarse, monkeypatch):
     """A child dies in its first sample: the caller runs that share, and the
     later shares it would have had."""
-    trajs = _trajectories(coarse, gas, (0, 1))
+    trajs = _trajectories(coarse, (0, 1))
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     tcfg = train.TrainConfig(epochs=2, batch_size=4)
     serial, _ = _train_on(monkeypatch, 1, coarse, cfg, trajs[:1], trajs[1:], tcfg)
@@ -358,13 +351,11 @@ def test_a_child_that_dies_leaves_its_shares_to_the_caller(coarse, gas, monkeypa
 
 def test_dataset_files_are_bitwise_the_same_on_one_two_or_three_cpus(coarse, monkeypatch,
                                                                      tmp_path):
-    fine, pm = msh.refine_uniform(coarse)
     spec = train.DatasetSpec(count=3, n_val=2, steps=3, mix=(0.4, 0.2, 0.4))
     files = {}
     for k in (1, 2, 3):
         monkeypatch.setattr(solver, "_cpus", lambda k=k: k)
-        manifest = train.generate_dataset(spec, coarse, fine, pm, tmp_path / str(k),
-                                          solver.StepConfig())
+        manifest = train.generate_dataset(spec, coarse, tmp_path / str(k), solver.StepConfig())
         _no_child_left()
         assert [e["file"] for e in manifest["trajectories"]] == [
             "train_000.frames", "train_001.frames", "train_002.frames",
@@ -381,7 +372,6 @@ def test_each_dataset_file_is_written_where_its_trajectory_was_computed(
         coarse, monkeypatch, tmp_path):
     """With 2 CPUs the caller computes trajectories 0-1 and a child 2-4; each
     process writes the files of its own share."""
-    fine, pm = msh.refine_uniform(coarse)
     spec = train.DatasetSpec(count=3, n_val=2, steps=3)
     monkeypatch.setattr(solver, "_cpus", lambda: 2)
     log = tmp_path / "writers.txt"
@@ -393,7 +383,7 @@ def test_each_dataset_file_is_written_where_its_trajectory_was_computed(
         return write_frames(path, *args)
 
     monkeypatch.setattr(solver, "write_frames", recorded)
-    train.generate_dataset(spec, coarse, fine, pm, tmp_path / "ds", solver.StepConfig())
+    train.generate_dataset(spec, coarse, tmp_path / "ds", solver.StepConfig())
     _no_child_left()
     writers = dict(line.split() for line in log.read_text().splitlines())
     caller = str(os.getpid())
@@ -416,11 +406,11 @@ def _corrupt(frames, cell, component):
 
 @pytest.mark.parametrize("positions", [(1, 6), (5, 7)],
                          ids=["caller_share_first", "child_share_first"])
-def test_a_failing_sample_raises_the_serial_error(coarse, gas, monkeypatch, positions):
+def test_a_failing_sample_raises_the_serial_error(coarse, monkeypatch, positions):
     """With 2 CPUs the caller records batch positions 0-3 and a child 4-7.
     Two samples fail, with different errors; the one earlier in batch order
     must be raised, as serial training raises it."""
-    (traj,) = _trajectories(coarse, gas, (0,), steps=8)
+    (traj,) = _trajectories(coarse, (0,), steps=8)
     tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=3)
     order = np.random.default_rng(tcfg.seed).permutation(traj.n_pairs)
     frames = traj.frames.copy()
@@ -437,12 +427,12 @@ def test_a_failing_sample_raises_the_serial_error(coarse, gas, monkeypatch, posi
     assert errors[0][2] == "internal_energy"
 
 
-def test_training_after_a_two_block_step_is_bitwise_serial(coarse, gas, monkeypatch):
+def test_training_after_a_two_block_step_is_bitwise_serial(coarse, monkeypatch):
     """The caller's step pool is alive when the children fork; validation
     steps run in two blocks, in the caller and in a child, which builds its
     own pool."""
     monkeypatch.setattr(solver, "step_workers", lambda n_cells: 2)
-    trajs = _trajectories(coarse, gas, (0, 1))
+    trajs = _trajectories(coarse, (0, 1))
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     solver.step_explicit_euler(coarse, trajs[0].frames[0], solver.compute_dt(coarse, cfg),
                                cfg, params=mlcorr.zero_params())
@@ -609,7 +599,7 @@ def test_a_group_holding_one_failing_sample_raises_its_serial_error(coarse, gas,
     admissible at cell 4; on the copies that cell is 5 * 72 + 4.  The group
     runs its samples alone and raises sample 5's own error, in its one
     marched step."""
-    (traj,) = _trajectories(coarse, gas, (0,), steps=8)
+    (traj,) = _trajectories(coarse, (0,), steps=8)
     tcfg = train.TrainConfig(epochs=1, batch_size=8, seed=3)
     order = np.random.default_rng(tcfg.seed).permutation(traj.n_pairs)
     frames = traj.frames.copy()
@@ -654,8 +644,8 @@ def test_a_group_that_fails_runs_its_items_alone():
         run(None, (4, 5, 2))
 
 
-def test_each_epoch_logs_where_its_time_went(coarse, gas, caplog):
-    trajs = _trajectories(coarse, gas, (0, 1))
+def test_each_epoch_logs_where_its_time_went(coarse, caplog):
+    trajs = _trajectories(coarse, (0, 1))
     cfg = solver.StepConfig(co=0.03, gradient="ml_lsq")
     with caplog.at_level("INFO", logger="fvgrad.train"):
         result = train.train(coarse, cfg, trajs[:1], trajs[1:],
